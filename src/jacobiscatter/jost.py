@@ -14,10 +14,15 @@ are seeded with those exact plane-wave values on the outer sites and
 propagated through the window by the recursion itself, which on the unit
 circle has no decaying companion solution to lose accuracy to.
 
-Solutions are produced on an index range two sites wider than the window
-on each side so that downstream tail fits read only sites where the tail
-form is exact.  A caller can widen the range further; the extra sites are
-free and cost one recursion step each.
+jost_values produces solutions on an index range two sites wider than
+the window on each side, so that downstream tail fits read only sites
+where the tail form is exact; a caller can widen the range further, at
+one recursion step per extra site and grid point.  The tail fits
+themselves need neither the window nor the stored values: sites outside
+the effective support carry the limits just as well, so they recurse
+over that support plus two sites on each side and keep only the last
+two rows of state.  Both run on one kernel, which stores solutions
+site-major, one contiguous row of grid points per site.
 """
 
 from __future__ import annotations
@@ -99,28 +104,56 @@ def jost_values(
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     require_admissible(zs)
-    sign = -1 if at_inverse else 1
     lo, hi = solution_range(seq, cover)
-    n_min, n_max = seq.window.n_min, seq.window.n_max
+    return _recurse(seq, seq.window, lo, hi, zs, side, at_inverse, store=True).T, lo
+
+
+def _recurse(
+    seq: CoefficientSequence,
+    window: IndexWindow,
+    lo: int,
+    hi: int,
+    zs: np.ndarray,
+    side: str,
+    at_inverse: bool,
+    store: bool,
+) -> np.ndarray:
+    """Propagate one normalized solution over [lo, hi]; row k is site lo + k.
+
+    Every coefficient of seq outside window must sit at its limit.  The
+    exact plane-wave tail is seeded past window and the recursion runs
+    across it.  With store the whole (sites, M) buffer is returned.
+    Otherwise three rows rotate and only the two reached last come back,
+    in site order: (lo, lo + 1) for the left side, (hi - 1, hi) for the
+    right; that mode seeds only two sites, so lo must be
+    window.n_min - 2.
+    """
     a, b, w = coefficient_arrays(seq, lo, hi + 1)
     lim = seq.limits
+    n_min, n_max = window.n_min, window.n_max
+    sign = -1 if at_inverse else 1
+    count = hi - lo + 1 if store else 3
+    rows = np.empty((count, zs.size), dtype=complex)
     s = lim.a_inf * (zs + 1.0 / zs) + lim.b_inf
-    vals = np.empty((zs.size, hi - lo + 1), dtype=complex)
     if side == "left":
-        tail = np.arange(n_max, hi + 1)
-        vals[:, n_max - lo :] = zs[:, None] ** (sign * tail[None, :])
-        for n in range(n_max, lo, -1):
-            k = n - lo
-            rhs = (w[k] / lim.w_inf) * s * vals[:, k]
-            vals[:, k - 1] = (rhs - a[k + 1] * vals[:, k + 1] - b[k] * vals[:, k]) / a[k]
+        tail = np.arange(n_max, hi + 1 if store else n_max + 2)
+        rows[(tail - lo) % count] = (zs[:, None] ** (sign * tail[None, :])).T
+        for k in range(n_max - lo, 0, -1):
+            v = rows[k % count]
+            rhs = (w[k] / lim.w_inf) * s * v
+            rows[(k - 1) % count] = (rhs - a[k + 1] * rows[(k + 1) % count] - b[k] * v) / a[k]
+        last = 0
     else:
         tail = np.arange(lo, n_min)
-        vals[:, : n_min - lo] = zs[:, None] ** (-sign * tail[None, :])
-        for n in range(n_min - 1, hi):
-            k = n - lo
-            rhs = (w[k] / lim.w_inf) * s * vals[:, k]
-            vals[:, k + 1] = (rhs - b[k] * vals[:, k] - a[k] * vals[:, k - 1]) / a[k + 1]
-    return vals, lo
+        rows[(tail - lo) % count] = (zs[:, None] ** (-sign * tail[None, :])).T
+        for k in range(n_min - 1 - lo, hi - lo):
+            v = rows[k % count]
+            rhs = (w[k] / lim.w_inf) * s * v
+            rows[(k + 1) % count] = (rhs - b[k] * v - a[k] * rows[(k - 1) % count]) / a[k + 1]
+        last = hi - lo - 1
+    if store:
+        return rows
+    return rows[[last % count, (last + 1) % count]]
 
 
 def jost_left(

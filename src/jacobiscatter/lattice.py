@@ -221,7 +221,9 @@ def fragment(seq: CoefficientSequence, frag: Fragmentation) -> list[CoefficientS
     n_{j-1} < n <= n_j, where n_0 = -inf and n_N = +inf, and carries the
     limits everywhere else.  All fragments share the window and limits of
     the input, so summing the deviations of the fragments reproduces the
-    deviations of the input site by site.
+    deviations of the input site by site.  The shared window costs
+    nothing downstream: scattering data and transition matrices are
+    evaluated on each fragment's effective support, its own slab.
     """
     idx = seq.window.indices()
     lowers = (-math.inf,) + frag.breakpoints

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFault
-from .jost import jost_values
-from .lattice import CoefficientSequence, coefficient_arrays
-from .spectral import CircleGrid, wave_pair_det
+from .jost import _recurse, jost_values
+from .lattice import CoefficientSequence, coefficient_arrays, effective_support
+from .spectral import CircleGrid, require_admissible, wave_pair_det
 
 # Relative disagreement of the two 1/T fits that flags a fault.
 MISMATCH_TOL = 1e-8
@@ -114,34 +114,33 @@ class IdentitySweep:
         )
 
 
-def scattering_amplitudes(
-    seq: CoefficientSequence, zs: np.ndarray, at_inverse: bool = False
+def _tail_fit(
+    zs: np.ndarray, left: np.ndarray, right: np.ndarray, n: int, p: int, sign: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized tail fits returning (1/T, R/T, L/T) arrays.
+    """(1/T, R/T, L/T) from two rows of each solution on exact tail sites.
 
-    The left fit solves for (1/T, L/T) on the two lowest sites of the
-    left-normalized solution, the right fit for (1/T, R/T) on the two
-    highest sites of the right-normalized one; both pairs of sites lie in
-    the regions where the tail expansions hold exactly.
+    left holds the left-normalized solution on sites n and n + 1, right
+    the right-normalized one on p and p + 1.  sign is -1 for data at 1/z
+    parametrized by z, as in the at_inverse modes.
 
-    at_inverse produces the data at 1/z parametrized by z, mirroring the
-    same mode of jost_values: power signs flip, the plane-wave pair
-    determinant changes sign, nothing is evaluated at a rounded
-    reciprocal.
+    Raises NumericalFault, naming theta, where a fit is not finite or the
+    two 1/T fits disagree.
     """
-    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    sign = -1 if at_inverse else 1
-    fl, lo = jost_values(seq, zs, "left", at_inverse=at_inverse)
-    fr, _ = jost_values(seq, zs, "right", at_inverse=at_inverse)
-    n = lo  # = n_min - 2, so n and n + 1 are both exact left-tail sites
-    p = seq.window.n_max + 1  # p and p + 1 are both exact right-tail sites
     det_left = sign * wave_pair_det(zs)
-    inv_t_left = (fl[:, 0] * zs ** (-sign * (n + 1)) - fl[:, 1] * zs ** (-sign * n)) / det_left
-    l_over_t = (fl[:, 1] * zs ** (sign * n) - fl[:, 0] * zs ** (sign * (n + 1))) / det_left
-    kp = p - lo
+    inv_t_left = (left[0] * zs ** (-sign * (n + 1)) - left[1] * zs ** (-sign * n)) / det_left
+    l_over_t = (left[1] * zs ** (sign * n) - left[0] * zs ** (sign * (n + 1))) / det_left
     det_right = -det_left
-    inv_t_right = (fr[:, kp] * zs ** (sign * (p + 1)) - fr[:, kp + 1] * zs ** (sign * p)) / det_right
-    r_over_t = (fr[:, kp + 1] * zs ** (-sign * p) - fr[:, kp] * zs ** (-sign * (p + 1))) / det_right
+    inv_t_right = (right[0] * zs ** (sign * (p + 1)) - right[1] * zs ** (sign * p)) / det_right
+    r_over_t = (right[1] * zs ** (-sign * p) - right[0] * zs ** (-sign * (p + 1))) / det_right
+    finite = (
+        np.isfinite(inv_t_left)
+        & np.isfinite(inv_t_right)
+        & np.isfinite(r_over_t)
+        & np.isfinite(l_over_t)
+    )
+    if not np.all(finite):
+        theta = float(np.angle(zs[int(np.argmin(finite))]))
+        raise NumericalFault(f"tail fit is not finite at theta = {theta:.6g}")
     inv_t = 0.5 * (inv_t_left + inv_t_right)
     mismatch = np.abs(inv_t_left - inv_t_right)
     scale = np.maximum(1.0, np.abs(inv_t))
@@ -156,13 +155,48 @@ def scattering_amplitudes(
     return inv_t, r_over_t, l_over_t
 
 
+def _coefficients(
+    inv_t: np.ndarray, r_over_t: np.ndarray, l_over_t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    t = 1.0 / inv_t
+    return t, r_over_t * t, l_over_t * t
+
+
+def scattering_amplitudes(
+    seq: CoefficientSequence, zs: np.ndarray, at_inverse: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized tail fits returning (1/T, R/T, L/T) arrays.
+
+    The left fit solves for (1/T, L/T) on the two sites just below the
+    effective support of the left-normalized solution, the right fit for
+    (1/T, R/T) on the two just above it of the right-normalized one; the
+    tail expansions hold exactly there.  Only the support is recursed, so
+    stored sites at the limits, such as the rest of a fragment's window,
+    cost nothing, and a sequence without deviations skips the recursion.
+
+    at_inverse produces the data at 1/z parametrized by z, mirroring the
+    same mode of jost_values: power signs flip, the plane-wave pair
+    determinant changes sign, nothing is evaluated at a rounded
+    reciprocal.
+    """
+    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+    require_admissible(zs)
+    support = effective_support(seq)
+    if support.free:
+        # nothing deviates from the limits: T = 1 and R = L = 0 exactly
+        return np.ones_like(zs), np.zeros_like(zs), np.zeros_like(zs)
+    window = support.window
+    lo, hi = window.n_min - 2, window.n_max + 2
+    left = _recurse(seq, window, lo, hi, zs, "left", at_inverse, store=False)
+    right = _recurse(seq, window, lo, hi, zs, "right", at_inverse, store=False)
+    return _tail_fit(zs, left, right, lo, hi - 1, -1 if at_inverse else 1)
+
+
 def scattering_values(
     seq: CoefficientSequence, zs: np.ndarray, at_inverse: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized (T, R, L) arrays over circle points zs."""
-    inv_t, r_over_t, l_over_t = scattering_amplitudes(seq, zs, at_inverse)
-    t = 1.0 / inv_t
-    return t, r_over_t * t, l_over_t * t
+    return _coefficients(*scattering_amplitudes(seq, zs, at_inverse))
 
 
 def extract_scattering(
@@ -231,8 +265,14 @@ def identity_sweep(seq: CoefficientSequence, zs: np.ndarray) -> IdentitySweep:
         float(np.max(np.abs(flc - np.conj(fl)))),
         float(np.max(np.abs(frc - np.conj(fr)))),
     )
-    t, r, l = scattering_values(seq, zs)
-    tt, rt, lt = scattering_values(seq, zs_inv)
+    # the coefficients come from the same arrays: two sites past each end
+    p = seq.window.n_max + 1
+    t, r, l = _coefficients(
+        *_tail_fit(zs, fl[:, :2].T, fr[:, p - lo : p - lo + 2].T, lo, p, 1)
+    )
+    tt, rt, lt = _coefficients(
+        *_tail_fit(zs_inv, flc[:, :2].T, frc[:, p - lo : p - lo + 2].T, lo, p, 1)
+    )
     scat_conj = max(
         float(np.max(np.abs(tt - np.conj(t)))),
         float(np.max(np.abs(rt - np.conj(r)))),

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 CSV_HEADER = "theta,lambda,re_T,im_T,re_R,im_R,re_L,im_L,unitarity"
@@ -211,6 +212,28 @@ def test_degenerate_grid_exits_three(single_site_file):
     proc = run_cli("identities", "--input", single_site_file, "--delta", "1e-12")
     assert proc.returncode == 3
     assert "fault" in proc.stderr
+
+
+def test_overflowing_window_faults_instead_of_printing_nan(tmp_path):
+    """An undamped window at the 10,000-site cap overflows the solutions.
+
+    The two 1/T fits then both read nan, which a plain mismatch bound
+    lets through; scatter must exit 3 with nothing on stdout instead of
+    tabulating nan.
+    """
+    rng = np.random.default_rng(0)
+    n = 10_000
+    payload = {
+        "a_inf": 1.0, "b_inf": 0.0, "w_inf": 1.0, "n_min": 0, "n_max": n - 1,
+        "b": (0.5 * rng.standard_normal(n)).tolist(),
+        "a": (1.0 + 0.1 * rng.uniform(size=n)).tolist(),
+        "w": (1.0 + 0.1 * rng.uniform(size=n)).tolist(),
+    }
+    proc = run_cli("scatter", "--input", write_input(tmp_path, payload))
+    assert proc.returncode == 3
+    assert "nan" not in proc.stdout
+    assert proc.stdout == ""
+    assert "not finite at theta" in proc.stderr
 
 
 def test_tolerance_flag_can_force_failure(single_site_file):
