@@ -22,7 +22,11 @@ themselves need neither the window nor the stored values: sites outside
 the effective support carry the limits just as well, so they recurse
 over that support plus two sites on each side and keep only the last
 two rows of state.  Both run on one kernel, which stores solutions
-site-major, one contiguous row of grid points per site.
+site-major, one contiguous row of grid points per site, and updates
+each row in place, with no temporaries per step.  A solution and its
+companion at 1/z share coefficients and drive, so callers that need
+both stack them as column blocks of one recursion; every block equals
+its own single run to the bit.
 """
 
 from __future__ import annotations
@@ -105,7 +109,7 @@ def jost_values(
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     require_admissible(zs)
     lo, hi = solution_range(seq, cover)
-    return _recurse(seq, seq.window, lo, hi, zs, side, at_inverse, store=True).T, lo
+    return _recurse(seq, seq.window, lo, hi, zs, side, (at_inverse,), store=True).T, lo
 
 
 def _recurse(
@@ -115,41 +119,72 @@ def _recurse(
     hi: int,
     zs: np.ndarray,
     side: str,
-    at_inverse: bool,
+    modes: tuple[bool, ...],
     store: bool,
 ) -> np.ndarray:
-    """Propagate one normalized solution over [lo, hi]; row k is site lo + k.
+    """Propagate normalized solutions over [lo, hi]; row k is site lo + k.
 
     Every coefficient of seq outside window must sit at its limit.  The
     exact plane-wave tail is seeded past window and the recursion runs
-    across it.  With store the whole (sites, M) buffer is returned.
-    Otherwise three rows rotate and only the two reached last come back,
-    in site order: (lo, lo + 1) for the left side, (hi - 1, hi) for the
-    right; that mode seeds only two sites, so lo must be
-    window.n_min - 2.
+    across it.  modes holds one at_inverse flag per block of zs.size
+    columns, each block seeded with its own sign, so solutions sharing
+    coefficients and drive, such as a solution and its companion at
+    1/z, advance together in one pass.  Every block equals its
+    one-mode run to the bit.
+
+    With store the whole (sites, columns) buffer is returned.  Otherwise
+    three rows rotate and only the two reached last come back, in site
+    order: (lo, lo + 1) for the left side, (hi - 1, hi) for the right;
+    that mode seeds only two sites, so lo must be window.n_min - 2.
+    Each step writes in place into its destination row, through one
+    scratch row, with the operations and order of the plain expression
+    ((w[k] / w_inf) * s * v - a[k + 1] * next - b[k] * v) / a[k] on the
+    left side (b[k] * v before a[k] * prev, over a[k + 1], on the right),
+    so it rounds exactly as that expression does.
     """
-    a, b, w = coefficient_arrays(seq, lo, hi + 1)
+    m = zs.size
+    a, b, w = (values.tolist() for values in coefficient_arrays(seq, lo, hi + 1))
     lim = seq.limits
+    w_inf = lim.w_inf
     n_min, n_max = window.n_min, window.n_max
-    sign = -1 if at_inverse else 1
     count = hi - lo + 1 if store else 3
-    rows = np.empty((count, zs.size), dtype=complex)
-    s = lim.a_inf * (zs + 1.0 / zs) + lim.b_inf
+    rows = np.empty((count, len(modes) * m), dtype=complex)
+    s = np.tile(lim.a_inf * (zs + 1.0 / zs) + lim.b_inf, len(modes))
     if side == "left":
         tail = np.arange(n_max, hi + 1 if store else n_max + 2)
-        rows[(tail - lo) % count] = (zs[:, None] ** (sign * tail[None, :])).T
-        for k in range(n_max - lo, 0, -1):
-            v = rows[k % count]
-            rhs = (w[k] / lim.w_inf) * s * v
-            rows[(k - 1) % count] = (rhs - a[k + 1] * rows[(k + 1) % count] - b[k] * v) / a[k]
-        last = 0
+        powers = tail
     else:
         tail = np.arange(lo, n_min)
-        rows[(tail - lo) % count] = (zs[:, None] ** (-sign * tail[None, :])).T
+        powers = -tail
+    for j, inverse in enumerate(modes):
+        sign = -1 if inverse else 1
+        seeds = zs[:, None] ** (sign * powers[None, :])
+        rows[(tail - lo) % count, j * m : (j + 1) * m] = seeds.T
+    row = list(rows)
+    scratch = np.empty_like(s)
+    if side == "left":
+        for k in range(n_max - lo, 0, -1):
+            v = row[k % count]
+            out = row[(k - 1) % count]
+            np.multiply(w[k] / w_inf, s, out=out)
+            np.multiply(out, v, out=out)
+            np.multiply(a[k + 1], row[(k + 1) % count], out=scratch)
+            np.subtract(out, scratch, out=out)
+            np.multiply(b[k], v, out=scratch)
+            np.subtract(out, scratch, out=out)
+            np.divide(out, a[k], out=out)
+        last = 0
+    else:
         for k in range(n_min - 1 - lo, hi - lo):
-            v = rows[k % count]
-            rhs = (w[k] / lim.w_inf) * s * v
-            rows[(k + 1) % count] = (rhs - b[k] * v - a[k] * rows[(k - 1) % count]) / a[k + 1]
+            v = row[k % count]
+            out = row[(k + 1) % count]
+            np.multiply(w[k] / w_inf, s, out=out)
+            np.multiply(out, v, out=out)
+            np.multiply(b[k], v, out=scratch)
+            np.subtract(out, scratch, out=out)
+            np.multiply(a[k], row[(k - 1) % count], out=scratch)
+            np.subtract(out, scratch, out=out)
+            np.divide(out, a[k + 1], out=out)
         last = hi - lo - 1
     if store:
         return rows

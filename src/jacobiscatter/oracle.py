@@ -147,6 +147,12 @@ def wronskian_values(
     t = base / w_lr
     l_over_t = -pair(fl, gr) / base
     r_over_t = pair(fr, gl) / base
+    # the tiny test above is False for nan, so overflow needs its own
+    # guard; w_lr is a multiple of 1/T, finite exactly where T is usable
+    finite = np.isfinite(w_lr) & np.isfinite(r_over_t) & np.isfinite(l_over_t)
+    if not np.all(finite):
+        theta = float(np.angle(zs[int(np.argmin(finite))]))
+        raise NumericalFault(f"Wronskian route is not finite at theta = {theta:.6g}")
     return t, r_over_t * t, l_over_t * t
 
 

@@ -181,15 +181,38 @@ def scattering_amplitudes(
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     require_admissible(zs)
+    return _amplitude_blocks(seq, zs, (at_inverse,))[0]
+
+
+def _amplitude_blocks(
+    seq: CoefficientSequence, zs: np.ndarray, modes: tuple[bool, ...]
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """scattering_amplitudes for each at_inverse mode, one recursion per side.
+
+    The modes share coefficients and drive, so they run as column blocks
+    of one stacked recursion; each block is then fitted, and checked,
+    on its own, in the order given.
+    """
     support = effective_support(seq)
     if support.free:
         # nothing deviates from the limits: T = 1 and R = L = 0 exactly
-        return np.ones_like(zs), np.zeros_like(zs), np.zeros_like(zs)
+        return [(np.ones_like(zs), np.zeros_like(zs), np.zeros_like(zs)) for _ in modes]
     window = support.window
     lo, hi = window.n_min - 2, window.n_max + 2
-    left = _recurse(seq, window, lo, hi, zs, "left", at_inverse, store=False)
-    right = _recurse(seq, window, lo, hi, zs, "right", at_inverse, store=False)
-    return _tail_fit(zs, left, right, lo, hi - 1, -1 if at_inverse else 1)
+    left = _recurse(seq, window, lo, hi, zs, "left", modes, store=False)
+    right = _recurse(seq, window, lo, hi, zs, "right", modes, store=False)
+    m = zs.size
+    return [
+        _tail_fit(
+            zs,
+            left[:, j * m : (j + 1) * m],
+            right[:, j * m : (j + 1) * m],
+            lo,
+            hi - 1,
+            -1 if inverse else 1,
+        )
+        for j, inverse in enumerate(modes)
+    ]
 
 
 def scattering_values(
@@ -257,10 +280,12 @@ def identity_sweep(seq: CoefficientSequence, zs: np.ndarray) -> IdentitySweep:
     """Vectorized grid maxima of every solution and coefficient relation."""
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     zs_inv = 1.0 / zs
-    fl, lo = jost_values(seq, zs, "left")
-    fr, _ = jost_values(seq, zs, "right")
-    flc, _ = jost_values(seq, zs_inv, "left")
-    frc, _ = jost_values(seq, zs_inv, "right")
+    # one recursion per side covers z and the rounded reciprocal together
+    both = np.concatenate([zs, zs_inv])
+    fl, lo = jost_values(seq, both, "left")
+    fr, _ = jost_values(seq, both, "right")
+    fl, flc = fl[: zs.size], fl[zs.size :]
+    fr, frc = fr[: zs.size], fr[zs.size :]
     sol_conj = max(
         float(np.max(np.abs(flc - np.conj(fl)))),
         float(np.max(np.abs(frc - np.conj(fr)))),

@@ -128,6 +128,11 @@ def require_admissible(zs: np.ndarray) -> None:
 def lambda_from_z(limits: Limits, z: complex) -> float:
     """Band energy of a circle point."""
     require_on_circle(np.asarray(z, dtype=complex))
+    return _band_image(limits, z)
+
+
+def _band_image(limits: Limits, z: complex) -> float:
+    """lambda_from_z for a point already known to lie on the circle."""
     value = (limits.a_inf * (z + 1.0 / z) + limits.b_inf) / limits.w_inf
     if abs(value.imag) >= 1e-12:
         raise SpectralDomainError(
@@ -197,8 +202,7 @@ def sample_circle(limits: Limits, count: int, exclusion_delta: float) -> CircleG
     if count % 4 == 0:
         thetas[count // 4] = -0.5 * math.pi
         thetas[3 * count // 4] = 0.5 * math.pi
-    points = []
-    for theta in thetas:
-        z = complex(math.cos(theta), math.sin(theta))
-        points.append(SpectralPoint(z, lambda_from_z(limits, z)))
-    return CircleGrid(tuple(points), float(exclusion_delta))
+    zs = [complex(math.cos(theta), math.sin(theta)) for theta in thetas]
+    require_on_circle(np.array(zs, dtype=complex))
+    points = tuple(SpectralPoint(z, _band_image(limits, z)) for z in zs)
+    return CircleGrid(points, float(exclusion_delta))

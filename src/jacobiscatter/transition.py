@@ -31,14 +31,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFault
-from .jost import conjugate_solution, jost_left, jost_right, jost_values
+from .jost import (
+    _recurse,
+    conjugate_solution,
+    jost_left,
+    jost_right,
+    jost_values,
+    solution_range,
+)
 from .lattice import CoefficientSequence, Fragmentation, IndexWindow, coefficient_at, fragment
 from .scattering import (
     ScatteringData,
+    _amplitude_blocks,
+    _coefficients,
     extract_scattering,
-    scattering_amplitudes,
     scattering_values,
 )
+from .spectral import require_admissible
 
 _IDENT = np.eye(2, dtype=complex)
 
@@ -178,8 +187,10 @@ def transition_for(seq: CoefficientSequence, z: complex) -> TransitionMatrix:
 def transition_entries(seq: CoefficientSequence, zs: np.ndarray) -> np.ndarray:
     """Vectorized transition matrices, one 2x2 block per circle point."""
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    inv_t, r_over_t, l_over_t = scattering_amplitudes(seq, zs)
-    inv_t_conj = scattering_amplitudes(seq, zs, at_inverse=True)[0]
+    require_admissible(zs)
+    (inv_t, r_over_t, l_over_t), (inv_t_conj, _, _) = _amplitude_blocks(
+        seq, zs, (False, True)
+    )
     out = np.empty(zs.shape + (2, 2), dtype=complex)
     out[..., 0, 0] = inv_t
     out[..., 0, 1] = -r_over_t
@@ -463,151 +474,171 @@ def proof_algebra_check(
 def junction_residual_sweep(
     seq: CoefficientSequence, frag: Fragmentation, zs: np.ndarray
 ) -> dict[str, float]:
-    """Vectorized grid maxima of every single-junction check.
+    """Vectorized grid maxima of the single-junction checks, per breakpoint.
 
     Mirrors the pointwise junction checks above over a whole grid at
-    once; used by sweep-style callers.  Keys: right_junction,
+    once; used by sweep-style callers.  Every breakpoint n1 of frag is
+    checked as its own single junction, the sequence split in two at n1
+    alone, and each key holds the maximum over the breakpoints.  This
+    is not the reading of factorization_residuals, where the same
+    Fragmentation with k breakpoints means one product of k + 1
+    fragments; the pointwise checks above take one breakpoint only and
+    raise ValueError for more.
+
+    The whole-sequence work is shared: its solutions are recursed once
+    on the union of the junction covers and only the columns n1 - 1
+    through n1 + 1 are kept, T, R, L are fitted once, and the plane-wave
+    power tables are built once over the union range and sliced.  That
+    range spans the window and every cover, so breakpoints far outside
+    the window on both sides make it longer than any one junction's
+    range.  Each breakpoint's fragment solutions keep their own range,
+    which the plane-wave check reads in full.  Keys: right_junction,
     left_junction, plane_waves, factor_algebra.
     """
-    n1 = _single_breakpoint(frag)
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    cover = IndexWindow(n1 - 2, n1 + 2)
-    parts = fragment(seq, frag)
-    fl, lo = jost_values(seq, zs, "left", cover)
-    fr, _ = jost_values(seq, zs, "right", cover)
-    fl2, _ = jost_values(parts[1], zs, "left", cover)
-    gl2, _ = jost_values(parts[1], zs, "left", cover, at_inverse=True)
-    fr1, _ = jost_values(parts[0], zs, "right", cover)
-    gr1, _ = jost_values(parts[0], zs, "right", cover, at_inverse=True)
+    points = frag.breakpoints
+    union = IndexWindow(points[0] - 2, points[-1] + 2)
+    lo_all, hi_all = solution_range(seq, union)
+    # keep only what the junctions read: sites n1 - 1, n1, n1 + 1 of each
+    columns = [n1 - 1 - lo_all + d for n1 in points for d in range(3)]
+    fl_near = jost_values(seq, zs, "left", union)[0][:, columns]
+    fr_near = jost_values(seq, zs, "right", union)[0][:, columns]
     t, r, l = scattering_values(seq, zs)
-    t1, r1, _ = scattering_values(parts[0], zs)
-    t1c, r1c, _ = scattering_values(parts[0], zs, at_inverse=True)
-    t2, _, l2 = scattering_values(parts[1], zs)
-    t2c, _, l2c = scattering_values(parts[1], zs, at_inverse=True)
-    ratio = seq.limits.a_inf / coefficient_at(seq, n1 + 1)[0]
+    # upper factor times its closed inverse: top right, bottom right
+    triangular = float(np.max(np.abs((r / t) * t - r)))
+    lower_right = float(np.max(np.abs((1.0 / t) * t - 1.0)))
+    sites = np.arange(lo_all, hi_all + 1)
+    up = zs[:, None] ** sites[None, :]
+    down = zs[:, None] ** (-sites[None, :])
 
-    def col(values, n):
-        return values[:, n - lo]
+    def wave(cols, to_up, to_down):
+        # to_up z^n + to_down z^{-n} on a slice of the power tables
+        return to_up[:, None] * up[:, cols] + to_down[:, None] * down[:, cols]
 
     def fit(m00, m01, m10, m11, r0, r1):
         det = m00 * m11 - m01 * m10
         return (r0 * m11 - m01 * r1) / det, (m00 * r1 - r0 * m10) / det
 
-    refl_fit, trans_fit = fit(
-        col(fl2, n1), col(gl2, n1), col(fl2, n1 + 1), col(gl2, n1 + 1),
-        col(fr, n1), col(fr, n1 + 1),
-    )
-    right_junction = max(
-        float(np.max(np.abs(refl_fit - r / t))),
-        float(np.max(np.abs(trans_fit - 1.0 / t))),
-        float(np.max(np.abs(col(fl, n1) - col(fl2, n1)))),
-        float(np.max(np.abs(col(fl, n1 + 1) - col(fl2, n1 + 1)))),
-    )
-    trans_fit, refl_fit = fit(
-        col(gr1, n1 - 1), col(fr1, n1 - 1), col(gr1, n1), col(fr1, n1),
-        col(fl, n1 - 1), col(fl, n1),
-    )
-    left_junction = max(
-        float(np.max(np.abs(trans_fit - 1.0 / t))),
-        float(np.max(np.abs(refl_fit - l / t))),
-        float(np.max(np.abs(col(fr, n1 + 1) - ratio * col(fr1, n1 + 1)))),
-        float(
-            np.max(
-                np.abs(
-                    col(fl, n1 + 1)
-                    - ratio
-                    * ((1.0 / t) * col(gr1, n1 + 1) + (l / t) * col(fr1, n1 + 1))
-                )
-            )
-        ),
-    )
+    def paired(part, side, cover):
+        # a solution and its companion at 1/z from one stacked recursion
+        lo, hi = solution_range(part, cover)
+        rows = _recurse(part, part.window, lo, hi, zs, side, (False, True), store=True).T
+        return rows[: zs.size], rows[zs.size :], lo
 
-    sites_left = np.arange(lo, n1 + 1)
-    wave_left = (1.0 / t2)[:, None] * zs[:, None] ** sites_left[None, :] + (
-        l2 / t2
-    )[:, None] * zs[:, None] ** (-sites_left[None, :])
-    hi = lo + fl.shape[1] - 1
-    sites_right = np.arange(n1, hi + 1)
-    wave_right = (1.0 / t1)[:, None] * zs[:, None] ** (-sites_right[None, :]) + (
-        r1 / t1
-    )[:, None] * zs[:, None] ** sites_right[None, :]
-    scaled_wave = ratio * (
-        (1.0 / t2) * zs ** (n1 + 1) + (l2 / t2) * zs ** (-(n1 + 1))
-    )
-    plane_waves = max(
-        float(np.max(np.abs(fl2[:, : sites_left.size] - wave_left))),
-        float(np.max(np.abs(col(fl2, n1 + 1) - scaled_wave))),
-        float(np.max(np.abs(fr1[:, n1 - lo :] - wave_right))),
-        # matrix forms on the junction site pair
-        float(np.max(np.abs(col(fl2, n1) - (zs**n1 / t2 + zs ** (-n1) * l2 / t2)))),
-        float(np.max(np.abs(col(gl2, n1) - (zs**n1 * l2c / t2c + zs ** (-n1) / t2c)))),
-        float(
-            np.max(
-                np.abs(
-                    col(fl2, n1 + 1)
-                    - ratio * (zs ** (n1 + 1) / t2 + zs ** (-(n1 + 1)) * l2 / t2)
-                )
-            )
-        ),
-        float(
-            np.max(
-                np.abs(
-                    col(gl2, n1 + 1)
-                    - ratio * (zs ** (n1 + 1) * l2c / t2c + zs ** (-(n1 + 1)) / t2c)
-                )
-            )
-        ),
-        float(np.max(np.abs(col(gr1, n1) - (zs**n1 / t1c + zs ** (-n1) * r1c / t1c)))),
-        float(np.max(np.abs(col(fr1, n1) - (zs**n1 * r1 / t1 + zs ** (-n1) / t1)))),
-        float(
-            np.max(
-                np.abs(
-                    col(gr1, n1 + 1)
-                    - (zs ** (n1 + 1) / t1c + zs ** (-(n1 + 1)) * r1c / t1c)
-                )
-            )
-        ),
-        float(
-            np.max(
-                np.abs(
-                    col(fr1, n1 + 1)
-                    - (zs ** (n1 + 1) * r1 / t1 + zs ** (-(n1 + 1)) / t1)
-                )
-            )
-        ),
-    )
-
-    triangular = np.abs((r / t) * t - r)  # upper factor times closed inverse, top right
-    lower_right = np.abs((1.0 / t) * t - 1.0)
-    unit_det = np.abs(1.0 / (t1 * t1c) - (r1 * r1c) / (t1 * t1c) - 1.0)
-    e00 = (1.0 / t1c) * (1.0 / t1) + (r1 / t1) * (-r1c / t1c)
-    e01 = (1.0 / t1c) * (-r1 / t1) + (r1 / t1) * (1.0 / t1c)
-    e10 = (r1c / t1c) * (1.0 / t1) + (1.0 / t1) * (-r1c / t1c)
-    e11 = (r1c / t1c) * (-r1 / t1) + (1.0 / t1) * (1.0 / t1c)
-    exchange = np.max(
-        np.abs(np.stack([e00 - 1.0, e01, e10, e11 - 1.0])), axis=0
-    )
-    p00 = (1.0 / t1) * (1.0 / t2) + (-r1 / t1) * (l2 / t2)
-    p01 = (1.0 / t1) * (l2c / t2c) + (-r1 / t1) * (1.0 / t2c)
-    p10 = (-r1c / t1c) * (1.0 / t2) + (1.0 / t1c) * (l2 / t2)
-    p11 = (-r1c / t1c) * (l2c / t2c) + (1.0 / t1c) * (1.0 / t2c)
-    q00 = 1.0 / t
-    q01 = -r / t
-    q10 = l / t
-    q11 = t - l * r / t
-    rearranged = np.max(
-        np.abs(np.stack([p00 - q00, p01 - q01, p10 - q10, p11 - q11])), axis=0
-    )
-    factor_algebra = max(
-        float(np.max(triangular)),
-        float(np.max(lower_right)),
-        float(np.max(unit_det)),
-        float(np.max(exchange)),
-        float(np.max(rearranged)),
-    )
-    return {
-        "right_junction": right_junction,
-        "left_junction": left_junction,
-        "plane_waves": plane_waves,
-        "factor_algebra": factor_algebra,
+    found: dict[str, list[float]] = {
+        key: [] for key in ("right_junction", "left_junction", "plane_waves", "factor_algebra")
     }
+    for j, n1 in enumerate(points):
+        cover = IndexWindow(n1 - 2, n1 + 2)
+        parts = fragment(seq, Fragmentation((n1,)))
+        # the companions are read only at the junction: keep those three
+        # columns and the plain solutions, and let the stacked buffers go
+        fl2, gl2, lo = paired(parts[1], "left", cover)
+        junction = slice(n1 - 1 - lo, n1 + 2 - lo)
+        fl2, gl2 = fl2.copy(), gl2[:, junction].copy()
+        fr1, gr1, _ = paired(parts[0], "right", cover)
+        fr1, gr1 = fr1.copy(), gr1[:, junction].copy()
+        plain1, inverse1 = _amplitude_blocks(parts[0], zs, (False, True))
+        plain2, inverse2 = _amplitude_blocks(parts[1], zs, (False, True))
+        t1, r1, _ = _coefficients(*plain1)
+        t1c, r1c, _ = _coefficients(*inverse1)
+        t2, _, l2 = _coefficients(*plain2)
+        t2c, _, l2c = _coefficients(*inverse2)
+        ratio = seq.limits.a_inf / coefficient_at(seq, n1 + 1)[0]
+
+        fl = fl_near[:, 3 * j : 3 * j + 3]
+        fr = fr_near[:, 3 * j : 3 * j + 3]
+
+        def col(values, n):
+            return values[:, n - lo]
+
+        def near(values, n):
+            # values kept on the three sites n1 - 1, n1, n1 + 1
+            return values[:, n - n1 + 1]
+
+        refl_fit, trans_fit = fit(
+            col(fl2, n1), near(gl2, n1), col(fl2, n1 + 1), near(gl2, n1 + 1),
+            near(fr, n1), near(fr, n1 + 1),
+        )
+        found["right_junction"].append(max(
+            float(np.max(np.abs(refl_fit - r / t))),
+            float(np.max(np.abs(trans_fit - 1.0 / t))),
+            float(np.max(np.abs(near(fl, n1) - col(fl2, n1)))),
+            float(np.max(np.abs(near(fl, n1 + 1) - col(fl2, n1 + 1)))),
+        ))
+        trans_fit, refl_fit = fit(
+            near(gr1, n1 - 1), col(fr1, n1 - 1), near(gr1, n1), col(fr1, n1),
+            near(fl, n1 - 1), near(fl, n1),
+        )
+        found["left_junction"].append(max(
+            float(np.max(np.abs(trans_fit - 1.0 / t))),
+            float(np.max(np.abs(refl_fit - l / t))),
+            float(np.max(np.abs(near(fr, n1 + 1) - ratio * col(fr1, n1 + 1)))),
+            float(
+                np.max(
+                    np.abs(
+                        near(fl, n1 + 1)
+                        - ratio
+                        * ((1.0 / t) * near(gr1, n1 + 1) + (l / t) * col(fr1, n1 + 1))
+                    )
+                )
+            ),
+        ))
+
+        # this junction's own solution range, as a slice of the power tables
+        hi = lo + fl2.shape[1] - 1
+        left_sites = slice(lo - lo_all, n1 + 1 - lo_all)
+        right_sites = slice(n1 - lo_all, hi + 1 - lo_all)
+        # scalar-exponent powers take numpy's own fast paths, so they are
+        # not read off the tables
+        z0, z0_inv = zs**n1, zs ** (-n1)
+        z1, z1_inv = zs ** (n1 + 1), zs ** (-(n1 + 1))
+        scaled_wave = ratio * ((1.0 / t2) * z1 + (l2 / t2) * z1_inv)
+        found["plane_waves"].append(max(
+            float(np.max(np.abs(fl2[:, : n1 + 1 - lo] - wave(left_sites, 1.0 / t2, l2 / t2)))),
+            float(np.max(np.abs(col(fl2, n1 + 1) - scaled_wave))),
+            float(np.max(np.abs(fr1[:, n1 - lo :] - wave(right_sites, r1 / t1, 1.0 / t1)))),
+            # matrix forms on the junction site pair
+            float(np.max(np.abs(col(fl2, n1) - (z0 / t2 + z0_inv * l2 / t2)))),
+            float(np.max(np.abs(near(gl2, n1) - (z0 * l2c / t2c + z0_inv / t2c)))),
+            float(
+                np.max(np.abs(col(fl2, n1 + 1) - ratio * (z1 / t2 + z1_inv * l2 / t2)))
+            ),
+            float(
+                np.max(np.abs(near(gl2, n1 + 1) - ratio * (z1 * l2c / t2c + z1_inv / t2c)))
+            ),
+            float(np.max(np.abs(near(gr1, n1) - (z0 / t1c + z0_inv * r1c / t1c)))),
+            float(np.max(np.abs(col(fr1, n1) - (z0 * r1 / t1 + z0_inv / t1)))),
+            float(np.max(np.abs(near(gr1, n1 + 1) - (z1 / t1c + z1_inv * r1c / t1c)))),
+            float(np.max(np.abs(col(fr1, n1 + 1) - (z1 * r1 / t1 + z1_inv / t1)))),
+        ))
+        # free this junction's solutions before the next one allocates its own
+        del fl2, gl2, fr1, gr1
+
+        unit_det = np.abs(1.0 / (t1 * t1c) - (r1 * r1c) / (t1 * t1c) - 1.0)
+        e00 = (1.0 / t1c) * (1.0 / t1) + (r1 / t1) * (-r1c / t1c)
+        e01 = (1.0 / t1c) * (-r1 / t1) + (r1 / t1) * (1.0 / t1c)
+        e10 = (r1c / t1c) * (1.0 / t1) + (1.0 / t1) * (-r1c / t1c)
+        e11 = (r1c / t1c) * (-r1 / t1) + (1.0 / t1) * (1.0 / t1c)
+        exchange = np.max(
+            np.abs(np.stack([e00 - 1.0, e01, e10, e11 - 1.0])), axis=0
+        )
+        p00 = (1.0 / t1) * (1.0 / t2) + (-r1 / t1) * (l2 / t2)
+        p01 = (1.0 / t1) * (l2c / t2c) + (-r1 / t1) * (1.0 / t2c)
+        p10 = (-r1c / t1c) * (1.0 / t2) + (1.0 / t1c) * (l2 / t2)
+        p11 = (-r1c / t1c) * (l2c / t2c) + (1.0 / t1c) * (1.0 / t2c)
+        q00 = 1.0 / t
+        q01 = -r / t
+        q10 = l / t
+        q11 = t - l * r / t
+        rearranged = np.max(
+            np.abs(np.stack([p00 - q00, p01 - q01, p10 - q10, p11 - q11])), axis=0
+        )
+        found["factor_algebra"].append(max(
+            triangular,
+            lower_right,
+            float(np.max(unit_det)),
+            float(np.max(exchange)),
+            float(np.max(rearranged)),
+        ))
+    return {key: float(np.max(values)) for key, values in found.items()}

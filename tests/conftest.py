@@ -60,6 +60,16 @@ def coupling_step_sequence():
     return make_sequence(1, [2.0], [0.0], [1.0])
 
 
+def overflowing_sequence():
+    """An undamped 10,000-site window whose solutions overflow."""
+    rng = np.random.default_rng(0)
+    n = 10_000
+    b = 0.5 * rng.standard_normal(n)
+    a = 1.0 + 0.1 * rng.uniform(size=n)
+    w = 1.0 + 0.1 * rng.uniform(size=n)
+    return make_sequence(0, a, b, w)
+
+
 @pytest.fixture
 def free_seq():
     return free_sequence()

@@ -8,8 +8,10 @@ agreement is the strongest internal evidence the suite has.
 import cmath
 
 import numpy as np
+import pytest
 
 from jacobiscatter import (
+    NumericalFault,
     coefficient_at,
     extract_scattering,
     lambda_from_z,
@@ -20,7 +22,7 @@ from jacobiscatter import (
     wronskian_scattering,
     wronskian_values,
 )
-from conftest import default_grid, single_site_sequence
+from conftest import default_grid, overflowing_sequence, single_site_sequence
 
 
 def test_step_matrix_entries(mixed_seq):
@@ -115,3 +117,12 @@ def test_three_routes_agree_on_grids(mixed_seq):
         for j in range(i + 1, len(routes)):
             for left, right in zip(routes[i], routes[j]):
                 assert np.max(np.abs(left - right)) <= 1e-10
+
+
+def test_pairing_route_faults_instead_of_returning_nan():
+    """Overflowing solutions make the pairings nan, which a size test misses."""
+    seq = overflowing_sequence()
+    zs = default_grid(seq, count=64).zs
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalFault, match="not finite at theta"):
+            wronskian_values(seq, zs)

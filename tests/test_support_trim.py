@@ -83,7 +83,7 @@ def test_two_row_fit_equals_full_array_fit(random_fixtures):
             fr, _ = jost_values(seq, zs, "right", at_inverse=at_inverse)
             assert lo == n
             left, right = (
-                _recurse(seq, seq.window, n, p + 1, zs, side, at_inverse, store=False)
+                _recurse(seq, seq.window, n, p + 1, zs, side, (at_inverse,), store=False)
                 for side in ("left", "right")
             )
             assert bits(left) == bits(fl[:, :2].T)
