@@ -35,9 +35,12 @@ from .lattice import (
 from .scattering import identity_sweep, scattering_values
 from .spectral import CircleGrid, require_admissible, sample_circle
 from .transition import (
-    determinant_residuals,
+    _determinant_gap,
+    _entries_scattering,
+    _junction_sweep,
+    _product_gap,
     factorization_residuals,
-    junction_residual_sweep,
+    transition_entries,
 )
 
 _TABLE_FIELDS = (
@@ -108,18 +111,17 @@ def _emit(text: str, output_path: str | None) -> None:
         fh.write(text)
 
 
+# one printf template per table row, 17 significant digits per field
+_CSV_ROW = ",".join(["%.17g"] * len(_TABLE_FIELDS))
+_JSON_ROW = "  {" + ", ".join(f'"{name}": %.17g' for name in _TABLE_FIELDS) + "}"
+
+
 def _render_table(rows: list[tuple[float, ...]], fmt: str) -> str:
     if fmt == "csv":
         lines = [",".join(_TABLE_FIELDS)]
-        lines.extend(",".join(_fmt(value) for value in row) for row in rows)
+        lines.extend(_CSV_ROW % row for row in rows)
         return "\n".join(lines) + "\n"
-    objects = []
-    for row in rows:
-        pairs = ", ".join(
-            f'"{name}": {_fmt(value)}' for name, value in zip(_TABLE_FIELDS, row)
-        )
-        objects.append("  {" + pairs + "}")
-    return "[\n" + ",\n".join(objects) + "\n]\n"
+    return "[\n" + ",\n".join(_JSON_ROW % row for row in rows) + "\n]\n"
 
 
 def _render_report(rows: list[tuple[str, float, float, bool]], fmt: str) -> str:
@@ -143,21 +145,19 @@ def run_scatter(config: RunConfig) -> int:
     seq = _load_sequence(config.input_path)
     grid = _grid_for(seq, config)
     t, r, l = scattering_values(seq, grid.zs)
-    rows = []
-    for i, point in enumerate(grid.points):
-        rows.append(
-            (
-                point.theta,
-                point.lam,
-                t[i].real,
-                t[i].imag,
-                r[i].real,
-                r[i].imag,
-                l[i].real,
-                l[i].imag,
-                abs(t[i]) ** 2 + abs(r[i]) ** 2,
-            )
+    rows = list(
+        zip(
+            [point.theta for point in grid.points],
+            [point.lam for point in grid.points],
+            t.real.tolist(),
+            t.imag.tolist(),
+            r.real.tolist(),
+            r.imag.tolist(),
+            l.real.tolist(),
+            l.imag.tolist(),
+            [abs(t_i) ** 2 + abs(r_i) ** 2 for t_i, r_i in zip(t, r)],
         )
+    )
     _emit(_render_table(rows, config.format), config.output_path)
     return 0
 
@@ -207,6 +207,8 @@ def run_identities(config: RunConfig) -> int:
     grid = _grid_for(seq, config)
     zs = grid.zs
     sweep = identity_sweep(seq, zs)
+    # the whole sequence's transition matrix, shared by every later row
+    lam = transition_entries(seq, zs)
     named = [
         ("solution_conjugation", sweep.solution_conjugation),
         ("scattering_conjugation", sweep.scattering_conjugation),
@@ -217,15 +219,14 @@ def run_identities(config: RunConfig) -> int:
         ("quotient", sweep.quotient),
         ("wronskian_constancy", sweep.wronskian_drift),
         ("unitarity", sweep.unitarity),
-        ("transition_determinant", float(np.max(determinant_residuals(seq, zs)))),
+        ("transition_determinant", float(np.max(_determinant_gap(lam)))),
     ]
     if config.breakpoints:
         frag = Fragmentation(tuple(config.breakpoints))
-        named.append(
-            ("factorization", float(np.max(factorization_residuals(seq, frag, zs))))
-        )
+        parts = fragment(seq, frag)
+        named.append(("factorization", float(np.max(_product_gap(lam, parts, zs)))))
         # one single-junction check per breakpoint, worst over them per row
-        named.extend(junction_residual_sweep(seq, frag, zs).items())
+        named.extend(_junction_sweep(seq, frag, zs, *_entries_scattering(lam)).items())
     rows = [
         (name, residual, config.tolerance, residual <= config.tolerance)
         for name, residual in named

@@ -27,6 +27,17 @@ each row in place, with no temporaries per step.  A solution and its
 companion at 1/z share coefficients and drive, so callers that need
 both stack them as column blocks of one recursion; every block equals
 its own single run to the bit.
+
+Each recursion step makes one complex product, the drive times the
+current row.  Every other operation scales a row by a real coefficient
+or subtracts two rows; it runs on the float64 view of the same rows,
+twice as wide, and gives the same bits.  numpy multiplies a complex by a
+real scalar as (re c - im 0, im c + re 0), and its complex division by a
+real a, whose imaginary part is zero, scales both parts by 1/a, so
+multiplying each part by the real, or by 1.0 / a, rounds the same way.
+The two routes differ only in the sign of a zero and in a part of an
+entry that is already inf or NaN: finite entries are identical and the
+same entries are non-finite.
 """
 
 from __future__ import annotations
@@ -140,7 +151,11 @@ def _recurse(
     scratch row, with the operations and order of the plain expression
     ((w[k] / w_inf) * s * v - a[k + 1] * next - b[k] * v) / a[k] on the
     left side (b[k] * v before a[k] * prev, over a[k + 1], on the right),
-    so it rounds exactly as that expression does.
+    so it rounds exactly as that expression does.  Only the product with
+    v is complex; the real scalings, the subtractions and the division,
+    taken as a multiply by 1.0 / a[k], run on the rows' float64 view,
+    which gives the same bits for every finite entry (see the module
+    docstring) in less time per step.
     """
     m = zs.size
     a, b, w = (values.tolist() for values in coefficient_arrays(seq, lo, hi + 1))
@@ -160,31 +175,35 @@ def _recurse(
         sign = -1 if inverse else 1
         seeds = zs[:, None] ** (sign * powers[None, :])
         rows[(tail - lo) % count, j * m : (j + 1) * m] = seeds.T
+    # each row twice: complex for the one complex product per step, and
+    # as float64 pairs for every step that only scales by a real
     row = list(rows)
-    scratch = np.empty_like(s)
+    real = list(rows.view(float))
+    drive = s.view(float)
+    scratch = np.empty_like(drive)
     if side == "left":
         for k in range(n_max - lo, 0, -1):
-            v = row[k % count]
-            out = row[(k - 1) % count]
-            np.multiply(w[k] / w_inf, s, out=out)
-            np.multiply(out, v, out=out)
-            np.multiply(a[k + 1], row[(k + 1) % count], out=scratch)
+            dst, src = (k - 1) % count, k % count
+            out = real[dst]
+            np.multiply(drive, w[k] / w_inf, out=out)
+            np.multiply(row[dst], row[src], out=row[dst])
+            np.multiply(real[(k + 1) % count], a[k + 1], out=scratch)
             np.subtract(out, scratch, out=out)
-            np.multiply(b[k], v, out=scratch)
+            np.multiply(real[src], b[k], out=scratch)
             np.subtract(out, scratch, out=out)
-            np.divide(out, a[k], out=out)
+            np.multiply(out, 1.0 / a[k], out=out)
         last = 0
     else:
         for k in range(n_min - 1 - lo, hi - lo):
-            v = row[k % count]
-            out = row[(k + 1) % count]
-            np.multiply(w[k] / w_inf, s, out=out)
-            np.multiply(out, v, out=out)
-            np.multiply(b[k], v, out=scratch)
+            dst, src = (k + 1) % count, k % count
+            out = real[dst]
+            np.multiply(drive, w[k] / w_inf, out=out)
+            np.multiply(row[dst], row[src], out=row[dst])
+            np.multiply(real[src], b[k], out=scratch)
             np.subtract(out, scratch, out=out)
-            np.multiply(a[k], row[(k - 1) % count], out=scratch)
+            np.multiply(real[(k - 1) % count], a[k], out=scratch)
             np.subtract(out, scratch, out=out)
-            np.divide(out, a[k + 1], out=out)
+            np.multiply(out, 1.0 / a[k + 1], out=out)
         last = hi - lo - 1
     if store:
         return rows

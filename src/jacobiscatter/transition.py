@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFault
+from .errors import CoefficientError, NumericalFault
 from .jost import (
     _recurse,
     conjugate_solution,
@@ -39,7 +39,14 @@ from .jost import (
     jost_values,
     solution_range,
 )
-from .lattice import CoefficientSequence, Fragmentation, IndexWindow, coefficient_at, fragment
+from .lattice import (
+    MAX_WINDOW_SITES,
+    CoefficientSequence,
+    Fragmentation,
+    IndexWindow,
+    coefficient_at,
+    fragment,
+)
 from .scattering import (
     ScatteringData,
     _amplitude_blocks,
@@ -199,11 +206,34 @@ def transition_entries(seq: CoefficientSequence, zs: np.ndarray) -> np.ndarray:
     return out
 
 
-def determinant_residuals(seq: CoefficientSequence, zs: np.ndarray) -> np.ndarray:
-    """|det - 1| of the transition matrix at each circle point."""
-    lam = transition_entries(seq, zs)
+def _entries_scattering(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(T, R, L) from transition entries, bit for bit those of scattering_values.
+
+    lam00, lam01 and lam10 are the plain block's fit, which equals its
+    single-mode run, and T = 1 / lam00, R = -lam01 T, L = lam10 T round
+    as scattering_values rounds them.
+    """
+    return _coefficients(lam[..., 0, 0], -lam[..., 0, 1], lam[..., 1, 0])
+
+
+def _determinant_gap(lam: np.ndarray) -> np.ndarray:
     det = lam[..., 0, 0] * lam[..., 1, 1] - lam[..., 0, 1] * lam[..., 1, 0]
     return np.abs(det - 1.0)
+
+
+def determinant_residuals(seq: CoefficientSequence, zs: np.ndarray) -> np.ndarray:
+    """|det - 1| of the transition matrix at each circle point."""
+    return _determinant_gap(transition_entries(seq, zs))
+
+
+def _product_gap(
+    whole: np.ndarray, parts: list[CoefficientSequence], zs: np.ndarray
+) -> np.ndarray:
+    """Max entrywise gap between whole entries and the ordered product of parts."""
+    product = transition_entries(parts[0], zs)
+    for part in parts[1:]:
+        product = product @ transition_entries(part, zs)
+    return np.max(np.abs(product - whole), axis=(-2, -1))
 
 
 def factorization_residuals(
@@ -221,10 +251,7 @@ def factorization_residuals(
     whole = transition_entries(seq, zs)
     if parts is None:
         parts = fragment(seq, frag)
-    product = transition_entries(parts[0], zs)
-    for part in parts[1:]:
-        product = product @ transition_entries(part, zs)
-    return np.max(np.abs(product - whole), axis=(-2, -1))
+    return _product_gap(whole, parts, zs)
 
 
 def factorization_check(
@@ -252,11 +279,29 @@ def factorization_check(
     )
 
 
-def _single_breakpoint(frag: Fragmentation) -> int:
+def _require_reach(seq: CoefficientSequence, points: tuple[int, ...]) -> None:
+    """Reject breakpoints more than MAX_WINDOW_SITES sites outside the window.
+
+    A junction's solutions span the window and the junction's cover, so
+    a breakpoint far outside would cost time and memory in proportion to
+    its distance, which the window cap does not bound.
+    """
+    n_min, n_max = seq.window.n_min, seq.window.n_max
+    for n1 in points:
+        outside = max(n_min - n1, n1 - n_max)
+        if outside > MAX_WINDOW_SITES:
+            raise CoefficientError(
+                f"breakpoint {n1} lies {outside} sites outside the window "
+                f"[{n_min}, {n_max}]; junction checks admit at most {MAX_WINDOW_SITES}"
+            )
+
+
+def _single_breakpoint(seq: CoefficientSequence, frag: Fragmentation) -> int:
     if len(frag.breakpoints) != 1:
         raise ValueError(
             f"junction checks need exactly one breakpoint, got {frag.breakpoints}"
         )
+    _require_reach(seq, frag.breakpoints)
     return frag.breakpoints[0]
 
 
@@ -277,7 +322,7 @@ def proposition31_check(
     (R/T, 1/T) of the whole sequence, while the full left solution must
     coincide with the fragment's left solution there.
     """
-    n1 = _single_breakpoint(frag)
+    n1 = _single_breakpoint(seq, frag)
     z = complex(z)
     cover = IndexWindow(n1 - 2, n1 + 2)
     parts = fragment(seq, frag)
@@ -313,7 +358,7 @@ def proposition32_check(
     a_inf / a(n1 + 1) against the fragment expressions, and both
     scalings are checked explicitly.
     """
-    n1 = _single_breakpoint(frag)
+    n1 = _single_breakpoint(seq, frag)
     z = complex(z)
     cover = IndexWindow(n1 - 2, n1 + 2)
     parts = fragment(seq, frag)
@@ -354,7 +399,7 @@ def junction_planewave_check(
     form on the site pair (n1, n1 + 1), pairing each fragment solution
     with its companion at 1/z.
     """
-    n1 = _single_breakpoint(frag)
+    n1 = _single_breakpoint(seq, frag)
     z = complex(z)
     cover = IndexWindow(n1 - 2, n1 + 2)
     parts = fragment(seq, frag)
@@ -494,8 +539,25 @@ def junction_residual_sweep(
     range.  Each breakpoint's fragment solutions keep their own range,
     which the plane-wave check reads in full.  Keys: right_junction,
     left_junction, plane_waves, factor_algebra.
+
+    Raises CoefficientError, before any recursion, for a breakpoint more
+    than MAX_WINDOW_SITES sites outside the window.
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+    _require_reach(seq, frag.breakpoints)
+    return _junction_sweep(seq, frag, zs, *scattering_values(seq, zs))
+
+
+def _junction_sweep(
+    seq: CoefficientSequence,
+    frag: Fragmentation,
+    zs: np.ndarray,
+    t: np.ndarray,
+    r: np.ndarray,
+    l: np.ndarray,
+) -> dict[str, float]:
+    """junction_residual_sweep given the whole sequence's T, R and L."""
+    _require_reach(seq, frag.breakpoints)
     points = frag.breakpoints
     union = IndexWindow(points[0] - 2, points[-1] + 2)
     lo_all, hi_all = solution_range(seq, union)
@@ -503,7 +565,6 @@ def junction_residual_sweep(
     columns = [n1 - 1 - lo_all + d for n1 in points for d in range(3)]
     fl_near = jost_values(seq, zs, "left", union)[0][:, columns]
     fr_near = jost_values(seq, zs, "right", union)[0][:, columns]
-    t, r, l = scattering_values(seq, zs)
     # upper factor times its closed inverse: top right, bottom right
     triangular = float(np.max(np.abs((r / t) * t - r)))
     lower_right = float(np.max(np.abs((1.0 / t) * t - 1.0)))

@@ -70,6 +70,16 @@ def overflowing_sequence():
     return make_sequence(0, a, b, w)
 
 
+def hand_fixtures():
+    """The hand-checkable sequences that scatter."""
+    return [
+        single_site_sequence(),
+        two_impurity_sequence(),
+        mixed_sequence(),
+        coupling_step_sequence(),
+    ]
+
+
 @pytest.fixture
 def free_seq():
     return free_sequence()

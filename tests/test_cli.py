@@ -205,6 +205,21 @@ def test_non_increasing_breakpoints_exit_two(single_site_file):
     assert proc.returncode == 2
 
 
+def test_junction_breakpoint_past_the_reach_exits_two(tmp_path):
+    """A junction check spans the window and the breakpoint's cover, so a
+    breakpoint one site further out than MAX_WINDOW_SITES is bad input:
+    identities exits 2 naming it, instead of recursing over that range.
+    factorize has no junction solutions and keeps accepting it."""
+    path = write_input(tmp_path, TWO_IMPURITY_INPUT)
+    for point in (1 + 10_000 + 1, -1 - 10_000 - 1):
+        proc = run_cli("identities", "--input", path, f"--breakpoints={point}")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert f"breakpoint {point} lies 10001 sites outside" in proc.stderr
+    proc = run_cli("factorize", "--input", path, "--breakpoints=10002")
+    assert proc.returncode == 0
+
+
 def test_degenerate_grid_exits_three(single_site_file):
     """A delta far below the guard floor pushes grid points into the
     degenerate zone around z = -1; that is a numerical fault, not an

@@ -21,25 +21,9 @@ from jacobiscatter import (
     transition_entries,
 )
 from jacobiscatter.jost import _recurse, solution_range
-from conftest import (
-    coupling_step_sequence,
-    default_grid,
-    mixed_sequence,
-    overflowing_sequence,
-    single_site_sequence,
-    two_impurity_sequence,
-)
+from conftest import default_grid, hand_fixtures, mixed_sequence, overflowing_sequence
 
 FLAGS = (True, False, True)
-
-
-def hand_fixtures():
-    return [
-        single_site_sequence(),
-        two_impurity_sequence(),
-        mixed_sequence(),
-        coupling_step_sequence(),
-    ]
 
 
 def bits(*arrays):
