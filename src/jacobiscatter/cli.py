@@ -18,6 +18,7 @@ JSON is assembled by hand rather than through a serializer.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from json import JSONDecodeError, load as _json_load
@@ -32,15 +33,15 @@ from .lattice import (
     fragment,
     validate_sequence,
 )
-from .scattering import identity_sweep, scattering_values
-from .spectral import CircleGrid, require_admissible, sample_circle
+from .scattering import _identity_sweep, scattering_values
+from .spectral import CircleGrid, _GridContext, require_admissible, sample_circle
 from .transition import (
     _determinant_gap,
     _entries_scattering,
     _junction_sweep,
     _product_gap,
+    _transition_entries,
     factorization_residuals,
-    transition_entries,
 )
 
 _TABLE_FIELDS = (
@@ -147,8 +148,8 @@ def run_scatter(config: RunConfig) -> int:
     t, r, l = scattering_values(seq, grid.zs)
     rows = list(
         zip(
-            [point.theta for point in grid.points],
-            [point.lam for point in grid.points],
+            grid.thetas.tolist(),
+            grid.lams.tolist(),
             t.real.tolist(),
             t.imag.tolist(),
             r.real.tolist(),
@@ -204,11 +205,11 @@ def run_factorize(config: RunConfig, corrupt_padding: bool = False) -> int:
 def run_identities(config: RunConfig) -> int:
     """Sweep every identity; junction checks join in when breakpoints are given."""
     seq = _load_sequence(config.input_path)
-    grid = _grid_for(seq, config)
-    zs = grid.zs
-    sweep = identity_sweep(seq, zs)
+    # every recursion and fit of the run shares this grid's drive and powers
+    ctx = _GridContext(_grid_for(seq, config).zs)
+    sweep = _identity_sweep(seq, ctx)
     # the whole sequence's transition matrix, shared by every later row
-    lam = transition_entries(seq, zs)
+    lam = _transition_entries(seq, ctx)
     named = [
         ("solution_conjugation", sweep.solution_conjugation),
         ("scattering_conjugation", sweep.scattering_conjugation),
@@ -224,9 +225,9 @@ def run_identities(config: RunConfig) -> int:
     if config.breakpoints:
         frag = Fragmentation(tuple(config.breakpoints))
         parts = fragment(seq, frag)
-        named.append(("factorization", float(np.max(_product_gap(lam, parts, zs)))))
+        named.append(("factorization", float(np.max(_product_gap(lam, parts, ctx)))))
         # one single-junction check per breakpoint, worst over them per row
-        named.extend(_junction_sweep(seq, frag, zs, *_entries_scattering(lam)).items())
+        named.extend(_junction_sweep(seq, frag, ctx, *_entries_scattering(lam)).items())
     rows = [
         (name, residual, config.tolerance, residual <= config.tolerance)
         for name, residual in named
@@ -288,8 +289,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on first use; parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = RunConfig(
             input_path=args.input,

@@ -48,7 +48,7 @@ from enum import Enum
 import numpy as np
 
 from .lattice import CoefficientSequence, IndexWindow, coefficient_arrays, coefficient_at
-from .spectral import require_admissible
+from .spectral import _GridContext, require_admissible
 
 
 class SolutionKind(Enum):
@@ -120,7 +120,8 @@ def jost_values(
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     require_admissible(zs)
     lo, hi = solution_range(seq, cover)
-    return _recurse(seq, seq.window, lo, hi, zs, side, (at_inverse,), store=True).T, lo
+    ctx = _GridContext(zs)
+    return _recurse(seq, seq.window, lo, hi, ctx, side, (at_inverse,), store=True).T, lo
 
 
 def _recurse(
@@ -128,7 +129,7 @@ def _recurse(
     window: IndexWindow,
     lo: int,
     hi: int,
-    zs: np.ndarray,
+    ctx: _GridContext,
     side: str,
     modes: tuple[bool, ...],
     store: bool,
@@ -137,16 +138,20 @@ def _recurse(
 
     Every coefficient of seq outside window must sit at its limit.  The
     exact plane-wave tail is seeded past window and the recursion runs
-    across it.  modes holds one at_inverse flag per block of zs.size
-    columns, each block seeded with its own sign, so solutions sharing
-    coefficients and drive, such as a solution and its companion at
-    1/z, advance together in one pass.  Every block equals its
-    one-mode run to the bit.
+    across it.  ctx holds the grid zs and what recursions over it share:
+    the drive for seq's limits and the seed powers.  modes holds one
+    at_inverse flag per block of zs.size columns, each block seeded with
+    its own sign, so solutions sharing coefficients and drive, such as a
+    solution and its companion at 1/z, advance together in one pass.
+    Every block equals its one-mode run to the bit.
 
     With store the whole (sites, columns) buffer is returned.  Otherwise
     three rows rotate and only the two reached last come back, in site
     order: (lo, lo + 1) for the left side, (hi - 1, hi) for the right;
-    that mode seeds only two sites, so lo must be window.n_min - 2.
+    that mode seeds only two sites, so lo must be window.n_min - 2, and
+    takes their powers from ctx, where the tail fits of the same run
+    find them again.  The stored mode computes its own seeds, as many
+    as the range reaches past the window.
     Each step writes in place into its destination row, through one
     scratch row, with the operations and order of the plain expression
     ((w[k] / w_inf) * s * v - a[k + 1] * next - b[k] * v) / a[k] on the
@@ -157,6 +162,7 @@ def _recurse(
     which gives the same bits for every finite entry (see the module
     docstring) in less time per step.
     """
+    zs = ctx.zs
     m = zs.size
     a, b, w = (values.tolist() for values in coefficient_arrays(seq, lo, hi + 1))
     lim = seq.limits
@@ -164,7 +170,6 @@ def _recurse(
     n_min, n_max = window.n_min, window.n_max
     count = hi - lo + 1 if store else 3
     rows = np.empty((count, len(modes) * m), dtype=complex)
-    s = np.tile(lim.a_inf * (zs + 1.0 / zs) + lim.b_inf, len(modes))
     if side == "left":
         tail = np.arange(n_max, hi + 1 if store else n_max + 2)
         powers = tail
@@ -173,13 +178,18 @@ def _recurse(
         powers = -tail
     for j, inverse in enumerate(modes):
         sign = -1 if inverse else 1
-        seeds = zs[:, None] ** (sign * powers[None, :])
-        rows[(tail - lo) % count, j * m : (j + 1) * m] = seeds.T
+        block = slice(j * m, (j + 1) * m)
+        if store:
+            seeds = zs[:, None] ** (sign * powers[None, :])
+            rows[(tail - lo) % count, block] = seeds.T
+        else:
+            for site, power in zip(tail.tolist(), powers.tolist()):
+                rows[(site - lo) % count, block] = ctx.seed_power(sign * power)
     # each row twice: complex for the one complex product per step, and
     # as float64 pairs for every step that only scales by a real
     row = list(rows)
     real = list(rows.view(float))
-    drive = s.view(float)
+    drive = ctx.drive(lim, len(modes)).view(float)
     scratch = np.empty_like(drive)
     if side == "left":
         for k in range(n_max - lo, 0, -1):

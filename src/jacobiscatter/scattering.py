@@ -23,7 +23,7 @@ import numpy as np
 from .errors import NumericalFault
 from .jost import _recurse, jost_values
 from .lattice import CoefficientSequence, coefficient_arrays, effective_support
-from .spectral import CircleGrid, require_admissible, wave_pair_det
+from .spectral import CircleGrid, _GridContext, require_admissible
 
 # Relative disagreement of the two 1/T fits that flags a fault.
 MISMATCH_TOL = 1e-8
@@ -115,23 +115,26 @@ class IdentitySweep:
 
 
 def _tail_fit(
-    zs: np.ndarray, left: np.ndarray, right: np.ndarray, n: int, p: int, sign: int
+    ctx: _GridContext, left: np.ndarray, right: np.ndarray, n: int, p: int, sign: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(1/T, R/T, L/T) from two rows of each solution on exact tail sites.
 
     left holds the left-normalized solution on sites n and n + 1, right
-    the right-normalized one on p and p + 1.  sign is -1 for data at 1/z
-    parametrized by z, as in the at_inverse modes.
+    the right-normalized one on p and p + 1, over the grid of ctx, which
+    also gives the plane-wave determinant and powers.  sign is -1 for
+    data at 1/z parametrized by z, as in the at_inverse modes; both signs
+    read the same eight powers.
 
     Raises NumericalFault, naming theta, where a fit is not finite or the
     two 1/T fits disagree.
     """
-    det_left = sign * wave_pair_det(zs)
-    inv_t_left = (left[0] * zs ** (-sign * (n + 1)) - left[1] * zs ** (-sign * n)) / det_left
-    l_over_t = (left[1] * zs ** (sign * n) - left[0] * zs ** (sign * (n + 1))) / det_left
+    zs, power = ctx.zs, ctx.power
+    det_left = sign * ctx.det()
+    inv_t_left = (left[0] * power(-sign * (n + 1)) - left[1] * power(-sign * n)) / det_left
+    l_over_t = (left[1] * power(sign * n) - left[0] * power(sign * (n + 1))) / det_left
     det_right = -det_left
-    inv_t_right = (right[0] * zs ** (sign * (p + 1)) - right[1] * zs ** (sign * p)) / det_right
-    r_over_t = (right[1] * zs ** (-sign * p) - right[0] * zs ** (-sign * (p + 1))) / det_right
+    inv_t_right = (right[0] * power(sign * (p + 1)) - right[1] * power(sign * p)) / det_right
+    r_over_t = (right[1] * power(-sign * p) - right[0] * power(-sign * (p + 1))) / det_right
     finite = (
         np.isfinite(inv_t_left)
         & np.isfinite(inv_t_right)
@@ -181,11 +184,11 @@ def scattering_amplitudes(
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     require_admissible(zs)
-    return _amplitude_blocks(seq, zs, (at_inverse,))[0]
+    return _amplitude_blocks(seq, _GridContext(zs), (at_inverse,))[0]
 
 
 def _amplitude_blocks(
-    seq: CoefficientSequence, zs: np.ndarray, modes: tuple[bool, ...]
+    seq: CoefficientSequence, ctx: _GridContext, modes: tuple[bool, ...]
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """scattering_amplitudes for each at_inverse mode, one recursion per side.
 
@@ -193,18 +196,19 @@ def _amplitude_blocks(
     of one stacked recursion; each block is then fitted, and checked,
     on its own, in the order given.
     """
+    zs = ctx.zs
     support = effective_support(seq)
     if support.free:
         # nothing deviates from the limits: T = 1 and R = L = 0 exactly
         return [(np.ones_like(zs), np.zeros_like(zs), np.zeros_like(zs)) for _ in modes]
     window = support.window
     lo, hi = window.n_min - 2, window.n_max + 2
-    left = _recurse(seq, window, lo, hi, zs, "left", modes, store=False)
-    right = _recurse(seq, window, lo, hi, zs, "right", modes, store=False)
+    left = _recurse(seq, window, lo, hi, ctx, "left", modes, store=False)
+    right = _recurse(seq, window, lo, hi, ctx, "right", modes, store=False)
     m = zs.size
     return [
         _tail_fit(
-            zs,
+            ctx,
             left[:, j * m : (j + 1) * m],
             right[:, j * m : (j + 1) * m],
             lo,
@@ -278,7 +282,16 @@ def check_identities(sd: ScatteringData, sd_inv: ScatteringData) -> IdentityResi
 
 def identity_sweep(seq: CoefficientSequence, zs: np.ndarray) -> IdentitySweep:
     """Vectorized grid maxima of every solution and coefficient relation."""
-    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+    return _identity_sweep(seq, _GridContext(np.atleast_1d(np.asarray(zs, dtype=complex))))
+
+
+def _identity_sweep(seq: CoefficientSequence, ctx: _GridContext) -> IdentitySweep:
+    """identity_sweep over the grid of ctx, whose fit at z shares its powers.
+
+    The fit at the rounded reciprocal 1/z is over another grid, with a
+    context of its own.
+    """
+    zs = ctx.zs
     zs_inv = 1.0 / zs
     # one recursion per side covers z and the rounded reciprocal together
     both = np.concatenate([zs, zs_inv])
@@ -293,10 +306,10 @@ def identity_sweep(seq: CoefficientSequence, zs: np.ndarray) -> IdentitySweep:
     # the coefficients come from the same arrays: two sites past each end
     p = seq.window.n_max + 1
     t, r, l = _coefficients(
-        *_tail_fit(zs, fl[:, :2].T, fr[:, p - lo : p - lo + 2].T, lo, p, 1)
+        *_tail_fit(ctx, fl[:, :2].T, fr[:, p - lo : p - lo + 2].T, lo, p, 1)
     )
     tt, rt, lt = _coefficients(
-        *_tail_fit(zs_inv, flc[:, :2].T, frc[:, p - lo : p - lo + 2].T, lo, p, 1)
+        *_tail_fit(_GridContext(zs_inv), flc[:, :2].T, frc[:, p - lo : p - lo + 2].T, lo, p, 1)
     )
     scat_conj = max(
         float(np.max(np.abs(tt - np.conj(t)))),

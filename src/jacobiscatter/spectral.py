@@ -46,30 +46,44 @@ class BandEdges:
     lambda_max: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CircleGrid:
-    """Ordered circle sample avoiding the degenerate points."""
+    """Ordered circle sample avoiding the degenerate points.
 
-    points: tuple[SpectralPoint, ...]
+    The grid is held as one read-only array of circle points.  The
+    angles, band images and SpectralPoint objects are built point by
+    point, only when asked for, with the scalar math.atan2 and band
+    formula whose bits the vectorized versions do not reproduce; code
+    that reads only zs never pays for them.
+    """
+
+    zs: np.ndarray
+    limits: Limits
     exclusion_delta: float
 
+    def __post_init__(self):
+        zs = np.array(self.zs, dtype=complex)
+        zs.setflags(write=False)
+        object.__setattr__(self, "zs", zs)
+
     def __len__(self) -> int:
-        return len(self.points)
+        return self.zs.size
 
     def __iter__(self):
         return iter(self.points)
 
     @property
-    def zs(self) -> np.ndarray:
-        return np.array([p.z for p in self.points], dtype=complex)
+    def points(self) -> tuple[SpectralPoint, ...]:
+        zs = self.zs.tolist()
+        return tuple(map(SpectralPoint, zs, _band_images(self.limits, zs)))
 
     @property
     def thetas(self) -> np.ndarray:
-        return np.array([p.theta for p in self.points])
+        return np.array(list(map(math.atan2, self.zs.imag.tolist(), self.zs.real.tolist())))
 
     @property
     def lams(self) -> np.ndarray:
-        return np.array([p.lam for p in self.points])
+        return np.array(_band_images(self.limits, self.zs.tolist()))
 
 
 def require_on_circle(zs: np.ndarray) -> None:
@@ -96,6 +110,60 @@ def wave_pair_det(zs: np.ndarray) -> np.ndarray:
     im = zs.imag
     one_minus_sq = (1.0 - re) * (1.0 + re) + im * im - 2j * (re * im)
     return one_minus_sq / zs
+
+
+class _GridContext:
+    """What the recursions and tail fits of one run over one grid share.
+
+    Built once from a checked grid zs and dropped when the run returns.
+    It computes each shared value on first use, by the expression its
+    callers used to evaluate themselves, so reading it changes no bit:
+
+    * drive(limits, blocks): the recursion drive a_inf (z + 1/z) + b_inf,
+      tiled over blocks column blocks;
+    * det(): wave_pair_det(zs);
+    * power(k): zs ** k, as the tail fits and junction checks write it;
+    * seed_power(k): zs to the power k through the ufunc with an array
+      exponent, as the recursion seeds take it.
+
+    Both powers read one memo, because numpy's scalar ** and its
+    array-exponent power agree except at k = -1 and k = 2, where **
+    takes a reciprocal and a square that round differently; the seeds
+    keep their own values at those two exponents.
+    """
+
+    __slots__ = ("zs", "_det", "_drives", "_powers", "_seed_powers")
+
+    def __init__(self, zs: np.ndarray):
+        self.zs = zs
+        self._det = None
+        self._drives: dict[tuple[float, float, int], np.ndarray] = {}
+        self._powers: dict[int, np.ndarray] = {}
+        self._seed_powers: dict[int, np.ndarray] = {}
+
+    def drive(self, limits: Limits, blocks: int) -> np.ndarray:
+        key = (limits.a_inf, limits.b_inf, blocks)
+        if key not in self._drives:
+            zs = self.zs
+            self._drives[key] = np.tile(limits.a_inf * (zs + 1.0 / zs) + limits.b_inf, blocks)
+        return self._drives[key]
+
+    def det(self) -> np.ndarray:
+        if self._det is None:
+            self._det = wave_pair_det(self.zs)
+        return self._det
+
+    def power(self, k: int) -> np.ndarray:
+        if k not in self._powers:
+            self._powers[k] = self.zs**k
+        return self._powers[k]
+
+    def seed_power(self, k: int) -> np.ndarray:
+        if k not in (-1, 2):
+            return self.power(k)
+        if k not in self._seed_powers:
+            self._seed_powers[k] = np.power(self.zs, k)
+        return self._seed_powers[k]
 
 
 def circle_inverse(zs: np.ndarray | complex) -> np.ndarray | complex:
@@ -128,17 +196,30 @@ def require_admissible(zs: np.ndarray) -> None:
 def lambda_from_z(limits: Limits, z: complex) -> float:
     """Band energy of a circle point."""
     require_on_circle(np.asarray(z, dtype=complex))
-    return _band_image(limits, z)
+    return _band_images(limits, [z])[0]
 
 
-def _band_image(limits: Limits, z: complex) -> float:
-    """lambda_from_z for a point already known to lie on the circle."""
-    value = (limits.a_inf * (z + 1.0 / z) + limits.b_inf) / limits.w_inf
-    if abs(value.imag) >= 1e-12:
-        raise SpectralDomainError(
-            f"spectral image of z = {z} has imaginary part {value.imag!r}"
-        )
-    return float(value.real)
+def _band_images(limits: Limits, zs: list[complex]) -> list[float]:
+    """lambda_from_z, point by point, for points known to lie on the circle.
+
+    The image of a circle point is real; its computed imaginary part is
+    the rounding of the terms a_inf z, a_inf / z and b_inf, so it is held
+    against their size, (2 |a_inf| + |b_inf|) / w_inf with |z| = 1, and
+    not against an absolute bound, which large limits exceed.  The size
+    of a_inf (z + 1/z) would not do: it vanishes near z = +-i, where the
+    rounding of the two terms does not.
+    """
+    a_inf, b_inf, w_inf = limits.a_inf, limits.b_inf, limits.w_inf
+    tol = 1e-12 * (2.0 * abs(a_inf) + abs(b_inf)) / w_inf
+    images = []
+    for z in zs:
+        value = (a_inf * (z + 1.0 / z) + b_inf) / w_inf
+        if abs(value.imag) >= tol:
+            raise SpectralDomainError(
+                f"spectral image of z = {z} has imaginary part {value.imag!r}"
+            )
+        images.append(float(value.real))
+    return images
 
 
 def band_edges(limits: Limits) -> BandEdges:
@@ -202,7 +283,10 @@ def sample_circle(limits: Limits, count: int, exclusion_delta: float) -> CircleG
     if count % 4 == 0:
         thetas[count // 4] = -0.5 * math.pi
         thetas[3 * count // 4] = 0.5 * math.pi
-    zs = [complex(math.cos(theta), math.sin(theta)) for theta in thetas]
-    require_on_circle(np.array(zs, dtype=complex))
-    points = tuple(SpectralPoint(z, _band_image(limits, z)) for z in zs)
-    return CircleGrid(points, float(exclusion_delta))
+    # the scalar cos and sin, whose bits numpy's vectorized ones need not match
+    angles = thetas.tolist()
+    zs = np.empty(count, dtype=complex)
+    zs.real = list(map(math.cos, angles))
+    zs.imag = list(map(math.sin, angles))
+    require_on_circle(zs)
+    return CircleGrid(zs, limits, float(exclusion_delta))

@@ -52,9 +52,8 @@ from .scattering import (
     _amplitude_blocks,
     _coefficients,
     extract_scattering,
-    scattering_values,
 )
-from .spectral import require_admissible
+from .spectral import _GridContext, require_admissible
 
 _IDENT = np.eye(2, dtype=complex)
 
@@ -195,10 +194,15 @@ def transition_entries(seq: CoefficientSequence, zs: np.ndarray) -> np.ndarray:
     """Vectorized transition matrices, one 2x2 block per circle point."""
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     require_admissible(zs)
+    return _transition_entries(seq, _GridContext(zs))
+
+
+def _transition_entries(seq: CoefficientSequence, ctx: _GridContext) -> np.ndarray:
+    """transition_entries over the checked grid of ctx."""
     (inv_t, r_over_t, l_over_t), (inv_t_conj, _, _) = _amplitude_blocks(
-        seq, zs, (False, True)
+        seq, ctx, (False, True)
     )
-    out = np.empty(zs.shape + (2, 2), dtype=complex)
+    out = np.empty(ctx.zs.shape + (2, 2), dtype=complex)
     out[..., 0, 0] = inv_t
     out[..., 0, 1] = -r_over_t
     out[..., 1, 0] = l_over_t
@@ -227,12 +231,12 @@ def determinant_residuals(seq: CoefficientSequence, zs: np.ndarray) -> np.ndarra
 
 
 def _product_gap(
-    whole: np.ndarray, parts: list[CoefficientSequence], zs: np.ndarray
+    whole: np.ndarray, parts: list[CoefficientSequence], ctx: _GridContext
 ) -> np.ndarray:
     """Max entrywise gap between whole entries and the ordered product of parts."""
-    product = transition_entries(parts[0], zs)
+    product = _transition_entries(parts[0], ctx)
     for part in parts[1:]:
-        product = product @ transition_entries(part, zs)
+        product = product @ _transition_entries(part, ctx)
     return np.max(np.abs(product - whole), axis=(-2, -1))
 
 
@@ -248,10 +252,12 @@ def factorization_residuals(
     control can corrupt the padding and watch the product detach.
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    whole = transition_entries(seq, zs)
+    require_admissible(zs)
+    ctx = _GridContext(zs)
+    whole = _transition_entries(seq, ctx)
     if parts is None:
         parts = fragment(seq, frag)
-    return _product_gap(whole, parts, zs)
+    return _product_gap(whole, parts, ctx)
 
 
 def factorization_check(
@@ -545,19 +551,23 @@ def junction_residual_sweep(
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     _require_reach(seq, frag.breakpoints)
-    return _junction_sweep(seq, frag, zs, *scattering_values(seq, zs))
+    require_admissible(zs)
+    ctx = _GridContext(zs)
+    (amplitudes,) = _amplitude_blocks(seq, ctx, (False,))
+    return _junction_sweep(seq, frag, ctx, *_coefficients(*amplitudes))
 
 
 def _junction_sweep(
     seq: CoefficientSequence,
     frag: Fragmentation,
-    zs: np.ndarray,
+    ctx: _GridContext,
     t: np.ndarray,
     r: np.ndarray,
     l: np.ndarray,
 ) -> dict[str, float]:
-    """junction_residual_sweep given the whole sequence's T, R and L."""
+    """junction_residual_sweep over the grid of ctx, given the whole T, R, L."""
     _require_reach(seq, frag.breakpoints)
+    zs = ctx.zs
     points = frag.breakpoints
     union = IndexWindow(points[0] - 2, points[-1] + 2)
     lo_all, hi_all = solution_range(seq, union)
@@ -583,7 +593,7 @@ def _junction_sweep(
     def paired(part, side, cover):
         # a solution and its companion at 1/z from one stacked recursion
         lo, hi = solution_range(part, cover)
-        rows = _recurse(part, part.window, lo, hi, zs, side, (False, True), store=True).T
+        rows = _recurse(part, part.window, lo, hi, ctx, side, (False, True), store=True).T
         return rows[: zs.size], rows[zs.size :], lo
 
     found: dict[str, list[float]] = {
@@ -599,12 +609,13 @@ def _junction_sweep(
         fl2, gl2 = fl2.copy(), gl2[:, junction].copy()
         fr1, gr1, _ = paired(parts[0], "right", cover)
         fr1, gr1 = fr1.copy(), gr1[:, junction].copy()
-        plain1, inverse1 = _amplitude_blocks(parts[0], zs, (False, True))
-        plain2, inverse2 = _amplitude_blocks(parts[1], zs, (False, True))
-        t1, r1, _ = _coefficients(*plain1)
-        t1c, r1c, _ = _coefficients(*inverse1)
-        t2, _, l2 = _coefficients(*plain2)
-        t2c, _, l2c = _coefficients(*inverse2)
+        # keep only the coefficients the checks read, not the amplitudes
+        (t1, r1, _), (t1c, r1c, _) = [
+            _coefficients(*block) for block in _amplitude_blocks(parts[0], ctx, (False, True))
+        ]
+        (t2, _, l2), (t2c, _, l2c) = [
+            _coefficients(*block) for block in _amplitude_blocks(parts[1], ctx, (False, True))
+        ]
         ratio = seq.limits.a_inf / coefficient_at(seq, n1 + 1)[0]
 
         fl = fl_near[:, 3 * j : 3 * j + 3]
@@ -652,8 +663,8 @@ def _junction_sweep(
         right_sites = slice(n1 - lo_all, hi + 1 - lo_all)
         # scalar-exponent powers take numpy's own fast paths, so they are
         # not read off the tables
-        z0, z0_inv = zs**n1, zs ** (-n1)
-        z1, z1_inv = zs ** (n1 + 1), zs ** (-(n1 + 1))
+        z0, z0_inv = ctx.power(n1), ctx.power(-n1)
+        z1, z1_inv = ctx.power(n1 + 1), ctx.power(-(n1 + 1))
         scaled_wave = ratio * ((1.0 / t2) * z1 + (l2 / t2) * z1_inv)
         found["plane_waves"].append(max(
             float(np.max(np.abs(fl2[:, : n1 + 1 - lo] - wave(left_sites, 1.0 / t2, l2 / t2)))),

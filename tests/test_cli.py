@@ -1,12 +1,18 @@
 """End-to-end runs of the installed command through subprocesses."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+
+from jacobiscatter import cli
+from conftest import overflowing_sequence
 
 CSV_HEADER = "theta,lambda,re_T,im_T,re_R,im_R,re_L,im_L,unitarity"
 
@@ -255,3 +261,48 @@ def test_tolerance_flag_can_force_failure(single_site_file):
     # honest residuals around 1e-10 fail a 1e-16 bar; exit code must say so
     proc = run_cli("identities", "--input", single_site_file, "--tol", "1e-16")
     assert proc.returncode == 1
+
+
+def test_in_process_calls_match_fresh_runs(tmp_path):
+    """One process keeps one parser and builds a grid context per command.
+
+    Neither may carry state from one call into the next: a run of calls
+    in one process, with a parse error, an invalid file and a numerical
+    fault between them, must print and exit exactly as fresh processes do.
+    """
+    seq = overflowing_sequence()
+    good = write_input(tmp_path, TWO_IMPURITY_INPUT, "good.json")
+    bad = write_input(tmp_path, {**TWO_IMPURITY_INPUT, "w": [1.0, -1.0, 1.0]}, "bad.json")
+    over = write_input(tmp_path, {
+        "a_inf": 1.0, "b_inf": 0.0, "w_inf": 1.0,
+        "n_min": seq.window.n_min, "n_max": seq.window.n_max,
+        "a": seq.a_values.tolist(), "b": seq.b_values.tolist(), "w": seq.w_values.tolist(),
+    }, "over.json")
+    calls = [
+        ["scatter", "--input", good],
+        ["identities", "--input", good, "--breakpoints=-1,1", "--grid", "64"],
+        ["scatter", "--input", good, "--grid", "many"],
+        ["factorize", "--input", good, "--breakpoints=0", "--format", "csv"],
+        ["factorize", "--input", bad, "--breakpoints=0"],
+        ["scatter", "--input", good, "--grid", "64", "--format", "json"],
+        ["scatter", "--input", over, "--grid", "16"],
+        ["identities", "--input", good, "--format", "csv"],
+        ["factorize", "--input", good, "--breakpoints=-1,0,1", "--grid", "64"],
+        ["scatter", "--input", good],
+    ]
+
+    def in_process(argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue()
+
+    got = [in_process(argv) for argv in calls]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        fresh = [(p.returncode, p.stdout) for p in pool.map(lambda a: run_cli(*a), calls)]
+    assert [code for code, _ in got] == [0, 0, 2, 0, 2, 0, 3, 0, 0, 0]
+    for argv, mine, theirs in zip(calls, got, fresh):
+        assert mine == theirs, argv

@@ -30,6 +30,7 @@ from jacobiscatter import (
 from jacobiscatter import cli, jost, scattering, transition
 from jacobiscatter.jost import _recurse, solution_range
 from jacobiscatter.lattice import MAX_WINDOW_SITES, coefficient_arrays
+from jacobiscatter.spectral import _GridContext
 from conftest import (
     default_grid,
     hand_fixtures,
@@ -89,7 +90,13 @@ def reference_recurse(seq, window, lo, hi, zs, side, modes, store):
     return rows[[last % count, (last + 1) % count]]
 
 
-def kernel_pairs(seq, zs):
+def kernel_pairs(seq, zs, ctx=None):
+    """The kernel and the reference on every side, store mode and mode set.
+
+    All the kernel's calls read one grid context, ctx if given, so its
+    drive and seed powers are shared across them.
+    """
+    ctx = _GridContext(zs) if ctx is None else ctx
     window = seq.window
     for store in (True, False):
         lo, hi = window.n_min - 2, window.n_max + 2
@@ -97,8 +104,10 @@ def kernel_pairs(seq, zs):
             lo, hi = solution_range(seq, IndexWindow(window.n_min - 4, window.n_max + 3))
         for side in ("left", "right"):
             for modes in MODES:
-                args = (seq, window, lo, hi, zs, side, modes, store)
-                yield _recurse(*args), reference_recurse(*args)
+                yield (
+                    _recurse(seq, window, lo, hi, ctx, side, modes, store),
+                    reference_recurse(seq, window, lo, hi, zs, side, modes, store),
+                )
 
 
 def test_real_view_kernel_equals_complex_rows(random_fixtures):
@@ -107,6 +116,20 @@ def test_real_view_kernel_equals_complex_rows(random_fixtures):
         for got, want in kernel_pairs(seq, zs):
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+def test_kernel_on_one_shared_context_equals_complex_rows(random_fixtures):
+    """One grid context serves every call: the drive is kept per set of
+    limits and the seed powers across calls, as one run shares them."""
+    seqs = hand_fixtures() + random_fixtures[:6]
+    zs = default_grid(seqs[0], count=64).zs
+    ctx = _GridContext(zs)
+    for seq in seqs:
+        # the grid's points do not depend on the limits
+        assert default_grid(seq, count=64).zs.tobytes() == zs.tobytes()
+        for got, want in kernel_pairs(seq, zs, ctx):
+            assert got.tobytes() == want.tobytes()
+    assert len({(lim.a_inf, lim.b_inf) for lim in (seq.limits for seq in seqs)}) > 1
 
 
 def test_real_view_kernel_keeps_the_non_finite_entries():

@@ -21,6 +21,7 @@ from jacobiscatter import (
     transition_entries,
 )
 from jacobiscatter.jost import _recurse, solution_range
+from jacobiscatter.spectral import _GridContext
 from conftest import default_grid, hand_fixtures, mixed_sequence, overflowing_sequence
 
 FLAGS = (True, False, True)
@@ -35,10 +36,10 @@ def blocks_and_singles(seq, zs, side, store):
     lo, hi = window.n_min - 2, window.n_max + 2
     if store:
         lo, hi = solution_range(seq, IndexWindow(window.n_min - 4, window.n_max + 3))
-    stacked = _recurse(seq, window, lo, hi, zs, side, FLAGS, store)
+    stacked = _recurse(seq, window, lo, hi, _GridContext(zs), side, FLAGS, store)
     m = zs.size
     for j, flag in enumerate(FLAGS):
-        single = _recurse(seq, window, lo, hi, zs, side, (flag,), store)
+        single = _recurse(seq, window, lo, hi, _GridContext(zs), side, (flag,), store)
         yield stacked[:, j * m : (j + 1) * m], single
 
 

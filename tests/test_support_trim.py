@@ -21,6 +21,7 @@ from jacobiscatter import (
 )
 from jacobiscatter.jost import _recurse
 from jacobiscatter.scattering import _tail_fit
+from jacobiscatter.spectral import _GridContext
 from conftest import (
     coupling_step_sequence,
     default_grid,
@@ -83,13 +84,17 @@ def test_two_row_fit_equals_full_array_fit(random_fixtures):
             fr, _ = jost_values(seq, zs, "right", at_inverse=at_inverse)
             assert lo == n
             left, right = (
-                _recurse(seq, seq.window, n, p + 1, zs, side, (at_inverse,), store=False)
+                _recurse(
+                    seq, seq.window, n, p + 1, _GridContext(zs), side, (at_inverse,), store=False
+                )
                 for side in ("left", "right")
             )
             assert bits(left) == bits(fl[:, :2].T)
             assert bits(right) == bits(fr[:, p - lo : p - lo + 2].T)
             sign = -1 if at_inverse else 1
-            full = _tail_fit(zs, fl[:, :2].T, fr[:, p - lo : p - lo + 2].T, n, p, sign)
+            full = _tail_fit(
+                _GridContext(zs), fl[:, :2].T, fr[:, p - lo : p - lo + 2].T, n, p, sign
+            )
             assert bits(*scattering_amplitudes(seq, zs, at_inverse)) == bits(*full)
 
 
