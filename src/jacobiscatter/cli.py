@@ -156,7 +156,7 @@ def run_scatter(config: RunConfig) -> int:
             r.imag.tolist(),
             l.real.tolist(),
             l.imag.tolist(),
-            [abs(t_i) ** 2 + abs(r_i) ** 2 for t_i, r_i in zip(t, r)],
+            [abs(t_i) ** 2 + abs(r_i) ** 2 for t_i, r_i in zip(t.tolist(), r.tolist())],
         )
     )
     _emit(_render_table(rows, config.format), config.output_path)

@@ -150,8 +150,11 @@ def _recurse(
     order: (lo, lo + 1) for the left side, (hi - 1, hi) for the right;
     that mode seeds only two sites, so lo must be window.n_min - 2, and
     takes their powers from ctx, where the tail fits of the same run
-    find them again.  The stored mode computes its own seeds, as many
-    as the range reaches past the window.
+    find them again.  The stored mode takes its seeds, as many as the
+    range reaches past the window, as one power table from ctx.  Either
+    way, seeds with |power| below spectral.FAST_POWER_LIMIT are numpy's
+    own zs ** k, and larger ones exp(power * log zs) over the log that
+    ctx shares, which is how numpy's cpow computes them, to the bit.
     Each step writes in place into its destination row, through one
     scratch row, with the operations and order of the plain expression
     ((w[k] / w_inf) * s * v - a[k + 1] * next - b[k] * v) / a[k] on the
@@ -180,8 +183,7 @@ def _recurse(
         sign = -1 if inverse else 1
         block = slice(j * m, (j + 1) * m)
         if store:
-            seeds = zs[:, None] ** (sign * powers[None, :])
-            rows[(tail - lo) % count, block] = seeds.T
+            rows[(tail - lo) % count, block] = ctx.power_table(sign * powers).T
         else:
             for site, power in zip(tail.tolist(), powers.tolist()):
                 rows[(site - lo) % count, block] = ctx.seed_power(sign * power)
@@ -191,30 +193,36 @@ def _recurse(
     real = list(rows.view(float))
     drive = ctx.drive(lim, len(modes)).view(float)
     scratch = np.empty_like(drive)
-    if side == "left":
-        for k in range(n_max - lo, 0, -1):
-            dst, src = (k - 1) % count, k % count
-            out = real[dst]
-            np.multiply(drive, w[k] / w_inf, out=out)
-            np.multiply(row[dst], row[src], out=row[dst])
-            np.multiply(real[(k + 1) % count], a[k + 1], out=scratch)
-            np.subtract(out, scratch, out=out)
-            np.multiply(real[src], b[k], out=scratch)
-            np.subtract(out, scratch, out=out)
-            np.multiply(out, 1.0 / a[k], out=out)
-        last = 0
-    else:
-        for k in range(n_min - 1 - lo, hi - lo):
-            dst, src = (k + 1) % count, k % count
-            out = real[dst]
-            np.multiply(drive, w[k] / w_inf, out=out)
-            np.multiply(row[dst], row[src], out=row[dst])
-            np.multiply(real[src], b[k], out=scratch)
-            np.subtract(out, scratch, out=out)
-            np.multiply(real[(k - 1) % count], a[k], out=scratch)
-            np.subtract(out, scratch, out=out)
-            np.multiply(out, 1.0 / a[k + 1], out=out)
-        last = hi - lo - 1
+    # an overflowing window is reported by the tail fit's finite guard,
+    # not by numpy warnings from inside the loop.  The loop only multiplies
+    # and subtracts, so "all" silences just overflow and invalid values; it
+    # also lets numpy skip its status check, where naming those two would
+    # make every call about 2% slower.
+    with np.errstate(all="ignore"):
+        if side == "left":
+            for k in range(n_max - lo, 0, -1):
+                dst, src = (k - 1) % count, k % count
+                out = real[dst]
+                np.multiply(drive, w[k] / w_inf, out=out)
+                np.multiply(row[dst], row[src], out=row[dst])
+                np.multiply(real[(k + 1) % count], a[k + 1], out=scratch)
+                np.subtract(out, scratch, out=out)
+                np.multiply(real[src], b[k], out=scratch)
+                np.subtract(out, scratch, out=out)
+                np.multiply(out, 1.0 / a[k], out=out)
+            last = 0
+        else:
+            for k in range(n_min - 1 - lo, hi - lo):
+                dst, src = (k + 1) % count, k % count
+                out = real[dst]
+                np.multiply(drive, w[k] / w_inf, out=out)
+                np.multiply(row[dst], row[src], out=row[dst])
+                np.multiply(real[src], b[k], out=scratch)
+                np.subtract(out, scratch, out=out)
+                np.multiply(real[(k - 1) % count], a[k], out=scratch)
+                np.subtract(out, scratch, out=out)
+                np.multiply(out, 1.0 / a[k + 1], out=out)
+            last = hi - lo - 1
     if store:
         return rows
     return rows[[last % count, (last + 1) % count]]

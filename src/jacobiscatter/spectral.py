@@ -23,6 +23,10 @@ CIRCLE_TOL = 1e-12
 # parallel and tail fits are meaningless.
 DEGENERATE_FLOOR = 1e-8
 
+# numpy's complex power multiplies out integer exponents below this size
+# and hands larger ones to the C library's cpow.
+FAST_POWER_LIMIT = 100
+
 
 @dataclass(frozen=True)
 class SpectralPoint:
@@ -124,19 +128,30 @@ class _GridContext:
     * det(): wave_pair_det(zs);
     * power(k): zs ** k, as the tail fits and junction checks write it;
     * seed_power(k): zs to the power k through the ufunc with an array
-      exponent, as the recursion seeds take it.
+      exponent, as the recursion seeds take it;
+    * power_table(ks): zs[:, None] ** ks[None, :], as the stored seeds
+      and the junction sweep's plane-wave tables write it.
 
     Both powers read one memo, because numpy's scalar ** and its
     array-exponent power agree except at k = -1 and k = 2, where **
     takes a reciprocal and a square that round differently; the seeds
     keep their own values at those two exponents.
+
+    numpy raises a complex array to an integer power k by repeated
+    multiplication when |k| < FAST_POWER_LIMIT and otherwise by the C
+    library's cpow, which evaluates exp(k log z).  The context keeps the
+    first route, numpy's own, and takes the second as np.exp(k * log)
+    over one log(zs) computed on first use, which gives the same bits at
+    a fraction of the cost, since cpow pays for the log again at every
+    entry.
     """
 
-    __slots__ = ("zs", "_det", "_drives", "_powers", "_seed_powers")
+    __slots__ = ("zs", "_det", "_log", "_drives", "_powers", "_seed_powers")
 
     def __init__(self, zs: np.ndarray):
         self.zs = zs
         self._det = None
+        self._log = None
         self._drives: dict[tuple[float, float, int], np.ndarray] = {}
         self._powers: dict[int, np.ndarray] = {}
         self._seed_powers: dict[int, np.ndarray] = {}
@@ -153,10 +168,36 @@ class _GridContext:
             self._det = wave_pair_det(self.zs)
         return self._det
 
+    def _log_zs(self) -> np.ndarray:
+        if self._log is None:
+            self._log = np.log(self.zs)
+        return self._log
+
     def power(self, k: int) -> np.ndarray:
         if k not in self._powers:
-            self._powers[k] = self.zs**k
+            if abs(k) < FAST_POWER_LIMIT:
+                self._powers[k] = self.zs**k
+            else:
+                self._powers[k] = np.exp(k * self._log_zs())
         return self._powers[k]
+
+    def power_table(self, ks: np.ndarray) -> np.ndarray:
+        """Column j holds zs to the integer power ks[j]."""
+        zs = self.zs
+        fast = np.abs(ks) < FAST_POWER_LIMIT
+        if fast.all():
+            return zs[:, None] ** ks[None, :]
+        # runs of columns on one route, each written in place into its slice
+        table = np.empty((zs.size, ks.size), dtype=complex)
+        cuts = [0, *(np.flatnonzero(fast[1:] != fast[:-1]) + 1).tolist(), ks.size]
+        for start, stop in zip(cuts[:-1], cuts[1:]):
+            run, out = ks[None, start:stop], table[:, start:stop]
+            if fast[start]:
+                np.power(zs[:, None], run, out=out)
+            else:
+                np.multiply(self._log_zs()[:, None], run, out=out)
+                np.exp(out, out=out)
+        return table
 
     def seed_power(self, k: int) -> np.ndarray:
         if k not in (-1, 2):

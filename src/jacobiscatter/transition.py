@@ -579,8 +579,8 @@ def _junction_sweep(
     triangular = float(np.max(np.abs((r / t) * t - r)))
     lower_right = float(np.max(np.abs((1.0 / t) * t - 1.0)))
     sites = np.arange(lo_all, hi_all + 1)
-    up = zs[:, None] ** sites[None, :]
-    down = zs[:, None] ** (-sites[None, :])
+    up = ctx.power_table(sites)
+    down = ctx.power_table(-sites)
 
     def wave(cols, to_up, to_down):
         # to_up z^n + to_down z^{-n} on a slice of the power tables

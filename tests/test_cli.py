@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -255,6 +256,27 @@ def test_overflowing_window_faults_instead_of_printing_nan(tmp_path):
     assert "nan" not in proc.stdout
     assert proc.stdout == ""
     assert "not finite at theta" in proc.stderr
+
+
+def test_overflowing_window_reports_only_the_fault(tmp_path):
+    """The overflow inside the recursion is reported once, by the tail fit.
+
+    numpy's own overflow and invalid-value warnings from the kernel would
+    name its source path and line numbers; stderr must hold the one fault
+    line and nothing else.
+    """
+    seq = overflowing_sequence()
+    path = write_input(tmp_path, {
+        "a_inf": 1.0, "b_inf": 0.0, "w_inf": 1.0,
+        "n_min": seq.window.n_min, "n_max": seq.window.n_max,
+        "a": seq.a_values.tolist(), "b": seq.b_values.tolist(), "w": seq.w_values.tolist(),
+    })
+    proc = run_cli("scatter", "--input", path)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert re.fullmatch(r"numerical fault: tail fit is not finite at theta = \S+", lines[0])
 
 
 def test_tolerance_flag_can_force_failure(single_site_file):
