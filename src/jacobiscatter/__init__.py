@@ -11,8 +11,6 @@ results can be cross-checked rather than trusted.
 
 from .errors import CoefficientError, NumericalFault, SpectralDomainError
 from .jost import (
-    LatticeSolution,
-    SolutionKind,
     conjugate_solution,
     equation_residual,
     jost_left,
@@ -28,7 +26,6 @@ from .lattice import (
     Fragmentation,
     IndexWindow,
     Limits,
-    Support,
     coefficient_arrays,
     coefficient_at,
     effective_support,
@@ -36,92 +33,53 @@ from .lattice import (
     validate_sequence,
 )
 from .oracle import (
-    StepMatrix,
     step_matrix,
-    transfer_amplitude_map,
     transfer_matrix_scattering,
     transfer_matrix_values,
     wronskian_scattering,
     wronskian_values,
 )
 from .scattering import (
-    IdentityResiduals,
-    IdentitySweep,
-    ScatteringData,
-    SymmetryReport,
-    check_identities,
-    check_symmetries,
     extract_scattering,
     identity_sweep,
     scattering_amplitudes,
-    scattering_sweep,
     scattering_values,
 )
 from .spectral import (
-    BandEdges,
     CircleGrid,
     SpectralPoint,
     band_edges,
-    circle_inverse,
     lambda_from_z,
     require_admissible,
-    require_on_circle,
     sample_circle,
     wave_pair_det,
     z_from_lambda,
 )
 from .transition import (
-    FactorAlgebraReport,
-    FactorizationReport,
-    JunctionExpansionLeft,
-    JunctionExpansionRight,
-    PlaneWaveTailReport,
     TransitionMatrix,
     determinant_residuals,
     factorization_check,
     factorization_residuals,
-    junction_planewave_check,
     junction_residual_sweep,
-    proof_algebra_check,
-    proposition31_check,
-    proposition32_check,
     transition_entries,
     transition_for,
-    transition_matrix,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandEdges",
     "CircleGrid",
     "CoefficientError",
     "CoefficientSequence",
     "CouplingSignWarning",
-    "FactorAlgebraReport",
-    "FactorizationReport",
     "Fragmentation",
-    "IdentityResiduals",
-    "IdentitySweep",
     "IndexWindow",
-    "JunctionExpansionLeft",
-    "JunctionExpansionRight",
-    "LatticeSolution",
     "Limits",
     "NumericalFault",
-    "PlaneWaveTailReport",
-    "ScatteringData",
-    "SolutionKind",
     "SpectralDomainError",
     "SpectralPoint",
-    "StepMatrix",
-    "Support",
-    "SymmetryReport",
     "TransitionMatrix",
     "band_edges",
-    "check_identities",
-    "circle_inverse",
-    "check_symmetries",
     "coefficient_arrays",
     "coefficient_at",
     "conjugate_solution",
@@ -136,26 +94,18 @@ __all__ = [
     "jost_left",
     "jost_right",
     "jost_values",
-    "junction_planewave_check",
     "junction_residual_sweep",
     "lambda_from_z",
-    "proof_algebra_check",
-    "proposition31_check",
-    "proposition32_check",
     "require_admissible",
-    "require_on_circle",
     "sample_circle",
     "scattering_amplitudes",
-    "scattering_sweep",
     "scattering_values",
     "solution_range",
     "step_matrix",
-    "transfer_amplitude_map",
     "transfer_matrix_scattering",
     "transfer_matrix_values",
     "transition_entries",
     "transition_for",
-    "transition_matrix",
     "validate_sequence",
     "wave_pair_det",
     "wronskian",

@@ -287,9 +287,19 @@ def wronskian_constancy_check(
     p = phi.values[lo - phi.lo : hi - phi.lo + 1]
     q = zeta.values[lo - zeta.lo : hi - zeta.lo + 1]
     a, _, _ = coefficient_arrays(seq, lo + 1, hi)
-    w_all = a * (p[:-1] * q[1:] - p[1:] * q[:-1])
-    ref = w_all[0]
-    return float(np.max(np.abs(w_all - ref)) / max(1.0, abs(ref)))
+    return float(_pairing_drift(a, p, q))
+
+
+def _pairing_drift(a: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per row of p and q, max_n |W(n) - W(n0)| / max(1, |W(n0)|).
+
+    W(n) = a(n + 1) (p(n) q(n + 1) - p(n + 1) q(n)) along the last axis,
+    a holding a(n + 1) for each site pair.  Dividing by the positive
+    scale after the max gives the bits of dividing each entry first.
+    """
+    pair = a * (p[..., :-1] * q[..., 1:] - p[..., 1:] * q[..., :-1])
+    ref = pair[..., 0]
+    return np.max(np.abs(pair - ref[..., None]), axis=-1) / np.maximum(1.0, np.abs(ref))
 
 
 def equation_residual(seq: CoefficientSequence, sol: LatticeSolution) -> float:

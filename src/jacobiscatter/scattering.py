@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFault
-from .jost import _recurse, jost_values
+from .jost import _pairing_drift, _recurse, jost_values
 from .lattice import CoefficientSequence, coefficient_arrays, effective_support
-from .spectral import CircleGrid, _GridContext, require_admissible
+from .spectral import _GridContext, require_admissible
 
 # Relative disagreement of the two 1/T fits that flags a fault.
 MISMATCH_TOL = 1e-8
@@ -45,49 +45,16 @@ class ScatteringData:
 
 
 @dataclass(frozen=True)
-class SymmetryReport:
-    """Deviations of T, R, L at 1/z from the conjugates at z."""
-
-    t_residual: float
-    r_residual: float
-    l_residual: float
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.t_residual, self.r_residual, self.l_residual)
-
-
-@dataclass(frozen=True)
-class IdentityResiduals:
-    """Defects of the algebraic relations tying data at z and 1/z.
-
-    product_left / product_right: 1/(T T~) minus the matching reflection
-    product term should equal 1 exactly.
-    exchange_left / exchange_right: each reflection ratio at 1/z is minus
-    the opposite ratio at z.
-    quotient: T^2 - R L equals T / T~.
-    """
-
-    product_left: float
-    product_right: float
-    exchange_left: float
-    exchange_right: float
-    quotient: float
-
-    @property
-    def max_residual(self) -> float:
-        return max(
-            self.product_left,
-            self.product_right,
-            self.exchange_left,
-            self.exchange_right,
-            self.quotient,
-        )
-
-
-@dataclass(frozen=True)
 class IdentitySweep:
-    """Grid maxima of every checked relation for one sequence."""
+    """Grid maxima of every checked relation for one sequence.
+
+    The conjugation fields compare solutions and T, R, L at the rounded
+    reciprocal 1/z with the conjugates at z.  product_left / product_right:
+    1/(T T~) minus the matching reflection product term should equal 1
+    exactly.  exchange_left / exchange_right: each reflection ratio at
+    1/z is minus the opposite ratio at z.  quotient: T^2 - R L equals
+    T / T~.  A one-point grid [z] gives the relations at z alone.
+    """
 
     solution_conjugation: float
     scattering_conjugation: float
@@ -239,47 +206,6 @@ def extract_scattering(
     return ScatteringData(label, complex(t[0]), complex(r[0]), complex(l[0]))
 
 
-def scattering_sweep(seq: CoefficientSequence, grid: CircleGrid) -> list[ScatteringData]:
-    """Scattering data at every grid point, in grid order."""
-    if len(grid) == 0:
-        return []
-    zs = grid.zs
-    t, r, l = scattering_values(seq, zs)
-    return [
-        ScatteringData(complex(zs[i]), complex(t[i]), complex(r[i]), complex(l[i]))
-        for i in range(zs.size)
-    ]
-
-
-def check_symmetries(seq: CoefficientSequence, z: complex) -> SymmetryReport:
-    """Compare data at 1/z against conjugated data at z."""
-    sd = extract_scattering(seq, z)
-    sd_inv = extract_scattering(seq, 1.0 / complex(z))
-    return SymmetryReport(
-        abs(sd_inv.T - np.conj(sd.T)),
-        abs(sd_inv.R - np.conj(sd.R)),
-        abs(sd_inv.L - np.conj(sd.L)),
-    )
-
-
-def check_identities(sd: ScatteringData, sd_inv: ScatteringData) -> IdentityResiduals:
-    """Residuals of the exact relations between data at z and at 1/z."""
-    if abs(sd.z * sd_inv.z - 1.0) > 1e-9:
-        raise ValueError(
-            f"second argument must hold data at 1/z; got z = {sd.z}, {sd_inv.z}"
-        )
-    t, r, l = sd.T, sd.R, sd.L
-    tt, rt, lt = sd_inv.T, sd_inv.R, sd_inv.L
-    product = 1.0 / (t * tt)
-    return IdentityResiduals(
-        product_left=abs(product - (l * lt) * product - 1.0),
-        product_right=abs(product - (r * rt) * product - 1.0),
-        exchange_left=abs(rt / tt + l / t),
-        exchange_right=abs(lt / tt + r / t),
-        quotient=abs(t * t - r * l - t / tt),
-    )
-
-
 def identity_sweep(seq: CoefficientSequence, zs: np.ndarray) -> IdentitySweep:
     """Vectorized grid maxima of every solution and coefficient relation."""
     return _identity_sweep(seq, _GridContext(np.atleast_1d(np.asarray(zs, dtype=complex))))
@@ -319,8 +245,6 @@ def _identity_sweep(seq: CoefficientSequence, ctx: _GridContext) -> IdentitySwee
     product = 1.0 / (t * tt)
     hi = lo + fl.shape[1] - 1
     a, _, _ = coefficient_arrays(seq, lo + 1, hi)
-    pair = a[None, :] * (fl[:, :-1] * fr[:, 1:] - fl[:, 1:] * fr[:, :-1])
-    drift = np.abs(pair - pair[:, :1]) / np.maximum(1.0, np.abs(pair[:, :1]))
     return IdentitySweep(
         solution_conjugation=sol_conj,
         scattering_conjugation=scat_conj,
@@ -329,6 +253,6 @@ def _identity_sweep(seq: CoefficientSequence, ctx: _GridContext) -> IdentitySwee
         exchange_left=float(np.max(np.abs(rt / tt + l / t))),
         exchange_right=float(np.max(np.abs(lt / tt + r / t))),
         quotient=float(np.max(np.abs(t * t - r * l - t / tt))),
-        wronskian_drift=float(np.max(drift)),
+        wronskian_drift=float(np.max(_pairing_drift(a, fl, fr))),
         unitarity=float(np.max(np.abs(np.abs(t) ** 2 + np.abs(r) ** 2 - 1.0))),
     )

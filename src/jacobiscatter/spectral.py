@@ -207,20 +207,6 @@ class _GridContext:
         return self._seed_powers[k]
 
 
-def circle_inverse(zs: np.ndarray | complex) -> np.ndarray | complex:
-    """Floating-point label for the inverse of a unit-circle point.
-
-    The conjugate is the cleanest float stand-in for 1/z on the circle:
-    conjugation is exact, while the rounded reciprocal also picks up the
-    rounding of |z|^2.  Neither is the inverse of z exactly, so code
-    that must pair a value at z with one at 1/z never evaluates at this
-    point; it reuses z and flips power signs instead (the at_inverse
-    mode in the solution and scattering layers).  This helper only
-    labels the results of such evaluations.
-    """
-    return np.conj(zs)
-
-
 def require_admissible(zs: np.ndarray) -> None:
     """Reject circle points too close to the degenerate points +1, -1."""
     require_on_circle(zs)

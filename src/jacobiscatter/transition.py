@@ -8,8 +8,9 @@ The transition matrix of a sequence at a circle point z is
 and has determinant exactly 1.  Splitting the sequence into limit-padded
 fragments along breakpoints multiplies the transition matrices: the whole
 matrix equals the ordered product of the fragment matrices, leftmost
-fragment first.  The checks in this module verify that product and the
-solution-level identities behind it at a single junction:
+fragment first.  factorization_residuals checks that product over a
+grid, and junction_residual_sweep checks the solution-level identities
+behind it at each breakpoint taken as a single junction:
 
 * on sites at or above the breakpoint, the full left solution equals the
   right fragment's left solution, and the full right solution expands in
@@ -22,6 +23,10 @@ solution-level identities behind it at a single junction:
   first site past it, also in matrix form on the site pair (n1, n1 + 1);
 * the 2x2 algebra that rearranges the junction matrices into the product
   formula, including the closed-form inverses it uses.
+
+Each relation has one kernel, over a grid.  The one-point functions,
+transition_for and factorization_check, call the same kernels on a grid
+of one point; a single z's junction identities are the sweep over [z].
 """
 
 from __future__ import annotations
@@ -31,14 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoefficientError, NumericalFault
-from .jost import (
-    _recurse,
-    conjugate_solution,
-    jost_left,
-    jost_right,
-    jost_values,
-    solution_range,
-)
+from .jost import _recurse, solution_range
 from .lattice import (
     MAX_WINDOW_SITES,
     CoefficientSequence,
@@ -47,15 +45,8 @@ from .lattice import (
     coefficient_at,
     fragment,
 )
-from .scattering import (
-    ScatteringData,
-    _amplitude_blocks,
-    _coefficients,
-    extract_scattering,
-)
+from .scattering import _amplitude_blocks, _coefficients
 from .spectral import _GridContext, require_admissible
-
-_IDENT = np.eye(2, dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,103 +82,9 @@ class FactorizationReport:
     passed: bool
 
 
-@dataclass(frozen=True)
-class JunctionExpansionRight:
-    """Recovery of (R/T, 1/T) from the right fragment's solution pair."""
-
-    reflection_fit_residual: float
-    transmission_fit_residual: float
-    left_match_residual: float
-
-    @property
-    def max_residual(self) -> float:
-        return max(
-            self.reflection_fit_residual,
-            self.transmission_fit_residual,
-            self.left_match_residual,
-        )
-
-
-@dataclass(frozen=True)
-class JunctionExpansionLeft:
-    """Recovery of (1/T, L/T) from the left fragment's pair, with scalings."""
-
-    transmission_fit_residual: float
-    reflection_fit_residual: float
-    right_scaling_residual: float
-    left_scaling_residual: float
-
-    @property
-    def max_residual(self) -> float:
-        return max(
-            self.transmission_fit_residual,
-            self.reflection_fit_residual,
-            self.right_scaling_residual,
-            self.left_scaling_residual,
-        )
-
-
-@dataclass(frozen=True)
-class PlaneWaveTailReport:
-    """Exactness of fragment tails at the junction, pointwise and in matrix form."""
-
-    left_tail_residual: float
-    scaled_site_residual: float
-    right_tail_residual: float
-    left_matrix_residual: float
-    right_matrix_residual: float
-
-    @property
-    def max_residual(self) -> float:
-        return max(
-            self.left_tail_residual,
-            self.scaled_site_residual,
-            self.right_tail_residual,
-            self.left_matrix_residual,
-            self.right_matrix_residual,
-        )
-
-
-@dataclass(frozen=True)
-class FactorAlgebraReport:
-    """Residuals of the 2x2 rearrangement behind the two-fragment product."""
-
-    triangular_inverse_residual: float
-    unit_determinant_residual: float
-    exchange_inverse_residual: float
-    rearranged_residual: float
-
-    @property
-    def max_residual(self) -> float:
-        return max(
-            self.triangular_inverse_residual,
-            self.unit_determinant_residual,
-            self.exchange_inverse_residual,
-            self.rearranged_residual,
-        )
-
-
-def transition_matrix(sd: ScatteringData, sd_inv: ScatteringData) -> TransitionMatrix:
-    """Assemble the transition matrix from data at z and at 1/z."""
-    if abs(sd.z * sd_inv.z - 1.0) > 1e-9:
-        raise ValueError(
-            f"second argument must hold data at 1/z; got z = {sd.z}, {sd_inv.z}"
-        )
-    entries = np.array(
-        [
-            [1.0 / sd.T, -sd.R / sd.T],
-            [sd.L / sd.T, 1.0 / sd_inv.T],
-        ]
-    )
-    return TransitionMatrix(entries, sd.z)
-
-
 def transition_for(seq: CoefficientSequence, z: complex) -> TransitionMatrix:
     """Transition matrix of a sequence at one circle point."""
-    z = complex(z)
-    return transition_matrix(
-        extract_scattering(seq, z), extract_scattering(seq, z, at_inverse=True)
-    )
+    return TransitionMatrix(transition_entries(seq, [z])[0], z)
 
 
 def transition_entries(seq: CoefficientSequence, zs: np.ndarray) -> np.ndarray:
@@ -230,14 +127,19 @@ def determinant_residuals(seq: CoefficientSequence, zs: np.ndarray) -> np.ndarra
     return _determinant_gap(transition_entries(seq, zs))
 
 
+def _fragment_product(parts: list[CoefficientSequence], ctx: _GridContext) -> np.ndarray:
+    """Ordered product of the parts' transition entries, leftmost first."""
+    product = _transition_entries(parts[0], ctx)
+    for part in parts[1:]:
+        product = product @ _transition_entries(part, ctx)
+    return product
+
+
 def _product_gap(
     whole: np.ndarray, parts: list[CoefficientSequence], ctx: _GridContext
 ) -> np.ndarray:
     """Max entrywise gap between whole entries and the ordered product of parts."""
-    product = _transition_entries(parts[0], ctx)
-    for part in parts[1:]:
-        product = product @ _transition_entries(part, ctx)
-    return np.max(np.abs(product - whole), axis=(-2, -1))
+    return np.max(np.abs(_fragment_product(parts, ctx) - whole), axis=(-2, -1))
 
 
 def factorization_residuals(
@@ -268,15 +170,16 @@ def factorization_check(
 ) -> FactorizationReport:
     """Compare the transition matrix with its ordered fragment product."""
     z = complex(z)
-    whole = transition_for(seq, z)
+    zs = np.array([z])
+    require_admissible(zs)
+    ctx = _GridContext(zs)
+    whole = _transition_entries(seq, ctx)[0]
     parts = fragment(seq, frag)
-    product = _IDENT
-    for part in parts:
-        product = product @ transition_for(part, z).entries
-    residual = float(np.max(np.abs(product - whole.entries)))
+    product = _fragment_product(parts, ctx)[0]
+    residual = float(np.max(np.abs(product - whole)))
     return FactorizationReport(
         z=z,
-        whole=whole,
+        whole=TransitionMatrix(whole, z),
         product=product,
         residual=residual,
         fragment_count=len(parts),
@@ -302,239 +205,18 @@ def _require_reach(seq: CoefficientSequence, points: tuple[int, ...]) -> None:
             )
 
 
-def _single_breakpoint(seq: CoefficientSequence, frag: Fragmentation) -> int:
-    if len(frag.breakpoints) != 1:
-        raise ValueError(
-            f"junction checks need exactly one breakpoint, got {frag.breakpoints}"
-        )
-    _require_reach(seq, frag.breakpoints)
-    return frag.breakpoints[0]
-
-
-def _solve2(m00, m01, m10, m11, r0, r1):
-    det = m00 * m11 - m01 * m10
-    if abs(det) < 1e-300:
-        raise NumericalFault("junction solution pair is numerically dependent")
-    return (r0 * m11 - m01 * r1) / det, (m00 * r1 - r0 * m10) / det
-
-
-def proposition31_check(
-    seq: CoefficientSequence, frag: Fragmentation, z: complex
-) -> JunctionExpansionRight:
-    """Expand the full right solution in the right fragment's pair.
-
-    Fitting the full right solution at the two junction sites against the
-    right fragment's left solution and its companion must return exactly
-    (R/T, 1/T) of the whole sequence, while the full left solution must
-    coincide with the fragment's left solution there.
-    """
-    n1 = _single_breakpoint(seq, frag)
-    z = complex(z)
-    cover = IndexWindow(n1 - 2, n1 + 2)
-    parts = fragment(seq, frag)
-    f_l = jost_left(seq, z, cover)
-    f_r = jost_right(seq, z, cover)
-    f_l2 = jost_left(parts[1], z, cover)
-    g_l2 = conjugate_solution(parts[1], z, "left", cover)
-    reflection_ratio, inverse_transmission = _solve2(
-        f_l2.at(n1), g_l2.at(n1),
-        f_l2.at(n1 + 1), g_l2.at(n1 + 1),
-        f_r.at(n1), f_r.at(n1 + 1),
-    )
-    sd = extract_scattering(seq, z)
-    return JunctionExpansionRight(
-        reflection_fit_residual=abs(reflection_ratio - sd.R / sd.T),
-        transmission_fit_residual=abs(inverse_transmission - 1.0 / sd.T),
-        left_match_residual=max(
-            abs(f_l.at(n1) - f_l2.at(n1)), abs(f_l.at(n1 + 1) - f_l2.at(n1 + 1))
-        ),
-    )
-
-
-def proposition32_check(
-    seq: CoefficientSequence, frag: Fragmentation, z: complex
-) -> JunctionExpansionLeft:
-    """Expand the full left solution in the left fragment's pair.
-
-    The fit on the sites (n1 - 1, n1) must return 1/T on the conjugate
-    partner and L/T on the plain right solution, both of the whole
-    sequence; matching the left tails forces that assignment, since the
-    conjugate partner is the one growing like z^n there.  One site past
-    the junction both full solutions pick up the coupling ratio
-    a_inf / a(n1 + 1) against the fragment expressions, and both
-    scalings are checked explicitly.
-    """
-    n1 = _single_breakpoint(seq, frag)
-    z = complex(z)
-    cover = IndexWindow(n1 - 2, n1 + 2)
-    parts = fragment(seq, frag)
-    f_l = jost_left(seq, z, cover)
-    f_r = jost_right(seq, z, cover)
-    f_r1 = jost_right(parts[0], z, cover)
-    g_r1 = conjugate_solution(parts[0], z, "right", cover)
-    inverse_transmission, reflection_ratio = _solve2(
-        g_r1.at(n1 - 1), f_r1.at(n1 - 1),
-        g_r1.at(n1), f_r1.at(n1),
-        f_l.at(n1 - 1), f_l.at(n1),
-    )
-    sd = extract_scattering(seq, z)
-    l_over_t = sd.L / sd.T
-    inv_t = 1.0 / sd.T
-    ratio = seq.limits.a_inf / coefficient_at(seq, n1 + 1)[0]
-    return JunctionExpansionLeft(
-        transmission_fit_residual=abs(inverse_transmission - inv_t),
-        reflection_fit_residual=abs(reflection_ratio - l_over_t),
-        right_scaling_residual=abs(f_r.at(n1 + 1) - ratio * f_r1.at(n1 + 1)),
-        left_scaling_residual=abs(
-            f_l.at(n1 + 1)
-            - ratio * (inv_t * g_r1.at(n1 + 1) + l_over_t * f_r1.at(n1 + 1))
-        ),
-    )
-
-
-def junction_planewave_check(
-    seq: CoefficientSequence, frag: Fragmentation, z: complex
-) -> PlaneWaveTailReport:
-    """Exact plane-wave form of the fragment tails at the junction.
-
-    The right fragment's left solution must equal its own tail expansion
-    (1/T2) z^n + (L2/T2) z^{-n} on every site up to the breakpoint and
-    carry the coupling ratio one site past it; the left fragment's right
-    solution must equal (1/T1) z^{-n} + (R1/T1) z^n from the breakpoint
-    up, with no ratio.  The same statements are checked in 2x2 matrix
-    form on the site pair (n1, n1 + 1), pairing each fragment solution
-    with its companion at 1/z.
-    """
-    n1 = _single_breakpoint(seq, frag)
-    z = complex(z)
-    cover = IndexWindow(n1 - 2, n1 + 2)
-    parts = fragment(seq, frag)
-    sd1 = extract_scattering(parts[0], z)
-    sd1_inv = extract_scattering(parts[0], z, at_inverse=True)
-    sd2 = extract_scattering(parts[1], z)
-    sd2_inv = extract_scattering(parts[1], z, at_inverse=True)
-    f_l2 = jost_left(parts[1], z, cover)
-    g_l2 = conjugate_solution(parts[1], z, "left", cover)
-    f_r1 = jost_right(parts[0], z, cover)
-    g_r1 = conjugate_solution(parts[0], z, "right", cover)
-    ratio = seq.limits.a_inf / coefficient_at(seq, n1 + 1)[0]
-
-    sites_left = np.arange(f_l2.lo, n1 + 1)
-    wave_left = (1.0 / sd2.T) * z**sites_left + (sd2.L / sd2.T) * z ** (-sites_left)
-    left_tail = float(
-        np.max(np.abs(f_l2.values[: sites_left.size] - wave_left))
-    )
-    scaled = abs(
-        f_l2.at(n1 + 1)
-        - ratio * ((1.0 / sd2.T) * z ** (n1 + 1) + (sd2.L / sd2.T) * z ** (-(n1 + 1)))
-    )
-    sites_right = np.arange(n1, f_r1.hi + 1)
-    wave_right = (1.0 / sd1.T) * z ** (-sites_right) + (sd1.R / sd1.T) * z**sites_right
-    right_tail = float(
-        np.max(np.abs(f_r1.values[sites_right[0] - f_r1.lo :] - wave_right))
-    )
-
-    waves = np.array(
-        [[z**n1, z ** (-n1)], [z ** (n1 + 1), z ** (-(n1 + 1))]]
-    )
-    scale = np.array([[1.0, 0.0], [0.0, ratio]])
-    left_cols = np.array(
-        [
-            [f_l2.at(n1), g_l2.at(n1)],
-            [f_l2.at(n1 + 1), g_l2.at(n1 + 1)],
-        ]
-    )
-    left_coef = np.array(
-        [
-            [1.0 / sd2.T, sd2_inv.L / sd2_inv.T],
-            [sd2.L / sd2.T, 1.0 / sd2_inv.T],
-        ]
-    )
-    left_matrix = float(np.max(np.abs(left_cols - scale @ waves @ left_coef)))
-    right_cols = np.array(
-        [
-            [g_r1.at(n1), f_r1.at(n1)],
-            [g_r1.at(n1 + 1), f_r1.at(n1 + 1)],
-        ]
-    )
-    right_coef = np.array(
-        [
-            [1.0 / sd1_inv.T, sd1.R / sd1.T],
-            [sd1_inv.R / sd1_inv.T, 1.0 / sd1.T],
-        ]
-    )
-    right_matrix = float(np.max(np.abs(right_cols - waves @ right_coef)))
-    return PlaneWaveTailReport(
-        left_tail_residual=left_tail,
-        scaled_site_residual=scaled,
-        right_tail_residual=right_tail,
-        left_matrix_residual=left_matrix,
-        right_matrix_residual=right_matrix,
-    )
-
-
-def proof_algebra_check(
-    sd1: ScatteringData,
-    sd1_inv: ScatteringData,
-    sd2: ScatteringData,
-    sd2_inv: ScatteringData,
-    sd: ScatteringData,
-    sd_inv: ScatteringData,
-) -> FactorAlgebraReport:
-    """Verify the 2x2 rearrangement that yields the two-fragment product.
-
-    The upper-triangular factor [[1, R/T], [0, 1/T]] inverts in closed
-    form to [[1, -R], [0, T]]; the exchange-form factor built from the
-    left fragment has determinant 1 and its closed-form inverse flips the
-    off-diagonal signs.  With those inverses the junction matrix
-    equation rearranges to
-
-        inv(C1) @ D2  ==  [[1/T, 0], [L/T, 1]] @ [[1, -R], [0, T]]
-
-    whose left side is the product of the fragment transition matrices
-    and whose right side multiplies out to the whole transition matrix.
-    """
-    for pair in ((sd1, sd1_inv), (sd2, sd2_inv), (sd, sd_inv)):
-        if abs(pair[0].z * pair[1].z - 1.0) > 1e-9:
-            raise ValueError("each data pair must combine z with 1/z")
-    t, r, l = sd.T, sd.R, sd.L
-    upper = np.array([[1.0, r / t], [0.0, 1.0 / t]])
-    upper_inv = np.array([[1.0, -r], [0.0, t]])
-    triangular = float(np.max(np.abs(upper @ upper_inv - _IDENT)))
-
-    t1, r1 = sd1.T, sd1.R
-    t1c, r1c = sd1_inv.T, sd1_inv.R
-    exchange = np.array([[1.0 / t1c, r1 / t1], [r1c / t1c, 1.0 / t1]])
-    unit_det = abs(1.0 / (t1 * t1c) - (r1 * r1c) / (t1 * t1c) - 1.0)
-    exchange_inv = np.array([[1.0 / t1, -r1 / t1], [-r1c / t1c, 1.0 / t1c]])
-    exchange_res = float(np.max(np.abs(exchange @ exchange_inv - _IDENT)))
-
-    t2, l2 = sd2.T, sd2.L
-    t2c, l2c = sd2_inv.T, sd2_inv.L
-    inner = np.array([[1.0 / t2, l2c / t2c], [l2 / t2, 1.0 / t2c]])
-    lower = np.array([[1.0 / t, 0.0], [l / t, 1.0]])
-    rearranged = float(np.max(np.abs(exchange_inv @ inner - lower @ upper_inv)))
-    return FactorAlgebraReport(
-        triangular_inverse_residual=triangular,
-        unit_determinant_residual=unit_det,
-        exchange_inverse_residual=exchange_res,
-        rearranged_residual=rearranged,
-    )
-
-
 def junction_residual_sweep(
     seq: CoefficientSequence, frag: Fragmentation, zs: np.ndarray
 ) -> dict[str, float]:
-    """Vectorized grid maxima of the single-junction checks, per breakpoint.
+    """Grid maxima of the single-junction identities, per breakpoint.
 
-    Mirrors the pointwise junction checks above over a whole grid at
-    once; used by sweep-style callers.  Every breakpoint n1 of frag is
-    checked as its own single junction, the sequence split in two at n1
-    alone, and each key holds the maximum over the breakpoints.  This
-    is not the reading of factorization_residuals, where the same
-    Fragmentation with k breakpoints means one product of k + 1
-    fragments; the pointwise checks above take one breakpoint only and
-    raise ValueError for more.
+    The one kernel for the junction expansions, the plane-wave tails and
+    the factor algebra; a single circle point z is the grid [z].  Every
+    breakpoint n1 of frag is checked as its own single junction, the
+    sequence split in two at n1 alone, and each key holds the maximum
+    over the breakpoints.  This is not the reading of
+    factorization_residuals, where the same Fragmentation with k
+    breakpoints means one product of k + 1 fragments.
 
     The whole-sequence work is shared: its solutions are recursed once
     on the union of the junction covers and only the columns n1 - 1
@@ -547,7 +229,9 @@ def junction_residual_sweep(
     left_junction, plane_waves, factor_algebra.
 
     Raises CoefficientError, before any recursion, for a breakpoint more
-    than MAX_WINDOW_SITES sites outside the window.
+    than MAX_WINDOW_SITES sites outside the window, and NumericalFault,
+    naming theta, where a fragment's solution pair is numerically
+    dependent at the junction.
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     _require_reach(seq, frag.breakpoints)
@@ -573,8 +257,10 @@ def _junction_sweep(
     lo_all, hi_all = solution_range(seq, union)
     # keep only what the junctions read: sites n1 - 1, n1, n1 + 1 of each
     columns = [n1 - 1 - lo_all + d for n1 in points for d in range(3)]
-    fl_near = jost_values(seq, zs, "left", union)[0][:, columns]
-    fr_near = jost_values(seq, zs, "right", union)[0][:, columns]
+    fl_near, fr_near = [
+        _recurse(seq, seq.window, lo_all, hi_all, ctx, side, (False,), store=True).T[:, columns]
+        for side in ("left", "right")
+    ]
     # upper factor times its closed inverse: top right, bottom right
     triangular = float(np.max(np.abs((r / t) * t - r)))
     lower_right = float(np.max(np.abs((1.0 / t) * t - 1.0)))
@@ -588,6 +274,12 @@ def _junction_sweep(
 
     def fit(m00, m01, m10, m11, r0, r1):
         det = m00 * m11 - m01 * m10
+        dependent = np.abs(det) < 1e-300
+        if np.any(dependent):
+            theta = float(np.angle(zs[int(np.argmax(dependent))]))
+            raise NumericalFault(
+                f"junction solution pair is numerically dependent at theta = {theta:.6g}"
+            )
         return (r0 * m11 - m01 * r1) / det, (m00 * r1 - r0 * m10) / det
 
     def paired(part, side, cover):

@@ -210,3 +210,25 @@ def test_band_image_still_rejects_a_genuine_imaginary_part():
             with pytest.raises(SpectralDomainError, match="imaginary part"):
                 spectral._band_images(limits, [z])
 
+
+
+def test_identities_run_builds_four_grid_contexts(tmp_path, monkeypatch):
+    """The run's grid, the identity sweep's two recursions over z and its
+    rounded reciprocal, and the fit at the reciprocal; the junction sweep
+    recurses the whole sequence over the run's own context."""
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps({
+        "a_inf": 1.0, "b_inf": 0.0, "w_inf": 1.0, "n_min": -1, "n_max": 1,
+        "a": [1.0, 1.0, 1.0], "b": [0.3, 0.0, -0.4], "w": [1.0, 1.0, 1.0],
+    }))
+    built = []
+    init = _GridContext.__init__
+
+    def counting_init(self, zs):
+        built.append(zs.size)
+        init(self, zs)
+
+    monkeypatch.setattr(_GridContext, "__init__", counting_init)
+    argv = ["identities", "--input", str(path), "--breakpoints=-1,0,1", "--grid", "64"]
+    assert run_quietly(argv) == 0
+    assert built == [64, 128, 128, 64]

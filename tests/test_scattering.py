@@ -1,16 +1,8 @@
 import cmath
 
 import numpy as np
-import pytest
 
-from jacobiscatter import (
-    check_identities,
-    check_symmetries,
-    extract_scattering,
-    identity_sweep,
-    scattering_sweep,
-    scattering_values,
-)
+from jacobiscatter import extract_scattering, identity_sweep, scattering_values
 from conftest import default_grid, make_sequence
 
 
@@ -88,29 +80,26 @@ def test_at_inverse_data_conjugates_the_plain_data(mixed_seq):
 
 
 def test_check_symmetries_single_site(single_site_seq):
-    report = check_symmetries(single_site_seq, 1j)
-    assert report.max_residual <= 1e-10
+    sweep = identity_sweep(single_site_seq, [1j])
+    assert sweep.scattering_conjugation <= 1e-10
 
 
 def test_check_symmetries_mixed_grid(mixed_seq):
     grid = default_grid(mixed_seq, count=32)
     for z in grid.zs[::6]:
-        assert check_symmetries(mixed_seq, complex(z)).max_residual <= 1e-9
-
-
-def test_check_identities_validates_the_pair(single_site_seq):
-    sd = extract_scattering(single_site_seq, 1j)
-    other = extract_scattering(single_site_seq, cmath.exp(0.4j))
-    with pytest.raises(ValueError):
-        check_identities(sd, other)
+        assert identity_sweep(mixed_seq, [z]).scattering_conjugation <= 1e-9
 
 
 def test_check_identities_single_site(single_site_seq):
-    z = 1j
-    sd = extract_scattering(single_site_seq, z)
-    sd_inv = extract_scattering(single_site_seq, 1.0 / z)
-    res = check_identities(sd, sd_inv)
-    assert res.max_residual <= 1e-10
+    sweep = identity_sweep(single_site_seq, [1j])
+    worst = max(
+        sweep.product_left,
+        sweep.product_right,
+        sweep.exchange_left,
+        sweep.exchange_right,
+        sweep.quotient,
+    )
+    assert worst <= 1e-10
 
 
 def test_identity_sweep_mixed(mixed_seq):
@@ -119,11 +108,3 @@ def test_identity_sweep_mixed(mixed_seq):
     # every tracked relation contributes a finite figure
     assert sweep.solution_conjugation >= 0.0
     assert sweep.quotient >= 0.0
-
-
-def test_scattering_sweep_preserves_order(single_site_seq):
-    grid = default_grid(single_site_seq, count=16)
-    data = scattering_sweep(single_site_seq, grid)
-    assert len(data) == 16
-    for point, sd in zip(grid, data):
-        assert sd.z == point.z

@@ -8,7 +8,6 @@ unshared computation.
 """
 
 import numpy as np
-import pytest
 
 from jacobiscatter import (
     Fragmentation,
@@ -16,7 +15,6 @@ from jacobiscatter import (
     factorization_residuals,
     fragment,
     junction_residual_sweep,
-    proposition31_check,
     scattering_amplitudes,
     transition_entries,
 )
@@ -99,7 +97,7 @@ def test_sweep_reads_breakpoints_as_separate_splits_not_one_product():
 
     factorization_residuals multiplies the k + 1 fragments of the
     breakpoints; junction_residual_sweep splits the sequence in two at
-    each breakpoint alone, and the pointwise checks take one breakpoint.
+    each breakpoint alone.
     """
     seq = mixed_sequence()
     zs = default_grid(seq, count=64).zs
@@ -116,5 +114,3 @@ def test_sweep_reads_breakpoints_as_separate_splits_not_one_product():
     singles = [junction_residual_sweep(seq, Fragmentation((p,)), zs) for p in (0, 1)]
     together = junction_residual_sweep(seq, frag, zs)
     assert together == {key: max(single[key] for single in singles) for key in together}
-    with pytest.raises(ValueError, match="exactly one breakpoint"):
-        proposition31_check(seq, frag, zs[0])

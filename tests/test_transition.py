@@ -5,20 +5,17 @@ import pytest
 
 from jacobiscatter import (
     Fragmentation,
+    NumericalFault,
     determinant_residuals,
     extract_scattering,
     factorization_check,
     factorization_residuals,
     fragment,
-    junction_planewave_check,
     junction_residual_sweep,
-    proof_algebra_check,
-    proposition31_check,
-    proposition32_check,
     transition_entries,
     transition_for,
-    transition_matrix,
 )
+from jacobiscatter import transition
 from conftest import default_grid, make_sequence, random_breakpoints, random_sequence
 
 IDENT = np.eye(2, dtype=complex)
@@ -57,15 +54,6 @@ def test_transition_matrix_validates_shape():
 
     with pytest.raises(ValueError):
         TransitionMatrix(np.eye(3), 1j)
-
-
-def test_transition_matrix_from_data_pair(single_site_seq):
-    z = cmath.exp(0.45j)
-    sd = extract_scattering(single_site_seq, z)
-    sd_inv = extract_scattering(single_site_seq, z, at_inverse=True)
-    tr = transition_matrix(sd, sd_inv)
-    direct = transition_for(single_site_seq, z)
-    assert np.max(np.abs(tr.entries - direct.entries)) <= 1e-13
 
 
 def test_determinant_is_one_across_grids(single_site_seq, mixed_seq, two_impurity_seq):
@@ -146,47 +134,51 @@ def test_corrupted_padding_detaches_the_product(mixed_seq):
     assert float(np.max(bad)) > 1e-3
 
 
-def test_junction_checks_require_single_breakpoint(mixed_seq):
-    with pytest.raises(ValueError):
-        proposition31_check(mixed_seq, Fragmentation((0, 1)), 1j)
-
-
 def test_right_expansion_recovers_whole_ratios(coupling_step_seq, mixed_seq):
     for seq, n1 in ((coupling_step_seq, 0), (mixed_seq, 0)):
-        report = proposition31_check(seq, Fragmentation((n1,)), 1j)
-        assert report.max_residual <= 1e-10
+        sweep = junction_residual_sweep(seq, Fragmentation((n1,)), [1j])
+        assert sweep["right_junction"] <= 1e-10
 
 
 def test_left_expansion_recovers_whole_ratios(coupling_step_seq, mixed_seq):
     for seq, n1 in ((coupling_step_seq, 0), (mixed_seq, 1)):
-        report = proposition32_check(seq, Fragmentation((n1,)), 1j)
-        assert report.max_residual <= 1e-10
+        sweep = junction_residual_sweep(seq, Fragmentation((n1,)), [1j])
+        assert sweep["left_junction"] <= 1e-10
 
 
 def test_junction_scaling_sees_the_coupling_ratio(coupling_step_seq):
     # the breakpoint sits directly under a(1) = 2, so the a_inf / a(n1+1)
-    # factor of one half is genuinely exercised
-    report = proposition32_check(coupling_step_seq, Fragmentation((0,)), cmath.exp(0.9j))
-    assert report.right_scaling_residual <= 1e-12
-    assert report.left_scaling_residual <= 1e-12
+    # factor of one half is genuinely exercised; the bound on both
+    # scalings holds the whole left-junction key
+    sweep = junction_residual_sweep(coupling_step_seq, Fragmentation((0,)), [cmath.exp(0.9j)])
+    assert sweep["left_junction"] <= 1e-12
 
 
 def test_plane_wave_tails_at_junction(coupling_step_seq, two_impurity_seq):
     for seq in (coupling_step_seq, two_impurity_seq):
-        report = junction_planewave_check(seq, Fragmentation((0,)), 1j)
-        assert report.max_residual <= 1e-10
+        sweep = junction_residual_sweep(seq, Fragmentation((0,)), [1j])
+        assert sweep["plane_waves"] <= 1e-10
 
 
 def test_factor_rearrangement_algebra(two_impurity_seq):
-    z = 1j
-    parts = fragment(two_impurity_seq, Fragmentation((0,)))
-    args = []
-    for piece in (parts[0], parts[1], two_impurity_seq):
-        args.append(extract_scattering(piece, z))
-        args.append(extract_scattering(piece, z, at_inverse=True))
-    report = proof_algebra_check(*args)
-    assert report.max_residual <= 1e-10
-    assert report.unit_determinant_residual <= 1e-12
+    sweep = junction_residual_sweep(two_impurity_seq, Fragmentation((0,)), [1j])
+    assert sweep["factor_algebra"] <= 1e-10
+    # the bound on the unit determinant holds the whole key
+    assert sweep["factor_algebra"] <= 1e-12
+
+
+def test_dependent_junction_pair_is_a_fault_naming_theta(monkeypatch, two_impurity_seq):
+    """Zero solutions make every junction fit singular; the sweep raises."""
+    recurse = transition._recurse
+
+    def zeros(*args, **kwargs):
+        return 0.0 * recurse(*args, **kwargs)
+
+    monkeypatch.setattr(transition, "_recurse", zeros)
+    zs = default_grid(two_impurity_seq, count=8).zs
+    theta = float(np.angle(zs[0]))
+    with pytest.raises(NumericalFault, match=f"dependent at theta = {theta:.6g}$"):
+        junction_residual_sweep(two_impurity_seq, Fragmentation((0,)), zs)
 
 
 def test_junction_sweep_over_grid(coupling_step_seq, mixed_seq):
