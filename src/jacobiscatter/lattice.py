@@ -46,7 +46,11 @@ class Limits:
 
     def __post_init__(self):
         for name in ("a_inf", "b_inf", "w_inf"):
-            value = float(getattr(self, name))
+            raw = getattr(self, name)
+            try:
+                value = float(raw)
+            except TypeError:
+                raise CoefficientError(f"{name} must be a real number, got {raw!r:.40}") from None
             if not math.isfinite(value):
                 raise CoefficientError(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
@@ -64,10 +68,15 @@ class IndexWindow:
     n_max: int
 
     def __post_init__(self):
-        if self.n_min != int(self.n_min) or self.n_max != int(self.n_max):
-            raise CoefficientError("window bounds must be integers")
-        object.__setattr__(self, "n_min", int(self.n_min))
-        object.__setattr__(self, "n_max", int(self.n_max))
+        for name in ("n_min", "n_max"):
+            value = getattr(self, name)
+            try:
+                integral = value == int(value)
+            except (TypeError, ValueError, OverflowError):
+                integral = False
+            if not integral:
+                raise CoefficientError(f"{name} must be an integer, got {value!r:.40}")
+            object.__setattr__(self, name, int(value))
         if self.n_min > self.n_max:
             raise CoefficientError(
                 f"empty window: n_min={self.n_min} exceeds n_max={self.n_max}"
@@ -85,7 +94,10 @@ class IndexWindow:
 
 
 def _stored_array(values, name: str, length: int) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    try:
+        arr = np.asarray(values, dtype=float)
+    except TypeError:
+        raise CoefficientError(f"{name} must be an array of numbers, got {values!r:.40}") from None
     if arr.ndim != 1 or arr.size != length:
         raise CoefficientError(
             f"{name} must be a flat array of length {length}, got shape {arr.shape}"

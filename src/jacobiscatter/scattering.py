@@ -23,7 +23,7 @@ import numpy as np
 from .errors import NumericalFault
 from .jost import _pairing_drift, _recurse, jost_values
 from .lattice import CoefficientSequence, coefficient_arrays, effective_support
-from .spectral import _GridContext, require_admissible
+from .spectral import _GridContext
 
 # Relative disagreement of the two 1/T fits that flags a fault.
 MISMATCH_TOL = 1e-8
@@ -42,43 +42,6 @@ class ScatteringData:
     def unitarity(self) -> float:
         """|T|^2 + |R|^2, equal to 1 on the circle."""
         return abs(self.T) ** 2 + abs(self.R) ** 2
-
-
-@dataclass(frozen=True)
-class IdentitySweep:
-    """Grid maxima of every checked relation for one sequence.
-
-    The conjugation fields compare solutions and T, R, L at the rounded
-    reciprocal 1/z with the conjugates at z.  product_left / product_right:
-    1/(T T~) minus the matching reflection product term should equal 1
-    exactly.  exchange_left / exchange_right: each reflection ratio at
-    1/z is minus the opposite ratio at z.  quotient: T^2 - R L equals
-    T / T~.  A one-point grid [z] gives the relations at z alone.
-    """
-
-    solution_conjugation: float
-    scattering_conjugation: float
-    product_left: float
-    product_right: float
-    exchange_left: float
-    exchange_right: float
-    quotient: float
-    wronskian_drift: float
-    unitarity: float
-
-    @property
-    def max_residual(self) -> float:
-        return max(
-            self.solution_conjugation,
-            self.scattering_conjugation,
-            self.product_left,
-            self.product_right,
-            self.exchange_left,
-            self.exchange_right,
-            self.quotient,
-            self.wronskian_drift,
-            self.unitarity,
-        )
 
 
 def _tail_fit(
@@ -149,8 +112,6 @@ def scattering_amplitudes(
     determinant changes sign, nothing is evaluated at a rounded
     reciprocal.
     """
-    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    require_admissible(zs)
     return _amplitude_blocks(seq, _GridContext(zs), (at_inverse,))[0]
 
 
@@ -206,12 +167,23 @@ def extract_scattering(
     return ScatteringData(label, complex(t[0]), complex(r[0]), complex(l[0]))
 
 
-def identity_sweep(seq: CoefficientSequence, zs: np.ndarray) -> IdentitySweep:
-    """Vectorized grid maxima of every solution and coefficient relation."""
-    return _identity_sweep(seq, _GridContext(np.atleast_1d(np.asarray(zs, dtype=complex))))
+def identity_sweep(seq: CoefficientSequence, zs: np.ndarray) -> dict[str, float]:
+    """Grid maxima of every solution and coefficient relation, by name.
+
+    The keys, in the order the identities report prints them:
+    solution_conjugation and scattering_conjugation compare solutions
+    and T, R, L at the rounded reciprocal 1/z with the conjugates at z;
+    product_left / product_right: 1/(T T~) minus the matching reflection
+    product term should equal 1 exactly; exchange_left / exchange_right:
+    each reflection ratio at 1/z is minus the opposite ratio at z;
+    quotient: T^2 - R L equals T / T~; wronskian_constancy: the drift of
+    the Jost pairing across sites; unitarity: |T|^2 + |R|^2 - 1.  A
+    one-point grid [z] gives the relations at z alone.
+    """
+    return _identity_sweep(seq, _GridContext(zs))
 
 
-def _identity_sweep(seq: CoefficientSequence, ctx: _GridContext) -> IdentitySweep:
+def _identity_sweep(seq: CoefficientSequence, ctx: _GridContext) -> dict[str, float]:
     """identity_sweep over the grid of ctx, whose fit at z shares its powers.
 
     The fit at the rounded reciprocal 1/z is over another grid, with a
@@ -245,14 +217,14 @@ def _identity_sweep(seq: CoefficientSequence, ctx: _GridContext) -> IdentitySwee
     product = 1.0 / (t * tt)
     hi = lo + fl.shape[1] - 1
     a, _, _ = coefficient_arrays(seq, lo + 1, hi)
-    return IdentitySweep(
-        solution_conjugation=sol_conj,
-        scattering_conjugation=scat_conj,
-        product_left=float(np.max(np.abs(product - l * lt * product - 1.0))),
-        product_right=float(np.max(np.abs(product - r * rt * product - 1.0))),
-        exchange_left=float(np.max(np.abs(rt / tt + l / t))),
-        exchange_right=float(np.max(np.abs(lt / tt + r / t))),
-        quotient=float(np.max(np.abs(t * t - r * l - t / tt))),
-        wronskian_drift=float(np.max(_pairing_drift(a, fl, fr))),
-        unitarity=float(np.max(np.abs(np.abs(t) ** 2 + np.abs(r) ** 2 - 1.0))),
-    )
+    return {
+        "solution_conjugation": sol_conj,
+        "scattering_conjugation": scat_conj,
+        "product_left": float(np.max(np.abs(product - l * lt * product - 1.0))),
+        "product_right": float(np.max(np.abs(product - r * rt * product - 1.0))),
+        "exchange_left": float(np.max(np.abs(rt / tt + l / t))),
+        "exchange_right": float(np.max(np.abs(lt / tt + r / t))),
+        "quotient": float(np.max(np.abs(t * t - r * l - t / tt))),
+        "wronskian_constancy": float(np.max(_pairing_drift(a, fl, fr))),
+        "unitarity": float(np.max(np.abs(np.abs(t) ** 2 + np.abs(r) ** 2 - 1.0))),
+    }

@@ -119,23 +119,18 @@ def wave_pair_det(zs: np.ndarray) -> np.ndarray:
 class _GridContext:
     """What the recursions and tail fits of one run over one grid share.
 
-    Built once from a checked grid zs and dropped when the run returns.
-    It computes each shared value on first use, by the expression its
-    callers used to evaluate themselves, so reading it changes no bit:
+    Built from any array of circle points, which it holds as a 1-d
+    complex array and checks with require_admissible, so every grid
+    function checks its grid here, once, on entry.  It computes each
+    shared value on first use, by the expression its callers used to
+    evaluate themselves, so reading it changes no bit:
 
     * drive(limits, blocks): the recursion drive a_inf (z + 1/z) + b_inf,
       tiled over blocks column blocks;
     * det(): wave_pair_det(zs);
     * power(k): zs ** k, as the tail fits and junction checks write it;
-    * seed_power(k): zs to the power k through the ufunc with an array
-      exponent, as the recursion seeds take it;
-    * power_table(ks): zs[:, None] ** ks[None, :], as the stored seeds
-      and the junction sweep's plane-wave tables write it.
-
-    Both powers read one memo, because numpy's scalar ** and its
-    array-exponent power agree except at k = -1 and k = 2, where **
-    takes a reciprocal and a square that round differently; the seeds
-    keep their own values at those two exponents.
+    * power_table(ks): zs[:, None] ** ks[None, :], as the recursion
+      seeds and the junction sweep's plane-wave tables write it.
 
     numpy raises a complex array to an integer power k by repeated
     multiplication when |k| < FAST_POWER_LIMIT and otherwise by the C
@@ -146,15 +141,15 @@ class _GridContext:
     entry.
     """
 
-    __slots__ = ("zs", "_det", "_log", "_drives", "_powers", "_seed_powers")
+    __slots__ = ("zs", "_det", "_log", "_drives", "_powers")
 
     def __init__(self, zs: np.ndarray):
-        self.zs = zs
+        self.zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+        require_admissible(self.zs)
         self._det = None
         self._log = None
         self._drives: dict[tuple[float, float, int], np.ndarray] = {}
         self._powers: dict[int, np.ndarray] = {}
-        self._seed_powers: dict[int, np.ndarray] = {}
 
     def drive(self, limits: Limits, blocks: int) -> np.ndarray:
         key = (limits.a_inf, limits.b_inf, blocks)
@@ -198,13 +193,6 @@ class _GridContext:
                 np.multiply(self._log_zs()[:, None], run, out=out)
                 np.exp(out, out=out)
         return table
-
-    def seed_power(self, k: int) -> np.ndarray:
-        if k not in (-1, 2):
-            return self.power(k)
-        if k not in self._seed_powers:
-            self._seed_powers[k] = np.power(self.zs, k)
-        return self._seed_powers[k]
 
 
 def require_admissible(zs: np.ndarray) -> None:

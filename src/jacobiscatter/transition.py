@@ -46,7 +46,7 @@ from .lattice import (
     fragment,
 )
 from .scattering import _amplitude_blocks, _coefficients
-from .spectral import _GridContext, require_admissible
+from .spectral import _GridContext
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,13 +89,11 @@ def transition_for(seq: CoefficientSequence, z: complex) -> TransitionMatrix:
 
 def transition_entries(seq: CoefficientSequence, zs: np.ndarray) -> np.ndarray:
     """Vectorized transition matrices, one 2x2 block per circle point."""
-    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    require_admissible(zs)
     return _transition_entries(seq, _GridContext(zs))
 
 
 def _transition_entries(seq: CoefficientSequence, ctx: _GridContext) -> np.ndarray:
-    """transition_entries over the checked grid of ctx."""
+    """transition_entries over the grid of ctx."""
     (inv_t, r_over_t, l_over_t), (inv_t_conj, _, _) = _amplitude_blocks(
         seq, ctx, (False, True)
     )
@@ -153,13 +151,10 @@ def factorization_residuals(
     parts overrides the fragment list, which exists so that a negative
     control can corrupt the padding and watch the product detach.
     """
-    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    require_admissible(zs)
     ctx = _GridContext(zs)
-    whole = _transition_entries(seq, ctx)
     if parts is None:
         parts = fragment(seq, frag)
-    return _product_gap(whole, parts, ctx)
+    return _product_gap(_transition_entries(seq, ctx), parts, ctx)
 
 
 def factorization_check(
@@ -170,9 +165,7 @@ def factorization_check(
 ) -> FactorizationReport:
     """Compare the transition matrix with its ordered fragment product."""
     z = complex(z)
-    zs = np.array([z])
-    require_admissible(zs)
-    ctx = _GridContext(zs)
+    ctx = _GridContext(z)
     whole = _transition_entries(seq, ctx)[0]
     parts = fragment(seq, frag)
     product = _fragment_product(parts, ctx)[0]
@@ -233,9 +226,7 @@ def junction_residual_sweep(
     naming theta, where a fragment's solution pair is numerically
     dependent at the junction.
     """
-    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     _require_reach(seq, frag.breakpoints)
-    require_admissible(zs)
     ctx = _GridContext(zs)
     (amplitudes,) = _amplitude_blocks(seq, ctx, (False,))
     return _junction_sweep(seq, frag, ctx, *_coefficients(*amplitudes))

@@ -197,6 +197,23 @@ def test_invalid_coefficients_exit_two(tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_min", "null"), ("n_min", "[0]"), ("a_inf", "null"), ("a_inf", "[1]"),
+     ("a", '{"x": 1}'), ("n_max", "1e400")],
+)
+def test_mistyped_field_exits_two_naming_it(tmp_path, field, value):
+    """A field of the wrong JSON type, or an integer too large for one, is
+    bad input: exit 2 naming the field, not a traceback and exit 1."""
+    text = json.dumps({**TWO_IMPURITY_INPUT, field: "VALUE"}).replace('"VALUE"', value)
+    path = tmp_path / "seq.json"
+    path.write_text(text)
+    proc = run_cli("scatter", "--input", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"input error: {field} must be")
+
+
 def test_zero_grid_exits_two(tmp_path, single_site_file):
     proc = run_cli("scatter", "--input", single_site_file, "--grid", "0")
     assert proc.returncode == 2

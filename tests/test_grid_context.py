@@ -18,7 +18,13 @@ import math
 import numpy as np
 import pytest
 
-from jacobiscatter import Limits, SpectralDomainError, lambda_from_z, sample_circle
+from jacobiscatter import (
+    Limits,
+    NumericalFault,
+    SpectralDomainError,
+    lambda_from_z,
+    sample_circle,
+)
 from jacobiscatter import cli, spectral
 from jacobiscatter.jost import _recurse
 from jacobiscatter.scattering import _tail_fit
@@ -82,13 +88,24 @@ def test_context_shares_but_never_mixes_its_values():
     ctx = _GridContext(zs)
     for k in (-101, -100, -2, -1, 0, 1, 2, 99, 100, 101):
         assert bits(ctx.power(k)) == bits(zs**k)
-        assert bits(ctx.seed_power(k)) == bits((zs[:, None] ** np.array([[k]]))[:, 0])
+        want = (zs[:, None] ** np.array([[k]]))[:, 0]
+        assert bits(ctx.power_table(np.array([k]))[:, 0]) == bits(want)
         assert ctx.power(k) is ctx.power(k)
     assert bits(ctx.det()) == bits(wave_pair_det(zs))
     for limits in (Limits(1.0, 0.0, 1.0), Limits(-0.8, 0.3, 1.2)):
         drive = limits.a_inf * (zs + 1.0 / zs) + limits.b_inf
         assert bits(ctx.drive(limits, 1)) == bits(drive)
         assert bits(ctx.drive(limits, 3)) == bits(np.tile(drive, 3))
+
+
+def test_context_is_the_grid_check():
+    """Every grid function builds its grid through the context, which
+    rejects points near the degenerate +1, -1 and points off the circle."""
+    for z in (1.0, -1.0, cmath.exp(5e-9j), -cmath.exp(-5e-9j)):
+        with pytest.raises(NumericalFault, match="degenerate"):
+            _GridContext([z])
+    with pytest.raises(SpectralDomainError, match="unit circle"):
+        _GridContext([1.001j])
 
 
 def reference_grid(limits, count, exclusion_delta):

@@ -123,8 +123,6 @@ def test_solution_range_covers_support_margin(mixed_seq):
 def test_solution_range_honors_cover(mixed_seq):
     lo, hi = solution_range(mixed_seq, IndexWindow(-9, 11))
     assert lo <= -9 and hi >= 11
-    fl = jost_left(mixed_seq, 1j, IndexWindow(-9, 11))
-    assert fl.lo <= -9 and fl.hi >= 11
 
 
 def test_conjugate_solution_equals_entrywise_conjugate(mixed_seq):

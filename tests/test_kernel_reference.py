@@ -22,6 +22,7 @@ from jacobiscatter import (
     IndexWindow,
     determinant_residuals,
     factorization_residuals,
+    identity_sweep,
     junction_residual_sweep,
 )
 from jacobiscatter import cli, jost, scattering, transition
@@ -91,7 +92,7 @@ def kernel_pairs(seq, zs, ctx=None):
     """The kernel and the reference on every side, store mode and mode set.
 
     All the kernel's calls read one grid context, ctx if given, so its
-    drive and seed powers are shared across them.
+    drive and the log behind its large seed powers are shared across them.
     """
     ctx = _GridContext(zs) if ctx is None else ctx
     window = seq.window
@@ -117,7 +118,7 @@ def test_real_view_kernel_equals_complex_rows(random_fixtures):
 
 def test_kernel_on_one_shared_context_equals_complex_rows(random_fixtures):
     """One grid context serves every call: the drive is kept per set of
-    limits and the seed powers across calls, as one run shares them."""
+    limits and the grid's log across calls, as one run shares them."""
     seqs = hand_fixtures() + random_fixtures[:6]
     zs = default_grid(seqs[0], count=64).zs
     ctx = _GridContext(zs)
@@ -176,7 +177,10 @@ def test_identities_rows_equal_the_separate_calls(tmp_path, random_fixtures):
             "factorization": float(np.max(factorization_residuals(seq, frag, zs))),
             **junction_residual_sweep(seq, frag, zs),
         }
-        for name, value in expected.items():
+        # the identity sweep's rows lead the report, named and ordered alike
+        sweep = identity_sweep(seq, zs)
+        assert list(rows)[:9] == list(sweep)
+        for name, value in {**sweep, **expected}.items():
             # the report prints 17 significant digits, which round-trip a float
             assert rows[name] == value, (name, points)
         assert report(argv)["transition_determinant"] == expected["transition_determinant"]
