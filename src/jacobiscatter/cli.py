@@ -204,13 +204,17 @@ def run_identities(config: RunConfig) -> int:
     # every recursion and fit of the run shares this grid's drive and powers
     ctx = _GridContext(_grid_for(seq, config).zs)
     named = _identity_sweep(seq, ctx)
-    # the whole sequence's transition matrix, shared by every later row
-    lam = _transition_entries(seq, ctx)
-    named["transition_determinant"] = float(np.max(_determinant_gap(lam)))
+    jobs = [seq]
     if config.breakpoints:
         frag = Fragmentation(tuple(config.breakpoints))
-        parts = fragment(seq, frag)
-        named["factorization"] = float(np.max(_product_gap(lam, parts, ctx)))
+        jobs += fragment(seq, frag)
+    # the whole sequence's transition matrix, shared by every later row,
+    # and its fragments' from the same sweep, fitted as they are read
+    entries = _transition_entries(seq, jobs, ctx)
+    lam = next(entries)
+    named["transition_determinant"] = float(np.max(_determinant_gap(lam)))
+    if config.breakpoints:
+        named["factorization"] = float(np.max(_product_gap(lam, entries)))
         # one single-junction check per breakpoint, worst over them per row
         named.update(_junction_sweep(seq, frag, ctx, *_entries_scattering(lam)))
     rows = [

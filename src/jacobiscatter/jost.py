@@ -18,15 +18,21 @@ jost_values produces solutions on an index range two sites wider than
 the window on each side, so that downstream tail fits read only sites
 where the tail form is exact; the junction checks widen the range
 through solution_range, at one recursion step per extra site and grid
-point.  The tail fits themselves need neither the window nor the stored
-values: sites outside the effective support carry the limits just as
-well, so they recurse over that support plus two sites on each side and
-keep only the last two rows of state.  Both run on one kernel, which
-stores solutions site-major, one contiguous row of grid points per site,
-and updates each row in place, with no temporaries per step.  A solution
-and its companion at 1/z share coefficients and drive, so callers that
-need both stack them as column blocks of one recursion; every block
-equals its own single run to the bit.
+point.  That kernel, _recurse, stores solutions site-major, one
+contiguous row of grid points per site, and updates each row in place,
+with no temporaries per step.  A solution and its companion at 1/z share
+coefficients and drive, so callers that need both stack them as column
+blocks of one recursion; every block equals its own single run to the
+bit.
+
+The tail fits need neither the window nor the stored values: sites
+outside the effective support carry the limits just as well, so each
+fit recurses over that support plus two sites on each side and keeps
+only the last two rows of state.  A run fits a sequence and its
+fragments, which share its coefficients everywhere but at their edges,
+so _fit_sweep takes the recursions of all of them, left and right, as
+one sweep whose steps share seq's coefficients and most of their numpy
+calls; every job's rows equal those of its own recursion to the bit.
 
 Each recursion step makes one complex product, the drive times the
 current row.  Every other operation scales a row by a real coefficient
@@ -42,6 +48,7 @@ same entries are non-finite.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 
@@ -117,7 +124,7 @@ def jost_values(
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     ctx = _GridContext(zs)
     lo, hi = solution_range(seq)
-    return _recurse(seq, seq.window, lo, hi, ctx, side, (at_inverse,), store=True).T, lo
+    return _recurse(seq, seq.window, lo, hi, ctx, side, (at_inverse,)).T, lo
 
 
 def _recurse(
@@ -128,7 +135,6 @@ def _recurse(
     ctx: _GridContext,
     side: str,
     modes: tuple[bool, ...],
-    store: bool,
 ) -> np.ndarray:
     """Propagate normalized solutions over [lo, hi]; row k is site lo + k.
 
@@ -141,10 +147,6 @@ def _recurse(
     solution and its companion at 1/z, advance together in one pass.
     Every block equals its one-mode run to the bit.
 
-    With store the whole (sites, columns) buffer is returned.  Otherwise
-    three rows rotate and only the two reached last come back, in site
-    order: (lo, lo + 1) for the left side, (hi - 1, hi) for the right;
-    that mode seeds only two sites, so lo must be window.n_min - 2.
     Each step writes in place into its destination row, through one
     scratch row, with the operations and order of the plain expression
     ((w[k] / w_inf) * s * v - a[k + 1] * next - b[k] * v) / a[k] on the
@@ -153,7 +155,7 @@ def _recurse(
     v is complex; the real scalings, the subtractions and the division,
     taken as a multiply by 1.0 / a[k], run on the rows' float64 view,
     which gives the same bits for every finite entry (see the module
-    docstring) in less time per step.
+    docstring) in less time per step.  _fit_sweep takes the same steps.
     """
     zs = ctx.zs
     m = zs.size
@@ -161,17 +163,16 @@ def _recurse(
     lim = seq.limits
     w_inf = lim.w_inf
     n_min, n_max = window.n_min, window.n_max
-    count = hi - lo + 1 if store else 3
-    rows = np.empty((count, len(modes) * m), dtype=complex)
+    rows = np.empty((hi - lo + 1, len(modes) * m), dtype=complex)
     if side == "left":
-        tail = np.arange(n_max, hi + 1 if store else n_max + 2)
+        tail = np.arange(n_max, hi + 1)
         powers = tail
     else:
         tail = np.arange(lo, n_min)
         powers = -tail
     for j, inverse in enumerate(modes):
         sign = -1 if inverse else 1
-        rows[(tail - lo) % count, j * m : (j + 1) * m] = ctx.power_table(sign * powers).T
+        rows[tail - lo, j * m : (j + 1) * m] = ctx.power_table(sign * powers).T
     # each row twice: complex for the one complex product per step, and
     # as float64 pairs for every step that only scales by a real
     row = list(rows)
@@ -186,31 +187,210 @@ def _recurse(
     with np.errstate(all="ignore"):
         if side == "left":
             for k in range(n_max - lo, 0, -1):
-                dst, src = (k - 1) % count, k % count
-                out = real[dst]
+                out = real[k - 1]
                 np.multiply(drive, w[k] / w_inf, out=out)
-                np.multiply(row[dst], row[src], out=row[dst])
-                np.multiply(real[(k + 1) % count], a[k + 1], out=scratch)
+                np.multiply(row[k - 1], row[k], out=row[k - 1])
+                np.multiply(real[k + 1], a[k + 1], out=scratch)
                 np.subtract(out, scratch, out=out)
-                np.multiply(real[src], b[k], out=scratch)
+                np.multiply(real[k], b[k], out=scratch)
                 np.subtract(out, scratch, out=out)
                 np.multiply(out, 1.0 / a[k], out=out)
-            last = 0
         else:
             for k in range(n_min - 1 - lo, hi - lo):
-                dst, src = (k + 1) % count, k % count
-                out = real[dst]
+                out = real[k + 1]
                 np.multiply(drive, w[k] / w_inf, out=out)
-                np.multiply(row[dst], row[src], out=row[dst])
-                np.multiply(real[src], b[k], out=scratch)
+                np.multiply(row[k + 1], row[k], out=row[k + 1])
+                np.multiply(real[k], b[k], out=scratch)
                 np.subtract(out, scratch, out=out)
-                np.multiply(real[(k - 1) % count], a[k], out=scratch)
+                np.multiply(real[k - 1], a[k], out=scratch)
                 np.subtract(out, scratch, out=out)
                 np.multiply(out, 1.0 / a[k + 1], out=out)
-            last = hi - lo - 1
-    if store:
-        return rows
-    return rows[[last % count, (last + 1) % count]]
+    return rows
+
+
+def _fit_sweep(
+    seq: CoefficientSequence,
+    jobs: list[tuple[CoefficientSequence, IndexWindow]],
+    ctx: _GridContext,
+    modes: tuple[bool, ...],
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The rows every job's tail fits read, from one two-sided sweep.
+
+    Each job pairs a sequence with seq's limits, such as seq itself or
+    one of its fragments, with a window holding all of its deviations.
+    With lo and hi two sites past that window, the result holds per job
+    its left rows at (lo, lo + 1) and its right rows at (hi - 1, hi), one
+    block of zs.size columns per mode: to the bit the rows that
+    _recurse(job, window, lo, hi, ctx, side, modes) gives at those sites.
+
+    One row set holds three rotating rows for every recursion under way.
+    Left recursions take column slots outward to the left of its middle
+    and right ones outward to the right, so the busy columns form one
+    range.  Step t advances every left recursion at site top - t and
+    every right one at site base + t, which lets them all share seq's
+    coefficients at those two sites: each half's drive is scaled in one
+    call, and the complex product and both subtractions run once over
+    the whole range, each half's own subtrahend in the scratch row, so
+    that each side keeps its order.  A job whose coefficients differ from
+    seq's at a step, as a fragment's do at its edges, has that step
+    redone on its own slot.  Jobs join at the step that reaches their
+    window, seeded from one power table; a finished job's rows are
+    copied out and the outermost busy job of its side moves into its
+    slot.
+
+    numpy multiplies a one-element complex row in place by a scalar
+    route that rounds differently from its array loop, so with one
+    column per slot each slot takes its complex product on its own.
+    """
+    lim = seq.limits
+    if any(job.limits != lim for job, _ in jobs):
+        raise ValueError("every job must share the limits of seq")
+    m = ctx.zs.size
+    blocks = len(modes)
+    width = blocks * m
+    w_inf = lim.w_inf
+    # left step t runs at site top - t and right step t at base + t; site
+    # n is entry n - base of seq's coefficient lists
+    base = min(window.n_min for _, window in jobs) - 1
+    top = max(window.n_max for _, window in jobs)
+    span = top - base
+    ref = coefficient_arrays(seq, base, top + 2)
+    a, b, w = (values.tolist() for values in ref)
+
+    # per step: jobs joining before it, redone and finished after it;
+    # side 0 is left, 1 is right
+    joins, redos, ends = defaultdict(list), defaultdict(list), defaultdict(list)
+    spans: tuple[list, list] = ([], [])
+    for j, (job, window) in enumerate(jobs):
+        # the right recursion steps at sites first..last, the left one at
+        # window.n_max down to first
+        first, last = window.n_min - 1, window.n_max + 1
+        spans[0].append((top - window.n_max, top - first))
+        spans[1].append((first - base, last - base))
+        for side in (0, 1):
+            joins[spans[side][j][0]].append((side, j))
+            ends[spans[side][j][1]].append((side, j))
+        if job is seq:
+            continue
+        own = coefficient_arrays(job, first, last + 1)
+        i0 = first - base
+        # bit patterns, not values: -0.0 where seq has 0.0 flips a zero's sign
+        changed = [
+            mine.view(np.int64) != theirs[i0 : i0 + mine.size].view(np.int64)
+            for mine, theirs in zip(own, ref)
+        ]
+        # the step at site n reads a(n), b(n), w(n) and a(n + 1)
+        step_changed = (changed[0] | changed[1] | changed[2])[:-1] | changed[0][1:]
+        for i in np.flatnonzero(step_changed).tolist():
+            n = first + i
+            a_n, b_n, w_n = (float(values[i]) for values in own)
+            a_next = float(own[0][i + 1])
+            if n <= window.n_max:
+                redos[top - n].append((0, j, (w_n / w_inf, a_next, b_n, 1.0 / a_n)))
+            redos[n - base].append((1, j, (w_n / w_inf, b_n, a_n, 1.0 / a_next)))
+
+    # slots per side: the most recursions under way at once
+    size = [max(sum(s <= t <= e for s, e in side) for t, _ in side) for side in spans]
+    mid = size[0] * width
+    rows = np.empty((3, (size[0] + size[1]) * width), dtype=complex)
+    real = rows.view(float)
+    scratch = np.empty(real.shape[1])
+    # a half, or a slot redone alone, scales a prefix of the tiled drive
+    drive = ctx.drive(lim, max(size) * blocks).view(float)
+    # job j's seeds, each a block of columns per mode: left at n_max and
+    # n_max + 1, right at n_min - 1 and n_min - 2
+    signs = np.array([-1 if inverse else 1 for inverse in modes])
+    exponents = np.array([[s.n_max, s.n_max + 1, 1 - s.n_min, 2 - s.n_min] for _, s in jobs])
+    seeds = ctx.power_table((exponents[:, :, None] * signs).ravel())
+
+    def seed(row, c0, c1, j, which):
+        first = (4 * j + which) * blocks
+        rows[row, c0:c1].reshape(blocks, m)[...] = seeds[:, first : first + blocks].T
+
+    multiply, subtract = np.multiply, np.subtract
+    # (dst, src, prev) rows of step t, by t % 3
+    phases = ((1, 0, 2), (2, 1, 0), (0, 2, 1))
+
+    def columns(side, slot):
+        start = mid - (slot + 1) * width if side == 0 else mid + slot * width
+        return start, start + width
+
+    def restep(side, slot, t, coefficients):
+        # one step of one slot alone, with its job's own coefficients
+        scale, first, second, inverse = coefficients
+        dst, src, prev = phases[t % 3]
+        c0, c1 = columns(side, slot)
+        target = rows[dst, c0:c1]
+        out, part = real[dst, 2 * c0 : 2 * c1], scratch[2 * c0 : 2 * c1]
+        multiply(drive[: 2 * width], scale, out=out)
+        multiply(target, rows[src, c0:c1], out=target)
+        # the left side subtracts the row past v first, the right side v
+        near, far = (prev, src) if side == 0 else (src, prev)
+        multiply(real[near, 2 * c0 : 2 * c1], first, out=part)
+        subtract(out, part, out=out)
+        multiply(real[far, 2 * c0 : 2 * c1], second, out=part)
+        subtract(out, part, out=out)
+        multiply(out, inverse, out=out)
+
+    active: tuple[list[int], list[int]] = ([], [])
+    found: list[list] = [[None, None] for _ in jobs]
+    cuts = sorted({*joins, *(t + 1 for t in (*redos, *ends)), span + 2} - {0})
+    start, shape = 0, None
+    with np.errstate(all="ignore"):
+        for cut in cuts:
+            for side, j in joins.get(start, ()):
+                c0, c1 = columns(side, len(active[side]))
+                active[side].append(j)
+                seed(start % 3, c0, c1, j, 2 * side)
+                seed((start + 2) % 3, c0, c1, j, 2 * side + 1)
+            if shape != (len(active[0]), len(active[1])):
+                shape = (len(active[0]), len(active[1]))
+                lo_col, hi_col = mid - shape[0] * width, mid + shape[1] * width
+                left = list(real[:, 2 * lo_col : 2 * mid])
+                right = list(real[:, 2 * mid : 2 * hi_col])
+                both = list(real[:, 2 * lo_col : 2 * hi_col])
+                part_left = scratch[2 * lo_col : 2 * mid]
+                part_right = scratch[2 * mid : 2 * hi_col]
+                part_both = scratch[2 * lo_col : 2 * hi_col]
+                drive_left, drive_right = drive[: 2 * (mid - lo_col)], drive[: 2 * (hi_col - mid)]
+                product = list(rows[:, lo_col:hi_col])
+                if width == 1:
+                    singles = [list(rows[:, i : i + 1]) for i in range(lo_col, hi_col)]
+            # a half without recursions scales empty rows: the last step,
+            # right side only, reads left coefficients (k = -1) it never uses
+            for t in range(start, cut):
+                dst, src, prev = phases[t % 3]
+                k = span - t
+                multiply(drive_left, w[k] / w_inf, out=left[dst])
+                multiply(drive_right, w[t] / w_inf, out=right[dst])
+                if width == 1:
+                    for one in singles:
+                        multiply(one[dst], one[src], out=one[dst])
+                else:
+                    multiply(product[dst], product[src], out=product[dst])
+                multiply(left[prev], a[k + 1], out=part_left)
+                multiply(right[src], b[t], out=part_right)
+                subtract(both[dst], part_both, out=both[dst])
+                multiply(left[src], b[k], out=part_left)
+                multiply(right[prev], a[t], out=part_right)
+                subtract(both[dst], part_both, out=both[dst])
+                multiply(left[dst], 1.0 / a[k], out=left[dst])
+                multiply(right[dst], 1.0 / a[t + 1], out=right[dst])
+            t = cut - 1
+            for side, j, coefficients in redos.get(t, ()):
+                restep(side, active[side].index(j), t, coefficients)
+            for side, j in ends.get(t, ()):
+                slot = active[side].index(j)
+                c0, c1 = columns(side, slot)
+                dst, src, _ = phases[t % 3]
+                found[j][side] = rows[[dst, src] if side == 0 else [src, dst], c0:c1]
+                outer = active[side].pop()
+                if outer != j:
+                    d0, d1 = columns(side, len(active[side]))
+                    rows[:, c0:c1] = rows[:, d0:d1]
+                    active[side][slot] = outer
+            start = cut
+    return [tuple(pair) for pair in found]
 
 
 def jost_left(seq: CoefficientSequence, z: complex) -> LatticeSolution:

@@ -27,6 +27,10 @@ MAX_WINDOW_SITES = 10_000
 
 _FIELDS = ("a_inf", "b_inf", "w_inf", "n_min", "n_max", "a", "b", "w")
 
+# float() and int() take these, but a coefficient file that holds one
+# where a number belongs is mistyped
+_NOT_NUMBERS = (str, bytes, bool, np.bool_)
+
 
 class CouplingSignWarning(UserWarning):
     """Some coupling value a(n) is negative.
@@ -48,6 +52,8 @@ class Limits:
         for name in ("a_inf", "b_inf", "w_inf"):
             raw = getattr(self, name)
             try:
+                if isinstance(raw, _NOT_NUMBERS):
+                    raise TypeError
                 value = float(raw)
             except TypeError:
                 raise CoefficientError(f"{name} must be a real number, got {raw!r:.40}") from None
@@ -71,7 +77,7 @@ class IndexWindow:
         for name in ("n_min", "n_max"):
             value = getattr(self, name)
             try:
-                integral = value == int(value)
+                integral = not isinstance(value, _NOT_NUMBERS) and value == int(value)
             except (TypeError, ValueError, OverflowError):
                 integral = False
             if not integral:
@@ -93,8 +99,21 @@ class IndexWindow:
         return self.n_min <= n <= self.n_max
 
 
+def _holds_non_number(values) -> bool:
+    """Whether values, an array or a list of entries, holds a str or a bool."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind != "O":
+            return values.dtype.kind in "bSU"
+        values = values.ravel().tolist()
+    elif not isinstance(values, (list, tuple)):
+        return isinstance(values, _NOT_NUMBERS)
+    return any(issubclass(kind, _NOT_NUMBERS) for kind in set(map(type, values)))
+
+
 def _stored_array(values, name: str, length: int) -> np.ndarray:
     try:
+        if _holds_non_number(values):
+            raise TypeError
         arr = np.asarray(values, dtype=float)
     except TypeError:
         raise CoefficientError(f"{name} must be an array of numbers, got {values!r:.40}") from None
@@ -184,8 +203,9 @@ def validate_sequence(spec: Mapping) -> CoefficientSequence:
         The validated CoefficientSequence.
 
     Raises:
-        CoefficientError: on missing fields, length mismatches, zero
-            couplings, nonpositive weights, or non-finite entries.
+        CoefficientError: on missing fields, strings or booleans where
+            numbers belong, length mismatches, zero couplings,
+            nonpositive weights, or non-finite entries.
     """
     missing = [key for key in _FIELDS if key not in spec]
     if missing:

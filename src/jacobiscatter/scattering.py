@@ -17,11 +17,14 @@ faults instead of plausible numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .errors import NumericalFault
-from .jost import _pairing_drift, _recurse, jost_values
+# jost_values stays a module attribute: the benchmark's smoke test wraps
+# this copy
+from .jost import _fit_sweep, _pairing_drift, _recurse, jost_values, solution_range  # noqa: F401
 from .lattice import CoefficientSequence, coefficient_arrays, effective_support
 from .spectral import _GridContext
 
@@ -112,39 +115,59 @@ def scattering_amplitudes(
     determinant changes sign, nothing is evaluated at a rounded
     reciprocal.
     """
-    return _amplitude_blocks(seq, _GridContext(zs), (at_inverse,))[0]
+    return next(_amplitude_blocks(seq, [seq], _GridContext(zs), (at_inverse,)))[0]
 
 
 def _amplitude_blocks(
-    seq: CoefficientSequence, ctx: _GridContext, modes: tuple[bool, ...]
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """scattering_amplitudes for each at_inverse mode, one recursion per side.
+    seq: CoefficientSequence,
+    jobs: list[CoefficientSequence],
+    ctx: _GridContext,
+    modes: tuple[bool, ...],
+) -> Iterator[list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """scattering_amplitudes of each job, for each at_inverse mode.
 
-    The modes share coefficients and drive, so they run as column blocks
-    of one stacked recursion; each block is then fitted, and checked,
-    on its own, in the order given.
+    jobs are typically seq itself, its fragments, or sequences that
+    depart from seq at a few sites.  The recursions of every job, both
+    sides and all modes, run on the call: those of the jobs that share
+    seq's limits in one _fit_sweep that shares seq's coefficients, any
+    other job in a sweep of its own; a job without deviations needs
+    none.  The fits run later: the returned iterator fits one job per
+    item, its modes in order, so a caller meets a fit's NumericalFault
+    exactly where it reads that job.
     """
     zs = ctx.zs
-    support = effective_support(seq)
-    if support.free:
-        # nothing deviates from the limits: T = 1 and R = L = 0 exactly
-        return [(np.ones_like(zs), np.zeros_like(zs), np.zeros_like(zs)) for _ in modes]
-    window = support.window
-    lo, hi = window.n_min - 2, window.n_max + 2
-    left = _recurse(seq, window, lo, hi, ctx, "left", modes, store=False)
-    right = _recurse(seq, window, lo, hi, ctx, "right", modes, store=False)
     m = zs.size
-    return [
-        _tail_fit(
-            ctx,
-            left[:, j * m : (j + 1) * m],
-            right[:, j * m : (j + 1) * m],
-            lo,
-            hi - 1,
-            -1 if inverse else 1,
-        )
-        for j, inverse in enumerate(modes)
-    ]
+    supports = [effective_support(job) for job in jobs]
+    busy = [(job, support.window) for job, support in zip(jobs, supports) if not support.free]
+    shared = [(job, window) for job, window in busy if job.limits == seq.limits]
+    swept = iter(_fit_sweep(seq, shared, ctx, modes) if shared else ())
+    # the sweeps run now; each job's rows are let go once fitted
+    rows = [
+        next(swept) if job.limits == seq.limits else _fit_sweep(job, [(job, window)], ctx, modes)[0]
+        for job, window in busy
+    ][::-1]
+
+    def fits():
+        for support in supports:
+            if support.free:
+                # nothing deviates from the limits: T = 1 and R = L = 0 exactly
+                yield [(np.ones_like(zs), np.zeros_like(zs), np.zeros_like(zs)) for _ in modes]
+                continue
+            left, right = rows.pop()
+            lo, hi = support.window.n_min - 2, support.window.n_max + 2
+            yield [
+                _tail_fit(
+                    ctx,
+                    left[:, j * m : (j + 1) * m],
+                    right[:, j * m : (j + 1) * m],
+                    lo,
+                    hi - 1,
+                    -1 if inverse else 1,
+                )
+                for j, inverse in enumerate(modes)
+            ]
+
+    return fits()
 
 
 def scattering_values(
@@ -186,15 +209,18 @@ def identity_sweep(seq: CoefficientSequence, zs: np.ndarray) -> dict[str, float]
 def _identity_sweep(seq: CoefficientSequence, ctx: _GridContext) -> dict[str, float]:
     """identity_sweep over the grid of ctx, whose fit at z shares its powers.
 
-    The fit at the rounded reciprocal 1/z is over another grid, with a
-    context of its own.
+    The solutions at z and at the rounded reciprocal 1/z recurse as one
+    grid, over one context of both; the fit at 1/z has a context of its
+    own.
     """
     zs = ctx.zs
     zs_inv = 1.0 / zs
     # one recursion per side covers z and the rounded reciprocal together
-    both = np.concatenate([zs, zs_inv])
-    fl, lo = jost_values(seq, both, "left")
-    fr, _ = jost_values(seq, both, "right")
+    both = _GridContext(np.concatenate([zs, zs_inv]))
+    lo, hi = solution_range(seq)
+    fl, fr = (
+        _recurse(seq, seq.window, lo, hi, both, side, (False,)).T for side in ("left", "right")
+    )
     fl, flc = fl[: zs.size], fl[zs.size :]
     fr, frc = fr[: zs.size], fr[zs.size :]
     sol_conj = max(
@@ -215,7 +241,6 @@ def _identity_sweep(seq: CoefficientSequence, ctx: _GridContext) -> dict[str, fl
         float(np.max(np.abs(lt - np.conj(l)))),
     )
     product = 1.0 / (t * tt)
-    hi = lo + fl.shape[1] - 1
     a, _, _ = coefficient_arrays(seq, lo + 1, hi)
     return {
         "solution_conjugation": sol_conj,

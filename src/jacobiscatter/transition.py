@@ -32,6 +32,7 @@ of one point; a single z's junction identities are the sweep over [z].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -89,20 +90,26 @@ def transition_for(seq: CoefficientSequence, z: complex) -> TransitionMatrix:
 
 def transition_entries(seq: CoefficientSequence, zs: np.ndarray) -> np.ndarray:
     """Vectorized transition matrices, one 2x2 block per circle point."""
-    return _transition_entries(seq, _GridContext(zs))
+    return next(_transition_entries(seq, [seq], _GridContext(zs)))
 
 
-def _transition_entries(seq: CoefficientSequence, ctx: _GridContext) -> np.ndarray:
-    """transition_entries over the grid of ctx."""
-    (inv_t, r_over_t, l_over_t), (inv_t_conj, _, _) = _amplitude_blocks(
-        seq, ctx, (False, True)
-    )
-    out = np.empty(ctx.zs.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = inv_t
-    out[..., 0, 1] = -r_over_t
-    out[..., 1, 0] = l_over_t
-    out[..., 1, 1] = inv_t_conj
-    return out
+def _transition_entries(
+    seq: CoefficientSequence, jobs: list[CoefficientSequence], ctx: _GridContext
+) -> Iterator[np.ndarray]:
+    """transition_entries of each job over the grid of ctx, in order.
+
+    The recursions of the jobs that share seq's limits share one sweep
+    (_amplitude_blocks); each job's matrix is fitted as it is read.
+    """
+    for (inv_t, r_over_t, l_over_t), (inv_t_conj, _, _) in _amplitude_blocks(
+        seq, jobs, ctx, (False, True)
+    ):
+        out = np.empty(ctx.zs.shape + (2, 2), dtype=complex)
+        out[..., 0, 0] = inv_t
+        out[..., 0, 1] = -r_over_t
+        out[..., 1, 0] = l_over_t
+        out[..., 1, 1] = inv_t_conj
+        yield out
 
 
 def _entries_scattering(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -125,19 +132,17 @@ def determinant_residuals(seq: CoefficientSequence, zs: np.ndarray) -> np.ndarra
     return _determinant_gap(transition_entries(seq, zs))
 
 
-def _fragment_product(parts: list[CoefficientSequence], ctx: _GridContext) -> np.ndarray:
+def _fragment_product(entries: Iterator[np.ndarray]) -> np.ndarray:
     """Ordered product of the parts' transition entries, leftmost first."""
-    product = _transition_entries(parts[0], ctx)
-    for part in parts[1:]:
-        product = product @ _transition_entries(part, ctx)
+    product = next(entries)
+    for part in entries:
+        product = product @ part
     return product
 
 
-def _product_gap(
-    whole: np.ndarray, parts: list[CoefficientSequence], ctx: _GridContext
-) -> np.ndarray:
+def _product_gap(whole: np.ndarray, entries: Iterator[np.ndarray]) -> np.ndarray:
     """Max entrywise gap between whole entries and the ordered product of parts."""
-    return np.max(np.abs(_fragment_product(parts, ctx) - whole), axis=(-2, -1))
+    return np.max(np.abs(_fragment_product(entries) - whole), axis=(-2, -1))
 
 
 def factorization_residuals(
@@ -149,12 +154,15 @@ def factorization_residuals(
     """Max entrywise gap between the whole matrix and the fragment product.
 
     parts overrides the fragment list, which exists so that a negative
-    control can corrupt the padding and watch the product detach.
+    control can corrupt the padding or a limit and watch the product
+    detach.
     """
     ctx = _GridContext(zs)
     if parts is None:
         parts = fragment(seq, frag)
-    return _product_gap(_transition_entries(seq, ctx), parts, ctx)
+    # the whole and its fragments from one sweep, fitted in that order
+    entries = _transition_entries(seq, [seq, *parts], ctx)
+    return _product_gap(next(entries), entries)
 
 
 def factorization_check(
@@ -165,10 +173,10 @@ def factorization_check(
 ) -> FactorizationReport:
     """Compare the transition matrix with its ordered fragment product."""
     z = complex(z)
-    ctx = _GridContext(z)
-    whole = _transition_entries(seq, ctx)[0]
     parts = fragment(seq, frag)
-    product = _fragment_product(parts, ctx)[0]
+    entries = _transition_entries(seq, [seq, *parts], _GridContext(z))
+    whole = next(entries)[0]
+    product = _fragment_product(entries)[0]
     residual = float(np.max(np.abs(product - whole)))
     return FactorizationReport(
         z=z,
@@ -218,7 +226,8 @@ def junction_residual_sweep(
     range spans the window and every cover, so breakpoints far outside
     the window on both sides make it longer than any one junction's
     range.  Each breakpoint's fragment solutions keep their own range,
-    which the plane-wave check reads in full.  Keys: right_junction,
+    which the plane-wave check reads in full; the tail fits of all the
+    fragments recurse together, in one sweep.  Keys: right_junction,
     left_junction, plane_waves, factor_algebra.
 
     Raises CoefficientError, before any recursion, for a breakpoint more
@@ -228,7 +237,7 @@ def junction_residual_sweep(
     """
     _require_reach(seq, frag.breakpoints)
     ctx = _GridContext(zs)
-    (amplitudes,) = _amplitude_blocks(seq, ctx, (False,))
+    (amplitudes,) = next(_amplitude_blocks(seq, [seq], ctx, (False,)))
     return _junction_sweep(seq, frag, ctx, *_coefficients(*amplitudes))
 
 
@@ -244,12 +253,16 @@ def _junction_sweep(
     _require_reach(seq, frag.breakpoints)
     zs = ctx.zs
     points = frag.breakpoints
+    # the recursions of the 2k fragments' tail fits, in one sweep; each
+    # fragment is fitted where the loop below reads it
+    splits = [fragment(seq, Fragmentation((n1,))) for n1 in points]
+    fits = _amplitude_blocks(seq, [part for parts in splits for part in parts], ctx, (False, True))
     union = IndexWindow(points[0] - 2, points[-1] + 2)
     lo_all, hi_all = solution_range(seq, union)
     # keep only what the junctions read: sites n1 - 1, n1, n1 + 1 of each
     columns = [n1 - 1 - lo_all + d for n1 in points for d in range(3)]
     fl_near, fr_near = [
-        _recurse(seq, seq.window, lo_all, hi_all, ctx, side, (False,), store=True).T[:, columns]
+        _recurse(seq, seq.window, lo_all, hi_all, ctx, side, (False,)).T[:, columns]
         for side in ("left", "right")
     ]
     # upper factor times its closed inverse: top right, bottom right
@@ -276,15 +289,14 @@ def _junction_sweep(
     def paired(part, side, cover):
         # a solution and its companion at 1/z from one stacked recursion
         lo, hi = solution_range(part, cover)
-        rows = _recurse(part, part.window, lo, hi, ctx, side, (False, True), store=True).T
+        rows = _recurse(part, part.window, lo, hi, ctx, side, (False, True)).T
         return rows[: zs.size], rows[zs.size :], lo
 
     found: dict[str, list[float]] = {
         key: [] for key in ("right_junction", "left_junction", "plane_waves", "factor_algebra")
     }
-    for j, n1 in enumerate(points):
+    for j, (n1, parts) in enumerate(zip(points, splits)):
         cover = IndexWindow(n1 - 2, n1 + 2)
-        parts = fragment(seq, Fragmentation((n1,)))
         # the companions are read only at the junction: keep those three
         # columns and the plain solutions, and let the stacked buffers go
         fl2, gl2, lo = paired(parts[1], "left", cover)
@@ -293,12 +305,8 @@ def _junction_sweep(
         fr1, gr1, _ = paired(parts[0], "right", cover)
         fr1, gr1 = fr1.copy(), gr1[:, junction].copy()
         # keep only the coefficients the checks read, not the amplitudes
-        (t1, r1, _), (t1c, r1c, _) = [
-            _coefficients(*block) for block in _amplitude_blocks(parts[0], ctx, (False, True))
-        ]
-        (t2, _, l2), (t2c, _, l2c) = [
-            _coefficients(*block) for block in _amplitude_blocks(parts[1], ctx, (False, True))
-        ]
+        (t1, r1, _), (t1c, r1c, _) = [_coefficients(*block) for block in next(fits)]
+        (t2, _, l2), (t2c, _, l2c) = [_coefficients(*block) for block in next(fits)]
         ratio = seq.limits.a_inf / coefficient_at(seq, n1 + 1)[0]
 
         fl = fl_near[:, 3 * j : 3 * j + 3]

@@ -197,15 +197,24 @@ def test_invalid_coefficients_exit_two(tmp_path):
     assert proc.returncode == 2
 
 
+# a boolean window bound reads as site 0 or 1: with one-site arrays at
+# site 1, "n_min": true made a consistent window
+ONE_SITE_AT_ONE = {"n_max": 1, "a": [1.0], "b": [0.3], "w": [1.0]}
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("n_min", "null"), ("n_min", "[0]"), ("a_inf", "null"), ("a_inf", "[1]"),
-     ("a", '{"x": 1}'), ("n_max", "1e400")],
+     ("a", '{"x": 1}'), ("n_max", "1e400"), ("a_inf", '"1.5"'), ("w", "[true, true, true]"),
+     ("b", '["0.3", 0.0, -0.4]'), ("n_min", "true")],
 )
 def test_mistyped_field_exits_two_naming_it(tmp_path, field, value):
     """A field of the wrong JSON type, or an integer too large for one, is
-    bad input: exit 2 naming the field, not a traceback and exit 1."""
-    text = json.dumps({**TWO_IMPURITY_INPUT, field: "VALUE"}).replace('"VALUE"', value)
+    bad input: exit 2 naming the field, not a traceback and exit 1.  JSON
+    strings and booleans are not numbers, though float() and int() take
+    them."""
+    base = {**TWO_IMPURITY_INPUT, **(ONE_SITE_AT_ONE if value == "true" else {})}
+    text = json.dumps({**base, field: "VALUE"}).replace('"VALUE"', value)
     path = tmp_path / "seq.json"
     path.write_text(text)
     proc = run_cli("scatter", "--input", str(path))

@@ -26,7 +26,7 @@ from jacobiscatter import (
     sample_circle,
 )
 from jacobiscatter import cli, spectral
-from jacobiscatter.jost import _recurse
+from jacobiscatter.jost import _fit_sweep
 from jacobiscatter.scattering import _tail_fit
 from jacobiscatter.spectral import _GridContext, wave_pair_det
 from conftest import make_sequence
@@ -54,9 +54,8 @@ def reference_tail_fit(zs, left, right, n, p, sign):
 WINDOWS = ((0, 2), (-3, 0), (97, 99), (99, 101), (-103, -100), (-100, -98))
 
 
-def tail_rows(seq, ctx, side, modes):
-    window = seq.window
-    return _recurse(seq, window, window.n_min - 2, window.n_max + 2, ctx, side, modes, False)
+def tail_rows(seq, ctx, modes):
+    return _fit_sweep(seq, [(seq, seq.window)], ctx, modes)[0]
 
 
 def test_context_tail_fit_equals_the_self_computed_fit():
@@ -71,9 +70,7 @@ def test_context_tail_fit_equals_the_self_computed_fit():
         )
         n, p = n_min - 2, n_max + 1
         for sign, modes in ((1, (False,)), (-1, (True,))):
-            left, right = (
-                tail_rows(seq, _GridContext(zs), side, modes) for side in ("left", "right")
-            )
+            left, right = tail_rows(seq, _GridContext(zs), modes)
             want = reference_tail_fit(zs, left, right, n, p, sign)
             assert bits(*_tail_fit(shared, left, right, n, p, sign)) == bits(*want)
             assert bits(*_tail_fit(_GridContext(zs), left, right, n, p, sign)) == bits(*want)
@@ -229,10 +226,11 @@ def test_band_image_still_rejects_a_genuine_imaginary_part():
 
 
 
-def test_identities_run_builds_four_grid_contexts(tmp_path, monkeypatch):
-    """The run's grid, the identity sweep's two recursions over z and its
-    rounded reciprocal, and the fit at the reciprocal; the junction sweep
-    recurses the whole sequence over the run's own context."""
+def test_identities_run_builds_three_grid_contexts(tmp_path, monkeypatch):
+    """The run's grid, the identity sweep's grid of z and its rounded
+    reciprocal, which both its recursions share, and the fit at the
+    reciprocal; the junction sweep recurses the whole sequence over the
+    run's own context."""
     path = tmp_path / "seq.json"
     path.write_text(json.dumps({
         "a_inf": 1.0, "b_inf": 0.0, "w_inf": 1.0, "n_min": -1, "n_max": 1,
@@ -248,4 +246,4 @@ def test_identities_run_builds_four_grid_contexts(tmp_path, monkeypatch):
     monkeypatch.setattr(_GridContext, "__init__", counting_init)
     argv = ["identities", "--input", str(path), "--breakpoints=-1,0,1", "--grid", "64"]
     assert run_quietly(argv) == 0
-    assert built == [64, 128, 128, 64]
+    assert built == [64, 128, 64]

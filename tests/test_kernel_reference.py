@@ -1,7 +1,8 @@
 """The real-view kernel and the shared whole-sequence matrix are exact.
 
-The recursion kernel runs every real scaling on the float64 view of its
-complex rows and divides by a coupling as a multiply by its reciprocal.
+The recursion kernels, the stored recursion and the tail-fit sweep, run
+every real scaling on the float64 view of their complex rows and divide
+by a coupling as a multiply by its reciprocal.
 The identities report computes the whole sequence's transition matrix
 once and reads its determinant, factorization and junction rows from it.
 Both are pure reorganizations, so these tests hold them to the bit: the
@@ -26,7 +27,7 @@ from jacobiscatter import (
     junction_residual_sweep,
 )
 from jacobiscatter import cli, jost, scattering, transition
-from jacobiscatter.jost import _recurse, solution_range
+from jacobiscatter.jost import _fit_sweep, _recurse, solution_range
 from jacobiscatter.lattice import MAX_WINDOW_SITES, coefficient_arrays
 from jacobiscatter.spectral import _GridContext
 from conftest import (
@@ -89,23 +90,27 @@ def reference_recurse(seq, window, lo, hi, zs, side, modes, store):
 
 
 def kernel_pairs(seq, zs, ctx=None):
-    """The kernel and the reference on every side, store mode and mode set.
+    """The kernels and the reference on every side, row mode and mode set.
 
-    All the kernel's calls read one grid context, ctx if given, so its
-    drive and the log behind its large seed powers are shared across them.
+    The stored recursion gives every row, the tail-fit sweep the last two
+    of each side.  All the kernels' calls read one grid context, ctx if
+    given, so its drive and the log behind its large seed powers are
+    shared across them.
     """
     ctx = _GridContext(zs) if ctx is None else ctx
     window = seq.window
-    for store in (True, False):
-        lo, hi = window.n_min - 2, window.n_max + 2
-        if store:
-            lo, hi = solution_range(seq, IndexWindow(window.n_min - 4, window.n_max + 3))
-        for side in ("left", "right"):
-            for modes in MODES:
-                yield (
-                    _recurse(seq, window, lo, hi, ctx, side, modes, store),
-                    reference_recurse(seq, window, lo, hi, zs, side, modes, store),
-                )
+    lo, hi = solution_range(seq, IndexWindow(window.n_min - 4, window.n_max + 3))
+    for side in ("left", "right"):
+        for modes in MODES:
+            yield (
+                _recurse(seq, window, lo, hi, ctx, side, modes),
+                reference_recurse(seq, window, lo, hi, zs, side, modes, True),
+            )
+    lo, hi = window.n_min - 2, window.n_max + 2
+    for modes in MODES:
+        rows = _fit_sweep(seq, [(seq, window)], ctx, modes)[0]
+        for got, side in zip(rows, ("left", "right")):
+            yield got, reference_recurse(seq, window, lo, hi, zs, side, modes, False)
 
 
 def test_real_view_kernel_equals_complex_rows(random_fixtures):
@@ -195,6 +200,8 @@ def test_far_breakpoints_raise_before_any_recursion(monkeypatch):
 
     for module in (jost, scattering, transition):
         monkeypatch.setattr(module, "_recurse", refuse)
+    for module in (jost, scattering):
+        monkeypatch.setattr(module, "_fit_sweep", refuse)
     far = (seq.window.n_max + MAX_WINDOW_SITES + 1, seq.window.n_min - MAX_WINDOW_SITES - 1)
     for n1 in far:
         frag = Fragmentation((n1,))

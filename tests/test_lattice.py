@@ -34,6 +34,26 @@ def test_limits_reject_non_finite():
         Limits(float("nan"), 0.0, 1.0)
 
 
+def test_numbers_of_any_numeric_type_but_no_str_or_bool():
+    """Library callers may pass ints and numpy scalars; strings and
+    booleans, which float() and int() also take, are refused by name."""
+    assert Limits(1, 0, 1) == Limits(1.0, 0.0, 1.0)
+    assert Limits(np.float64(1.0), np.int64(0), np.float32(1.0)) == Limits(1.0, 0.0, 1.0)
+    assert IndexWindow(np.int64(-1), 1.0) == IndexWindow(-1, 1)
+    seq = CoefficientSequence(Limits(1, 0, 1), IndexWindow(0, 1), [1, 2], [0, 1], np.ones(2, int))
+    assert seq.a_values.tolist() == [1.0, 2.0] and seq.w_values.dtype == float
+    for bad in ("1.5", True, np.bool_(True)):
+        with pytest.raises(CoefficientError, match="b_inf must be a real number"):
+            Limits(1.0, bad, 1.0)
+    for bad in ("0", False, np.bool_(False)):
+        with pytest.raises(CoefficientError, match="n_min must be an integer"):
+            IndexWindow(bad, 1)
+    for bad in (["0.3", 0.0], [True, 1.0], np.array([True, False]), np.array(["1", "2"]),
+                np.array([1.0, "2"], dtype=object), "1.0"):
+        with pytest.raises(CoefficientError, match="b must be an array of numbers"):
+            CoefficientSequence(Limits(1, 0, 1), IndexWindow(0, 1), [1, 1], bad, [1, 1])
+
+
 def test_window_rejects_empty_range():
     with pytest.raises(CoefficientError):
         IndexWindow(3, 1)

@@ -18,7 +18,7 @@ from jacobiscatter import (
     scattering_amplitudes,
     transition_entries,
 )
-from jacobiscatter.jost import _recurse, solution_range
+from jacobiscatter.jost import _fit_sweep, _recurse, solution_range
 from jacobiscatter.spectral import _GridContext
 from conftest import default_grid, hand_fixtures, mixed_sequence, overflowing_sequence
 
@@ -30,15 +30,21 @@ def bits(*arrays):
 
 
 def blocks_and_singles(seq, zs, side, store):
+    """Stacked blocks and one-mode runs: all rows of the stored recursion,
+    or the last two of the tail-fit sweep's side."""
     window = seq.window
-    lo, hi = window.n_min - 2, window.n_max + 2
-    if store:
-        lo, hi = solution_range(seq, IndexWindow(window.n_min - 4, window.n_max + 3))
-    stacked = _recurse(seq, window, lo, hi, _GridContext(zs), side, FLAGS, store)
+
+    def run(modes):
+        if store:
+            lo, hi = solution_range(seq, IndexWindow(window.n_min - 4, window.n_max + 3))
+            return _recurse(seq, window, lo, hi, _GridContext(zs), side, modes)
+        rows = _fit_sweep(seq, [(seq, window)], _GridContext(zs), modes)[0]
+        return rows[("left", "right").index(side)]
+
+    stacked = run(FLAGS)
     m = zs.size
     for j, flag in enumerate(FLAGS):
-        single = _recurse(seq, window, lo, hi, _GridContext(zs), side, (flag,), store)
-        yield stacked[:, j * m : (j + 1) * m], single
+        yield stacked[:, j * m : (j + 1) * m], run((flag,))
 
 
 def test_stacked_blocks_equal_single_runs(random_fixtures):

@@ -3,7 +3,8 @@
 Sites outside the support carry the limits, so recursing across them
 cannot change a fit.  These tests hold that to the bit: padding a window
 with limit sites, and reading the fit off jost_values' full arrays
-instead of the two-row recursion, must both leave every value unchanged.
+instead of the tail-fit sweep's two rows, must both leave every value
+unchanged.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ from jacobiscatter import (
     scattering_values,
     transition_entries,
 )
-from jacobiscatter.jost import _recurse
+from jacobiscatter.jost import _fit_sweep
 from jacobiscatter.scattering import _tail_fit
 from jacobiscatter.spectral import _GridContext
 from conftest import (
@@ -83,12 +84,7 @@ def test_two_row_fit_equals_full_array_fit(random_fixtures):
             fl, lo = jost_values(seq, zs, "left", at_inverse=at_inverse)
             fr, _ = jost_values(seq, zs, "right", at_inverse=at_inverse)
             assert lo == n
-            left, right = (
-                _recurse(
-                    seq, seq.window, n, p + 1, _GridContext(zs), side, (at_inverse,), store=False
-                )
-                for side in ("left", "right")
-            )
+            left, right = _fit_sweep(seq, [(seq, seq.window)], _GridContext(zs), (at_inverse,))[0]
             assert bits(left) == bits(fl[:, :2].T)
             assert bits(right) == bits(fr[:, p - lo : p - lo + 2].T)
             sign = -1 if at_inverse else 1

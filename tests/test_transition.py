@@ -5,6 +5,7 @@ import pytest
 
 from jacobiscatter import (
     Fragmentation,
+    Limits,
     NumericalFault,
     determinant_residuals,
     extract_scattering,
@@ -132,6 +133,27 @@ def test_corrupted_padding_detaches_the_product(mixed_seq):
     bad = factorization_residuals(mixed_seq, frag, zs, parts=[broken, parts[1]])
     assert float(np.max(good)) <= 1e-10
     assert float(np.max(bad)) > 1e-3
+
+
+def test_part_with_other_limits_is_fitted_on_its_own(mixed_seq):
+    """A part whose limits differ from the whole's is still fitted, as its own matrix."""
+    frag = Fragmentation((0,))
+    zs = default_grid(mixed_seq, count=16).zs
+    parts = fragment(mixed_seq, frag)
+    lim = parts[0].limits
+    shifted = make_sequence(
+        parts[0].window.n_min,
+        parts[0].a_values,
+        parts[0].b_values,
+        parts[0].w_values,
+        limits=Limits(lim.a_inf, lim.b_inf, 2.0 * lim.w_inf),
+    )
+    controls = [shifted, parts[1]]
+    gap = factorization_residuals(mixed_seq, frag, zs, parts=controls)
+    product = transition_entries(shifted, zs) @ transition_entries(parts[1], zs)
+    whole = transition_entries(mixed_seq, zs)
+    np.testing.assert_array_equal(gap, np.max(np.abs(product - whole), axis=(-2, -1)))
+    assert float(np.max(gap)) > 1e-3
 
 
 def test_right_expansion_recovers_whole_ratios(coupling_step_seq, mixed_seq):
