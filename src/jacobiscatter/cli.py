@@ -21,6 +21,7 @@ import argparse
 import functools
 import sys
 from dataclasses import dataclass
+from itertools import islice
 from json import JSONDecodeError, load as _json_load
 
 import numpy as np
@@ -33,14 +34,17 @@ from .lattice import (
     fragment,
     validate_sequence,
 )
-from .scattering import _identity_sweep, scattering_values
+from .scattering import _amplitude_blocks, _identity_sweep, scattering_values
 from .spectral import CircleGrid, _GridContext, sample_circle
 from .transition import (
+    _PAIRED,
     _determinant_gap,
+    _entries,
     _entries_scattering,
+    _junction_parts,
     _junction_sweep,
     _product_gap,
-    _transition_entries,
+    _require_reach,
     factorization_residuals,
 )
 
@@ -76,8 +80,8 @@ class RunConfig:
             raise ValueError(
                 f"exclusion delta must lie in (0, 1), got {self.exclusion_delta}"
             )
-        if self.tolerance <= 0.0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if not 0.0 < self.tolerance < np.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
 
@@ -201,22 +205,26 @@ def run_factorize(config: RunConfig, corrupt_padding: bool = False) -> int:
 def run_identities(config: RunConfig) -> int:
     """Sweep every identity; junction checks join in when breakpoints are given."""
     seq = _load_sequence(config.input_path)
+    parts, junction_parts = [], []
+    if config.breakpoints:
+        frag = Fragmentation(tuple(config.breakpoints))
+        _require_reach(seq, frag.breakpoints)
+        parts, junction_parts = fragment(seq, frag), _junction_parts(seq, frag)
     # every recursion and fit of the run shares this grid's drive and powers
     ctx = _GridContext(_grid_for(seq, config).zs)
     named = _identity_sweep(seq, ctx)
-    jobs = [seq]
-    if config.breakpoints:
-        frag = Fragmentation(tuple(config.breakpoints))
-        jobs += fragment(seq, frag)
-    # the whole sequence's transition matrix, shared by every later row,
-    # and its fragments' from the same sweep, fitted as they are read
-    entries = _transition_entries(seq, jobs, ctx)
-    lam = next(entries)
+    # the tail fits of the whole, its fragments and the junctions' in one
+    # sweep, fitted as they are read; every later row shares the whole's
+    blocks = _amplitude_blocks(seq, [seq, *parts, *junction_parts], ctx, _PAIRED)
+    lam = _entries(next(blocks))
     named["transition_determinant"] = float(np.max(_determinant_gap(lam)))
     if config.breakpoints:
-        named["factorization"] = float(np.max(_product_gap(lam, entries)))
+        product = map(_entries, islice(blocks, len(parts)))
+        named["factorization"] = float(np.max(_product_gap(lam, product)))
         # one single-junction check per breakpoint, worst over them per row
-        named.update(_junction_sweep(seq, frag, ctx, *_entries_scattering(lam)))
+        named.update(
+            _junction_sweep(seq, frag, ctx, *_entries_scattering(lam), junction_parts, blocks)
+        )
     rows = [
         (name, residual, config.tolerance, residual <= config.tolerance)
         for name, residual in named.items()

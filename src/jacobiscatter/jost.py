@@ -135,6 +135,7 @@ def _recurse(
     ctx: _GridContext,
     side: str,
     modes: tuple[bool, ...],
+    start: tuple[int, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Propagate normalized solutions over [lo, hi]; row k is site lo + k.
 
@@ -146,6 +147,12 @@ def _recurse(
     its own sign, so solutions sharing coefficients and drive, such as a
     solution and its companion at 1/z, advance together in one pass.
     Every block equals its one-mode run to the bit.
+
+    start, if given, is (s, pair): the first step is taken at site s, not
+    at the window's edge, from the two rows of pair, those at s and s + 1
+    on the left side and at s - 1 and s on the right.  Rows between pair
+    and the seeded tail are not computed, so [lo, hi] reaches past pair
+    only into that tail.
 
     Each step writes in place into its destination row, through one
     scratch row, with the operations and order of the plain expression
@@ -172,7 +179,12 @@ def _recurse(
         powers = -tail
     for j, inverse in enumerate(modes):
         sign = -1 if inverse else 1
-        rows[tail - lo, j * m : (j + 1) * m] = ctx.power_table(sign * powers).T
+        rows[tail - lo, j * m : (j + 1) * m] = ctx.power_table(sign * powers)
+    first = n_max if side == "left" else n_min - 1
+    if start is not None:
+        first, pair = start
+        at = first - lo if side == "left" else first - 1 - lo
+        rows[at : at + 2] = pair
     # each row twice: complex for the one complex product per step, and
     # as float64 pairs for every step that only scales by a real
     row = list(rows)
@@ -186,7 +198,7 @@ def _recurse(
     # make every call about 2% slower.
     with np.errstate(all="ignore"):
         if side == "left":
-            for k in range(n_max - lo, 0, -1):
+            for k in range(first - lo, 0, -1):
                 out = real[k - 1]
                 np.multiply(drive, w[k] / w_inf, out=out)
                 np.multiply(row[k - 1], row[k], out=row[k - 1])
@@ -196,7 +208,7 @@ def _recurse(
                 np.subtract(out, scratch, out=out)
                 np.multiply(out, 1.0 / a[k], out=out)
         else:
-            for k in range(n_min - 1 - lo, hi - lo):
+            for k in range(first - lo, hi - lo):
                 out = real[k + 1]
                 np.multiply(drive, w[k] / w_inf, out=out)
                 np.multiply(row[k + 1], row[k], out=row[k + 1])
@@ -206,6 +218,19 @@ def _recurse(
                 np.subtract(out, scratch, out=out)
                 np.multiply(out, 1.0 / a[k + 1], out=out)
     return rows
+
+
+def _changed_steps(
+    seq: CoefficientSequence, job: CoefficientSequence, first: int, last: int
+) -> list[int]:
+    """Sites n in [first, last] where job's recursion step departs from seq's.
+
+    The step at site n reads a(n), b(n), w(n) and a(n + 1).  Bit patterns
+    are compared, not values: -0.0 where seq has 0.0 flips a zero's sign.
+    """
+    own, ref = (coefficient_arrays(each, first, last + 1) for each in (job, seq))
+    a, b, w = (mine.view(np.int64) != theirs.view(np.int64) for mine, theirs in zip(own, ref))
+    return (first + np.flatnonzero((a | b | w)[:-1] | a[1:])).tolist()
 
 
 def _fit_sweep(
@@ -254,8 +279,7 @@ def _fit_sweep(
     base = min(window.n_min for _, window in jobs) - 1
     top = max(window.n_max for _, window in jobs)
     span = top - base
-    ref = coefficient_arrays(seq, base, top + 2)
-    a, b, w = (values.tolist() for values in ref)
+    a, b, w = (values.tolist() for values in coefficient_arrays(seq, base, top + 2))
 
     # per step: jobs joining before it, redone and finished after it;
     # side 0 is left, 1 is right
@@ -272,19 +296,9 @@ def _fit_sweep(
             ends[spans[side][j][1]].append((side, j))
         if job is seq:
             continue
-        own = coefficient_arrays(job, first, last + 1)
-        i0 = first - base
-        # bit patterns, not values: -0.0 where seq has 0.0 flips a zero's sign
-        changed = [
-            mine.view(np.int64) != theirs[i0 : i0 + mine.size].view(np.int64)
-            for mine, theirs in zip(own, ref)
-        ]
-        # the step at site n reads a(n), b(n), w(n) and a(n + 1)
-        step_changed = (changed[0] | changed[1] | changed[2])[:-1] | changed[0][1:]
-        for i in np.flatnonzero(step_changed).tolist():
-            n = first + i
-            a_n, b_n, w_n = (float(values[i]) for values in own)
-            a_next = float(own[0][i + 1])
+        for n in _changed_steps(seq, job, first, last):
+            a_n, b_n, w_n = coefficient_at(job, n)
+            a_next = coefficient_at(job, n + 1)[0]
             if n <= window.n_max:
                 redos[top - n].append((0, j, (w_n / w_inf, a_next, b_n, 1.0 / a_n)))
             redos[n - base].append((1, j, (w_n / w_inf, b_n, a_n, 1.0 / a_next)))
@@ -305,7 +319,7 @@ def _fit_sweep(
 
     def seed(row, c0, c1, j, which):
         first = (4 * j + which) * blocks
-        rows[row, c0:c1].reshape(blocks, m)[...] = seeds[:, first : first + blocks].T
+        rows[row, c0:c1].reshape(blocks, m)[...] = seeds[first : first + blocks]
 
     multiply, subtract = np.multiply, np.subtract
     # (dst, src, prev) rows of step t, by t % 3
@@ -450,15 +464,15 @@ def wronskian_constancy_check(
 
 
 def _pairing_drift(a: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Per row of p and q, max_n |W(n) - W(n0)| / max(1, |W(n0)|).
+    """Per column of p and q, max_n |W(n) - W(n0)| / max(1, |W(n0)|).
 
-    W(n) = a(n + 1) (p(n) q(n + 1) - p(n + 1) q(n)) along the last axis,
-    a holding a(n + 1) for each site pair.  Dividing by the positive
-    scale after the max gives the bits of dividing each entry first.
+    W(n) = a(n + 1) (p(n) q(n + 1) - p(n + 1) q(n)) along the first axis,
+    site-major, a holding a(n + 1) for each site pair, broadcast against
+    the rows.  Dividing by the positive scale after the max gives the
+    bits of dividing each entry first.
     """
-    pair = a * (p[..., :-1] * q[..., 1:] - p[..., 1:] * q[..., :-1])
-    ref = pair[..., 0]
-    return np.max(np.abs(pair - ref[..., None]), axis=-1) / np.maximum(1.0, np.abs(ref))
+    pair = a * (p[:-1] * q[1:] - p[1:] * q[:-1])
+    return np.max(np.abs(pair - pair[0]), axis=0) / np.maximum(1.0, np.abs(pair[0]))
 
 
 def equation_residual(seq: CoefficientSequence, sol: LatticeSolution) -> float:

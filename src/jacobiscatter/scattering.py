@@ -214,26 +214,28 @@ def _identity_sweep(seq: CoefficientSequence, ctx: _GridContext) -> dict[str, fl
     own.
     """
     zs = ctx.zs
+    m = zs.size
     zs_inv = 1.0 / zs
-    # one recursion per side covers z and the rounded reciprocal together
+    # one recursion per side covers z and the rounded reciprocal together;
+    # rows are sites, the first m columns at z and the rest at 1/z
     both = _GridContext(np.concatenate([zs, zs_inv]))
     lo, hi = solution_range(seq)
     fl, fr = (
-        _recurse(seq, seq.window, lo, hi, both, side, (False,)).T for side in ("left", "right")
+        _recurse(seq, seq.window, lo, hi, both, side, (False,)) for side in ("left", "right")
     )
-    fl, flc = fl[: zs.size], fl[zs.size :]
-    fr, frc = fr[: zs.size], fr[zs.size :]
+    fl, flc = fl[:, :m], fl[:, m:]
+    fr, frc = fr[:, :m], fr[:, m:]
+    # the coefficients come from the same arrays: two sites past each end.
+    # Their fits run first, so an overflowed solution faults before any
+    # other row reads it
+    p = seq.window.n_max + 1
+    t, r, l = _coefficients(*_tail_fit(ctx, fl[:2], fr[p - lo : p - lo + 2], lo, p, 1))
+    tt, rt, lt = _coefficients(
+        *_tail_fit(_GridContext(zs_inv), flc[:2], frc[p - lo : p - lo + 2], lo, p, 1)
+    )
     sol_conj = max(
         float(np.max(np.abs(flc - np.conj(fl)))),
         float(np.max(np.abs(frc - np.conj(fr)))),
-    )
-    # the coefficients come from the same arrays: two sites past each end
-    p = seq.window.n_max + 1
-    t, r, l = _coefficients(
-        *_tail_fit(ctx, fl[:, :2].T, fr[:, p - lo : p - lo + 2].T, lo, p, 1)
-    )
-    tt, rt, lt = _coefficients(
-        *_tail_fit(_GridContext(zs_inv), flc[:, :2].T, frc[:, p - lo : p - lo + 2].T, lo, p, 1)
     )
     scat_conj = max(
         float(np.max(np.abs(tt - np.conj(t)))),
@@ -250,6 +252,6 @@ def _identity_sweep(seq: CoefficientSequence, ctx: _GridContext) -> dict[str, fl
         "exchange_left": float(np.max(np.abs(rt / tt + l / t))),
         "exchange_right": float(np.max(np.abs(lt / tt + r / t))),
         "quotient": float(np.max(np.abs(t * t - r * l - t / tt))),
-        "wronskian_constancy": float(np.max(_pairing_drift(a, fl, fr))),
+        "wronskian_constancy": float(np.max(_pairing_drift(a[:, None], fl, fr))),
         "unitarity": float(np.max(np.abs(np.abs(t) ** 2 + np.abs(r) ** 2 - 1.0))),
     }

@@ -129,8 +129,8 @@ class _GridContext:
       tiled over blocks column blocks;
     * det(): wave_pair_det(zs);
     * power(k): zs ** k, as the tail fits and junction checks write it;
-    * power_table(ks): zs[:, None] ** ks[None, :], as the recursion
-      seeds and the junction sweep's plane-wave tables write it.
+    * power_table(ks): zs[None, :] ** ks[:, None], site-major, as the
+      recursion seeds and the junction sweep's plane-wave tables read it.
 
     numpy raises a complex array to an integer power k by repeated
     multiplication when |k| < FAST_POWER_LIMIT and otherwise by the C
@@ -177,20 +177,20 @@ class _GridContext:
         return self._powers[k]
 
     def power_table(self, ks: np.ndarray) -> np.ndarray:
-        """Column j holds zs to the integer power ks[j]."""
+        """Row j holds zs to the integer power ks[j]."""
         zs = self.zs
         fast = np.abs(ks) < FAST_POWER_LIMIT
         if fast.all():
-            return zs[:, None] ** ks[None, :]
-        # runs of columns on one route, each written in place into its slice
-        table = np.empty((zs.size, ks.size), dtype=complex)
+            return zs[None, :] ** ks[:, None]
+        # runs of rows on one route, each written in place into its slice
+        table = np.empty((ks.size, zs.size), dtype=complex)
         cuts = [0, *(np.flatnonzero(fast[1:] != fast[:-1]) + 1).tolist(), ks.size]
         for start, stop in zip(cuts[:-1], cuts[1:]):
-            run, out = ks[None, start:stop], table[:, start:stop]
+            run, out = ks[start:stop, None], table[start:stop]
             if fast[start]:
-                np.power(zs[:, None], run, out=out)
+                np.power(zs[None, :], run, out=out)
             else:
-                np.multiply(self._log_zs()[:, None], run, out=out)
+                np.multiply(self._log_zs()[None, :], run, out=out)
                 np.exp(out, out=out)
         return table
 

@@ -27,6 +27,13 @@ behind it at each breakpoint taken as a single junction:
 Each relation has one kernel, over a grid.  The one-point functions,
 transition_for and factorization_check, call the same kernels on a grid
 of one point; a single z's junction identities are the sweep over [z].
+
+A single-junction fragment is the whole sequence on the side of its
+breakpoint that it keeps and the limits on the side it frees, so its
+solutions are the whole's on the kept side.  The junction sweep recurses
+the whole once per side and keeps its rows at each junction and where
+each fragment starts; a fragment recurses only its free side, from those
+rows (see junction_residual_sweep).
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CoefficientError, NumericalFault
-from .jost import _recurse, solution_range
+from .jost import _changed_steps, _recurse, solution_range
 from .lattice import (
     MAX_WINDOW_SITES,
     CoefficientSequence,
@@ -48,6 +55,9 @@ from .lattice import (
 )
 from .scattering import _amplitude_blocks, _coefficients
 from .spectral import _GridContext
+
+# the at_inverse modes of a solution and its companion at 1/z
+_PAIRED = (False, True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,26 +100,18 @@ def transition_for(seq: CoefficientSequence, z: complex) -> TransitionMatrix:
 
 def transition_entries(seq: CoefficientSequence, zs: np.ndarray) -> np.ndarray:
     """Vectorized transition matrices, one 2x2 block per circle point."""
-    return next(_transition_entries(seq, [seq], _GridContext(zs)))
+    return _entries(next(_amplitude_blocks(seq, [seq], _GridContext(zs), _PAIRED)))
 
 
-def _transition_entries(
-    seq: CoefficientSequence, jobs: list[CoefficientSequence], ctx: _GridContext
-) -> Iterator[np.ndarray]:
-    """transition_entries of each job over the grid of ctx, in order.
-
-    The recursions of the jobs that share seq's limits share one sweep
-    (_amplitude_blocks); each job's matrix is fitted as it is read.
-    """
-    for (inv_t, r_over_t, l_over_t), (inv_t_conj, _, _) in _amplitude_blocks(
-        seq, jobs, ctx, (False, True)
-    ):
-        out = np.empty(ctx.zs.shape + (2, 2), dtype=complex)
-        out[..., 0, 0] = inv_t
-        out[..., 0, 1] = -r_over_t
-        out[..., 1, 0] = l_over_t
-        out[..., 1, 1] = inv_t_conj
-        yield out
+def _entries(blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Transition entries from one job's amplitude blocks at z and at 1/z."""
+    (inv_t, r_over_t, l_over_t), (inv_t_conj, _, _) = blocks
+    out = np.empty(inv_t.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = inv_t
+    out[..., 0, 1] = -r_over_t
+    out[..., 1, 0] = l_over_t
+    out[..., 1, 1] = inv_t_conj
+    return out
 
 
 def _entries_scattering(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -161,8 +163,8 @@ def factorization_residuals(
     if parts is None:
         parts = fragment(seq, frag)
     # the whole and its fragments from one sweep, fitted in that order
-    entries = _transition_entries(seq, [seq, *parts], ctx)
-    return _product_gap(next(entries), entries)
+    blocks = _amplitude_blocks(seq, [seq, *parts], ctx, _PAIRED)
+    return _product_gap(_entries(next(blocks)), map(_entries, blocks))
 
 
 def factorization_check(
@@ -174,9 +176,9 @@ def factorization_check(
     """Compare the transition matrix with its ordered fragment product."""
     z = complex(z)
     parts = fragment(seq, frag)
-    entries = _transition_entries(seq, [seq, *parts], _GridContext(z))
-    whole = next(entries)[0]
-    product = _fragment_product(entries)[0]
+    blocks = _amplitude_blocks(seq, [seq, *parts], _GridContext(z), _PAIRED)
+    whole = _entries(next(blocks))[0]
+    product = _fragment_product(map(_entries, blocks))[0]
     residual = float(np.max(np.abs(product - whole)))
     return FactorizationReport(
         z=z,
@@ -206,6 +208,11 @@ def _require_reach(seq: CoefficientSequence, points: tuple[int, ...]) -> None:
             )
 
 
+def _junction_parts(seq: CoefficientSequence, frag: Fragmentation) -> list[CoefficientSequence]:
+    """Each breakpoint's two single-junction fragments, left then right."""
+    return [part for n1 in frag.breakpoints for part in fragment(seq, Fragmentation((n1,)))]
+
+
 def junction_residual_sweep(
     seq: CoefficientSequence, frag: Fragmentation, zs: np.ndarray
 ) -> dict[str, float]:
@@ -219,16 +226,19 @@ def junction_residual_sweep(
     factorization_residuals, where the same Fragmentation with k
     breakpoints means one product of k + 1 fragments.
 
-    The whole-sequence work is shared: its solutions are recursed once
-    on the union of the junction covers and only the columns n1 - 1
-    through n1 + 1 are kept, T, R, L are fitted once, and the plane-wave
-    power tables are built once over the union range and sliced.  That
-    range spans the window and every cover, so breakpoints far outside
-    the window on both sides make it longer than any one junction's
-    range.  Each breakpoint's fragment solutions keep their own range,
-    which the plane-wave check reads in full; the tail fits of all the
-    fragments recurse together, in one sweep.  Keys: right_junction,
-    left_junction, plane_waves, factor_algebra.
+    The whole sequence's T, R, L are fitted once, and its solutions and
+    their companions recursed once per side, keeping only the rows at
+    n1 - 1 through n1 + 1 and where the fragments start.  The right
+    fragment's left solution is the whole's down to min(n1, n_max) and
+    is recursed below; the left fragment's right solution is the whole's
+    up to max(n1, n_min - 1) and is recursed above.  A fragment whose
+    coefficients depart from the whole's further out starts past the
+    outermost departure, so every row equals its own recursion to the
+    bit.  The companions are recursed only to the junction: one step,
+    to n1 + 1, on the right, none on the left.  The plane-wave check
+    reads each junction's whole range against power tables built once;
+    the tail fits of all the fragments recurse in one sweep.  Keys:
+    right_junction, left_junction, plane_waves, factor_algebra.
 
     Raises CoefficientError, before any recursion, for a breakpoint more
     than MAX_WINDOW_SITES sites outside the window, and NumericalFault,
@@ -238,7 +248,13 @@ def junction_residual_sweep(
     _require_reach(seq, frag.breakpoints)
     ctx = _GridContext(zs)
     (amplitudes,) = next(_amplitude_blocks(seq, [seq], ctx, (False,)))
-    return _junction_sweep(seq, frag, ctx, *_coefficients(*amplitudes))
+    parts = _junction_parts(seq, frag)
+    fits = _amplitude_blocks(seq, parts, ctx, _PAIRED)
+    return _junction_sweep(seq, frag, ctx, *_coefficients(*amplitudes), parts, fits)
+
+
+def _gap(values: np.ndarray) -> float:
+    return float(np.max(np.abs(values)))
 
 
 def _junction_sweep(
@@ -248,33 +264,63 @@ def _junction_sweep(
     t: np.ndarray,
     r: np.ndarray,
     l: np.ndarray,
+    parts: list[CoefficientSequence],
+    fits: Iterator[list[tuple[np.ndarray, np.ndarray, np.ndarray]]],
 ) -> dict[str, float]:
-    """junction_residual_sweep over the grid of ctx, given the whole T, R, L."""
-    _require_reach(seq, frag.breakpoints)
-    zs = ctx.zs
-    points = frag.breakpoints
-    # the recursions of the 2k fragments' tail fits, in one sweep; each
-    # fragment is fitted where the loop below reads it
-    splits = [fragment(seq, Fragmentation((n1,))) for n1 in points]
-    fits = _amplitude_blocks(seq, [part for parts in splits for part in parts], ctx, (False, True))
-    union = IndexWindow(points[0] - 2, points[-1] + 2)
-    lo_all, hi_all = solution_range(seq, union)
-    # keep only what the junctions read: sites n1 - 1, n1, n1 + 1 of each
-    columns = [n1 - 1 - lo_all + d for n1 in points for d in range(3)]
-    fl_near, fr_near = [
-        _recurse(seq, seq.window, lo_all, hi_all, ctx, side, (False,)).T[:, columns]
-        for side in ("left", "right")
-    ]
-    # upper factor times its closed inverse: top right, bottom right
-    triangular = float(np.max(np.abs((r / t) * t - r)))
-    lower_right = float(np.max(np.abs((1.0 / t) * t - 1.0)))
-    sites = np.arange(lo_all, hi_all + 1)
-    up = ctx.power_table(sites)
-    down = ctx.power_table(-sites)
+    """junction_residual_sweep over the grid of ctx, given the whole T, R, L.
 
-    def wave(cols, to_up, to_down):
+    parts is _junction_parts(seq, frag), and fits yields their amplitude
+    blocks at z and 1/z in that order, fitted where the loop reads them.
+    The caller checks the breakpoints' reach.
+    """
+    zs = ctx.zs
+    m = zs.size
+    points = frag.breakpoints
+    n_min, n_max = seq.window.n_min, seq.window.n_max
+    lo_all, hi_all = solution_range(seq, IndexWindow(points[0] - 2, points[-1] + 2))
+    # per junction: its range, and the sites from which the right
+    # fragment's left solution recurses down and the left fragment's right
+    # one recurses up, past any step departing from seq on the kept side;
+    # fragment() keeps seq's window, so the seeds agree
+    ranges = []
+    for n1, left_part, right_part in zip(points, parts[::2], parts[1::2]):
+        lo, hi = solution_range(seq, IndexWindow(n1 - 2, n1 + 2))
+        down = max([min(n1, n_max), *_changed_steps(seq, right_part, lo + 1, n_max)])
+        up = min([max(n1, n_min - 1), *_changed_steps(seq, left_part, n_min - 1, hi - 1)])
+        ranges.append((lo, hi, down, up))
+    kept = {n1 + d for n1 in points for d in (-1, 0, 1)}
+    sites = sorted(kept.union(*({down, down + 1, up - 1, up} for _, _, down, up in ranges)))
+    where = {n: i for i, n in enumerate(sites)}
+
+    def whole(side, modes):
+        # the left solution is read no lower than sites[0], the right one
+        # no higher than sites[-1]; the rest of the rows go on return
+        lo, hi = (sites[0], hi_all) if side == "left" else (lo_all, sites[-1])
+        return _recurse(seq, seq.window, lo, hi, ctx, side, modes)[np.array(sites) - lo]
+
+    def carry(part, side, lo, hi, modes, start):
+        return _recurse(part, part.window, lo, hi, ctx, side, modes, start=start)
+
+    fl_pair, fr_pair = whole("left", _PAIRED), whole("right", _PAIRED)
+    # the whole's solutions are read as their one-mode runs, a fragment's
+    # as the plain block of its paired run.  These differ on one grid
+    # point, where numpy multiplies a one-element row in place by a route
+    # of its own: there the whole recurses alone once more, and each
+    # fragment's free side carries its companion along.
+    if m > 1:
+        fl_near, fr_near, alone = fl_pair[:, :m], fr_pair[:, :m], (False,)
+    else:
+        fl_near, fr_near, alone = whole("left", (False,)), whole("right", (False,)), _PAIRED
+    width = len(alone) * m
+    # upper factor times its closed inverse: top right, bottom right
+    triangular = _gap((r / t) * t - r)
+    lower_right = _gap((1.0 / t) * t - 1.0)
+    sites_all = np.arange(lo_all, hi_all + 1)
+    up_table, down_table = ctx.power_table(sites_all), ctx.power_table(-sites_all)
+
+    def wave(rows, to_up, to_down):
         # to_up z^n + to_down z^{-n} on a slice of the power tables
-        return to_up[:, None] * up[:, cols] + to_down[:, None] * down[:, cols]
+        return to_up * up_table[rows] + to_down * down_table[rows]
 
     def fit(m00, m01, m10, m11, r0, r1):
         det = m00 * m11 - m01 * m10
@@ -286,70 +332,50 @@ def _junction_sweep(
             )
         return (r0 * m11 - m01 * r1) / det, (m00 * r1 - r0 * m10) / det
 
-    def paired(part, side, cover):
-        # a solution and its companion at 1/z from one stacked recursion
-        lo, hi = solution_range(part, cover)
-        rows = _recurse(part, part.window, lo, hi, ctx, side, (False, True)).T
-        return rows[: zs.size], rows[zs.size :], lo
-
     found: dict[str, list[float]] = {
         key: [] for key in ("right_junction", "left_junction", "plane_waves", "factor_algebra")
     }
-    for j, (n1, parts) in enumerate(zip(points, splits)):
-        cover = IndexWindow(n1 - 2, n1 + 2)
-        # the companions are read only at the junction: keep those three
-        # columns and the plain solutions, and let the stacked buffers go
-        fl2, gl2, lo = paired(parts[1], "left", cover)
-        junction = slice(n1 - 1 - lo, n1 + 2 - lo)
-        fl2, gl2 = fl2.copy(), gl2[:, junction].copy()
-        fr1, gr1, _ = paired(parts[0], "right", cover)
-        fr1, gr1 = fr1.copy(), gr1[:, junction].copy()
+    for j, (n1, (lo, hi, down, up)) in enumerate(zip(points, ranges)):
+        left_part, right_part = parts[2 * j], parts[2 * j + 1]
+        # the right fragment's left solution on lo..n1 + 1: a paired run
+        # from the whole's rows at down reaches the companion's rows at n1
+        # and n1 + 1 (no step when down = n1), a run alone the free side
+        s = min(n1, down)
+        start = (down, fl_pair[[where[down], where[down + 1]]])
+        junction = carry(right_part, "left", s, max(n1, down) + 1, _PAIRED, start)
+        gl2 = junction[n1 - s : n1 - s + 2, m:]
+        fl2 = carry(right_part, "left", lo, n1 + 1, alone, (s, junction[:2, :width]))[:, :m]
+        # the left fragment's right solution on n1 - 1..hi, likewise from
+        # up: its companion needs the step to n1 + 1
+        s = min(n1, up) - 1
+        start = (up, fr_pair[[where[up - 1], where[up]]])
+        junction = carry(left_part, "right", s, max(n1 + 1, up), _PAIRED, start)
+        gr1 = junction[n1 - 1 - s : n1 + 2 - s, m:]
+        first = max(n1, up)
+        start = (first, junction[first - 1 - s : first + 1 - s, :width])
+        fr1 = carry(left_part, "right", n1 - 1, hi, alone, start)[:, :m]
         # keep only the coefficients the checks read, not the amplitudes
         (t1, r1, _), (t1c, r1c, _) = [_coefficients(*block) for block in next(fits)]
         (t2, _, l2), (t2c, _, l2c) = [_coefficients(*block) for block in next(fits)]
         ratio = seq.limits.a_inf / coefficient_at(seq, n1 + 1)[0]
+        # fl and fr, the whole's, and fr1 and gr1 start at n1 - 1, fl2 at
+        # lo, and gl2 holds n1 and n1 + 1
+        fl, fr = (near[[where[n1 - 1], where[n1], where[n1 + 1]]] for near in (fl_near, fr_near))
+        f0, f1 = fl2[n1 - lo], fl2[n1 + 1 - lo]
 
-        fl = fl_near[:, 3 * j : 3 * j + 3]
-        fr = fr_near[:, 3 * j : 3 * j + 3]
-
-        def col(values, n):
-            return values[:, n - lo]
-
-        def near(values, n):
-            # values kept on the three sites n1 - 1, n1, n1 + 1
-            return values[:, n - n1 + 1]
-
-        refl_fit, trans_fit = fit(
-            col(fl2, n1), near(gl2, n1), col(fl2, n1 + 1), near(gl2, n1 + 1),
-            near(fr, n1), near(fr, n1 + 1),
-        )
+        refl_fit, trans_fit = fit(f0, gl2[0], f1, gl2[1], fr[1], fr[2])
         found["right_junction"].append(max(
-            float(np.max(np.abs(refl_fit - r / t))),
-            float(np.max(np.abs(trans_fit - 1.0 / t))),
-            float(np.max(np.abs(near(fl, n1) - col(fl2, n1)))),
-            float(np.max(np.abs(near(fl, n1 + 1) - col(fl2, n1 + 1)))),
+            _gap(refl_fit - r / t), _gap(trans_fit - 1.0 / t), _gap(fl[1] - f0), _gap(fl[2] - f1)
         ))
-        trans_fit, refl_fit = fit(
-            near(gr1, n1 - 1), col(fr1, n1 - 1), near(gr1, n1), col(fr1, n1),
-            near(fl, n1 - 1), near(fl, n1),
-        )
+        trans_fit, refl_fit = fit(gr1[0], fr1[0], gr1[1], fr1[1], fl[0], fl[1])
         found["left_junction"].append(max(
-            float(np.max(np.abs(trans_fit - 1.0 / t))),
-            float(np.max(np.abs(refl_fit - l / t))),
-            float(np.max(np.abs(near(fr, n1 + 1) - ratio * col(fr1, n1 + 1)))),
-            float(
-                np.max(
-                    np.abs(
-                        near(fl, n1 + 1)
-                        - ratio
-                        * ((1.0 / t) * near(gr1, n1 + 1) + (l / t) * col(fr1, n1 + 1))
-                    )
-                )
-            ),
+            _gap(trans_fit - 1.0 / t),
+            _gap(refl_fit - l / t),
+            _gap(fr[2] - ratio * fr1[2]),
+            _gap(fl[2] - ratio * ((1.0 / t) * gr1[2] + (l / t) * fr1[2])),
         ))
 
         # this junction's own solution range, as a slice of the power tables
-        hi = lo + fl2.shape[1] - 1
         left_sites = slice(lo - lo_all, n1 + 1 - lo_all)
         right_sites = slice(n1 - lo_all, hi + 1 - lo_all)
         # scalar-exponent powers take numpy's own fast paths, so they are
@@ -358,50 +384,37 @@ def _junction_sweep(
         z1, z1_inv = ctx.power(n1 + 1), ctx.power(-(n1 + 1))
         scaled_wave = ratio * ((1.0 / t2) * z1 + (l2 / t2) * z1_inv)
         found["plane_waves"].append(max(
-            float(np.max(np.abs(fl2[:, : n1 + 1 - lo] - wave(left_sites, 1.0 / t2, l2 / t2)))),
-            float(np.max(np.abs(col(fl2, n1 + 1) - scaled_wave))),
-            float(np.max(np.abs(fr1[:, n1 - lo :] - wave(right_sites, r1 / t1, 1.0 / t1)))),
+            _gap(fl2[: n1 + 1 - lo] - wave(left_sites, 1.0 / t2, l2 / t2)),
+            _gap(f1 - scaled_wave),
+            _gap(fr1[1:] - wave(right_sites, r1 / t1, 1.0 / t1)),
             # matrix forms on the junction site pair
-            float(np.max(np.abs(col(fl2, n1) - (z0 / t2 + z0_inv * l2 / t2)))),
-            float(np.max(np.abs(near(gl2, n1) - (z0 * l2c / t2c + z0_inv / t2c)))),
-            float(
-                np.max(np.abs(col(fl2, n1 + 1) - ratio * (z1 / t2 + z1_inv * l2 / t2)))
-            ),
-            float(
-                np.max(np.abs(near(gl2, n1 + 1) - ratio * (z1 * l2c / t2c + z1_inv / t2c)))
-            ),
-            float(np.max(np.abs(near(gr1, n1) - (z0 / t1c + z0_inv * r1c / t1c)))),
-            float(np.max(np.abs(col(fr1, n1) - (z0 * r1 / t1 + z0_inv / t1)))),
-            float(np.max(np.abs(near(gr1, n1 + 1) - (z1 / t1c + z1_inv * r1c / t1c)))),
-            float(np.max(np.abs(col(fr1, n1 + 1) - (z1 * r1 / t1 + z1_inv / t1)))),
+            _gap(f0 - (z0 / t2 + z0_inv * l2 / t2)),
+            _gap(gl2[0] - (z0 * l2c / t2c + z0_inv / t2c)),
+            _gap(f1 - ratio * (z1 / t2 + z1_inv * l2 / t2)),
+            _gap(gl2[1] - ratio * (z1 * l2c / t2c + z1_inv / t2c)),
+            _gap(gr1[1] - (z0 / t1c + z0_inv * r1c / t1c)),
+            _gap(fr1[1] - (z0 * r1 / t1 + z0_inv / t1)),
+            _gap(gr1[2] - (z1 / t1c + z1_inv * r1c / t1c)),
+            _gap(fr1[2] - (z1 * r1 / t1 + z1_inv / t1)),
         ))
         # free this junction's solutions before the next one allocates its own
-        del fl2, gl2, fr1, gr1
+        del junction, start, fl2, gl2, fr1, gr1, f0, f1
 
-        unit_det = np.abs(1.0 / (t1 * t1c) - (r1 * r1c) / (t1 * t1c) - 1.0)
+        unit_det = 1.0 / (t1 * t1c) - (r1 * r1c) / (t1 * t1c) - 1.0
         e00 = (1.0 / t1c) * (1.0 / t1) + (r1 / t1) * (-r1c / t1c)
         e01 = (1.0 / t1c) * (-r1 / t1) + (r1 / t1) * (1.0 / t1c)
         e10 = (r1c / t1c) * (1.0 / t1) + (1.0 / t1) * (-r1c / t1c)
         e11 = (r1c / t1c) * (-r1 / t1) + (1.0 / t1) * (1.0 / t1c)
-        exchange = np.max(
-            np.abs(np.stack([e00 - 1.0, e01, e10, e11 - 1.0])), axis=0
-        )
         p00 = (1.0 / t1) * (1.0 / t2) + (-r1 / t1) * (l2 / t2)
         p01 = (1.0 / t1) * (l2c / t2c) + (-r1 / t1) * (1.0 / t2c)
         p10 = (-r1c / t1c) * (1.0 / t2) + (1.0 / t1c) * (l2 / t2)
         p11 = (-r1c / t1c) * (l2c / t2c) + (1.0 / t1c) * (1.0 / t2c)
-        q00 = 1.0 / t
-        q01 = -r / t
-        q10 = l / t
-        q11 = t - l * r / t
-        rearranged = np.max(
-            np.abs(np.stack([p00 - q00, p01 - q01, p10 - q10, p11 - q11])), axis=0
-        )
         found["factor_algebra"].append(max(
             triangular,
             lower_right,
-            float(np.max(unit_det)),
-            float(np.max(exchange)),
-            float(np.max(rearranged)),
+            _gap(unit_det),
+            # the exchange of the upper factors, and the rearranged product
+            _gap(np.stack([e00 - 1.0, e01, e10, e11 - 1.0])),
+            _gap(np.stack([p00 - 1.0 / t, p01 - -r / t, p10 - l / t, p11 - (t - l * r / t)])),
         ))
     return {key: float(np.max(values)) for key, values in found.items()}

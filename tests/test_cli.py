@@ -305,6 +305,43 @@ def test_overflowing_window_reports_only_the_fault(tmp_path):
     assert re.fullmatch(r"numerical fault: tail fit is not finite at theta = \S+", lines[0])
 
 
+def test_overflowing_identities_with_breakpoints_reports_only_the_fault(tmp_path):
+    """identities on the overflowing window faults in the identity sweep's
+    tail fit, before its other rows read the overflowed solutions, so
+    stderr holds the fault line alone.  A breakpoint out of the junctions'
+    reach is bad input, reported before any recursion, so it exits 2."""
+    seq = overflowing_sequence()
+    path = write_input(tmp_path, {
+        "a_inf": 1.0, "b_inf": 0.0, "w_inf": 1.0,
+        "n_min": seq.window.n_min, "n_max": seq.window.n_max,
+        "a": seq.a_values.tolist(), "b": seq.b_values.tolist(), "w": seq.w_values.tolist(),
+    })
+    proc = run_cli("identities", "--input", path, "--grid", "16", "--breakpoints=5000")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "numerical fault: tail fit is not finite at theta = -3.14059\n"
+    proc = run_cli("identities", "--input", path, "--grid", "16", "--breakpoints=5000,20000")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "input error: breakpoint 20000 lies 10001 sites outside the window [0, 9999]; "
+        "junction checks admit at most 10000\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["scatter", "identities"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+def test_tolerance_that_is_not_positive_and_finite_exits_two(single_site_file, command, value):
+    """No residual passes a nan bar and every one passes inf; and a nan
+    would print as "tolerance": nan, which is not JSON."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
+        code = cli.main([command, "--input", single_site_file, f"--tol={value}"])
+    assert code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("input error: tolerance must be positive and finite")
+
+
 def test_tolerance_flag_can_force_failure(single_site_file):
     # honest residuals around 1e-10 fail a 1e-16 bar; exit code must say so
     proc = run_cli("identities", "--input", single_site_file, "--tol", "1e-16")

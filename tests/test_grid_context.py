@@ -85,8 +85,8 @@ def test_context_shares_but_never_mixes_its_values():
     ctx = _GridContext(zs)
     for k in (-101, -100, -2, -1, 0, 1, 2, 99, 100, 101):
         assert bits(ctx.power(k)) == bits(zs**k)
-        want = (zs[:, None] ** np.array([[k]]))[:, 0]
-        assert bits(ctx.power_table(np.array([k]))[:, 0]) == bits(want)
+        want = (zs[None, :] ** np.array([[k]]))[0]
+        assert bits(ctx.power_table(np.array([k]))[0]) == bits(want)
         assert ctx.power(k) is ctx.power(k)
     assert bits(ctx.det()) == bits(wave_pair_det(zs))
     for limits in (Limits(1.0, 0.0, 1.0), Limits(-0.8, 0.3, 1.2)):

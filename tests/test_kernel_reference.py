@@ -1,13 +1,16 @@
-"""The real-view kernel and the shared whole-sequence matrix are exact.
+"""The real-view kernel, the shared whole-sequence matrix and rows are exact.
 
 The recursion kernels, the stored recursion and the tail-fit sweep, run
 every real scaling on the float64 view of their complex rows and divide
 by a coupling as a multiply by its reciprocal.
 The identities report computes the whole sequence's transition matrix
 once and reads its determinant, factorization and junction rows from it.
-Both are pure reorganizations, so these tests hold them to the bit: the
-kernel against the plain complex-row recursion kept below, the report
-against separate calls to the public residual functions.
+The junction sweep recurses each fragment's free side only, from the
+whole sequence's rows.  All are pure reorganizations, so these tests
+hold them to the bit: the kernel against the plain complex-row
+recursion kept below, the report against separate calls to the public
+residual functions, and the junction rows against the per-fragment
+paired recursions kept below as reference_junction_sweep.
 """
 
 import contextlib
@@ -27,12 +30,23 @@ from jacobiscatter import (
     junction_residual_sweep,
 )
 from jacobiscatter import cli, jost, scattering, transition
+from jacobiscatter.errors import NumericalFault
 from jacobiscatter.jost import _fit_sweep, _recurse, solution_range
-from jacobiscatter.lattice import MAX_WINDOW_SITES, coefficient_arrays
+from jacobiscatter.lattice import (
+    MAX_WINDOW_SITES,
+    CoefficientSequence,
+    Limits,
+    coefficient_arrays,
+    coefficient_at,
+    effective_support,
+    fragment,
+)
+from jacobiscatter.scattering import _coefficients, _tail_fit
 from jacobiscatter.spectral import _GridContext
 from conftest import (
     default_grid,
     hand_fixtures,
+    make_sequence,
     mixed_sequence,
     overflowing_sequence,
     two_impurity_sequence,
@@ -191,9 +205,255 @@ def test_identities_rows_equal_the_separate_calls(tmp_path, random_fixtures):
         assert report(argv)["transition_determinant"] == expected["transition_determinant"]
 
 
-def test_far_breakpoints_raise_before_any_recursion(monkeypatch):
+def reference_blocks(seq, zs, modes):
+    """Tail-fit amplitudes of seq, one (1/T, R/T, L/T) per mode, on its
+    own reference recursions over its effective support."""
+    m = zs.size
+    support = effective_support(seq)
+    if support.free:
+        return [(np.ones_like(zs), np.zeros_like(zs), np.zeros_like(zs)) for _ in modes]
+    window = support.window
+    lo, hi = window.n_min - 2, window.n_max + 2
+    left, right = (
+        reference_recurse(seq, window, lo, hi, zs, side, modes, False)
+        for side in ("left", "right")
+    )
+    return [
+        _tail_fit(_GridContext(zs), left[:, j * m : (j + 1) * m], right[:, j * m : (j + 1) * m],
+                  lo, hi - 1, -1 if inverse else 1)
+        for j, inverse in enumerate(modes)
+    ]
+
+
+def reference_junction_sweep(seq, points, zs, t, r, l, splits):
+    """The junction sweep as it was first vectorized, given the whole T, R, L.
+
+    Each breakpoint's fragments, splits[j], recurse their solution pairs
+    over their whole range, each pair as one paired reference recursion;
+    the whole sequence's solutions recurse alone over the union range.
+    Every row is read grid-major, through transposes.
+    """
+    m = zs.size
+    lo_all, hi_all = solution_range(seq, IndexWindow(points[0] - 2, points[-1] + 2))
+    columns = [n1 - 1 - lo_all + d for n1 in points for d in range(3)]
+    fl_near, fr_near = [
+        reference_recurse(seq, seq.window, lo_all, hi_all, zs, side, (False,), True).T[:, columns]
+        for side in ("left", "right")
+    ]
+    triangular = float(np.max(np.abs((r / t) * t - r)))
+    lower_right = float(np.max(np.abs((1.0 / t) * t - 1.0)))
+    sites = np.arange(lo_all, hi_all + 1)
+    up, down = zs[:, None] ** sites[None, :], zs[:, None] ** -sites[None, :]
+
+    def gap(values):
+        return float(np.max(np.abs(values)))
+
+    def fit(m00, m01, m10, m11, r0, r1):
+        det = m00 * m11 - m01 * m10
+        dependent = np.abs(det) < 1e-300
+        if np.any(dependent):
+            theta = float(np.angle(zs[int(np.argmax(dependent))]))
+            raise NumericalFault(
+                f"junction solution pair is numerically dependent at theta = {theta:.6g}"
+            )
+        return (r0 * m11 - m01 * r1) / det, (m00 * r1 - r0 * m10) / det
+
+    def paired(part, side, cover):
+        lo, hi = solution_range(part, cover)
+        rows = reference_recurse(part, part.window, lo, hi, zs, side, (False, True), True).T
+        return rows[:m], rows[m:], lo
+
+    keys = ("right_junction", "left_junction", "plane_waves", "factor_algebra")
+    found = {key: [] for key in keys}
+    for j, (n1, parts) in enumerate(zip(points, splits)):
+        fl2, gl2, lo = paired(parts[1], "left", IndexWindow(n1 - 2, n1 + 2))
+        fr1, gr1, _ = paired(parts[0], "right", IndexWindow(n1 - 2, n1 + 2))
+        hi = lo + fl2.shape[1] - 1
+        (t1, r1, _), (t1c, r1c, _) = [
+            _coefficients(*block) for block in reference_blocks(parts[0], zs, (False, True))
+        ]
+        (t2, _, l2), (t2c, _, l2c) = [
+            _coefficients(*block) for block in reference_blocks(parts[1], zs, (False, True))
+        ]
+        ratio = seq.limits.a_inf / coefficient_at(seq, n1 + 1)[0]
+        fl, fr = fl_near[:, 3 * j : 3 * j + 3], fr_near[:, 3 * j : 3 * j + 3]
+
+        def col(values, n):
+            return values[:, n - lo]
+
+        def near(values, n):
+            return values[:, n - n1 + 1]
+
+        refl_fit, trans_fit = fit(
+            col(fl2, n1), col(gl2, n1), col(fl2, n1 + 1), col(gl2, n1 + 1),
+            near(fr, n1), near(fr, n1 + 1),
+        )
+        found["right_junction"].append(max(
+            gap(refl_fit - r / t), gap(trans_fit - 1.0 / t),
+            gap(near(fl, n1) - col(fl2, n1)), gap(near(fl, n1 + 1) - col(fl2, n1 + 1)),
+        ))
+        trans_fit, refl_fit = fit(
+            col(gr1, n1 - 1), col(fr1, n1 - 1), col(gr1, n1), col(fr1, n1),
+            near(fl, n1 - 1), near(fl, n1),
+        )
+        found["left_junction"].append(max(
+            gap(trans_fit - 1.0 / t),
+            gap(refl_fit - l / t),
+            gap(near(fr, n1 + 1) - ratio * col(fr1, n1 + 1)),
+            gap(near(fl, n1 + 1)
+                - ratio * ((1.0 / t) * col(gr1, n1 + 1) + (l / t) * col(fr1, n1 + 1))),
+        ))
+        left_sites = slice(lo - lo_all, n1 + 1 - lo_all)
+        right_sites = slice(n1 - lo_all, hi + 1 - lo_all)
+        z0, z0_inv, z1, z1_inv = zs**n1, zs**-n1, zs ** (n1 + 1), zs ** -(n1 + 1)
+        found["plane_waves"].append(max(
+            gap(fl2[:, : n1 + 1 - lo] - ((1.0 / t2)[:, None] * up[:, left_sites]
+                                        + (l2 / t2)[:, None] * down[:, left_sites])),
+            gap(col(fl2, n1 + 1) - ratio * ((1.0 / t2) * z1 + (l2 / t2) * z1_inv)),
+            gap(fr1[:, n1 - lo :] - ((r1 / t1)[:, None] * up[:, right_sites]
+                                     + (1.0 / t1)[:, None] * down[:, right_sites])),
+            gap(col(fl2, n1) - (z0 / t2 + z0_inv * l2 / t2)),
+            gap(col(gl2, n1) - (z0 * l2c / t2c + z0_inv / t2c)),
+            gap(col(fl2, n1 + 1) - ratio * (z1 / t2 + z1_inv * l2 / t2)),
+            gap(col(gl2, n1 + 1) - ratio * (z1 * l2c / t2c + z1_inv / t2c)),
+            gap(col(gr1, n1) - (z0 / t1c + z0_inv * r1c / t1c)),
+            gap(col(fr1, n1) - (z0 * r1 / t1 + z0_inv / t1)),
+            gap(col(gr1, n1 + 1) - (z1 / t1c + z1_inv * r1c / t1c)),
+            gap(col(fr1, n1 + 1) - (z1 * r1 / t1 + z1_inv / t1)),
+        ))
+        unit_det = np.abs(1.0 / (t1 * t1c) - (r1 * r1c) / (t1 * t1c) - 1.0)
+        exchange = np.max(np.abs(np.stack([
+            (1.0 / t1c) * (1.0 / t1) + (r1 / t1) * (-r1c / t1c) - 1.0,
+            (1.0 / t1c) * (-r1 / t1) + (r1 / t1) * (1.0 / t1c),
+            (r1c / t1c) * (1.0 / t1) + (1.0 / t1) * (-r1c / t1c),
+            (r1c / t1c) * (-r1 / t1) + (1.0 / t1) * (1.0 / t1c) - 1.0,
+        ])), axis=0)
+        rearranged = np.max(np.abs(np.stack([
+            (1.0 / t1) * (1.0 / t2) + (-r1 / t1) * (l2 / t2) - 1.0 / t,
+            (1.0 / t1) * (l2c / t2c) + (-r1 / t1) * (1.0 / t2c) - -r / t,
+            (-r1c / t1c) * (1.0 / t2) + (1.0 / t1c) * (l2 / t2) - l / t,
+            (-r1c / t1c) * (l2c / t2c) + (1.0 / t1c) * (1.0 / t2c) - (t - l * r / t),
+        ])), axis=0)
+        found["factor_algebra"].append(max(
+            triangular, lower_right, float(np.max(unit_det)),
+            float(np.max(exchange)), float(np.max(rearranged)),
+        ))
+    return {key: float(np.max(values)) for key, values in found.items()}
+
+
+def edge_limit_sequence():
+    """The first and last stored sites carry the limits, so the support is
+    narrower than the window."""
+    return make_sequence(-2, [1.0, 1.2, 0.9, 1.0], [0.0, 0.3, -0.2, 0.0], [1.0, 1.1, 1.0, 1.0])
+
+
+def negative_coupling_sequence():
+    return make_sequence(
+        0, [-1.0, -1.3, -0.8], [0.1, -0.2, 0.4], [1.0, 1.2, 0.9], Limits(-1.0, 0.2, 1.0)
+    )
+
+
+def junction_cases(seq):
+    n_min, n_max = seq.window.n_min, seq.window.n_max
+    edges = (n_min - 50, n_min - 1, n_min, n_max, n_max + 1, n_max + 50)
+    return [(n1,) for n1 in edges] + [tuple(sorted(set(edges)))]
+
+
+def write_sequence(path, seq):
+    lim = seq.limits
+    path.write_text(json.dumps({
+        "a_inf": lim.a_inf, "b_inf": lim.b_inf, "w_inf": lim.w_inf,
+        "n_min": seq.window.n_min, "n_max": seq.window.n_max,
+        "a": seq.a_values.tolist(), "b": seq.b_values.tolist(), "w": seq.w_values.tolist(),
+    }))
+
+
+@pytest.mark.filterwarnings("ignore::jacobiscatter.lattice.CouplingSignWarning")
+@pytest.mark.parametrize("count", [1, 2, 64])
+def test_junction_rows_equal_the_paired_fragment_recursions(tmp_path, random_fixtures, count):
+    """Fragments continued from the whole's rows give the rows of their own
+    recursions: the public sweep and the identities report alike, with
+    breakpoints on and around both window edges and 50 sites out.  On
+    one or two points, the delta puts a point where a one-column
+    recursion rounds otherwise than a paired one."""
+    path = tmp_path / "seq.json"
+    seqs = [
+        mixed_sequence(), edge_limit_sequence(), negative_coupling_sequence(), random_fixtures[0]
+    ]
+    assert effective_support(seqs[1]).window != seqs[1].window
+    delta = "0.261" if count < 64 else "0.001"
+    for seq in seqs:
+        write_sequence(path, seq)
+        config = cli.RunConfig(str(path), grid_count=count, exclusion_delta=float(delta))
+        zs = cli._grid_for(seq, config).zs
+        plain = _coefficients(*reference_blocks(seq, zs, (False,))[0])
+        paired = _coefficients(*reference_blocks(seq, zs, (False, True))[0])
+        for points in junction_cases(seq):
+            splits = [fragment(seq, Fragmentation((n1,))) for n1 in points]
+            want = reference_junction_sweep(seq, points, zs, *plain, splits)
+            assert junction_residual_sweep(seq, Fragmentation(points), zs) == want, points
+            rows = report(["identities", "--input", str(path), "--grid", str(count),
+                           "--delta", delta, "--breakpoints=" + ",".join(map(str, points))])
+            want = reference_junction_sweep(seq, points, zs, *paired, splits)
+            assert {key: rows[key] for key in want} == want, points
+
+
+def test_junction_rows_see_a_fragment_that_departs_from_the_whole(monkeypatch):
+    """A fragment damaged on the side it keeps starts from the whole's rows
+    only past the damage, so its rows stay its own and the junction rows
+    report the damage as the per-fragment recursions do."""
+    seq = mixed_sequence()
+    zs = default_grid(seq, count=16).zs
+
+    def damaged(seq, frag, side, site):
+        parts = fragment(seq, frag)
+        part = parts[side]
+        b = part.b_values.copy()
+        b[site - seq.window.n_min] += 0.5
+        parts[side] = CoefficientSequence(
+            part.limits, part.window, part.a_values, b, part.w_values
+        )
+        return parts
+
+    plain = _coefficients(*reference_blocks(seq, zs, (False,))[0])
+    # the right fragment damaged at the top of the window, the left one at
+    # its bottom: both far from the junction at 0, on the kept side
+    for side, site in ((1, seq.window.n_max), (0, seq.window.n_min)):
+        monkeypatch.setattr(transition, "fragment", lambda s, f: damaged(s, f, side, site))
+        got = junction_residual_sweep(seq, Fragmentation((0,)), zs)
+        want = reference_junction_sweep(
+            seq, (0,), zs, *plain, [damaged(seq, Fragmentation((0,)), side, site)]
+        )
+        assert got == want
+        assert max(got["right_junction"], got["left_junction"]) > 1e-3
+
+
+def test_far_breakpoints_raise_before_any_recursion(monkeypatch, tmp_path):
     seq = two_impurity_sequence()
     zs = default_grid(seq, count=8).zs
+    path = tmp_path / "seq.json"
+    write_sequence(path, seq)
+    argv = ["identities", "--input", str(path), "--grid", "8"]
+    # the fragments' free sides recurse from the whole's rows through
+    # transition._recurse, the entry refused below; and each call path
+    # checks the reach once
+    recurse, reach, seeded, checks = transition._recurse, transition._require_reach, [], []
+
+    def record(*args, **kwargs):
+        seeded.append(kwargs.get("start") is not None)
+        return recurse(*args, **kwargs)
+
+    def count(*args):
+        checks.append(args)
+        return reach(*args)
+
+    monkeypatch.setattr(transition, "_recurse", record)
+    for module in (transition, cli):
+        monkeypatch.setattr(module, "_require_reach", count)
+    junction_residual_sweep(seq, Fragmentation((0,)), zs)
+    assert any(seeded) and len(checks) == 1
+    assert report(argv + ["--breakpoints=0"])["right_junction"] >= 0.0
+    assert len(checks) == 2
 
     def refuse(*args, **kwargs):
         raise AssertionError("recursion started")
@@ -209,9 +469,15 @@ def test_far_breakpoints_raise_before_any_recursion(monkeypatch):
             junction_residual_sweep(seq, frag, zs)
         with pytest.raises(CoefficientError, match=f"breakpoint {n1} "):
             junction_residual_sweep(seq, frag, zs[:1])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert cli.main(argv + [f"--breakpoints={n1}"]) == 2
+        assert f"breakpoint {n1} lies" in err.getvalue()
     # a sweep over several breakpoints refuses if any one is too far
     with pytest.raises(CoefficientError):
         junction_residual_sweep(seq, Fragmentation((0, far[0])), zs)
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv + [f"--breakpoints=0,{far[0]}"]) == 2
     # the reach itself is still admitted
-    transition._require_reach(seq, (seq.window.n_max + MAX_WINDOW_SITES,))
-    transition._require_reach(seq, (seq.window.n_min - MAX_WINDOW_SITES,))
+    reach(seq, (seq.window.n_max + MAX_WINDOW_SITES,))
+    reach(seq, (seq.window.n_min - MAX_WINDOW_SITES,))

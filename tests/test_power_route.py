@@ -63,7 +63,7 @@ def test_seed_power_equals_array_exponent_power(name):
     ctx = _GridContext(zs)
     for k in EXPONENTS:
         want = zs ** np.full(zs.size, k)
-        assert bits(ctx.power_table(np.array([k]))[:, 0]) == bits(want), k
+        assert bits(ctx.power_table(np.array([k]))[0]) == bits(want), k
 
 
 TABLES = {
@@ -80,7 +80,7 @@ TABLES = {
 @pytest.mark.parametrize("table", sorted(TABLES))
 def test_power_table_equals_broadcast_power(name, table):
     zs, ks = GRIDS[name], TABLES[table]
-    assert bits(_GridContext(zs).power_table(ks)) == bits(zs[:, None] ** ks[None, :])
+    assert bits(_GridContext(zs).power_table(ks)) == bits(zs[None, :] ** ks[:, None])
 
 
 @pytest.mark.parametrize("name", sorted(GRIDS))
@@ -88,8 +88,8 @@ def test_small_exponent_table_is_numpy_broadcast_without_a_log(name):
     zs = GRIDS[name]
     ks = np.arange(-99, 100)
     ctx = _GridContext(zs)
-    assert bits(ctx.power_table(ks)) == bits(zs[:, None] ** ks[None, :])
-    assert ctx.power_table(ks[:0]).shape == (zs.size, 0)
+    assert bits(ctx.power_table(ks)) == bits(zs[None, :] ** ks[:, None])
+    assert ctx.power_table(ks[:0]).shape == (0, zs.size)
     # the log is paid for only when some exponent needs it
     assert ctx._log is None
     ctx.power_table(np.array([100]))
