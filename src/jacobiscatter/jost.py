@@ -44,6 +44,16 @@ multiplying each part by the real, or by 1.0 / a, rounds the same way.
 The two routes differ only in the sign of a zero and in a part of an
 entry that is already inf or NaN: finite entries are identical and the
 same entries are non-finite.
+
+A step's real scalars are ufunc operands.  Given a Python float, numpy
+works out its type and converts it to an array on every call; given a
+float64 0-d array, it skips both, and a 1,024-float multiply takes about
+a quarter less time.  The bits are the same: a Python float is the same
+double, the call selects the same float64 loop, and w / w_inf and
+1.0 / a round alike in numpy and in Python.  So _fit_sweep, which makes
+eight such calls per step, computes its scalars a block of steps at a
+time and copies each step's row into one buffer whose 0-d views are the
+operands.
 """
 
 from __future__ import annotations
@@ -58,6 +68,10 @@ from .lattice import CoefficientSequence, IndexWindow, coefficient_arrays, coeff
 # require_admissible stays a module attribute: the benchmark's smoke
 # test wraps this copy
 from .spectral import _GridContext, require_admissible  # noqa: F401
+
+# steps per operand table of _fit_sweep: one table per block of steps,
+# so its size does not grow with the window
+_TABLE_STEPS = 1024
 
 
 class SolutionKind(Enum):
@@ -163,6 +177,11 @@ def _recurse(
     taken as a multiply by 1.0 / a[k], run on the rows' float64 view,
     which gives the same bits for every finite entry (see the module
     docstring) in less time per step.  _fit_sweep takes the same steps.
+
+    Its scalars stay Python floats.  Its runs are short where its calls
+    are many: on the benchmark's windows of 1 to 40 sites the median run
+    takes 5 steps and a third take at most one, and there the operand
+    table of _fit_sweep costs more to build than its 0-d operands save.
     """
     zs = ctx.zs
     m = zs.size
@@ -266,6 +285,15 @@ def _fit_sweep(
     numpy multiplies a one-element complex row in place by a scalar
     route that rounds differently from its array loop, so with one
     column per slot each slot takes its complex product on its own.
+
+    The eight real scalars of a step come from its row of an operand
+    table, built for a block of at most _TABLE_STEPS steps whose edges
+    are cuts.  For step t, with k its left site top - t and t standing
+    for its right site base + t, they are w(k) / w_inf, w(t) / w_inf,
+    a(k + 1), b(t), b(k), a(t), 1 / a(k) and 1 / a(t + 1).  The step
+    copies its row into one buffer, and the buffer's 0-d views are the
+    operands, which is faster than passing Python floats and gives the
+    same bits (see the module docstring).
     """
     lim = seq.limits
     if any(job.limits != lim for job, _ in jobs):
@@ -275,11 +303,11 @@ def _fit_sweep(
     width = blocks * m
     w_inf = lim.w_inf
     # left step t runs at site top - t and right step t at base + t; site
-    # n is entry n - base of seq's coefficient lists
+    # n is entry n - base + 1 of seq's coefficient arrays
     base = min(window.n_min for _, window in jobs) - 1
     top = max(window.n_max for _, window in jobs)
     span = top - base
-    a, b, w = (values.tolist() for values in coefficient_arrays(seq, base, top + 2))
+    a, b, w = coefficient_arrays(seq, base - 1, top + 2)
 
     # per step: jobs joining before it, redone and finished after it;
     # side 0 is left, 1 is right
@@ -346,9 +374,26 @@ def _fit_sweep(
         subtract(out, part, out=out)
         multiply(out, inverse, out=out)
 
+    def operands(t0, t1):
+        # row t - t0 holds the scalars of step t, the left side's from entry
+        # span - t + 1, so read backwards, and the right side's from t + 1
+        left, right = slice(span - t1 + 2, span - t0 + 2), slice(t0 + 1, t1 + 1)
+        left_next, right_next = (slice(s.start + 1, s.stop + 1) for s in (left, right))
+        return np.array((
+            w[left][::-1] / w_inf, w[right] / w_inf, a[left_next][::-1], b[right],
+            b[left][::-1], a[right], 1.0 / a[left][::-1], 1.0 / a[right_next],
+        )).T
+
+    # each step copies its table row into one buffer, whose 0-d views are
+    # the operands of its ufunc calls
+    buffer = np.empty(8)
+    scale_left, scale_right, a_next_left, b_right, b_left, a_right, inv_left, inv_right = (
+        buffer[i, ...] for i in range(8)
+    )
     active: tuple[list[int], list[int]] = ([], [])
     found: list[list] = [[None, None] for _ in jobs]
-    cuts = sorted({*joins, *(t + 1 for t in (*redos, *ends)), span + 2} - {0})
+    boundaries = range(_TABLE_STEPS, span + 2, _TABLE_STEPS)
+    cuts = sorted({*joins, *(t + 1 for t in (*redos, *ends)), *boundaries, span + 2} - {0})
     start, shape = 0, None
     with np.errstate(all="ignore"):
         for cut in cuts:
@@ -370,26 +415,30 @@ def _fit_sweep(
                 product = list(rows[:, lo_col:hi_col])
                 if width == 1:
                     singles = [list(rows[:, i : i + 1]) for i in range(lo_col, hi_col)]
+            if start % _TABLE_STEPS == 0:
+                # a block's edges are cuts, so its first step starts a segment
+                table = operands(start, min(start + _TABLE_STEPS, span + 2))
             # a half without recursions scales empty rows: the last step,
-            # right side only, reads left coefficients (k = -1) it never uses
+            # right side only, reads left coefficients (site base - 1) it
+            # never uses
             for t in range(start, cut):
                 dst, src, prev = phases[t % 3]
-                k = span - t
-                multiply(drive_left, w[k] / w_inf, out=left[dst])
-                multiply(drive_right, w[t] / w_inf, out=right[dst])
+                buffer[...] = table[t % _TABLE_STEPS]
+                multiply(drive_left, scale_left, out=left[dst])
+                multiply(drive_right, scale_right, out=right[dst])
                 if width == 1:
                     for one in singles:
                         multiply(one[dst], one[src], out=one[dst])
                 else:
                     multiply(product[dst], product[src], out=product[dst])
-                multiply(left[prev], a[k + 1], out=part_left)
-                multiply(right[src], b[t], out=part_right)
+                multiply(left[prev], a_next_left, out=part_left)
+                multiply(right[src], b_right, out=part_right)
                 subtract(both[dst], part_both, out=both[dst])
-                multiply(left[src], b[k], out=part_left)
-                multiply(right[prev], a[t], out=part_right)
+                multiply(left[src], b_left, out=part_left)
+                multiply(right[prev], a_right, out=part_right)
                 subtract(both[dst], part_both, out=both[dst])
-                multiply(left[dst], 1.0 / a[k], out=left[dst])
-                multiply(right[dst], 1.0 / a[t + 1], out=right[dst])
+                multiply(left[dst], inv_left, out=left[dst])
+                multiply(right[dst], inv_right, out=right[dst])
             t = cut - 1
             for side, j, coefficients in redos.get(t, ()):
                 restep(side, active[side].index(j), t, coefficients)

@@ -31,7 +31,7 @@ from jacobiscatter import (
 )
 from jacobiscatter import cli, jost, scattering, transition
 from jacobiscatter.errors import NumericalFault
-from jacobiscatter.jost import _fit_sweep, _recurse, solution_range
+from jacobiscatter.jost import _TABLE_STEPS, _fit_sweep, _recurse, solution_range
 from jacobiscatter.lattice import (
     MAX_WINDOW_SITES,
     CoefficientSequence,
@@ -161,6 +161,64 @@ def test_real_view_kernel_keeps_the_non_finite_entries():
         finite = np.isfinite(want)
         assert np.array_equal(np.isfinite(got), finite)
         assert got[finite].tobytes() == want[finite].tobytes()
+
+
+def block_edge_jobs():
+    """A sequence two operand tables of _fit_sweep long, and its fragments
+    at breakpoints that start or finish a recursion on each side of each
+    table's edge.
+
+    Neither 1 / a_inf = 1 / 0.7 nor w(n) / w_inf = 1/3 is exact, and the
+    deviations cycle through -0.0 and subnormal b and negative couplings.  With the window from 0 and base = -1, the right side's
+    step t is at site t - 1 and the left side's at site 2N + 100 - t, N
+    being the table's steps, so a table edge t = N or 2N falls at sites
+    N - 1 and N + 100, or 2N - 1 and 100.
+    """
+    n = _TABLE_STEPS
+    top = 2 * n + 100
+    points = (100, 101, n - 3, n - 1, n + 100, n + 101, 2 * n - 3, 2 * n - 1)
+    sites = sorted({0, top, *points, *(p + 1 for p in points)})
+    a, b, w = np.full(top + 1, 0.7), np.zeros(top + 1), np.full(top + 1, 3.0)
+    b_odd = (-0.0, 5e-324, 0.3, -2.2250738585072014e-309, 1e-310, -0.25)
+    for j, site in enumerate(sites):
+        a[site] = (-0.7, 1.1, 0.7, -0.9)[j % 4]
+        b[site] = b_odd[j % 6]
+        w[site] = (1.0, 4.5, 3.0)[j % 3]
+    seq = make_sequence(0, a, b, w, Limits(0.7, 0.0, 3.0))
+    jobs = [(seq, seq.window)]
+    for point in points:
+        for part in fragment(seq, Fragmentation((point,))):
+            jobs.append((part, effective_support(part).window))
+    return seq, jobs
+
+
+@pytest.mark.filterwarnings("ignore::jacobiscatter.lattice.CouplingSignWarning")
+@pytest.mark.parametrize("count, modes", [(1, (False,)), (8, (False, True))])
+def test_fit_sweep_across_operand_table_edges_equals_complex_rows(count, modes):
+    """Every job's rows equal its own plain recursion to the bit, where
+    jobs join and finish at the last step of one operand table and the
+    first of the next, and some run across the edge; and where the whole
+    sequence runs alone, so that only the table's edges cut the sweep."""
+    seq, jobs = block_edge_jobs()
+    n, top = _TABLE_STEPS, seq.window.n_max
+    spans = {
+        "right": [(window.n_min, window.n_max + 2) for _, window in jobs],
+        "left": [(top - window.n_max, top + 1 - window.n_min) for _, window in jobs],
+    }
+    for edge in (n, 2 * n):
+        for side in spans.values():
+            assert edge in {first for first, _ in side}
+            assert edge - 1 in {last for _, last in side}
+            assert any(first < edge - 1 and last > edge for first, last in side)
+    zs = default_grid(seq, count=count).zs
+    ctx = _GridContext(zs)
+    rows = _fit_sweep(seq, jobs, ctx, modes) + _fit_sweep(seq, jobs[:1], ctx, modes)
+    for (part, window), sides in zip(jobs + jobs[:1], rows):
+        lo, hi = window.n_min - 2, window.n_max + 2
+        for got, side in zip(sides, ("left", "right")):
+            want = reference_recurse(part, window, lo, hi, zs, side, modes, False)
+            assert np.all(np.isfinite(want))
+            assert got.tobytes() == want.tobytes()
 
 
 def report(argv):

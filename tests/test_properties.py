@@ -1,8 +1,12 @@
 """Property-based checks over randomly drawn small systems.
 
 Supports are kept short (at most eight sites) so solution growth stays
-mild and the bounds hold with room to spare for any draw; the wide-window
-behavior is covered by the seeded acceptance family instead.
+mild, and most draws meet the absolute bounds with room to spare.  Not
+every draw does: next to z = 1 the transition matrix's entries can reach
+a few hundred, and the determinant's absolute gap is then the rounding
+of terms near 2e5.  One such draw, which Hypothesis found once, is
+pinned below on the gap scaled to those terms.  The wide-window behavior
+is covered by the seeded acceptance family instead.
 """
 
 import cmath
@@ -26,6 +30,7 @@ from jacobiscatter import (
     jost_right,
     sample_circle,
     scattering_values,
+    transition_entries,
     wave_pair_det,
     wronskian_constancy_check,
 )
@@ -90,6 +95,24 @@ def test_scattering_is_unitary(seq, z):
 def test_transition_determinant_is_one(seq, z):
     res = determinant_residuals(seq, np.array([z]))
     assert float(res[0]) <= 1e-10
+
+
+def test_recorded_determinant_draw_is_rounding_of_its_terms():
+    """A draw of sequences() whose absolute gap, 1.21e-10, fails the bound
+    of test_transition_determinant_is_one.  Its entries are about 440, so
+    the determinant's terms are about 2e5; scaled to |L00 L11| + |L01 L10|
+    the gap is 3.1e-16, a rounding error."""
+    seq = CoefficientSequence(
+        Limits(1.0, 0.5, 1.0),
+        IndexWindow(0, 5),
+        [1.0, 1.0, 1.0, 0.55, 0.55, 1.0],
+        [0.5] * 6,
+        [1.0, 1.45, 1.0, 1.0, 1.0, 1.45],
+    )
+    lam = transition_entries(seq, np.array([0.9980475107000991 + 0.0624593178423802j]))[0]
+    det = lam[0, 0] * lam[1, 1] - lam[0, 1] * lam[1, 0]
+    scale = abs(lam[0, 0] * lam[1, 1]) + abs(lam[0, 1] * lam[1, 0])
+    assert abs(det - 1.0) / scale <= 1e-14
 
 
 @settings(max_examples=30, **COMMON)
