@@ -19,11 +19,11 @@ the window on each side, so that downstream tail fits read only sites
 where the tail form is exact; the junction checks widen the range
 through solution_range, at one recursion step per extra site and grid
 point.  That kernel, _recurse, stores solutions site-major, one
-contiguous row of grid points per site, and updates each row in place,
-with no temporaries per step.  A solution and its companion at 1/z share
-coefficients and drive, so callers that need both stack them as column
-blocks of one recursion; every block equals its own single run to the
-bit.
+contiguous row of grid points per site, and writes each row through one
+scratch row, with no temporaries per step.  A solution and its companion
+at 1/z share coefficients and drive, so callers that need both stack
+them as column blocks of one recursion; every block equals its own
+single run to the bit.
 
 The tail fits need neither the window nor the stored values: sites
 outside the effective support carry the limits just as well, so each
@@ -34,10 +34,18 @@ so _fit_sweep takes the recursions of all of them, left and right, as
 one sweep whose steps share seq's coefficients and most of their numpy
 calls; every job's rows equal those of its own recursion to the bit.
 
-Each recursion step makes one complex product, the drive times the
-current row.  Every other operation scales a row by a real coefficient
-or subtracts two rows; it runs on the float64 view of the same rows,
-twice as wide, and gives the same bits.  numpy multiplies a complex by a
+Each recursion step makes one complex product, the scaled drive times
+the current row.  It runs out of place, from the scratch row into the
+destination row.  numpy multiplies a one-element complex array in place
+by a scalar route of its own, which differs from its array loop in the
+last bit on about 45% of random products; a product out of place, or of
+two or more elements, takes the array loop.  So out of place a grid
+point's bits do not depend on its grid: a one-point grid gives the bits
+of that point's entry in any wider grid.
+
+Every other operation of a step scales a row by a real coefficient or
+subtracts two rows; it runs on the float64 view of the same rows, twice
+as wide, and gives the same bits.  numpy multiplies a complex by a
 real scalar as (re c - im 0, im c + re 0), and its complex division by a
 real a, whose imaginary part is zero, scales both parts by 1/a, so
 multiplying each part by the real, or by 1.0 / a, rounds the same way.
@@ -168,12 +176,14 @@ def _recurse(
     and the seeded tail are not computed, so [lo, hi] reaches past pair
     only into that tail.
 
-    Each step writes in place into its destination row, through one
-    scratch row, with the operations and order of the plain expression
+    Each step writes its destination row through one scratch row, with
+    the operations and order of the plain expression
     ((w[k] / w_inf) * s * v - a[k + 1] * next - b[k] * v) / a[k] on the
     left side (b[k] * v before a[k] * prev, over a[k + 1], on the right),
-    so it rounds exactly as that expression does.  Only the product with
-    v is complex; the real scalings, the subtractions and the division,
+    so it rounds exactly as that expression does.  The scaled drive goes
+    into the scratch row, and the product with v, the only complex one,
+    runs out of place from there, so that a one-element row takes numpy's
+    array loop too.  The real scalings, the subtractions and the division,
     taken as a multiply by 1.0 / a[k], run on the rows' float64 view,
     which gives the same bits for every finite entry (see the module
     docstring) in less time per step.  _fit_sweep takes the same steps.
@@ -209,7 +219,9 @@ def _recurse(
     row = list(rows)
     real = list(rows.view(float))
     drive = ctx.drive(lim, len(modes)).view(float)
-    scratch = np.empty_like(drive)
+    # the scaled drive, then each subtrahend; complex as the product's operand
+    scaled = np.empty(rows.shape[1], dtype=complex)
+    scratch = scaled.view(float)
     # an overflowing window is reported by the tail fit's finite guard,
     # not by numpy warnings from inside the loop.  The loop only multiplies
     # and subtracts, so "all" silences just overflow and invalid values; it
@@ -219,8 +231,8 @@ def _recurse(
         if side == "left":
             for k in range(first - lo, 0, -1):
                 out = real[k - 1]
-                np.multiply(drive, w[k] / w_inf, out=out)
-                np.multiply(row[k - 1], row[k], out=row[k - 1])
+                np.multiply(drive, w[k] / w_inf, out=scratch)
+                np.multiply(scaled, row[k], out=row[k - 1])
                 np.multiply(real[k + 1], a[k + 1], out=scratch)
                 np.subtract(out, scratch, out=out)
                 np.multiply(real[k], b[k], out=scratch)
@@ -229,8 +241,8 @@ def _recurse(
         else:
             for k in range(first - lo, hi - lo):
                 out = real[k + 1]
-                np.multiply(drive, w[k] / w_inf, out=out)
-                np.multiply(row[k + 1], row[k], out=row[k + 1])
+                np.multiply(drive, w[k] / w_inf, out=scratch)
+                np.multiply(scaled, row[k], out=row[k + 1])
                 np.multiply(real[k], b[k], out=scratch)
                 np.subtract(out, scratch, out=out)
                 np.multiply(real[k - 1], a[k], out=scratch)
@@ -282,10 +294,6 @@ def _fit_sweep(
     copied out and the outermost busy job of its side moves into its
     slot.
 
-    numpy multiplies a one-element complex row in place by a scalar
-    route that rounds differently from its array loop, so with one
-    column per slot each slot takes its complex product on its own.
-
     The eight real scalars of a step come from its row of an operand
     table, built for a block of at most _TABLE_STEPS steps whose edges
     are cuts.  For step t, with k its left site top - t and t standing
@@ -336,7 +344,9 @@ def _fit_sweep(
     mid = size[0] * width
     rows = np.empty((3, (size[0] + size[1]) * width), dtype=complex)
     real = rows.view(float)
-    scratch = np.empty(real.shape[1])
+    # the scaled drive, then each subtrahend; complex as the product's operand
+    scaled = np.empty(rows.shape[1], dtype=complex)
+    scratch = scaled.view(float)
     # a half, or a slot redone alone, scales a prefix of the tiled drive
     drive = ctx.drive(lim, max(size) * blocks).view(float)
     # job j's seeds, each a block of columns per mode: left at n_max and
@@ -362,10 +372,9 @@ def _fit_sweep(
         scale, first, second, inverse = coefficients
         dst, src, prev = phases[t % 3]
         c0, c1 = columns(side, slot)
-        target = rows[dst, c0:c1]
         out, part = real[dst, 2 * c0 : 2 * c1], scratch[2 * c0 : 2 * c1]
-        multiply(drive[: 2 * width], scale, out=out)
-        multiply(target, rows[src, c0:c1], out=target)
+        multiply(drive[: 2 * width], scale, out=part)
+        multiply(scaled[c0:c1], rows[src, c0:c1], out=rows[dst, c0:c1])
         # the left side subtracts the row past v first, the right side v
         near, far = (prev, src) if side == 0 else (src, prev)
         multiply(real[near, 2 * c0 : 2 * c1], first, out=part)
@@ -412,9 +421,7 @@ def _fit_sweep(
                 part_right = scratch[2 * mid : 2 * hi_col]
                 part_both = scratch[2 * lo_col : 2 * hi_col]
                 drive_left, drive_right = drive[: 2 * (mid - lo_col)], drive[: 2 * (hi_col - mid)]
-                product = list(rows[:, lo_col:hi_col])
-                if width == 1:
-                    singles = [list(rows[:, i : i + 1]) for i in range(lo_col, hi_col)]
+                product, scaled_both = list(rows[:, lo_col:hi_col]), scaled[lo_col:hi_col]
             if start % _TABLE_STEPS == 0:
                 # a block's edges are cuts, so its first step starts a segment
                 table = operands(start, min(start + _TABLE_STEPS, span + 2))
@@ -424,13 +431,9 @@ def _fit_sweep(
             for t in range(start, cut):
                 dst, src, prev = phases[t % 3]
                 buffer[...] = table[t % _TABLE_STEPS]
-                multiply(drive_left, scale_left, out=left[dst])
-                multiply(drive_right, scale_right, out=right[dst])
-                if width == 1:
-                    for one in singles:
-                        multiply(one[dst], one[src], out=one[dst])
-                else:
-                    multiply(product[dst], product[src], out=product[dst])
+                multiply(drive_left, scale_left, out=part_left)
+                multiply(drive_right, scale_right, out=part_right)
+                multiply(scaled_both, product[src], out=product[dst])
                 multiply(left[prev], a_next_left, out=part_left)
                 multiply(right[src], b_right, out=part_right)
                 subtract(both[dst], part_both, out=both[dst])

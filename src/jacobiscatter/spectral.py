@@ -36,7 +36,7 @@ class SpectralPoint:
     lam: float
 
     def __post_init__(self):
-        if abs(abs(self.z) - 1.0) > CIRCLE_TOL:
+        if not abs(abs(self.z) - 1.0) <= CIRCLE_TOL:
             raise SpectralDomainError(f"|z| = {abs(self.z)!r} is not on the unit circle")
 
     @property
@@ -91,8 +91,9 @@ class CircleGrid:
 
 
 def require_on_circle(zs: np.ndarray) -> None:
-    """Reject spectral parameters off the unit circle."""
-    off = np.abs(np.abs(zs) - 1.0) > CIRCLE_TOL
+    """Reject spectral parameters off the unit circle, and NaN ones."""
+    # negated, so that a NaN, which compares False, is off the circle
+    off = ~(np.abs(np.abs(zs) - 1.0) <= CIRCLE_TOL)
     if np.any(off):
         bad = np.atleast_1d(zs)[np.atleast_1d(off)][0]
         raise SpectralDomainError(f"z = {bad} is not on the unit circle")
@@ -279,7 +280,7 @@ def sample_circle(limits: Limits, count: int, exclusion_delta: float) -> CircleG
     """
     if count < 1:
         raise SpectralDomainError(f"grid needs at least one point, got {count}")
-    if exclusion_delta <= 0.0:
+    if not exclusion_delta > 0.0:
         raise SpectralDomainError("exclusion_delta must be positive")
     # chord delta corresponds to arc 2*asin(delta/2)
     theta_lo = 2.0 * math.asin(min(exclusion_delta, 2.0) / 2.0)

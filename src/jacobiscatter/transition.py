@@ -226,18 +226,18 @@ def junction_residual_sweep(
     factorization_residuals, where the same Fragmentation with k
     breakpoints means one product of k + 1 fragments.
 
-    The whole sequence's T, R, L are fitted once, and its solutions and
-    their companions recursed once per side, keeping only the rows at
-    n1 - 1 through n1 + 1 and where the fragments start.  The right
-    fragment's left solution is the whole's down to min(n1, n_max) and
-    is recursed below; the left fragment's right solution is the whole's
-    up to max(n1, n_min - 1) and is recursed above.  A fragment whose
+    The whole sequence's T, R, L are read off its transition entries, and
+    its solutions and their companions recursed once per side, keeping only
+    the rows at n1 - 1 through n1 + 1 and where the fragments start.  The
+    right fragment's left solution is the whole's down to min(n1, n_max) and
+    is recursed below; the left fragment's right solution is the whole's up
+    to max(n1, n_min - 1) and is recursed above.  A fragment whose
     coefficients depart from the whole's further out starts past the
-    outermost departure, so every row equals its own recursion to the
-    bit.  The companions are recursed only to the junction: one step,
-    to n1 + 1, on the right, none on the left.  The plane-wave check
-    reads each junction's whole range against power tables built once;
-    the tail fits of all the fragments recurse in one sweep.  Keys:
+    outermost departure, so every row equals its own recursion to the bit.
+    The companions are recursed only to the junction: one step, to n1 + 1,
+    on the right, none on the left.  The plane-wave check reads each
+    junction's whole range against power tables built once; the tail fits of
+    the whole and all the fragments recurse in one sweep.  Keys:
     right_junction, left_junction, plane_waves, factor_algebra.
 
     Raises CoefficientError, before any recursion, for a breakpoint more
@@ -247,10 +247,10 @@ def junction_residual_sweep(
     """
     _require_reach(seq, frag.breakpoints)
     ctx = _GridContext(zs)
-    (amplitudes,) = next(_amplitude_blocks(seq, [seq], ctx, (False,)))
     parts = _junction_parts(seq, frag)
-    fits = _amplitude_blocks(seq, parts, ctx, _PAIRED)
-    return _junction_sweep(seq, frag, ctx, *_coefficients(*amplitudes), parts, fits)
+    fits = _amplitude_blocks(seq, [seq, *parts], ctx, _PAIRED)
+    t, r, l = _entries_scattering(_entries(next(fits)))
+    return _junction_sweep(seq, frag, ctx, t, r, l, parts, fits)
 
 
 def _gap(values: np.ndarray) -> float:
@@ -292,26 +292,16 @@ def _junction_sweep(
     sites = sorted(kept.union(*({down, down + 1, up - 1, up} for _, _, down, up in ranges)))
     where = {n: i for i, n in enumerate(sites)}
 
-    def whole(side, modes):
+    def whole(side):
         # the left solution is read no lower than sites[0], the right one
         # no higher than sites[-1]; the rest of the rows go on return
         lo, hi = (sites[0], hi_all) if side == "left" else (lo_all, sites[-1])
-        return _recurse(seq, seq.window, lo, hi, ctx, side, modes)[np.array(sites) - lo]
+        return _recurse(seq, seq.window, lo, hi, ctx, side, _PAIRED)[np.array(sites) - lo]
 
     def carry(part, side, lo, hi, modes, start):
         return _recurse(part, part.window, lo, hi, ctx, side, modes, start=start)
 
-    fl_pair, fr_pair = whole("left", _PAIRED), whole("right", _PAIRED)
-    # the whole's solutions are read as their one-mode runs, a fragment's
-    # as the plain block of its paired run.  These differ on one grid
-    # point, where numpy multiplies a one-element row in place by a route
-    # of its own: there the whole recurses alone once more, and each
-    # fragment's free side carries its companion along.
-    if m > 1:
-        fl_near, fr_near, alone = fl_pair[:, :m], fr_pair[:, :m], (False,)
-    else:
-        fl_near, fr_near, alone = whole("left", (False,)), whole("right", (False,)), _PAIRED
-    width = len(alone) * m
+    fl_pair, fr_pair = whole("left"), whole("right")
     # upper factor times its closed inverse: top right, bottom right
     triangular = _gap((r / t) * t - r)
     lower_right = _gap((1.0 / t) * t - 1.0)
@@ -344,7 +334,7 @@ def _junction_sweep(
         start = (down, fl_pair[[where[down], where[down + 1]]])
         junction = carry(right_part, "left", s, max(n1, down) + 1, _PAIRED, start)
         gl2 = junction[n1 - s : n1 - s + 2, m:]
-        fl2 = carry(right_part, "left", lo, n1 + 1, alone, (s, junction[:2, :width]))[:, :m]
+        fl2 = carry(right_part, "left", lo, n1 + 1, (False,), (s, junction[:2, :m]))
         # the left fragment's right solution on n1 - 1..hi, likewise from
         # up: its companion needs the step to n1 + 1
         s = min(n1, up) - 1
@@ -352,15 +342,16 @@ def _junction_sweep(
         junction = carry(left_part, "right", s, max(n1 + 1, up), _PAIRED, start)
         gr1 = junction[n1 - 1 - s : n1 + 2 - s, m:]
         first = max(n1, up)
-        start = (first, junction[first - 1 - s : first + 1 - s, :width])
-        fr1 = carry(left_part, "right", n1 - 1, hi, alone, start)[:, :m]
+        start = (first, junction[first - 1 - s : first + 1 - s, :m])
+        fr1 = carry(left_part, "right", n1 - 1, hi, (False,), start)
         # keep only the coefficients the checks read, not the amplitudes
         (t1, r1, _), (t1c, r1c, _) = [_coefficients(*block) for block in next(fits)]
         (t2, _, l2), (t2c, _, l2c) = [_coefficients(*block) for block in next(fits)]
         ratio = seq.limits.a_inf / coefficient_at(seq, n1 + 1)[0]
         # fl and fr, the whole's, and fr1 and gr1 start at n1 - 1, fl2 at
         # lo, and gl2 holds n1 and n1 + 1
-        fl, fr = (near[[where[n1 - 1], where[n1], where[n1 + 1]]] for near in (fl_near, fr_near))
+        near = [where[n1 - 1], where[n1], where[n1 + 1]]
+        fl, fr = fl_pair[near, :m], fr_pair[near, :m]
         f0, f1 = fl2[n1 - lo], fl2[n1 + 1 - lo]
 
         refl_fit, trans_fit = fit(f0, gl2[0], f1, gl2[1], fr[1], fr[2])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from jacobiscatter import cli
-from conftest import overflowing_sequence
+from conftest import hand_fixtures, overflowing_sequence
 
 CSV_HEADER = "theta,lambda,re_T,im_T,re_R,im_R,re_L,im_L,unitarity"
 
@@ -110,6 +110,26 @@ def test_byte_determinism(single_site_file):
     third = run_cli("identities", "--input", single_site_file, "--grid", "64")
     fourth = run_cli("identities", "--input", single_site_file, "--grid", "64")
     assert third.stdout == fourth.stdout
+
+
+def test_one_point_grid_prints_the_row_of_a_wide_grid(tmp_path, random_fixtures):
+    """A grid starts at the same point for every count, and a point's bits
+    do not depend on its grid: --grid 1 prints the first row of --grid 512."""
+    for i, seq in enumerate(hand_fixtures() + random_fixtures[:20]):
+        lim = seq.limits
+        path = write_input(tmp_path, {
+            "a_inf": lim.a_inf, "b_inf": lim.b_inf, "w_inf": lim.w_inf,
+            "n_min": seq.window.n_min, "n_max": seq.window.n_max,
+            "a": seq.a_values.tolist(), "b": seq.b_values.tolist(), "w": seq.w_values.tolist(),
+        })
+        rows = []
+        for count in ("1", "512"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["scatter", "--input", path, "--grid", count, "--delta", "0.9"])
+            assert code == 0
+            rows.append(out.getvalue().splitlines()[1])
+        assert rows[0] == rows[1], i
 
 
 def test_identities_report_passes_at_defaults(single_site_file):

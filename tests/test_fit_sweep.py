@@ -122,9 +122,10 @@ def test_corrupted_padding_control_reaches_past_the_reference(random_fixtures):
 
 
 def test_one_point_grid_takes_each_slot_product_alone(random_fixtures):
-    """With one column per slot, each slot's complex product must run on
-    its own: numpy rounds a one-element in-place product differently from
-    its array loop, and the job's own recursion makes exactly that one."""
+    """With one column per slot, every slot's rows still equal its job's
+    own recursion: the sweep's complex product spans all busy slots and
+    the job's own spans one element, and both run out of place, where
+    numpy rounds a one-element product as its array loop does."""
     for seq in hand_fixtures() + random_fixtures[:6]:
         for z in default_grid(seq, count=8).zs.tolist():
             zs = np.array([z])

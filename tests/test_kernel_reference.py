@@ -79,8 +79,7 @@ def reference_recurse(seq, window, lo, hi, zs, side, modes, store):
     if side == "left":
         for k in range(n_max - lo, 0, -1):
             v, out = rows[k % count], rows[(k - 1) % count]
-            np.multiply(w[k] / lim.w_inf, s, out=out)
-            np.multiply(out, v, out=out)
+            np.multiply(np.multiply(w[k] / lim.w_inf, s), v, out=out)
             np.multiply(a[k + 1], rows[(k + 1) % count], out=scratch)
             np.subtract(out, scratch, out=out)
             np.multiply(b[k], v, out=scratch)
@@ -90,8 +89,7 @@ def reference_recurse(seq, window, lo, hi, zs, side, modes, store):
     else:
         for k in range(n_min - 1 - lo, hi - lo):
             v, out = rows[k % count], rows[(k + 1) % count]
-            np.multiply(w[k] / lim.w_inf, s, out=out)
-            np.multiply(out, v, out=out)
+            np.multiply(np.multiply(w[k] / lim.w_inf, s), v, out=out)
             np.multiply(b[k], v, out=scratch)
             np.subtract(out, scratch, out=out)
             np.multiply(a[k], rows[(k - 1) % count], out=scratch)
@@ -432,8 +430,8 @@ def test_junction_rows_equal_the_paired_fragment_recursions(tmp_path, random_fix
     """Fragments continued from the whole's rows give the rows of their own
     recursions: the public sweep and the identities report alike, with
     breakpoints on and around both window edges and 50 sites out.  On
-    one or two points, the delta puts a point where a one-column
-    recursion rounds otherwise than a paired one."""
+    one or two points, the delta puts a point where a one-element
+    product taken in place would round otherwise than a wider one."""
     path = tmp_path / "seq.json"
     seqs = [
         mixed_sequence(), edge_limit_sequence(), negative_coupling_sequence(), random_fixtures[0]

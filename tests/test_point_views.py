@@ -1,16 +1,17 @@
 """The one-point functions are views of the grid kernels, to the bit.
 
-extract_scattering, transition_for and factorization_check run the grid
-kernels on the one-point grid [z], so each must equal the matching grid
-function called on [z] bit for bit.
+extract_scattering, transition_for, factorization_check and jost_left
+run the grid kernels on the one-point grid [z].  Each must give the bits
+of the matching grid function called on [z], and the bits of z's column
+of a wider grid: a point's bits do not depend on the grid it sits in.
 
-The comparison is one point against one point, never against a column
-of a wider grid.  numpy (2.4) multiplies a one-element complex array in
-place by its scalar route, which differs from its array loop in the last
-bit on about a third of random products, and the recursion makes such a
-product at every step.  On the fixtures below, 95 of the 320 points of
-their 32-point grids give an extract_scattering that differs in the
-last bit from its column of the grid call.
+The column comparison guards the recursion's complex product, which
+each step takes out of place.  numpy (2.4) multiplies a one-element
+complex array in place by a scalar route that differs from its array
+loop in the last bit on about 45% of random products.  With that product
+in place, 93 of the 320 points of the fixtures' 32-point grids gave an
+extract_scattering (99 with at_inverse), and 72 a jost_left, that
+differed from their column of the grid call.
 """
 
 import numpy as np
@@ -20,6 +21,8 @@ from jacobiscatter import (
     extract_scattering,
     factorization_check,
     factorization_residuals,
+    jost_left,
+    jost_values,
     scattering_values,
     transition_entries,
     transition_for,
@@ -41,30 +44,46 @@ def fixtures():
     return cases
 
 
-def points(seq):
-    return [1j, *default_grid(seq, count=32).zs[1::4].tolist()]
+def grids(seq):
+    """One-point grids at 1j and at every fourth point of a 32-point grid,
+    then that whole grid: each of its points is checked as a column."""
+    zs = default_grid(seq, count=32).zs
+    return [np.array([z]) for z in [1j, *zs[1::4].tolist()]] + [zs]
 
 
 def test_extract_scattering_is_a_one_point_grid():
     for seq, _ in fixtures():
-        for z in points(seq):
+        for zs in grids(seq):
             for at_inverse in (False, True):
-                sd = extract_scattering(seq, z, at_inverse)
-                t, r, l = scattering_values(seq, [z], at_inverse)
-                assert bits(sd.T, sd.R, sd.L) == bits(t[0], r[0], l[0]), (z, at_inverse)
+                t, r, l = scattering_values(seq, zs, at_inverse)
+                for i, z in enumerate(zs.tolist()):
+                    sd = extract_scattering(seq, z, at_inverse)
+                    assert bits(sd.T, sd.R, sd.L) == bits(t[i], r[i], l[i]), (z, at_inverse)
 
 
 def test_transition_for_is_a_one_point_grid():
     for seq, _ in fixtures():
-        for z in points(seq):
-            entries = transition_for(seq, z).entries
-            assert entries.tobytes() == transition_entries(seq, [z])[0].tobytes(), z
+        for zs in grids(seq):
+            entries = transition_entries(seq, zs)
+            for i, z in enumerate(zs.tolist()):
+                assert transition_for(seq, z).entries.tobytes() == entries[i].tobytes(), z
 
 
 def test_factorization_check_is_a_one_point_grid():
     for seq, frag in fixtures():
-        for z in points(seq):
-            report = factorization_check(seq, frag, z)
-            residual = factorization_residuals(seq, frag, [z])[0]
-            assert bits(report.residual) == bits(residual), (z, frag)
-            assert report.fragment_count == len(frag.breakpoints) + 1
+        for zs in grids(seq):
+            residuals = factorization_residuals(seq, frag, zs)
+            for i, z in enumerate(zs.tolist()):
+                report = factorization_check(seq, frag, z)
+                assert bits(report.residual) == bits(residuals[i]), (z, frag)
+                assert report.fragment_count == len(frag.breakpoints) + 1
+
+
+def test_jost_left_is_a_one_point_grid():
+    for seq, _ in fixtures():
+        for zs in grids(seq):
+            values, lo = jost_values(seq, zs, "left")
+            for i, z in enumerate(zs.tolist()):
+                sol = jost_left(seq, z)
+                assert sol.lo == lo
+                assert sol.values.tobytes() == values[i].tobytes(), z

@@ -9,14 +9,16 @@ from jacobiscatter import (
     Limits,
     NumericalFault,
     SpectralDomainError,
+    SpectralPoint,
     band_edges,
     lambda_from_z,
     require_admissible,
     sample_circle,
+    scattering_values,
     wave_pair_det,
     z_from_lambda,
 )
-from conftest import UNIT_LIMITS
+from conftest import UNIT_LIMITS, single_site_sequence
 
 
 def test_lambda_from_z_lower_band_edge():
@@ -32,8 +34,10 @@ def test_lambda_from_z_scaled_limits():
 
 
 def test_lambda_from_z_rejects_off_circle():
-    with pytest.raises(SpectralDomainError):
-        lambda_from_z(UNIT_LIMITS, 1.5 + 0.0j)
+    # a NaN compares False with any bound, so it must fail the check too
+    for z in (1.5 + 0.0j, complex(math.nan, 0.0)):
+        with pytest.raises(SpectralDomainError, match="not on the unit circle"):
+            lambda_from_z(UNIT_LIMITS, z)
 
 
 def _edges(limits):
@@ -180,3 +184,23 @@ def test_near_degenerate_delta_defers_fault_to_computation():
     grid = sample_circle(UNIT_LIMITS, 16, 1e-12)
     with pytest.raises(NumericalFault):
         require_admissible(grid.zs)
+
+
+def test_sample_circle_rejects_a_nan_delta():
+    """A NaN delta compares False with any bound; it must not build a grid
+    of NaN points."""
+    with pytest.raises(SpectralDomainError, match="positive"):
+        sample_circle(UNIT_LIMITS, 4, math.nan)
+
+
+def test_spectral_point_rejects_nan():
+    with pytest.raises(SpectralDomainError, match="not on the unit circle"):
+        SpectralPoint(complex(0.0, math.nan), 0.0)
+
+
+def test_grid_functions_reject_a_nan_point_on_entry():
+    """A NaN point is off the circle, refused before any arithmetic on it,
+    not a NumericalFault from a fit that read it."""
+    for z in (complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.nan, math.nan)):
+        with pytest.raises(SpectralDomainError, match="not on the unit circle"):
+            scattering_values(single_site_sequence(), [1j, z])
