@@ -21,7 +21,6 @@ import argparse
 import functools
 import sys
 from dataclasses import dataclass
-from itertools import islice
 from json import JSONDecodeError, load as _json_load
 
 import numpy as np
@@ -34,19 +33,9 @@ from .lattice import (
     fragment,
     validate_sequence,
 )
-from .scattering import _amplitude_blocks, _identity_sweep, scattering_values
-from .spectral import CircleGrid, _GridContext, sample_circle
-from .transition import (
-    _PAIRED,
-    _determinant_gap,
-    _entries,
-    _entries_scattering,
-    _junction_parts,
-    _junction_sweep,
-    _product_gap,
-    _require_reach,
-    factorization_residuals,
-)
+from .scattering import scattering_values
+from .spectral import CircleGrid, sample_circle
+from .transition import _identities_report, factorization_residuals
 
 _TABLE_FIELDS = (
     "theta",
@@ -205,26 +194,8 @@ def run_factorize(config: RunConfig, corrupt_padding: bool = False) -> int:
 def run_identities(config: RunConfig) -> int:
     """Sweep every identity; junction checks join in when breakpoints are given."""
     seq = _load_sequence(config.input_path)
-    parts, junction_parts = [], []
-    if config.breakpoints:
-        frag = Fragmentation(tuple(config.breakpoints))
-        _require_reach(seq, frag.breakpoints)
-        parts, junction_parts = fragment(seq, frag), _junction_parts(seq, frag)
-    # every recursion and fit of the run shares this grid's drive and powers
-    ctx = _GridContext(_grid_for(seq, config).zs)
-    named = _identity_sweep(seq, ctx)
-    # the tail fits of the whole, its fragments and the junctions' in one
-    # sweep, fitted as they are read; every later row shares the whole's
-    blocks = _amplitude_blocks(seq, [seq, *parts, *junction_parts], ctx, _PAIRED)
-    lam = _entries(next(blocks))
-    named["transition_determinant"] = float(np.max(_determinant_gap(lam)))
-    if config.breakpoints:
-        product = map(_entries, islice(blocks, len(parts)))
-        named["factorization"] = float(np.max(_product_gap(lam, product)))
-        # one single-junction check per breakpoint, worst over them per row
-        named.update(
-            _junction_sweep(seq, frag, ctx, *_entries_scattering(lam), junction_parts, blocks)
-        )
+    frag = Fragmentation(tuple(config.breakpoints)) if config.breakpoints else None
+    named = _identities_report(seq, frag, _grid_for(seq, config).zs)
     rows = [
         (name, residual, config.tolerance, residual <= config.tolerance)
         for name, residual in named.items()

@@ -59,9 +59,9 @@ float64 0-d array, it skips both, and a 1,024-float multiply takes about
 a quarter less time.  The bits are the same: a Python float is the same
 double, the call selects the same float64 loop, and w / w_inf and
 1.0 / a round alike in numpy and in Python.  So _fit_sweep, which makes
-eight such calls per step, computes its scalars a block of steps at a
-time and copies each step's row into one buffer whose 0-d views are the
-operands.
+eight such calls per step, computes the scalars of all its steps in one
+table and copies each step's row into one buffer whose 0-d views are
+the operands.
 """
 
 from __future__ import annotations
@@ -76,11 +76,6 @@ from .lattice import CoefficientSequence, IndexWindow, coefficient_arrays, coeff
 # require_admissible stays a module attribute: the benchmark's smoke
 # test wraps this copy
 from .spectral import _GridContext, require_admissible  # noqa: F401
-
-# steps per operand table of _fit_sweep: one table per block of steps,
-# so its size does not grow with the window
-_TABLE_STEPS = 1024
-
 
 class SolutionKind(Enum):
     """Which normalization a solution carries."""
@@ -146,12 +141,11 @@ def jost_values(
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     ctx = _GridContext(zs)
     lo, hi = solution_range(seq)
-    return _recurse(seq, seq.window, lo, hi, ctx, side, (at_inverse,)).T, lo
+    return _recurse(seq, lo, hi, ctx, side, (at_inverse,)).T, lo
 
 
 def _recurse(
     seq: CoefficientSequence,
-    window: IndexWindow,
     lo: int,
     hi: int,
     ctx: _GridContext,
@@ -161,14 +155,13 @@ def _recurse(
 ) -> np.ndarray:
     """Propagate normalized solutions over [lo, hi]; row k is site lo + k.
 
-    Every coefficient of seq outside window must sit at its limit.  The
-    exact plane-wave tail is seeded past window and the recursion runs
-    across it.  ctx holds the grid zs and what recursions over it share:
-    the drive for seq's limits and the seeds' powers.  modes holds one
-    at_inverse flag per block of zs.size columns, each block seeded with
-    its own sign, so solutions sharing coefficients and drive, such as a
-    solution and its companion at 1/z, advance together in one pass.
-    Every block equals its one-mode run to the bit.
+    The exact plane-wave tail is seeded past seq's window and the
+    recursion runs across it.  ctx holds the grid zs and what recursions
+    over it share: the drive for seq's limits and the seeds' powers.
+    modes holds one at_inverse flag per block of zs.size columns, each
+    block seeded with its own sign, so solutions sharing coefficients and
+    drive, such as a solution and its companion at 1/z, advance together
+    in one pass.  Every block equals its one-mode run to the bit.
 
     start, if given, is (s, pair): the first step is taken at site s, not
     at the window's edge, from the two rows of pair, those at s and s + 1
@@ -198,7 +191,7 @@ def _recurse(
     a, b, w = (values.tolist() for values in coefficient_arrays(seq, lo, hi + 1))
     lim = seq.limits
     w_inf = lim.w_inf
-    n_min, n_max = window.n_min, window.n_max
+    n_min, n_max = seq.window.n_min, seq.window.n_max
     rows = np.empty((hi - lo + 1, len(modes) * m), dtype=complex)
     if side == "left":
         tail = np.arange(n_max, hi + 1)
@@ -276,8 +269,9 @@ def _fit_sweep(
     one of its fragments, with a window holding all of its deviations.
     With lo and hi two sites past that window, the result holds per job
     its left rows at (lo, lo + 1) and its right rows at (hi - 1, hi), one
-    block of zs.size columns per mode: to the bit the rows that
-    _recurse(job, window, lo, hi, ctx, side, modes) gives at those sites.
+    block of zs.size columns per mode: to the bit the rows at those sites
+    of the job's own recursion, as _recurse takes it, seeded with the
+    exact tails at window's edges.
 
     One row set holds three rotating rows for every recursion under way.
     Left recursions take column slots outward to the left of its middle
@@ -294,14 +288,13 @@ def _fit_sweep(
     copied out and the outermost busy job of its side moves into its
     slot.
 
-    The eight real scalars of a step come from its row of an operand
-    table, built for a block of at most _TABLE_STEPS steps whose edges
-    are cuts.  For step t, with k its left site top - t and t standing
-    for its right site base + t, they are w(k) / w_inf, w(t) / w_inf,
-    a(k + 1), b(t), b(k), a(t), 1 / a(k) and 1 / a(t + 1).  The step
-    copies its row into one buffer, and the buffer's 0-d views are the
-    operands, which is faster than passing Python floats and gives the
-    same bits (see the module docstring).
+    The eight real scalars of a step come from its row of one operand
+    table, built for the whole sweep.  For step t, with k its left site
+    top - t and t standing for its right site base + t, they are
+    w(k) / w_inf, w(t) / w_inf, a(k + 1), b(t), b(k), a(t), 1 / a(k) and
+    1 / a(t + 1).  The step copies its row into one buffer, and the
+    buffer's 0-d views are the operands, which is faster than passing
+    Python floats and gives the same bits (see the module docstring).
     """
     lim = seq.limits
     if any(job.limits != lim for job, _ in jobs):
@@ -383,16 +376,6 @@ def _fit_sweep(
         subtract(out, part, out=out)
         multiply(out, inverse, out=out)
 
-    def operands(t0, t1):
-        # row t - t0 holds the scalars of step t, the left side's from entry
-        # span - t + 1, so read backwards, and the right side's from t + 1
-        left, right = slice(span - t1 + 2, span - t0 + 2), slice(t0 + 1, t1 + 1)
-        left_next, right_next = (slice(s.start + 1, s.stop + 1) for s in (left, right))
-        return np.array((
-            w[left][::-1] / w_inf, w[right] / w_inf, a[left_next][::-1], b[right],
-            b[left][::-1], a[right], 1.0 / a[left][::-1], 1.0 / a[right_next],
-        )).T
-
     # each step copies its table row into one buffer, whose 0-d views are
     # the operands of its ufunc calls
     buffer = np.empty(8)
@@ -401,10 +384,20 @@ def _fit_sweep(
     )
     active: tuple[list[int], list[int]] = ([], [])
     found: list[list] = [[None, None] for _ in jobs]
-    boundaries = range(_TABLE_STEPS, span + 2, _TABLE_STEPS)
-    cuts = sorted({*joins, *(t + 1 for t in (*redos, *ends)), *boundaries, span + 2} - {0})
+    cuts = sorted({*joins, *(t + 1 for t in (*redos, *ends)), span + 2} - {0})
     start, shape = 0, None
     with np.errstate(all="ignore"):
+        # row t holds step t's scalars: of the span + 4 entries of seq's
+        # arrays, the right side's from entry t + 1 on, the left side's
+        # backwards from entry span + 1 - t.  Scaled in place, with no
+        # temporary per column; 1 / a of a subnormal coupling overflows
+        # silently here, as in the steps
+        table = np.array((
+            w[-3::-1], w[1:-1], a[-2:0:-1], b[1:-1], b[-3::-1], a[1:-1], a[-3::-1], a[2:]
+        ))
+        table[:2] /= w_inf
+        np.divide(1.0, table[6:], out=table[6:])
+        table = table.T
         for cut in cuts:
             for side, j in joins.get(start, ()):
                 c0, c1 = columns(side, len(active[side]))
@@ -422,15 +415,12 @@ def _fit_sweep(
                 part_both = scratch[2 * lo_col : 2 * hi_col]
                 drive_left, drive_right = drive[: 2 * (mid - lo_col)], drive[: 2 * (hi_col - mid)]
                 product, scaled_both = list(rows[:, lo_col:hi_col]), scaled[lo_col:hi_col]
-            if start % _TABLE_STEPS == 0:
-                # a block's edges are cuts, so its first step starts a segment
-                table = operands(start, min(start + _TABLE_STEPS, span + 2))
             # a half without recursions scales empty rows: the last step,
             # right side only, reads left coefficients (site base - 1) it
             # never uses
             for t in range(start, cut):
                 dst, src, prev = phases[t % 3]
-                buffer[...] = table[t % _TABLE_STEPS]
+                buffer[...] = table[t]
                 multiply(drive_left, scale_left, out=part_left)
                 multiply(drive_right, scale_right, out=part_right)
                 multiply(scaled_both, product[src], out=product[dst])

@@ -66,6 +66,17 @@ class Limits:
             raise CoefficientError(f"w_inf must be positive, got {self.w_inf}")
 
 
+def _integer(value, name: str) -> int:
+    """value as an int, if it is an integral number and not a str or a bool."""
+    try:
+        integral = not isinstance(value, _NOT_NUMBERS) and value == int(value)
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise CoefficientError(f"{name} must be an integer, got {value!r:.40}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class IndexWindow:
     """Closed integer index range [n_min, n_max]."""
@@ -75,14 +86,7 @@ class IndexWindow:
 
     def __post_init__(self):
         for name in ("n_min", "n_max"):
-            value = getattr(self, name)
-            try:
-                integral = not isinstance(value, _NOT_NUMBERS) and value == int(value)
-            except (TypeError, ValueError, OverflowError):
-                integral = False
-            if not integral:
-                raise CoefficientError(f"{name} must be an integer, got {value!r:.40}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.n_min > self.n_max:
             raise CoefficientError(
                 f"empty window: n_min={self.n_min} exceeds n_max={self.n_max}"
@@ -169,7 +173,7 @@ class Fragmentation:
     breakpoints: tuple[int, ...]
 
     def __post_init__(self):
-        pts = tuple(int(p) for p in self.breakpoints)
+        pts = tuple(_integer(p, "breakpoint") for p in self.breakpoints)
         if len(pts) == 0:
             raise CoefficientError("at least one breakpoint is required")
         if any(q <= p for p, q in zip(pts, pts[1:])):

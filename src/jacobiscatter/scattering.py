@@ -221,7 +221,7 @@ def _identity_sweep(seq: CoefficientSequence, ctx: _GridContext) -> dict[str, fl
     both = _GridContext(np.concatenate([zs, zs_inv]))
     lo, hi = solution_range(seq)
     fl, fr = (
-        _recurse(seq, seq.window, lo, hi, both, side, (False,)) for side in ("left", "right")
+        _recurse(seq, lo, hi, both, side, (False,)) for side in ("left", "right")
     )
     fl, flc = fl[:, :m], fl[:, m:]
     fr, frc = fr[:, :m], fr[:, m:]

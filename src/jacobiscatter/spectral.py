@@ -252,7 +252,8 @@ def z_from_lambda(limits: Limits, lam: float) -> complex:
     a_inf > 0 by the lower half, so the map stays a bijection.
     """
     s = (lam * limits.w_inf - limits.b_inf) / limits.a_inf
-    if abs(s) > 2.0 + 1e-12:
+    # a NaN compares False with any bound, so it must fail the check too
+    if not abs(s) <= 2.0 + 1e-12:
         edges = band_edges(limits)
         raise SpectralDomainError(
             f"lam = {lam} outside the band [{edges.lambda_min}, {edges.lambda_max}]"

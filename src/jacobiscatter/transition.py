@@ -34,11 +34,17 @@ solutions are the whole's on the kept side.  The junction sweep recurses
 the whole once per side and keeps its rows at each junction and where
 each fragment starts; a fragment recurses only its free side, from those
 rows (see junction_residual_sweep).
+
+_identities_report is the kernel of the CLI's identities report.  It
+runs the identity sweep and then one tail-fit sweep of the whole, its
+fragments and each breakpoint's junction fragments, which the
+determinant, factorization and junction rows read in that order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -53,7 +59,7 @@ from .lattice import (
     coefficient_at,
     fragment,
 )
-from .scattering import _amplitude_blocks, _coefficients
+from .scattering import _amplitude_blocks, _coefficients, _identity_sweep
 from .spectral import _GridContext
 
 # the at_inverse modes of a solution and its companion at 1/z
@@ -112,16 +118,6 @@ def _entries(blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> np.ndar
     out[..., 1, 0] = l_over_t
     out[..., 1, 1] = inv_t_conj
     return out
-
-
-def _entries_scattering(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(T, R, L) from transition entries, bit for bit those of scattering_values.
-
-    lam00, lam01 and lam10 are the plain block's fit, which equals its
-    single-mode run, and T = 1 / lam00, R = -lam01 T, L = lam10 T round
-    as scattering_values rounds them.
-    """
-    return _coefficients(lam[..., 0, 0], -lam[..., 0, 1], lam[..., 1, 0])
 
 
 def _determinant_gap(lam: np.ndarray) -> np.ndarray:
@@ -249,8 +245,37 @@ def junction_residual_sweep(
     ctx = _GridContext(zs)
     parts = _junction_parts(seq, frag)
     fits = _amplitude_blocks(seq, [seq, *parts], ctx, _PAIRED)
-    t, r, l = _entries_scattering(_entries(next(fits)))
-    return _junction_sweep(seq, frag, ctx, t, r, l, parts, fits)
+    return _junction_sweep(seq, frag, ctx, _entries(next(fits)), parts, fits)
+
+
+def _identities_report(
+    seq: CoefficientSequence, frag: Fragmentation | None, zs: np.ndarray
+) -> dict[str, float]:
+    """Every row of the identities report, by name, in the order it prints.
+
+    identity_sweep's rows and transition_determinant, then, given a
+    fragmentation, factorization and junction_residual_sweep's keys.  The
+    breakpoints' reach is checked before the grid.  The tail fits of the
+    whole, its fragments and the junctions' run in one sweep and are
+    fitted as they are read, so a NumericalFault names the first job that
+    faults; every later row shares the whole's fit.
+    """
+    parts, junction_parts = [], []
+    if frag is not None:
+        _require_reach(seq, frag.breakpoints)
+        parts, junction_parts = fragment(seq, frag), _junction_parts(seq, frag)
+    # every recursion and fit of the report shares this grid's drive and powers
+    ctx = _GridContext(zs)
+    named = _identity_sweep(seq, ctx)
+    blocks = _amplitude_blocks(seq, [seq, *parts, *junction_parts], ctx, _PAIRED)
+    lam = _entries(next(blocks))
+    named["transition_determinant"] = float(np.max(_determinant_gap(lam)))
+    if frag is not None:
+        product = map(_entries, islice(blocks, len(parts)))
+        named["factorization"] = float(np.max(_product_gap(lam, product)))
+        # one single-junction check per breakpoint, worst over them per row
+        named.update(_junction_sweep(seq, frag, ctx, lam, junction_parts, blocks))
+    return named
 
 
 def _gap(values: np.ndarray) -> float:
@@ -261,18 +286,19 @@ def _junction_sweep(
     seq: CoefficientSequence,
     frag: Fragmentation,
     ctx: _GridContext,
-    t: np.ndarray,
-    r: np.ndarray,
-    l: np.ndarray,
+    lam: np.ndarray,
     parts: list[CoefficientSequence],
     fits: Iterator[list[tuple[np.ndarray, np.ndarray, np.ndarray]]],
 ) -> dict[str, float]:
-    """junction_residual_sweep over the grid of ctx, given the whole T, R, L.
+    """junction_residual_sweep over the grid of ctx, given the whole's entries lam.
 
     parts is _junction_parts(seq, frag), and fits yields their amplitude
     blocks at z and 1/z in that order, fitted where the loop reads them.
     The caller checks the breakpoints' reach.
     """
+    # T, R, L bit for bit those of scattering_values: lam00, lam01 and
+    # lam10 are the plain block's fit, which equals its single-mode run
+    t, r, l = _coefficients(lam[..., 0, 0], -lam[..., 0, 1], lam[..., 1, 0])
     zs = ctx.zs
     m = zs.size
     points = frag.breakpoints
@@ -296,10 +322,7 @@ def _junction_sweep(
         # the left solution is read no lower than sites[0], the right one
         # no higher than sites[-1]; the rest of the rows go on return
         lo, hi = (sites[0], hi_all) if side == "left" else (lo_all, sites[-1])
-        return _recurse(seq, seq.window, lo, hi, ctx, side, _PAIRED)[np.array(sites) - lo]
-
-    def carry(part, side, lo, hi, modes, start):
-        return _recurse(part, part.window, lo, hi, ctx, side, modes, start=start)
+        return _recurse(seq, lo, hi, ctx, side, _PAIRED)[np.array(sites) - lo]
 
     fl_pair, fr_pair = whole("left"), whole("right")
     # upper factor times its closed inverse: top right, bottom right
@@ -332,18 +355,18 @@ def _junction_sweep(
         # and n1 + 1 (no step when down = n1), a run alone the free side
         s = min(n1, down)
         start = (down, fl_pair[[where[down], where[down + 1]]])
-        junction = carry(right_part, "left", s, max(n1, down) + 1, _PAIRED, start)
+        junction = _recurse(right_part, s, max(n1, down) + 1, ctx, "left", _PAIRED, start=start)
         gl2 = junction[n1 - s : n1 - s + 2, m:]
-        fl2 = carry(right_part, "left", lo, n1 + 1, (False,), (s, junction[:2, :m]))
+        fl2 = _recurse(right_part, lo, n1 + 1, ctx, "left", (False,), start=(s, junction[:2, :m]))
         # the left fragment's right solution on n1 - 1..hi, likewise from
         # up: its companion needs the step to n1 + 1
         s = min(n1, up) - 1
         start = (up, fr_pair[[where[up - 1], where[up]]])
-        junction = carry(left_part, "right", s, max(n1 + 1, up), _PAIRED, start)
+        junction = _recurse(left_part, s, max(n1 + 1, up), ctx, "right", _PAIRED, start=start)
         gr1 = junction[n1 - 1 - s : n1 + 2 - s, m:]
         first = max(n1, up)
         start = (first, junction[first - 1 - s : first + 1 - s, :m])
-        fr1 = carry(left_part, "right", n1 - 1, hi, (False,), start)
+        fr1 = _recurse(left_part, n1 - 1, hi, ctx, "right", (False,), start=start)
         # keep only the coefficients the checks read, not the amplitudes
         (t1, r1, _), (t1c, r1c, _) = [_coefficients(*block) for block in next(fits)]
         (t2, _, l2), (t2c, _, l2c) = [_coefficients(*block) for block in next(fits)]

@@ -262,10 +262,12 @@ def test_junction_breakpoint_past_the_reach_exits_two(tmp_path):
     """A junction check spans the window and the breakpoint's cover, so a
     breakpoint one site further out than MAX_WINDOW_SITES is bad input:
     identities exits 2 naming it, instead of recursing over that range.
-    factorize has no junction solutions and keeps accepting it."""
+    The reach is checked before the grid, so a degenerate grid does not
+    turn the bad input into a numerical fault.  factorize has no junction
+    solutions and keeps accepting it."""
     path = write_input(tmp_path, TWO_IMPURITY_INPUT)
-    for point in (1 + 10_000 + 1, -1 - 10_000 - 1):
-        proc = run_cli("identities", "--input", path, f"--breakpoints={point}")
+    for point, grid in ((10_002, ()), (-10_002, ()), (10_002, ("--delta", "1e-9"))):
+        proc = run_cli("identities", "--input", path, f"--breakpoints={point}", *grid)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert f"breakpoint {point} lies 10001 sites outside" in proc.stderr
@@ -309,20 +311,23 @@ def test_overflowing_window_reports_only_the_fault(tmp_path):
 
     numpy's own overflow and invalid-value warnings from the kernel would
     name its source path and line numbers; stderr must hold the one fault
-    line and nothing else.
+    line and nothing else.  So also where 1 / a of a subnormal coupling
+    overflows, as the tail-fit sweep computes its operands.
     """
     seq = overflowing_sequence()
-    path = write_input(tmp_path, {
+    overflowing = {
         "a_inf": 1.0, "b_inf": 0.0, "w_inf": 1.0,
         "n_min": seq.window.n_min, "n_max": seq.window.n_max,
         "a": seq.a_values.tolist(), "b": seq.b_values.tolist(), "w": seq.w_values.tolist(),
-    })
-    proc = run_cli("scatter", "--input", path)
-    assert proc.returncode == 3
-    assert proc.stdout == ""
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1, proc.stderr
-    assert re.fullmatch(r"numerical fault: tail fit is not finite at theta = \S+", lines[0])
+    }
+    subnormal = dict(TWO_IMPURITY_INPUT, a=[1.0, 1e-310, 1.0])
+    for spec in (overflowing, subnormal):
+        proc = run_cli("scatter", "--input", write_input(tmp_path, spec))
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert re.fullmatch(r"numerical fault: tail fit is not finite at theta = \S+", lines[0])
 
 
 def test_overflowing_identities_with_breakpoints_reports_only_the_fault(tmp_path):

@@ -31,7 +31,7 @@ from jacobiscatter import (
 )
 from jacobiscatter import cli, jost, scattering, transition
 from jacobiscatter.errors import NumericalFault
-from jacobiscatter.jost import _TABLE_STEPS, _fit_sweep, _recurse, solution_range
+from jacobiscatter.jost import _fit_sweep, _recurse, solution_range
 from jacobiscatter.lattice import (
     MAX_WINDOW_SITES,
     CoefficientSequence,
@@ -115,7 +115,7 @@ def kernel_pairs(seq, zs, ctx=None):
     for side in ("left", "right"):
         for modes in MODES:
             yield (
-                _recurse(seq, window, lo, hi, ctx, side, modes),
+                _recurse(seq, lo, hi, ctx, side, modes),
                 reference_recurse(seq, window, lo, hi, zs, side, modes, True),
             )
     lo, hi = window.n_min - 2, window.n_max + 2
@@ -162,17 +162,17 @@ def test_real_view_kernel_keeps_the_non_finite_entries():
 
 
 def block_edge_jobs():
-    """A sequence two operand tables of _fit_sweep long, and its fragments
-    at breakpoints that start or finish a recursion on each side of each
-    table's edge.
+    """A 2,149-site sequence and its fragments at breakpoints that start or
+    finish a recursion of _fit_sweep on each side of its steps N = 1024
+    and 2N, deep into the sweep's one operand table.
 
     Neither 1 / a_inf = 1 / 0.7 nor w(n) / w_inf = 1/3 is exact, and the
-    deviations cycle through -0.0 and subnormal b and negative couplings.  With the window from 0 and base = -1, the right side's
-    step t is at site t - 1 and the left side's at site 2N + 100 - t, N
-    being the table's steps, so a table edge t = N or 2N falls at sites
-    N - 1 and N + 100, or 2N - 1 and 100.
+    deviations cycle through -0.0 and subnormal b and negative couplings.
+    With the window from 0 and base = -1, the right side's step t is at
+    site t - 1 and the left side's at site 2N + 100 - t, so step N or 2N
+    falls at sites N - 1 and N + 100, or 2N - 1 and 100.
     """
-    n = _TABLE_STEPS
+    n = 1024
     top = 2 * n + 100
     points = (100, 101, n - 3, n - 1, n + 100, n + 101, 2 * n - 3, 2 * n - 1)
     sites = sorted({0, top, *points, *(p + 1 for p in points)})
@@ -194,11 +194,11 @@ def block_edge_jobs():
 @pytest.mark.parametrize("count, modes", [(1, (False,)), (8, (False, True))])
 def test_fit_sweep_across_operand_table_edges_equals_complex_rows(count, modes):
     """Every job's rows equal its own plain recursion to the bit, where
-    jobs join and finish at the last step of one operand table and the
-    first of the next, and some run across the edge; and where the whole
-    sequence runs alone, so that only the table's edges cut the sweep."""
+    jobs join and finish at steps N - 1 and N, or 2N - 1 and 2N, of one
+    sweep, and some run across them; and where the whole sequence runs
+    alone, so that nothing but its ends cuts the sweep's 2,151 steps."""
     seq, jobs = block_edge_jobs()
-    n, top = _TABLE_STEPS, seq.window.n_max
+    n, top = 1024, seq.window.n_max
     spans = {
         "right": [(window.n_min, window.n_max + 2) for _, window in jobs],
         "left": [(top - window.n_max, top + 1 - window.n_min) for _, window in jobs],
@@ -504,8 +504,7 @@ def test_far_breakpoints_raise_before_any_recursion(monkeypatch, tmp_path):
         return reach(*args)
 
     monkeypatch.setattr(transition, "_recurse", record)
-    for module in (transition, cli):
-        monkeypatch.setattr(module, "_require_reach", count)
+    monkeypatch.setattr(transition, "_require_reach", count)
     junction_residual_sweep(seq, Fragmentation((0,)), zs)
     assert any(seeded) and len(checks) == 1
     assert report(argv + ["--breakpoints=0"])["right_junction"] >= 0.0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -145,8 +147,14 @@ def test_validate_sequence_reports_missing_fields():
 
 
 def test_fragmentation_requires_breakpoints():
+    """At least one breakpoint, each an integer by IndexWindow's rule:
+    a fraction, a NaN, a string or a bool is refused, not truncated."""
     with pytest.raises(CoefficientError):
         Fragmentation(())
+    for bad in ((1.5,), (True, 2.9), ("3",), (math.nan,), (0, np.bool_(True))):
+        with pytest.raises(CoefficientError, match="breakpoint must be an integer"):
+            Fragmentation(bad)
+    assert Fragmentation((np.int64(-1), 2.0)).breakpoints == (-1, 2)
 
 
 def test_fragmentation_requires_strict_increase():

@@ -63,8 +63,10 @@ def test_z_from_lambda_half_circle_selection():
 
 
 def test_z_from_lambda_rejects_outside_band():
-    with pytest.raises(SpectralDomainError):
-        z_from_lambda(UNIT_LIMITS, 2.5)
+    # a NaN energy lies in no band
+    for lam in (2.5, math.nan):
+        with pytest.raises(SpectralDomainError):
+            z_from_lambda(UNIT_LIMITS, lam)
 
 
 def test_spectral_round_trip():

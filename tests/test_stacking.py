@@ -37,7 +37,7 @@ def blocks_and_singles(seq, zs, side, store):
     def run(modes):
         if store:
             lo, hi = solution_range(seq, IndexWindow(window.n_min - 4, window.n_max + 3))
-            return _recurse(seq, window, lo, hi, _GridContext(zs), side, modes)
+            return _recurse(seq, lo, hi, _GridContext(zs), side, modes)
         rows = _fit_sweep(seq, [(seq, window)], _GridContext(zs), modes)[0]
         return rows[("left", "right").index(side)]
 
