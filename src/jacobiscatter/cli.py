@@ -10,9 +10,10 @@ scatter writes one row per grid point (theta, band energy, Re/Im of the
 three coefficients, unitarity defect), factorize compares the transition
 matrix against its fragment product, identities sweeps every proved
 relation.  Exit codes: 0 all checks pass, 1 a residual exceeded the
-tolerance, 2 bad input, 3 numerical fault.  Output is byte-deterministic
-for a fixed config: floats are printed with 17 significant digits and
-JSON is assembled by hand rather than through a serializer.
+tolerance, 2 bad input or input too large for memory, 3 numerical
+fault.  Output is byte-deterministic for a fixed config: floats are
+printed with 17 significant digits and JSON is assembled by hand rather
+than through a serializer.
 """
 
 from __future__ import annotations
@@ -287,4 +288,8 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy refuses an array larger than memory before allocating it
+        print(f"input too large: {exc}", file=sys.stderr)
         return 2

@@ -18,12 +18,15 @@ jost_values produces solutions on an index range two sites wider than
 the window on each side, so that downstream tail fits read only sites
 where the tail form is exact; the junction checks widen the range
 through solution_range, at one recursion step per extra site and grid
-point.  That kernel, _recurse, stores solutions site-major, one
+point.  That kernel, _recurse, keeps solutions site-major, one
 contiguous row of grid points per site, and writes each row through one
-scratch row, with no temporaries per step.  A solution and its companion
-at 1/z share coefficients and drive, so callers that need both stack
-them as column blocks of one recursion; every block equals its own
-single run to the bit.
+scratch row, with no temporaries per step.  It hands its rows out in
+blocks of _BLOCK_SITES sites from one buffer, so a caller that reduces
+them as they come holds a few blocks, not a row for every site of a
+long window or of a junction far outside it; jost_values takes its range
+as one block.  A solution and its companion at 1/z share coefficients
+and drive, so callers that need both stack them as column blocks of one
+recursion; every column block equals its own single run to the bit.
 
 The tail fits need neither the window nor the stored values: sites
 outside the effective support carry the limits just as well, so each
@@ -69,6 +72,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 import numpy as np
 
@@ -121,6 +125,13 @@ def solution_range(seq: CoefficientSequence, cover: IndexWindow | None = None) -
     return lo, hi
 
 
+# Sites per block of rows that _recurse hands out.  Paired rows over 512
+# points take 16 KB a site.  Blocks of 32 and 64 sites raised the peak
+# memory of the benchmark's fragment-checks workload by 1.4 and 3.1 MB
+# over 16-site blocks and ran no faster.
+_BLOCK_SITES = 16
+
+
 def jost_values(
     seq: CoefficientSequence, zs: np.ndarray, side: str, at_inverse: bool = False
 ) -> tuple[np.ndarray, int]:
@@ -141,7 +152,8 @@ def jost_values(
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     ctx = _GridContext(zs)
     lo, hi = solution_range(seq)
-    return _recurse(seq, lo, hi, ctx, side, (at_inverse,)).T, lo
+    ((_, rows),) = _recurse(seq, lo, hi, ctx, side, (at_inverse,), block=hi - lo + 1)
+    return rows.T, lo
 
 
 def _recurse(
@@ -152,22 +164,42 @@ def _recurse(
     side: str,
     modes: tuple[bool, ...],
     start: tuple[int, np.ndarray] | None = None,
-) -> np.ndarray:
-    """Propagate normalized solutions over [lo, hi]; row k is site lo + k.
+    block: int = _BLOCK_SITES,
+    edge: int | None = None,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Propagate normalized solutions over [lo, hi], handed out in blocks.
 
-    The exact plane-wave tail is seeded past seq's window and the
-    recursion runs across it.  ctx holds the grid zs and what recursions
-    over it share: the drive for seq's limits and the seeds' powers.
-    modes holds one at_inverse flag per block of zs.size columns, each
-    block seeded with its own sign, so solutions sharing coefficients and
-    drive, such as a solution and its companion at 1/z, advance together
-    in one pass.  Every block equals its one-mode run to the bit.
+    Yields (n, rows) per block of sites, in the order the recursion
+    reaches them: from hi down on the left side, from lo up on the right.
+    Row k of rows is site n + k, one column per grid point and mode.  A
+    block holds block sites, and the blocks start at the sites
+    edge + j * block: by default edge is where the recursion ends, lo on
+    the left side and hi + 1 on the right, so that only the first block
+    is short and a range of at most block sites is one block.
+    Recursions over different ranges that pass one edge share their
+    blocks' sites.  rows is a view of one buffer, which the next block
+    overwrites: a caller keeps what it needs by copying it.
+
+    The exact plane-wave tail is seeded past seq's window, block by block
+    from the power table of ctx, and the recursion runs across it.  ctx
+    holds the grid zs and what recursions over it share: the drive for
+    seq's limits and the seeds' powers.  modes holds one at_inverse flag
+    per column block of zs.size columns, each seeded with its own sign,
+    so solutions sharing coefficients and drive, such as a solution and
+    its companion at 1/z, advance together in one pass.  Every column
+    block equals its one-mode run to the bit.
 
     start, if given, is (s, pair): the first step is taken at site s, not
     at the window's edge, from the two rows of pair, those at s and s + 1
     on the left side and at s - 1 and s on the right.  Rows between pair
     and the seeded tail are not computed, so [lo, hi] reaches past pair
     only into that tail.
+
+    The buffer holds one block and the two rows its first step reads,
+    those past its top on the left side and below its bottom on the
+    right; after each block the two rows the next one reads are copied
+    there.  So every step reads and writes the rows it would in one
+    whole-range array, and the blocks are that array's rows to the bit.
 
     Each step writes its destination row through one scratch row, with
     the operations and order of the plain expression
@@ -186,62 +218,100 @@ def _recurse(
     takes 5 steps and a third take at most one, and there the operand
     table of _fit_sweep costs more to build than its 0-d operands save.
     """
-    zs = ctx.zs
-    m = zs.size
-    a, b, w = (values.tolist() for values in coefficient_arrays(seq, lo, hi + 1))
+    m = ctx.zs.size
     lim = seq.limits
     w_inf = lim.w_inf
     n_min, n_max = seq.window.n_min, seq.window.n_max
-    rows = np.empty((hi - lo + 1, len(modes) * m), dtype=complex)
-    if side == "left":
-        tail = np.arange(n_max, hi + 1)
-        powers = tail
-    else:
-        tail = np.arange(lo, n_min)
-        powers = -tail
-    for j, inverse in enumerate(modes):
-        sign = -1 if inverse else 1
-        rows[tail - lo, j * m : (j + 1) * m] = ctx.power_table(sign * powers)
-    first = n_max if side == "left" else n_min - 1
-    if start is not None:
-        first, pair = start
-        at = first - lo if side == "left" else first - 1 - lo
-        rows[at : at + 2] = pair
+    left = side == "left"
+    first, pair_rows = start if start is not None else (n_max if left else n_min - 1, ())
+    # (site, row) of the start pair, and the seeded tail's sites [t0, t1)
+    pair = list(zip(range(first, first + 2) if left else range(first - 1, first + 1), pair_rows))
+    t0, t1 = (n_max, hi + 1) if left else (lo, n_min)
+    # the seeds' exponents are n on the left side and -n on the right, per
+    # mode signed again at 1/z
+    signs = [(-1 if inverse else 1) * (1 if left else -1) for inverse in modes]
+    # the sites of the steps' coefficients: k is site c0 + k.  The left
+    # side steps at first down to lo + 1, the right one at first to hi - 1
+    c0, c1 = (lo, max(lo, first) + 1) if left else (first, max(first, hi))
+    a, b, w = (values.tolist() for values in coefficient_arrays(seq, c0, c1))
+    if edge is None:
+        edge = lo if left else hi + 1
+    # the block edges past lo: from the first site above lo on edge's grid
+    edges = [lo, *range(lo + (edge - lo - 1) % block + 1, hi + 1, block), hi + 1]
+    spans = list(zip(edges[:-1], edges[1:]))
+    if left:
+        spans.reverse()
+    size = max(stop - bottom for bottom, stop in spans)
+    buffer = np.empty((size + 2, len(modes) * m), dtype=complex)
     # each row twice: complex for the one complex product per step, and
     # as float64 pairs for every step that only scales by a real
-    row = list(rows)
-    real = list(rows.view(float))
+    row = list(buffer)
+    real = list(buffer.view(float))
     drive = ctx.drive(lim, len(modes)).view(float)
     # the scaled drive, then each subtrahend; complex as the product's operand
-    scaled = np.empty(rows.shape[1], dtype=complex)
+    scaled = np.empty(buffer.shape[1], dtype=complex)
     scratch = scaled.view(float)
-    # an overflowing window is reported by the tail fit's finite guard,
-    # not by numpy warnings from inside the loop.  The loop only multiplies
-    # and subtracts, so "all" silences just overflow and invalid values; it
-    # also lets numpy skip its status check, where naming those two would
-    # make every call about 2% slower.
-    with np.errstate(all="ignore"):
-        if side == "left":
-            for k in range(first - lo, 0, -1):
-                out = real[k - 1]
-                np.multiply(drive, w[k] / w_inf, out=scratch)
-                np.multiply(scaled, row[k], out=row[k - 1])
-                np.multiply(real[k + 1], a[k + 1], out=scratch)
-                np.subtract(out, scratch, out=out)
-                np.multiply(real[k], b[k], out=scratch)
-                np.subtract(out, scratch, out=out)
-                np.multiply(out, 1.0 / a[k], out=out)
+    multiply, subtract = np.multiply, np.subtract
+    for bottom, stop in spans:
+        # site n is buffer row n + shift: the block's sites [bottom, stop)
+        # sit below the two rows past it on the left side, above the two
+        # rows before it on the right
+        shift = size - stop if left else 2 - bottom
+        s0, s1 = max(bottom, t0), min(stop, t1)
+        if s0 < s1:
+            sites = np.arange(s0, s1)
+            for j, sign in enumerate(signs):
+                buffer[s0 + shift : s1 + shift, j * m : (j + 1) * m] = ctx.power_table(sign * sites)
+        for site, values in pair:
+            if bottom <= site < stop:
+                buffer[site + shift] = values
+        # the step at site c0 + k writes buffer row i - 1 on the left side
+        # and i + 1 on the right, with i = k + d
+        d = shift + c0
+        if left:
+            steps = range(min(stop, first) - c0, bottom - c0, -1)
         else:
-            for k in range(first - lo, hi - lo):
-                out = real[k + 1]
-                np.multiply(drive, w[k] / w_inf, out=scratch)
-                np.multiply(scaled, row[k], out=row[k + 1])
-                np.multiply(real[k], b[k], out=scratch)
-                np.subtract(out, scratch, out=out)
-                np.multiply(real[k - 1], a[k], out=scratch)
-                np.subtract(out, scratch, out=out)
-                np.multiply(out, 1.0 / a[k + 1], out=out)
-    return rows
+            steps = range(max(bottom - 1, first) - c0, stop - 1 - c0)
+        # an overflowing window is reported by the tail fit's finite
+        # guard, not by numpy warnings from inside the loop.  The loop
+        # only multiplies and subtracts, so "all" silences just overflow
+        # and invalid values; it also lets numpy skip its status check,
+        # where naming those two would make every call about 2% slower.
+        # It is entered per block, as a state left set across a yield
+        # would hold in the caller's code too.
+        if steps:
+            with np.errstate(all="ignore"):
+                if left:
+                    for k in steps:
+                        i = k + d
+                        out = real[i - 1]
+                        multiply(drive, w[k] / w_inf, out=scratch)
+                        multiply(scaled, row[i], out=row[i - 1])
+                        multiply(real[i + 1], a[k + 1], out=scratch)
+                        subtract(out, scratch, out=out)
+                        multiply(real[i], b[k], out=scratch)
+                        subtract(out, scratch, out=out)
+                        multiply(out, 1.0 / a[k], out=out)
+                else:
+                    for k in steps:
+                        i = k + d
+                        out = real[i + 1]
+                        multiply(drive, w[k] / w_inf, out=scratch)
+                        multiply(scaled, row[i], out=row[i + 1])
+                        multiply(real[i], b[k], out=scratch)
+                        subtract(out, scratch, out=out)
+                        multiply(real[i - 1], a[k], out=scratch)
+                        subtract(out, scratch, out=out)
+                        multiply(out, 1.0 / a[k + 1], out=out)
+        yield bottom, buffer[bottom + shift : stop + shift]
+        # the two rows the next block's first step reads, the nearer one
+        # last, as with a one-site block it is a row the first copy reads
+        if left and bottom > lo:
+            buffer[size + 1] = buffer[bottom + 1 + shift]
+            buffer[size] = buffer[bottom + shift]
+        elif not left and stop <= hi:
+            buffer[0] = buffer[stop - 2 + shift]
+            buffer[1] = buffer[stop - 1 + shift]
 
 
 def _changed_steps(
@@ -505,16 +575,41 @@ def wronskian_constancy_check(
     return float(_pairing_drift(a, p, q))
 
 
+def _pairing(a: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """W(n) = a(n + 1) (p(n) q(n + 1) - p(n + 1) q(n)) along the first axis.
+
+    p and q are site-major, and a holds a(n + 1) for each site pair,
+    broadcast against the rows.
+    """
+    return a * (p[:-1] * q[1:] - p[1:] * q[:-1])
+
+
 def _pairing_drift(a: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Per column of p and q, max_n |W(n) - W(n0)| / max(1, |W(n0)|).
 
-    W(n) = a(n + 1) (p(n) q(n + 1) - p(n + 1) q(n)) along the first axis,
-    site-major, a holding a(n + 1) for each site pair, broadcast against
-    the rows.  Dividing by the positive scale after the max gives the
-    bits of dividing each entry first.
+    W is _pairing(a, p, q), and n0 the first site pair.  Dividing by the
+    positive scale after the max gives the bits of dividing each entry
+    first.
     """
-    pair = a * (p[:-1] * q[1:] - p[1:] * q[:-1])
+    pair = _pairing(a, p, q)
     return np.max(np.abs(pair - pair[0]), axis=0) / np.maximum(1.0, np.abs(pair[0]))
+
+
+def _keep(kept: np.ndarray, sites: tuple[int, ...], n: int, rows: np.ndarray) -> None:
+    """Copy into kept[i] the row at sites[i] of the block (n, rows), where it holds it."""
+    for i, site in enumerate(sites):
+        if n <= site < n + len(rows):
+            kept[i] = rows[site - n]
+
+
+def _rows_at(blocks: Iterator[tuple[int, np.ndarray]], sites: tuple[int, ...]) -> np.ndarray:
+    """The rows at sites of a recursion's blocks, copied out in that order."""
+    kept = None
+    for n, rows in blocks:
+        if kept is None:
+            kept = np.empty((len(sites), rows.shape[1]), dtype=complex)
+        _keep(kept, sites, n, rows)
+    return kept
 
 
 def equation_residual(seq: CoefficientSequence, sol: LatticeSolution) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import NumericalFault
 # jost_values stays a module attribute: the benchmark's smoke test wraps
 # this copy
-from .jost import _fit_sweep, _pairing_drift, _recurse, jost_values, solution_range  # noqa: F401
+from .jost import _fit_sweep, _keep, _pairing, _recurse, jost_values, solution_range  # noqa: F401
 from .lattice import CoefficientSequence, coefficient_arrays, effective_support
 from .spectral import _GridContext
 
@@ -211,39 +211,60 @@ def _identity_sweep(seq: CoefficientSequence, ctx: _GridContext) -> dict[str, fl
 
     The solutions at z and at the rounded reciprocal 1/z recurse as one
     grid, over one context of both; the fit at 1/z has a context of its
-    own.
+    own.  Each side's rows are reduced block by block as _recurse hands
+    them out, and a max over blocks is exact.  The left side runs first
+    and keeps its plain columns at z, which the Wronskian pairing reads
+    against the right side's blocks, which come from the lowest site up,
+    so the pairing's base, at the lowest site pair, comes first.  Beyond
+    those columns only each side's two fit rows are kept.
     """
     zs = ctx.zs
     m = zs.size
     zs_inv = 1.0 / zs
-    # one recursion per side covers z and the rounded reciprocal together;
     # rows are sites, the first m columns at z and the rest at 1/z
     both = _GridContext(np.concatenate([zs, zs_inv]))
     lo, hi = solution_range(seq)
-    fl, fr = (
-        _recurse(seq, lo, hi, both, side, (False,)) for side in ("left", "right")
-    )
-    fl, flc = fl[:, :m], fl[:, m:]
-    fr, frc = fr[:, :m], fr[:, m:]
-    # the coefficients come from the same arrays: two sites past each end.
-    # Their fits run first, so an overflowed solution faults before any
-    # other row reads it
-    p = seq.window.n_max + 1
-    t, r, l = _coefficients(*_tail_fit(ctx, fl[:2], fr[p - lo : p - lo + 2], lo, p, 1))
+    a, _, _ = coefficient_arrays(seq, lo + 1, hi)
+    fl = np.empty((hi - lo + 1, m), dtype=complex)
+    # the fits' rows: the left side's at lo and lo + 1, the right's at
+    # hi - 1 and hi, two sites past each end of the window
+    ends = np.empty((4, 2 * m), dtype=complex)
+    conj_left, conj_right = [], []
+    base = drift = last = None
+    # an overflowing window faults in the fits below, which read the rows'
+    # ends; until then its reductions run quietly
+    with np.errstate(all="ignore"):
+        for n, rows in _recurse(seq, lo, hi, both, "left", (False,)):
+            _keep(ends[:2], (lo, lo + 1), n, rows)
+            fl[n - lo : n - lo + len(rows)] = rows[:, :m]
+            conj_left.append(np.max(np.abs(rows[:, m:] - np.conj(rows[:, :m]))))
+        for n, rows in _recurse(seq, lo, hi, both, "right", (False,)):
+            _keep(ends[2:], (hi - 1, hi), n, rows)
+            conj_right.append(np.max(np.abs(rows[:, m:] - np.conj(rows[:, :m]))))
+            # the site pairs that end in this block, from the row before it
+            fr = rows[:, :m] if last is None else np.concatenate([last, rows[:, :m]])
+            k = n - lo - (len(fr) - len(rows))  # fr[0] is site lo + k
+            if len(fr) > 1:
+                pair = _pairing(a[k : k + len(fr) - 1, None], fl[k : k + len(fr)], fr)
+                if base is None:
+                    base = pair[0]
+                gap = np.max(np.abs(pair - base), axis=0)
+                drift = gap if drift is None else np.maximum(drift, gap)
+            last = rows[-1:, :m].copy()
+    # the coefficients come from the end rows, whose fits fault on an
+    # overflowed solution before any reduction above is read
+    p = hi - 1
+    t, r, l = _coefficients(*_tail_fit(ctx, ends[:2, :m], ends[2:, :m], lo, p, 1))
     tt, rt, lt = _coefficients(
-        *_tail_fit(_GridContext(zs_inv), flc[:2], frc[p - lo : p - lo + 2], lo, p, 1)
+        *_tail_fit(_GridContext(zs_inv), ends[:2, m:], ends[2:, m:], lo, p, 1)
     )
-    sol_conj = max(
-        float(np.max(np.abs(flc - np.conj(fl)))),
-        float(np.max(np.abs(frc - np.conj(fr)))),
-    )
+    sol_conj = max(float(np.max(conj_left)), float(np.max(conj_right)))
     scat_conj = max(
         float(np.max(np.abs(tt - np.conj(t)))),
         float(np.max(np.abs(rt - np.conj(r)))),
         float(np.max(np.abs(lt - np.conj(l)))),
     )
     product = 1.0 / (t * tt)
-    a, _, _ = coefficient_arrays(seq, lo + 1, hi)
     return {
         "solution_conjugation": sol_conj,
         "scattering_conjugation": scat_conj,
@@ -252,6 +273,6 @@ def _identity_sweep(seq: CoefficientSequence, ctx: _GridContext) -> dict[str, fl
         "exchange_left": float(np.max(np.abs(rt / tt + l / t))),
         "exchange_right": float(np.max(np.abs(lt / tt + r / t))),
         "quotient": float(np.max(np.abs(t * t - r * l - t / tt))),
-        "wronskian_constancy": float(np.max(_pairing_drift(a[:, None], fl, fr))),
+        "wronskian_constancy": float(np.max(drift / np.maximum(1.0, np.abs(base)))),
         "unitarity": float(np.max(np.abs(np.abs(t) ** 2 + np.abs(r) ** 2 - 1.0))),
     }

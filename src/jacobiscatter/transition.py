@@ -33,16 +33,25 @@ breakpoint that it keeps and the limits on the side it frees, so its
 solutions are the whole's on the kept side.  The junction sweep recurses
 the whole once per side and keeps its rows at each junction and where
 each fragment starts; a fragment recurses only its free side, from those
-rows (see junction_residual_sweep).
+rows (see junction_residual_sweep).  Every recursion hands its rows out
+in blocks of a few sites, and the sweep keeps none but those rows: it
+checks each free side's plane wave block by block, the free sides of all
+junctions on one side of theirs in step, so that each block's pair of
+power-table rows serves them all.  So its solutions take the memory of
+a few blocks, whatever the window's length or a breakpoint's distance
+from it.
 
 _identities_report is the kernel of the CLI's identities report.  It
 runs the identity sweep and then one tail-fit sweep of the whole, its
 fragments and each breakpoint's junction fragments, which the
-determinant, factorization and junction rows read in that order.
+determinant, factorization and junction rows read in that order.  Its
+largest array is the identity sweep's left solution over the window,
+one row of grid points per site.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
@@ -50,7 +59,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CoefficientError, NumericalFault
-from .jost import _changed_steps, _recurse, solution_range
+from .jost import _BLOCK_SITES, _changed_steps, _recurse, _rows_at, solution_range
 from .lattice import (
     MAX_WINDOW_SITES,
     CoefficientSequence,
@@ -231,9 +240,10 @@ def junction_residual_sweep(
     coefficients depart from the whole's further out starts past the
     outermost departure, so every row equals its own recursion to the bit.
     The companions are recursed only to the junction: one step, to n1 + 1,
-    on the right, none on the left.  The plane-wave check reads each
-    junction's whole range against power tables built once; the tail fits of
-    the whole and all the fragments recurse in one sweep.  Keys:
+    on the right, none on the left.  The plane-wave check reads each free
+    side's rows block by block as they come, the blocks of all junctions
+    on one side sharing their sites and one pair of power-table rows; the
+    tail fits of the whole and all the fragments recurse in one sweep.  Keys:
     right_junction, left_junction, plane_waves, factor_algebra.
 
     Raises CoefficientError, before any recursion, for a breakpoint more
@@ -318,22 +328,13 @@ def _junction_sweep(
     sites = sorted(kept.union(*({down, down + 1, up - 1, up} for _, _, down, up in ranges)))
     where = {n: i for i, n in enumerate(sites)}
 
-    def whole(side):
-        # the left solution is read no lower than sites[0], the right one
-        # no higher than sites[-1]; the rest of the rows go on return
-        lo, hi = (sites[0], hi_all) if side == "left" else (lo_all, sites[-1])
-        return _recurse(seq, lo, hi, ctx, side, _PAIRED)[np.array(sites) - lo]
-
-    fl_pair, fr_pair = whole("left"), whole("right")
+    # the left solution is read no lower than sites[0], the right one no
+    # higher than sites[-1]
+    fl_pair = _rows_at(_recurse(seq, sites[0], hi_all, ctx, "left", _PAIRED), sites)
+    fr_pair = _rows_at(_recurse(seq, lo_all, sites[-1], ctx, "right", _PAIRED), sites)
     # upper factor times its closed inverse: top right, bottom right
     triangular = _gap((r / t) * t - r)
     lower_right = _gap((1.0 / t) * t - 1.0)
-    sites_all = np.arange(lo_all, hi_all + 1)
-    up_table, down_table = ctx.power_table(sites_all), ctx.power_table(-sites_all)
-
-    def wave(rows, to_up, to_down):
-        # to_up z^n + to_down z^{-n} on a slice of the power tables
-        return to_up * up_table[rows] + to_down * down_table[rows]
 
     def fit(m00, m01, m10, m11, r0, r1):
         det = m00 * m11 - m01 * m10
@@ -348,34 +349,49 @@ def _junction_sweep(
     found: dict[str, list[float]] = {
         key: [] for key in ("right_junction", "left_junction", "plane_waves", "factor_algebra")
     }
+    # per junction: its free sides' recursions, each with the sites its
+    # plane wave covers and that wave's coefficients, checked after the
+    # loop, and the plane-wave gaps at the junction's own sites
+    free_left, free_right, pointwise = [], [], []
     for j, (n1, (lo, hi, down, up)) in enumerate(zip(points, ranges)):
         left_part, right_part = parts[2 * j], parts[2 * j + 1]
         # the right fragment's left solution on lo..n1 + 1: a paired run
         # from the whole's rows at down reaches the companion's rows at n1
         # and n1 + 1 (no step when down = n1), a run alone the free side
+        # below s, which the plain rows at n1 and n1 + 1 start or share
         s = min(n1, down)
         start = (down, fl_pair[[where[down], where[down + 1]]])
-        junction = _recurse(right_part, s, max(n1, down) + 1, ctx, "left", _PAIRED, start=start)
-        gl2 = junction[n1 - s : n1 - s + 2, m:]
-        fl2 = _recurse(right_part, lo, n1 + 1, ctx, "left", (False,), start=(s, junction[:2, :m]))
+        near = _rows_at(
+            _recurse(right_part, s, max(n1, down) + 1, ctx, "left", _PAIRED, start=start),
+            (s, s + 1, n1, n1 + 1),
+        )
+        gl2, (f0, f1) = near[2:, m:], near[2:, :m]
+        start = (s, near[:2, :m])
+        fl2_blocks = _recurse(
+            right_part, lo, n1 + 1, ctx, "left", (False,), start=start, edge=lo_all
+        )
         # the left fragment's right solution on n1 - 1..hi, likewise from
         # up: its companion needs the step to n1 + 1
         s = min(n1, up) - 1
-        start = (up, fr_pair[[where[up - 1], where[up]]])
-        junction = _recurse(left_part, s, max(n1 + 1, up), ctx, "right", _PAIRED, start=start)
-        gr1 = junction[n1 - 1 - s : n1 + 2 - s, m:]
         first = max(n1, up)
-        start = (first, junction[first - 1 - s : first + 1 - s, :m])
-        fr1 = _recurse(left_part, n1 - 1, hi, ctx, "right", (False,), start=start)
+        start = (up, fr_pair[[where[up - 1], where[up]]])
+        near = _rows_at(
+            _recurse(left_part, s, max(n1 + 1, up), ctx, "right", _PAIRED, start=start),
+            (n1 - 1, n1, n1 + 1, first - 1, first),
+        )
+        gr1, fr1 = near[:3, m:], near[:3, :m]
+        start = (first, near[3:, :m])
+        fr1_blocks = _recurse(
+            left_part, n1 - 1, hi, ctx, "right", (False,), start=start, edge=hi_all + 1
+        )
         # keep only the coefficients the checks read, not the amplitudes
         (t1, r1, _), (t1c, r1c, _) = [_coefficients(*block) for block in next(fits)]
         (t2, _, l2), (t2c, _, l2c) = [_coefficients(*block) for block in next(fits)]
         ratio = seq.limits.a_inf / coefficient_at(seq, n1 + 1)[0]
-        # fl and fr, the whole's, and fr1 and gr1 start at n1 - 1, fl2 at
-        # lo, and gl2 holds n1 and n1 + 1
+        # fl and fr, the whole's, and fr1 and gr1 are at n1 - 1 through
+        # n1 + 1, and f0, f1 and gl2 at n1 and n1 + 1
         near = [where[n1 - 1], where[n1], where[n1 + 1]]
         fl, fr = fl_pair[near, :m], fr_pair[near, :m]
-        f0, f1 = fl2[n1 - lo], fl2[n1 + 1 - lo]
 
         refl_fit, trans_fit = fit(f0, gl2[0], f1, gl2[1], fr[1], fr[2])
         found["right_junction"].append(max(
@@ -389,18 +405,16 @@ def _junction_sweep(
             _gap(fl[2] - ratio * ((1.0 / t) * gr1[2] + (l / t) * fr1[2])),
         ))
 
-        # this junction's own solution range, as a slice of the power tables
-        left_sites = slice(lo - lo_all, n1 + 1 - lo_all)
-        right_sites = slice(n1 - lo_all, hi + 1 - lo_all)
+        # the free sides' waves: the left one on lo..n1, the right one on n1..hi
+        free_left.append((lo, n1, (1.0 / t2, l2 / t2), fl2_blocks))
+        free_right.append((n1, hi, (r1 / t1, 1.0 / t1), fr1_blocks))
         # scalar-exponent powers take numpy's own fast paths, so they are
         # not read off the tables
         z0, z0_inv = ctx.power(n1), ctx.power(-n1)
         z1, z1_inv = ctx.power(n1 + 1), ctx.power(-(n1 + 1))
         scaled_wave = ratio * ((1.0 / t2) * z1 + (l2 / t2) * z1_inv)
-        found["plane_waves"].append(max(
-            _gap(fl2[: n1 + 1 - lo] - wave(left_sites, 1.0 / t2, l2 / t2)),
+        pointwise.append([
             _gap(f1 - scaled_wave),
-            _gap(fr1[1:] - wave(right_sites, r1 / t1, 1.0 / t1)),
             # matrix forms on the junction site pair
             _gap(f0 - (z0 / t2 + z0_inv * l2 / t2)),
             _gap(gl2[0] - (z0 * l2c / t2c + z0_inv / t2c)),
@@ -410,9 +424,7 @@ def _junction_sweep(
             _gap(fr1[1] - (z0 * r1 / t1 + z0_inv / t1)),
             _gap(gr1[2] - (z1 / t1c + z1_inv * r1c / t1c)),
             _gap(fr1[2] - (z1 * r1 / t1 + z1_inv / t1)),
-        ))
-        # free this junction's solutions before the next one allocates its own
-        del junction, start, fl2, gl2, fr1, gr1, f0, f1
+        ])
 
         unit_det = 1.0 / (t1 * t1c) - (r1 * r1c) / (t1 * t1c) - 1.0
         e00 = (1.0 / t1c) * (1.0 / t1) + (r1 / t1) * (-r1c / t1c)
@@ -431,4 +443,55 @@ def _junction_sweep(
             _gap(np.stack([e00 - 1.0, e01, e10, e11 - 1.0])),
             _gap(np.stack([p00 - 1.0 / t, p01 - -r / t, p10 - l / t, p11 - (t - l * r / t)])),
         ))
+    # the free sides' plane waves, the left ones from the top down, then
+    # the right ones from the bottom up
+    lefts = _wave_gaps(ctx, free_left, lo_all, True)
+    rights = _wave_gaps(ctx, free_right, hi_all + 1, False)
+    found["plane_waves"] = [
+        max(left, first, right, *rest)
+        for left, right, (first, *rest) in zip(lefts, rights, pointwise)
+    ]
     return {key: float(np.max(values)) for key, values in found.items()}
+
+
+def _wave_gaps(
+    ctx: _GridContext,
+    free: list[tuple],
+    edge: int,
+    descending: bool,
+) -> list[float]:
+    """Each free side's worst gap to its plane wave, in the order of free.
+
+    free holds per recursion (lo, hi, (up, down), blocks): blocks hands
+    out its rows, from _recurse with the given edge, and the gap is taken
+    on sites lo..hi to up z^n + down z^{-n}.  The recursions' blocks
+    share their sites, so they are read merged in site order, from the
+    top down if descending, and each block's pair of power-table rows is
+    built once for all of them.
+    """
+    lo = min(first for first, _, _, _ in free)
+    hi = max(last for _, last, _, _ in free)
+    gaps: list[list[np.ndarray]] = [[] for _ in free]
+
+    def tagged(j, blocks):
+        for n, rows in blocks:
+            yield n, j, rows
+
+    merged = heapq.merge(*(tagged(j, each[3]) for j, each in enumerate(free)), reverse=descending)
+    held = None
+    for n, j, rows in merged:
+        first, last, (up, down), _ = free[j]
+        first, last = max(first, n), min(last, n + len(rows) - 1)
+        if first > last:
+            continue
+        if held != (n - edge) // _BLOCK_SITES:
+            # the block's sites on lo..hi
+            held = (n - edge) // _BLOCK_SITES
+            start = edge + held * _BLOCK_SITES
+            base = max(lo, start)
+            sites = np.arange(base, min(hi, start + _BLOCK_SITES - 1) + 1)
+            up_table, down_table = ctx.power_table(sites), ctx.power_table(-sites)
+        part = slice(first - base, last + 1 - base)
+        wave = up * up_table[part] + down * down_table[part]
+        gaps[j].append(np.max(np.abs(rows[first - n : last + 1 - n] - wave)))
+    return [float(np.max(each)) for each in gaps]

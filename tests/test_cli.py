@@ -248,6 +248,17 @@ def test_zero_grid_exits_two(tmp_path, single_site_file):
     assert proc.returncode == 2
 
 
+def test_grid_too_large_for_memory_exits_two(tmp_path):
+    """numpy refuses the grid's 7 PiB of points before allocating any of
+    it; that is input too large, one line on stderr, not a traceback."""
+    path = write_input(tmp_path, TWO_IMPURITY_INPUT)
+    proc = run_cli("scatter", "--input", path, "--grid", "1000000000000000")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("input too large: ")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_malformed_breakpoints_exit_two(single_site_file):
     proc = run_cli("factorize", "--input", single_site_file, "--breakpoints", "1,x")
     assert proc.returncode == 2
@@ -332,9 +343,10 @@ def test_overflowing_window_reports_only_the_fault(tmp_path):
 
 def test_overflowing_identities_with_breakpoints_reports_only_the_fault(tmp_path):
     """identities on the overflowing window faults in the identity sweep's
-    tail fit, before its other rows read the overflowed solutions, so
-    stderr holds the fault line alone.  A breakpoint out of the junctions'
-    reach is bad input, reported before any recursion, so it exits 2."""
+    tail fit.  Its other rows are reduced block by block before the fit,
+    quietly, and never printed, so stderr holds the fault line alone.  A
+    breakpoint out of the junctions' reach is bad input, reported before
+    any recursion, so it exits 2."""
     seq = overflowing_sequence()
     path = write_input(tmp_path, {
         "a_inf": 1.0, "b_inf": 0.0, "w_inf": 1.0,

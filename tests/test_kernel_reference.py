@@ -101,13 +101,38 @@ def reference_recurse(seq, window, lo, hi, zs, side, modes, store):
     return rows[[last % count, (last + 1) % count]]
 
 
+def streamed(seq, lo, hi, ctx, side, modes, start=None, block=jost._BLOCK_SITES, edge=None):
+    """The rows over [lo, hi] that _recurse hands out, put together.
+
+    The blocks must come in the recursion's order, from hi down on the
+    left side and from lo up on the right, and tile [lo, hi] in blocks of
+    block sites that start on edge's grid, by default where the recursion
+    ends, so that only the first block handed out is short.
+    """
+    rows = np.empty((hi - lo + 1, len(modes) * ctx.zs.size), dtype=complex)
+    spans = []
+    for n, part in _recurse(seq, lo, hi, ctx, side, modes, start=start, block=block, edge=edge):
+        rows[n - lo : n - lo + len(part)] = part
+        spans.append((n, n + len(part)))
+    if edge is None:
+        assert spans[-1][1] - spans[-1][0] == min(block, hi - lo + 1)
+        edge = lo if side == "left" else hi + 1
+    if side == "left":
+        spans.reverse()
+    assert spans[0][0] == lo and spans[-1][1] == hi + 1
+    assert all(stop == n for (_, stop), (n, _) in zip(spans, spans[1:]))
+    assert all((n - edge) % block == 0 for n, _ in spans[1:])
+    assert all(stop - n <= block for n, stop in spans)
+    return rows
+
+
 def kernel_pairs(seq, zs, ctx=None):
     """The kernels and the reference on every side, row mode and mode set.
 
-    The stored recursion gives every row, the tail-fit sweep the last two
-    of each side.  All the kernels' calls read one grid context, ctx if
-    given, so its drive and the log behind its large seed powers are
-    shared across them.
+    The stored recursion gives every row, put together from its blocks,
+    the tail-fit sweep the last two of each side.  All the kernels' calls
+    read one grid context, ctx if given, so its drive and the log behind
+    its large seed powers are shared across them.
     """
     ctx = _GridContext(zs) if ctx is None else ctx
     window = seq.window
@@ -115,7 +140,7 @@ def kernel_pairs(seq, zs, ctx=None):
     for side in ("left", "right"):
         for modes in MODES:
             yield (
-                _recurse(seq, lo, hi, ctx, side, modes),
+                streamed(seq, lo, hi, ctx, side, modes),
                 reference_recurse(seq, window, lo, hi, zs, side, modes, True),
             )
     lo, hi = window.n_min - 2, window.n_max + 2
@@ -454,6 +479,46 @@ def test_junction_rows_equal_the_paired_fragment_recursions(tmp_path, random_fix
             assert {key: rows[key] for key in want} == want, points
 
 
+def handed_out(rows, lo, edge, descending):
+    """rows, row k at site lo + k, in blocks as _recurse hands them out:
+    each block starts on edge's grid, from the top down if descending."""
+    hi = lo + len(rows) - 1
+    block = jost._BLOCK_SITES
+    cuts = [lo, *range(lo + (edge - lo - 1) % block + 1, hi + 1, block), hi + 1]
+    spans = list(zip(cuts[:-1], cuts[1:]))
+    for first, stop in reversed(spans) if descending else spans:
+        yield first, rows[first - lo : stop - lo]
+
+
+def test_wave_gaps_read_each_free_side_on_its_own_sites():
+    """Each side's plane-wave gap covers its sites lo..hi and no other:
+    rows that equal their wave but at one site read a gap there only,
+    wherever that site falls among the merged blocks of three sides, one
+    site past lo..hi as the free sides' recursions reach included."""
+    zs = default_grid(mixed_sequence(), count=4).zs
+    ctx = _GridContext(zs)
+    edge = -40
+    ranges = [(-40, 5), (-40, 30), (-23, 17)]
+    waves = [(np.full(4, 0.5 + 0.25j * k), np.full(4, -0.75 + 0.1j * k)) for k in range(3)]
+    for descending in (True, False):
+        reach = [(lo, hi + 1) if descending else (lo - 1, hi) for lo, hi in ranges]
+        for spiked, (first, last) in enumerate(reach):
+            for site in range(first, last + 1):
+                sides = []
+                for j, ((lo, hi), (up, down), (a, b)) in enumerate(zip(ranges, waves, reach)):
+                    sites = np.arange(a, b + 1)
+                    rows = up * ctx.power_table(sites) + down * ctx.power_table(-sites)
+                    if j == spiked:
+                        rows[site - a] += 2.0
+                    sides.append((lo, hi, (up, down), handed_out(rows, a, edge, descending)))
+                gaps = transition._wave_gaps(ctx, sides, edge, descending)
+                lo, hi = ranges[spiked]
+                assert [gap > 1.0 for gap in gaps] == [
+                    j == spiked and lo <= site <= hi for j in range(len(ranges))
+                ], (descending, spiked, site)
+                assert all(gap == 0.0 for gap in gaps if gap <= 1.0)
+
+
 def test_junction_rows_see_a_fragment_that_departs_from_the_whole(monkeypatch):
     """A fragment damaged on the side it keeps starts from the whole's rows
     only past the damage, so its rows stay its own and the junction rows
@@ -536,3 +601,131 @@ def test_far_breakpoints_raise_before_any_recursion(monkeypatch, tmp_path):
     # the reach itself is still admitted
     reach(seq, (seq.window.n_max + MAX_WINDOW_SITES,))
     reach(seq, (seq.window.n_min - MAX_WINDOW_SITES,))
+
+
+@pytest.mark.filterwarnings("ignore::jacobiscatter.lattice.CouplingSignWarning")
+@pytest.mark.parametrize("count", [1, 8])
+def test_streamed_blocks_equal_the_reference_recursion(count):
+    """_recurse's blocks, put together, are the plain recursion's rows to
+    the bit: both sides, every mode set, with and without a start pair,
+    with a block edge between the start pair's rows and on the window's
+    edges, and with seeded tails of 500 sites, many blocks long and past
+    |k| = 100, where the seeds take the exp route.  The deviations cycle
+    through -0.0 and subnormal b and negative couplings.
+
+    A run from a start pair computes no row between the pair and the
+    seeded tail, so those rows are not compared."""
+    n_min, n_max = 48, 67
+    b_odd = (-0.0, 5e-324, 0.3, -2.2250738585072014e-309, 1e-310, -0.25)
+    a = [(-0.7, 1.1, 0.7, -0.9)[j % 4] for j in range(n_max - n_min + 1)]
+    b = [b_odd[j % 6] for j in range(n_max - n_min + 1)]
+    w = [(1.0, 4.5, 3.0)[j % 3] for j in range(n_max - n_min + 1)]
+    seq = make_sequence(n_min, a, b, w, Limits(0.7, 0.0, 3.0))
+    lo, hi = n_min - 500, n_max + 500
+    zs = default_grid(seq, count=count).zs
+    ctx = _GridContext(zs)
+    sites = np.arange(lo, hi + 1)
+    starts = {"left": (n_max, n_min + 7, n_min - 1), "right": (n_min - 1, n_max - 7, n_max + 1)}
+    for side in ("left", "right"):
+        tail = sites >= n_max if side == "left" else sites < n_min
+        for modes in MODES:
+            want = reference_recurse(seq, seq.window, lo, hi, zs, side, modes, True)
+            assert np.all(np.isfinite(want))
+            # (start, the rows it leaves out, the start pair's upper site),
+            # the pair at s and s + 1 on the left side, at s - 1 and s on
+            # the right: where the recursion starts anyway, inside the
+            # window, and at the window's other edge
+            runs = [(None, np.zeros_like(tail), None)]
+            for s in starts[side]:
+                pair = s + 1 if side == "left" else s
+                skipped = (sites > pair) if side == "left" else (sites < pair - 1)
+                runs.append(((s, want[pair - 1 - lo : pair + 1 - lo]), skipped & ~tail, pair))
+            for start, skipped, pair in runs:
+                edges = {None, n_min, n_max + 1} | ({pair} if pair is not None else set())
+                for block in (1, 3, jost._BLOCK_SITES):
+                    for edge in edges:
+                        got = streamed(seq, lo, hi, ctx, side, modes, start, block, edge)
+                        same = got[~skipped].tobytes() == want[~skipped].tobytes()
+                        assert same, (side, start, block, edge)
+
+
+def reference_identity_sweep(seq, zs):
+    """identity_sweep as it was written before its rows were streamed:
+    both sides' solutions at z and at the rounded reciprocal 1/z stored
+    over the whole range, from the plain recursion, and every row reduced
+    from those arrays at once."""
+    m = zs.size
+    zs_inv = 1.0 / zs
+    both = np.concatenate([zs, zs_inv])
+    lo, hi = solution_range(seq)
+    fl, fr = (
+        reference_recurse(seq, seq.window, lo, hi, both, side, (False,), True)
+        for side in ("left", "right")
+    )
+    fl, flc, fr, frc = fl[:, :m], fl[:, m:], fr[:, :m], fr[:, m:]
+    p = seq.window.n_max + 1
+    t, r, l = _coefficients(*_tail_fit(_GridContext(zs), fl[:2], fr[p - lo : p - lo + 2], lo, p, 1))
+    tt, rt, lt = _coefficients(
+        *_tail_fit(_GridContext(zs_inv), flc[:2], frc[p - lo : p - lo + 2], lo, p, 1)
+    )
+    a, _, _ = coefficient_arrays(seq, lo + 1, hi)
+    pair = a[:, None] * (fl[:-1] * fr[1:] - fl[1:] * fr[:-1])
+    drift = np.max(np.abs(pair - pair[0]), axis=0) / np.maximum(1.0, np.abs(pair[0]))
+    product = 1.0 / (t * tt)
+    return {
+        "solution_conjugation": max(
+            float(np.max(np.abs(flc - np.conj(fl)))), float(np.max(np.abs(frc - np.conj(fr))))
+        ),
+        "scattering_conjugation": max(
+            float(np.max(np.abs(tt - np.conj(t)))),
+            float(np.max(np.abs(rt - np.conj(r)))),
+            float(np.max(np.abs(lt - np.conj(l)))),
+        ),
+        "product_left": float(np.max(np.abs(product - l * lt * product - 1.0))),
+        "product_right": float(np.max(np.abs(product - r * rt * product - 1.0))),
+        "exchange_left": float(np.max(np.abs(rt / tt + l / t))),
+        "exchange_right": float(np.max(np.abs(lt / tt + r / t))),
+        "quotient": float(np.max(np.abs(t * t - r * l - t / tt))),
+        "wronskian_constancy": float(np.max(drift)),
+        "unitarity": float(np.max(np.abs(np.abs(t) ** 2 + np.abs(r) ** 2 - 1.0))),
+    }
+
+
+def damped_window(n_min, length, seed):
+    """A window of the conftest family's kind at any length: deviations
+    scaled like 1 / length keep 1/|T| small."""
+    rng = np.random.default_rng(seed)
+    lim = Limits(0.9, 0.1, 1.1)
+    a = lim.a_inf * (1.0 + rng.uniform(-0.6, 0.6, length) / length)
+    b = lim.b_inf + rng.uniform(-1.4, 1.4, length) / length
+    w = lim.w_inf * (1.0 + rng.uniform(-0.6, 0.6, length) / length)
+    return make_sequence(n_min, a, b, w, lim)
+
+
+def test_reports_on_windows_of_many_blocks_equal_the_references(tmp_path):
+    """A 301-site window spans about 20 blocks of rows.  identity_sweep,
+    junction_residual_sweep and the identities report equal the full-array
+    references to the bit, with breakpoints inside the window, on and next
+    to both of its edges, and 500 sites out on either side, alone and all
+    together."""
+    seq = damped_window(-137, 301, seed=15)
+    n_min, n_max = seq.window.n_min, seq.window.n_max
+    assert (n_max - n_min + 5) > 16 * jost._BLOCK_SITES
+    path = tmp_path / "seq.json"
+    write_sequence(path, seq)
+    zs = cli._grid_for(seq, cli.RunConfig(str(path), grid_count=64)).zs
+    identities = reference_identity_sweep(seq, zs)
+    assert identity_sweep(seq, zs) == identities
+    plain = _coefficients(*reference_blocks(seq, zs, (False,))[0])
+    paired = _coefficients(*reference_blocks(seq, zs, (False, True))[0])
+    far = (n_min - 500, n_max + 500)
+    inside = (-50, 0, 77)
+    edges = (n_min - 1, n_min, n_max, n_max + 1)
+    for points in [(p,) for p in far] + [inside, tuple(sorted(inside + edges + far))]:
+        splits = [fragment(seq, Fragmentation((n1,))) for n1 in points]
+        want = reference_junction_sweep(seq, points, zs, *plain, splits)
+        assert junction_residual_sweep(seq, Fragmentation(points), zs) == want, points
+        rows = report(["identities", "--input", str(path), "--grid", "64",
+                       "--breakpoints=" + ",".join(map(str, points))])
+        want = {**identities, **reference_junction_sweep(seq, points, zs, *paired, splits)}
+        assert {key: rows[key] for key in want} == want, points

@@ -18,9 +18,10 @@ from jacobiscatter import (
     scattering_amplitudes,
     transition_entries,
 )
-from jacobiscatter.jost import _fit_sweep, _recurse, solution_range
+from jacobiscatter.jost import _fit_sweep, solution_range
 from jacobiscatter.spectral import _GridContext
 from conftest import default_grid, hand_fixtures, mixed_sequence, overflowing_sequence
+from test_kernel_reference import streamed
 
 FLAGS = (True, False, True)
 
@@ -37,7 +38,7 @@ def blocks_and_singles(seq, zs, side, store):
     def run(modes):
         if store:
             lo, hi = solution_range(seq, IndexWindow(window.n_min - 4, window.n_max + 3))
-            return _recurse(seq, lo, hi, _GridContext(zs), side, modes)
+            return streamed(seq, lo, hi, _GridContext(zs), side, modes)
         rows = _fit_sweep(seq, [(seq, window)], _GridContext(zs), modes)[0]
         return rows[("left", "right").index(side)]
 

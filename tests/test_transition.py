@@ -194,7 +194,8 @@ def test_dependent_junction_pair_is_a_fault_naming_theta(monkeypatch, two_impuri
     recurse = transition._recurse
 
     def zeros(*args, **kwargs):
-        return 0.0 * recurse(*args, **kwargs)
+        for n, rows in recurse(*args, **kwargs):
+            yield n, 0.0 * rows
 
     monkeypatch.setattr(transition, "_recurse", zeros)
     zs = default_grid(two_impurity_seq, count=8).zs
