@@ -34,7 +34,7 @@ from .lattice import (
     fragment,
     validate_sequence,
 )
-from .scattering import scattering_values
+from .scattering import _grid_maxima, scattering_values
 from .spectral import CircleGrid, sample_circle
 from .transition import _identities_report, factorization_residuals
 
@@ -183,20 +183,19 @@ def run_factorize(config: RunConfig, corrupt_padding: bool = False) -> int:
     frag = Fragmentation(tuple(config.breakpoints))
     grid = _grid_for(seq, config)
     parts = _corrupted_padding(fragment(seq, frag)) if corrupt_padding else None
-    residual = float(np.max(factorization_residuals(seq, frag, grid.zs, parts=parts)))
-    ok = residual <= config.tolerance
-    _emit(
-        _render_report([("factorization", residual, config.tolerance, ok)], config.format),
-        config.output_path,
-    )
-    return 0 if ok else 1
+    residuals = factorization_residuals(seq, frag, grid.zs, parts=parts)
+    return _write_report(_grid_maxima({"factorization": residuals}, grid.zs), config)
 
 
 def run_identities(config: RunConfig) -> int:
     """Sweep every identity; junction checks join in when breakpoints are given."""
     seq = _load_sequence(config.input_path)
     frag = Fragmentation(tuple(config.breakpoints)) if config.breakpoints else None
-    named = _identities_report(seq, frag, _grid_for(seq, config).zs)
+    return _write_report(_identities_report(seq, frag, _grid_for(seq, config).zs), config)
+
+
+def _write_report(named: dict[str, float], config: RunConfig) -> int:
+    """Write one report row per residual: exit 0 if all pass, 1 otherwise."""
     rows = [
         (name, residual, config.tolerance, residual <= config.tolerance)
         for name, residual in named.items()

@@ -32,11 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFault
 from .jost import jost_values
 from .lattice import CoefficientSequence, coefficient_at
 from .scattering import ScatteringData
-from .spectral import require_admissible, wave_pair_det
+from .spectral import _fault_where, require_admissible, wave_pair_det
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,19 +139,14 @@ def wronskian_values(
 
     base = seq.limits.a_inf * wave_pair_det(zs)
     w_lr = pair(fl, fr)
-    tiny = np.abs(w_lr) < 1e-300
-    if np.any(tiny):
-        theta = float(np.angle(zs[np.argmax(tiny)]))
-        raise NumericalFault(f"vanishing solution pairing at theta = {theta:.6g}")
+    _fault_where(np.abs(w_lr) < 1e-300, zs, "vanishing solution pairing")
     t = base / w_lr
     l_over_t = -pair(fl, gr) / base
     r_over_t = pair(fr, gl) / base
-    # the tiny test above is False for nan, so overflow needs its own
+    # the vanishing test above is False for nan, so overflow needs its own
     # guard; w_lr is a multiple of 1/T, finite exactly where T is usable
     finite = np.isfinite(w_lr) & np.isfinite(r_over_t) & np.isfinite(l_over_t)
-    if not np.all(finite):
-        theta = float(np.angle(zs[int(np.argmin(finite))]))
-        raise NumericalFault(f"Wronskian route is not finite at theta = {theta:.6g}")
+    _fault_where(~finite, zs, "Wronskian route is not finite")
     return t, r_over_t * t, l_over_t * t
 
 

@@ -12,6 +12,11 @@ so T, R and L follow from two 2x2 plane-wave fits, one per tail.  Both
 fits produce 1/T; extraction insists the two agree and returns their
 mean, which turns a large family of implementation mistakes into loud
 faults instead of plausible numbers.
+
+identity_sweep checks the relations among these data.  Its rows, and
+every report row, are one residual per grid point until _grid_maxima,
+the one reduction, turns each into the maximum a report prints, or
+raises NumericalFault where a residual is not finite.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .errors import NumericalFault
 # this copy
 from .jost import _fit_sweep, _keep, _pairing, _recurse, jost_values, solution_range  # noqa: F401
 from .lattice import CoefficientSequence, coefficient_arrays, effective_support
-from .spectral import _GridContext
+from .spectral import _fault_where, _GridContext
 
 # Relative disagreement of the two 1/T fits that flags a fault.
 MISMATCH_TOL = 1e-8
@@ -74,9 +79,7 @@ def _tail_fit(
         & np.isfinite(r_over_t)
         & np.isfinite(l_over_t)
     )
-    if not np.all(finite):
-        theta = float(np.angle(zs[int(np.argmin(finite))]))
-        raise NumericalFault(f"tail fit is not finite at theta = {theta:.6g}")
+    _fault_where(~finite, zs, "tail fit is not finite")
     inv_t = 0.5 * (inv_t_left + inv_t_right)
     mismatch = np.abs(inv_t_left - inv_t_right)
     scale = np.maximum(1.0, np.abs(inv_t))
@@ -190,6 +193,18 @@ def extract_scattering(
     return ScatteringData(label, complex(t[0]), complex(r[0]), complex(l[0]))
 
 
+def _grid_maxima(rows: dict[str, np.ndarray], zs: np.ndarray) -> dict[str, float]:
+    """Each row's worst residual over the grid zs, the float a report prints.
+
+    rows holds one non-negative residual per grid point.  Raises
+    NumericalFault, naming the row and the first theta, where a residual
+    is not finite.
+    """
+    for name, residual in rows.items():
+        _fault_where(~np.isfinite(residual), zs, f"{name} residual is not finite")
+    return {name: float(np.max(residual)) for name, residual in rows.items()}
+
+
 def identity_sweep(seq: CoefficientSequence, zs: np.ndarray) -> dict[str, float]:
     """Grid maxima of every solution and coefficient relation, by name.
 
@@ -202,21 +217,27 @@ def identity_sweep(seq: CoefficientSequence, zs: np.ndarray) -> dict[str, float]
     quotient: T^2 - R L equals T / T~; wronskian_constancy: the drift of
     the Jost pairing across sites; unitarity: |T|^2 + |R|^2 - 1.  A
     one-point grid [z] gives the relations at z alone.
+
+    Raises NumericalFault, naming the row and theta, where a residual is
+    not finite.
     """
-    return _identity_sweep(seq, _GridContext(zs))
+    ctx = _GridContext(zs)
+    return _grid_maxima(_identity_sweep(seq, ctx), ctx.zs)
 
 
-def _identity_sweep(seq: CoefficientSequence, ctx: _GridContext) -> dict[str, float]:
-    """identity_sweep over the grid of ctx, whose fit at z shares its powers.
+@np.errstate(all="ignore")
+def _identity_sweep(seq: CoefficientSequence, ctx: _GridContext) -> dict[str, np.ndarray]:
+    """identity_sweep's rows over the grid of ctx, one residual per point.
 
-    The solutions at z and at the rounded reciprocal 1/z recurse as one
-    grid, over one context of both; the fit at 1/z has a context of its
-    own.  Each side's rows are reduced block by block as _recurse hands
-    them out, and a max over blocks is exact.  The left side runs first
+    The fit at z shares the powers of ctx.  The solutions at z and at the
+    rounded reciprocal 1/z recurse as one grid, over one context of both;
+    the fit at 1/z has a context of its own.  Each side's rows are reduced
+    block by block as _recurse hands them out.  The left side runs first
     and keeps its plain columns at z, which the Wronskian pairing reads
     against the right side's blocks, which come from the lowest site up,
-    so the pairing's base, at the lowest site pair, comes first.  Beyond
-    those columns only each side's two fit rows are kept.
+    so the pairing's base, at the lowest site pair, comes first.  An
+    overflowing window faults in the fits, which read the rows' ends; a
+    row that overflows on finite fits is _grid_maxima's to report.
     """
     zs = ctx.zs
     m = zs.size
@@ -229,50 +250,43 @@ def _identity_sweep(seq: CoefficientSequence, ctx: _GridContext) -> dict[str, fl
     # the fits' rows: the left side's at lo and lo + 1, the right's at
     # hi - 1 and hi, two sites past each end of the window
     ends = np.empty((4, 2 * m), dtype=complex)
-    conj_left, conj_right = [], []
-    base = drift = last = None
-    # an overflowing window faults in the fits below, which read the rows'
-    # ends; until then its reductions run quietly
-    with np.errstate(all="ignore"):
-        for n, rows in _recurse(seq, lo, hi, both, "left", (False,)):
-            _keep(ends[:2], (lo, lo + 1), n, rows)
-            fl[n - lo : n - lo + len(rows)] = rows[:, :m]
-            conj_left.append(np.max(np.abs(rows[:, m:] - np.conj(rows[:, :m]))))
-        for n, rows in _recurse(seq, lo, hi, both, "right", (False,)):
-            _keep(ends[2:], (hi - 1, hi), n, rows)
-            conj_right.append(np.max(np.abs(rows[:, m:] - np.conj(rows[:, :m]))))
-            # the site pairs that end in this block, from the row before it
-            fr = rows[:, :m] if last is None else np.concatenate([last, rows[:, :m]])
-            k = n - lo - (len(fr) - len(rows))  # fr[0] is site lo + k
-            if len(fr) > 1:
-                pair = _pairing(a[k : k + len(fr) - 1, None], fl[k : k + len(fr)], fr)
-                if base is None:
-                    base = pair[0]
-                gap = np.max(np.abs(pair - base), axis=0)
-                drift = gap if drift is None else np.maximum(drift, gap)
-            last = rows[-1:, :m].copy()
-    # the coefficients come from the end rows, whose fits fault on an
-    # overflowed solution before any reduction above is read
+    sol_conj = drift = np.zeros(m)
+    base = last = None
+    for n, rows in _recurse(seq, lo, hi, both, "left", (False,)):
+        _keep(ends[:2], (lo, lo + 1), n, rows)
+        fl[n - lo : n - lo + len(rows)] = rows[:, :m]
+        sol_conj = np.maximum(sol_conj, np.max(np.abs(rows[:, m:] - np.conj(rows[:, :m])), axis=0))
+    for n, rows in _recurse(seq, lo, hi, both, "right", (False,)):
+        _keep(ends[2:], (hi - 1, hi), n, rows)
+        sol_conj = np.maximum(sol_conj, np.max(np.abs(rows[:, m:] - np.conj(rows[:, :m])), axis=0))
+        # the site pairs that end in this block, from the row before it
+        fr = rows[:, :m] if last is None else np.concatenate([last, rows[:, :m]])
+        k = n - lo - (len(fr) - len(rows))  # fr[0] is site lo + k
+        if len(fr) > 1:
+            pair = _pairing(a[k : k + len(fr) - 1, None], fl[k : k + len(fr)], fr)
+            if base is None:
+                base = pair[0]
+            drift = np.maximum(drift, np.max(np.abs(pair - base), axis=0))
+        last = rows[-1:, :m].copy()
     p = hi - 1
     t, r, l = _coefficients(*_tail_fit(ctx, ends[:2, :m], ends[2:, :m], lo, p, 1))
     tt, rt, lt = _coefficients(
         *_tail_fit(_GridContext(zs_inv), ends[:2, m:], ends[2:, m:], lo, p, 1)
     )
-    sol_conj = max(float(np.max(conj_left)), float(np.max(conj_right)))
-    scat_conj = max(
-        float(np.max(np.abs(tt - np.conj(t)))),
-        float(np.max(np.abs(rt - np.conj(r)))),
-        float(np.max(np.abs(lt - np.conj(l)))),
-    )
     product = 1.0 / (t * tt)
     return {
         "solution_conjugation": sol_conj,
-        "scattering_conjugation": scat_conj,
-        "product_left": float(np.max(np.abs(product - l * lt * product - 1.0))),
-        "product_right": float(np.max(np.abs(product - r * rt * product - 1.0))),
-        "exchange_left": float(np.max(np.abs(rt / tt + l / t))),
-        "exchange_right": float(np.max(np.abs(lt / tt + r / t))),
-        "quotient": float(np.max(np.abs(t * t - r * l - t / tt))),
-        "wronskian_constancy": float(np.max(drift / np.maximum(1.0, np.abs(base)))),
-        "unitarity": float(np.max(np.abs(np.abs(t) ** 2 + np.abs(r) ** 2 - 1.0))),
+        "scattering_conjugation": _worst(tt - np.conj(t), rt - np.conj(r), lt - np.conj(l)),
+        "product_left": np.abs(product - l * lt * product - 1.0),
+        "product_right": np.abs(product - r * rt * product - 1.0),
+        "exchange_left": np.abs(rt / tt + l / t),
+        "exchange_right": np.abs(lt / tt + r / t),
+        "quotient": np.abs(t * t - r * l - t / tt),
+        "wronskian_constancy": drift / np.maximum(1.0, np.abs(base)),
+        "unitarity": np.abs(np.abs(t) ** 2 + np.abs(r) ** 2 - 1.0),
     }
+
+
+def _worst(*terms: np.ndarray) -> np.ndarray:
+    """The largest modulus among terms, point by point."""
+    return np.max(np.abs(np.stack(terms)), axis=0)

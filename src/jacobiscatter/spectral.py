@@ -196,6 +196,13 @@ class _GridContext:
         return table
 
 
+def _fault_where(bad: np.ndarray, zs: np.ndarray, what: str) -> None:
+    """Raise NumericalFault "<what> at theta = ..." at zs's first point where bad holds."""
+    if np.any(bad):
+        theta = float(np.angle(zs[int(np.argmax(bad))]))
+        raise NumericalFault(f"{what} at theta = {theta:.6g}")
+
+
 def require_admissible(zs: np.ndarray) -> None:
     """Reject circle points too close to the degenerate points +1, -1."""
     require_on_circle(zs)

@@ -24,7 +24,10 @@ behind it at each breakpoint taken as a single junction:
 * the 2x2 algebra that rearranges the junction matrices into the product
   formula, including the closed-form inverses it uses.
 
-Each relation has one kernel, over a grid.  The one-point functions,
+Each relation has one kernel, over a grid, and each report row is one
+residual per grid point, which scattering._grid_maxima alone reduces to
+the maximum a report prints, raising NumericalFault, naming the row and
+theta, where a residual is not finite.  The one-point functions,
 transition_for and factorization_check, call the same kernels on a grid
 of one point; a single z's junction identities are the sweep over [z].
 
@@ -58,8 +61,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import CoefficientError, NumericalFault
-from .jost import _BLOCK_SITES, _changed_steps, _recurse, _rows_at, solution_range
+from .errors import CoefficientError
+from .jost import _BLOCK_SITES, _recurse, _rows_at, solution_range
 from .lattice import (
     MAX_WINDOW_SITES,
     CoefficientSequence,
@@ -68,8 +71,8 @@ from .lattice import (
     coefficient_at,
     fragment,
 )
-from .scattering import _amplitude_blocks, _coefficients, _identity_sweep
-from .spectral import _GridContext
+from .scattering import _amplitude_blocks, _coefficients, _grid_maxima, _identity_sweep, _worst
+from .spectral import _fault_where, _GridContext
 
 # the at_inverse modes of a solution and its companion at 1/z
 _PAIRED = (False, True)
@@ -129,6 +132,7 @@ def _entries(blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> np.ndar
     return out
 
 
+@np.errstate(all="ignore")
 def _determinant_gap(lam: np.ndarray) -> np.ndarray:
     det = lam[..., 0, 0] * lam[..., 1, 1] - lam[..., 0, 1] * lam[..., 1, 0]
     return np.abs(det - 1.0)
@@ -139,6 +143,7 @@ def determinant_residuals(seq: CoefficientSequence, zs: np.ndarray) -> np.ndarra
     return _determinant_gap(transition_entries(seq, zs))
 
 
+@np.errstate(all="ignore")
 def _fragment_product(entries: Iterator[np.ndarray]) -> np.ndarray:
     """Ordered product of the parts' transition entries, leftmost first."""
     product = next(entries)
@@ -147,9 +152,10 @@ def _fragment_product(entries: Iterator[np.ndarray]) -> np.ndarray:
     return product
 
 
-def _product_gap(whole: np.ndarray, entries: Iterator[np.ndarray]) -> np.ndarray:
-    """Max entrywise gap between whole entries and the ordered product of parts."""
-    return np.max(np.abs(_fragment_product(entries) - whole), axis=(-2, -1))
+@np.errstate(all="ignore")
+def _product_gap(whole: np.ndarray, product: np.ndarray) -> np.ndarray:
+    """Max entrywise gap between whole entries and the parts' product."""
+    return np.max(np.abs(product - whole), axis=(-2, -1))
 
 
 def factorization_residuals(
@@ -169,7 +175,7 @@ def factorization_residuals(
         parts = fragment(seq, frag)
     # the whole and its fragments from one sweep, fitted in that order
     blocks = _amplitude_blocks(seq, [seq, *parts], ctx, _PAIRED)
-    return _product_gap(_entries(next(blocks)), map(_entries, blocks))
+    return _product_gap(_entries(next(blocks)), _fragment_product(map(_entries, blocks)))
 
 
 def factorization_check(
@@ -178,17 +184,21 @@ def factorization_check(
     z: complex,
     tol: float = 1e-10,
 ) -> FactorizationReport:
-    """Compare the transition matrix with its ordered fragment product."""
+    """Compare the transition matrix with its ordered fragment product.
+
+    Raises NumericalFault where the residual is not finite.
+    """
     z = complex(z)
     parts = fragment(seq, frag)
-    blocks = _amplitude_blocks(seq, [seq, *parts], _GridContext(z), _PAIRED)
-    whole = _entries(next(blocks))[0]
-    product = _fragment_product(map(_entries, blocks))[0]
-    residual = float(np.max(np.abs(product - whole)))
+    ctx = _GridContext(z)
+    blocks = _amplitude_blocks(seq, [seq, *parts], ctx, _PAIRED)
+    whole = _entries(next(blocks))
+    product = _fragment_product(map(_entries, blocks))
+    (residual,) = _grid_maxima({"factorization": _product_gap(whole, product)}, ctx.zs).values()
     return FactorizationReport(
         z=z,
-        whole=TransitionMatrix(whole, z),
-        product=product,
+        whole=TransitionMatrix(whole[0], z),
+        product=product[0],
         residual=residual,
         fragment_count=len(parts),
         tolerance=float(tol),
@@ -233,12 +243,11 @@ def junction_residual_sweep(
 
     The whole sequence's T, R, L are read off its transition entries, and
     its solutions and their companions recursed once per side, keeping only
-    the rows at n1 - 1 through n1 + 1 and where the fragments start.  The
-    right fragment's left solution is the whole's down to min(n1, n_max) and
-    is recursed below; the left fragment's right solution is the whole's up
-    to max(n1, n_min - 1) and is recursed above.  A fragment whose
-    coefficients depart from the whole's further out starts past the
-    outermost departure, so every row equals its own recursion to the bit.
+    the rows at n1 - 1 through n1 + 1 and where the fragments start.
+    fragment() copies the whole's values bit for bit on the side a
+    fragment keeps, so the right fragment's left solution is the whole's
+    down to min(n1, n_max) and the left fragment's right solution up to
+    max(n1, n_min - 1); each is recursed from there over its free side.
     The companions are recursed only to the junction: one step, to n1 + 1,
     on the right, none on the left.  The plane-wave check reads each free
     side's rows block by block as they come, the blocks of all junctions
@@ -249,13 +258,14 @@ def junction_residual_sweep(
     Raises CoefficientError, before any recursion, for a breakpoint more
     than MAX_WINDOW_SITES sites outside the window, and NumericalFault,
     naming theta, where a fragment's solution pair is numerically
-    dependent at the junction.
+    dependent at the junction or, naming the row too, where a residual is
+    not finite.
     """
     _require_reach(seq, frag.breakpoints)
     ctx = _GridContext(zs)
     parts = _junction_parts(seq, frag)
     fits = _amplitude_blocks(seq, [seq, *parts], ctx, _PAIRED)
-    return _junction_sweep(seq, frag, ctx, _entries(next(fits)), parts, fits)
+    return _grid_maxima(_junction_sweep(seq, frag, ctx, _entries(next(fits)), parts, fits), ctx.zs)
 
 
 def _identities_report(
@@ -268,7 +278,8 @@ def _identities_report(
     breakpoints' reach is checked before the grid.  The tail fits of the
     whole, its fragments and the junctions' run in one sweep and are
     fitted as they are read, so a NumericalFault names the first job that
-    faults; every later row shares the whole's fit.
+    faults; every later row shares the whole's fit.  The rows are reduced
+    last, so a fit's fault comes before a residual that is not finite.
     """
     parts, junction_parts = [], []
     if frag is not None:
@@ -276,22 +287,19 @@ def _identities_report(
         parts, junction_parts = fragment(seq, frag), _junction_parts(seq, frag)
     # every recursion and fit of the report shares this grid's drive and powers
     ctx = _GridContext(zs)
-    named = _identity_sweep(seq, ctx)
+    rows = _identity_sweep(seq, ctx)
     blocks = _amplitude_blocks(seq, [seq, *parts, *junction_parts], ctx, _PAIRED)
     lam = _entries(next(blocks))
-    named["transition_determinant"] = float(np.max(_determinant_gap(lam)))
+    rows["transition_determinant"] = _determinant_gap(lam)
     if frag is not None:
-        product = map(_entries, islice(blocks, len(parts)))
-        named["factorization"] = float(np.max(_product_gap(lam, product)))
+        product = _fragment_product(map(_entries, islice(blocks, len(parts))))
+        rows["factorization"] = _product_gap(lam, product)
         # one single-junction check per breakpoint, worst over them per row
-        named.update(_junction_sweep(seq, frag, ctx, lam, junction_parts, blocks))
-    return named
+        rows.update(_junction_sweep(seq, frag, ctx, lam, junction_parts, blocks))
+    return _grid_maxima(rows, ctx.zs)
 
 
-def _gap(values: np.ndarray) -> float:
-    return float(np.max(np.abs(values)))
-
-
+@np.errstate(all="ignore")
 def _junction_sweep(
     seq: CoefficientSequence,
     frag: Fragmentation,
@@ -299,8 +307,9 @@ def _junction_sweep(
     lam: np.ndarray,
     parts: list[CoefficientSequence],
     fits: Iterator[list[tuple[np.ndarray, np.ndarray, np.ndarray]]],
-) -> dict[str, float]:
-    """junction_residual_sweep over the grid of ctx, given the whole's entries lam.
+) -> dict[str, np.ndarray]:
+    """junction_residual_sweep's rows over the grid of ctx, one residual per
+    point, given the whole's entries lam.
 
     parts is _junction_parts(seq, frag), and fits yields their amplitude
     blocks at z and 1/z in that order, fitted where the loop reads them.
@@ -314,59 +323,40 @@ def _junction_sweep(
     points = frag.breakpoints
     n_min, n_max = seq.window.n_min, seq.window.n_max
     lo_all, hi_all = solution_range(seq, IndexWindow(points[0] - 2, points[-1] + 2))
-    # per junction: its range, and the sites from which the right
-    # fragment's left solution recurses down and the left fragment's right
-    # one recurses up, past any step departing from seq on the kept side;
-    # fragment() keeps seq's window, so the seeds agree
-    ranges = []
-    for n1, left_part, right_part in zip(points, parts[::2], parts[1::2]):
-        lo, hi = solution_range(seq, IndexWindow(n1 - 2, n1 + 2))
-        down = max([min(n1, n_max), *_changed_steps(seq, right_part, lo + 1, n_max)])
-        up = min([max(n1, n_min - 1), *_changed_steps(seq, left_part, n_min - 1, hi - 1)])
-        ranges.append((lo, hi, down, up))
+    # per junction: the sites from which the right fragment's left solution
+    # recurses down and the left fragment's right one recurses up, where
+    # each fragment's kept side ends
+    starts = [(min(n1, n_max), max(n1, n_min - 1)) for n1 in points]
     kept = {n1 + d for n1 in points for d in (-1, 0, 1)}
-    sites = sorted(kept.union(*({down, down + 1, up - 1, up} for _, _, down, up in ranges)))
+    sites = sorted(kept.union(*({down, down + 1, up - 1, up} for down, up in starts)))
     where = {n: i for i, n in enumerate(sites)}
 
     # the left solution is read no lower than sites[0], the right one no
     # higher than sites[-1]
     fl_pair = _rows_at(_recurse(seq, sites[0], hi_all, ctx, "left", _PAIRED), sites)
     fr_pair = _rows_at(_recurse(seq, lo_all, sites[-1], ctx, "right", _PAIRED), sites)
-    # upper factor times its closed inverse: top right, bottom right
-    triangular = _gap((r / t) * t - r)
-    lower_right = _gap((1.0 / t) * t - 1.0)
 
     def fit(m00, m01, m10, m11, r0, r1):
         det = m00 * m11 - m01 * m10
-        dependent = np.abs(det) < 1e-300
-        if np.any(dependent):
-            theta = float(np.angle(zs[int(np.argmax(dependent))]))
-            raise NumericalFault(
-                f"junction solution pair is numerically dependent at theta = {theta:.6g}"
-            )
+        _fault_where(np.abs(det) < 1e-300, zs, "junction solution pair is numerically dependent")
         return (r0 * m11 - m01 * r1) / det, (m00 * r1 - r0 * m10) / det
 
-    found: dict[str, list[float]] = {
-        key: [] for key in ("right_junction", "left_junction", "plane_waves", "factor_algebra")
-    }
+    rows = {key: np.zeros(m) for key in ("right_junction", "left_junction", "plane_waves")}
+    # upper factor times its closed inverse: top right, bottom right
+    rows["factor_algebra"] = _worst((r / t) * t - r, (1.0 / t) * t - 1.0)
+
+    def worsen(key, *terms):
+        np.maximum(rows[key], _worst(*terms), out=rows[key])
+
     # per junction: its free sides' recursions, each with the sites its
-    # plane wave covers and that wave's coefficients, checked after the
-    # loop, and the plane-wave gaps at the junction's own sites
-    free_left, free_right, pointwise = [], [], []
-    for j, (n1, (lo, hi, down, up)) in enumerate(zip(points, ranges)):
+    # plane wave covers and that wave's coefficients, checked after the loop
+    free_left, free_right = [], []
+    for j, (n1, (down, up)) in enumerate(zip(points, starts)):
+        lo, hi = solution_range(seq, IndexWindow(n1 - 2, n1 + 2))
         left_part, right_part = parts[2 * j], parts[2 * j + 1]
-        # the right fragment's left solution on lo..n1 + 1: a paired run
-        # from the whole's rows at down reaches the companion's rows at n1
-        # and n1 + 1 (no step when down = n1), a run alone the free side
-        # below s, which the plain rows at n1 and n1 + 1 start or share
-        s = min(n1, down)
-        start = (down, fl_pair[[where[down], where[down + 1]]])
-        near = _rows_at(
-            _recurse(right_part, s, max(n1, down) + 1, ctx, "left", _PAIRED, start=start),
-            (s, s + 1, n1, n1 + 1),
-        )
-        gl2, (f0, f1) = near[2:, m:], near[2:, :m]
-        start = (s, near[:2, :m])
+        # the right fragment's left solution on lo..n1 + 1: a run alone
+        # from the whole's rows at down and down + 1 covers the free side
+        start = (down, fl_pair[[where[down], where[down + 1]], :m])
         fl2_blocks = _recurse(
             right_part, lo, n1 + 1, ctx, "left", (False,), start=start, edge=lo_all
         )
@@ -389,21 +379,23 @@ def _junction_sweep(
         (t2, _, l2), (t2c, _, l2c) = [_coefficients(*block) for block in next(fits)]
         ratio = seq.limits.a_inf / coefficient_at(seq, n1 + 1)[0]
         # fl and fr, the whole's, and fr1 and gr1 are at n1 - 1 through
-        # n1 + 1, and f0, f1 and gl2 at n1 and n1 + 1
+        # n1 + 1.  At n1 and n1 + 1 the right fragment's left solution and
+        # its companion, f0, f1 and gl2, are the whole's rows: n1 + 1 is at
+        # most down + 1, or both sit in the tail seeded past n_max
         near = [where[n1 - 1], where[n1], where[n1 + 1]]
         fl, fr = fl_pair[near, :m], fr_pair[near, :m]
+        (f0, f1), gl2 = fl[1:], fl_pair[near[1:], m:]
 
         refl_fit, trans_fit = fit(f0, gl2[0], f1, gl2[1], fr[1], fr[2])
-        found["right_junction"].append(max(
-            _gap(refl_fit - r / t), _gap(trans_fit - 1.0 / t), _gap(fl[1] - f0), _gap(fl[2] - f1)
-        ))
+        worsen("right_junction", refl_fit - r / t, trans_fit - 1.0 / t, fl[1] - f0, fl[2] - f1)
         trans_fit, refl_fit = fit(gr1[0], fr1[0], gr1[1], fr1[1], fl[0], fl[1])
-        found["left_junction"].append(max(
-            _gap(trans_fit - 1.0 / t),
-            _gap(refl_fit - l / t),
-            _gap(fr[2] - ratio * fr1[2]),
-            _gap(fl[2] - ratio * ((1.0 / t) * gr1[2] + (l / t) * fr1[2])),
-        ))
+        worsen(
+            "left_junction",
+            trans_fit - 1.0 / t,
+            refl_fit - l / t,
+            fr[2] - ratio * fr1[2],
+            fl[2] - ratio * ((1.0 / t) * gr1[2] + (l / t) * fr1[2]),
+        )
 
         # the free sides' waves: the left one on lo..n1, the right one on n1..hi
         free_left.append((lo, n1, (1.0 / t2, l2 / t2), fl2_blocks))
@@ -412,21 +404,20 @@ def _junction_sweep(
         # not read off the tables
         z0, z0_inv = ctx.power(n1), ctx.power(-n1)
         z1, z1_inv = ctx.power(n1 + 1), ctx.power(-(n1 + 1))
-        scaled_wave = ratio * ((1.0 / t2) * z1 + (l2 / t2) * z1_inv)
-        pointwise.append([
-            _gap(f1 - scaled_wave),
+        worsen(
+            "plane_waves",
+            f1 - ratio * ((1.0 / t2) * z1 + (l2 / t2) * z1_inv),
             # matrix forms on the junction site pair
-            _gap(f0 - (z0 / t2 + z0_inv * l2 / t2)),
-            _gap(gl2[0] - (z0 * l2c / t2c + z0_inv / t2c)),
-            _gap(f1 - ratio * (z1 / t2 + z1_inv * l2 / t2)),
-            _gap(gl2[1] - ratio * (z1 * l2c / t2c + z1_inv / t2c)),
-            _gap(gr1[1] - (z0 / t1c + z0_inv * r1c / t1c)),
-            _gap(fr1[1] - (z0 * r1 / t1 + z0_inv / t1)),
-            _gap(gr1[2] - (z1 / t1c + z1_inv * r1c / t1c)),
-            _gap(fr1[2] - (z1 * r1 / t1 + z1_inv / t1)),
-        ])
+            f0 - (z0 / t2 + z0_inv * l2 / t2),
+            gl2[0] - (z0 * l2c / t2c + z0_inv / t2c),
+            f1 - ratio * (z1 / t2 + z1_inv * l2 / t2),
+            gl2[1] - ratio * (z1 * l2c / t2c + z1_inv / t2c),
+            gr1[1] - (z0 / t1c + z0_inv * r1c / t1c),
+            fr1[1] - (z0 * r1 / t1 + z0_inv / t1),
+            gr1[2] - (z1 / t1c + z1_inv * r1c / t1c),
+            fr1[2] - (z1 * r1 / t1 + z1_inv / t1),
+        )
 
-        unit_det = 1.0 / (t1 * t1c) - (r1 * r1c) / (t1 * t1c) - 1.0
         e00 = (1.0 / t1c) * (1.0 / t1) + (r1 / t1) * (-r1c / t1c)
         e01 = (1.0 / t1c) * (-r1 / t1) + (r1 / t1) * (1.0 / t1c)
         e10 = (r1c / t1c) * (1.0 / t1) + (1.0 / t1) * (-r1c / t1c)
@@ -435,32 +426,26 @@ def _junction_sweep(
         p01 = (1.0 / t1) * (l2c / t2c) + (-r1 / t1) * (1.0 / t2c)
         p10 = (-r1c / t1c) * (1.0 / t2) + (1.0 / t1c) * (l2 / t2)
         p11 = (-r1c / t1c) * (l2c / t2c) + (1.0 / t1c) * (1.0 / t2c)
-        found["factor_algebra"].append(max(
-            triangular,
-            lower_right,
-            _gap(unit_det),
+        worsen(
+            "factor_algebra",
+            # the left fragment's determinant, 1
+            1.0 / (t1 * t1c) - (r1 * r1c) / (t1 * t1c) - 1.0,
             # the exchange of the upper factors, and the rearranged product
-            _gap(np.stack([e00 - 1.0, e01, e10, e11 - 1.0])),
-            _gap(np.stack([p00 - 1.0 / t, p01 - -r / t, p10 - l / t, p11 - (t - l * r / t)])),
-        ))
+            e00 - 1.0, e01, e10, e11 - 1.0,
+            p00 - 1.0 / t, p01 - -r / t, p10 - l / t, p11 - (t - l * r / t),
+        )
     # the free sides' plane waves, the left ones from the top down, then
     # the right ones from the bottom up
     lefts = _wave_gaps(ctx, free_left, lo_all, True)
     rights = _wave_gaps(ctx, free_right, hi_all + 1, False)
-    found["plane_waves"] = [
-        max(left, first, right, *rest)
-        for left, right, (first, *rest) in zip(lefts, rights, pointwise)
-    ]
-    return {key: float(np.max(values)) for key, values in found.items()}
+    rows["plane_waves"] = np.max([rows["plane_waves"], *lefts, *rights], axis=0)
+    return rows
 
 
 def _wave_gaps(
-    ctx: _GridContext,
-    free: list[tuple],
-    edge: int,
-    descending: bool,
-) -> list[float]:
-    """Each free side's worst gap to its plane wave, in the order of free.
+    ctx: _GridContext, free: list[tuple], edge: int, descending: bool
+) -> list[np.ndarray]:
+    """Each free side's gaps to its plane wave, worst per grid point, in free's order.
 
     free holds per recursion (lo, hi, (up, down), blocks): blocks hands
     out its rows, from _recurse with the given edge, and the gap is taken
@@ -471,7 +456,7 @@ def _wave_gaps(
     """
     lo = min(first for first, _, _, _ in free)
     hi = max(last for _, last, _, _ in free)
-    gaps: list[list[np.ndarray]] = [[] for _ in free]
+    gaps = [np.zeros(ctx.zs.size) for _ in free]
 
     def tagged(j, blocks):
         for n, rows in blocks:
@@ -493,5 +478,6 @@ def _wave_gaps(
             up_table, down_table = ctx.power_table(sites), ctx.power_table(-sites)
         part = slice(first - base, last + 1 - base)
         wave = up * up_table[part] + down * down_table[part]
-        gaps[j].append(np.max(np.abs(rows[first - n : last + 1 - n] - wave)))
-    return [float(np.max(each)) for each in gaps]
+        gap = np.max(np.abs(rows[first - n : last + 1 - n] - wave), axis=0)
+        np.maximum(gaps[j], gap, out=gaps[j])
+    return gaps

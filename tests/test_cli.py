@@ -366,6 +366,54 @@ def test_overflowing_identities_with_breakpoints_reports_only_the_fault(tmp_path
     )
 
 
+def undamped_window(seed, length, amplitude):
+    """The bench's undamped family: unit limits, b ~ amplitude * N(0, 1),
+    a and w in 1 + [0, 0.1), drawn in that order after n_min."""
+    rng = np.random.default_rng(seed)
+    n_min = int(rng.integers(-12, 13))
+    a = 1.0 + 0.1 * rng.random(length)
+    b = amplitude * rng.standard_normal(length)
+    w = 1.0 + 0.1 * rng.random(length)
+    return {
+        "a_inf": 1.0, "b_inf": 0.0, "w_inf": 1.0, "n_min": n_min, "n_max": n_min + length - 1,
+        "a": a.tolist(), "b": b.tolist(), "w": w.tolist(),
+    }
+
+
+def strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+LONG_UNDAMPED = undamped_window(911, 2000, 0.5)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("spec, flags", [
+    (dict(TWO_IMPURITY_INPUT, a=[1.0, 1e-160, 1.0], b=[0.0, 0.0, 0.0]),
+     ["--grid", "64", "--breakpoints", "1"]),
+    (dict(TWO_IMPURITY_INPUT, b=[0.3, 0.0, 0.0], w=[1e300, 1.0, 1.0]), []),
+    (LONG_UNDAMPED, ["--grid", "64", "--breakpoints", "505,1005,1505"]),
+], ids=["tiny-coupling", "huge-weight", "undamped-2000"])
+def test_report_row_that_is_not_finite_exits_three(tmp_path, spec, flags):
+    """1/|T| past about 1e154 overflows 1/(T T~), long before the tail fits
+    fault at 1e308.  Such a row is a numerical fault, not a nan in the
+    report: exit 3 and one stderr line naming the row and theta, with no
+    numpy warning on the way."""
+    assert LONG_UNDAMPED["n_min"] == 6
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["identities", "--input", write_input(tmp_path, spec), *flags])
+    if out.getvalue():
+        strict_json(out.getvalue())
+    assert code == 3
+    assert err.getvalue() == (
+        "numerical fault: product_left residual is not finite at theta = -3.14059\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["scatter", "identities"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
 def test_tolerance_that_is_not_positive_and_finite_exits_two(single_site_file, command, value):

@@ -34,7 +34,6 @@ from jacobiscatter.errors import NumericalFault
 from jacobiscatter.jost import _fit_sweep, _recurse, solution_range
 from jacobiscatter.lattice import (
     MAX_WINDOW_SITES,
-    CoefficientSequence,
     Limits,
     coefficient_arrays,
     coefficient_at,
@@ -511,42 +510,12 @@ def test_wave_gaps_read_each_free_side_on_its_own_sites():
                     if j == spiked:
                         rows[site - a] += 2.0
                     sides.append((lo, hi, (up, down), handed_out(rows, a, edge, descending)))
-                gaps = transition._wave_gaps(ctx, sides, edge, descending)
+                gaps = [np.max(gap) for gap in transition._wave_gaps(ctx, sides, edge, descending)]
                 lo, hi = ranges[spiked]
                 assert [gap > 1.0 for gap in gaps] == [
                     j == spiked and lo <= site <= hi for j in range(len(ranges))
                 ], (descending, spiked, site)
                 assert all(gap == 0.0 for gap in gaps if gap <= 1.0)
-
-
-def test_junction_rows_see_a_fragment_that_departs_from_the_whole(monkeypatch):
-    """A fragment damaged on the side it keeps starts from the whole's rows
-    only past the damage, so its rows stay its own and the junction rows
-    report the damage as the per-fragment recursions do."""
-    seq = mixed_sequence()
-    zs = default_grid(seq, count=16).zs
-
-    def damaged(seq, frag, side, site):
-        parts = fragment(seq, frag)
-        part = parts[side]
-        b = part.b_values.copy()
-        b[site - seq.window.n_min] += 0.5
-        parts[side] = CoefficientSequence(
-            part.limits, part.window, part.a_values, b, part.w_values
-        )
-        return parts
-
-    plain = _coefficients(*reference_blocks(seq, zs, (False,))[0])
-    # the right fragment damaged at the top of the window, the left one at
-    # its bottom: both far from the junction at 0, on the kept side
-    for side, site in ((1, seq.window.n_max), (0, seq.window.n_min)):
-        monkeypatch.setattr(transition, "fragment", lambda s, f: damaged(s, f, side, site))
-        got = junction_residual_sweep(seq, Fragmentation((0,)), zs)
-        want = reference_junction_sweep(
-            seq, (0,), zs, *plain, [damaged(seq, Fragmentation((0,)), side, site)]
-        )
-        assert got == want
-        assert max(got["right_junction"], got["left_junction"]) > 1e-3
 
 
 def test_far_breakpoints_raise_before_any_recursion(monkeypatch, tmp_path):

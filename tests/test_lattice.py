@@ -194,6 +194,23 @@ def test_fragment_padding_outside_slab_is_exactly_the_limits(mixed_seq):
             assert second == whole
 
 
+def test_fragments_keep_the_bits_of_the_sites_they_keep():
+    """Each fragment's values on its own slab are the sequence's bit for
+    bit, -0.0 and subnormals included.  The junction sweep relies on it:
+    on a fragment's kept side its solutions are the whole's rows."""
+    b = [0.3, -0.0, 5e-324, -2.2250738585072014e-309, 0.0, -0.25]
+    seq = make_sequence(-2, [1.1, 0.9, 1.3, 1.0, 0.7, 1.2], b, [1.0, 2.5, 0.8, 1.0, 1.4, 0.6])
+    assert np.signbit(seq.b_values[1]) and seq.b_values[2] == 5e-324
+    idx = seq.window.indices()
+    for points in [(-3,), (-2,), (0,), (3,), (4,), (-1, 1, 2)]:
+        bounds = (-math.inf, *points, math.inf)
+        for part, low, high in zip(fragment(seq, Fragmentation(points)), bounds, bounds[1:]):
+            keep = (idx > low) & (idx <= high)
+            for name in ("a_values", "b_values", "w_values"):
+                mine, theirs = (getattr(each, name).view(np.int64)[keep] for each in (part, seq))
+                assert mine.tolist() == theirs.tolist(), (points, low, name)
+
+
 def test_fragment_accepts_breakpoints_outside_window(single_site_seq):
     parts = fragment(single_site_seq, Fragmentation((-10, 10)))
     assert len(parts) == 3

@@ -12,6 +12,7 @@ from jacobiscatter import (
     factorization_check,
     factorization_residuals,
     fragment,
+    identity_sweep,
     junction_residual_sweep,
     transition_entries,
     transition_for,
@@ -202,6 +203,20 @@ def test_dependent_junction_pair_is_a_fault_naming_theta(monkeypatch, two_impuri
     theta = float(np.angle(zs[0]))
     with pytest.raises(NumericalFault, match=f"dependent at theta = {theta:.6g}$"):
         junction_residual_sweep(two_impurity_seq, Fragmentation((0,)), zs)
+
+
+def test_sweeps_raise_where_a_residual_is_not_finite():
+    """A coupling of 1e-160 puts 1/|T| near 1e160: the tail fits stay
+    finite, but 1/(T T~) and the junction fits overflow.  Both public
+    sweeps raise, naming the first such row and theta, instead of
+    returning nan."""
+    seq = make_sequence(-1, [1.0, 1e-160, 1.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+    zs = default_grid(seq, count=64).zs
+    where = f" residual is not finite at theta = {float(np.angle(zs[0])):.6g}$"
+    with pytest.raises(NumericalFault, match="^product_left" + where):
+        identity_sweep(seq, zs)
+    with pytest.raises(NumericalFault, match="^left_junction" + where):
+        junction_residual_sweep(seq, Fragmentation((1,)), zs)
 
 
 def test_junction_sweep_over_grid(coupling_step_seq, mixed_seq):
