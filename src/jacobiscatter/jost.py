@@ -19,14 +19,15 @@ the window on each side, so that downstream tail fits read only sites
 where the tail form is exact; the junction checks widen the range
 through solution_range, at one recursion step per extra site and grid
 point.  That kernel, _recurse, keeps solutions site-major, one
-contiguous row of grid points per site, and writes each row through one
-scratch row, with no temporaries per step.  It hands its rows out in
-blocks of _BLOCK_SITES sites from one buffer, so a caller that reduces
-them as they come holds a few blocks, not a row for every site of a
-long window or of a junction far outside it; jost_values takes its range
-as one block.  A solution and its companion at 1/z share coefficients
-and drive, so callers that need both stack them as column blocks of one
-recursion; every column block equals its own single run to the bit.
+contiguous row of grid points per site, and writes each row with one
+_step call through one scratch row, with no temporaries per step.  It
+hands its rows out in blocks of _BLOCK_SITES sites from one buffer, so
+a caller that reduces them as they come holds a few blocks, not a row
+for every site of a long window or of a junction far outside it;
+jost_values takes its range as one block.  A solution and its
+companion at 1/z share coefficients and drive, so callers that need both
+stack them as column blocks of one recursion; every column block equals
+its own single run to the bit.
 
 The tail fits need neither the window nor the stored values: sites
 outside the effective support carry the limits just as well, so each
@@ -37,14 +38,14 @@ so _fit_sweep takes the recursions of all of them, left and right, as
 one sweep whose steps share seq's coefficients and most of their numpy
 calls; every job's rows equal those of its own recursion to the bit.
 
-Each recursion step makes one complex product, the scaled drive times
-the current row.  It runs out of place, from the scratch row into the
-destination row.  numpy multiplies a one-element complex array in place
-by a scalar route of its own, which differs from its array loop in the
-last bit on about 45% of random products; a product out of place, or of
-two or more elements, takes the array loop.  So out of place a grid
-point's bits do not depend on its grid: a one-point grid gives the bits
-of that point's entry in any wider grid.
+Each recursion step, one _step call, makes one complex product, the
+scaled drive times the current row.  It runs out of place, from the
+scratch row into the destination row.  numpy multiplies a one-element
+complex array in place by a scalar route of its own, which differs from
+its array loop in the last bit on about 45% of random products; a
+product out of place, or of two or more elements, takes the array loop.
+So out of place a grid point's bits do not depend on its grid: a
+one-point grid gives the bits of that point's entry in any wider grid.
 
 Every other operation of a step scales a row by a real coefficient or
 subtracts two rows; it runs on the float64 view of the same rows, twice
@@ -156,6 +157,26 @@ def jost_values(
     return rows.T, lo
 
 
+def _step(drive, scaled, part, v, dst, out, near, far, scale, first, second, inverse) -> None:
+    """One recursion step, dst = (scale drive v - first near - second far) inverse.
+
+    It takes the order of ((w[k] / w_inf) * s * v - a[k + 1] * next
+    - b[k] * v) / a[k] on the left side (b[k] * v before a[k] * prev, over
+    a[k + 1], on the right), so it rounds as that expression does.  The
+    scaled drive goes into the scratch row scaled, whose float64 view is
+    part; the one complex product, with v, runs out of place into dst, and
+    the rest on the float64 views near, far and out, that of dst (see the module docstring).
+    """
+    multiply, subtract = np.multiply, np.subtract
+    multiply(drive, scale, out=part)
+    multiply(scaled, v, out=dst)
+    multiply(near, first, out=part)
+    subtract(out, part, out=out)
+    multiply(far, second, out=part)
+    subtract(out, part, out=out)
+    multiply(out, inverse, out=out)
+
+
 def _recurse(
     seq: CoefficientSequence,
     lo: int,
@@ -201,22 +222,11 @@ def _recurse(
     there.  So every step reads and writes the rows it would in one
     whole-range array, and the blocks are that array's rows to the bit.
 
-    Each step writes its destination row through one scratch row, with
-    the operations and order of the plain expression
-    ((w[k] / w_inf) * s * v - a[k + 1] * next - b[k] * v) / a[k] on the
-    left side (b[k] * v before a[k] * prev, over a[k + 1], on the right),
-    so it rounds exactly as that expression does.  The scaled drive goes
-    into the scratch row, and the product with v, the only complex one,
-    runs out of place from there, so that a one-element row takes numpy's
-    array loop too.  The real scalings, the subtractions and the division,
-    taken as a multiply by 1.0 / a[k], run on the rows' float64 view,
-    which gives the same bits for every finite entry (see the module
-    docstring) in less time per step.  _fit_sweep takes the same steps.
-
-    Its scalars stay Python floats.  Its runs are short where its calls
-    are many: on the benchmark's windows of 1 to 40 sites the median run
-    takes 5 steps and a third take at most one, and there the operand
-    table of _fit_sweep costs more to build than its 0-d operands save.
+    Each step is one _step call, with Python floats for scalars.  Its
+    runs are short where its calls are many: on the benchmark's windows
+    of 1 to 40 sites the median run takes 5 steps and a third take at
+    most one, and there the operand table of _fit_sweep costs more to
+    build than its 0-d operands save.
     """
     m = ctx.zs.size
     lim = seq.limits
@@ -234,6 +244,13 @@ def _recurse(
     # side steps at first down to lo + 1, the right one at first to hi - 1
     c0, c1 = (lo, max(lo, first) + 1) if left else (first, max(first, hi))
     a, b, w = (values.tolist() for values in coefficient_arrays(seq, c0, c1))
+    # step k's operands, and the offsets from v's row of _step's dst, near and far
+    at_step = zip(w, a[1:], b, a)
+    if left:
+        operands = [(w_k / w_inf, up, b_k, 1.0 / a_k) for w_k, up, b_k, a_k in at_step]
+    else:
+        operands = [(w_k / w_inf, b_k, a_k, 1.0 / up) for w_k, up, b_k, a_k in at_step]
+    dst, near, far = (-1, 1, 0) if left else (1, 0, -1)
     if edge is None:
         edge = lo if left else hi + 1
     # the block edges past lo: from the first site above lo on edge's grid
@@ -251,7 +268,6 @@ def _recurse(
     # the scaled drive, then each subtrahend; complex as the product's operand
     scaled = np.empty(buffer.shape[1], dtype=complex)
     scratch = scaled.view(float)
-    multiply, subtract = np.multiply, np.subtract
     for bottom, stop in spans:
         # site n is buffer row n + shift: the block's sites [bottom, stop)
         # sit below the two rows past it on the left side, above the two
@@ -265,8 +281,7 @@ def _recurse(
         for site, values in pair:
             if bottom <= site < stop:
                 buffer[site + shift] = values
-        # the step at site c0 + k writes buffer row i - 1 on the left side
-        # and i + 1 on the right, with i = k + d
+        # the step at site c0 + k reads v from buffer row k + d
         d = shift + c0
         if left:
             steps = range(min(stop, first) - c0, bottom - c0, -1)
@@ -281,28 +296,13 @@ def _recurse(
         # would hold in the caller's code too.
         if steps:
             with np.errstate(all="ignore"):
-                if left:
-                    for k in steps:
-                        i = k + d
-                        out = real[i - 1]
-                        multiply(drive, w[k] / w_inf, out=scratch)
-                        multiply(scaled, row[i], out=row[i - 1])
-                        multiply(real[i + 1], a[k + 1], out=scratch)
-                        subtract(out, scratch, out=out)
-                        multiply(real[i], b[k], out=scratch)
-                        subtract(out, scratch, out=out)
-                        multiply(out, 1.0 / a[k], out=out)
-                else:
-                    for k in steps:
-                        i = k + d
-                        out = real[i + 1]
-                        multiply(drive, w[k] / w_inf, out=scratch)
-                        multiply(scaled, row[i], out=row[i + 1])
-                        multiply(real[i], b[k], out=scratch)
-                        subtract(out, scratch, out=out)
-                        multiply(real[i - 1], a[k], out=scratch)
-                        subtract(out, scratch, out=out)
-                        multiply(out, 1.0 / a[k + 1], out=out)
+                for k in steps:
+                    i = k + d
+                    scale, by_near, by_far, inverse = operands[k]
+                    _step(
+                        drive, scaled, scratch, row[i], row[i + dst], real[i + dst],
+                        real[i + near], real[i + far], scale, by_near, by_far, inverse,
+                    )
         yield bottom, buffer[bottom + shift : stop + shift]
         # the two rows the next block's first step reads, the nearer one
         # last, as with a one-site block it is a row the first copy reads
@@ -431,20 +431,17 @@ def _fit_sweep(
         return start, start + width
 
     def restep(side, slot, t, coefficients):
-        # one step of one slot alone, with its job's own coefficients
-        scale, first, second, inverse = coefficients
+        # one step of one slot alone, with its job's own coefficients; the
+        # left side subtracts the row past v first, the right side v
         dst, src, prev = phases[t % 3]
-        c0, c1 = columns(side, slot)
-        out, part = real[dst, 2 * c0 : 2 * c1], scratch[2 * c0 : 2 * c1]
-        multiply(drive[: 2 * width], scale, out=part)
-        multiply(scaled[c0:c1], rows[src, c0:c1], out=rows[dst, c0:c1])
-        # the left side subtracts the row past v first, the right side v
         near, far = (prev, src) if side == 0 else (src, prev)
-        multiply(real[near, 2 * c0 : 2 * c1], first, out=part)
-        subtract(out, part, out=out)
-        multiply(real[far, 2 * c0 : 2 * c1], second, out=part)
-        subtract(out, part, out=out)
-        multiply(out, inverse, out=out)
+        c0, c1 = columns(side, slot)
+        f0, f1 = 2 * c0, 2 * c1
+        _step(
+            drive[: 2 * width], scaled[c0:c1], scratch[f0:f1], rows[src, c0:c1],
+            rows[dst, c0:c1], real[dst, f0:f1], real[near, f0:f1], real[far, f0:f1],
+            *coefficients,
+        )
 
     # each step copies its table row into one buffer, whose 0-d views are
     # the operands of its ufunc calls
@@ -542,8 +539,6 @@ def conjugate_solution(seq: CoefficientSequence, z: complex, side: str) -> Latti
     conjugation checks evaluate at an independently rounded reciprocal
     rather than through this function.
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     vals, lo = jost_values(seq, complex(z), side, at_inverse=True)
     kind = SolutionKind.LEFT_CONJUGATE if side == "left" else SolutionKind.RIGHT_CONJUGATE
     return LatticeSolution(vals[0], lo, kind, z)

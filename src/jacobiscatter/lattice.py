@@ -24,6 +24,7 @@ import numpy as np
 from .errors import CoefficientError
 
 MAX_WINDOW_SITES = 10_000
+MAX_SITE_INDEX = 2**62  # a window's largest |n|, so the checks' sites stay int64
 
 _FIELDS = ("a_inf", "b_inf", "w_inf", "n_min", "n_max", "a", "b", "w")
 
@@ -147,6 +148,9 @@ class CoefficientSequence:
             raise CoefficientError(
                 f"window spans {self.window.length} sites, cap is {MAX_WINDOW_SITES}"
             )
+        lo, hi = self.window.n_min, self.window.n_max
+        if max(-lo, hi) > MAX_SITE_INDEX:
+            raise CoefficientError(f"window [{lo}, {hi}] reaches past |n| = {MAX_SITE_INDEX}")
         length = self.window.length
         object.__setattr__(self, "a_values", _stored_array(self.a_values, "a", length))
         object.__setattr__(self, "b_values", _stored_array(self.b_values, "b", length))

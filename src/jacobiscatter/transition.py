@@ -387,7 +387,7 @@ def _junction_sweep(
         (f0, f1), gl2 = fl[1:], fl_pair[near[1:], m:]
 
         refl_fit, trans_fit = fit(f0, gl2[0], f1, gl2[1], fr[1], fr[2])
-        worsen("right_junction", refl_fit - r / t, trans_fit - 1.0 / t, fl[1] - f0, fl[2] - f1)
+        worsen("right_junction", refl_fit - r / t, trans_fit - 1.0 / t)
         trans_fit, refl_fit = fit(gr1[0], fr1[0], gr1[1], fr1[1], fl[0], fl[1])
         worsen(
             "left_junction",
