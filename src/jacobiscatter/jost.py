@@ -66,6 +66,14 @@ double, the call selects the same float64 loop, and w / w_inf and
 eight such calls per step, computes the scalars of all its steps in one
 table and copies each step's row into one buffer whose 0-d views are
 the operands.
+
+The step loops pass every ufunc its out argument positionally, after
+the inputs: numpy parses an out keyword on every call, and a 512-point
+call is short enough for that to show.  The fused loop of _fit_sweep
+reads its rows as the step's phase selects them, so when the busy
+columns change it binds one tuple of the nine rows per phase, and each
+step unpacks one tuple instead of indexing nine lists.  Neither changes
+a call or its order, so the bits stay.
 """
 
 from __future__ import annotations
@@ -168,13 +176,13 @@ def _step(drive, scaled, part, v, dst, out, near, far, scale, first, second, inv
     the rest on the float64 views near, far and out, that of dst (see the module docstring).
     """
     multiply, subtract = np.multiply, np.subtract
-    multiply(drive, scale, out=part)
-    multiply(scaled, v, out=dst)
-    multiply(near, first, out=part)
-    subtract(out, part, out=out)
-    multiply(far, second, out=part)
-    subtract(out, part, out=out)
-    multiply(out, inverse, out=out)
+    multiply(drive, scale, part)
+    multiply(scaled, v, dst)
+    multiply(near, first, part)
+    subtract(out, part, out)
+    multiply(far, second, part)
+    subtract(out, part, out)
+    multiply(out, inverse, out)
 
 
 def _recurse(
@@ -315,14 +323,16 @@ def _recurse(
 
 
 def _changed_steps(
-    seq: CoefficientSequence, job: CoefficientSequence, first: int, last: int
+    job: CoefficientSequence, ref: tuple[np.ndarray, ...], first: int, last: int
 ) -> list[int]:
-    """Sites n in [first, last] where job's recursion step departs from seq's.
+    """Sites n in [first, last] where job's recursion step departs from ref's.
 
-    The step at site n reads a(n), b(n), w(n) and a(n + 1).  Bit patterns
-    are compared, not values: -0.0 where seq has 0.0 flips a zero's sign.
+    ref holds the reference sequence's (a, b, w) arrays over [first,
+    last + 1].  The step at site n reads a(n), b(n), w(n) and a(n + 1).
+    Bit patterns are compared, not values: -0.0 where the reference has
+    0.0 flips a zero's sign.
     """
-    own, ref = (coefficient_arrays(each, first, last + 1) for each in (job, seq))
+    own = coefficient_arrays(job, first, last + 1)
     a, b, w = (mine.view(np.int64) != theirs.view(np.int64) for mine, theirs in zip(own, ref))
     return (first + np.flatnonzero((a | b | w)[:-1] | a[1:])).tolist()
 
@@ -395,7 +405,9 @@ def _fit_sweep(
             ends[spans[side][j][1]].append((side, j))
         if job is seq:
             continue
-        for n in _changed_steps(seq, job, first, last):
+        # seq's arrays over [first, last + 1], as held for the sweep
+        ref = tuple(each[first - base + 1 : last - base + 3] for each in (a, b, w))
+        for n in _changed_steps(job, ref, first, last):
             a_n, b_n, w_n = coefficient_at(job, n)
             a_next = coefficient_at(job, n + 1)[0]
             if n <= window.n_max:
@@ -413,14 +425,21 @@ def _fit_sweep(
     # a half, or a slot redone alone, scales a prefix of the tiled drive
     drive = ctx.drive(lim, max(size) * blocks).view(float)
     # job j's seeds, each a block of columns per mode: left at n_max and
-    # n_max + 1, right at n_min - 1 and n_min - 2
-    signs = np.array([-1 if inverse else 1 for inverse in modes])
-    exponents = np.array([[s.n_max, s.n_max + 1, 1 - s.n_min, 2 - s.n_min] for _, s in jobs])
-    seeds = ctx.power_table((exponents[:, :, None] * signs).ravel())
+    # n_max + 1, right at n_min - 1 and n_min - 2.  Jobs share most seed
+    # exponents, so the power table holds one row per distinct exponent;
+    # keys[4 * j + which] lists the rows of job j's seed which, per mode
+    signs = [-1 if inverse else 1 for inverse in modes]
+    index: dict[int, int] = {}
+    keys = [
+        [index.setdefault(sign * k, len(index)) for sign in signs]
+        for _, s in jobs
+        for k in (s.n_max, s.n_max + 1, 1 - s.n_min, 2 - s.n_min)
+    ]
+    seeds = ctx.power_table(np.array(list(index)))
 
     def seed(row, c0, c1, j, which):
-        first = (4 * j + which) * blocks
-        rows[row, c0:c1].reshape(blocks, m)[...] = seeds[first : first + blocks]
+        for c, key in zip(range(c0, c1, m), keys[4 * j + which]):
+            rows[row, c : c + m] = seeds[key]
 
     multiply, subtract = np.multiply, np.subtract
     # (dst, src, prev) rows of step t, by t % 3
@@ -477,28 +496,37 @@ def _fit_sweep(
                 left = list(real[:, 2 * lo_col : 2 * mid])
                 right = list(real[:, 2 * mid : 2 * hi_col])
                 both = list(real[:, 2 * lo_col : 2 * hi_col])
+                product = list(rows[:, lo_col:hi_col])
                 part_left = scratch[2 * lo_col : 2 * mid]
                 part_right = scratch[2 * mid : 2 * hi_col]
                 part_both = scratch[2 * lo_col : 2 * hi_col]
                 drive_left, drive_right = drive[: 2 * (mid - lo_col)], drive[: 2 * (hi_col - mid)]
-                product, scaled_both = list(rows[:, lo_col:hi_col]), scaled[lo_col:hi_col]
+                scaled_both = scaled[lo_col:hi_col]
+                # per phase, the step's nine rows in the order it reads them
+                operands = [
+                    (
+                        product[src], product[dst], left[prev], right[src], both[dst],
+                        left[src], right[prev], left[dst], right[dst],
+                    )
+                    for dst, src, prev in phases
+                ]
             # a half without recursions scales empty rows: the last step,
             # right side only, reads left coefficients (site base - 1) it
             # never uses
             for t in range(start, cut):
-                dst, src, prev = phases[t % 3]
+                v, out, l_near, r_near, out_both, l_far, r_far, l_out, r_out = operands[t % 3]
                 buffer[...] = table[t]
-                multiply(drive_left, scale_left, out=part_left)
-                multiply(drive_right, scale_right, out=part_right)
-                multiply(scaled_both, product[src], out=product[dst])
-                multiply(left[prev], a_next_left, out=part_left)
-                multiply(right[src], b_right, out=part_right)
-                subtract(both[dst], part_both, out=both[dst])
-                multiply(left[src], b_left, out=part_left)
-                multiply(right[prev], a_right, out=part_right)
-                subtract(both[dst], part_both, out=both[dst])
-                multiply(left[dst], inv_left, out=left[dst])
-                multiply(right[dst], inv_right, out=right[dst])
+                multiply(drive_left, scale_left, part_left)
+                multiply(drive_right, scale_right, part_right)
+                multiply(scaled_both, v, out)
+                multiply(l_near, a_next_left, part_left)
+                multiply(r_near, b_right, part_right)
+                subtract(out_both, part_both, out_both)
+                multiply(l_far, b_left, part_left)
+                multiply(r_far, a_right, part_right)
+                subtract(out_both, part_both, out_both)
+                multiply(l_out, inv_left, l_out)
+                multiply(r_out, inv_right, r_out)
             t = cut - 1
             for side, j, coefficients in redos.get(t, ()):
                 restep(side, active[side].index(j), t, coefficients)

@@ -136,39 +136,55 @@ def _amplitude_blocks(
     other job in a sweep of its own; a job without deviations needs
     none.  The fits run later: the returned iterator fits one job per
     item, its modes in order, so a caller meets a fit's NumericalFault
-    exactly where it reads that job.
+    exactly where it first reads that job.  A job given more than once,
+    the same object, is recursed and fitted once; its blocks are held
+    from its first read until its last, and every other job's rows are
+    let go once fitted.
     """
     zs = ctx.zs
     m = zs.size
-    supports = [effective_support(job) for job in jobs]
-    busy = [(job, support.window) for job, support in zip(jobs, supports) if not support.free]
+    # each object once, in the order of its first read
+    distinct = list({id(job): job for job in jobs}.values())
+    supports = {id(job): effective_support(job) for job in distinct}
+    busy = [(job, supports[id(job)].window) for job in distinct if not supports[id(job)].free]
     shared = [(job, window) for job, window in busy if job.limits == seq.limits]
     swept = iter(_fit_sweep(seq, shared, ctx, modes) if shared else ())
-    # the sweeps run now; each job's rows are let go once fitted
-    rows = [
-        next(swept) if job.limits == seq.limits else _fit_sweep(job, [(job, window)], ctx, modes)[0]
+    # the sweeps run now
+    rows = {
+        id(job): next(swept)
+        if job.limits == seq.limits
+        else _fit_sweep(job, [(job, window)], ctx, modes)[0]
         for job, window in busy
-    ][::-1]
+    }
+    last_read = {id(job): i for i, job in enumerate(jobs)}
+
+    def fit(key):
+        support = supports[key]
+        if support.free:
+            # nothing deviates from the limits: T = 1 and R = L = 0 exactly
+            return [(np.ones_like(zs), np.zeros_like(zs), np.zeros_like(zs)) for _ in modes]
+        left, right = rows.pop(key)
+        lo, hi = support.window.n_min - 2, support.window.n_max + 2
+        return [
+            _tail_fit(
+                ctx,
+                left[:, j * m : (j + 1) * m],
+                right[:, j * m : (j + 1) * m],
+                lo,
+                hi - 1,
+                -1 if inverse else 1,
+            )
+            for j, inverse in enumerate(modes)
+        ]
 
     def fits():
-        for support in supports:
-            if support.free:
-                # nothing deviates from the limits: T = 1 and R = L = 0 exactly
-                yield [(np.ones_like(zs), np.zeros_like(zs), np.zeros_like(zs)) for _ in modes]
-                continue
-            left, right = rows.pop()
-            lo, hi = support.window.n_min - 2, support.window.n_max + 2
-            yield [
-                _tail_fit(
-                    ctx,
-                    left[:, j * m : (j + 1) * m],
-                    right[:, j * m : (j + 1) * m],
-                    lo,
-                    hi - 1,
-                    -1 if inverse else 1,
-                )
-                for j, inverse in enumerate(modes)
-            ]
+        held = {}
+        for i, job in enumerate(jobs):
+            key = id(job)
+            blocks = held.pop(key) if key in held else fit(key)
+            if last_read[key] > i:
+                held[key] = blocks
+            yield blocks
 
     return fits()
 

@@ -47,9 +47,10 @@ from it.
 _identities_report is the kernel of the CLI's identities report.  It
 runs the identity sweep and then one tail-fit sweep of the whole, its
 fragments and each breakpoint's junction fragments, which the
-determinant, factorization and junction rows read in that order.  Its
-largest array is the identity sweep's left solution over the window,
-one row of grid points per site.
+determinant, factorization and junction rows read in that order; the
+end fragments, which are also the outer junctions' outer parts, are
+swept and fitted once.  Its largest array is the identity sweep's left
+solution over the window, one row of grid points per site.
 """
 
 from __future__ import annotations
@@ -280,11 +281,18 @@ def _identities_report(
     fitted as they are read, so a NumericalFault names the first job that
     faults; every later row shares the whole's fit.  The rows are reduced
     last, so a fit's fault comes before a residual that is not finite.
+
+    The first fragment is the first junction's left part and the last
+    fragment the last junction's right part, bit for bit, as fragment()
+    builds each pair from one mask.  So the junction list holds those
+    two objects themselves, and _amplitude_blocks recurses and fits each
+    once, for the product, and hands the same fit to the junction rows.
     """
     parts, junction_parts = [], []
     if frag is not None:
         _require_reach(seq, frag.breakpoints)
         parts, junction_parts = fragment(seq, frag), _junction_parts(seq, frag)
+        junction_parts[0], junction_parts[-1] = parts[0], parts[-1]
     # every recursion and fit of the report shares this grid's drive and powers
     ctx = _GridContext(zs)
     rows = _identity_sweep(seq, ctx)
@@ -318,6 +326,9 @@ def _junction_sweep(
     # T, R, L bit for bit those of scattering_values: lam00, lam01 and
     # lam10 are the plain block's fit, which equals its single-mode run
     t, r, l = _coefficients(lam[..., 0, 0], -lam[..., 0, 1], lam[..., 1, 0])
+    # the whole's quotients, once for every junction: each is the
+    # expression the rows read, so every row keeps its bits
+    inv_t, r_over_t, l_over_t, minus_r_over_t = 1.0 / t, r / t, l / t, -r / t
     zs = ctx.zs
     m = zs.size
     points = frag.breakpoints
@@ -343,7 +354,7 @@ def _junction_sweep(
 
     rows = {key: np.zeros(m) for key in ("right_junction", "left_junction", "plane_waves")}
     # upper factor times its closed inverse: top right, bottom right
-    rows["factor_algebra"] = _worst((r / t) * t - r, (1.0 / t) * t - 1.0)
+    rows["factor_algebra"] = _worst(r_over_t * t - r, inv_t * t - 1.0)
 
     def worsen(key, *terms):
         np.maximum(rows[key], _worst(*terms), out=rows[key])
@@ -377,6 +388,10 @@ def _junction_sweep(
         # keep only the coefficients the checks read, not the amplitudes
         (t1, r1, _), (t1c, r1c, _) = [_coefficients(*block) for block in next(fits)]
         (t2, _, l2), (t2c, _, l2c) = [_coefficients(*block) for block in next(fits)]
+        # the fragments' quotients, each once, as the rows read them
+        inv_t1, r1_over_t1, minus_r1_over_t1 = 1.0 / t1, r1 / t1, -r1 / t1
+        inv_t1c, r1c_over_t1c, minus_r1c_over_t1c = 1.0 / t1c, r1c / t1c, -r1c / t1c
+        inv_t2, l2_over_t2, inv_t2c, l2c_over_t2c = 1.0 / t2, l2 / t2, 1.0 / t2c, l2c / t2c
         ratio = seq.limits.a_inf / coefficient_at(seq, n1 + 1)[0]
         # fl and fr, the whole's, and fr1 and gr1 are at n1 - 1 through
         # n1 + 1.  At n1 and n1 + 1 the right fragment's left solution and
@@ -387,26 +402,26 @@ def _junction_sweep(
         (f0, f1), gl2 = fl[1:], fl_pair[near[1:], m:]
 
         refl_fit, trans_fit = fit(f0, gl2[0], f1, gl2[1], fr[1], fr[2])
-        worsen("right_junction", refl_fit - r / t, trans_fit - 1.0 / t)
+        worsen("right_junction", refl_fit - r_over_t, trans_fit - inv_t)
         trans_fit, refl_fit = fit(gr1[0], fr1[0], gr1[1], fr1[1], fl[0], fl[1])
         worsen(
             "left_junction",
-            trans_fit - 1.0 / t,
-            refl_fit - l / t,
+            trans_fit - inv_t,
+            refl_fit - l_over_t,
             fr[2] - ratio * fr1[2],
-            fl[2] - ratio * ((1.0 / t) * gr1[2] + (l / t) * fr1[2]),
+            fl[2] - ratio * (inv_t * gr1[2] + l_over_t * fr1[2]),
         )
 
         # the free sides' waves: the left one on lo..n1, the right one on n1..hi
-        free_left.append((lo, n1, (1.0 / t2, l2 / t2), fl2_blocks))
-        free_right.append((n1, hi, (r1 / t1, 1.0 / t1), fr1_blocks))
+        free_left.append((lo, n1, (inv_t2, l2_over_t2), fl2_blocks))
+        free_right.append((n1, hi, (r1_over_t1, inv_t1), fr1_blocks))
         # scalar-exponent powers take numpy's own fast paths, so they are
         # not read off the tables
         z0, z0_inv = ctx.power(n1), ctx.power(-n1)
         z1, z1_inv = ctx.power(n1 + 1), ctx.power(-(n1 + 1))
         worsen(
             "plane_waves",
-            f1 - ratio * ((1.0 / t2) * z1 + (l2 / t2) * z1_inv),
+            f1 - ratio * (inv_t2 * z1 + l2_over_t2 * z1_inv),
             # matrix forms on the junction site pair
             f0 - (z0 / t2 + z0_inv * l2 / t2),
             gl2[0] - (z0 * l2c / t2c + z0_inv / t2c),
@@ -418,21 +433,21 @@ def _junction_sweep(
             fr1[2] - (z1 * r1 / t1 + z1_inv / t1),
         )
 
-        e00 = (1.0 / t1c) * (1.0 / t1) + (r1 / t1) * (-r1c / t1c)
-        e01 = (1.0 / t1c) * (-r1 / t1) + (r1 / t1) * (1.0 / t1c)
-        e10 = (r1c / t1c) * (1.0 / t1) + (1.0 / t1) * (-r1c / t1c)
-        e11 = (r1c / t1c) * (-r1 / t1) + (1.0 / t1) * (1.0 / t1c)
-        p00 = (1.0 / t1) * (1.0 / t2) + (-r1 / t1) * (l2 / t2)
-        p01 = (1.0 / t1) * (l2c / t2c) + (-r1 / t1) * (1.0 / t2c)
-        p10 = (-r1c / t1c) * (1.0 / t2) + (1.0 / t1c) * (l2 / t2)
-        p11 = (-r1c / t1c) * (l2c / t2c) + (1.0 / t1c) * (1.0 / t2c)
+        e00 = inv_t1c * inv_t1 + r1_over_t1 * minus_r1c_over_t1c
+        e01 = inv_t1c * minus_r1_over_t1 + r1_over_t1 * inv_t1c
+        e10 = r1c_over_t1c * inv_t1 + inv_t1 * minus_r1c_over_t1c
+        e11 = r1c_over_t1c * minus_r1_over_t1 + inv_t1 * inv_t1c
+        p00 = inv_t1 * inv_t2 + minus_r1_over_t1 * l2_over_t2
+        p01 = inv_t1 * l2c_over_t2c + minus_r1_over_t1 * inv_t2c
+        p10 = minus_r1c_over_t1c * inv_t2 + inv_t1c * l2_over_t2
+        p11 = minus_r1c_over_t1c * l2c_over_t2c + inv_t1c * inv_t2c
         worsen(
             "factor_algebra",
             # the left fragment's determinant, 1
             1.0 / (t1 * t1c) - (r1 * r1c) / (t1 * t1c) - 1.0,
             # the exchange of the upper factors, and the rearranged product
             e00 - 1.0, e01, e10, e11 - 1.0,
-            p00 - 1.0 / t, p01 - -r / t, p10 - l / t, p11 - (t - l * r / t),
+            p00 - inv_t, p01 - minus_r_over_t, p10 - l_over_t, p11 - (t - l * r / t),
         )
     # the free sides' plane waves, the left ones from the top down, then
     # the right ones from the bottom up

@@ -1,0 +1,49 @@
+"""tools/ab_time.py times two trees in one process and compares their output.
+
+Both tests run it at a twentieth of the bench's window sizes and one
+timed pass: the tree against itself must match on every op and print
+each workload's times and ratios, and against a copy whose table format
+was changed it must name the ops that differ.  python -B keeps the tool
+from writing bytecode next to it, so it writes only temporary files.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TOOL = os.path.join(ROOT, "tools", "ab_time.py")
+WORKLOADS = ("long-scatter", "fragment-checks", "small-batch")
+
+
+def ab_time(*args):
+    return subprocess.run([sys.executable, "-B", TOOL, *args, "--scale", "0.05", "--rounds", "1"],
+                          capture_output=True, text=True, timeout=300, cwd=ROOT)
+
+
+def test_tree_against_itself_matches_and_prints_every_ratio():
+    proc = ab_time(ROOT)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    for name in WORKLOADS:
+        assert any(line.startswith(f"seed 911 {name}: ") and line.endswith(" 0 differ")
+                   for line in lines), name
+    for prefix in ("  median pass: change ", "  change/base: median ",
+                   "  control/base (A/A): median "):
+        assert sum(line.startswith(prefix) for line in lines) == len(WORKLOADS), prefix
+    assert all(line.endswith(" of 1 passes") for line in lines if "change/base" in line)
+
+
+def test_changed_output_is_named(tmp_path):
+    shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "src" / "jacobiscatter" / "cli.py"
+    text = cli.read_text()
+    assert '_CSV_ROW = ",".join(["%.17g"]' in text
+    cli.write_text(text.replace('_CSV_ROW = ",".join(["%.17g"]', '_CSV_ROW = ",".join(["%.16g"]'))
+    proc = ab_time(str(tmp_path), "--workloads", "small-batch")
+    assert proc.returncode == 1
+    lines = proc.stdout.splitlines()
+    assert "  differs: scatter:readme" in lines
+    assert "  differs: factorize:readme" not in lines

@@ -16,12 +16,16 @@ from jacobiscatter import (
     Fragmentation,
     IndexWindow,
     Limits,
+    NumericalFault,
     effective_support,
     fragment,
+    scattering,
 )
 from jacobiscatter.cli import _corrupted_padding
 from jacobiscatter.jost import _fit_sweep
+from jacobiscatter.scattering import _amplitude_blocks
 from jacobiscatter.spectral import _GridContext
+from jacobiscatter.transition import _identities_report
 from conftest import default_grid, hand_fixtures, make_sequence, overflowing_sequence
 from test_kernel_reference import reference_recurse
 from test_support_trim import padded
@@ -64,11 +68,17 @@ def breakpoint_sets(seq):
 
 
 def job_lists(seq):
-    """The whole with each product's fragments, and the single-junction
-    fragments of every breakpoint without the whole."""
+    """The whole with each product's fragments; the single-junction
+    fragments of every breakpoint without the whole; the identities
+    report's own list, whose first and last junction fragments are the
+    end fragments themselves; and a list that holds one object twice."""
     for points in breakpoint_sets(seq):
-        yield [seq, *fragment(seq, Fragmentation(points))]
-        yield [part for n1 in points for part in fragment(seq, Fragmentation((n1,)))]
+        parts = fragment(seq, Fragmentation(points))
+        junction_parts = [part for n1 in points for part in fragment(seq, Fragmentation((n1,)))]
+        yield [seq, *parts]
+        yield junction_parts
+        yield [seq, *parts, parts[0], *junction_parts[1:-1], parts[-1]]
+        yield [parts[0], seq, parts[0]]
 
 
 def test_every_job_gets_its_own_recursion(random_fixtures):
@@ -161,3 +171,65 @@ def test_jobs_must_share_the_limits():
     jobs = [(seq, seq.window), (other, IndexWindow(-1, 1))]
     with pytest.raises(ValueError, match="limits"):
         _fit_sweep(seq, jobs, _GridContext(default_grid(seq, count=8).zs), (False,))
+
+
+def counting_sweeps(monkeypatch):
+    """Record the job count of every _fit_sweep call _amplitude_blocks makes."""
+    counts = []
+    sweep = scattering._fit_sweep
+
+    def counting(seq, jobs, ctx, modes):
+        counts.append(len(jobs))
+        return sweep(seq, jobs, ctx, modes)
+
+    monkeypatch.setattr(scattering, "_fit_sweep", counting)
+    return counts
+
+
+def test_a_job_given_twice_is_swept_and_fitted_once(monkeypatch, random_fixtures):
+    """Every item keeps the bits of the job fitted alone, and the sweep
+    takes each object once."""
+    counts = counting_sweeps(monkeypatch)
+    for seq in hand_fixtures() + random_fixtures[:6]:
+        ctx = _GridContext(default_grid(seq, count=32).zs)
+        for parts in job_lists(seq):
+            for modes in ((False,), (False, True)):
+                counts.clear()
+                got = list(_amplitude_blocks(seq, parts, ctx, modes))
+                distinct = {id(part): part for part in parts}.values()
+                busy = [part for part in distinct if not effective_support(part).free]
+                assert counts == ([len(busy)] if busy else [])
+                for part, blocks in zip(parts, got):
+                    (want,) = _amplitude_blocks(seq, [part], ctx, modes)
+                    for mine, theirs in zip(blocks, want):
+                        assert np.array(mine).tobytes() == np.array(theirs).tobytes()
+
+
+def test_a_job_given_twice_faults_at_its_first_read():
+    seq = overflowing_sequence()
+    zs = default_grid(seq, count=8).zs
+    parts = fragment(seq, Fragmentation((seq.window.n_min + 10,)))
+    blocks = _amplitude_blocks(seq, [parts[0], seq, parts[0], seq], _GridContext(zs), (False,))
+    next(blocks)
+    with pytest.raises(NumericalFault, match="tail fit is not finite"):
+        next(blocks)
+
+
+def test_identities_report_sweeps_the_end_fragments_once(monkeypatch):
+    """With k breakpoints inside a window where no fragment is free, the
+    report sweeps 3k jobs: the whole, its k + 1 fragments and the 2k
+    junction fragments, less the first junction's left part and the last
+    one's right part, which are the end fragments."""
+    rng = np.random.default_rng(19)
+    n = 12
+    seq = make_sequence(-4, 1.0 + 0.1 * rng.random(n), 0.3 * rng.standard_normal(n),
+                        1.0 + 0.1 * rng.random(n))
+    zs = default_grid(seq, count=16).zs
+    counts = counting_sweeps(monkeypatch)
+    for k in (1, 2, 3):
+        points = tuple(seq.window.n_min - 1 + (j * n) // (k + 1) for j in range(1, k + 1))
+        frag = Fragmentation(points)
+        assert not any(effective_support(part).free for part in fragment(seq, frag))
+        counts.clear()
+        _identities_report(seq, frag, zs)
+        assert counts == [3 * k], points

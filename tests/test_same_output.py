@@ -15,7 +15,7 @@ TOOL = os.path.join(ROOT, "tools", "same_output.py")
 
 
 def same_output(*args):
-    return subprocess.run([sys.executable, TOOL, *args, "--scale", "0.01", "--seeds", "7"],
+    return subprocess.run([sys.executable, "-B", TOOL, *args, "--scale", "0.01", "--seeds", "7"],
                           capture_output=True, text=True, timeout=300, cwd=ROOT)
 
 

@@ -1,0 +1,131 @@
+"""Time two source trees on the bench workloads in one process, op by op.
+
+    python tools/ab_time.py BASE [--workloads small-batch] [--seed 911] [--rounds 10]
+
+BASE is a source checkout, given as a directory, or a git revision of
+this repository, checked out into a temporary directory as base_tree.py
+describes.  This tree's package, BASE's and a second copy of BASE's,
+the A/A control, are copied into a temporary directory under names of
+their own and imported into this process.  For each workload the inputs
+are built once, by this tree's bench/workloads.py, into that directory.
+
+Every op first runs once on each tree, as ``cli.main(argv)`` with stdout
+and stderr captured, and each op whose exit code, stdout or stderr
+differs between any two trees is named.  Then --rounds passes run every
+op on all three trees, one op after another, rotating which tree runs
+first from op to op and from pass to pass, so that the trees see the
+same host speed.  Printed per workload: each tree's median pass time;
+the ratios change/base and control/base of the passes, as median, min
+and max; and the passes in which the change was faster than BASE.  The
+control/base ratio is the resolution of the measurement: a change/base
+ratio inside its range is noise.  The exit code is 1 if any op differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import importlib
+import io
+import os
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+
+from base_tree import ROOT, base_tree
+
+WORKLOADS = ("long-scatter", "fragment-checks", "small-batch")
+PACKAGE = "jacobiscatter"
+# this tree, BASE, and BASE again as the A/A control
+TREES = ("change", "base", "control")
+
+
+def parse_args(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", help="source checkout directory or git revision")
+    parser.add_argument("--workloads", default=",".join(WORKLOADS))
+    parser.add_argument("--seed", type=int, default=911, help="bench seed")
+    parser.add_argument("--rounds", type=int, default=10, help="timed passes per workload")
+    parser.add_argument("--scale", type=float, default=1.0, help="window scale, in (0, 1]")
+    args = parser.parse_args(argv)
+    args.workloads = args.workloads.split(",")
+    unknown = set(args.workloads) - set(WORKLOADS)
+    if unknown or not 0 < args.scale <= 1 or args.rounds < 1:
+        parser.error(f"workloads must be among {WORKLOADS}, --scale in (0, 1], --rounds >= 1")
+    return args
+
+
+def load(src: str, name: str, packages: str):
+    """The cli module of the package in src, imported as package name."""
+    shutil.copytree(os.path.join(src, PACKAGE), os.path.join(packages, name),
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return importlib.import_module(name + ".cli")
+
+
+def run_op(cli, argv: list[str]) -> tuple[float, tuple[int, str, str]]:
+    """(seconds, (exit code, stdout, stderr)) of one cli.main call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        start = time.perf_counter()
+        code = cli.main(argv)
+        elapsed = time.perf_counter() - start
+    # a warning names the file it came from, which lies in each tree's copy
+    where = os.path.dirname(os.path.dirname(cli.__file__))
+    return elapsed, (code, out.getvalue(), err.getvalue().replace(where, "<src>"))
+
+
+def spread(values: list[float]) -> str:
+    return f"median {statistics.median(values):.3f}, min {min(values):.3f}, max {max(values):.3f}"
+
+
+def compare(clis: list, args, work: str) -> int:
+    sys.path.insert(0, os.path.join(ROOT, "bench"))
+    import workloads
+
+    differing = 0
+    for name in args.workloads:
+        ops = workloads.build(name, args.seed, os.path.join(work, name), scale=args.scale)
+        argvs = [op.argv() for op in ops]
+        bad = [op.label for op, argv in zip(ops, argvs)
+               if len({run_op(cli, argv)[1] for cli in clis}) > 1]
+        differing += len(bad)
+        print(f"seed {args.seed} {name}: {len(ops)} ops, {len(bad)} differ")
+        for label in bad:
+            print(f"  differs: {label}")
+        passes = []
+        for round_ in range(args.rounds):
+            totals = [0.0] * len(clis)
+            for i, argv in enumerate(argvs):
+                first = (i + round_) % len(clis)
+                for k in range(len(clis)):
+                    tree = (first + k) % len(clis)
+                    totals[tree] += run_op(clis[tree], argv)[0]
+            passes.append(totals)
+        change, base, control = zip(*passes)
+        medians = ", ".join(f"{tree} {statistics.median(times):.3f} s"
+                            for tree, times in zip(TREES, (change, base, control)))
+        print(f"  median pass: {medians}")
+        wins = sum(mine < theirs for mine, theirs in zip(change, base))
+        print(f"  change/base: {spread([c / b for c, b in zip(change, base)])}; "
+              f"faster in {wins} of {len(passes)} passes")
+        print(f"  control/base (A/A): {spread([c / b for c, b in zip(control, base)])}")
+    return 1 if differing else 0
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    sys.dont_write_bytecode = True
+    with tempfile.TemporaryDirectory() as work:
+        packages = os.path.join(work, "packages")
+        os.makedirs(packages)
+        sys.path.insert(0, packages)
+        with base_tree(args.base, work, "ab_time") as base:
+            sources = [os.path.join(tree, "src") for tree in (ROOT, base, base)]
+            clis = [load(src, f"ab_{tree}", packages) for src, tree in zip(sources, TREES)]
+        return compare(clis, args, work)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

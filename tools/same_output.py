@@ -3,15 +3,15 @@
     python tools/same_output.py BASE [--seeds 911,3,42] [--scale 1] [--workloads ...]
 
 BASE is a source checkout, given as a directory, or a git revision of
-this repository, which is checked out with ``git worktree`` into a
-temporary directory and removed again afterwards.  For each seed and
-workload the inputs are built once, by this tree's bench/workloads.py,
-into a temporary directory.  Every op then runs as ``python -m
-jacobiscatter ...`` in a fresh subprocess, once on this tree's src and
-once on BASE's.  Each op whose stdout, stderr or exit code differs is
-named, and the exit code is 1 if any differs.  Only the temporary
-directory is written to, and for a revision also git's worktree records
-under .git/worktrees, which are pruned on start and on exit.
+this repository, checked out into a temporary directory as base_tree.py
+describes.  For each seed and workload the inputs are built once, by
+this tree's bench/workloads.py, into a temporary directory.  Every op
+then runs as ``python -m jacobiscatter ...`` in a fresh subprocess, once
+on this tree's src and once on BASE's.  Each op whose stdout, stderr or
+exit code differs is named, and the exit code is 1 if any differs.  Only
+the temporary directory is written to, and for a revision also git's
+worktree records under .git/worktrees, which are pruned on start and on
+exit.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from base_tree import ROOT, base_tree
+
 WORKLOADS = ("long-scatter", "fragment-checks", "small-batch")
 # subprocesses at once: one op of each tree
 WORKERS = 2
@@ -42,10 +43,6 @@ def parse_args(argv):
     if unknown or not 0 < args.scale <= 1:
         parser.error(f"workloads must be among {WORKLOADS} and --scale in (0, 1]")
     return args
-
-
-def git(*args):
-    return subprocess.run(["git", "-C", ROOT, *args], check=True, capture_output=True, text=True)
 
 
 def run_op(src: str, argv: list[str], cwd: str) -> tuple[int, bytes, bytes]:
@@ -83,22 +80,8 @@ def compare(trees: list[str], args, work: str) -> int:
 def main(argv=None) -> int:
     args = parse_args(argv)
     with tempfile.TemporaryDirectory() as work:
-        if os.path.isdir(args.base):
-            base = os.path.abspath(args.base)
+        with base_tree(args.base, work, "same_output") as base:
             return compare([os.path.join(ROOT, "src"), os.path.join(base, "src")], args, work)
-        try:
-            revision = git("rev-parse", "--verify", args.base + "^{commit}").stdout.strip()
-        except subprocess.CalledProcessError:
-            sys.exit(f"same_output: {args.base} is neither a directory nor a git revision")
-        checkout = os.path.join(work, "base")
-        # drop the record of a checkout that an earlier, killed run left behind
-        git("worktree", "prune")
-        git("worktree", "add", "--detach", checkout, revision)
-        try:
-            return compare([os.path.join(ROOT, "src"), os.path.join(checkout, "src")], args, work)
-        finally:
-            git("worktree", "remove", "--force", checkout)
-            git("worktree", "prune")
 
 
 if __name__ == "__main__":
