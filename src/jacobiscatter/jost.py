@@ -16,18 +16,19 @@ circle has no decaying companion solution to lose accuracy to.
 
 jost_values produces solutions on an index range two sites wider than
 the window on each side, so that downstream tail fits read only sites
-where the tail form is exact; the junction checks widen the range
-through solution_range, at one recursion step per extra site and grid
-point.  That kernel, _recurse, keeps solutions site-major, one
-contiguous row of grid points per site, and writes each row with one
-_step call through one scratch row, with no temporaries per step.  It
-hands its rows out in blocks of _BLOCK_SITES sites from one buffer, so
-a caller that reduces them as they come holds a few blocks, not a row
-for every site of a long window or of a junction far outside it;
-jost_values takes its range as one block.  A solution and its
-companion at 1/z share coefficients and drive, so callers that need both
-stack them as column blocks of one recursion; every column block equals
-its own single run to the bit.
+where the tail form is exact.  The junction checks recurse the whole
+sequence from its seeded tails to a breakpoint outside the window, at
+one recursion step per extra site and grid point, and each fragment only
+from the whole's rows to two sites into its free side.  That kernel,
+_recurse, keeps solutions site-major, one contiguous row of grid points
+per site, and writes each row with one _step call through one scratch
+row, with no temporaries per step.  It hands its rows out in blocks of
+_BLOCK_SITES sites from one buffer, so a caller that reduces them as
+they come holds a few blocks, not a row for every site of a long window
+or of a junction far outside it; jost_values takes its range as one
+block.  A solution and its companion at 1/z share coefficients and
+drive, so callers that need both stack them as column blocks of one
+recursion; every column block equals its own single run to the bit.
 
 The tail fits need neither the window nor the stored values: sites
 outside the effective support carry the limits just as well, so each
@@ -194,20 +195,17 @@ def _recurse(
     modes: tuple[bool, ...],
     start: tuple[int, np.ndarray] | None = None,
     block: int = _BLOCK_SITES,
-    edge: int | None = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Propagate normalized solutions over [lo, hi], handed out in blocks.
 
     Yields (n, rows) per block of sites, in the order the recursion
     reaches them: from hi down on the left side, from lo up on the right.
     Row k of rows is site n + k, one column per grid point and mode.  A
-    block holds block sites, and the blocks start at the sites
-    edge + j * block: by default edge is where the recursion ends, lo on
+    block holds block sites, counted from where the recursion ends, lo on
     the left side and hi + 1 on the right, so that only the first block
-    is short and a range of at most block sites is one block.
-    Recursions over different ranges that pass one edge share their
-    blocks' sites.  rows is a view of one buffer, which the next block
-    overwrites: a caller keeps what it needs by copying it.
+    is short and a range of at most block sites is one block.  rows is a
+    view of one buffer, which the next block overwrites: a caller keeps
+    what it needs by copying it.
 
     The exact plane-wave tail is seeded past seq's window, block by block
     from the power table of ctx, and the recursion runs across it.  ctx
@@ -259,10 +257,10 @@ def _recurse(
     else:
         operands = [(w_k / w_inf, b_k, a_k, 1.0 / up) for w_k, up, b_k, a_k in at_step]
     dst, near, far = (-1, 1, 0) if left else (1, 0, -1)
-    if edge is None:
-        edge = lo if left else hi + 1
-    # the block edges past lo: from the first site above lo on edge's grid
-    edges = [lo, *range(lo + (edge - lo - 1) % block + 1, hi + 1, block), hi + 1]
+    # the block edges past lo, block sites apart from where the recursion
+    # ends: lo on the left side, hi + 1 on the right
+    end = lo if left else hi + 1
+    edges = [lo, *range(lo + (end - lo - 1) % block + 1, hi + 1, block), hi + 1]
     spans = list(zip(edges[:-1], edges[1:]))
     if left:
         spans.reverse()

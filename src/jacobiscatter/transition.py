@@ -18,9 +18,10 @@ behind it at each breakpoint taken as a single junction:
 * on sites at or below the breakpoint (shifted by one for the left
   solution), the mirrored expansion holds in the left fragment's pair,
   1/T on the conjugate partner and L/T on the plain right solution;
-* each fragment's inward tail is an exact plane-wave combination up to
-  the breakpoint, with a coupling ratio a_inf / a(n1 + 1) scaling the
-  first site past it, also in matrix form on the site pair (n1, n1 + 1);
+* each fragment's free side is an exact plane-wave combination up to
+  the breakpoint, checked on the three sites nearest it, with a coupling
+  ratio a_inf / a(n1 + 1) scaling the first site past it, also in matrix
+  form on the site pair (n1, n1 + 1);
 * the 2x2 algebra that rearranges the junction matrices into the product
   formula, including the closed-form inverses it uses.
 
@@ -33,16 +34,18 @@ of one point; a single z's junction identities are the sweep over [z].
 
 A single-junction fragment is the whole sequence on the side of its
 breakpoint that it keeps and the limits on the side it frees, so its
-solutions are the whole's on the kept side.  The junction sweep recurses
-the whole once per side and keeps its rows at each junction and where
-each fragment starts; a fragment recurses only its free side, from those
-rows (see junction_residual_sweep).  Every recursion hands its rows out
-in blocks of a few sites, and the sweep keeps none but those rows: it
-checks each free side's plane wave block by block, the free sides of all
-junctions on one side of theirs in step, so that each block's pair of
-power-table rows serves them all.  So its solutions take the memory of
-a few blocks, whatever the window's length or a breakpoint's distance
-from it.
+solutions are the whole's on the kept side and, on the free side, the
+plane-wave combination of its own T, R and L, which two consecutive rows
+of the recursion fix.  The junction sweep recurses the whole once per
+side, from its seeded tail to the farthest site it reads, and keeps its
+rows at each junction and where each fragment's kept side ends; from
+those rows a fragment takes two steps into its free side, and the
+plane-wave check reads the rows there (see junction_residual_sweep).
+Farther along a free side the check would measure only the rounding
+drift of a neutrally stable recursion.  The whole's recursions hand
+their rows out in blocks of a few sites, so its solutions take the
+memory of a few blocks, whatever the window's length or a breakpoint's
+distance from it; their time grows with that distance.
 
 _identities_report is the kernel of the CLI's identities report.  It
 runs the identity sweep and then one tail-fit sweep of the whole, its
@@ -55,7 +58,6 @@ solution over the window, one row of grid points per site.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
@@ -63,12 +65,11 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CoefficientError
-from .jost import _BLOCK_SITES, _recurse, _rows_at, solution_range
+from .jost import _recurse, _rows_at
 from .lattice import (
     MAX_WINDOW_SITES,
     CoefficientSequence,
     Fragmentation,
-    IndexWindow,
     coefficient_at,
     fragment,
 )
@@ -210,9 +211,9 @@ def factorization_check(
 def _require_reach(seq: CoefficientSequence, points: tuple[int, ...]) -> None:
     """Reject breakpoints more than MAX_WINDOW_SITES sites outside the window.
 
-    A junction's solutions span the window and the junction's cover, so
-    a breakpoint far outside would cost time and memory in proportion to
-    its distance, which the window cap does not bound.
+    The whole's solutions are recursed across the free sites to the
+    junction, so a breakpoint far outside would cost time in proportion
+    to its distance, which the window cap does not bound.
     """
     n_min, n_max = seq.window.n_min, seq.window.n_max
     for n1 in points:
@@ -243,18 +244,22 @@ def junction_residual_sweep(
     breakpoints means one product of k + 1 fragments.
 
     The whole sequence's T, R, L are read off its transition entries, and
-    its solutions and their companions recursed once per side, keeping only
-    the rows at n1 - 1 through n1 + 1 and where the fragments start.
-    fragment() copies the whole's values bit for bit on the side a
-    fragment keeps, so the right fragment's left solution is the whole's
-    down to min(n1, n_max) and the left fragment's right solution up to
-    max(n1, n_min - 1); each is recursed from there over its free side.
-    The companions are recursed only to the junction: one step, to n1 + 1,
-    on the right, none on the left.  The plane-wave check reads each free
-    side's rows block by block as they come, the blocks of all junctions
-    on one side sharing their sites and one pair of power-table rows; the
-    tail fits of the whole and all the fragments recurse in one sweep.  Keys:
-    right_junction, left_junction, plane_waves, factor_algebra.
+    its solutions and their companions recursed once per side, from the
+    seeded tail to the farthest site read, keeping only the rows at
+    n1 - 1 through n1 + 1 and where the fragments start.  fragment()
+    copies the whole's values bit for bit on the side a fragment keeps,
+    so the right fragment's left solution is the whole's down to
+    min(n1, n_max) and the left fragment's right solution up to
+    max(n1, n_min - 1).  Each is recursed from there only to two sites
+    into its free side, n1 - 2 and n1 + 2, the left fragment's companion
+    with it; sites in a fragment's seeded tail take no step.  On its free
+    side a solution is its fragment's plane wave, which two consecutive
+    rows fix, so plane_waves reads it on n1 - 2..n1 and n1..n1 + 2: far
+    from the junction it would measure only the recursion's rounding
+    drift.  The right fragment's companion is read only at n1 and n1 + 1,
+    where it is the whole's.  The tail fits of the whole and all the
+    fragments recurse in one sweep.  Keys: right_junction, left_junction,
+    plane_waves, factor_algebra.
 
     Raises CoefficientError, before any recursion, for a breakpoint more
     than MAX_WINDOW_SITES sites outside the window, and NumericalFault,
@@ -333,7 +338,6 @@ def _junction_sweep(
     m = zs.size
     points = frag.breakpoints
     n_min, n_max = seq.window.n_min, seq.window.n_max
-    lo_all, hi_all = solution_range(seq, IndexWindow(points[0] - 2, points[-1] + 2))
     # per junction: the sites from which the right fragment's left solution
     # recurses down and the left fragment's right one recurses up, where
     # each fragment's kept side ends
@@ -342,10 +346,11 @@ def _junction_sweep(
     sites = sorted(kept.union(*({down, down + 1, up - 1, up} for down, up in starts)))
     where = {n: i for i, n in enumerate(sites)}
 
-    # the left solution is read no lower than sites[0], the right one no
-    # higher than sites[-1]
-    fl_pair = _rows_at(_recurse(seq, sites[0], hi_all, ctx, "left", _PAIRED), sites)
-    fr_pair = _rows_at(_recurse(seq, lo_all, sites[-1], ctx, "right", _PAIRED), sites)
+    # the whole's solutions from their seeded tails to the farthest site
+    # read: the left one down to sites[0], the right one up to sites[-1]
+    left_run = _recurse(seq, sites[0], max(sites[-1], n_max + 1), ctx, "left", _PAIRED)
+    right_run = _recurse(seq, min(sites[0], n_min - 2), sites[-1], ctx, "right", _PAIRED)
+    fl_pair, fr_pair = _rows_at(left_run, sites), _rows_at(right_run, sites)
 
     def fit(m00, m01, m10, m11, r0, r1):
         det = m00 * m11 - m01 * m10
@@ -359,32 +364,23 @@ def _junction_sweep(
     def worsen(key, *terms):
         np.maximum(rows[key], _worst(*terms), out=rows[key])
 
-    # per junction: its free sides' recursions, each with the sites its
-    # plane wave covers and that wave's coefficients, checked after the loop
-    free_left, free_right = [], []
     for j, (n1, (down, up)) in enumerate(zip(points, starts)):
-        lo, hi = solution_range(seq, IndexWindow(n1 - 2, n1 + 2))
         left_part, right_part = parts[2 * j], parts[2 * j + 1]
-        # the right fragment's left solution on lo..n1 + 1: a run alone
-        # from the whole's rows at down and down + 1 covers the free side
+        # the right fragment's left solution on n1 - 2..n1, two steps into
+        # its free side from the whole's rows at down and down + 1
         start = (down, fl_pair[[where[down], where[down + 1]], :m])
-        fl2_blocks = _recurse(
-            right_part, lo, n1 + 1, ctx, "left", (False,), start=start, edge=lo_all
+        fl2 = _rows_at(
+            _recurse(right_part, n1 - 2, n1 + 1, ctx, "left", (False,), start=start),
+            (n1 - 2, n1 - 1, n1),
         )
-        # the left fragment's right solution on n1 - 1..hi, likewise from
-        # up: its companion needs the step to n1 + 1
-        s = min(n1, up) - 1
-        first = max(n1, up)
+        # the left fragment's right solution on n1 - 1..n1 + 2, likewise from
+        # up - 1 and up, with its companion, which needs the step to n1 + 1
         start = (up, fr_pair[[where[up - 1], where[up]]])
-        near = _rows_at(
-            _recurse(left_part, s, max(n1 + 1, up), ctx, "right", _PAIRED, start=start),
-            (n1 - 1, n1, n1 + 1, first - 1, first),
+        paired = _rows_at(
+            _recurse(left_part, n1 - 1, n1 + 2, ctx, "right", _PAIRED, start=start),
+            (n1 - 1, n1, n1 + 1, n1 + 2),
         )
-        gr1, fr1 = near[:3, m:], near[:3, :m]
-        start = (first, near[3:, :m])
-        fr1_blocks = _recurse(
-            left_part, n1 - 1, hi, ctx, "right", (False,), start=start, edge=hi_all + 1
-        )
+        gr1, fr1 = paired[:3, m:], paired[:, :m]
         # keep only the coefficients the checks read, not the amplitudes
         (t1, r1, _), (t1c, r1c, _) = [_coefficients(*block) for block in next(fits)]
         (t2, _, l2), (t2c, _, l2c) = [_coefficients(*block) for block in next(fits)]
@@ -393,9 +389,9 @@ def _junction_sweep(
         inv_t1c, r1c_over_t1c, minus_r1c_over_t1c = 1.0 / t1c, r1c / t1c, -r1c / t1c
         inv_t2, l2_over_t2, inv_t2c, l2c_over_t2c = 1.0 / t2, l2 / t2, 1.0 / t2c, l2c / t2c
         ratio = seq.limits.a_inf / coefficient_at(seq, n1 + 1)[0]
-        # fl and fr, the whole's, and fr1 and gr1 are at n1 - 1 through
-        # n1 + 1.  At n1 and n1 + 1 the right fragment's left solution and
-        # its companion, f0, f1 and gl2, are the whole's rows: n1 + 1 is at
+        # fl and fr, the whole's, and gr1 are at n1 - 1 through n1 + 1, and fr1
+        # through n1 + 2.  At n1 and n1 + 1 the right fragment's left solution
+        # and its companion, f0, f1 and gl2, are the whole's rows: n1 + 1 is at
         # most down + 1, or both sit in the tail seeded past n_max
         near = [where[n1 - 1], where[n1], where[n1 + 1]]
         fl, fr = fl_pair[near, :m], fr_pair[near, :m]
@@ -412,15 +408,18 @@ def _junction_sweep(
             fl[2] - ratio * (inv_t * gr1[2] + l_over_t * fr1[2]),
         )
 
-        # the free sides' waves: the left one on lo..n1, the right one on n1..hi
-        free_left.append((lo, n1, (inv_t2, l2_over_t2), fl2_blocks))
-        free_right.append((n1, hi, (r1_over_t1, inv_t1), fr1_blocks))
+        # each free side's wave where its recursion leaves its coefficients:
+        # the right fragment's on n1 - 2..n1, the left one's on n1..n1 + 2
+        ks = np.arange(n1 - 2, n1 + 3)
+        up_table, down_table = ctx.power_table(ks), ctx.power_table(-ks)
         # scalar-exponent powers take numpy's own fast paths, so they are
         # not read off the tables
         z0, z0_inv = ctx.power(n1), ctx.power(-n1)
         z1, z1_inv = ctx.power(n1 + 1), ctx.power(-(n1 + 1))
         worsen(
             "plane_waves",
+            *(fl2 - (inv_t2 * up_table[:3] + l2_over_t2 * down_table[:3])),
+            *(fr1[1:] - (r1_over_t1 * up_table[2:] + inv_t1 * down_table[2:])),
             f1 - ratio * (inv_t2 * z1 + l2_over_t2 * z1_inv),
             # matrix forms on the junction site pair
             f0 - (z0 / t2 + z0_inv * l2 / t2),
@@ -449,50 +448,4 @@ def _junction_sweep(
             e00 - 1.0, e01, e10, e11 - 1.0,
             p00 - inv_t, p01 - minus_r_over_t, p10 - l_over_t, p11 - (t - l * r / t),
         )
-    # the free sides' plane waves, the left ones from the top down, then
-    # the right ones from the bottom up
-    lefts = _wave_gaps(ctx, free_left, lo_all, True)
-    rights = _wave_gaps(ctx, free_right, hi_all + 1, False)
-    rows["plane_waves"] = np.max([rows["plane_waves"], *lefts, *rights], axis=0)
     return rows
-
-
-def _wave_gaps(
-    ctx: _GridContext, free: list[tuple], edge: int, descending: bool
-) -> list[np.ndarray]:
-    """Each free side's gaps to its plane wave, worst per grid point, in free's order.
-
-    free holds per recursion (lo, hi, (up, down), blocks): blocks hands
-    out its rows, from _recurse with the given edge, and the gap is taken
-    on sites lo..hi to up z^n + down z^{-n}.  The recursions' blocks
-    share their sites, so they are read merged in site order, from the
-    top down if descending, and each block's pair of power-table rows is
-    built once for all of them.
-    """
-    lo = min(first for first, _, _, _ in free)
-    hi = max(last for _, last, _, _ in free)
-    gaps = [np.zeros(ctx.zs.size) for _ in free]
-
-    def tagged(j, blocks):
-        for n, rows in blocks:
-            yield n, j, rows
-
-    merged = heapq.merge(*(tagged(j, each[3]) for j, each in enumerate(free)), reverse=descending)
-    held = None
-    for n, j, rows in merged:
-        first, last, (up, down), _ = free[j]
-        first, last = max(first, n), min(last, n + len(rows) - 1)
-        if first > last:
-            continue
-        if held != (n - edge) // _BLOCK_SITES:
-            # the block's sites on lo..hi
-            held = (n - edge) // _BLOCK_SITES
-            start = edge + held * _BLOCK_SITES
-            base = max(lo, start)
-            sites = np.arange(base, min(hi, start + _BLOCK_SITES - 1) + 1)
-            up_table, down_table = ctx.power_table(sites), ctx.power_table(-sites)
-        part = slice(first - base, last + 1 - base)
-        wave = up * up_table[part] + down * down_table[part]
-        gap = np.max(np.abs(rows[first - n : last + 1 - n] - wave), axis=0)
-        np.maximum(gaps[j], gap, out=gaps[j])
-    return gaps

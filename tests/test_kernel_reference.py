@@ -5,12 +5,12 @@ every real scaling on the float64 view of their complex rows and divide
 by a coupling as a multiply by its reciprocal.
 The identities report computes the whole sequence's transition matrix
 once and reads its determinant, factorization and junction rows from it.
-The junction sweep recurses each fragment's free side only, from the
-whole sequence's rows.  All are pure reorganizations, so these tests
-hold them to the bit: the kernel against the plain complex-row
-recursion kept below, the report against separate calls to the public
-residual functions, and the junction rows against the per-fragment
-paired recursions kept below as reference_junction_sweep.
+The junction sweep recurses each fragment two sites into its free side
+only, from the whole sequence's rows.  All are pure reorganizations, so
+these tests hold them to the bit: the kernel against the plain
+complex-row recursion kept below, the report against separate calls to
+the public residual functions, and the junction rows against the
+per-fragment paired recursions kept below as reference_junction_sweep.
 """
 
 import contextlib
@@ -100,27 +100,26 @@ def reference_recurse(seq, window, lo, hi, zs, side, modes, store):
     return rows[[last % count, (last + 1) % count]]
 
 
-def streamed(seq, lo, hi, ctx, side, modes, start=None, block=jost._BLOCK_SITES, edge=None):
+def streamed(seq, lo, hi, ctx, side, modes, start=None, block=jost._BLOCK_SITES):
     """The rows over [lo, hi] that _recurse hands out, put together.
 
     The blocks must come in the recursion's order, from hi down on the
     left side and from lo up on the right, and tile [lo, hi] in blocks of
-    block sites that start on edge's grid, by default where the recursion
-    ends, so that only the first block handed out is short.
+    block sites counted from where the recursion ends, so that only the
+    first block handed out is short.
     """
     rows = np.empty((hi - lo + 1, len(modes) * ctx.zs.size), dtype=complex)
     spans = []
-    for n, part in _recurse(seq, lo, hi, ctx, side, modes, start=start, block=block, edge=edge):
+    for n, part in _recurse(seq, lo, hi, ctx, side, modes, start=start, block=block):
         rows[n - lo : n - lo + len(part)] = part
         spans.append((n, n + len(part)))
-    if edge is None:
-        assert spans[-1][1] - spans[-1][0] == min(block, hi - lo + 1)
-        edge = lo if side == "left" else hi + 1
+    assert spans[-1][1] - spans[-1][0] == min(block, hi - lo + 1)
+    end = lo if side == "left" else hi + 1
     if side == "left":
         spans.reverse()
     assert spans[0][0] == lo and spans[-1][1] == hi + 1
     assert all(stop == n for (_, stop), (n, _) in zip(spans, spans[1:]))
-    assert all((n - edge) % block == 0 for n, _ in spans[1:])
+    assert all((n - end) % block == 0 for n, _ in spans[1:])
     assert all(stop - n <= block for n, stop in spans)
     return rows
 
@@ -311,7 +310,8 @@ def reference_junction_sweep(seq, points, zs, t, r, l, splits):
     Each breakpoint's fragments, splits[j], recurse their solution pairs
     over their whole range, each pair as one paired reference recursion;
     the whole sequence's solutions recurse alone over the union range.
-    Every row is read grid-major, through transposes.
+    plane_waves reads each free side on the three sites nearest the
+    breakpoint.  Every row is read grid-major, through transposes.
     """
     m = zs.size
     lo_all, hi_all = solution_range(seq, IndexWindow(points[0] - 2, points[-1] + 2))
@@ -348,7 +348,6 @@ def reference_junction_sweep(seq, points, zs, t, r, l, splits):
     for j, (n1, parts) in enumerate(zip(points, splits)):
         fl2, gl2, lo = paired(parts[1], "left", IndexWindow(n1 - 2, n1 + 2))
         fr1, gr1, _ = paired(parts[0], "right", IndexWindow(n1 - 2, n1 + 2))
-        hi = lo + fl2.shape[1] - 1
         (t1, r1, _), (t1c, r1c, _) = [
             _coefficients(*block) for block in reference_blocks(parts[0], zs, (False, True))
         ]
@@ -383,14 +382,16 @@ def reference_junction_sweep(seq, points, zs, t, r, l, splits):
             gap(near(fl, n1 + 1)
                 - ratio * ((1.0 / t) * col(gr1, n1 + 1) + (l / t) * col(fr1, n1 + 1))),
         ))
-        left_sites = slice(lo - lo_all, n1 + 1 - lo_all)
-        right_sites = slice(n1 - lo_all, hi + 1 - lo_all)
+        # each free side's wave two sites into it, as far as its
+        # recursion leaves the fragment's coefficients
+        left_sites = slice(n1 - 2 - lo_all, n1 + 1 - lo_all)
+        right_sites = slice(n1 - lo_all, n1 + 3 - lo_all)
         z0, z0_inv, z1, z1_inv = zs**n1, zs**-n1, zs ** (n1 + 1), zs ** -(n1 + 1)
         found["plane_waves"].append(max(
-            gap(fl2[:, : n1 + 1 - lo] - ((1.0 / t2)[:, None] * up[:, left_sites]
+            gap(fl2[:, n1 - 2 - lo : n1 + 1 - lo] - ((1.0 / t2)[:, None] * up[:, left_sites]
                                         + (l2 / t2)[:, None] * down[:, left_sites])),
             gap(col(fl2, n1 + 1) - ratio * ((1.0 / t2) * z1 + (l2 / t2) * z1_inv)),
-            gap(fr1[:, n1 - lo :] - ((r1 / t1)[:, None] * up[:, right_sites]
+            gap(fr1[:, n1 - lo : n1 + 3 - lo] - ((r1 / t1)[:, None] * up[:, right_sites]
                                      + (1.0 / t1)[:, None] * down[:, right_sites])),
             gap(col(fl2, n1) - (z0 / t2 + z0_inv * l2 / t2)),
             gap(col(gl2, n1) - (z0 * l2c / t2c + z0_inv / t2c)),
@@ -478,46 +479,6 @@ def test_junction_rows_equal_the_paired_fragment_recursions(tmp_path, random_fix
             assert {key: rows[key] for key in want} == want, points
 
 
-def handed_out(rows, lo, edge, descending):
-    """rows, row k at site lo + k, in blocks as _recurse hands them out:
-    each block starts on edge's grid, from the top down if descending."""
-    hi = lo + len(rows) - 1
-    block = jost._BLOCK_SITES
-    cuts = [lo, *range(lo + (edge - lo - 1) % block + 1, hi + 1, block), hi + 1]
-    spans = list(zip(cuts[:-1], cuts[1:]))
-    for first, stop in reversed(spans) if descending else spans:
-        yield first, rows[first - lo : stop - lo]
-
-
-def test_wave_gaps_read_each_free_side_on_its_own_sites():
-    """Each side's plane-wave gap covers its sites lo..hi and no other:
-    rows that equal their wave but at one site read a gap there only,
-    wherever that site falls among the merged blocks of three sides, one
-    site past lo..hi as the free sides' recursions reach included."""
-    zs = default_grid(mixed_sequence(), count=4).zs
-    ctx = _GridContext(zs)
-    edge = -40
-    ranges = [(-40, 5), (-40, 30), (-23, 17)]
-    waves = [(np.full(4, 0.5 + 0.25j * k), np.full(4, -0.75 + 0.1j * k)) for k in range(3)]
-    for descending in (True, False):
-        reach = [(lo, hi + 1) if descending else (lo - 1, hi) for lo, hi in ranges]
-        for spiked, (first, last) in enumerate(reach):
-            for site in range(first, last + 1):
-                sides = []
-                for j, ((lo, hi), (up, down), (a, b)) in enumerate(zip(ranges, waves, reach)):
-                    sites = np.arange(a, b + 1)
-                    rows = up * ctx.power_table(sites) + down * ctx.power_table(-sites)
-                    if j == spiked:
-                        rows[site - a] += 2.0
-                    sides.append((lo, hi, (up, down), handed_out(rows, a, edge, descending)))
-                gaps = [np.max(gap) for gap in transition._wave_gaps(ctx, sides, edge, descending)]
-                lo, hi = ranges[spiked]
-                assert [gap > 1.0 for gap in gaps] == [
-                    j == spiked and lo <= site <= hi for j in range(len(ranges))
-                ], (descending, spiked, site)
-                assert all(gap == 0.0 for gap in gaps if gap <= 1.0)
-
-
 def test_far_breakpoints_raise_before_any_recursion(monkeypatch, tmp_path):
     seq = two_impurity_sequence()
     zs = default_grid(seq, count=8).zs
@@ -572,15 +533,79 @@ def test_far_breakpoints_raise_before_any_recursion(monkeypatch, tmp_path):
     reach(seq, (seq.window.n_min - MAX_WINDOW_SITES,))
 
 
+def test_junction_sweep_recurses_only_the_sites_it_reads(monkeypatch):
+    """Each fragment's run from the whole's rows spans at most four sites,
+    two steps into its free side, and each of the whole's runs ends at the
+    farthest site the sweep reads of it, or at the seeded pair its first
+    step reads: breakpoints inside the window, next to it, and 50 and
+    10,000 sites out on either side."""
+    seq = two_impurity_sequence()
+    zs = default_grid(seq, count=8).zs
+    n_min, n_max = seq.window.n_min, seq.window.n_max
+    recurse, runs = transition._recurse, []
+
+    def record(part, lo, hi, ctx, side, modes, **kwargs):
+        runs.append((part, lo, hi, side, kwargs.get("start")))
+        return recurse(part, lo, hi, ctx, side, modes, **kwargs)
+
+    monkeypatch.setattr(transition, "_recurse", record)
+    out = (1, 50, MAX_WINDOW_SITES)
+    points = [n_min - d for d in out] + [0] + [n_max + d for d in out]
+    for n1 in points:
+        runs.clear()
+        junction_residual_sweep(seq, Fragmentation((n1,)), zs)
+        whole = [run for run in runs if run[4] is None]
+        started = [run for run in runs if run[4] is not None]
+        assert all(hi - lo + 1 <= 4 for _, lo, hi, _, _ in started), n1
+        assert [(part, side) for part, _, _, side, _ in whole] == [(seq, "left"), (seq, "right")]
+        assert len(started) == 2
+        # the whole's rows the sweep reads: the junction's and the start pairs
+        read = {n1 - 1, n1, n1 + 1}
+        for _, _, _, side, (s, _) in started:
+            read |= {s, s + 1} if side == "left" else {s - 1, s}
+        (_, left_lo, left_hi, _, _), (_, right_lo, right_hi, _, _) = whole
+        assert left_lo == min(read) and left_hi <= max(*read, n_max + 1), n1
+        assert right_hi == max(read) and right_lo >= min(*read, n_min - 2), n1
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 15])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_plane_waves_catch_damage_deep_in_a_free_side(monkeypatch, side, k):
+    """b + 0.5 at one padding site, k sites into the left or the right
+    fragment's free side, fails plane_waves, though its check reads each
+    free side only two sites in: the damaged fragment's T, R and L leave
+    the wave its rows carry from the whole."""
+    seq = damped_window(-20, 41, seed=4)
+    zs = default_grid(seq, count=64, delta=1e-3).zs
+    n1 = 0
+    frag = Fragmentation((n1,))
+    assert junction_residual_sweep(seq, frag, zs)["plane_waves"] < 1e-9
+    junction_parts = transition._junction_parts
+    # the left fragment frees the sites above n1, the right one n1 and below
+    j, site = (0, n1 + k) if side == "left" else (1, n1 + 1 - k)
+
+    def damaged(seq, frag):
+        parts = junction_parts(seq, frag)
+        part = parts[j]
+        b = part.b_values.copy()
+        assert b[site - part.window.n_min] == part.limits.b_inf
+        b[site - part.window.n_min] += 0.5
+        parts[j] = make_sequence(part.window.n_min, part.a_values, b, part.w_values, part.limits)
+        return parts
+
+    monkeypatch.setattr(transition, "_junction_parts", damaged)
+    assert junction_residual_sweep(seq, frag, zs)["plane_waves"] > 1e-6
+
+
 @pytest.mark.filterwarnings("ignore::jacobiscatter.lattice.CouplingSignWarning")
 @pytest.mark.parametrize("count", [1, 8])
 def test_streamed_blocks_equal_the_reference_recursion(count):
     """_recurse's blocks, put together, are the plain recursion's rows to
     the bit: both sides, every mode set, with and without a start pair,
-    with a block edge between the start pair's rows and on the window's
-    edges, and with seeded tails of 500 sites, many blocks long and past
-    |k| = 100, where the seeds take the exp route.  The deviations cycle
-    through -0.0 and subnormal b and negative couplings.
+    in blocks of 1, 3 and 16 sites, and with seeded tails of 500 sites,
+    many blocks long and past |k| = 100, where the seeds take the exp
+    route.  The deviations cycle through -0.0 and subnormal b and
+    negative couplings.
 
     A run from a start pair computes no row between the pair and the
     seeded tail, so those rows are not compared."""
@@ -600,22 +625,19 @@ def test_streamed_blocks_equal_the_reference_recursion(count):
         for modes in MODES:
             want = reference_recurse(seq, seq.window, lo, hi, zs, side, modes, True)
             assert np.all(np.isfinite(want))
-            # (start, the rows it leaves out, the start pair's upper site),
-            # the pair at s and s + 1 on the left side, at s - 1 and s on
+            # (start, the rows it leaves out), the pair at s and s + 1 on the left side, at s - 1 and s on
             # the right: where the recursion starts anyway, inside the
             # window, and at the window's other edge
-            runs = [(None, np.zeros_like(tail), None)]
+            runs = [(None, np.zeros_like(tail))]
             for s in starts[side]:
                 pair = s + 1 if side == "left" else s
                 skipped = (sites > pair) if side == "left" else (sites < pair - 1)
-                runs.append(((s, want[pair - 1 - lo : pair + 1 - lo]), skipped & ~tail, pair))
-            for start, skipped, pair in runs:
-                edges = {None, n_min, n_max + 1} | ({pair} if pair is not None else set())
+                runs.append(((s, want[pair - 1 - lo : pair + 1 - lo]), skipped & ~tail))
+            for start, skipped in runs:
                 for block in (1, 3, jost._BLOCK_SITES):
-                    for edge in edges:
-                        got = streamed(seq, lo, hi, ctx, side, modes, start, block, edge)
-                        same = got[~skipped].tobytes() == want[~skipped].tobytes()
-                        assert same, (side, start, block, edge)
+                    got = streamed(seq, lo, hi, ctx, side, modes, start, block)
+                    same = got[~skipped].tobytes() == want[~skipped].tobytes()
+                    assert same, (side, start, block)
 
 
 def reference_identity_sweep(seq, zs):
