@@ -17,18 +17,17 @@ circle has no decaying companion solution to lose accuracy to.
 jost_values produces solutions on an index range two sites wider than
 the window on each side, so that downstream tail fits read only sites
 where the tail form is exact.  The junction checks recurse the whole
-sequence from its seeded tails to a breakpoint outside the window, at
-one recursion step per extra site and grid point, and each fragment only
-from the whole's rows to two sites into its free side.  That kernel,
-_recurse, keeps solutions site-major, one contiguous row of grid points
-per site, and writes each row with one _step call through one scratch
-row, with no temporaries per step.  It hands its rows out in blocks of
-_BLOCK_SITES sites from one buffer, so a caller that reduces them as
-they come holds a few blocks, not a row for every site of a long window
-or of a junction far outside it; jost_values takes its range as one
-block.  A solution and its companion at 1/z share coefficients and
-drive, so callers that need both stack them as column blocks of one
-recursion; every column block equals its own single run to the bit.
+sequence from its seeded tails to at most two sites past the window, and
+each fragment only from the whole's rows to two sites into its free
+side.  That kernel, _recurse, keeps solutions site-major, one contiguous
+row of grid points per site, and writes each row with one _step call
+through one scratch row, with no temporaries per step.  It hands its
+rows out in blocks of _BLOCK_SITES sites from one buffer, so a caller
+that reduces them as they come holds a few blocks, not a row for every
+site of a long window; jost_values takes its range as one block.  A
+solution and its companion at 1/z share coefficients and drive, so
+callers that need both stack them as column blocks of one recursion;
+every column block equals its own single run to the bit.
 
 The tail fits need neither the window nor the stored values: sites
 outside the effective support carry the limits just as well, so each

@@ -42,10 +42,14 @@ rows at each junction and where each fragment's kept side ends; from
 those rows a fragment takes two steps into its free side, and the
 plane-wave check reads the rows there (see junction_residual_sweep).
 Farther along a free side the check would measure only the rounding
-drift of a neutrally stable recursion.  The whole's recursions hand
-their rows out in blocks of a few sites, so its solutions take the
-memory of a few blocks, whatever the window's length or a breakpoint's
-distance from it; their time grows with that distance.
+drift of a neutrally stable recursion.  A breakpoint at or past
+n_max + 1 splits the sequence into the same two fragments as n_max + 1,
+the whole and a free lattice, and one at or below n_min - 1 into those
+of n_min - 1; the junction relations there differ only by unimodular
+powers of z, so the sweep checks such a breakpoint at that edge site,
+and the whole's rows never leave the window's neighbourhood.  Its
+recursions hand their rows out in blocks of a few sites, so its
+solutions take the memory of a few blocks, whatever the window's length.
 
 _identities_report is the kernel of the CLI's identities report.  It
 runs the identity sweep and then one tail-fit sweep of the whole, its
@@ -64,15 +68,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import CoefficientError
 from .jost import _recurse, _rows_at
-from .lattice import (
-    MAX_WINDOW_SITES,
-    CoefficientSequence,
-    Fragmentation,
-    coefficient_at,
-    fragment,
-)
+from .lattice import CoefficientSequence, Fragmentation, coefficient_at, fragment
 from .scattering import _amplitude_blocks, _coefficients, _grid_maxima, _identity_sweep, _worst
 from .spectral import _fault_where, _GridContext
 
@@ -160,6 +157,15 @@ def _product_gap(whole: np.ndarray, product: np.ndarray) -> np.ndarray:
     return np.max(np.abs(product - whole), axis=(-2, -1))
 
 
+def _whole_and_product(
+    seq: CoefficientSequence, parts: list[CoefficientSequence], ctx: _GridContext
+) -> tuple[np.ndarray, np.ndarray]:
+    """The whole's transition entries and its parts' ordered product."""
+    # the whole and its parts from one sweep, fitted in that order
+    blocks = _amplitude_blocks(seq, [seq, *parts], ctx, _PAIRED)
+    return _entries(next(blocks)), _fragment_product(map(_entries, blocks))
+
+
 def factorization_residuals(
     seq: CoefficientSequence,
     frag: Fragmentation,
@@ -172,12 +178,9 @@ def factorization_residuals(
     control can corrupt the padding or a limit and watch the product
     detach.
     """
-    ctx = _GridContext(zs)
     if parts is None:
         parts = fragment(seq, frag)
-    # the whole and its fragments from one sweep, fitted in that order
-    blocks = _amplitude_blocks(seq, [seq, *parts], ctx, _PAIRED)
-    return _product_gap(_entries(next(blocks)), _fragment_product(map(_entries, blocks)))
+    return _product_gap(*_whole_and_product(seq, parts, _GridContext(zs)))
 
 
 def factorization_check(
@@ -193,9 +196,7 @@ def factorization_check(
     z = complex(z)
     parts = fragment(seq, frag)
     ctx = _GridContext(z)
-    blocks = _amplitude_blocks(seq, [seq, *parts], ctx, _PAIRED)
-    whole = _entries(next(blocks))
-    product = _fragment_product(map(_entries, blocks))
+    whole, product = _whole_and_product(seq, parts, ctx)
     (residual,) = _grid_maxima({"factorization": _product_gap(whole, product)}, ctx.zs).values()
     return FactorizationReport(
         z=z,
@@ -206,23 +207,6 @@ def factorization_check(
         tolerance=float(tol),
         passed=residual <= tol,
     )
-
-
-def _require_reach(seq: CoefficientSequence, points: tuple[int, ...]) -> None:
-    """Reject breakpoints more than MAX_WINDOW_SITES sites outside the window.
-
-    The whole's solutions are recursed across the free sites to the
-    junction, so a breakpoint far outside would cost time in proportion
-    to its distance, which the window cap does not bound.
-    """
-    n_min, n_max = seq.window.n_min, seq.window.n_max
-    for n1 in points:
-        outside = max(n_min - n1, n1 - n_max)
-        if outside > MAX_WINDOW_SITES:
-            raise CoefficientError(
-                f"breakpoint {n1} lies {outside} sites outside the window "
-                f"[{n_min}, {n_max}]; junction checks admit at most {MAX_WINDOW_SITES}"
-            )
 
 
 def _junction_parts(seq: CoefficientSequence, frag: Fragmentation) -> list[CoefficientSequence]:
@@ -243,16 +227,18 @@ def junction_residual_sweep(
     factorization_residuals, where the same Fragmentation with k
     breakpoints means one product of k + 1 fragments.
 
-    The whole sequence's T, R, L are read off its transition entries, and
-    its solutions and their companions recursed once per side, from the
-    seeded tail to the farthest site read, keeping only the rows at
-    n1 - 1 through n1 + 1 and where the fragments start.  fragment()
-    copies the whole's values bit for bit on the side a fragment keeps,
-    so the right fragment's left solution is the whole's down to
-    min(n1, n_max) and the left fragment's right solution up to
-    max(n1, n_min - 1).  Each is recursed from there only to two sites
-    into its free side, n1 - 2 and n1 + 2, the left fragment's companion
-    with it; sites in a fragment's seeded tail take no step.  On its free
+    A breakpoint outside [n_min - 1, n_max + 1] is checked at the nearer
+    end of that range, whose fragments fragment() builds bit for bit the
+    same.  The whole sequence's T, R, L are read off its transition
+    entries, and its solutions and their companions recursed once per
+    side, from the seeded tail to the farthest site read, keeping only the
+    rows at n1 - 1 through n1 + 1, among them those the fragments start
+    from.  fragment() copies the whole's values bit for bit on the side a
+    fragment keeps, so the right fragment's left solution is the whole's
+    down to min(n1, n_max) and the left fragment's right solution up to
+    n1.  Each is recursed from there only to two sites into its free
+    side, n1 - 2 and n1 + 2, the left fragment's companion with it;
+    sites in a fragment's seeded tail take no step.  On its free
     side a solution is its fragment's plane wave, which two consecutive
     rows fix, so plane_waves reads it on n1 - 2..n1 and n1..n1 + 2: far
     from the junction it would measure only the recursion's rounding
@@ -261,13 +247,10 @@ def junction_residual_sweep(
     fragments recurse in one sweep.  Keys: right_junction, left_junction,
     plane_waves, factor_algebra.
 
-    Raises CoefficientError, before any recursion, for a breakpoint more
-    than MAX_WINDOW_SITES sites outside the window, and NumericalFault,
-    naming theta, where a fragment's solution pair is numerically
-    dependent at the junction or, naming the row too, where a residual is
-    not finite.
+    Raises NumericalFault, naming theta, where a fragment's solution pair
+    is numerically dependent at the junction or, naming the row too,
+    where a residual is not finite.
     """
-    _require_reach(seq, frag.breakpoints)
     ctx = _GridContext(zs)
     parts = _junction_parts(seq, frag)
     fits = _amplitude_blocks(seq, [seq, *parts], ctx, _PAIRED)
@@ -281,11 +264,11 @@ def _identities_report(
 
     identity_sweep's rows and transition_determinant, then, given a
     fragmentation, factorization and junction_residual_sweep's keys.  The
-    breakpoints' reach is checked before the grid.  The tail fits of the
-    whole, its fragments and the junctions' run in one sweep and are
-    fitted as they are read, so a NumericalFault names the first job that
-    faults; every later row shares the whole's fit.  The rows are reduced
-    last, so a fit's fault comes before a residual that is not finite.
+    tail fits of the whole, its fragments and the junctions' run in one
+    sweep and are fitted as they are read, so a NumericalFault names the
+    first job that faults; every later row shares the whole's fit.  The
+    rows are reduced last, so a fit's fault comes before a residual that
+    is not finite.
 
     The first fragment is the first junction's left part and the last
     fragment the last junction's right part, bit for bit, as fragment()
@@ -295,7 +278,6 @@ def _identities_report(
     """
     parts, junction_parts = [], []
     if frag is not None:
-        _require_reach(seq, frag.breakpoints)
         parts, junction_parts = fragment(seq, frag), _junction_parts(seq, frag)
         junction_parts[0], junction_parts[-1] = parts[0], parts[-1]
     # every recursion and fit of the report shares this grid's drive and powers
@@ -326,7 +308,6 @@ def _junction_sweep(
 
     parts is _junction_parts(seq, frag), and fits yields their amplitude
     blocks at z and 1/z in that order, fitted where the loop reads them.
-    The caller checks the breakpoints' reach.
     """
     # T, R, L bit for bit those of scattering_values: lam00, lam01 and
     # lam10 are the plain block's fit, which equals its single-mode run
@@ -336,14 +317,14 @@ def _junction_sweep(
     inv_t, r_over_t, l_over_t, minus_r_over_t = 1.0 / t, r / t, l / t, -r / t
     zs = ctx.zs
     m = zs.size
-    points = frag.breakpoints
     n_min, n_max = seq.window.n_min, seq.window.n_max
-    # per junction: the sites from which the right fragment's left solution
-    # recurses down and the left fragment's right one recurses up, where
-    # each fragment's kept side ends
-    starts = [(min(n1, n_max), max(n1, n_min - 1)) for n1 in points]
-    kept = {n1 + d for n1 in points for d in (-1, 0, 1)}
-    sites = sorted(kept.union(*({down, down + 1, up - 1, up} for down, up in starts)))
+    # each breakpoint at the edge site whose fragments are its own; junctions
+    # that land on one site stay separate, so parts[2j] matches point j
+    points = [min(max(n1, n_min - 1), n_max + 1) for n1 in frag.breakpoints]
+    # the whole's rows at each junction, which hold the pairs its fragments
+    # start from: the right one's at min(n1, n_max), where its kept side
+    # ends, and the left one's at n1
+    sites = sorted({n1 + d for n1 in points for d in (-1, 0, 1)})
     where = {n: i for i, n in enumerate(sites)}
 
     # the whole's solutions from their seeded tails to the farthest site
@@ -364,18 +345,20 @@ def _junction_sweep(
     def worsen(key, *terms):
         np.maximum(rows[key], _worst(*terms), out=rows[key])
 
-    for j, (n1, (down, up)) in enumerate(zip(points, starts)):
+    for j, n1 in enumerate(points):
         left_part, right_part = parts[2 * j], parts[2 * j + 1]
+        near = [where[n1 - 1], where[n1], where[n1 + 1]]
         # the right fragment's left solution on n1 - 2..n1, two steps into
         # its free side from the whole's rows at down and down + 1
+        down = min(n1, n_max)
         start = (down, fl_pair[[where[down], where[down + 1]], :m])
         fl2 = _rows_at(
             _recurse(right_part, n1 - 2, n1 + 1, ctx, "left", (False,), start=start),
             (n1 - 2, n1 - 1, n1),
         )
         # the left fragment's right solution on n1 - 1..n1 + 2, likewise from
-        # up - 1 and up, with its companion, which needs the step to n1 + 1
-        start = (up, fr_pair[[where[up - 1], where[up]]])
+        # n1 - 1 and n1, with its companion, which needs the step to n1 + 1
+        start = (n1, fr_pair[near[:2]])
         paired = _rows_at(
             _recurse(left_part, n1 - 1, n1 + 2, ctx, "right", _PAIRED, start=start),
             (n1 - 1, n1, n1 + 1, n1 + 2),
@@ -393,7 +376,6 @@ def _junction_sweep(
         # through n1 + 2.  At n1 and n1 + 1 the right fragment's left solution
         # and its companion, f0, f1 and gl2, are the whole's rows: n1 + 1 is at
         # most down + 1, or both sit in the tail seeded past n_max
-        near = [where[n1 - 1], where[n1], where[n1 + 1]]
         fl, fr = fl_pair[near, :m], fr_pair[near, :m]
         (f0, f1), gl2 = fl[1:], fl_pair[near[1:], m:]
 

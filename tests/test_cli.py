@@ -316,21 +316,22 @@ def test_non_increasing_breakpoints_exit_two(single_site_file):
     assert proc.returncode == 2
 
 
-def test_junction_breakpoint_past_the_reach_exits_two(tmp_path):
-    """A junction check spans the window and the breakpoint's cover, so a
-    breakpoint one site further out than MAX_WINDOW_SITES is bad input:
-    identities exits 2 naming it, instead of recursing over that range.
-    The reach is checked before the grid, so a degenerate grid does not
-    turn the bad input into a numerical fault.  factorize has no junction
-    solutions and keeps accepting it."""
+def test_far_junction_breakpoints_report_as_the_window_edge(tmp_path):
+    """A breakpoint at or past n_max + 1 splits the sequence into the same
+    two fragments, and one at or below n_min - 1 likewise, so identities
+    checks it at that edge site: far past the window, and past int64, it
+    exits 0 and prints the edge breakpoint's report byte for byte.
+    factorize admits the same breakpoints."""
     path = write_input(tmp_path, TWO_IMPURITY_INPUT)
-    for point, grid in ((10_002, ()), (-10_002, ()), (10_002, ("--delta", "1e-9"))):
-        proc = run_cli("identities", "--input", path, f"--breakpoints={point}", *grid)
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert f"breakpoint {point} lies 10001 sites outside" in proc.stderr
-    proc = run_cli("factorize", "--input", path, "--breakpoints=10002")
-    assert proc.returncode == 0
+    n_min, n_max = TWO_IMPURITY_INPUT["n_min"], TWO_IMPURITY_INPUT["n_max"]
+    for edge, points in ((n_max + 1, (10_002, 10**20)), (n_min - 1, (-10_002, -(10**20)))):
+        want = run_cli("identities", "--input", path, f"--breakpoints={edge}")
+        assert want.returncode == 0
+        for point in points:
+            proc = run_cli("identities", "--input", path, f"--breakpoints={point}")
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, want.stdout, ""), point
+            proc = run_cli("factorize", "--input", path, f"--breakpoints={point}")
+            assert proc.returncode == 0, point
 
 
 def test_degenerate_grid_exits_three(single_site_file):
@@ -392,25 +393,19 @@ def test_overflowing_identities_with_breakpoints_reports_only_the_fault(tmp_path
     """identities on the overflowing window faults in the identity sweep's
     tail fit.  Its other rows are reduced block by block before the fit,
     quietly, and never printed, so stderr holds the fault line alone.  A
-    breakpoint out of the junctions' reach is bad input, reported before
-    any recursion, so it exits 2."""
+    breakpoint far past the window is checked at the window's edge, so it
+    changes nothing before that fault."""
     seq = overflowing_sequence()
     path = write_input(tmp_path, {
         "a_inf": 1.0, "b_inf": 0.0, "w_inf": 1.0,
         "n_min": seq.window.n_min, "n_max": seq.window.n_max,
         "a": seq.a_values.tolist(), "b": seq.b_values.tolist(), "w": seq.w_values.tolist(),
     })
-    proc = run_cli("identities", "--input", path, "--grid", "16", "--breakpoints=5000")
-    assert proc.returncode == 3
-    assert proc.stdout == ""
-    assert proc.stderr == "numerical fault: tail fit is not finite at theta = -3.14059\n"
-    proc = run_cli("identities", "--input", path, "--grid", "16", "--breakpoints=5000,20000")
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == (
-        "input error: breakpoint 20000 lies 10001 sites outside the window [0, 9999]; "
-        "junction checks admit at most 10000\n"
-    )
+    for points in ("5000", "5000,20000"):
+        proc = run_cli("identities", "--input", path, "--grid", "16", f"--breakpoints={points}")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == "numerical fault: tail fit is not finite at theta = -3.14059\n"
 
 
 def undamped_window(seed, length, amplitude):

@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from jacobiscatter import (
-    CoefficientError,
     Fragmentation,
     IndexWindow,
     determinant_residuals,
@@ -29,7 +28,7 @@ from jacobiscatter import (
     identity_sweep,
     junction_residual_sweep,
 )
-from jacobiscatter import cli, jost, scattering, transition
+from jacobiscatter import cli, jost, transition
 from jacobiscatter.errors import NumericalFault
 from jacobiscatter.jost import _fit_sweep, _recurse, solution_range
 from jacobiscatter.lattice import (
@@ -440,6 +439,14 @@ def junction_cases(seq):
     return [(n1,) for n1 in edges] + [tuple(sorted(set(edges)))]
 
 
+def at_the_edge(seq, points):
+    """Each breakpoint at the site the junction sweep checks it at: one
+    outside [n_min - 1, n_max + 1] at the nearer end, whose fragments are
+    its own."""
+    n_min, n_max = seq.window.n_min, seq.window.n_max
+    return tuple(min(max(n1, n_min - 1), n_max + 1) for n1 in points)
+
+
 def write_sequence(path, seq):
     lim = seq.limits
     path.write_text(json.dumps({
@@ -454,9 +461,10 @@ def write_sequence(path, seq):
 def test_junction_rows_equal_the_paired_fragment_recursions(tmp_path, random_fixtures, count):
     """Fragments continued from the whole's rows give the rows of their own
     recursions: the public sweep and the identities report alike, with
-    breakpoints on and around both window edges and 50 sites out.  On
-    one or two points, the delta puts a point where a one-element
-    product taken in place would round otherwise than a wider one."""
+    breakpoints on and around both window edges and 50 sites out, which
+    read as the edge breakpoints n_min - 1 and n_max + 1.  On one or two
+    points, the delta puts a point where a one-element product taken in
+    place would round otherwise than a wider one."""
     path = tmp_path / "seq.json"
     seqs = [
         mixed_sequence(), edge_limit_sequence(), negative_coupling_sequence(), random_fixtures[0]
@@ -470,75 +478,69 @@ def test_junction_rows_equal_the_paired_fragment_recursions(tmp_path, random_fix
         plain = _coefficients(*reference_blocks(seq, zs, (False,))[0])
         paired = _coefficients(*reference_blocks(seq, zs, (False, True))[0])
         for points in junction_cases(seq):
-            splits = [fragment(seq, Fragmentation((n1,))) for n1 in points]
-            want = reference_junction_sweep(seq, points, zs, *plain, splits)
-            assert junction_residual_sweep(seq, Fragmentation(points), zs) == want, points
+            edges = at_the_edge(seq, points)
+            splits = [fragment(seq, Fragmentation((n1,))) for n1 in edges]
+            want = reference_junction_sweep(seq, edges, zs, *plain, splits)
+            got = junction_residual_sweep(seq, Fragmentation(points), zs)
+            assert got == want, points
+            if len(points) == 1:
+                assert got == junction_residual_sweep(seq, Fragmentation(edges), zs), points
             rows = report(["identities", "--input", str(path), "--grid", str(count),
                            "--delta", delta, "--breakpoints=" + ",".join(map(str, points))])
-            want = reference_junction_sweep(seq, points, zs, *paired, splits)
+            want = reference_junction_sweep(seq, edges, zs, *paired, splits)
             assert {key: rows[key] for key in want} == want, points
 
 
-def test_far_breakpoints_raise_before_any_recursion(monkeypatch, tmp_path):
+def test_far_breakpoints_make_the_edge_breakpoints_recursions(monkeypatch, tmp_path):
+    """A breakpoint 10,001 sites outside the window, or past int64, makes
+    the recursions of the breakpoint at the window's nearer edge, n_max + 1
+    or n_min - 1, and no others: the same fragments, bit for bit, over the
+    same sites from the same start rows, in the public sweep on a grid and
+    on one point and in the identities report, with the same rows."""
     seq = two_impurity_sequence()
     zs = default_grid(seq, count=8).zs
     path = tmp_path / "seq.json"
     write_sequence(path, seq)
     argv = ["identities", "--input", str(path), "--grid", "8"]
-    # the fragments' free sides recurse from the whole's rows through
-    # transition._recurse, the entry refused below; and each call path
-    # checks the reach once
-    recurse, reach, seeded, checks = transition._recurse, transition._require_reach, [], []
+    recurse, runs = transition._recurse, []
 
-    def record(*args, **kwargs):
-        seeded.append(kwargs.get("start") is not None)
-        return recurse(*args, **kwargs)
+    def record(part, lo, hi, ctx, side, modes, start=None):
+        values = (part.a_values, part.b_values, part.w_values)
+        pair = None if start is None else (start[0], start[1].tobytes())
+        runs.append(([v.tobytes() for v in values], lo, hi, side, modes, pair))
+        return recurse(part, lo, hi, ctx, side, modes, start=start)
 
-    def count(*args):
-        checks.append(args)
-        return reach(*args)
+    def recorded(run, points):
+        runs.clear()
+        return run(points), list(runs)
+
+    def sweep(grid):
+        return lambda points: junction_residual_sweep(seq, Fragmentation(points), grid)
+
+    def identities(points):
+        return report(argv + ["--breakpoints=" + ",".join(map(str, points))])
 
     monkeypatch.setattr(transition, "_recurse", record)
-    monkeypatch.setattr(transition, "_require_reach", count)
-    junction_residual_sweep(seq, Fragmentation((0,)), zs)
-    assert any(seeded) and len(checks) == 1
-    assert report(argv + ["--breakpoints=0"])["right_junction"] >= 0.0
-    assert len(checks) == 2
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("recursion started")
-
-    for module in (jost, scattering, transition):
-        monkeypatch.setattr(module, "_recurse", refuse)
-    for module in (jost, scattering):
-        monkeypatch.setattr(module, "_fit_sweep", refuse)
-    far = (seq.window.n_max + MAX_WINDOW_SITES + 1, seq.window.n_min - MAX_WINDOW_SITES - 1)
+    n_min, n_max = seq.window.n_min, seq.window.n_max
+    far = (n_max + MAX_WINDOW_SITES + 1, 10**20, n_min - MAX_WINDOW_SITES - 1, -(10**20))
     for n1 in far:
-        frag = Fragmentation((n1,))
-        with pytest.raises(CoefficientError, match=f"breakpoint {n1} "):
-            junction_residual_sweep(seq, frag, zs)
-        with pytest.raises(CoefficientError, match=f"breakpoint {n1} "):
-            junction_residual_sweep(seq, frag, zs[:1])
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            assert cli.main(argv + [f"--breakpoints={n1}"]) == 2
-        assert f"breakpoint {n1} lies" in err.getvalue()
-    # a sweep over several breakpoints refuses if any one is too far
-    with pytest.raises(CoefficientError):
-        junction_residual_sweep(seq, Fragmentation((0, far[0])), zs)
-    with contextlib.redirect_stderr(io.StringIO()):
-        assert cli.main(argv + [f"--breakpoints=0,{far[0]}"]) == 2
-    # the reach itself is still admitted
-    reach(seq, (seq.window.n_max + MAX_WINDOW_SITES,))
-    reach(seq, (seq.window.n_min - MAX_WINDOW_SITES,))
+        edge = at_the_edge(seq, (n1,))
+        assert edge in {(n_max + 1,), (n_min - 1,)}
+        for run in (sweep(zs), sweep(zs[:1]), identities):
+            want = recorded(run, edge)
+            assert want[1] and recorded(run, (n1,)) == want, n1
+    # two breakpoints that land on one edge are two equal junctions
+    for run in (sweep(zs), identities):
+        assert run((0, n_max + 1, far[0])) == run((0, n_max + 1))
 
 
 def test_junction_sweep_recurses_only_the_sites_it_reads(monkeypatch):
     """Each fragment's run from the whole's rows spans at most four sites,
     two steps into its free side, and each of the whole's runs ends at the
     farthest site the sweep reads of it, or at the seeded pair its first
-    step reads: breakpoints inside the window, next to it, and 50 and
-    10,000 sites out on either side."""
+    step reads: breakpoints inside the window and next to it.  Those 50
+    and 10,000 sites out on either side make the runs of the one next to
+    it."""
     seq = two_impurity_sequence()
     zs = default_grid(seq, count=8).zs
     n_min, n_max = seq.window.n_min, seq.window.n_max
@@ -552,15 +554,20 @@ def test_junction_sweep_recurses_only_the_sites_it_reads(monkeypatch):
     out = (1, 50, MAX_WINDOW_SITES)
     points = [n_min - d for d in out] + [0] + [n_max + d for d in out]
     for n1 in points:
+        (edge,) = at_the_edge(seq, (n1,))
+        runs.clear()
+        junction_residual_sweep(seq, Fragmentation((edge,)), zs)
+        at_edge = [(lo, hi, side, start and start[0]) for _, lo, hi, side, start in runs]
         runs.clear()
         junction_residual_sweep(seq, Fragmentation((n1,)), zs)
+        assert [(lo, hi, side, start and start[0]) for _, lo, hi, side, start in runs] == at_edge
         whole = [run for run in runs if run[4] is None]
         started = [run for run in runs if run[4] is not None]
         assert all(hi - lo + 1 <= 4 for _, lo, hi, _, _ in started), n1
         assert [(part, side) for part, _, _, side, _ in whole] == [(seq, "left"), (seq, "right")]
         assert len(started) == 2
         # the whole's rows the sweep reads: the junction's and the start pairs
-        read = {n1 - 1, n1, n1 + 1}
+        read = {edge - 1, edge, edge + 1}
         for _, _, _, side, (s, _) in started:
             read |= {s, s + 1} if side == "left" else {s - 1, s}
         (_, left_lo, left_hi, _, _), (_, right_lo, right_hi, _, _) = whole
@@ -698,7 +705,7 @@ def test_reports_on_windows_of_many_blocks_equal_the_references(tmp_path):
     junction_residual_sweep and the identities report equal the full-array
     references to the bit, with breakpoints inside the window, on and next
     to both of its edges, and 500 sites out on either side, alone and all
-    together."""
+    together; those read as the breakpoints next to the edges."""
     seq = damped_window(-137, 301, seed=15)
     n_min, n_max = seq.window.n_min, seq.window.n_max
     assert (n_max - n_min + 5) > 16 * jost._BLOCK_SITES
@@ -713,10 +720,14 @@ def test_reports_on_windows_of_many_blocks_equal_the_references(tmp_path):
     inside = (-50, 0, 77)
     edges = (n_min - 1, n_min, n_max, n_max + 1)
     for points in [(p,) for p in far] + [inside, tuple(sorted(inside + edges + far))]:
-        splits = [fragment(seq, Fragmentation((n1,))) for n1 in points]
-        want = reference_junction_sweep(seq, points, zs, *plain, splits)
-        assert junction_residual_sweep(seq, Fragmentation(points), zs) == want, points
+        at_edges = at_the_edge(seq, points)
+        splits = [fragment(seq, Fragmentation((n1,))) for n1 in at_edges]
+        want = reference_junction_sweep(seq, at_edges, zs, *plain, splits)
+        got = junction_residual_sweep(seq, Fragmentation(points), zs)
+        assert got == want, points
+        if len(points) == 1:
+            assert got == junction_residual_sweep(seq, Fragmentation(at_edges), zs), points
         rows = report(["identities", "--input", str(path), "--grid", "64",
                        "--breakpoints=" + ",".join(map(str, points))])
-        want = {**identities, **reference_junction_sweep(seq, points, zs, *paired, splits)}
+        want = {**identities, **reference_junction_sweep(seq, at_edges, zs, *paired, splits)}
         assert {key: rows[key] for key in want} == want, points

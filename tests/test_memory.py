@@ -51,8 +51,8 @@ def test_report_on_a_long_window_holds_one_array_of_its_sites():
 
 def test_far_breakpoints_cost_no_memory_per_site(tmp_path):
     """A breakpoint 2,000 sites past either edge of the 3-site README
-    window: the junction's solutions span those sites, and the report
-    peaks under 2 MB, where it held 14.6 to 14.8 MB of them."""
+    window is checked at the window's edge, so no solution spans those
+    sites: the report peaks under 2 MB."""
     path = tmp_path / "seq.json"
     path.write_text(json.dumps(README_INPUT))
     argv = ["identities", "--input", str(path), "--grid", str(POINTS)]
