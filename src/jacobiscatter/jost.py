@@ -18,13 +18,13 @@ jost_values produces solutions on an index range two sites wider than
 the window on each side, so that downstream tail fits read only sites
 where the tail form is exact.  The junction checks recurse the whole
 sequence from its seeded tails to at most two sites past the window, and
-each fragment only from the whole's rows to two sites into its free
-side.  That kernel, _recurse, keeps solutions site-major, one contiguous
-row of grid points per site, and writes each row with one _step call
-through one scratch row, with no temporaries per step.  It hands its
-rows out in blocks of _BLOCK_SITES sites from one buffer, so a caller
-that reduces them as they come holds a few blocks, not a row for every
-site of a long window; jost_values takes its range as one block.  A
+each junction's left fragment only one step from the whole's rows, into
+its free side.  That kernel, _recurse, keeps solutions site-major, one
+contiguous row of grid points per site, and writes each row with one
+_step call through one scratch row, with no temporaries per step.  It
+hands its rows out in blocks of _BLOCK_SITES sites from one buffer, so a
+caller that reduces them as they come holds a few blocks, not a row for
+every site of a long window; jost_values takes its range as one block.  A
 solution and its companion at 1/z share coefficients and drive, so
 callers that need both stack them as column blocks of one recursion;
 every column block equals its own single run to the bit.
@@ -80,7 +80,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterator
 
 import numpy as np
@@ -90,14 +89,6 @@ from .lattice import CoefficientSequence, IndexWindow, coefficient_arrays, coeff
 # test wraps this copy
 from .spectral import _GridContext, require_admissible  # noqa: F401
 
-class SolutionKind(Enum):
-    """Which normalization a solution carries."""
-
-    LEFT_JOST = "left-jost"
-    RIGHT_JOST = "right-jost"
-    LEFT_CONJUGATE = "left-conjugate"
-    RIGHT_CONJUGATE = "right-conjugate"
-
 
 @dataclass(frozen=True, eq=False)
 class LatticeSolution:
@@ -105,7 +96,6 @@ class LatticeSolution:
 
     values: np.ndarray
     lo: int
-    kind: SolutionKind
     z: complex
 
     def __post_init__(self):
@@ -124,14 +114,9 @@ class LatticeSolution:
         return complex(self.values[n - self.lo])
 
 
-def solution_range(seq: CoefficientSequence, cover: IndexWindow | None = None) -> tuple[int, int]:
-    """Index range a solution will span, two sites past the window plus cover."""
-    lo = seq.window.n_min - 2
-    hi = seq.window.n_max + 2
-    if cover is not None:
-        lo = min(lo, cover.n_min)
-        hi = max(hi, cover.n_max)
-    return lo, hi
+def solution_range(seq: CoefficientSequence) -> tuple[int, int]:
+    """Index range a solution will span, two sites past the window."""
+    return seq.window.n_min - 2, seq.window.n_max + 2
 
 
 # Sites per block of rows that _recurse hands out.  Paired rows over 512
@@ -544,13 +529,13 @@ def _fit_sweep(
 def jost_left(seq: CoefficientSequence, z: complex) -> LatticeSolution:
     """Solution normalized to z^n at +infinity."""
     vals, lo = jost_values(seq, z, "left")
-    return LatticeSolution(vals[0], lo, SolutionKind.LEFT_JOST, z)
+    return LatticeSolution(vals[0], lo, z)
 
 
 def jost_right(seq: CoefficientSequence, z: complex) -> LatticeSolution:
     """Solution normalized to z^{-n} at -infinity."""
     vals, lo = jost_values(seq, z, "right")
-    return LatticeSolution(vals[0], lo, SolutionKind.RIGHT_JOST, z)
+    return LatticeSolution(vals[0], lo, z)
 
 
 def conjugate_solution(seq: CoefficientSequence, z: complex, side: str) -> LatticeSolution:
@@ -565,8 +550,7 @@ def conjugate_solution(seq: CoefficientSequence, z: complex, side: str) -> Latti
     rather than through this function.
     """
     vals, lo = jost_values(seq, complex(z), side, at_inverse=True)
-    kind = SolutionKind.LEFT_CONJUGATE if side == "left" else SolutionKind.RIGHT_CONJUGATE
-    return LatticeSolution(vals[0], lo, kind, z)
+    return LatticeSolution(vals[0], lo, z)
 
 
 def wronskian(

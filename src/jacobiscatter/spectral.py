@@ -129,9 +129,9 @@ class _GridContext:
     * drive(limits, blocks): the recursion drive a_inf (z + 1/z) + b_inf,
       tiled over blocks column blocks;
     * det(): wave_pair_det(zs);
-    * power(k): zs ** k, as the tail fits and junction checks write it;
+    * power(k): zs ** k, as the tail fits write it;
     * power_table(ks): zs[None, :] ** ks[:, None], site-major, as the
-      recursion seeds and the junction sweep's plane-wave tables read it.
+      recursion seeds and the junction sweep's plane-wave rows read it.
 
     numpy raises a complex array to an integer power k by repeated
     multiplication when |k| < FAST_POWER_LIMIT and otherwise by the C
@@ -139,7 +139,10 @@ class _GridContext:
     first route, numpy's own, and takes the second as np.exp(k * log)
     over one log(zs) computed on first use, which gives the same bits at
     a fraction of the cost, since cpow pays for the log again at every
-    entry.
+    entry.  power_table alone writes the second route; power reads its
+    row for a large k.  Below the limit power keeps the scalar exponent,
+    whose bits differ from a table row's at k = -1 and 2, where numpy
+    takes fast paths of its own.
     """
 
     __slots__ = ("zs", "_det", "_log", "_drives", "_powers")
@@ -164,17 +167,12 @@ class _GridContext:
             self._det = wave_pair_det(self.zs)
         return self._det
 
-    def _log_zs(self) -> np.ndarray:
-        if self._log is None:
-            self._log = np.log(self.zs)
-        return self._log
-
     def power(self, k: int) -> np.ndarray:
         if k not in self._powers:
             if abs(k) < FAST_POWER_LIMIT:
                 self._powers[k] = self.zs**k
             else:
-                self._powers[k] = np.exp(k * self._log_zs())
+                self._powers[k] = self.power_table(np.array([k]))[0]
         return self._powers[k]
 
     def power_table(self, ks: np.ndarray) -> np.ndarray:
@@ -183,16 +181,13 @@ class _GridContext:
         fast = np.abs(ks) < FAST_POWER_LIMIT
         if fast.all():
             return zs[None, :] ** ks[:, None]
-        # runs of rows on one route, each written in place into its slice
-        table = np.empty((ks.size, zs.size), dtype=complex)
-        cuts = [0, *(np.flatnonzero(fast[1:] != fast[:-1]) + 1).tolist(), ks.size]
-        for start, stop in zip(cuts[:-1], cuts[1:]):
-            run, out = ks[start:stop, None], table[start:stop]
-            if fast[start]:
-                np.power(zs[None, :], run, out=out)
-            else:
-                np.multiply(self._log_zs()[None, :], run, out=out)
-                np.exp(out, out=out)
+        if self._log is None:
+            self._log = np.log(zs)
+        # every row by the exp route, in place, then the small ones by numpy's
+        table = np.multiply(self._log[None, :], ks[:, None])
+        np.exp(table, out=table)
+        if fast.any():
+            table[fast] = zs[None, :] ** ks[fast, None]
         return table
 
 

@@ -18,10 +18,9 @@ behind it at each breakpoint taken as a single junction:
 * on sites at or below the breakpoint (shifted by one for the left
   solution), the mirrored expansion holds in the left fragment's pair,
   1/T on the conjugate partner and L/T on the plain right solution;
-* each fragment's free side is an exact plane-wave combination up to
-  the breakpoint, checked on the three sites nearest it, with a coupling
-  ratio a_inf / a(n1 + 1) scaling the first site past it, also in matrix
-  form on the site pair (n1, n1 + 1);
+* each fragment's solution pair is the plane wave of its own T, R and L
+  on the junction's site pair (n1, n1 + 1), with a coupling ratio
+  a_inf / a(n1 + 1) scaling the right fragment's at n1 + 1;
 * the 2x2 algebra that rearranges the junction matrices into the product
   formula, including the closed-form inverses it uses.
 
@@ -38,12 +37,13 @@ solutions are the whole's on the kept side and, on the free side, the
 plane-wave combination of its own T, R and L, which two consecutive rows
 of the recursion fix.  The junction sweep recurses the whole once per
 side, from its seeded tail to the farthest site it reads, and keeps its
-rows at each junction and where each fragment's kept side ends; from
-those rows a fragment takes two steps into its free side, and the
-plane-wave check reads the rows there (see junction_residual_sweep).
-Farther along a free side the check would measure only the rounding
-drift of a neutrally stable recursion.  A breakpoint at or past
-n_max + 1 splits the sequence into the same two fragments as n_max + 1,
+rows at n1 - 1..n1 + 1 of each junction.  The right fragment's rows at
+n1 and n1 + 1 are those of the whole, and the left fragment's right
+solution takes one step from them, to n1 + 1; the plane-wave check
+reads both on that site pair (see junction_residual_sweep).  Farther
+along a free side it would measure only the rounding drift of a
+neutrally stable recursion.  A breakpoint at or past n_max + 1 splits
+the sequence into the same two fragments as n_max + 1,
 the whole and a free lattice, and one at or below n_min - 1 into those
 of n_min - 1; the junction relations there differ only by unimodular
 powers of z, so the sweep checks such a breakpoint at that edge site,
@@ -232,20 +232,17 @@ def junction_residual_sweep(
     same.  The whole sequence's T, R, L are read off its transition
     entries, and its solutions and their companions recursed once per
     side, from the seeded tail to the farthest site read, keeping only the
-    rows at n1 - 1 through n1 + 1, among them those the fragments start
-    from.  fragment() copies the whole's values bit for bit on the side a
-    fragment keeps, so the right fragment's left solution is the whole's
-    down to min(n1, n_max) and the left fragment's right solution up to
-    n1.  Each is recursed from there only to two sites into its free
-    side, n1 - 2 and n1 + 2, the left fragment's companion with it;
-    sites in a fragment's seeded tail take no step.  On its free
-    side a solution is its fragment's plane wave, which two consecutive
-    rows fix, so plane_waves reads it on n1 - 2..n1 and n1..n1 + 2: far
-    from the junction it would measure only the recursion's rounding
-    drift.  The right fragment's companion is read only at n1 and n1 + 1,
-    where it is the whole's.  The tail fits of the whole and all the
-    fragments recurse in one sweep.  Keys: right_junction, left_junction,
-    plane_waves, factor_algebra.
+    rows at n1 - 1 through n1 + 1.  fragment() copies the whole's values
+    bit for bit on the side a fragment keeps, so the right fragment's
+    solution pair at n1 and n1 + 1 is the whole's, and the left
+    fragment's is the whole's up to n1, from which it takes one step, to
+    n1 + 1.  A fragment's solution pair on its free side is the plane
+    wave of its own T, R and L, which two consecutive rows fix, so
+    plane_waves checks each fragment's pair against that wave on the
+    site pair (n1, n1 + 1), eight terms per junction: farther from the
+    junction it would measure only the recursion's rounding drift.  The
+    tail fits of the whole and all the fragments recurse in one sweep.
+    Keys: right_junction, left_junction, plane_waves, factor_algebra.
 
     Raises NumericalFault, naming theta, where a fragment's solution pair
     is numerically dependent at the junction or, naming the row too,
@@ -321,9 +318,8 @@ def _junction_sweep(
     # each breakpoint at the edge site whose fragments are its own; junctions
     # that land on one site stay separate, so parts[2j] matches point j
     points = [min(max(n1, n_min - 1), n_max + 1) for n1 in frag.breakpoints]
-    # the whole's rows at each junction, which hold the pairs its fragments
-    # start from: the right one's at min(n1, n_max), where its kept side
-    # ends, and the left one's at n1
+    # the whole's rows at each junction, n1 - 1..n1 + 1, which hold the pair
+    # the left fragment starts from
     sites = sorted({n1 + d for n1 in points for d in (-1, 0, 1)})
     where = {n: i for i, n in enumerate(sites)}
 
@@ -346,24 +342,15 @@ def _junction_sweep(
         np.maximum(rows[key], _worst(*terms), out=rows[key])
 
     for j, n1 in enumerate(points):
-        left_part, right_part = parts[2 * j], parts[2 * j + 1]
         near = [where[n1 - 1], where[n1], where[n1 + 1]]
-        # the right fragment's left solution on n1 - 2..n1, two steps into
-        # its free side from the whole's rows at down and down + 1
-        down = min(n1, n_max)
-        start = (down, fl_pair[[where[down], where[down + 1]], :m])
-        fl2 = _rows_at(
-            _recurse(right_part, n1 - 2, n1 + 1, ctx, "left", (False,), start=start),
-            (n1 - 2, n1 - 1, n1),
-        )
-        # the left fragment's right solution on n1 - 1..n1 + 2, likewise from
-        # n1 - 1 and n1, with its companion, which needs the step to n1 + 1
+        # the left fragment's right solution and companion over n1 - 1..n1 + 1:
+        # one step into its free side from the whole's rows at n1 - 1 and n1
         start = (n1, fr_pair[near[:2]])
         paired = _rows_at(
-            _recurse(left_part, n1 - 1, n1 + 2, ctx, "right", _PAIRED, start=start),
-            (n1 - 1, n1, n1 + 1, n1 + 2),
+            _recurse(parts[2 * j], n1 - 1, n1 + 1, ctx, "right", _PAIRED, start=start),
+            (n1 - 1, n1, n1 + 1),
         )
-        gr1, fr1 = paired[:3, m:], paired[:, :m]
+        gr1, fr1 = paired[:, m:], paired[:, :m]
         # keep only the coefficients the checks read, not the amplitudes
         (t1, r1, _), (t1c, r1c, _) = [_coefficients(*block) for block in next(fits)]
         (t2, _, l2), (t2c, _, l2c) = [_coefficients(*block) for block in next(fits)]
@@ -372,10 +359,10 @@ def _junction_sweep(
         inv_t1c, r1c_over_t1c, minus_r1c_over_t1c = 1.0 / t1c, r1c / t1c, -r1c / t1c
         inv_t2, l2_over_t2, inv_t2c, l2c_over_t2c = 1.0 / t2, l2 / t2, 1.0 / t2c, l2c / t2c
         ratio = seq.limits.a_inf / coefficient_at(seq, n1 + 1)[0]
-        # fl and fr, the whole's, and gr1 are at n1 - 1 through n1 + 1, and fr1
-        # through n1 + 2.  At n1 and n1 + 1 the right fragment's left solution
-        # and its companion, f0, f1 and gl2, are the whole's rows: n1 + 1 is at
-        # most down + 1, or both sit in the tail seeded past n_max
+        # fl, fr, gr1 and fr1 are at n1 - 1 through n1 + 1.  At n1 and n1 + 1
+        # the right fragment's left solution and its companion, f0, f1 and
+        # gl2, are the whole's rows: that solution is the whole's down to
+        # min(n1, n_max), and past n_max both sit in the seeded tail
         fl, fr = fl_pair[near, :m], fr_pair[near, :m]
         (f0, f1), gl2 = fl[1:], fl_pair[near[1:], m:]
 
@@ -390,28 +377,19 @@ def _junction_sweep(
             fl[2] - ratio * (inv_t * gr1[2] + l_over_t * fr1[2]),
         )
 
-        # each free side's wave where its recursion leaves its coefficients:
-        # the right fragment's on n1 - 2..n1, the left one's on n1..n1 + 2
-        ks = np.arange(n1 - 2, n1 + 3)
-        up_table, down_table = ctx.power_table(ks), ctx.power_table(-ks)
-        # scalar-exponent powers take numpy's own fast paths, so they are
-        # not read off the tables
-        z0, z0_inv = ctx.power(n1), ctx.power(-n1)
-        z1, z1_inv = ctx.power(n1 + 1), ctx.power(-(n1 + 1))
+        # each fragment's free side is its own plane wave, which its rows
+        # at n1 and n1 + 1 fix, the right fragment's at n1 + 1 scaled by ratio
+        table = ctx.power_table(np.array([n1, n1 + 1, -n1, -(n1 + 1)]))
+        up, down = table[:2], table[2:]
+        wave, wave_c = inv_t2 * up + l2_over_t2 * down, l2c_over_t2c * up + inv_t2c * down
         worsen(
             "plane_waves",
-            *(fl2 - (inv_t2 * up_table[:3] + l2_over_t2 * down_table[:3])),
-            *(fr1[1:] - (r1_over_t1 * up_table[2:] + inv_t1 * down_table[2:])),
-            f1 - ratio * (inv_t2 * z1 + l2_over_t2 * z1_inv),
-            # matrix forms on the junction site pair
-            f0 - (z0 / t2 + z0_inv * l2 / t2),
-            gl2[0] - (z0 * l2c / t2c + z0_inv / t2c),
-            f1 - ratio * (z1 / t2 + z1_inv * l2 / t2),
-            gl2[1] - ratio * (z1 * l2c / t2c + z1_inv / t2c),
-            gr1[1] - (z0 / t1c + z0_inv * r1c / t1c),
-            fr1[1] - (z0 * r1 / t1 + z0_inv / t1),
-            gr1[2] - (z1 / t1c + z1_inv * r1c / t1c),
-            fr1[2] - (z1 * r1 / t1 + z1_inv / t1),
+            f0 - wave[0],
+            f1 - ratio * wave[1],
+            gl2[0] - wave_c[0],
+            gl2[1] - ratio * wave_c[1],
+            *(fr1[1:] - (r1_over_t1 * up + inv_t1 * down)),
+            *(gr1[1:] - (inv_t1c * up + r1c_over_t1c * down)),
         )
 
         e00 = inv_t1c * inv_t1 + r1_over_t1 * minus_r1c_over_t1c

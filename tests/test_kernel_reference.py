@@ -5,12 +5,12 @@ every real scaling on the float64 view of their complex rows and divide
 by a coupling as a multiply by its reciprocal.
 The identities report computes the whole sequence's transition matrix
 once and reads its determinant, factorization and junction rows from it.
-The junction sweep recurses each fragment two sites into its free side
-only, from the whole sequence's rows.  All are pure reorganizations, so
-these tests hold them to the bit: the kernel against the plain
-complex-row recursion kept below, the report against separate calls to
-the public residual functions, and the junction rows against the
-per-fragment paired recursions kept below as reference_junction_sweep.
+The junction sweep recurses only each junction's left fragment, one
+site into its free side, from the whole sequence's rows.  All are pure
+reorganizations, so these tests hold them to the bit: the kernel against
+the plain complex-row recursion kept below, the report against separate
+calls to the public residual functions, and the junction rows against
+the per-fragment paired recursions kept below as reference_junction_sweep.
 """
 
 import contextlib
@@ -22,7 +22,6 @@ import pytest
 
 from jacobiscatter import (
     Fragmentation,
-    IndexWindow,
     determinant_residuals,
     factorization_residuals,
     identity_sweep,
@@ -133,7 +132,7 @@ def kernel_pairs(seq, zs, ctx=None):
     """
     ctx = _GridContext(zs) if ctx is None else ctx
     window = seq.window
-    lo, hi = solution_range(seq, IndexWindow(window.n_min - 4, window.n_max + 3))
+    lo, hi = window.n_min - 4, window.n_max + 3
     for side in ("left", "right"):
         for modes in MODES:
             yield (
@@ -308,12 +307,14 @@ def reference_junction_sweep(seq, points, zs, t, r, l, splits):
 
     Each breakpoint's fragments, splits[j], recurse their solution pairs
     over their whole range, each pair as one paired reference recursion;
-    the whole sequence's solutions recurse alone over the union range.
-    plane_waves reads each free side on the three sites nearest the
-    breakpoint.  Every row is read grid-major, through transposes.
+    the whole sequence's solutions recurse alone.  points lie in
+    [n_min - 1, n_max + 1], so every range holds the sites read, n1 - 1
+    through n1 + 1.  plane_waves reads each fragment's pair on the
+    junction's site pair (n1, n1 + 1), against powers zs ** k broadcast
+    over both sites.  Every row is read grid-major, through transposes.
     """
     m = zs.size
-    lo_all, hi_all = solution_range(seq, IndexWindow(points[0] - 2, points[-1] + 2))
+    lo_all, hi_all = solution_range(seq)
     columns = [n1 - 1 - lo_all + d for n1 in points for d in range(3)]
     fl_near, fr_near = [
         reference_recurse(seq, seq.window, lo_all, hi_all, zs, side, (False,), True).T[:, columns]
@@ -321,8 +322,6 @@ def reference_junction_sweep(seq, points, zs, t, r, l, splits):
     ]
     triangular = float(np.max(np.abs((r / t) * t - r)))
     lower_right = float(np.max(np.abs((1.0 / t) * t - 1.0)))
-    sites = np.arange(lo_all, hi_all + 1)
-    up, down = zs[:, None] ** sites[None, :], zs[:, None] ** -sites[None, :]
 
     def gap(values):
         return float(np.max(np.abs(values)))
@@ -337,16 +336,16 @@ def reference_junction_sweep(seq, points, zs, t, r, l, splits):
             )
         return (r0 * m11 - m01 * r1) / det, (m00 * r1 - r0 * m10) / det
 
-    def paired(part, side, cover):
-        lo, hi = solution_range(part, cover)
+    def paired(part, side):
+        lo, hi = solution_range(part)
         rows = reference_recurse(part, part.window, lo, hi, zs, side, (False, True), True).T
         return rows[:m], rows[m:], lo
 
     keys = ("right_junction", "left_junction", "plane_waves", "factor_algebra")
     found = {key: [] for key in keys}
     for j, (n1, parts) in enumerate(zip(points, splits)):
-        fl2, gl2, lo = paired(parts[1], "left", IndexWindow(n1 - 2, n1 + 2))
-        fr1, gr1, _ = paired(parts[0], "right", IndexWindow(n1 - 2, n1 + 2))
+        fl2, gl2, lo = paired(parts[1], "left")
+        fr1, gr1, _ = paired(parts[0], "right")
         (t1, r1, _), (t1c, r1c, _) = [
             _coefficients(*block) for block in reference_blocks(parts[0], zs, (False, True))
         ]
@@ -381,25 +380,20 @@ def reference_junction_sweep(seq, points, zs, t, r, l, splits):
             gap(near(fl, n1 + 1)
                 - ratio * ((1.0 / t) * col(gr1, n1 + 1) + (l / t) * col(fr1, n1 + 1))),
         ))
-        # each free side's wave two sites into it, as far as its
-        # recursion leaves the fragment's coefficients
-        left_sites = slice(n1 - 2 - lo_all, n1 + 1 - lo_all)
-        right_sites = slice(n1 - lo_all, n1 + 3 - lo_all)
-        z0, z0_inv, z1, z1_inv = zs**n1, zs**-n1, zs ** (n1 + 1), zs ** -(n1 + 1)
+        # each fragment's pair against its own plane wave on the site
+        # pair, the right fragment's at n1 + 1 scaled by the coupling ratio
+        pair = np.array([n1, n1 + 1])
+        up, down = zs[:, None] ** pair[None, :], zs[:, None] ** -pair[None, :]
+        wave = (1.0 / t2)[:, None] * up + (l2 / t2)[:, None] * down
+        wave_c = (l2c / t2c)[:, None] * up + (1.0 / t2c)[:, None] * down
+        on_pair = slice(n1 - lo, n1 + 2 - lo)
         found["plane_waves"].append(max(
-            gap(fl2[:, n1 - 2 - lo : n1 + 1 - lo] - ((1.0 / t2)[:, None] * up[:, left_sites]
-                                        + (l2 / t2)[:, None] * down[:, left_sites])),
-            gap(col(fl2, n1 + 1) - ratio * ((1.0 / t2) * z1 + (l2 / t2) * z1_inv)),
-            gap(fr1[:, n1 - lo : n1 + 3 - lo] - ((r1 / t1)[:, None] * up[:, right_sites]
-                                     + (1.0 / t1)[:, None] * down[:, right_sites])),
-            gap(col(fl2, n1) - (z0 / t2 + z0_inv * l2 / t2)),
-            gap(col(gl2, n1) - (z0 * l2c / t2c + z0_inv / t2c)),
-            gap(col(fl2, n1 + 1) - ratio * (z1 / t2 + z1_inv * l2 / t2)),
-            gap(col(gl2, n1 + 1) - ratio * (z1 * l2c / t2c + z1_inv / t2c)),
-            gap(col(gr1, n1) - (z0 / t1c + z0_inv * r1c / t1c)),
-            gap(col(fr1, n1) - (z0 * r1 / t1 + z0_inv / t1)),
-            gap(col(gr1, n1 + 1) - (z1 / t1c + z1_inv * r1c / t1c)),
-            gap(col(fr1, n1 + 1) - (z1 * r1 / t1 + z1_inv / t1)),
+            gap(col(fl2, n1) - wave[:, 0]),
+            gap(col(fl2, n1 + 1) - ratio * wave[:, 1]),
+            gap(col(gl2, n1) - wave_c[:, 0]),
+            gap(col(gl2, n1 + 1) - ratio * wave_c[:, 1]),
+            gap(fr1[:, on_pair] - ((r1 / t1)[:, None] * up + (1.0 / t1)[:, None] * down)),
+            gap(gr1[:, on_pair] - ((1.0 / t1c)[:, None] * up + (r1c / t1c)[:, None] * down)),
         ))
         unit_det = np.abs(1.0 / (t1 * t1c) - (r1 * r1c) / (t1 * t1c) - 1.0)
         exchange = np.max(np.abs(np.stack([
@@ -535,20 +529,24 @@ def test_far_breakpoints_make_the_edge_breakpoints_recursions(monkeypatch, tmp_p
 
 
 def test_junction_sweep_recurses_only_the_sites_it_reads(monkeypatch):
-    """Each fragment's run from the whole's rows spans at most four sites,
-    two steps into its free side, and each of the whole's runs ends at the
-    farthest site the sweep reads of it, or at the seeded pair its first
-    step reads: breakpoints inside the window and next to it.  Those 50
-    and 10,000 sites out on either side make the runs of the one next to
-    it."""
+    """Besides the whole's two runs, the sweep makes one run per junction:
+    the left fragment's right solution and companion over n1 - 1..n1 + 1,
+    one step into its free side from the whole's rows at n1 - 1 and n1.
+    Each of the whole's runs ends at the farthest site the sweep reads of
+    it, or at the seeded pair its first step reads: breakpoints inside
+    the window and next to it.  Those 50 and 10,000 sites out on either
+    side make the runs of the one next to it."""
     seq = two_impurity_sequence()
     zs = default_grid(seq, count=8).zs
     n_min, n_max = seq.window.n_min, seq.window.n_max
     recurse, runs = transition._recurse, []
 
     def record(part, lo, hi, ctx, side, modes, **kwargs):
-        runs.append((part, lo, hi, side, kwargs.get("start")))
+        runs.append((part, lo, hi, side, modes, kwargs.get("start")))
         return recurse(part, lo, hi, ctx, side, modes, **kwargs)
+
+    def coefficients(part):
+        return [v.tobytes() for v in (part.a_values, part.b_values, part.w_values)]
 
     monkeypatch.setattr(transition, "_recurse", record)
     out = (1, 50, MAX_WINDOW_SITES)
@@ -557,22 +555,22 @@ def test_junction_sweep_recurses_only_the_sites_it_reads(monkeypatch):
         (edge,) = at_the_edge(seq, (n1,))
         runs.clear()
         junction_residual_sweep(seq, Fragmentation((edge,)), zs)
-        at_edge = [(lo, hi, side, start and start[0]) for _, lo, hi, side, start in runs]
+        at_edge = [(lo, hi, side, start and start[0]) for _, lo, hi, side, _, start in runs]
         runs.clear()
         junction_residual_sweep(seq, Fragmentation((n1,)), zs)
-        assert [(lo, hi, side, start and start[0]) for _, lo, hi, side, start in runs] == at_edge
-        whole = [run for run in runs if run[4] is None]
-        started = [run for run in runs if run[4] is not None]
-        assert all(hi - lo + 1 <= 4 for _, lo, hi, _, _ in started), n1
-        assert [(part, side) for part, _, _, side, _ in whole] == [(seq, "left"), (seq, "right")]
-        assert len(started) == 2
-        # the whole's rows the sweep reads: the junction's and the start pairs
-        read = {edge - 1, edge, edge + 1}
-        for _, _, _, side, (s, _) in started:
-            read |= {s, s + 1} if side == "left" else {s - 1, s}
-        (_, left_lo, left_hi, _, _), (_, right_lo, right_hi, _, _) = whole
-        assert left_lo == min(read) and left_hi <= max(*read, n_max + 1), n1
-        assert right_hi == max(read) and right_lo >= min(*read, n_min - 2), n1
+        assert [(lo, hi, side, start and start[0]) for _, lo, hi, side, _, start in runs] == at_edge
+        whole = [run for run in runs if run[5] is None]
+        started = [run for run in runs if run[5] is not None]
+        assert [(part, side) for part, _, _, side, _, _ in whole] == [(seq, "left"), (seq, "right")]
+        ((part, lo, hi, side, modes, (s, _)),) = started
+        left_part = fragment(seq, Fragmentation((edge,)))[0]
+        assert coefficients(part) == coefficients(left_part), n1
+        assert (lo, hi, side, modes, s) == (edge - 1, edge + 1, "right", (False, True), edge), n1
+        # the whole's rows the sweep reads, edge - 1 through edge + 1, hold
+        # the left fragment's start pair
+        (_, left_lo, left_hi, *_), (_, right_lo, right_hi, *_) = whole
+        assert left_lo == edge - 1 and left_hi <= max(edge + 1, n_max + 1), n1
+        assert right_hi == edge + 1 and right_lo >= min(edge - 1, n_min - 2), n1
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 15])
@@ -580,8 +578,8 @@ def test_junction_sweep_recurses_only_the_sites_it_reads(monkeypatch):
 def test_plane_waves_catch_damage_deep_in_a_free_side(monkeypatch, side, k):
     """b + 0.5 at one padding site, k sites into the left or the right
     fragment's free side, fails plane_waves, though its check reads each
-    free side only two sites in: the damaged fragment's T, R and L leave
-    the wave its rows carry from the whole."""
+    fragment only on the junction's site pair (n1, n1 + 1): the damaged
+    fragment's T, R and L leave the wave its rows there carry."""
     seq = damped_window(-20, 41, seed=4)
     zs = default_grid(seq, count=64, delta=1e-3).zs
     n1 = 0
