@@ -16,10 +16,9 @@ circle has no decaying companion solution to lose accuracy to.
 
 jost_values produces solutions on an index range two sites wider than
 the window on each side, so that downstream tail fits read only sites
-where the tail form is exact.  The junction checks recurse the whole
-sequence from its seeded tails to at most two sites past the window, and
-each junction's left fragment only one step from the whole's rows, into
-its free side.  That kernel, _recurse, keeps solutions site-major, one
+where the tail form is exact.  The junction checks recurse only the
+whole sequence, from its seeded tails to at most two sites past the
+window.  That kernel, _recurse, keeps solutions site-major, one
 contiguous row of grid points per site, and writes each row with one
 _step call through one scratch row, with no temporaries per step.  It
 hands its rows out in blocks of _BLOCK_SITES sites from one buffer, so a
@@ -177,7 +176,6 @@ def _recurse(
     ctx: _GridContext,
     side: str,
     modes: tuple[bool, ...],
-    start: tuple[int, np.ndarray] | None = None,
     block: int = _BLOCK_SITES,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Propagate normalized solutions over [lo, hi], handed out in blocks.
@@ -200,32 +198,26 @@ def _recurse(
     its companion at 1/z, advance together in one pass.  Every column
     block equals its one-mode run to the bit.
 
-    start, if given, is (s, pair): the first step is taken at site s, not
-    at the window's edge, from the two rows of pair, those at s and s + 1
-    on the left side and at s - 1 and s on the right.  Rows between pair
-    and the seeded tail are not computed, so [lo, hi] reaches past pair
-    only into that tail.
-
     The buffer holds one block and the two rows its first step reads,
     those past its top on the left side and below its bottom on the
     right; after each block the two rows the next one reads are copied
     there.  So every step reads and writes the rows it would in one
     whole-range array, and the blocks are that array's rows to the bit.
 
-    Each step is one _step call, with Python floats for scalars.  Its
-    runs are short where its calls are many: on the benchmark's windows
-    of 1 to 40 sites the median run takes 5 steps and a third take at
-    most one, and there the operand table of _fit_sweep costs more to
-    build than its 0-d operands save.
+    Each step is one _step call, with Python floats for scalars.  The
+    0-d operand table of _fit_sweep was measured here and lost, when a
+    third of the runs took at most one step.  One pass of the
+    benchmark's small-batch workload (windows of 1 to 40 sites, seed
+    911) makes 204 runs, whose median takes 18 steps and 1.5% at most
+    one, so that trade is open to a new measurement.
     """
     m = ctx.zs.size
     lim = seq.limits
     w_inf = lim.w_inf
     n_min, n_max = seq.window.n_min, seq.window.n_max
     left = side == "left"
-    first, pair_rows = start if start is not None else (n_max if left else n_min - 1, ())
-    # (site, row) of the start pair, and the seeded tail's sites [t0, t1)
-    pair = list(zip(range(first, first + 2) if left else range(first - 1, first + 1), pair_rows))
+    # the first step's site, at the window's edge, and the seeded tail's sites [t0, t1)
+    first = n_max if left else n_min - 1
     t0, t1 = (n_max, hi + 1) if left else (lo, n_min)
     # the seeds' exponents are n on the left side and -n on the right, per
     # mode signed again at 1/z
@@ -268,9 +260,6 @@ def _recurse(
             sites = np.arange(s0, s1)
             for j, sign in enumerate(signs):
                 buffer[s0 + shift : s1 + shift, j * m : (j + 1) * m] = ctx.power_table(sign * sites)
-        for site, values in pair:
-            if bottom <= site < stop:
-                buffer[site + shift] = values
         # the step at site c0 + k reads v from buffer row k + d
         d = shift + c0
         if left:

@@ -15,12 +15,14 @@ behind it at each breakpoint taken as a single junction:
 * on sites at or above the breakpoint, the full left solution equals the
   right fragment's left solution, and the full right solution expands in
   the right fragment's solution pair with coefficients R/T and 1/T;
-* on sites at or below the breakpoint (shifted by one for the left
-  solution), the mirrored expansion holds in the left fragment's pair,
-  1/T on the conjugate partner and L/T on the plain right solution;
-* each fragment's solution pair is the plane wave of its own T, R and L
-  on the junction's site pair (n1, n1 + 1), with a coupling ratio
-  a_inf / a(n1 + 1) scaling the right fragment's at n1 + 1;
+* on sites at or below the breakpoint, the mirrored expansion holds in
+  the left fragment's pair, 1/T on the conjugate partner and L/T on the
+  plain right solution, and one site above it in the whole's own pair;
+* on the junction's site pair (n1, n1 + 1), the full left solution and
+  its partner are the plane waves of the right fragment's own T and L,
+  and the full right solution and its partner those of the left
+  fragment's own T and R, each scaled at n1 + 1 by the coupling ratio
+  a_inf / a(n1 + 1);
 * the 2x2 algebra that rearranges the junction matrices into the product
   formula, including the closed-form inverses it uses.
 
@@ -35,14 +37,15 @@ A single-junction fragment is the whole sequence on the side of its
 breakpoint that it keeps and the limits on the side it frees, so its
 solutions are the whole's on the kept side and, on the free side, the
 plane-wave combination of its own T, R and L, which two consecutive rows
-of the recursion fix.  The junction sweep recurses the whole once per
-side, from its seeded tail to the farthest site it reads, and keeps its
-rows at n1 - 1..n1 + 1 of each junction.  The right fragment's rows at
-n1 and n1 + 1 are those of the whole, and the left fragment's right
-solution takes one step from them, to n1 + 1; the plane-wave check
-reads both on that site pair (see junction_residual_sweep).  Farther
-along a free side it would measure only the rounding drift of a
-neutrally stable recursion.  A breakpoint at or past n_max + 1 splits
+of the recursion fix.  The junction sweep recurses only the whole, once
+per side, from its seeded tail to the farthest site it reads, and keeps
+its rows at n1 - 1..n1 + 1 of each junction.  On n1 and n1 + 1 the
+right fragment's rows are the whole's, and the left fragment's are the
+whole's at n1 and, at n1 + 1, the whole's divided by the coupling
+ratio; the plane-wave check reads the whole's rows on that site pair
+(see junction_residual_sweep).  Farther along a free side it would
+measure only the rounding drift of a neutrally stable recursion.  A
+breakpoint at or past n_max + 1 splits
 the sequence into the same two fragments as n_max + 1,
 the whole and a free lattice, and one at or below n_min - 1 into those
 of n_min - 1; the junction relations there differ only by unimodular
@@ -232,16 +235,22 @@ def junction_residual_sweep(
     same.  The whole sequence's T, R, L are read off its transition
     entries, and its solutions and their companions recursed once per
     side, from the seeded tail to the farthest site read, keeping only the
-    rows at n1 - 1 through n1 + 1.  fragment() copies the whole's values
-    bit for bit on the side a fragment keeps, so the right fragment's
-    solution pair at n1 and n1 + 1 is the whole's, and the left
-    fragment's is the whole's up to n1, from which it takes one step, to
-    n1 + 1.  A fragment's solution pair on its free side is the plane
-    wave of its own T, R and L, which two consecutive rows fix, so
-    plane_waves checks each fragment's pair against that wave on the
-    site pair (n1, n1 + 1), eight terms per junction: farther from the
-    junction it would measure only the recursion's rounding drift.  The
-    tail fits of the whole and all the fragments recurse in one sweep.
+    rows at n1 - 1 through n1 + 1; no fragment is recursed.  fragment()
+    copies the whole's values bit for bit on the side a fragment keeps,
+    so the right fragment's solution pair at n1 and n1 + 1 is the
+    whole's, and the left fragment's is the whole's up to n1 and, at
+    n1 + 1, the whole's divided by the coupling ratio a_inf / a(n1 + 1):
+    its one step into its free side repeats the whole's step at n1 with
+    1 / a_inf in place of 1 / a(n1 + 1).  So left_junction fits the
+    left fragment's pair at n1 - 1 and n1 from the whole's right pair,
+    and checks the expansion at n1 + 1 in the whole's own pair.  A
+    fragment's solution pair on its free side is the plane wave of its
+    own T, R and L, which two consecutive rows fix, so plane_waves checks
+    each of the whole's four solutions on the site pair (n1, n1 + 1)
+    against the wave of the fragment it matches there, scaled by the
+    ratio at n1 + 1, eight terms per junction: farther from the junction
+    it would measure only the recursion's rounding drift.  The tail fits
+    of the whole and all the fragments recurse in one sweep.
     Keys: right_junction, left_junction, plane_waves, factor_algebra.
 
     Raises NumericalFault, naming theta, where a fragment's solution pair
@@ -249,9 +258,8 @@ def junction_residual_sweep(
     where a residual is not finite.
     """
     ctx = _GridContext(zs)
-    parts = _junction_parts(seq, frag)
-    fits = _amplitude_blocks(seq, [seq, *parts], ctx, _PAIRED)
-    return _grid_maxima(_junction_sweep(seq, frag, ctx, _entries(next(fits)), parts, fits), ctx.zs)
+    fits = _amplitude_blocks(seq, [seq, *_junction_parts(seq, frag)], ctx, _PAIRED)
+    return _grid_maxima(_junction_sweep(seq, frag, ctx, _entries(next(fits)), fits), ctx.zs)
 
 
 def _identities_report(
@@ -287,7 +295,7 @@ def _identities_report(
         product = _fragment_product(map(_entries, islice(blocks, len(parts))))
         rows["factorization"] = _product_gap(lam, product)
         # one single-junction check per breakpoint, worst over them per row
-        rows.update(_junction_sweep(seq, frag, ctx, lam, junction_parts, blocks))
+        rows.update(_junction_sweep(seq, frag, ctx, lam, blocks))
     return _grid_maxima(rows, ctx.zs)
 
 
@@ -297,14 +305,14 @@ def _junction_sweep(
     frag: Fragmentation,
     ctx: _GridContext,
     lam: np.ndarray,
-    parts: list[CoefficientSequence],
     fits: Iterator[list[tuple[np.ndarray, np.ndarray, np.ndarray]]],
 ) -> dict[str, np.ndarray]:
     """junction_residual_sweep's rows over the grid of ctx, one residual per
     point, given the whole's entries lam.
 
-    parts is _junction_parts(seq, frag), and fits yields their amplitude
-    blocks at z and 1/z in that order, fitted where the loop reads them.
+    fits yields the amplitude blocks at z and 1/z of _junction_parts(seq,
+    frag), left then right fragment per breakpoint, fitted where the loop
+    reads them.
     """
     # T, R, L bit for bit those of scattering_values: lam00, lam01 and
     # lam10 are the plain block's fit, which equals its single-mode run
@@ -316,10 +324,9 @@ def _junction_sweep(
     m = zs.size
     n_min, n_max = seq.window.n_min, seq.window.n_max
     # each breakpoint at the edge site whose fragments are its own; junctions
-    # that land on one site stay separate, so parts[2j] matches point j
+    # that land on one site stay separate, so fits stay in step with points
     points = [min(max(n1, n_min - 1), n_max + 1) for n1 in frag.breakpoints]
-    # the whole's rows at each junction, n1 - 1..n1 + 1, which hold the pair
-    # the left fragment starts from
+    # the whole's rows at each junction, n1 - 1..n1 + 1
     sites = sorted({n1 + d for n1 in points for d in (-1, 0, 1)})
     where = {n: i for i, n in enumerate(sites)}
 
@@ -341,16 +348,7 @@ def _junction_sweep(
     def worsen(key, *terms):
         np.maximum(rows[key], _worst(*terms), out=rows[key])
 
-    for j, n1 in enumerate(points):
-        near = [where[n1 - 1], where[n1], where[n1 + 1]]
-        # the left fragment's right solution and companion over n1 - 1..n1 + 1:
-        # one step into its free side from the whole's rows at n1 - 1 and n1
-        start = (n1, fr_pair[near[:2]])
-        paired = _rows_at(
-            _recurse(parts[2 * j], n1 - 1, n1 + 1, ctx, "right", _PAIRED, start=start),
-            (n1 - 1, n1, n1 + 1),
-        )
-        gr1, fr1 = paired[:, m:], paired[:, :m]
+    for n1 in points:
         # keep only the coefficients the checks read, not the amplitudes
         (t1, r1, _), (t1c, r1c, _) = [_coefficients(*block) for block in next(fits)]
         (t2, _, l2), (t2c, _, l2c) = [_coefficients(*block) for block in next(fits)]
@@ -359,37 +357,41 @@ def _junction_sweep(
         inv_t1c, r1c_over_t1c, minus_r1c_over_t1c = 1.0 / t1c, r1c / t1c, -r1c / t1c
         inv_t2, l2_over_t2, inv_t2c, l2c_over_t2c = 1.0 / t2, l2 / t2, 1.0 / t2c, l2c / t2c
         ratio = seq.limits.a_inf / coefficient_at(seq, n1 + 1)[0]
-        # fl, fr, gr1 and fr1 are at n1 - 1 through n1 + 1.  At n1 and n1 + 1
-        # the right fragment's left solution and its companion, f0, f1 and
-        # gl2, are the whole's rows: that solution is the whole's down to
-        # min(n1, n_max), and past n_max both sit in the seeded tail
-        fl, fr = fl_pair[near, :m], fr_pair[near, :m]
-        (f0, f1), gl2 = fl[1:], fl_pair[near[1:], m:]
+        # the whole's solutions and companions at n1 - 1 through n1 + 1.  The
+        # right fragment's left pair is the whole's down to min(n1, n_max),
+        # and past n_max both sit in the seeded tail.  The left fragment's
+        # right pair is the whole's up to n1, and at n1 + 1 the whole's row
+        # times 1 / ratio: its step at n1 divides the whole's numerator by
+        # a_inf, not by a(n1 + 1)
+        near = [where[n1 - 1], where[n1], where[n1 + 1]]
+        fl, gl = fl_pair[near, :m], fl_pair[near, m:]
+        fr, gr = fr_pair[near, :m], fr_pair[near, m:]
 
-        refl_fit, trans_fit = fit(f0, gl2[0], f1, gl2[1], fr[1], fr[2])
+        refl_fit, trans_fit = fit(fl[1], gl[1], fl[2], gl[2], fr[1], fr[2])
         worsen("right_junction", refl_fit - r_over_t, trans_fit - inv_t)
-        trans_fit, refl_fit = fit(gr1[0], fr1[0], gr1[1], fr1[1], fl[0], fl[1])
+        trans_fit, refl_fit = fit(gr[0], fr[0], gr[1], fr[1], fl[0], fl[1])
         worsen(
             "left_junction",
             trans_fit - inv_t,
             refl_fit - l_over_t,
-            fr[2] - ratio * fr1[2],
-            fl[2] - ratio * (inv_t * gr1[2] + l_over_t * fr1[2]),
+            fl[2] - (inv_t * gr[2] + l_over_t * fr[2]),
         )
 
-        # each fragment's free side is its own plane wave, which its rows
-        # at n1 and n1 + 1 fix, the right fragment's at n1 + 1 scaled by ratio
+        # on n1 and n1 + 1 each of the whole's solutions is a fragment's own
+        # plane wave, the right one's for fl and gl and the left one's for fr
+        # and gr, scaled by ratio at n1 + 1
         table = ctx.power_table(np.array([n1, n1 + 1, -n1, -(n1 + 1)]))
         up, down = table[:2], table[2:]
-        wave, wave_c = inv_t2 * up + l2_over_t2 * down, l2c_over_t2c * up + inv_t2c * down
+        waves = (
+            (fl, inv_t2 * up + l2_over_t2 * down),
+            (gl, l2c_over_t2c * up + inv_t2c * down),
+            (fr, r1_over_t1 * up + inv_t1 * down),
+            (gr, inv_t1c * up + r1c_over_t1c * down),
+        )
         worsen(
             "plane_waves",
-            f0 - wave[0],
-            f1 - ratio * wave[1],
-            gl2[0] - wave_c[0],
-            gl2[1] - ratio * wave_c[1],
-            *(fr1[1:] - (r1_over_t1 * up + inv_t1 * down)),
-            *(gr1[1:] - (inv_t1c * up + r1c_over_t1c * down)),
+            *(f[1] - wave[0] for f, wave in waves),
+            *(f[2] - ratio * wave[1] for f, wave in waves),
         )
 
         e00 = inv_t1c * inv_t1 + r1_over_t1 * minus_r1c_over_t1c
