@@ -308,6 +308,18 @@ def _changed_steps(
     return (first + np.flatnonzero((a | b | w)[:-1] | a[1:])).tolist()
 
 
+def _most_at_once(spans: list[tuple[int, int]]) -> int:
+    """The most of spans, closed step ranges [s, e] with s <= e, at one step:
+    at a start, where it peaks, the spans begun by then less those ended."""
+    ends = sorted(e for _, e in spans)
+    most = ended = 0
+    for begun, s in enumerate(sorted(s for s, _ in spans), 1):
+        while ends[ended] < s:
+            ended += 1
+        most = max(most, begun - ended)
+    return most
+
+
 def _fit_sweep(
     seq: CoefficientSequence,
     jobs: list[tuple[CoefficientSequence, IndexWindow]],
@@ -386,7 +398,7 @@ def _fit_sweep(
             redos[n - base].append((1, j, (w_n / w_inf, b_n, a_n, 1.0 / a_next)))
 
     # slots per side: the most recursions under way at once
-    size = [max(sum(s <= t <= e for s, e in side) for t, _ in side) for side in spans]
+    size = [_most_at_once(side) for side in spans]
     mid = size[0] * width
     rows = np.empty((3, (size[0] + size[1]) * width), dtype=complex)
     real = rows.view(float)

@@ -30,7 +30,7 @@ from .errors import NumericalFault
 # jost_values stays a module attribute: the benchmark's smoke test wraps
 # this copy
 from .jost import _fit_sweep, _keep, _pairing, _recurse, jost_values, solution_range  # noqa: F401
-from .lattice import CoefficientSequence, coefficient_arrays, effective_support
+from .lattice import CoefficientSequence, IndexWindow, coefficient_arrays, effective_support
 from .spectral import _fault_where, _GridContext
 
 # Relative disagreement of the two 1/T fits that flags a fault.
@@ -52,34 +52,39 @@ class ScatteringData:
         return abs(self.T) ** 2 + abs(self.R) ** 2
 
 
+def _fit_exponents(window: IndexWindow) -> list[int]:
+    """The tail fits' exponents past window, n, n + 1, p, p + 1 at n = n_min - 2
+    and p = n_max + 1, then their negatives reversed: reversal negates the list."""
+    n, p = window.n_min - 2, window.n_max + 1
+    return [n, n + 1, p, p + 1, -(p + 1), -p, -(n + 1), -n]
+
+
 def _tail_fit(
-    ctx: _GridContext, left: np.ndarray, right: np.ndarray, n: int, p: int, sign: int
+    zs: np.ndarray, det: np.ndarray, powers: np.ndarray,
+    left: np.ndarray, right: np.ndarray, sign: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(1/T, R/T, L/T) from two rows of each solution on exact tail sites.
 
     left holds the left-normalized solution on sites n and n + 1, right
-    the right-normalized one on p and p + 1, over the grid of ctx, which
-    also gives the plane-wave determinant and powers.  sign is -1 for
-    data at 1/z parametrized by z, as in the at_inverse modes; both signs
-    read the same eight powers.
+    the right-normalized one on p and p + 1, over the grid points zs,
+    whose plane-wave determinant is det, and powers the power_table rows
+    of zs at _fit_exponents of their window.  sign is -1 for data at 1/z
+    parametrized by z, as in the at_inverse modes, which reads those rows
+    in reverse order, at the negated exponents.
 
     Raises NumericalFault, naming theta, where a fit is not finite or the
     two 1/T fits disagree.
     """
-    zs, power = ctx.zs, ctx.power
-    det_left = sign * ctx.det()
-    inv_t_left = (left[0] * power(-sign * (n + 1)) - left[1] * power(-sign * n)) / det_left
-    l_over_t = (left[1] * power(sign * n) - left[0] * power(sign * (n + 1))) / det_left
+    # z^(sign k) at k = n, n + 1, p, p + 1, then z^(-sign k) in reverse
+    up_n, up_n1, up_p, up_p1, down_p1, down_p, down_n1, down_n = powers[::sign]
+    det_left = sign * det
+    inv_t_left = (left[0] * down_n1 - left[1] * down_n) / det_left
+    l_over_t = (left[1] * up_n - left[0] * up_n1) / det_left
     det_right = -det_left
-    inv_t_right = (right[0] * power(sign * (p + 1)) - right[1] * power(sign * p)) / det_right
-    r_over_t = (right[1] * power(-sign * p) - right[0] * power(-sign * (p + 1))) / det_right
-    finite = (
-        np.isfinite(inv_t_left)
-        & np.isfinite(inv_t_right)
-        & np.isfinite(r_over_t)
-        & np.isfinite(l_over_t)
-    )
-    _fault_where(~finite, zs, "tail fit is not finite")
+    inv_t_right = (right[0] * up_p1 - right[1] * up_p) / det_right
+    r_over_t = (right[1] * down_p - right[0] * down_p1) / det_right
+    finite = [np.isfinite(part) for part in (inv_t_left, inv_t_right, r_over_t, l_over_t)]
+    _fault_where(~np.logical_and.reduce(finite), zs, "tail fit is not finite")
     inv_t = 0.5 * (inv_t_left + inv_t_right)
     mismatch = np.abs(inv_t_left - inv_t_right)
     scale = np.maximum(1.0, np.abs(inv_t))
@@ -156,26 +161,23 @@ def _amplitude_blocks(
         else _fit_sweep(job, [(job, window)], ctx, modes)[0]
         for job, window in busy
     }
+    # one power_table row per distinct exponent, and each job's rows in keys
+    index: dict[int, int] = {}
+    keys = {
+        id(job): [index.setdefault(k, len(index)) for k in _fit_exponents(window)]
+        for job, window in busy
+    }
+    powers = ctx.power_table(np.array(list(index), dtype=int))
     last_read = {id(job): i for i, job in enumerate(jobs)}
+    columns = [(slice(j * m, (j + 1) * m), -1 if inverse else 1) for j, inverse in enumerate(modes)]
 
     def fit(key):
-        support = supports[key]
-        if support.free:
+        if supports[key].free:
             # nothing deviates from the limits: T = 1 and R = L = 0 exactly
             return [(np.ones_like(zs), np.zeros_like(zs), np.zeros_like(zs)) for _ in modes]
         left, right = rows.pop(key)
-        lo, hi = support.window.n_min - 2, support.window.n_max + 2
-        return [
-            _tail_fit(
-                ctx,
-                left[:, j * m : (j + 1) * m],
-                right[:, j * m : (j + 1) * m],
-                lo,
-                hi - 1,
-                -1 if inverse else 1,
-            )
-            for j, inverse in enumerate(modes)
-        ]
+        own = powers[keys.pop(key)]
+        return [_tail_fit(zs, ctx.det(), own, left[:, b], right[:, b], sign) for b, sign in columns]
 
     def fits():
         held = {}
@@ -245,21 +247,21 @@ def identity_sweep(seq: CoefficientSequence, zs: np.ndarray) -> dict[str, float]
 def _identity_sweep(seq: CoefficientSequence, ctx: _GridContext) -> dict[str, np.ndarray]:
     """identity_sweep's rows over the grid of ctx, one residual per point.
 
-    The fit at z shares the powers of ctx.  The solutions at z and at the
-    rounded reciprocal 1/z recurse as one grid, over one context of both;
-    the fit at 1/z has a context of its own.  Each side's rows are reduced
-    block by block as _recurse hands them out.  The left side runs first
-    and keeps its plain columns at z, which the Wronskian pairing reads
-    against the right side's blocks, which come from the lowest site up,
-    so the pairing's base, at the lowest site pair, comes first.  An
-    overflowing window faults in the fits, which read the rows' ends; a
-    row that overflows on finite fits is _grid_maxima's to report.
+    The solutions at z and at the rounded reciprocal 1/z recurse as one
+    grid, over one context of both, and the fits at z and at 1/z read the
+    two halves of its determinant and power table.  Each side's rows are
+    reduced block by block as _recurse hands them out.  The left side
+    runs first and keeps its plain columns at z, which the Wronskian
+    pairing reads against the right side's blocks, which come from the
+    lowest site up, so the pairing's base, at the lowest site pair, comes
+    first.  An overflowing window faults in the fits, which read the
+    rows' ends; a row that overflows on finite fits is _grid_maxima's to
+    report.
     """
     zs = ctx.zs
     m = zs.size
-    zs_inv = 1.0 / zs
     # rows are sites, the first m columns at z and the rest at 1/z
-    both = _GridContext(np.concatenate([zs, zs_inv]))
+    both = _GridContext(np.concatenate([zs, 1.0 / zs]))
     lo, hi = solution_range(seq)
     a, _, _ = coefficient_arrays(seq, lo + 1, hi)
     fl = np.empty((hi - lo + 1, m), dtype=complex)
@@ -284,10 +286,11 @@ def _identity_sweep(seq: CoefficientSequence, ctx: _GridContext) -> dict[str, np
                 base = pair[0]
             drift = np.maximum(drift, np.max(np.abs(pair - base), axis=0))
         last = rows[-1:, :m].copy()
-    p = hi - 1
-    t, r, l = _coefficients(*_tail_fit(ctx, ends[:2, :m], ends[2:, :m], lo, p, 1))
-    tt, rt, lt = _coefficients(
-        *_tail_fit(_GridContext(zs_inv), ends[:2, m:], ends[2:, m:], lo, p, 1)
+    det, powers = both.det(), both.power_table(np.array(_fit_exponents(seq.window)))
+    # the fit at z from the first m columns, then the fit at 1/z
+    (t, r, l), (tt, rt, lt) = (
+        _coefficients(*_tail_fit(both.zs[h], det[h], powers[:, h], ends[:2, h], ends[2:, h], 1))
+        for h in (slice(0, m), slice(m, None))
     )
     product = 1.0 / (t * tt)
     return {

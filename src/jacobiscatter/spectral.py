@@ -23,8 +23,8 @@ CIRCLE_TOL = 1e-12
 # parallel and tail fits are meaningless.
 DEGENERATE_FLOOR = 1e-8
 
-# numpy's complex power multiplies out integer exponents below this size
-# and hands larger ones to the C library's cpow.
+# numpy's complex power multiplies out integer exponents below this size;
+# larger ones take exp(k log z), which power_table computes over one log.
 FAST_POWER_LIMIT = 100
 
 
@@ -120,40 +120,32 @@ def wave_pair_det(zs: np.ndarray) -> np.ndarray:
 class _GridContext:
     """What the recursions and tail fits of one run over one grid share.
 
-    Built from any array of circle points, which it holds as a 1-d
-    complex array and checks with require_admissible, so every grid
-    function checks its grid here, once, on entry.  It computes each
-    shared value on first use, by the expression its callers used to
-    evaluate themselves, so reading it changes no bit:
+    Built from one circle point or a nonempty 1-d array of them, which it
+    holds as a 1-d complex array and checks with require_admissible, so
+    every grid function checks its grid here, once, on entry.  It
+    computes each shared value on first use, by the expression its
+    callers used to evaluate themselves, so reading it changes no bit:
 
     * drive(limits, blocks): the recursion drive a_inf (z + 1/z) + b_inf,
       tiled over blocks column blocks;
     * det(): wave_pair_det(zs);
-    * power(k): zs ** k, as the tail fits write it;
-    * power_table(ks): zs[None, :] ** ks[:, None], site-major, as the
-      recursion seeds and the junction sweep's plane-wave rows read it.
-
-    numpy raises a complex array to an integer power k by repeated
-    multiplication when |k| < FAST_POWER_LIMIT and otherwise by the C
-    library's cpow, which evaluates exp(k log z).  The context keeps the
-    first route, numpy's own, and takes the second as np.exp(k * log)
-    over one log(zs) computed on first use, which gives the same bits at
-    a fraction of the cost, since cpow pays for the log again at every
-    entry.  power_table alone writes the second route; power reads its
-    row for a large k.  Below the limit power keeps the scalar exponent,
-    whose bits differ from a table row's at k = -1 and 2, where numpy
-    takes fast paths of its own.
+    * power_table(ks): zs[None, :] ** ks[:, None], site-major, the one
+      route of every plane-wave power the seeds, tail fits and junction
+      sweep read: numpy's repeated multiplication below FAST_POWER_LIMIT,
+      and from there the bits of numpy's cpow, exp(k log z), as
+      np.exp(k * log) over one log(zs) made on first use, not per entry.
     """
 
-    __slots__ = ("zs", "_det", "_log", "_drives", "_powers")
+    __slots__ = ("zs", "_det", "_log", "_drives")
 
     def __init__(self, zs: np.ndarray):
         self.zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+        if self.zs.ndim > 1 or self.zs.size == 0:
+            raise SpectralDomainError(f"grid shape {np.shape(zs)}: not one point or a nonempty row")
         require_admissible(self.zs)
         self._det = None
         self._log = None
         self._drives: dict[tuple[float, float, int], np.ndarray] = {}
-        self._powers: dict[int, np.ndarray] = {}
 
     def drive(self, limits: Limits, blocks: int) -> np.ndarray:
         key = (limits.a_inf, limits.b_inf, blocks)
@@ -166,14 +158,6 @@ class _GridContext:
         if self._det is None:
             self._det = wave_pair_det(self.zs)
         return self._det
-
-    def power(self, k: int) -> np.ndarray:
-        if k not in self._powers:
-            if abs(k) < FAST_POWER_LIMIT:
-                self._powers[k] = self.zs**k
-            else:
-                self._powers[k] = self.power_table(np.array([k]))[0]
-        return self._powers[k]
 
     def power_table(self, ks: np.ndarray) -> np.ndarray:
         """Row j holds zs to the integer power ks[j]."""

@@ -22,7 +22,7 @@ from jacobiscatter import (
     scattering,
 )
 from jacobiscatter.cli import _corrupted_padding
-from jacobiscatter.jost import _fit_sweep
+from jacobiscatter.jost import _fit_sweep, _most_at_once
 from jacobiscatter.scattering import _amplitude_blocks
 from jacobiscatter.spectral import _GridContext
 from jacobiscatter.transition import _identities_report
@@ -171,6 +171,19 @@ def test_jobs_must_share_the_limits():
     jobs = [(seq, seq.window), (other, IndexWindow(-1, 1))]
     with pytest.raises(ValueError, match="limits"):
         _fit_sweep(seq, jobs, _GridContext(default_grid(seq, count=8).zs), (False,))
+
+
+def test_slot_count_equals_the_count_at_every_start():
+    """The one-pass count is the brute-force count at each span's start,
+    over random closed spans with shared starts, shared ends and one-step
+    spans."""
+    rng = np.random.default_rng(25)
+    for _ in range(500):
+        count = int(rng.integers(1, 40))
+        starts = rng.integers(0, 30, count)
+        spans = [(int(s), int(s + rng.integers(0, 12))) for s in starts]
+        brute = max(sum(s <= t <= e for s, e in spans) for t, _ in spans)
+        assert _most_at_once(spans) == brute, spans
 
 
 def counting_sweeps(monkeypatch):

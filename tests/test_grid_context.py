@@ -19,15 +19,24 @@ import numpy as np
 import pytest
 
 from jacobiscatter import (
+    Fragmentation,
     Limits,
     NumericalFault,
     SpectralDomainError,
+    determinant_residuals,
+    factorization_residuals,
+    identity_sweep,
+    jost_values,
+    junction_residual_sweep,
     lambda_from_z,
     sample_circle,
+    scattering_amplitudes,
+    scattering_values,
+    transition_entries,
 )
 from jacobiscatter import cli, spectral
 from jacobiscatter.jost import _fit_sweep
-from jacobiscatter.scattering import _tail_fit
+from jacobiscatter.scattering import _fit_exponents, _tail_fit
 from jacobiscatter.spectral import _GridContext, wave_pair_det
 from conftest import make_sequence
 
@@ -39,13 +48,17 @@ def bits(*arrays):
 
 
 def reference_tail_fit(zs, left, right, n, p, sign):
-    """The fit computing its own determinant and scalar-exponent powers."""
+    """The fit computing its own determinant and broadcast power-table rows."""
+
+    def power(k):
+        return (zs[None, :] ** np.array([[k]]))[0]
+
     det_left = sign * wave_pair_det(zs)
-    inv_t_left = (left[0] * zs ** (-sign * (n + 1)) - left[1] * zs ** (-sign * n)) / det_left
-    l_over_t = (left[1] * zs ** (sign * n) - left[0] * zs ** (sign * (n + 1))) / det_left
+    inv_t_left = (left[0] * power(-sign * (n + 1)) - left[1] * power(-sign * n)) / det_left
+    l_over_t = (left[1] * power(sign * n) - left[0] * power(sign * (n + 1))) / det_left
     det_right = -det_left
-    inv_t_right = (right[0] * zs ** (sign * (p + 1)) - right[1] * zs ** (sign * p)) / det_right
-    r_over_t = (right[1] * zs ** (-sign * p) - right[0] * zs ** (-sign * (p + 1))) / det_right
+    inv_t_right = (right[0] * power(sign * (p + 1)) - right[1] * power(sign * p)) / det_right
+    r_over_t = (right[1] * power(-sign * p) - right[0] * power(-sign * (p + 1))) / det_right
     return 0.5 * (inv_t_left + inv_t_right), r_over_t, l_over_t
 
 
@@ -60,7 +73,7 @@ def tail_rows(seq, ctx, modes):
 
 def test_context_tail_fit_equals_the_self_computed_fit():
     zs = sample_circle(Limits(1.0, 0.0, 1.0), 64, 0.05).zs
-    # one context across every window, so later fits hit memoized powers
+    # one context across every window, so later fits share its det and log
     shared = _GridContext(zs)
     exponents = set()
     for n_min, n_max in WINDOWS:
@@ -69,11 +82,12 @@ def test_context_tail_fit_equals_the_self_computed_fit():
             n_min, [1.0, 1.2, 0.9, 1.1][:length], [0.3, -0.2, 0.1, 0.4][:length], [1.0] * length
         )
         n, p = n_min - 2, n_max + 1
+        powers = shared.power_table(np.array(_fit_exponents(seq.window)))
         for sign, modes in ((1, (False,)), (-1, (True,))):
             left, right = tail_rows(seq, _GridContext(zs), modes)
             want = reference_tail_fit(zs, left, right, n, p, sign)
-            assert bits(*_tail_fit(shared, left, right, n, p, sign)) == bits(*want)
-            assert bits(*_tail_fit(_GridContext(zs), left, right, n, p, sign)) == bits(*want)
+            got = _tail_fit(shared.zs, shared.det(), powers, left, right, sign)
+            assert bits(*got) == bits(*want)
             exponents.update(sign * k for k in (n, n + 1, -p, -(p + 1)))
             exponents.update(-sign * k for k in (n, n + 1, -p, -(p + 1)))
     assert {-2, -1, 1, 2} <= exponents
@@ -84,10 +98,8 @@ def test_context_shares_but_never_mixes_its_values():
     zs = sample_circle(Limits(1.0, 0.0, 1.0), 64, 0.05).zs
     ctx = _GridContext(zs)
     for k in (-101, -100, -2, -1, 0, 1, 2, 99, 100, 101):
-        assert bits(ctx.power(k)) == bits(zs**k)
         want = (zs[None, :] ** np.array([[k]]))[0]
         assert bits(ctx.power_table(np.array([k]))[0]) == bits(want)
-        assert ctx.power(k) is ctx.power(k)
     assert bits(ctx.det()) == bits(wave_pair_det(zs))
     for limits in (Limits(1.0, 0.0, 1.0), Limits(-0.8, 0.3, 1.2)):
         drive = limits.a_inf * (zs + 1.0 / zs) + limits.b_inf
@@ -103,6 +115,44 @@ def test_context_is_the_grid_check():
             _GridContext([z])
     with pytest.raises(SpectralDomainError, match="unit circle"):
         _GridContext([1.001j])
+
+
+GRID_FUNCTIONS = {
+    "jost_values": lambda seq, zs: jost_values(seq, zs, "right", at_inverse=True),
+    "scattering_amplitudes": scattering_amplitudes,
+    "scattering_values": scattering_values,
+    "transition_entries": transition_entries,
+    "determinant_residuals": determinant_residuals,
+    "factorization_residuals": lambda seq, zs: factorization_residuals(
+        seq, Fragmentation((0,)), zs
+    ),
+    "junction_residual_sweep": lambda seq, zs: junction_residual_sweep(
+        seq, Fragmentation((0,)), zs
+    ),
+    "identity_sweep": identity_sweep,
+}
+
+
+def result_bits(result):
+    if isinstance(result, dict):
+        return result
+    if isinstance(result, tuple):
+        return [result_bits(part) for part in result]
+    return np.asarray(result).tobytes()
+
+
+def test_every_grid_function_rejects_a_grid_without_points_or_on_two_axes():
+    """The context's check names the grid's shape for every grid function;
+    a 0-d z is the one-point grid [z], bit for bit."""
+    seq = make_sequence(-1, [1.0, 1.2, 0.9], [0.3, -0.2, 0.1], [1.0, 1.1, 0.9])
+    zs = sample_circle(seq.limits, 6, 0.05).zs
+    for name, grid_function in GRID_FUNCTIONS.items():
+        for grid in ([], zs[:0], np.empty((0, 3)), zs.reshape(2, 3), zs.reshape(1, 6)):
+            with pytest.raises(SpectralDomainError, match="not one point or a nonempty row"):
+                grid_function(seq, grid)
+        for z in (zs[4], complex(zs[4])):
+            one = grid_function(seq, zs[4:5])
+            assert result_bits(grid_function(seq, z)) == result_bits(one), name
 
 
 def reference_grid(limits, count, exclusion_delta):
@@ -227,9 +277,9 @@ def test_band_image_still_rejects_a_genuine_imaginary_part():
 
 
 def test_identities_run_builds_three_grid_contexts(tmp_path, monkeypatch):
-    """The run's grid, the identity sweep's grid of z and its rounded
-    reciprocal, which both its recursions share, and the fit at the
-    reciprocal; the junction sweep recurses the whole sequence over the
+    """Two contexts: the run's grid, and the identity sweep's grid of z
+    and its rounded reciprocal, which both its recursions and both its
+    fits share; the junction sweep recurses the whole sequence over the
     run's own context."""
     path = tmp_path / "seq.json"
     path.write_text(json.dumps({
@@ -246,4 +296,4 @@ def test_identities_run_builds_three_grid_contexts(tmp_path, monkeypatch):
     monkeypatch.setattr(_GridContext, "__init__", counting_init)
     argv = ["identities", "--input", str(path), "--breakpoints=-1,0,1", "--grid", "64"]
     assert run_quietly(argv) == 0
-    assert built == [64, 128, 64]
+    assert built == [64, 128]

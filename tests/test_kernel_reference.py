@@ -39,7 +39,7 @@ from jacobiscatter.lattice import (
     effective_support,
     fragment,
 )
-from jacobiscatter.scattering import _coefficients, _tail_fit
+from jacobiscatter.scattering import _coefficients, _fit_exponents, _tail_fit
 from jacobiscatter.spectral import _GridContext
 from conftest import (
     default_grid,
@@ -51,6 +51,13 @@ from conftest import (
 )
 
 MODES = ((False,), (True,), (True, False, True))
+
+
+def grid_tail_fit(zs, left, right, window, sign):
+    """_tail_fit on the sites two past window over a context of zs alone."""
+    ctx = _GridContext(zs)
+    powers = ctx.power_table(np.array(_fit_exponents(window)))
+    return _tail_fit(ctx.zs, ctx.det(), powers, left, right, sign)
 
 
 def reference_recurse(seq, window, lo, hi, zs, side, modes, store):
@@ -297,8 +304,8 @@ def reference_blocks(seq, zs, modes):
         for side in ("left", "right")
     )
     return [
-        _tail_fit(_GridContext(zs), left[:, j * m : (j + 1) * m], right[:, j * m : (j + 1) * m],
-                  lo, hi - 1, -1 if inverse else 1)
+        grid_tail_fit(zs, left[:, j * m : (j + 1) * m], right[:, j * m : (j + 1) * m],
+                      window, -1 if inverse else 1)
         for j, inverse in enumerate(modes)
     ]
 
@@ -642,9 +649,9 @@ def reference_identity_sweep(seq, zs):
     )
     fl, flc, fr, frc = fl[:, :m], fl[:, m:], fr[:, :m], fr[:, m:]
     p = seq.window.n_max + 1
-    t, r, l = _coefficients(*_tail_fit(_GridContext(zs), fl[:2], fr[p - lo : p - lo + 2], lo, p, 1))
+    t, r, l = _coefficients(*grid_tail_fit(zs, fl[:2], fr[p - lo : p - lo + 2], seq.window, 1))
     tt, rt, lt = _coefficients(
-        *_tail_fit(_GridContext(zs_inv), flc[:2], frc[p - lo : p - lo + 2], lo, p, 1)
+        *grid_tail_fit(zs_inv, flc[:2], frc[p - lo : p - lo + 2], seq.window, 1)
     )
     a, _, _ = coefficient_arrays(seq, lo + 1, hi)
     pair = a[:, None] * (fl[:-1] * fr[1:] - fl[1:] * fr[:-1])

@@ -29,14 +29,38 @@ def test_tree_matches_itself_on_every_workload():
 
 
 def test_changed_output_is_named(tmp_path):
+    """The copy prints tables with 16 digits and a note on stderr, and
+    its determinant row is off by one: each differing op is named with
+    what differs, and a report op with its changed rows alone."""
     shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    cli = tmp_path / "src" / "jacobiscatter" / "cli.py"
-    text = cli.read_text()
-    assert '_CSV_ROW = ",".join(["%.17g"]' in text
-    cli.write_text(text.replace('_CSV_ROW = ",".join(["%.17g"]', '_CSV_ROW = ",".join(["%.16g"]'))
+    package = tmp_path / "src" / "jacobiscatter"
+    edits = {
+        "cli.py": [
+            ('_CSV_ROW = ",".join(["%.17g"]', '_CSV_ROW = ",".join(["%.16g"]'),
+            ("    seq = _load_sequence(config.input_path)\n    grid = _grid_for(seq, config)\n",
+             "    seq = _load_sequence(config.input_path)\n    grid = _grid_for(seq, config)\n"
+             "    print('note', file=sys.stderr)\n"),
+        ],
+        "transition.py": [("    return np.abs(det - 1.0)\n", "    return np.abs(det - 1.0) + 1.0\n")],
+    }
+    for name, replacements in edits.items():
+        text = (package / name).read_text()
+        for old, new in replacements:
+            assert text.count(old) == 1, old
+            text = text.replace(old, new)
+        (package / name).write_text(text)
     proc = same_output(str(tmp_path), "--workloads", "small-batch")
     assert proc.returncode == 1
-    assert "  differs: scatter:readme" in proc.stdout.splitlines()
+    lines = proc.stdout.splitlines()
+    # BASE, the copy, before this tree
+    at = lines.index("  differs: scatter:readme")
+    assert lines[at + 1 : at + 3] == ["    stderr 'note' -> ''", "    stdout"]
     # the report rows are printed apart from the table rows
-    assert "  differs: factorize:readme" not in proc.stdout.splitlines()
+    assert "  differs: factorize:readme" not in lines
+    at = lines.index("  differs: identities:readme")
+    assert lines[at + 1 : at + 3] == ["    exit code 1 -> 0", "    stdout"]
+    row = lines[at + 3]
+    assert row.startswith("      transition_determinant: 1") and row.endswith(", pass false -> true")
+    # the other rows kept their bytes
+    assert lines[at + 4].startswith(("  differs: ", "seed "))

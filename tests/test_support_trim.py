@@ -21,7 +21,6 @@ from jacobiscatter import (
     transition_entries,
 )
 from jacobiscatter.jost import _fit_sweep
-from jacobiscatter.scattering import _tail_fit
 from jacobiscatter.spectral import _GridContext
 from conftest import (
     coupling_step_sequence,
@@ -30,6 +29,7 @@ from conftest import (
     single_site_sequence,
     two_impurity_sequence,
 )
+from test_kernel_reference import grid_tail_fit
 
 PAD = 500
 IDENT = np.eye(2, dtype=complex)
@@ -88,9 +88,7 @@ def test_two_row_fit_equals_full_array_fit(random_fixtures):
             assert bits(left) == bits(fl[:, :2].T)
             assert bits(right) == bits(fr[:, p - lo : p - lo + 2].T)
             sign = -1 if at_inverse else 1
-            full = _tail_fit(
-                _GridContext(zs), fl[:, :2].T, fr[:, p - lo : p - lo + 2].T, n, p, sign
-            )
+            full = grid_tail_fit(zs, fl[:, :2].T, fr[:, p - lo : p - lo + 2].T, seq.window, sign)
             assert bits(*scattering_amplitudes(seq, zs, at_inverse)) == bits(*full)
 
 
