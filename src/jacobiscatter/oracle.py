@@ -32,10 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jost import jost_values
+from .jost import _recurse, _rows_at, solution_range
 from .lattice import CoefficientSequence, coefficient_at
 from .scattering import ScatteringData
-from .spectral import _fault_where, require_admissible, wave_pair_det
+from .spectral import _fault_where, _GridContext, require_admissible, wave_pair_det
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,18 +126,26 @@ def transfer_matrix_scattering(seq: CoefficientSequence, z: complex) -> Scatteri
 def wronskian_values(
     seq: CoefficientSequence, zs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(T, R, L) arrays via constant pairings of normalized solutions."""
-    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    fl, lo = jost_values(seq, zs, "left")
-    fr, _ = jost_values(seq, zs, "right")
-    gl, _ = jost_values(seq, zs, "left", at_inverse=True)
-    gr, _ = jost_values(seq, zs, "right", at_inverse=True)
+    """(T, R, L) arrays via constant pairings of normalized solutions.
+
+    The pairings are taken at the lower tail, on the sites lo = n_min - 2
+    and lo + 1 below the window.  There the right solution and its
+    companion are their own seeded plane waves, z^-n and z^n, so only the
+    left pair is recursed, in one run that keeps its rows on those sites.
+    """
+    ctx = _GridContext(zs)
+    zs = ctx.zs
+    lo, hi = solution_range(seq)
+    sites = np.array([lo, lo + 1])
+    # the plain solution's columns, then its companion's
+    fl, gl = np.hsplit(_rows_at(_recurse(seq, lo, hi, ctx, "left", (False, True)), (lo, lo + 1)), 2)
+    fr, gr = ctx.power_table(-sites), ctx.power_table(sites)
     a_lo = seq.limits.a_inf  # site lo + 1 is below the window, so at the limit
 
     def pair(f, g):
-        return a_lo * (f[:, 0] * g[:, 1] - f[:, 1] * g[:, 0])
+        return a_lo * (f[0] * g[1] - f[1] * g[0])
 
-    base = seq.limits.a_inf * wave_pair_det(zs)
+    base = seq.limits.a_inf * ctx.det()
     w_lr = pair(fl, fr)
     _fault_where(np.abs(w_lr) < 1e-300, zs, "vanishing solution pairing")
     t = base / w_lr

@@ -13,6 +13,11 @@ fits produce 1/T; extraction insists the two agree and returns their
 mean, which turns a large family of implementation mistakes into loud
 faults instead of plausible numbers.
 
+_amplitude_blocks makes the fits of a run's jobs, the sequence, its
+fragments and any sequence sharing its limits, from one recursion sweep.
+It fits them all on the call and returns them as a list in job order,
+so the first job in that order whose fit faults raises.
+
 identity_sweep checks the relations among these data.  Its rows, and
 every report row, are one residual per grid point until _grid_maxima,
 the one reduction, turns each into the maximum a report prints, or
@@ -22,7 +27,6 @@ raises NumericalFault where a residual is not finite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -59,6 +63,7 @@ def _fit_exponents(window: IndexWindow) -> list[int]:
     return [n, n + 1, p, p + 1, -(p + 1), -p, -(n + 1), -n]
 
 
+@np.errstate(all="ignore")
 def _tail_fit(
     zs: np.ndarray, det: np.ndarray, powers: np.ndarray,
     left: np.ndarray, right: np.ndarray, sign: int,
@@ -123,7 +128,7 @@ def scattering_amplitudes(
     determinant changes sign, nothing is evaluated at a rounded
     reciprocal.
     """
-    return next(_amplitude_blocks(seq, [seq], _GridContext(zs), (at_inverse,)))[0]
+    return _amplitude_blocks(seq, [seq], _GridContext(zs), (at_inverse,))[0][0]
 
 
 def _amplitude_blocks(
@@ -131,64 +136,48 @@ def _amplitude_blocks(
     jobs: list[CoefficientSequence],
     ctx: _GridContext,
     modes: tuple[bool, ...],
-) -> Iterator[list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+) -> list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """scattering_amplitudes of each job, for each at_inverse mode.
 
-    jobs are typically seq itself, its fragments, or sequences that
-    depart from seq at a few sites.  The recursions of every job, both
-    sides and all modes, run on the call: those of the jobs that share
-    seq's limits in one _fit_sweep that shares seq's coefficients, any
-    other job in a sweep of its own; a job without deviations needs
-    none.  The fits run later: the returned iterator fits one job per
-    item, its modes in order, so a caller meets a fit's NumericalFault
-    exactly where it first reads that job.  A job given more than once,
-    the same object, is recursed and fitted once; its blocks are held
-    from its first read until its last, and every other job's rows are
-    let go once fitted.
+    Returns one item per job, in job order, each the job's fits in mode
+    order.  jobs are typically seq itself, its fragments, or sequences
+    that depart from seq at a few sites.  Every job is recursed and
+    fitted on the call: the jobs that share seq's limits in one
+    _fit_sweep that shares seq's coefficients, any other job in a sweep
+    of its own; a job without deviations needs none.  A job's rows are
+    let go once it is fitted, and the first job in order whose fit
+    faults raises its NumericalFault.
     """
     zs = ctx.zs
     m = zs.size
-    # each object once, in the order of its first read
-    distinct = list({id(job): job for job in jobs}.values())
-    supports = {id(job): effective_support(job) for job in distinct}
-    busy = [(job, supports[id(job)].window) for job in distinct if not supports[id(job)].free]
+    supports = [effective_support(job) for job in jobs]
+    busy = [(job, support.window) for job, support in zip(jobs, supports) if not support.free]
     shared = [(job, window) for job, window in busy if job.limits == seq.limits]
-    swept = iter(_fit_sweep(seq, shared, ctx, modes) if shared else ())
-    # the sweeps run now
-    rows = {
-        id(job): next(swept)
-        if job.limits == seq.limits
-        else _fit_sweep(job, [(job, window)], ctx, modes)[0]
-        for job, window in busy
-    }
-    # one power_table row per distinct exponent, and each job's rows in keys
+    # the shared rows, popped from the end as their jobs are fitted
+    swept = _fit_sweep(seq, shared, ctx, modes)[::-1] if shared else []
+    # one power_table row per exponent, however many jobs read it
     index: dict[int, int] = {}
-    keys = {
-        id(job): [index.setdefault(k, len(index)) for k in _fit_exponents(window)]
-        for job, window in busy
-    }
+    for _, window in busy:
+        for k in _fit_exponents(window):
+            index.setdefault(k, len(index))
     powers = ctx.power_table(np.array(list(index), dtype=int))
-    last_read = {id(job): i for i, job in enumerate(jobs)}
     columns = [(slice(j * m, (j + 1) * m), -1 if inverse else 1) for j, inverse in enumerate(modes)]
-
-    def fit(key):
-        if supports[key].free:
+    fits = []
+    for job, support in zip(jobs, supports):
+        if support.free:
             # nothing deviates from the limits: T = 1 and R = L = 0 exactly
-            return [(np.ones_like(zs), np.zeros_like(zs), np.zeros_like(zs)) for _ in modes]
-        left, right = rows.pop(key)
-        own = powers[keys.pop(key)]
-        return [_tail_fit(zs, ctx.det(), own, left[:, b], right[:, b], sign) for b, sign in columns]
-
-    def fits():
-        held = {}
-        for i, job in enumerate(jobs):
-            key = id(job)
-            blocks = held.pop(key) if key in held else fit(key)
-            if last_read[key] > i:
-                held[key] = blocks
-            yield blocks
-
-    return fits()
+            fits.append([(np.ones_like(zs), np.zeros_like(zs), np.zeros_like(zs)) for _ in modes])
+            continue
+        window = support.window
+        if job.limits == seq.limits:
+            left, right = swept.pop()
+        else:
+            ((left, right),) = _fit_sweep(job, [(job, window)], ctx, modes)
+        own = powers[[index[k] for k in _fit_exponents(window)]]
+        fits.append(
+            [_tail_fit(zs, ctx.det(), own, left[:, b], right[:, b], sign) for b, sign in columns]
+        )
+    return fits
 
 
 def scattering_values(

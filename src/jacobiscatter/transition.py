@@ -56,17 +56,17 @@ solutions take the memory of a few blocks, whatever the window's length.
 
 _identities_report is the kernel of the CLI's identities report.  It
 runs the identity sweep and then one tail-fit sweep of the whole, its
-fragments and each breakpoint's junction fragments, which the
-determinant, factorization and junction rows read in that order; the
-end fragments, which are also the outer junctions' outer parts, are
-swept and fitted once.  Its largest array is the identity sweep's left
-solution over the window, one row of grid points per site.
+fragments and each breakpoint's junction fragments, fitted on the call,
+in that order, so the first job that faults raises; the determinant,
+factorization and junction rows then read the fits.  The end fragments,
+which are also the outer junctions' outer parts, are swept and fitted
+once.  Its largest array is the identity sweep's left solution over the
+window, one row of grid points per site.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -120,7 +120,7 @@ def transition_for(seq: CoefficientSequence, z: complex) -> TransitionMatrix:
 
 def transition_entries(seq: CoefficientSequence, zs: np.ndarray) -> np.ndarray:
     """Vectorized transition matrices, one 2x2 block per circle point."""
-    return _entries(next(_amplitude_blocks(seq, [seq], _GridContext(zs), _PAIRED)))
+    return _entries(_amplitude_blocks(seq, [seq], _GridContext(zs), _PAIRED)[0])
 
 
 def _entries(blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -165,8 +165,8 @@ def _whole_and_product(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The whole's transition entries and its parts' ordered product."""
     # the whole and its parts from one sweep, fitted in that order
-    blocks = _amplitude_blocks(seq, [seq, *parts], ctx, _PAIRED)
-    return _entries(next(blocks)), _fragment_product(map(_entries, blocks))
+    whole, *fits = _amplitude_blocks(seq, [seq, *parts], ctx, _PAIRED)
+    return _entries(whole), _fragment_product(map(_entries, fits))
 
 
 def factorization_residuals(
@@ -250,7 +250,8 @@ def junction_residual_sweep(
     against the wave of the fragment it matches there, scaled by the
     ratio at n1 + 1, eight terms per junction: farther from the junction
     it would measure only the recursion's rounding drift.  The tail fits
-    of the whole and all the fragments recurse in one sweep.
+    of the whole and all the fragments recurse in one sweep, and all are
+    made before any junction is checked.
     Keys: right_junction, left_junction, plane_waves, factor_algebra.
 
     Raises NumericalFault, naming theta, where a fragment's solution pair
@@ -258,8 +259,8 @@ def junction_residual_sweep(
     where a residual is not finite.
     """
     ctx = _GridContext(zs)
-    fits = _amplitude_blocks(seq, [seq, *_junction_parts(seq, frag)], ctx, _PAIRED)
-    return _grid_maxima(_junction_sweep(seq, frag, ctx, _entries(next(fits)), fits), ctx.zs)
+    whole, *fits = _amplitude_blocks(seq, [seq, *_junction_parts(seq, frag)], ctx, _PAIRED)
+    return _grid_maxima(_junction_sweep(seq, frag, ctx, _entries(whole), fits), ctx.zs)
 
 
 def _identities_report(
@@ -270,32 +271,32 @@ def _identities_report(
     identity_sweep's rows and transition_determinant, then, given a
     fragmentation, factorization and junction_residual_sweep's keys.  The
     tail fits of the whole, its fragments and the junctions' run in one
-    sweep and are fitted as they are read, so a NumericalFault names the
-    first job that faults; every later row shares the whole's fit.  The
-    rows are reduced last, so a fit's fault comes before a residual that
-    is not finite.
+    sweep and are all made before the rows that read them, so a
+    NumericalFault names the first job in that order that faults; every
+    later row shares the whole's fit.  The rows are reduced last, so a fit's fault comes before
+    a residual that is not finite.
 
     The first fragment is the first junction's left part and the last
     fragment the last junction's right part, bit for bit, as fragment()
-    builds each pair from one mask.  So the junction list holds those
-    two objects themselves, and _amplitude_blocks recurses and fits each
-    once, for the product, and hands the same fit to the junction rows.
+    builds each pair from one mask.  So the sweep takes the junction parts
+    without those two, and the junction rows read the end fragments' fits
+    in their place.
     """
-    parts, junction_parts = [], []
+    parts, inner = [], []
     if frag is not None:
-        parts, junction_parts = fragment(seq, frag), _junction_parts(seq, frag)
-        junction_parts[0], junction_parts[-1] = parts[0], parts[-1]
+        parts, inner = fragment(seq, frag), _junction_parts(seq, frag)[1:-1]
     # every recursion and fit of the report shares this grid's drive and powers
     ctx = _GridContext(zs)
     rows = _identity_sweep(seq, ctx)
-    blocks = _amplitude_blocks(seq, [seq, *parts, *junction_parts], ctx, _PAIRED)
-    lam = _entries(next(blocks))
+    whole, *fits = _amplitude_blocks(seq, [seq, *parts, *inner], ctx, _PAIRED)
+    lam = _entries(whole)
     rows["transition_determinant"] = _determinant_gap(lam)
     if frag is not None:
-        product = _fragment_product(map(_entries, islice(blocks, len(parts))))
-        rows["factorization"] = _product_gap(lam, product)
+        ends = fits[: len(parts)]
+        rows["factorization"] = _product_gap(lam, _fragment_product(map(_entries, ends)))
         # one single-junction check per breakpoint, worst over them per row
-        rows.update(_junction_sweep(seq, frag, ctx, lam, blocks))
+        junction_fits = [ends[0], *fits[len(parts) :], ends[-1]]
+        rows.update(_junction_sweep(seq, frag, ctx, lam, junction_fits))
     return _grid_maxima(rows, ctx.zs)
 
 
@@ -305,14 +306,14 @@ def _junction_sweep(
     frag: Fragmentation,
     ctx: _GridContext,
     lam: np.ndarray,
-    fits: Iterator[list[tuple[np.ndarray, np.ndarray, np.ndarray]]],
+    fits: list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]],
 ) -> dict[str, np.ndarray]:
     """junction_residual_sweep's rows over the grid of ctx, one residual per
     point, given the whole's entries lam.
 
-    fits yields the amplitude blocks at z and 1/z of _junction_parts(seq,
-    frag), left then right fragment per breakpoint, fitted where the loop
-    reads them.
+    fits holds the amplitude blocks at z and 1/z of _junction_parts(seq,
+    frag), left then right fragment per breakpoint, all fitted before the
+    sweep, which reads them in pairs.
     """
     # T, R, L bit for bit those of scattering_values: lam00, lam01 and
     # lam10 are the plain block's fit, which equals its single-mode run
@@ -348,10 +349,10 @@ def _junction_sweep(
     def worsen(key, *terms):
         np.maximum(rows[key], _worst(*terms), out=rows[key])
 
-    for n1 in points:
+    for n1, left, right in zip(points, fits[::2], fits[1::2]):
         # keep only the coefficients the checks read, not the amplitudes
-        (t1, r1, _), (t1c, r1c, _) = [_coefficients(*block) for block in next(fits)]
-        (t2, _, l2), (t2c, _, l2c) = [_coefficients(*block) for block in next(fits)]
+        (t1, r1, _), (t1c, r1c, _) = [_coefficients(*block) for block in left]
+        (t2, _, l2), (t2c, _, l2c) = [_coefficients(*block) for block in right]
         # the fragments' quotients, each once, as the rows read them
         inv_t1, r1_over_t1, minus_r1_over_t1 = 1.0 / t1, r1 / t1, -r1 / t1
         inv_t1c, r1c_over_t1c, minus_r1c_over_t1c = 1.0 / t1c, r1c / t1c, -r1c / t1c

@@ -371,7 +371,9 @@ def test_overflowing_window_reports_only_the_fault(tmp_path):
     numpy's own overflow and invalid-value warnings from the kernel would
     name its source path and line numbers; stderr must hold the one fault
     line and nothing else.  So also where 1 / a of a subnormal coupling
-    overflows, as the tail-fit sweep computes its operands.
+    overflows, as the tail-fit sweep computes its operands, and where
+    couplings of 1e-300 overflow only in the tail fit's own arithmetic,
+    for scatter and for factorize.
     """
     seq = overflowing_sequence()
     overflowing = {
@@ -380,8 +382,15 @@ def test_overflowing_window_reports_only_the_fault(tmp_path):
         "a": seq.a_values.tolist(), "b": seq.b_values.tolist(), "w": seq.w_values.tolist(),
     }
     subnormal = dict(TWO_IMPURITY_INPUT, a=[1.0, 1e-310, 1.0])
-    for spec in (overflowing, subnormal):
-        proc = run_cli("scatter", "--input", write_input(tmp_path, spec))
+    tiny = dict(TWO_IMPURITY_INPUT, a_inf=1e-300, a=[1e-300, 1e-300, 1e-300])
+    runs = [
+        (overflowing, ["scatter"]),
+        (subnormal, ["scatter"]),
+        (tiny, ["scatter"]),
+        (tiny, ["factorize", "--breakpoints", "0"]),
+    ]
+    for spec, args in runs:
+        proc = run_cli(*args, "--input", write_input(tmp_path, spec))
         assert proc.returncode == 3
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()

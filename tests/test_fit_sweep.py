@@ -69,8 +69,8 @@ def breakpoint_sets(seq):
 
 def job_lists(seq):
     """The whole with each product's fragments; the single-junction
-    fragments of every breakpoint without the whole; the identities
-    report's own list, whose first and last junction fragments are the
+    fragments of every breakpoint without the whole; the whole, its
+    fragments and the junction fragments, whose first and last are the
     end fragments themselves; and a list that holds one object twice."""
     for points in breakpoint_sets(seq):
         parts = fragment(seq, Fragmentation(points))
@@ -199,18 +199,18 @@ def counting_sweeps(monkeypatch):
     return counts
 
 
-def test_a_job_given_twice_is_swept_and_fitted_once(monkeypatch, random_fixtures):
+def test_a_job_given_twice_is_swept_and_fitted_per_item(monkeypatch, random_fixtures):
     """Every item keeps the bits of the job fitted alone, and the sweep
-    takes each object once."""
+    takes one entry per item that deviates, a job given twice twice."""
     counts = counting_sweeps(monkeypatch)
     for seq in hand_fixtures() + random_fixtures[:6]:
         ctx = _GridContext(default_grid(seq, count=32).zs)
         for parts in job_lists(seq):
             for modes in ((False,), (False, True)):
                 counts.clear()
-                got = list(_amplitude_blocks(seq, parts, ctx, modes))
-                distinct = {id(part): part for part in parts}.values()
-                busy = [part for part in distinct if not effective_support(part).free]
+                got = _amplitude_blocks(seq, parts, ctx, modes)
+                assert len(got) == len(parts)
+                busy = [part for part in parts if not effective_support(part).free]
                 assert counts == ([len(busy)] if busy else [])
                 for part, blocks in zip(parts, got):
                     (want,) = _amplitude_blocks(seq, [part], ctx, modes)
@@ -218,14 +218,15 @@ def test_a_job_given_twice_is_swept_and_fitted_once(monkeypatch, random_fixtures
                         assert np.array(mine).tobytes() == np.array(theirs).tobytes()
 
 
-def test_a_job_given_twice_faults_at_its_first_read():
+def test_a_job_given_twice_faults_at_the_call():
+    """The overflowing whole faults on the call, though the fragment before
+    it in the list fits alone."""
     seq = overflowing_sequence()
-    zs = default_grid(seq, count=8).zs
+    ctx = _GridContext(default_grid(seq, count=8).zs)
     parts = fragment(seq, Fragmentation((seq.window.n_min + 10,)))
-    blocks = _amplitude_blocks(seq, [parts[0], seq, parts[0], seq], _GridContext(zs), (False,))
-    next(blocks)
+    _amplitude_blocks(seq, [parts[0]], ctx, (False,))
     with pytest.raises(NumericalFault, match="tail fit is not finite"):
-        next(blocks)
+        _amplitude_blocks(seq, [parts[0], seq, parts[0], seq], ctx, (False,))
 
 
 def test_identities_report_sweeps_the_end_fragments_once(monkeypatch):

@@ -13,7 +13,7 @@ import tracemalloc
 
 import numpy as np
 
-from jacobiscatter import Fragmentation, cli
+from jacobiscatter import Fragmentation, cli, wronskian_values
 from jacobiscatter.transition import _identities_report
 from test_kernel_reference import damped_window
 
@@ -47,6 +47,18 @@ def test_report_on_a_long_window_holds_one_array_of_its_sites():
     sites = seq.window.n_max - seq.window.n_min + 5
     one_array = np.empty((sites, POINTS), dtype=complex).nbytes
     assert traced_peak(lambda: _identities_report(seq, frag, zs)) <= 2 * one_array
+
+
+def test_pairing_route_holds_no_solution_array():
+    """The Wronskian route on 2,000 sites recurses one solution pair and
+    keeps two of its sites: it peaks below one complex array of the
+    solution range by 64 points, 2.05 MB, where four whole solutions took
+    4.5 of them."""
+    seq = damped_window(0, 2000, seed=7)
+    zs = cli._grid_for(seq, cli.RunConfig("", grid_count=POINTS)).zs
+    sites = seq.window.n_max - seq.window.n_min + 5
+    one_array = np.empty((sites, POINTS), dtype=complex).nbytes
+    assert traced_peak(lambda: wronskian_values(seq, zs)) < one_array
 
 
 def test_far_breakpoints_cost_no_memory_per_site(tmp_path):

@@ -14,6 +14,7 @@ from jacobiscatter import (
     NumericalFault,
     coefficient_at,
     extract_scattering,
+    jost_values,
     lambda_from_z,
     step_matrix,
     scattering_values,
@@ -22,7 +23,14 @@ from jacobiscatter import (
     wronskian_scattering,
     wronskian_values,
 )
-from conftest import default_grid, overflowing_sequence, single_site_sequence
+from jacobiscatter.spectral import wave_pair_det
+from conftest import (
+    default_grid,
+    free_sequence,
+    hand_fixtures,
+    overflowing_sequence,
+    single_site_sequence,
+)
 
 
 def test_step_matrix_entries(mixed_seq):
@@ -126,3 +134,31 @@ def test_pairing_route_faults_instead_of_returning_nan():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalFault, match="not finite at theta"):
             wronskian_values(seq, zs)
+
+
+def four_solution_pairings(seq, zs):
+    """The pairing route from four whole solutions, jost_values on each
+    side in each mode, paired on their first two sites."""
+    fl, _ = jost_values(seq, zs, "left")
+    fr, _ = jost_values(seq, zs, "right")
+    gl, _ = jost_values(seq, zs, "left", at_inverse=True)
+    gr, _ = jost_values(seq, zs, "right", at_inverse=True)
+    a_lo = seq.limits.a_inf
+
+    def pair(f, g):
+        return a_lo * (f[:, 0] * g[:, 1] - f[:, 1] * g[:, 0])
+
+    base = seq.limits.a_inf * wave_pair_det(zs)
+    t = base / pair(fl, fr)
+    l_over_t = -pair(fl, gr) / base
+    r_over_t = pair(fr, gl) / base
+    return t, r_over_t * t, l_over_t * t
+
+
+def test_pairing_route_equals_the_four_solution_formula(random_fixtures):
+    """Recursing only the left pair, and reading the right pair off its
+    seeded tail, keeps the bits of pairing four whole solutions."""
+    for seq in [free_sequence(), *hand_fixtures(), *random_fixtures]:
+        zs = default_grid(seq, count=64).zs
+        for got, want in zip(wronskian_values(seq, zs), four_solution_pairings(seq, zs)):
+            assert got.tobytes() == want.tobytes()
