@@ -191,9 +191,9 @@ def _recurse(
 
     The exact plane-wave tail is seeded past seq's window, block by block
     from the power table of ctx, and the recursion runs across it.  ctx
-    holds the grid zs and what recursions over it share: the drive for
-    seq's limits and the seeds' powers.  modes holds one at_inverse flag
-    per column block of zs.size columns, each seeded with its own sign,
+    holds the checked grid zs and computes the drive for seq's limits
+    and the seeds' powers.  modes holds one at_inverse flag per column
+    block of zs.size columns, each seeded with its own sign,
     so solutions sharing coefficients and drive, such as a solution and
     its companion at 1/z, advance together in one pass.  Every column
     block equals its one-mode run to the bit.

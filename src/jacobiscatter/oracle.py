@@ -76,8 +76,7 @@ def transfer_amplitude_map(seq: CoefficientSequence, zs: np.ndarray) -> np.ndarr
     into the (z^n, z^{-n}) amplitude basis.  The determinant is exactly 1
     because the coupling at both ends of that span sits at its limit.
     """
-    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    require_admissible(zs)
+    zs = _GridContext(zs).zs
     n_min, n_max = seq.window.n_min, seq.window.n_max
     p00 = np.ones_like(zs)
     p01 = np.zeros_like(zs)
@@ -145,7 +144,7 @@ def wronskian_values(
     def pair(f, g):
         return a_lo * (f[0] * g[1] - f[1] * g[0])
 
-    base = seq.limits.a_inf * ctx.det()
+    base = seq.limits.a_inf * wave_pair_det(zs)
     w_lr = pair(fl, fr)
     _fault_where(np.abs(w_lr) < 1e-300, zs, "vanishing solution pairing")
     t = base / w_lr

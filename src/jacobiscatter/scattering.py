@@ -35,7 +35,7 @@ from .errors import NumericalFault
 # this copy
 from .jost import _fit_sweep, _keep, _pairing, _recurse, jost_values, solution_range  # noqa: F401
 from .lattice import CoefficientSequence, IndexWindow, coefficient_arrays, effective_support
-from .spectral import _fault_where, _GridContext
+from .spectral import _fault_where, _GridContext, wave_pair_det
 
 # Relative disagreement of the two 1/T fits that flags a fault.
 MISMATCH_TOL = 1e-8
@@ -161,6 +161,7 @@ def _amplitude_blocks(
         for k in _fit_exponents(window):
             index.setdefault(k, len(index))
     powers = ctx.power_table(np.array(list(index), dtype=int))
+    det = wave_pair_det(zs)
     columns = [(slice(j * m, (j + 1) * m), -1 if inverse else 1) for j, inverse in enumerate(modes)]
     fits = []
     for job, support in zip(jobs, supports):
@@ -175,7 +176,7 @@ def _amplitude_blocks(
             ((left, right),) = _fit_sweep(job, [(job, window)], ctx, modes)
         own = powers[[index[k] for k in _fit_exponents(window)]]
         fits.append(
-            [_tail_fit(zs, ctx.det(), own, left[:, b], right[:, b], sign) for b, sign in columns]
+            [_tail_fit(zs, det, own, left[:, b], right[:, b], sign) for b, sign in columns]
         )
     return fits
 
@@ -237,8 +238,10 @@ def _identity_sweep(seq: CoefficientSequence, ctx: _GridContext) -> dict[str, np
     """identity_sweep's rows over the grid of ctx, one residual per point.
 
     The solutions at z and at the rounded reciprocal 1/z recurse as one
-    grid, over one context of both, and the fits at z and at 1/z read the
-    two halves of its determinant and power table.  Each side's rows are
+    grid, over one context of both, and are fitted as one: one
+    determinant, one power table and one tail fit over its 2m points,
+    whose data np.split then cuts into the halves at z and at 1/z, so
+    each fault check of the fit covers both halves.  Each side's rows are
     reduced block by block as _recurse hands them out.  The left side
     runs first and keeps its plain columns at z, which the Wronskian
     pairing reads against the right side's blocks, which come from the
@@ -275,12 +278,10 @@ def _identity_sweep(seq: CoefficientSequence, ctx: _GridContext) -> dict[str, np
                 base = pair[0]
             drift = np.maximum(drift, np.max(np.abs(pair - base), axis=0))
         last = rows[-1:, :m].copy()
-    det, powers = both.det(), both.power_table(np.array(_fit_exponents(seq.window)))
-    # the fit at z from the first m columns, then the fit at 1/z
-    (t, r, l), (tt, rt, lt) = (
-        _coefficients(*_tail_fit(both.zs[h], det[h], powers[:, h], ends[:2, h], ends[2:, h], 1))
-        for h in (slice(0, m), slice(m, None))
-    )
+    powers = both.power_table(np.array(_fit_exponents(seq.window)))
+    fit = _coefficients(*_tail_fit(both.zs, wave_pair_det(both.zs), powers, ends[:2], ends[2:], 1))
+    # the data at z from the first m columns, then the data at 1/z
+    (t, tt), (r, rt), (l, lt) = (np.split(part, 2) for part in fit)
     product = 1.0 / (t * tt)
     return {
         "solution_conjugation": sol_conj,

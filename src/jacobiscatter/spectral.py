@@ -24,7 +24,8 @@ CIRCLE_TOL = 1e-12
 DEGENERATE_FLOOR = 1e-8
 
 # numpy's complex power multiplies out integer exponents below this size;
-# larger ones take exp(k log z), which power_table computes over one log.
+# larger ones take exp(k log z), which power_table computes over one log
+# per table.
 FAST_POWER_LIMIT = 100
 
 
@@ -118,46 +119,33 @@ def wave_pair_det(zs: np.ndarray) -> np.ndarray:
 
 
 class _GridContext:
-    """What the recursions and tail fits of one run over one grid share.
+    """One checked grid of circle points, the entry of every grid function.
 
     Built from one circle point or a nonempty 1-d array of them, which it
     holds as a 1-d complex array and checks with require_admissible, so
-    every grid function checks its grid here, once, on entry.  It
-    computes each shared value on first use, by the expression its
-    callers used to evaluate themselves, so reading it changes no bit:
+    every grid function checks its grid here, once, on entry.  It caches
+    nothing: each method computes its value on every call:
 
     * drive(limits, blocks): the recursion drive a_inf (z + 1/z) + b_inf,
       tiled over blocks column blocks;
-    * det(): wave_pair_det(zs);
     * power_table(ks): zs[None, :] ** ks[:, None], site-major, the one
       route of every plane-wave power the seeds, tail fits and junction
       sweep read: numpy's repeated multiplication below FAST_POWER_LIMIT,
       and from there the bits of numpy's cpow, exp(k log z), as
-      np.exp(k * log) over one log(zs) made on first use, not per entry.
+      np.exp(k * log) over one log(zs) per table, not per entry.
     """
 
-    __slots__ = ("zs", "_det", "_log", "_drives")
+    __slots__ = ("zs",)
 
     def __init__(self, zs: np.ndarray):
         self.zs = np.atleast_1d(np.asarray(zs, dtype=complex))
         if self.zs.ndim > 1 or self.zs.size == 0:
             raise SpectralDomainError(f"grid shape {np.shape(zs)}: not one point or a nonempty row")
         require_admissible(self.zs)
-        self._det = None
-        self._log = None
-        self._drives: dict[tuple[float, float, int], np.ndarray] = {}
 
     def drive(self, limits: Limits, blocks: int) -> np.ndarray:
-        key = (limits.a_inf, limits.b_inf, blocks)
-        if key not in self._drives:
-            zs = self.zs
-            self._drives[key] = np.tile(limits.a_inf * (zs + 1.0 / zs) + limits.b_inf, blocks)
-        return self._drives[key]
-
-    def det(self) -> np.ndarray:
-        if self._det is None:
-            self._det = wave_pair_det(self.zs)
-        return self._det
+        zs = self.zs
+        return np.tile(limits.a_inf * (zs + 1.0 / zs) + limits.b_inf, blocks)
 
     def power_table(self, ks: np.ndarray) -> np.ndarray:
         """Row j holds zs to the integer power ks[j]."""
@@ -165,10 +153,8 @@ class _GridContext:
         fast = np.abs(ks) < FAST_POWER_LIMIT
         if fast.all():
             return zs[None, :] ** ks[:, None]
-        if self._log is None:
-            self._log = np.log(zs)
         # every row by the exp route, in place, then the small ones by numpy's
-        table = np.multiply(self._log[None, :], ks[:, None])
+        table = np.multiply(np.log(zs)[None, :], ks[:, None])
         np.exp(table, out=table)
         if fast.any():
             table[fast] = zs[None, :] ** ks[fast, None]

@@ -179,10 +179,12 @@ def factorization_residuals(
 
     parts overrides the fragment list, which exists so that a negative
     control can corrupt the padding or a limit and watch the product
-    detach.
+    detach; it must hold at least one part.
     """
     if parts is None:
         parts = fragment(seq, frag)
+    elif not parts:
+        raise ValueError("parts must hold at least one fragment")
     return _product_gap(*_whole_and_product(seq, parts, _GridContext(zs)))
 
 
@@ -196,6 +198,8 @@ def factorization_check(
 
     Raises NumericalFault where the residual is not finite.
     """
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     z = complex(z)
     parts = fragment(seq, frag)
     ctx = _GridContext(z)
@@ -285,7 +289,7 @@ def _identities_report(
     parts, inner = [], []
     if frag is not None:
         parts, inner = fragment(seq, frag), _junction_parts(seq, frag)[1:-1]
-    # every recursion and fit of the report shares this grid's drive and powers
+    # the report's grid, checked once
     ctx = _GridContext(zs)
     rows = _identity_sweep(seq, ctx)
     whole, *fits = _amplitude_blocks(seq, [seq, *parts, *inner], ctx, _PAIRED)

@@ -1,8 +1,8 @@
 """One grid context per run, and a grid held as arrays: both must be exact.
 
-A run builds one grid context and every recursion and tail fit over that
-grid reads its drive, plane-wave determinant and powers from it.  The
-grid itself keeps only its points as an array and builds angles, band
+A run builds one grid context, which checks its grid, and every
+recursion and tail fit over that grid reads its drive and powers from
+it.  The grid itself keeps only its points as an array and builds angles, band
 images and SpectralPoint objects on demand.  Both are reorganizations,
 so these tests hold them to the bit against the computation each value
 used to have, kept below as references.  The band image's imaginary-part
@@ -32,7 +32,9 @@ from jacobiscatter import (
     sample_circle,
     scattering_amplitudes,
     scattering_values,
+    transfer_matrix_values,
     transition_entries,
+    wronskian_values,
 )
 from jacobiscatter import cli, spectral
 from jacobiscatter.jost import _fit_sweep
@@ -73,7 +75,7 @@ def tail_rows(seq, ctx, modes):
 
 def test_context_tail_fit_equals_the_self_computed_fit():
     zs = sample_circle(Limits(1.0, 0.0, 1.0), 64, 0.05).zs
-    # one context across every window, so later fits share its det and log
+    # one context across every window
     shared = _GridContext(zs)
     exponents = set()
     for n_min, n_max in WINDOWS:
@@ -86,7 +88,7 @@ def test_context_tail_fit_equals_the_self_computed_fit():
         for sign, modes in ((1, (False,)), (-1, (True,))):
             left, right = tail_rows(seq, _GridContext(zs), modes)
             want = reference_tail_fit(zs, left, right, n, p, sign)
-            got = _tail_fit(shared.zs, shared.det(), powers, left, right, sign)
+            got = _tail_fit(shared.zs, wave_pair_det(shared.zs), powers, left, right, sign)
             assert bits(*got) == bits(*want)
             exponents.update(sign * k for k in (n, n + 1, -p, -(p + 1)))
             exponents.update(-sign * k for k in (n, n + 1, -p, -(p + 1)))
@@ -100,7 +102,6 @@ def test_context_shares_but_never_mixes_its_values():
     for k in (-101, -100, -2, -1, 0, 1, 2, 99, 100, 101):
         want = (zs[None, :] ** np.array([[k]]))[0]
         assert bits(ctx.power_table(np.array([k]))[0]) == bits(want)
-    assert bits(ctx.det()) == bits(wave_pair_det(zs))
     for limits in (Limits(1.0, 0.0, 1.0), Limits(-0.8, 0.3, 1.2)):
         drive = limits.a_inf * (zs + 1.0 / zs) + limits.b_inf
         assert bits(ctx.drive(limits, 1)) == bits(drive)
@@ -130,6 +131,8 @@ GRID_FUNCTIONS = {
         seq, Fragmentation((0,)), zs
     ),
     "identity_sweep": identity_sweep,
+    "transfer_matrix_values": transfer_matrix_values,
+    "wronskian_values": wronskian_values,
 }
 
 
@@ -278,8 +281,8 @@ def test_band_image_still_rejects_a_genuine_imaginary_part():
 
 def test_identities_run_builds_three_grid_contexts(tmp_path, monkeypatch):
     """Two contexts: the run's grid, and the identity sweep's grid of z
-    and its rounded reciprocal, which both its recursions and both its
-    fits share; the junction sweep recurses the whole sequence over the
+    and its rounded reciprocal, which both its recursions and its one fit
+    read; the junction sweep recurses the whole sequence over the
     run's own context."""
     path = tmp_path / "seq.json"
     path.write_text(json.dumps({

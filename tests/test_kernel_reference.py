@@ -40,7 +40,7 @@ from jacobiscatter.lattice import (
     fragment,
 )
 from jacobiscatter.scattering import _coefficients, _fit_exponents, _tail_fit
-from jacobiscatter.spectral import _GridContext
+from jacobiscatter.spectral import _GridContext, wave_pair_det
 from conftest import (
     default_grid,
     hand_fixtures,
@@ -57,7 +57,7 @@ def grid_tail_fit(zs, left, right, window, sign):
     """_tail_fit on the sites two past window over a context of zs alone."""
     ctx = _GridContext(zs)
     powers = ctx.power_table(np.array(_fit_exponents(window)))
-    return _tail_fit(ctx.zs, ctx.det(), powers, left, right, sign)
+    return _tail_fit(ctx.zs, wave_pair_det(ctx.zs), powers, left, right, sign)
 
 
 def reference_recurse(seq, window, lo, hi, zs, side, modes, store):

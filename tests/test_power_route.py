@@ -1,13 +1,13 @@
-"""Grid power tables from one shared log: the bits of numpy's own array power.
+"""Grid power tables from one log each: the bits of numpy's own array power.
 
 numpy multiplies out integer powers of a complex array below
 FAST_POWER_LIMIT and hands larger ones to the C library's cpow, which
 computes exp(k log z).  The grid context keeps numpy's route for small
-exponents and evaluates large ones as np.exp(k * log zs) over one shared
-log.  These tests hold every power table row the context hands out to
-the bit against numpy's expression with array exponents, across the
-switch at |k| = 100 and up to |k| = 20,004, on unit-circle grids, their
-rounded reciprocals and conjugates.
+exponents and evaluates large ones as np.exp(k * log zs) over one log
+per table.  These tests hold every power table row the context hands
+out to the bit against numpy's expression with array exponents, across
+the switch at |k| = 100 and up to |k| = 20,004, on unit-circle grids,
+their rounded reciprocals and conjugates.
 """
 
 import numpy as np
@@ -74,13 +74,21 @@ def test_power_table_equals_broadcast_power(name, table):
 
 
 @pytest.mark.parametrize("name", sorted(GRIDS))
-def test_small_exponent_table_is_numpy_broadcast_without_a_log(name):
+def test_small_exponent_table_is_numpy_broadcast_without_a_log(name, monkeypatch):
     zs = GRIDS[name]
     ks = np.arange(-99, 100)
     ctx = _GridContext(zs)
+    logs = []
+    log = np.log
+
+    def counting_log(x, *args, **kwargs):
+        logs.append(np.shape(x))
+        return log(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "log", counting_log)
     assert bits(ctx.power_table(ks)) == bits(zs[None, :] ** ks[:, None])
     assert ctx.power_table(ks[:0]).shape == (0, zs.size)
-    # the log is paid for only when some exponent needs it
-    assert ctx._log is None
-    ctx.power_table(np.array([100]))
-    assert ctx._log is not None
+    # the log is paid for only when some exponent needs it, once a table
+    assert logs == []
+    ctx.power_table(np.array([100, -100, 5]))
+    assert logs == [zs.shape]

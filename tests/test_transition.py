@@ -157,6 +157,24 @@ def test_part_with_other_limits_is_fitted_on_its_own(mixed_seq):
     assert float(np.max(gap)) > 1e-3
 
 
+def test_empty_parts_is_a_value_error(mixed_seq):
+    """An empty parts list is rejected on entry, not left to leak a
+    StopIteration that would silently end a map it runs under."""
+    frag = Fragmentation((0,))
+    zs = default_grid(mixed_seq, count=8).zs
+    with pytest.raises(ValueError, match="at least one"):
+        factorization_residuals(mixed_seq, frag, zs, parts=[])
+    lists = [fragment(mixed_seq, frag), [], fragment(mixed_seq, frag)]
+    with pytest.raises(ValueError, match="at least one"):
+        list(map(lambda parts: factorization_residuals(mixed_seq, frag, zs, parts), lists))
+
+
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0])
+def test_factorization_check_rejects_a_tolerance_not_positive_and_finite(tol, mixed_seq):
+    with pytest.raises(ValueError, match="positive and finite"):
+        factorization_check(mixed_seq, Fragmentation((0,)), 1j, tol=tol)
+
+
 def test_right_expansion_recovers_whole_ratios(coupling_step_seq, mixed_seq):
     for seq, n1 in ((coupling_step_seq, 0), (mixed_seq, 0)):
         sweep = junction_residual_sweep(seq, Fragmentation((n1,)), [1j])
