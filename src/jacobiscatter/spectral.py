@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -55,7 +56,10 @@ class BandEdges:
 class CircleGrid:
     """Ordered circle sample avoiding the degenerate points.
 
-    The grid is held as one read-only array of circle points.  The
+    The grid is held as one read-only array of circle points.  A grid from
+    sample_circle holds every point but its first and theta_lo with its
+    exact conjugate, which each grid function computes once (see
+    _GridContext.fold); thetas gives the two the negated angles.  The
     angles, band images and SpectralPoint objects are built point by
     point, only when asked for, with the scalar math.atan2 and band
     formula whose bits the vectorized versions do not reproduce; code
@@ -126,6 +130,13 @@ class _GridContext:
     every grid function checks its grid here, once, on entry.  It caches
     nothing: each method computes its value on every call:
 
+    * fold(): the classes {z, conj(z)} of the grid, found on bits, as a
+      context of one point per class and the spread that maps results
+      over those points back onto the grid.  A grid function computes
+      each conjugate pair and each repeated point once by running its
+      kernels on the folded context; the oracle routes and the identity
+      sweep's grid of z and 1/z read the context itself, every point as
+      given;
     * drive(limits, blocks): the recursion drive a_inf (z + 1/z) + b_inf,
       tiled over blocks column blocks;
     * power_table(ks): zs[None, :] ** ks[:, None], site-major, the one
@@ -143,6 +154,53 @@ class _GridContext:
             raise SpectralDomainError(f"grid shape {np.shape(zs)}: not one point or a nonempty row")
         require_admissible(self.zs)
 
+    def fold(self) -> tuple[_GridContext, Callable[[np.ndarray], np.ndarray]]:
+        """A context of the grid's first point of each class, and the spread.
+
+        A class is a point with its repeats and its conjugates, matched on
+        bit patterns, never within a tolerance: 0.0 and -0.0 differ.  No
+        grid point is real, as require_admissible keeps z = +1, -1 out, so
+        a point's imaginary part and its conjugate's differ in sign.  The
+        classes keep the order of their first points, so a fault that names
+        the first bad point of the folded grid names the caller's first, as
+        a point and its conjugate fault together.
+
+        spread(values) takes values whose first axis runs over the folded
+        points to the grid's own: a repeat copies its class's entry and a
+        conjugate conjugates it.  The data at conj(z) are the conjugates of
+        those at z bit for bit, but for the sign of an exact zero: numpy's
+        complex division, for one, gives a zero part the sign of its
+        operands' parts.  So spread makes every zero +0.0, and a point's
+        entry has the bits of a one-point call at it.  A grid without pairs
+        or repeats maps onto itself: fold returns the context, and its
+        spread only sets the zeros' sign, in place.
+        """
+        zs = self.zs
+        m = zs.size
+        # z and conj(z) have one key: the bytes of z with its imaginary
+        # part's sign bit cleared
+        key = zs.copy()
+        np.abs(key.imag, out=key.imag)
+        first: dict[bytes, int] = {}
+        rep = np.array([first.setdefault(k, i) for i, k in enumerate(key.view("V16").tolist())])
+        if len(first) == m:
+            return self, _positive_zeros
+        # each class's first point, in grid order, and each point's class
+        own = np.flatnonzero(rep == np.arange(m))
+        index = np.searchsorted(own, rep)
+        folded = _GridContext.__new__(_GridContext)
+        folded.zs = zs[own]  # points of this grid, already checked
+        # -1 where a point is its class's first point's conjugate
+        sign = 1.0 - 2.0 * (zs.imag != zs.imag[rep])
+
+        def spread(values: np.ndarray) -> np.ndarray:
+            out = values[index]
+            if np.iscomplexobj(out):
+                out.imag *= sign.reshape((-1,) + (1,) * (out.ndim - 1))
+            return _positive_zeros(out)
+
+        return folded, spread
+
     def drive(self, limits: Limits, blocks: int) -> np.ndarray:
         zs = self.zs
         return np.tile(limits.a_inf * (zs + 1.0 / zs) + limits.b_inf, blocks)
@@ -159,6 +217,12 @@ class _GridContext:
         if fast.any():
             table[fast] = zs[None, :] ** ks[fast, None]
         return table
+
+
+def _positive_zeros(values: np.ndarray) -> np.ndarray:
+    """values, every -0.0 in it made +0.0 in place: x + 0.0 keeps every other bit."""
+    values += 0.0
+    return values
 
 
 def _fault_where(bad: np.ndarray, zs: np.ndarray, what: str) -> None:
@@ -245,11 +309,18 @@ def sample_circle(limits: Limits, count: int, exclusion_delta: float) -> CircleG
     chordal distance exclusion_delta from +1 or -1.  The two remaining
     half-arcs are glued end to end and walked with a constant step of
     total length / count, starting at the lower boundary theta =
-    -pi + theta_lo.  The resulting angles ascend monotonically through
-    the lower half and then the upper half, and the point sets of the
-    two halves agree under conjugation up to a one-step offset.  When
-    count is divisible by four, -pi/2 and +pi/2 are grid nodes and are
-    assigned exactly rather than through the accumulated step.
+    -pi + theta_lo.  The lower half holds the first ceil(count / 2)
+    points and the upper half the rest, so the halves are split by
+    index, not by comparing the rounded walk with the arc.  Point 0 and
+    the upper half are computed from their angles on the walk; every
+    other lower point i is the exact conjugate of upper point count - i.
+    So the angles ascend through the lower half and then the upper half,
+    every point but point 0 and, for an even count, point count / 2 (at
+    theta_lo) has its conjugate on the grid bit for bit, and a lower
+    point sits within a few rounding steps of its place on the walk.
+    When count is divisible by four, +pi/2 is a grid node, assigned
+    exactly rather than through the accumulated step, and so is -pi/2,
+    its conjugate.
     """
     if count < 1:
         raise SpectralDomainError(f"grid needs at least one point, got {count}")
@@ -263,19 +334,19 @@ def sample_circle(limits: Limits, count: int, exclusion_delta: float) -> CircleG
             f"exclusion_delta = {exclusion_delta} leaves no admissible arc"
         )
     step = 2.0 * arc / count
-    positions = np.arange(count) * step
-    thetas = np.where(
-        positions < arc,
-        -math.pi + theta_lo + positions,
-        theta_lo + (positions - arc),
-    )
+    lower = (count + 1) // 2
+    # the upper half on the walk
+    thetas = theta_lo + (np.arange(lower, count) * step - arc)
     if count % 4 == 0:
-        thetas[count // 4] = -0.5 * math.pi
-        thetas[3 * count // 4] = 0.5 * math.pi
+        thetas[3 * count // 4 - lower] = 0.5 * math.pi
     # the scalar cos and sin, whose bits numpy's vectorized ones need not match
-    angles = thetas.tolist()
+    angles = [-math.pi + theta_lo, *thetas.tolist()]
+    walked = np.empty(len(angles), dtype=complex)
+    walked.real = list(map(math.cos, angles))
+    walked.imag = list(map(math.sin, angles))
     zs = np.empty(count, dtype=complex)
-    zs.real = list(map(math.cos, angles))
-    zs.imag = list(map(math.sin, angles))
+    zs[0], zs[lower:] = walked[0], walked[1:]
+    # lower point i, for 1 <= i < lower, is the conjugate of upper point count - i
+    zs[1:lower] = np.conj(zs[count - 1 : count - lower : -1])
     require_on_circle(zs)
     return CircleGrid(zs, limits, float(exclusion_delta))

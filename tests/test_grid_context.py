@@ -7,6 +7,11 @@ images and SpectralPoint objects on demand.  Both are reorganizations,
 so these tests hold them to the bit against the computation each value
 used to have, kept below as references.  The band image's imaginary-part
 check is scaled by the image's terms, so large limits build a grid.
+
+Each grid function computes each class of a point, its conjugate and its
+repeats once, and mirrors the rest: every per-point function must still
+give each point the bits of its one-point call, and every maximum must be
+the maximum of the one-point maxima.
 """
 
 import cmath
@@ -40,7 +45,7 @@ from jacobiscatter import cli, spectral
 from jacobiscatter.jost import _fit_sweep
 from jacobiscatter.scattering import _fit_exponents, _tail_fit
 from jacobiscatter.spectral import _GridContext, wave_pair_det
-from conftest import make_sequence
+from conftest import hand_fixtures, make_sequence, random_sequence
 
 LARGE_LIMITS = (Limits(1e4, 0.0, 1.0), Limits(1e3, 0.0, 1e-3))
 
@@ -158,19 +163,133 @@ def test_every_grid_function_rejects_a_grid_without_points_or_on_two_axes():
             assert result_bits(grid_function(seq, z)) == result_bits(one), name
 
 
+# every per-point grid function, its grid on the first axis of one array
+PER_POINT = {
+    **{
+        f"jost_values {side}{' at_inverse' * inverse}": (
+            lambda seq, zs, side=side, inverse=inverse: jost_values(seq, zs, side, inverse)[0]
+        )
+        for side in ("left", "right")
+        for inverse in (False, True)
+    },
+    **{
+        f"{name}{' at_inverse' * inverse}": (
+            lambda seq, zs, function=function, inverse=inverse: np.stack(
+                function(seq, zs, inverse), axis=-1
+            )
+        )
+        for name, function in (
+            ("scattering_amplitudes", scattering_amplitudes),
+            ("scattering_values", scattering_values),
+        )
+        for inverse in (False, True)
+    },
+    "transition_entries": transition_entries,
+    "determinant_residuals": determinant_residuals,
+    "factorization_residuals": GRID_FUNCTIONS["factorization_residuals"],
+}
+
+# the grid functions that return one maximum per row
+MAXIMA = {
+    name: GRID_FUNCTIONS[name] for name in ("junction_residual_sweep", "identity_sweep")
+}
+
+
+def mirror_cases():
+    """Sequences with closed grids of 64 points, and grids of a point, its
+    conjugate and a repeat, and of i, -0.0 + i and its conjugate.
+
+    The free lattice's R = 0 and the single site's purely imaginary R / T
+    have exact zero parts, whose sign the arithmetic at z and at conj(z)
+    need not share; a window with site 0 in its seeded tail keeps
+    z^0 = 1 + 0j in its solutions."""
+    rng = np.random.default_rng(28)
+    seqs = [
+        make_sequence(0, [1.0], [0.0], [1.0]),
+        *hand_fixtures(),
+        make_sequence(-2, [1.0, 1.1], [0.2, -0.1], [1.0, 1.2]),
+        random_sequence(rng),
+        random_sequence(rng),
+    ]
+    for seq in seqs:
+        closed = sample_circle(seq.limits, 64, 0.05).zs
+        z = closed[5]
+        odd = np.array([z, np.conj(z), z, 1j, complex(-0.0, 1.0), complex(-0.0, -1.0)])
+        yield seq, closed
+        yield seq, odd
+
+
+def test_grids_fold_into_classes_of_conjugates_matched_on_bits():
+    """A point, its conjugate and its repeats are one class; 0.0 and -0.0
+    are not the same bits, so i and -0.0 + i are two."""
+    z = sample_circle(Limits(1.0, 0.0, 1.0), 64, 0.05).zs[5]
+    odd = np.array([z, np.conj(z), z, 1j, complex(-0.0, 1.0), complex(-0.0, -1.0)])
+    folded, _ = _GridContext(odd).fold()
+    assert bits(folded.zs) == bits(odd[[0, 3, 4]])
+    closed = sample_circle(Limits(1.0, 0.0, 1.0), 64, 0.05).zs
+    folded, _ = _GridContext(closed).fold()
+    # point 0, the lower interior points, and theta_lo at point 32
+    assert bits(folded.zs) == bits(closed[:33])
+    # a grid without pairs maps onto itself
+    lower = _GridContext(closed[:32])
+    assert lower.fold()[0] is lower
+
+
+def test_every_per_point_grid_function_mirrors_its_one_point_calls():
+    """Each point of a grid has the bits of the one-point call at it, where
+    the grid computes each class of conjugates once and mirrors the rest."""
+    for seq, zs in mirror_cases():
+        for name, grid_function in PER_POINT.items():
+            values = grid_function(seq, zs)
+            assert values.shape[0] == zs.size
+            for i in range(zs.size):
+                one = grid_function(seq, zs[i : i + 1])
+                assert values[i].tobytes() == one[0].tobytes(), (name, seq, i)
+
+
+def test_every_maximum_is_the_maximum_of_the_one_point_maxima():
+    for seq, zs in mirror_cases():
+        for name, grid_function in MAXIMA.items():
+            rows = grid_function(seq, zs)
+            ones = [grid_function(seq, zs[i : i + 1]) for i in range(zs.size)]
+            for key, value in rows.items():
+                assert bits(value) == bits(max(one[key] for one in ones)), (name, key, seq)
+
+
+def test_a_fault_names_the_first_theta_in_the_callers_order():
+    """A barrier of b = 3 over 460 sites: solutions grow through it fastest
+    at lam = -2 and overflow at theta = +-3, not at 0.3 or 0.5.  The fault
+    names the bad point that comes first in the grid as given, whichever
+    of the pair that is."""
+    seq = make_sequence(0, [1.0] * 460, [3.0] * 460, [1.0] * 460)
+    bad = cmath.exp(3.0j)
+    for pair in ([bad.conjugate(), bad], [bad, bad.conjugate()]):
+        zs = np.array([cmath.exp(0.5j), *pair, cmath.exp(0.3j)])
+        theta = format(cmath.phase(pair[0]), ".6g")
+        for name, grid_function in {**PER_POINT, **MAXIMA}.items():
+            if name.startswith("jost_values"):
+                continue  # the solutions overflow without a fault
+            with pytest.raises(NumericalFault, match=f"tail fit is not finite at theta = {theta}$"):
+                grid_function(seq, zs)
+
+
 def reference_grid(limits, count, exclusion_delta):
-    """sample_circle as it was: a tuple of SpectralPoints built point by point."""
+    """sample_circle as a list of SpectralPoints built point by point: point 0
+    and the upper half on the walk, each other lower point the conjugate
+    of its upper partner."""
     theta_lo = 2.0 * math.asin(min(exclusion_delta, 2.0) / 2.0)
     arc = math.pi - 2.0 * theta_lo
     step = 2.0 * arc / count
-    positions = np.arange(count) * step
-    thetas = np.where(
-        positions < arc, -math.pi + theta_lo + positions, theta_lo + (positions - arc)
-    )
+    lower = (count + 1) // 2
+    thetas = {0: -math.pi + theta_lo}
+    for i in range(lower, count):
+        thetas[i] = theta_lo + (i * step - arc)
     if count % 4 == 0:
-        thetas[count // 4] = -0.5 * math.pi
         thetas[3 * count // 4] = 0.5 * math.pi
-    zs = [complex(math.cos(theta), math.sin(theta)) for theta in thetas]
+    zs = [complex(math.cos(thetas[i]), math.sin(thetas[i])) if i in thetas else None
+          for i in range(count)]
+    for i in range(1, lower):
+        zs[i] = zs[count - i].conjugate()
     points = []
     for z in zs:
         lam = (limits.a_inf * (z + 1.0 / z) + limits.b_inf) / limits.w_inf
@@ -183,6 +302,8 @@ GRID_CASES = (
     (Limits(1.3, -0.2, 0.8), 64, 0.05),
     (Limits(-0.9, 0.4, 1.1), 37, 0.2),
     (Limits(1.0, 0.0, 1.0), 4, 0.1),
+    # the walk's rounding once put point 3 of 6 at -theta_lo
+    (Limits(1.0, 0.0, 1.0), 6, 0.05),
 )
 
 
@@ -280,10 +401,11 @@ def test_band_image_still_rejects_a_genuine_imaginary_part():
 
 
 def test_identities_run_builds_three_grid_contexts(tmp_path, monkeypatch):
-    """Two contexts: the run's grid, and the identity sweep's grid of z
-    and its rounded reciprocal, which both its recursions and its one fit
-    read; the junction sweep recurses the whole sequence over the
-    run's own context."""
+    """Two contexts are built and checked: the run's grid, and the identity
+    sweep's grid of z and its rounded reciprocal over the run's 33 classes
+    of conjugates, which both its recursions and its one fit read.  The
+    folded context of those 33 points, which the junction sweep recurses
+    the whole sequence over, holds points already checked."""
     path = tmp_path / "seq.json"
     path.write_text(json.dumps({
         "a_inf": 1.0, "b_inf": 0.0, "w_inf": 1.0, "n_min": -1, "n_max": 1,
@@ -299,4 +421,4 @@ def test_identities_run_builds_three_grid_contexts(tmp_path, monkeypatch):
     monkeypatch.setattr(_GridContext, "__init__", counting_init)
     argv = ["identities", "--input", str(path), "--breakpoints=-1,0,1", "--grid", "64"]
     assert run_quietly(argv) == 0
-    assert built == [64, 128]
+    assert built == [64, 66]

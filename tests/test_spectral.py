@@ -161,12 +161,40 @@ def test_sample_circle_hits_quarter_points_exactly():
     assert thetas[384] == 0.5 * math.pi
 
 
-def test_sample_circle_conjugation_symmetry_up_to_alignment():
+def test_sample_circle_conjugation_symmetry_is_exact():
+    """Every point but -pi + theta_lo and theta_lo has its conjugate on the
+    grid, bit for bit, and each angle is the negated angle of its partner."""
     grid = sample_circle(UNIT_LIMITS, 512, 1e-3)
-    thetas = np.sort(grid.thetas)
-    step = thetas[1] - thetas[0]
-    for theta in thetas:
-        assert np.min(np.abs(thetas + theta)) <= step + 1e-12
+    zs, thetas = grid.zs, grid.thetas
+    theta_lo = 2.0 * math.asin(5e-4)
+    for i in range(1, 256):
+        assert zs[i].tobytes() == np.conj(zs[512 - i]).tobytes()
+        assert thetas[i] == -thetas[512 - i]
+    assert thetas[0] == -math.pi + theta_lo
+    assert thetas[256] == pytest.approx(theta_lo, abs=1e-15)
+
+
+@pytest.mark.parametrize("delta", [1e-3, 0.01, 0.05, 0.1])
+def test_sample_circle_halves_by_index_into_exact_pairs(delta):
+    """Over counts 1 to 600 the lower half holds the first ceil(count / 2)
+    points and the upper half the rest.  The split used to compare the
+    rounded walk with the arc, and at 66 of these (count, delta) pairs, such
+    as 6 or 12 points at delta 0.05, the point meant for theta_lo landed at
+    -theta_lo: the halves held 4 and 2 points, or 7 and 5."""
+    theta_lo = 2.0 * math.asin(delta / 2.0)
+    start = -math.pi + theta_lo
+    first = complex(math.cos(start), math.sin(start))
+    for count in range(1, 601):
+        zs = sample_circle(UNIT_LIMITS, count, delta).zs
+        lower = (count + 1) // 2
+        assert np.all(zs[:lower].imag < 0) and np.all(zs[lower:].imag > 0), count
+        pairs = range(1, lower)
+        assert zs[list(pairs)].tobytes() == np.conj(zs[[count - i for i in pairs]]).tobytes()
+        assert np.all(np.diff(np.angle(zs)) > 0), count
+        assert zs[0] == first and zs[:1].tobytes() == np.array([first]).tobytes()
+        if count % 4 == 0:
+            assert zs[count // 4].tobytes() == np.conj(zs[3 * count // 4]).tobytes()
+            assert zs[3 * count // 4] == complex(math.cos(0.5 * math.pi), 1.0)
 
 
 def test_sample_circle_determinism():
