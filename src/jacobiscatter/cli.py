@@ -35,7 +35,7 @@ from .lattice import (
     validate_sequence,
 )
 from .scattering import _grid_maxima, scattering_values
-from .spectral import CircleGrid, sample_circle
+from .spectral import CircleGrid, _mirror_pairs, _pair_half, sample_circle
 from .transition import _identities_report, factorization_residuals
 
 _TABLE_FIELDS = (
@@ -137,7 +137,8 @@ def run_scatter(config: RunConfig) -> int:
     """Sweep the grid and write the coefficient table.  Exit 0 on success."""
     seq = _load_sequence(config.input_path)
     grid = _grid_for(seq, config)
-    t, r, l = scattering_values(seq, grid.zs)
+    # each conjugate pair computed once, then mirrored
+    t, r, l = (_mirror_pairs(v, len(grid)) for v in scattering_values(seq, _pair_half(grid)))
     rows = list(
         zip(
             grid.thetas.tolist(),
@@ -181,17 +182,19 @@ def run_factorize(config: RunConfig, corrupt_padding: bool = False) -> int:
         raise ValueError("factorize requires --breakpoints")
     seq = _load_sequence(config.input_path)
     frag = Fragmentation(tuple(config.breakpoints))
-    grid = _grid_for(seq, config)
+    # the maxima over one point of each conjugate pair are the grid's
+    zs = _pair_half(_grid_for(seq, config))
     parts = _corrupted_padding(fragment(seq, frag)) if corrupt_padding else None
-    residuals = factorization_residuals(seq, frag, grid.zs, parts=parts)
-    return _write_report(_grid_maxima({"factorization": residuals}, grid.zs), config)
+    residuals = factorization_residuals(seq, frag, zs, parts=parts)
+    return _write_report(_grid_maxima({"factorization": residuals}, zs), config)
 
 
 def run_identities(config: RunConfig) -> int:
     """Sweep every identity; junction checks join in when breakpoints are given."""
     seq = _load_sequence(config.input_path)
     frag = Fragmentation(tuple(config.breakpoints)) if config.breakpoints else None
-    return _write_report(_identities_report(seq, frag, _grid_for(seq, config).zs), config)
+    zs = _pair_half(_grid_for(seq, config))
+    return _write_report(_identities_report(seq, frag, zs), config)
 
 
 def _write_report(named: dict[str, float], config: RunConfig) -> int:

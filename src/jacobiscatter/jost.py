@@ -143,10 +143,10 @@ def jost_values(
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    ctx, spread = _GridContext(zs).fold()
+    ctx = _GridContext(zs)
     lo, hi = solution_range(seq)
     ((_, rows),) = _recurse(seq, lo, hi, ctx, side, (at_inverse,), block=hi - lo + 1)
-    return spread(rows.T), lo
+    return rows.T, lo
 
 
 def _step(drive, scaled, part, v, dst, out, near, far, scale, first, second, inverse) -> None:

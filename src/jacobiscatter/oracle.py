@@ -24,11 +24,6 @@ of the four normalized solutions gives
 
 The constants were fixed by the substitution and validated against the
 single-site closed form before this module was allowed to arbitrate.
-
-Both routes read their grid through spectral._GridContext, which checks
-it, and compute every point as given: neither folds the grid, so where
-the extraction computes a pair {z, conj(z)} once and mirrors it, these
-routes compute both points, and a check against them checks the mirror.
 """
 
 from __future__ import annotations

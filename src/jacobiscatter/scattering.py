@@ -128,8 +128,7 @@ def scattering_amplitudes(
     determinant changes sign, nothing is evaluated at a rounded
     reciprocal.
     """
-    ctx, spread = _GridContext(zs).fold()
-    return tuple(map(spread, _amplitude_blocks(seq, [seq], ctx, (at_inverse,))[0][0]))
+    return _amplitude_blocks(seq, [seq], _GridContext(zs), (at_inverse,))[0][0]
 
 
 def _amplitude_blocks(
@@ -186,9 +185,7 @@ def scattering_values(
     seq: CoefficientSequence, zs: np.ndarray, at_inverse: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized (T, R, L) arrays over circle points zs."""
-    ctx, spread = _GridContext(zs).fold()
-    fit = _amplitude_blocks(seq, [seq], ctx, (at_inverse,))[0][0]
-    return tuple(map(spread, _coefficients(*fit)))
+    return _coefficients(*scattering_amplitudes(seq, zs, at_inverse))
 
 
 def extract_scattering(
@@ -232,7 +229,7 @@ def identity_sweep(seq: CoefficientSequence, zs: np.ndarray) -> dict[str, float]
     Raises NumericalFault, naming the row and theta, where a residual is
     not finite.
     """
-    ctx, _ = _GridContext(zs).fold()
+    ctx = _GridContext(zs)
     return _grid_maxima(_identity_sweep(seq, ctx), ctx.zs)
 
 
@@ -241,19 +238,17 @@ def _identity_sweep(seq: CoefficientSequence, ctx: _GridContext) -> dict[str, np
     """identity_sweep's rows over the grid of ctx, one residual per point.
 
     The solutions at z and at the rounded reciprocal 1/z recurse as one
-    grid, over one context of both, which is never folded: 1/z rounds to
-    the exact conjugate of z at many points (222 of the default 512), and
-    folding the two would mirror the data the conjugation rows compare.
-    They are fitted as one: one determinant, one power table and one tail
-    fit over its 2m points, whose data np.split then cuts into the halves
-    at z and at 1/z, so each fault check of the fit covers both halves.
-    Each side's rows are reduced block by block as _recurse hands them
-    out.  The left side runs first and keeps its plain columns at z, which
-    the Wronskian pairing reads against the right side's blocks, which
-    come from the lowest site up, so the pairing's base, at the lowest
-    site pair, comes first.  An overflowing window faults in the fits,
-    which read the rows' ends; a row that overflows on finite fits is
-    _grid_maxima's to report.
+    grid, over one context of both, and are fitted as one: one
+    determinant, one power table and one tail fit over its 2m points,
+    whose data np.split then cuts into the halves at z and at 1/z, so
+    each fault check of the fit covers both halves.  Each side's rows are
+    reduced block by block as _recurse hands them out.  The left side
+    runs first and keeps its plain columns at z, which the Wronskian
+    pairing reads against the right side's blocks, which come from the
+    lowest site up, so the pairing's base, at the lowest site pair, comes
+    first.  An overflowing window faults in the fits, which read the
+    rows' ends; a row that overflows on finite fits is _grid_maxima's to
+    report.
     """
     zs = ctx.zs
     m = zs.size

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -58,12 +57,11 @@ class CircleGrid:
 
     The grid is held as one read-only array of circle points.  A grid from
     sample_circle holds every point but its first and theta_lo with its
-    exact conjugate, which each grid function computes once (see
-    _GridContext.fold); thetas gives the two the negated angles.  The
-    angles, band images and SpectralPoint objects are built point by
-    point, only when asked for, with the scalar math.atan2 and band
-    formula whose bits the vectorized versions do not reproduce; code
-    that reads only zs never pays for them.
+    exact conjugate (see _pair_half); thetas gives the two the negated
+    angles.  The angles, band images and SpectralPoint objects are built
+    point by point, only when asked for, with the scalar math.atan2 and
+    band formula whose bits the vectorized versions do not reproduce;
+    code that reads only zs never pays for them.
     """
 
     zs: np.ndarray
@@ -127,16 +125,10 @@ class _GridContext:
 
     Built from one circle point or a nonempty 1-d array of them, which it
     holds as a 1-d complex array and checks with require_admissible, so
-    every grid function checks its grid here, once, on entry.  It caches
-    nothing: each method computes its value on every call:
+    every grid function checks its grid here, once, on entry, and
+    computes every point as given.  It caches nothing: each method
+    computes its value on every call:
 
-    * fold(): the classes {z, conj(z)} of the grid, found on bits, as a
-      context of one point per class and the spread that maps results
-      over those points back onto the grid.  A grid function computes
-      each conjugate pair and each repeated point once by running its
-      kernels on the folded context; the oracle routes and the identity
-      sweep's grid of z and 1/z read the context itself, every point as
-      given;
     * drive(limits, blocks): the recursion drive a_inf (z + 1/z) + b_inf,
       tiled over blocks column blocks;
     * power_table(ks): zs[None, :] ** ks[:, None], site-major, the one
@@ -154,53 +146,6 @@ class _GridContext:
             raise SpectralDomainError(f"grid shape {np.shape(zs)}: not one point or a nonempty row")
         require_admissible(self.zs)
 
-    def fold(self) -> tuple[_GridContext, Callable[[np.ndarray], np.ndarray]]:
-        """A context of the grid's first point of each class, and the spread.
-
-        A class is a point with its repeats and its conjugates, matched on
-        bit patterns, never within a tolerance: 0.0 and -0.0 differ.  No
-        grid point is real, as require_admissible keeps z = +1, -1 out, so
-        a point's imaginary part and its conjugate's differ in sign.  The
-        classes keep the order of their first points, so a fault that names
-        the first bad point of the folded grid names the caller's first, as
-        a point and its conjugate fault together.
-
-        spread(values) takes values whose first axis runs over the folded
-        points to the grid's own: a repeat copies its class's entry and a
-        conjugate conjugates it.  The data at conj(z) are the conjugates of
-        those at z bit for bit, but for the sign of an exact zero: numpy's
-        complex division, for one, gives a zero part the sign of its
-        operands' parts.  So spread makes every zero +0.0, and a point's
-        entry has the bits of a one-point call at it.  A grid without pairs
-        or repeats maps onto itself: fold returns the context, and its
-        spread only sets the zeros' sign, in place.
-        """
-        zs = self.zs
-        m = zs.size
-        # z and conj(z) have one key: the bytes of z with its imaginary
-        # part's sign bit cleared
-        key = zs.copy()
-        np.abs(key.imag, out=key.imag)
-        first: dict[bytes, int] = {}
-        rep = np.array([first.setdefault(k, i) for i, k in enumerate(key.view("V16").tolist())])
-        if len(first) == m:
-            return self, _positive_zeros
-        # each class's first point, in grid order, and each point's class
-        own = np.flatnonzero(rep == np.arange(m))
-        index = np.searchsorted(own, rep)
-        folded = _GridContext.__new__(_GridContext)
-        folded.zs = zs[own]  # points of this grid, already checked
-        # -1 where a point is its class's first point's conjugate
-        sign = 1.0 - 2.0 * (zs.imag != zs.imag[rep])
-
-        def spread(values: np.ndarray) -> np.ndarray:
-            out = values[index]
-            if np.iscomplexobj(out):
-                out.imag *= sign.reshape((-1,) + (1,) * (out.ndim - 1))
-            return _positive_zeros(out)
-
-        return folded, spread
-
     def drive(self, limits: Limits, blocks: int) -> np.ndarray:
         zs = self.zs
         return np.tile(limits.a_inf * (zs + 1.0 / zs) + limits.b_inf, blocks)
@@ -217,12 +162,6 @@ class _GridContext:
         if fast.any():
             table[fast] = zs[None, :] ** ks[fast, None]
         return table
-
-
-def _positive_zeros(values: np.ndarray) -> np.ndarray:
-    """values, every -0.0 in it made +0.0 in place: x + 0.0 keeps every other bit."""
-    values += 0.0
-    return values
 
 
 def _fault_where(bad: np.ndarray, zs: np.ndarray, what: str) -> None:
@@ -320,7 +259,8 @@ def sample_circle(limits: Limits, count: int, exclusion_delta: float) -> CircleG
     point sits within a few rounding steps of its place on the walk.
     When count is divisible by four, +pi/2 is a grid node, assigned
     exactly rather than through the accumulated step, and so is -pi/2,
-    its conjugate.
+    its conjugate.  _pair_half and _mirror_pairs let a caller compute
+    each pair once.
     """
     if count < 1:
         raise SpectralDomainError(f"grid needs at least one point, got {count}")
@@ -350,3 +290,33 @@ def sample_circle(limits: Limits, count: int, exclusion_delta: float) -> CircleG
     zs[1:lower] = np.conj(zs[count - 1 : count - lower : -1])
     require_on_circle(zs)
     return CircleGrid(zs, limits, float(exclusion_delta))
+
+
+def _pair_half(grid: CircleGrid) -> np.ndarray:
+    """One point of each conjugate pair of a sample_circle grid: its first count // 2 + 1.
+
+    By construction (see sample_circle) these points are the lower half
+    and, for an even count, the point at theta_lo, and every later point
+    i is the exact conjugate of point count - i, an earlier one.  The
+    data at conj(z) are the conjugates of those at z bit for bit, as the
+    coefficients are real, but for the sign of an exact zero.  So a
+    relation's residual takes the same value at z and at conj(z): its
+    maximum over these points is its maximum over the grid, and its first
+    bad point is the grid's first.
+    """
+    return grid.zs[: len(grid) // 2 + 1]
+
+
+def _mirror_pairs(values: np.ndarray, count: int) -> np.ndarray:
+    """values over _pair_half of a grid of count points, spread onto all of them.
+
+    Point i > count // 2 takes the conjugate of the entry at count - i,
+    and every zero is made +0.0, x + 0.0 keeping every other bit, so no
+    entry depends on the sign numpy gives an exact zero part.
+    """
+    half = count // 2 + 1
+    out = np.empty((count,) + values.shape[1:], dtype=values.dtype)
+    out[:half] = values
+    out[half:] = np.conj(values[count - half : 0 : -1])
+    out += 0.0
+    return out

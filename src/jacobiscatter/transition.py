@@ -29,13 +29,9 @@ behind it at each breakpoint taken as a single junction:
 Each relation has one kernel, over a grid, and each report row is one
 residual per grid point, which scattering._grid_maxima alone reduces to
 the maximum a report prints, raising NumericalFault, naming the row and
-theta, where a residual is not finite.  The kernels run on one point per
-class of conjugates (spectral._GridContext.fold): every row takes the
-same value at z and at conj(z), so its maximum over those points is its
-maximum over the grid, and its first bad point is the caller's first.
-The one-point functions, transition_for and factorization_check, call
-the same kernels on a grid of one point; a single z's junction
-identities are the sweep over [z].
+theta, where a residual is not finite.  The one-point functions,
+transition_for and factorization_check, call the same kernels on a grid
+of one point; a single z's junction identities are the sweep over [z].
 
 A single-junction fragment is the whole sequence on the side of its
 breakpoint that it keeps and the limits on the side it frees, so its
@@ -71,7 +67,7 @@ window, one row of grid points per site.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -124,13 +120,10 @@ def transition_for(seq: CoefficientSequence, z: complex) -> TransitionMatrix:
 
 def transition_entries(seq: CoefficientSequence, zs: np.ndarray) -> np.ndarray:
     """Vectorized transition matrices, one 2x2 block per circle point."""
-    ctx, spread = _GridContext(zs).fold()
-    (blocks,) = _amplitude_blocks(seq, [seq], ctx, _PAIRED)
-    # the fits spread, then placed: entry (0, 1) is minus scattering_amplitudes' R/T
-    return _entries([map(spread, block) for block in blocks])
+    return _entries(_amplitude_blocks(seq, [seq], _GridContext(zs), _PAIRED)[0])
 
 
-def _entries(blocks: list[Iterable[np.ndarray]]) -> np.ndarray:
+def _entries(blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> np.ndarray:
     """Transition entries from one job's amplitude blocks at z and at 1/z."""
     (inv_t, r_over_t, l_over_t), (inv_t_conj, _, _) = blocks
     out = np.empty(inv_t.shape + (2, 2), dtype=complex)
@@ -169,11 +162,11 @@ def _product_gap(whole: np.ndarray, product: np.ndarray) -> np.ndarray:
 
 def _whole_and_product(
     seq: CoefficientSequence, parts: list[CoefficientSequence], ctx: _GridContext
-) -> tuple[list, np.ndarray]:
-    """The whole's amplitude blocks and its parts' ordered product of entries."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The whole's transition entries and its parts' ordered product."""
     # the whole and its parts from one sweep, fitted in that order
     whole, *fits = _amplitude_blocks(seq, [seq, *parts], ctx, _PAIRED)
-    return whole, _fragment_product(map(_entries, fits))
+    return _entries(whole), _fragment_product(map(_entries, fits))
 
 
 def factorization_residuals(
@@ -192,9 +185,7 @@ def factorization_residuals(
         parts = fragment(seq, frag)
     elif not parts:
         raise ValueError("parts must hold at least one fragment")
-    ctx, spread = _GridContext(zs).fold()
-    whole, product = _whole_and_product(seq, parts, ctx)
-    return spread(_product_gap(_entries(whole), product))
+    return _product_gap(*_whole_and_product(seq, parts, _GridContext(zs)))
 
 
 def factorization_check(
@@ -211,10 +202,8 @@ def factorization_check(
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     z = complex(z)
     parts = fragment(seq, frag)
-    ctx, spread = _GridContext(z).fold()
+    ctx = _GridContext(z)
     whole, product = _whole_and_product(seq, parts, ctx)
-    # the whole's entries as transition_for places them
-    whole = _entries([map(spread, block) for block in whole])
     (residual,) = _grid_maxima({"factorization": _product_gap(whole, product)}, ctx.zs).values()
     return FactorizationReport(
         z=z,
@@ -273,7 +262,7 @@ def junction_residual_sweep(
     is numerically dependent at the junction or, naming the row too,
     where a residual is not finite.
     """
-    ctx, _ = _GridContext(zs).fold()
+    ctx = _GridContext(zs)
     whole, *fits = _amplitude_blocks(seq, [seq, *_junction_parts(seq, frag)], ctx, _PAIRED)
     return _grid_maxima(_junction_sweep(seq, frag, ctx, _entries(whole), fits), ctx.zs)
 
@@ -300,8 +289,8 @@ def _identities_report(
     parts, inner = [], []
     if frag is not None:
         parts, inner = fragment(seq, frag), _junction_parts(seq, frag)[1:-1]
-    # the report's grid, checked once, one point per conjugate pair
-    ctx, _ = _GridContext(zs).fold()
+    # the report's grid, checked once
+    ctx = _GridContext(zs)
     rows = _identity_sweep(seq, ctx)
     whole, *fits = _amplitude_blocks(seq, [seq, *parts, *inner], ctx, _PAIRED)
     lam = _entries(whole)

@@ -12,8 +12,18 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from jacobiscatter import cli
-from conftest import hand_fixtures, overflowing_sequence
+from jacobiscatter import Fragmentation, NumericalFault, factorization_residuals
+from jacobiscatter import cli, sample_circle, scattering_values
+from jacobiscatter.scattering import _grid_maxima
+from jacobiscatter.transition import _identities_report
+from conftest import (
+    free_sequence,
+    hand_fixtures,
+    make_sequence,
+    overflowing_sequence,
+    random_sequence,
+    single_site_sequence,
+)
 
 CSV_HEADER = "theta,lambda,re_T,im_T,re_R,im_R,re_L,im_L,unitarity"
 
@@ -527,3 +537,82 @@ def test_in_process_calls_match_fresh_runs(tmp_path):
     assert [code for code, _ in got] == [0, 0, 2, 0, 2, 0, 3, 0, 0, 0]
     for argv, mine, theirs in zip(calls, got, fresh):
         assert mine == theirs, argv
+
+
+def sequence_input(seq):
+    """The coefficient file of seq, every float round-tripping through JSON."""
+    lim = seq.limits
+    return {
+        "a_inf": lim.a_inf, "b_inf": lim.b_inf, "w_inf": lim.w_inf,
+        "n_min": seq.window.n_min, "n_max": seq.window.n_max,
+        "a": seq.a_values.tolist(), "b": seq.b_values.tolist(), "w": seq.w_values.tolist(),
+    }
+
+
+def direct_table(seq, grid):
+    """The scatter table of scattering_values over the whole grid, zeros as +0.0."""
+    t, r, l = (values + 0.0 for values in scattering_values(seq, grid.zs))
+    unitarity = [abs(t_i) ** 2 + abs(r_i) ** 2 for t_i, r_i in zip(t.tolist(), r.tolist())]
+    columns = (t.real, t.imag, r.real, r.imag, l.real, l.imag)
+    rows = zip(grid.thetas.tolist(), grid.lams.tolist(), *map(np.ndarray.tolist, columns), unitarity)
+    return cli._render_table(list(rows), "csv")
+
+
+def direct_report(named):
+    """The report of maxima over the whole grid, at the default tolerance."""
+    rows = [(name, value, 1e-9, value <= 1e-9) for name, value in named.items()]
+    return cli._render_report(rows, "json")
+
+
+def test_cli_computes_each_conjugate_pair_once_and_prints_the_whole_grid(tmp_path):
+    """The CLI computes one point of each conjugate pair of its grid.  Its
+    table is the whole grid's, computed directly, with every zero printed
+    as +0.0, and its reports print the maxima over the whole grid.  The
+    free lattice's R = 0 and the single site's purely imaginary R / T have
+    exact zero parts, whose sign the arithmetic at z and at conj(z) need
+    not share."""
+    rng = np.random.default_rng(29)
+    seqs = [free_sequence(), *hand_fixtures(), random_sequence(rng), random_sequence(rng)]
+    runs = [(seq, count) for seq in seqs for count in (1, 2, 3, 4, 7, 8, 63, 64)]
+    runs.append((single_site_sequence(), 512))
+    frag = Fragmentation((0,))
+    for seq, count in runs:
+        path = write_input(tmp_path, sequence_input(seq))
+        grid = sample_circle(seq.limits, count, 1e-3)
+        code, out, err = run_in_process(["scatter", "--input", path, "--grid", str(count)])
+        assert (code, err) == (0, "")
+        assert out == direct_table(seq, grid), (seq, count)
+        assert "-0" not in {cell for line in out.splitlines() for cell in line.split(",")}
+        named = {"factorization": factorization_residuals(seq, frag, grid.zs)}
+        reports = [
+            ("factorize", _grid_maxima(named, grid.zs)),
+            ("identities", _identities_report(seq, frag, grid.zs)),
+        ]
+        for command, want in reports:
+            argv = [command, "--input", path, "--grid", str(count), "--breakpoints=0"]
+            code, out, err = run_in_process(argv)
+            assert (code, err) == (0 if all(v <= 1e-9 for v in want.values()) else 1, "")
+            assert out == direct_report(want), (command, seq, count)
+
+
+def test_cli_fault_names_the_theta_of_the_whole_grid(tmp_path):
+    """A barrier of b = -3 over 520 sites: solutions overflow near lam = 2,
+    at theta = +-0.45 on 7 points, not at the grid's first point.  The CLI
+    computes one point of each conjugate pair, and faults at the theta a
+    direct call over the whole grid names, the pair's point of negative
+    theta, which comes first."""
+    seq = make_sequence(0, [1.0] * 520, [-3.0] * 520, [1.0] * 520)
+    path = write_input(tmp_path, sequence_input(seq))
+    frag = Fragmentation((260,))
+    for count in (7, 9, 16):
+        zs = sample_circle(seq.limits, count, 1e-3).zs
+        direct = [
+            ("scatter", lambda: scattering_values(seq, zs)),
+            ("factorize", lambda: factorization_residuals(seq, frag, zs)),
+            ("identities", lambda: _identities_report(seq, frag, zs)),
+        ]
+        for command, call in direct:
+            with pytest.raises(NumericalFault, match="at theta = -0[.]") as fault:
+                call()
+            argv = [command, "--input", path, "--grid", str(count), "--breakpoints=260"]
+            assert run_in_process(argv) == (3, "", f"numerical fault: {fault.value}\n")

@@ -8,10 +8,10 @@ so these tests hold them to the bit against the computation each value
 used to have, kept below as references.  The band image's imaginary-part
 check is scaled by the image's terms, so large limits build a grid.
 
-Each grid function computes each class of a point, its conjugate and its
-repeats once, and mirrors the rest: every per-point function must still
-give each point the bits of its one-point call, and every maximum must be
-the maximum of the one-point maxima.
+Each grid function computes every point as given: every per-point
+function must give each point the bits of its one-point call, and every
+maximum must be the maximum of the one-point maxima, on grids closed
+under conjugation too.
 """
 
 import cmath
@@ -219,25 +219,9 @@ def mirror_cases():
         yield seq, odd
 
 
-def test_grids_fold_into_classes_of_conjugates_matched_on_bits():
-    """A point, its conjugate and its repeats are one class; 0.0 and -0.0
-    are not the same bits, so i and -0.0 + i are two."""
-    z = sample_circle(Limits(1.0, 0.0, 1.0), 64, 0.05).zs[5]
-    odd = np.array([z, np.conj(z), z, 1j, complex(-0.0, 1.0), complex(-0.0, -1.0)])
-    folded, _ = _GridContext(odd).fold()
-    assert bits(folded.zs) == bits(odd[[0, 3, 4]])
-    closed = sample_circle(Limits(1.0, 0.0, 1.0), 64, 0.05).zs
-    folded, _ = _GridContext(closed).fold()
-    # point 0, the lower interior points, and theta_lo at point 32
-    assert bits(folded.zs) == bits(closed[:33])
-    # a grid without pairs maps onto itself
-    lower = _GridContext(closed[:32])
-    assert lower.fold()[0] is lower
-
-
 def test_every_per_point_grid_function_mirrors_its_one_point_calls():
-    """Each point of a grid has the bits of the one-point call at it, where
-    the grid computes each class of conjugates once and mirrors the rest."""
+    """Each point of a grid has the bits of the one-point call at it, on
+    grids closed under conjugation and grids with repeats."""
     for seq, zs in mirror_cases():
         for name, grid_function in PER_POINT.items():
             values = grid_function(seq, zs)
@@ -400,12 +384,12 @@ def test_band_image_still_rejects_a_genuine_imaginary_part():
 
 
 
-def test_identities_run_builds_three_grid_contexts(tmp_path, monkeypatch):
-    """Two contexts are built and checked: the run's grid, and the identity
-    sweep's grid of z and its rounded reciprocal over the run's 33 classes
-    of conjugates, which both its recursions and its one fit read.  The
-    folded context of those 33 points, which the junction sweep recurses
-    the whole sequence over, holds points already checked."""
+def test_identities_run_builds_two_grid_contexts(tmp_path, monkeypatch):
+    """Two contexts are built and checked: the report's grid, 33 points,
+    one of each conjugate pair of the run's 64, which the junction sweep
+    recurses the whole sequence over, and the identity sweep's grid of z
+    and its rounded reciprocal over them, which both its recursions and
+    its one fit read."""
     path = tmp_path / "seq.json"
     path.write_text(json.dumps({
         "a_inf": 1.0, "b_inf": 0.0, "w_inf": 1.0, "n_min": -1, "n_max": 1,
@@ -421,4 +405,4 @@ def test_identities_run_builds_three_grid_contexts(tmp_path, monkeypatch):
     monkeypatch.setattr(_GridContext, "__init__", counting_init)
     argv = ["identities", "--input", str(path), "--breakpoints=-1,0,1", "--grid", "64"]
     assert run_quietly(argv) == 0
-    assert built == [64, 66]
+    assert built == [33, 66]

@@ -18,6 +18,7 @@ from jacobiscatter import (
     wave_pair_det,
     z_from_lambda,
 )
+from jacobiscatter.spectral import _mirror_pairs, _pair_half
 from conftest import UNIT_LIMITS, single_site_sequence
 
 
@@ -185,7 +186,8 @@ def test_sample_circle_halves_by_index_into_exact_pairs(delta):
     start = -math.pi + theta_lo
     first = complex(math.cos(start), math.sin(start))
     for count in range(1, 601):
-        zs = sample_circle(UNIT_LIMITS, count, delta).zs
+        grid = sample_circle(UNIT_LIMITS, count, delta)
+        zs = grid.zs
         lower = (count + 1) // 2
         assert np.all(zs[:lower].imag < 0) and np.all(zs[lower:].imag > 0), count
         pairs = range(1, lower)
@@ -195,6 +197,9 @@ def test_sample_circle_halves_by_index_into_exact_pairs(delta):
         if count % 4 == 0:
             assert zs[count // 4].tobytes() == np.conj(zs[3 * count // 4]).tobytes()
             assert zs[3 * count // 4] == complex(math.cos(0.5 * math.pi), 1.0)
+        # the CLI's pairing rule: the grid's first count // 2 + 1 points, mirrored
+        half = _pair_half(grid)
+        assert half.size == count // 2 + 1 and _mirror_pairs(half, count).tobytes() == zs.tobytes()
 
 
 def test_sample_circle_determinism():
