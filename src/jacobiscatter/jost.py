@@ -83,10 +83,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .lattice import CoefficientSequence, IndexWindow, coefficient_arrays, coefficient_at
-# require_admissible stays a module attribute: the benchmark's smoke
-# test wraps this copy
-from .spectral import _GridContext, require_admissible  # noqa: F401
+from .lattice import CoefficientSequence, IndexWindow, Limits, coefficient_arrays
+from .spectral import _power_table, require_admissible
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,10 +141,15 @@ def jost_values(
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    ctx = _GridContext(zs)
+    zs = require_admissible(zs)
     lo, hi = solution_range(seq)
-    ((_, rows),) = _recurse(seq, lo, hi, ctx, side, (at_inverse,), block=hi - lo + 1)
+    ((_, rows),) = _recurse(seq, lo, hi, zs, side, (at_inverse,), block=hi - lo + 1)
     return rows.T, lo
+
+
+def _drive(zs: np.ndarray, limits: Limits, blocks: int) -> np.ndarray:
+    """The recursion drive a_inf (z + 1/z) + b_inf over zs, tiled over blocks column blocks."""
+    return np.tile(limits.a_inf * (zs + 1.0 / zs) + limits.b_inf, blocks)
 
 
 def _step(drive, scaled, part, v, dst, out, near, far, scale, first, second, inverse) -> None:
@@ -173,7 +176,7 @@ def _recurse(
     seq: CoefficientSequence,
     lo: int,
     hi: int,
-    ctx: _GridContext,
+    zs: np.ndarray,
     side: str,
     modes: tuple[bool, ...],
     block: int = _BLOCK_SITES,
@@ -190,12 +193,11 @@ def _recurse(
     what it needs by copying it.
 
     The exact plane-wave tail is seeded past seq's window, block by block
-    from the power table of ctx, and the recursion runs across it.  ctx
-    holds the checked grid zs and computes the drive for seq's limits
-    and the seeds' powers.  modes holds one at_inverse flag per column
-    block of zs.size columns, each seeded with its own sign,
-    so solutions sharing coefficients and drive, such as a solution and
-    its companion at 1/z, advance together in one pass.  Every column
+    from the power table of the checked grid zs, and the recursion runs
+    across it.  modes holds one at_inverse flag per column block of
+    zs.size columns, each seeded with its own sign, so solutions sharing
+    coefficients and drive, such as a solution and its companion at 1/z,
+    advance together in one pass.  Every column
     block equals its one-mode run to the bit.
 
     The buffer holds one block and the two rows its first step reads,
@@ -211,7 +213,7 @@ def _recurse(
     911) makes 204 runs, whose median takes 18 steps and 1.5% at most
     one, so that trade is open to a new measurement.
     """
-    m = ctx.zs.size
+    m = zs.size
     lim = seq.limits
     w_inf = lim.w_inf
     n_min, n_max = seq.window.n_min, seq.window.n_max
@@ -246,7 +248,7 @@ def _recurse(
     # as float64 pairs for every step that only scales by a real
     row = list(buffer)
     real = list(buffer.view(float))
-    drive = ctx.drive(lim, len(modes)).view(float)
+    drive = _drive(zs, lim, len(modes)).view(float)
     # the scaled drive, then each subtrahend; complex as the product's operand
     scaled = np.empty(buffer.shape[1], dtype=complex)
     scratch = scaled.view(float)
@@ -259,7 +261,7 @@ def _recurse(
         if s0 < s1:
             sites = np.arange(s0, s1)
             for j, sign in enumerate(signs):
-                buffer[s0 + shift : s1 + shift, j * m : (j + 1) * m] = ctx.power_table(sign * sites)
+                buffer[s0 + shift : s1 + shift, j * m : (j + 1) * m] = _power_table(zs, sign * sites)
         # the step at site c0 + k reads v from buffer row k + d
         d = shift + c0
         if left:
@@ -293,19 +295,17 @@ def _recurse(
             buffer[1] = buffer[stop - 1 + shift]
 
 
-def _changed_steps(
-    job: CoefficientSequence, ref: tuple[np.ndarray, ...], first: int, last: int
-) -> list[int]:
-    """Sites n in [first, last] where job's recursion step departs from ref's.
+def _changed_steps(own: tuple[np.ndarray, ...], ref: tuple[np.ndarray, ...]) -> list[int]:
+    """Offsets k of the steps where a job's recursion departs from a reference's.
 
-    ref holds the reference sequence's (a, b, w) arrays over [first,
-    last + 1].  The step at site n reads a(n), b(n), w(n) and a(n + 1).
-    Bit patterns are compared, not values: -0.0 where the reference has
-    0.0 flips a zero's sign.
+    own and ref hold the job's and the reference's (a, b, w) arrays over
+    one range of sites, one more than the steps: the step at the range's
+    k-th site reads entry k of a, b and w and entry k + 1 of a.  Bit
+    patterns are compared, not values: -0.0 where the reference has 0.0
+    flips a zero's sign.
     """
-    own = coefficient_arrays(job, first, last + 1)
     a, b, w = (mine.view(np.int64) != theirs.view(np.int64) for mine, theirs in zip(own, ref))
-    return (first + np.flatnonzero((a | b | w)[:-1] | a[1:])).tolist()
+    return np.flatnonzero((a | b | w)[:-1] | a[1:]).tolist()
 
 
 def _most_at_once(spans: list[tuple[int, int]]) -> int:
@@ -323,7 +323,7 @@ def _most_at_once(spans: list[tuple[int, int]]) -> int:
 def _fit_sweep(
     seq: CoefficientSequence,
     jobs: list[tuple[CoefficientSequence, IndexWindow]],
-    ctx: _GridContext,
+    zs: np.ndarray,
     modes: tuple[bool, ...],
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """The rows every job's tail fits read, from one two-sided sweep.
@@ -362,7 +362,7 @@ def _fit_sweep(
     lim = seq.limits
     if any(job.limits != lim for job, _ in jobs):
         raise ValueError("every job must share the limits of seq")
-    m = ctx.zs.size
+    m = zs.size
     blocks = len(modes)
     width = blocks * m
     w_inf = lim.w_inf
@@ -390,9 +390,11 @@ def _fit_sweep(
             continue
         # seq's arrays over [first, last + 1], as held for the sweep
         ref = tuple(each[first - base + 1 : last - base + 3] for each in (a, b, w))
-        for n in _changed_steps(job, ref, first, last):
-            a_n, b_n, w_n = coefficient_at(job, n)
-            a_next = coefficient_at(job, n + 1)[0]
+        own = coefficient_arrays(job, first, last + 1)
+        for k in _changed_steps(own, ref):
+            n = first + k
+            a_n, b_n, w_n = (float(each[k]) for each in own)
+            a_next = float(own[0][k + 1])
             if n <= window.n_max:
                 redos[top - n].append((0, j, (w_n / w_inf, a_next, b_n, 1.0 / a_n)))
             redos[n - base].append((1, j, (w_n / w_inf, b_n, a_n, 1.0 / a_next)))
@@ -406,7 +408,7 @@ def _fit_sweep(
     scaled = np.empty(rows.shape[1], dtype=complex)
     scratch = scaled.view(float)
     # a half, or a slot redone alone, scales a prefix of the tiled drive
-    drive = ctx.drive(lim, max(size) * blocks).view(float)
+    drive = _drive(zs, lim, max(size) * blocks).view(float)
     # job j's seeds, each a block of columns per mode: left at n_max and
     # n_max + 1, right at n_min - 1 and n_min - 2.  Jobs share most seed
     # exponents, so the power table holds one row per distinct exponent;
@@ -418,7 +420,7 @@ def _fit_sweep(
         for _, s in jobs
         for k in (s.n_max, s.n_max + 1, 1 - s.n_min, 2 - s.n_min)
     ]
-    seeds = ctx.power_table(np.array(list(index)))
+    seeds = _power_table(zs, np.array(list(index)))
 
     def seed(row, c0, c1, j, which):
         for c, key in zip(range(c0, c1, m), keys[4 * j + which]):
@@ -557,9 +559,11 @@ def conjugate_solution(seq: CoefficientSequence, z: complex, side: str) -> Latti
 def wronskian(
     seq: CoefficientSequence, phi: LatticeSolution, zeta: LatticeSolution, n: int
 ) -> complex:
-    """a(n+1) (phi(n) zeta(n+1) - phi(n+1) zeta(n)), constant across n."""
-    a_next = coefficient_at(seq, n + 1)[0]
-    return a_next * (phi.at(n) * zeta.at(n + 1) - phi.at(n + 1) * zeta.at(n))
+    """a(n+1) (phi(n) zeta(n+1) - phi(n+1) zeta(n)), constant across n: _pairing
+    on the site pair (n, n + 1)."""
+    p, q = (np.array([sol.at(n), sol.at(n + 1)]) for sol in (phi, zeta))
+    a, _, _ = coefficient_arrays(seq, n + 1, n + 1)
+    return complex(_pairing(a, p, q)[0])
 
 
 def wronskian_constancy_check(
@@ -592,12 +596,17 @@ def _pairing(a: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
 def _pairing_drift(a: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Per column of p and q, max_n |W(n) - W(n0)| / max(1, |W(n0)|).
 
-    W is _pairing(a, p, q), and n0 the first site pair.  Dividing by the
-    positive scale after the max gives the bits of dividing each entry
-    first.
+    W is _pairing(a, p, q), and n0 the first site pair.
     """
     pair = _pairing(a, p, q)
-    return np.max(np.abs(pair - pair[0]), axis=0) / np.maximum(1.0, np.abs(pair[0]))
+    return _scaled_drift(np.max(np.abs(pair - pair[0]), axis=0), pair[0])
+
+
+def _scaled_drift(drift: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """A pairing's drift max_n |W(n) - W(n0)| relative to its base W(n0):
+    drift / max(1, |W(n0)|).  Dividing by the positive scale after the
+    max gives the bits of dividing each entry first."""
+    return drift / np.maximum(1.0, np.abs(base))
 
 
 def _keep(kept: np.ndarray, sites: tuple[int, ...], n: int, rows: np.ndarray) -> None:

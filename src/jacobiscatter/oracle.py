@@ -35,7 +35,7 @@ import numpy as np
 from .jost import _recurse, _rows_at, solution_range
 from .lattice import CoefficientSequence, coefficient_at
 from .scattering import ScatteringData
-from .spectral import _fault_where, _GridContext, require_admissible, wave_pair_det
+from .spectral import _fault_where, _power_table, require_admissible, wave_pair_det
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,7 +63,7 @@ def _step_entries(seq, z, n):
 
 def step_matrix(seq: CoefficientSequence, z: complex, site: int) -> StepMatrix:
     """The one-site update matrix; its determinant is a(site)/a(site + 1)."""
-    require_admissible(np.asarray(z, dtype=complex))
+    require_admissible(z)
     top_left, top_right = _step_entries(seq, complex(z), site)
     return StepMatrix(np.array([[top_left, top_right], [1.0, 0.0]]), site)
 
@@ -76,7 +76,7 @@ def transfer_amplitude_map(seq: CoefficientSequence, zs: np.ndarray) -> np.ndarr
     into the (z^n, z^{-n}) amplitude basis.  The determinant is exactly 1
     because the coupling at both ends of that span sits at its limit.
     """
-    zs = _GridContext(zs).zs
+    zs = require_admissible(zs)
     n_min, n_max = seq.window.n_min, seq.window.n_max
     p00 = np.ones_like(zs)
     p01 = np.zeros_like(zs)
@@ -132,13 +132,12 @@ def wronskian_values(
     companion are their own seeded plane waves, z^-n and z^n, so only the
     left pair is recursed, in one run that keeps its rows on those sites.
     """
-    ctx = _GridContext(zs)
-    zs = ctx.zs
+    zs = require_admissible(zs)
     lo, hi = solution_range(seq)
     sites = np.array([lo, lo + 1])
     # the plain solution's columns, then its companion's
-    fl, gl = np.hsplit(_rows_at(_recurse(seq, lo, hi, ctx, "left", (False, True)), (lo, lo + 1)), 2)
-    fr, gr = ctx.power_table(-sites), ctx.power_table(sites)
+    fl, gl = np.hsplit(_rows_at(_recurse(seq, lo, hi, zs, "left", (False, True)), (lo, lo + 1)), 2)
+    fr, gr = _power_table(zs, -sites), _power_table(zs, sites)
     a_lo = seq.limits.a_inf  # site lo + 1 is below the window, so at the limit
 
     def pair(f, g):

@@ -33,9 +33,11 @@ import numpy as np
 from .errors import NumericalFault
 # jost_values stays a module attribute: the benchmark's smoke test wraps
 # this copy
-from .jost import _fit_sweep, _keep, _pairing, _recurse, jost_values, solution_range  # noqa: F401
+from .jost import (  # noqa: F401
+    _fit_sweep, _keep, _pairing, _recurse, _scaled_drift, jost_values, solution_range,
+)
 from .lattice import CoefficientSequence, IndexWindow, coefficient_arrays, effective_support
-from .spectral import _fault_where, _GridContext, wave_pair_det
+from .spectral import _fault_where, _power_table, require_admissible, wave_pair_det
 
 # Relative disagreement of the two 1/T fits that flags a fault.
 MISMATCH_TOL = 1e-8
@@ -72,7 +74,7 @@ def _tail_fit(
 
     left holds the left-normalized solution on sites n and n + 1, right
     the right-normalized one on p and p + 1, over the grid points zs,
-    whose plane-wave determinant is det, and powers the power_table rows
+    whose plane-wave determinant is det, and powers the _power_table rows
     of zs at _fit_exponents of their window.  sign is -1 for data at 1/z
     parametrized by z, as in the at_inverse modes, which reads those rows
     in reverse order, at the negated exponents.
@@ -128,16 +130,17 @@ def scattering_amplitudes(
     determinant changes sign, nothing is evaluated at a rounded
     reciprocal.
     """
-    return _amplitude_blocks(seq, [seq], _GridContext(zs), (at_inverse,))[0][0]
+    return _amplitude_blocks(seq, [seq], require_admissible(zs), (at_inverse,))[0][0]
 
 
 def _amplitude_blocks(
     seq: CoefficientSequence,
     jobs: list[CoefficientSequence],
-    ctx: _GridContext,
+    zs: np.ndarray,
     modes: tuple[bool, ...],
 ) -> list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-    """scattering_amplitudes of each job, for each at_inverse mode.
+    """scattering_amplitudes of each job over the checked grid zs, for each
+    at_inverse mode.
 
     Returns one item per job, in job order, each the job's fits in mode
     order.  jobs are typically seq itself, its fragments, or sequences
@@ -148,19 +151,18 @@ def _amplitude_blocks(
     let go once it is fitted, and the first job in order whose fit
     faults raises its NumericalFault.
     """
-    zs = ctx.zs
     m = zs.size
     supports = [effective_support(job) for job in jobs]
     busy = [(job, support.window) for job, support in zip(jobs, supports) if not support.free]
     shared = [(job, window) for job, window in busy if job.limits == seq.limits]
     # the shared rows, popped from the end as their jobs are fitted
-    swept = _fit_sweep(seq, shared, ctx, modes)[::-1] if shared else []
-    # one power_table row per exponent, however many jobs read it
+    swept = _fit_sweep(seq, shared, zs, modes)[::-1] if shared else []
+    # one _power_table row per exponent, however many jobs read it
     index: dict[int, int] = {}
     for _, window in busy:
         for k in _fit_exponents(window):
             index.setdefault(k, len(index))
-    powers = ctx.power_table(np.array(list(index), dtype=int))
+    powers = _power_table(zs, np.array(list(index), dtype=int))
     det = wave_pair_det(zs)
     columns = [(slice(j * m, (j + 1) * m), -1 if inverse else 1) for j, inverse in enumerate(modes)]
     fits = []
@@ -173,7 +175,7 @@ def _amplitude_blocks(
         if job.limits == seq.limits:
             left, right = swept.pop()
         else:
-            ((left, right),) = _fit_sweep(job, [(job, window)], ctx, modes)
+            ((left, right),) = _fit_sweep(job, [(job, window)], zs, modes)
         own = powers[[index[k] for k in _fit_exponents(window)]]
         fits.append(
             [_tail_fit(zs, det, own, left[:, b], right[:, b], sign) for b, sign in columns]
@@ -229,19 +231,19 @@ def identity_sweep(seq: CoefficientSequence, zs: np.ndarray) -> dict[str, float]
     Raises NumericalFault, naming the row and theta, where a residual is
     not finite.
     """
-    ctx = _GridContext(zs)
-    return _grid_maxima(_identity_sweep(seq, ctx), ctx.zs)
+    zs = require_admissible(zs)
+    return _grid_maxima(_identity_sweep(seq, zs), zs)
 
 
 @np.errstate(all="ignore")
-def _identity_sweep(seq: CoefficientSequence, ctx: _GridContext) -> dict[str, np.ndarray]:
-    """identity_sweep's rows over the grid of ctx, one residual per point.
+def _identity_sweep(seq: CoefficientSequence, zs: np.ndarray) -> dict[str, np.ndarray]:
+    """identity_sweep's rows over the checked grid zs, one residual per point.
 
     The solutions at z and at the rounded reciprocal 1/z recurse as one
-    grid, over one context of both, and are fitted as one: one
-    determinant, one power table and one tail fit over its 2m points,
-    whose data np.split then cuts into the halves at z and at 1/z, so
-    each fault check of the fit covers both halves.  Each side's rows are
+    grid of both, checked by require_admissible as any grid is, and are
+    fitted as one: one determinant, one power table and one tail fit over
+    its 2m points, whose data np.split then cuts into the halves at z and
+    at 1/z, so each fault check of the fit covers both halves.  Each side's rows are
     reduced block by block as _recurse hands them out.  The left side
     runs first and keeps its plain columns at z, which the Wronskian
     pairing reads against the right side's blocks, which come from the
@@ -250,10 +252,9 @@ def _identity_sweep(seq: CoefficientSequence, ctx: _GridContext) -> dict[str, np
     rows' ends; a row that overflows on finite fits is _grid_maxima's to
     report.
     """
-    zs = ctx.zs
     m = zs.size
     # rows are sites, the first m columns at z and the rest at 1/z
-    both = _GridContext(np.concatenate([zs, 1.0 / zs]))
+    both = require_admissible(np.concatenate([zs, 1.0 / zs]))
     lo, hi = solution_range(seq)
     a, _, _ = coefficient_arrays(seq, lo + 1, hi)
     fl = np.empty((hi - lo + 1, m), dtype=complex)
@@ -278,8 +279,8 @@ def _identity_sweep(seq: CoefficientSequence, ctx: _GridContext) -> dict[str, np
                 base = pair[0]
             drift = np.maximum(drift, np.max(np.abs(pair - base), axis=0))
         last = rows[-1:, :m].copy()
-    powers = both.power_table(np.array(_fit_exponents(seq.window)))
-    fit = _coefficients(*_tail_fit(both.zs, wave_pair_det(both.zs), powers, ends[:2], ends[2:], 1))
+    powers = _power_table(both, np.array(_fit_exponents(seq.window)))
+    fit = _coefficients(*_tail_fit(both, wave_pair_det(both), powers, ends[:2], ends[2:], 1))
     # the data at z from the first m columns, then the data at 1/z
     (t, tt), (r, rt), (l, lt) = (np.split(part, 2) for part in fit)
     product = 1.0 / (t * tt)
@@ -291,7 +292,7 @@ def _identity_sweep(seq: CoefficientSequence, ctx: _GridContext) -> dict[str, np
         "exchange_left": np.abs(rt / tt + l / t),
         "exchange_right": np.abs(lt / tt + r / t),
         "quotient": np.abs(t * t - r * l - t / tt),
-        "wronskian_constancy": drift / np.maximum(1.0, np.abs(base)),
+        "wronskian_constancy": _scaled_drift(drift, base),
         "unitarity": np.abs(np.abs(t) ** 2 + np.abs(r) ** 2 - 1.0),
     }
 

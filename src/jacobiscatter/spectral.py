@@ -24,7 +24,7 @@ CIRCLE_TOL = 1e-12
 DEGENERATE_FLOOR = 1e-8
 
 # numpy's complex power multiplies out integer exponents below this size;
-# larger ones take exp(k log z), which power_table computes over one log
+# larger ones take exp(k log z), which _power_table computes over one log
 # per table.
 FAST_POWER_LIMIT = 100
 
@@ -120,48 +120,24 @@ def wave_pair_det(zs: np.ndarray) -> np.ndarray:
     return one_minus_sq / zs
 
 
-class _GridContext:
-    """One checked grid of circle points, the entry of every grid function.
+def _power_table(zs: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Row j holds zs to the integer power ks[j]: zs[None, :] ** ks[:, None].
 
-    Built from one circle point or a nonempty 1-d array of them, which it
-    holds as a 1-d complex array and checks with require_admissible, so
-    every grid function checks its grid here, once, on entry, and
-    computes every point as given.  It caches nothing: each method
-    computes its value on every call:
-
-    * drive(limits, blocks): the recursion drive a_inf (z + 1/z) + b_inf,
-      tiled over blocks column blocks;
-    * power_table(ks): zs[None, :] ** ks[:, None], site-major, the one
-      route of every plane-wave power the seeds, tail fits and junction
-      sweep read: numpy's repeated multiplication below FAST_POWER_LIMIT,
-      and from there the bits of numpy's cpow, exp(k log z), as
-      np.exp(k * log) over one log(zs) per table, not per entry.
+    The one route of every plane-wave power the seeds, tail fits and
+    junction sweep read: numpy's repeated multiplication below
+    FAST_POWER_LIMIT, and from there the bits of numpy's cpow,
+    exp(k log z), as np.exp(k * log) over one log(zs) per table, not per
+    entry.
     """
-
-    __slots__ = ("zs",)
-
-    def __init__(self, zs: np.ndarray):
-        self.zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-        if self.zs.ndim > 1 or self.zs.size == 0:
-            raise SpectralDomainError(f"grid shape {np.shape(zs)}: not one point or a nonempty row")
-        require_admissible(self.zs)
-
-    def drive(self, limits: Limits, blocks: int) -> np.ndarray:
-        zs = self.zs
-        return np.tile(limits.a_inf * (zs + 1.0 / zs) + limits.b_inf, blocks)
-
-    def power_table(self, ks: np.ndarray) -> np.ndarray:
-        """Row j holds zs to the integer power ks[j]."""
-        zs = self.zs
-        fast = np.abs(ks) < FAST_POWER_LIMIT
-        if fast.all():
-            return zs[None, :] ** ks[:, None]
-        # every row by the exp route, in place, then the small ones by numpy's
-        table = np.multiply(np.log(zs)[None, :], ks[:, None])
-        np.exp(table, out=table)
-        if fast.any():
-            table[fast] = zs[None, :] ** ks[fast, None]
-        return table
+    fast = np.abs(ks) < FAST_POWER_LIMIT
+    if fast.all():
+        return zs[None, :] ** ks[:, None]
+    # every row by the exp route, in place, then the small ones by numpy's
+    table = np.multiply(np.log(zs)[None, :], ks[:, None])
+    np.exp(table, out=table)
+    if fast.any():
+        table[fast] = zs[None, :] ** ks[fast, None]
+    return table
 
 
 def _fault_where(bad: np.ndarray, zs: np.ndarray, what: str) -> None:
@@ -171,10 +147,17 @@ def _fault_where(bad: np.ndarray, zs: np.ndarray, what: str) -> None:
         raise NumericalFault(f"{what} at theta = {theta:.6g}")
 
 
-def require_admissible(zs: np.ndarray) -> None:
-    """Reject circle points too close to the degenerate points +1, -1."""
-    require_on_circle(zs)
+def require_admissible(zs: np.ndarray) -> np.ndarray:
+    """The grid zs as a checked 1-d complex array, the entry of every grid function.
+
+    A single circle point is the one-point grid [z].  Rejects an empty
+    grid or one on two axes, points off the circle, and points too close
+    to the degenerate points +1, -1.
+    """
     arr = np.atleast_1d(np.asarray(zs, dtype=complex))
+    if arr.ndim > 1 or arr.size == 0:
+        raise SpectralDomainError(f"grid shape {np.shape(zs)}: not one point or a nonempty row")
+    require_on_circle(arr)
     close = np.minimum(np.abs(arr - 1.0), np.abs(arr + 1.0)) < DEGENERATE_FLOOR
     if np.any(close):
         thetas = np.angle(arr[close])[:3]
@@ -182,6 +165,7 @@ def require_admissible(zs: np.ndarray) -> None:
         raise NumericalFault(
             f"z within {DEGENERATE_FLOOR:g} of a degenerate point at theta = {listed}"
         )
+    return arr
 
 
 def lambda_from_z(limits: Limits, z: complex) -> float:

@@ -74,7 +74,7 @@ import numpy as np
 from .jost import _recurse, _rows_at
 from .lattice import CoefficientSequence, Fragmentation, coefficient_at, fragment
 from .scattering import _amplitude_blocks, _coefficients, _grid_maxima, _identity_sweep, _worst
-from .spectral import _fault_where, _GridContext
+from .spectral import _fault_where, _power_table, require_admissible
 
 # the at_inverse modes of a solution and its companion at 1/z
 _PAIRED = (False, True)
@@ -120,7 +120,7 @@ def transition_for(seq: CoefficientSequence, z: complex) -> TransitionMatrix:
 
 def transition_entries(seq: CoefficientSequence, zs: np.ndarray) -> np.ndarray:
     """Vectorized transition matrices, one 2x2 block per circle point."""
-    return _entries(_amplitude_blocks(seq, [seq], _GridContext(zs), _PAIRED)[0])
+    return _entries(_amplitude_blocks(seq, [seq], require_admissible(zs), _PAIRED)[0])
 
 
 def _entries(blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -161,11 +161,11 @@ def _product_gap(whole: np.ndarray, product: np.ndarray) -> np.ndarray:
 
 
 def _whole_and_product(
-    seq: CoefficientSequence, parts: list[CoefficientSequence], ctx: _GridContext
+    seq: CoefficientSequence, parts: list[CoefficientSequence], zs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The whole's transition entries and its parts' ordered product."""
+    """The whole's transition entries and its parts' ordered product over the checked grid zs."""
     # the whole and its parts from one sweep, fitted in that order
-    whole, *fits = _amplitude_blocks(seq, [seq, *parts], ctx, _PAIRED)
+    whole, *fits = _amplitude_blocks(seq, [seq, *parts], zs, _PAIRED)
     return _entries(whole), _fragment_product(map(_entries, fits))
 
 
@@ -185,7 +185,7 @@ def factorization_residuals(
         parts = fragment(seq, frag)
     elif not parts:
         raise ValueError("parts must hold at least one fragment")
-    return _product_gap(*_whole_and_product(seq, parts, _GridContext(zs)))
+    return _product_gap(*_whole_and_product(seq, parts, require_admissible(zs)))
 
 
 def factorization_check(
@@ -202,9 +202,9 @@ def factorization_check(
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     z = complex(z)
     parts = fragment(seq, frag)
-    ctx = _GridContext(z)
-    whole, product = _whole_and_product(seq, parts, ctx)
-    (residual,) = _grid_maxima({"factorization": _product_gap(whole, product)}, ctx.zs).values()
+    zs = require_admissible(z)
+    whole, product = _whole_and_product(seq, parts, zs)
+    (residual,) = _grid_maxima({"factorization": _product_gap(whole, product)}, zs).values()
     return FactorizationReport(
         z=z,
         whole=TransitionMatrix(whole[0], z),
@@ -262,9 +262,9 @@ def junction_residual_sweep(
     is numerically dependent at the junction or, naming the row too,
     where a residual is not finite.
     """
-    ctx = _GridContext(zs)
-    whole, *fits = _amplitude_blocks(seq, [seq, *_junction_parts(seq, frag)], ctx, _PAIRED)
-    return _grid_maxima(_junction_sweep(seq, frag, ctx, _entries(whole), fits), ctx.zs)
+    zs = require_admissible(zs)
+    whole, *fits = _amplitude_blocks(seq, [seq, *_junction_parts(seq, frag)], zs, _PAIRED)
+    return _grid_maxima(_junction_sweep(seq, frag, zs, _entries(whole), fits), zs)
 
 
 def _identities_report(
@@ -290,9 +290,9 @@ def _identities_report(
     if frag is not None:
         parts, inner = fragment(seq, frag), _junction_parts(seq, frag)[1:-1]
     # the report's grid, checked once
-    ctx = _GridContext(zs)
-    rows = _identity_sweep(seq, ctx)
-    whole, *fits = _amplitude_blocks(seq, [seq, *parts, *inner], ctx, _PAIRED)
+    zs = require_admissible(zs)
+    rows = _identity_sweep(seq, zs)
+    whole, *fits = _amplitude_blocks(seq, [seq, *parts, *inner], zs, _PAIRED)
     lam = _entries(whole)
     rows["transition_determinant"] = _determinant_gap(lam)
     if frag is not None:
@@ -300,20 +300,20 @@ def _identities_report(
         rows["factorization"] = _product_gap(lam, _fragment_product(map(_entries, ends)))
         # one single-junction check per breakpoint, worst over them per row
         junction_fits = [ends[0], *fits[len(parts) :], ends[-1]]
-        rows.update(_junction_sweep(seq, frag, ctx, lam, junction_fits))
-    return _grid_maxima(rows, ctx.zs)
+        rows.update(_junction_sweep(seq, frag, zs, lam, junction_fits))
+    return _grid_maxima(rows, zs)
 
 
 @np.errstate(all="ignore")
 def _junction_sweep(
     seq: CoefficientSequence,
     frag: Fragmentation,
-    ctx: _GridContext,
+    zs: np.ndarray,
     lam: np.ndarray,
     fits: list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]],
 ) -> dict[str, np.ndarray]:
-    """junction_residual_sweep's rows over the grid of ctx, one residual per
-    point, given the whole's entries lam.
+    """junction_residual_sweep's rows over the checked grid zs, one residual
+    per point, given the whole's entries lam.
 
     fits holds the amplitude blocks at z and 1/z of _junction_parts(seq,
     frag), left then right fragment per breakpoint, all fitted before the
@@ -325,7 +325,6 @@ def _junction_sweep(
     # the whole's quotients, once for every junction: each is the
     # expression the rows read, so every row keeps its bits
     inv_t, r_over_t, l_over_t, minus_r_over_t = 1.0 / t, r / t, l / t, -r / t
-    zs = ctx.zs
     m = zs.size
     n_min, n_max = seq.window.n_min, seq.window.n_max
     # each breakpoint at the edge site whose fragments are its own; junctions
@@ -337,8 +336,8 @@ def _junction_sweep(
 
     # the whole's solutions from their seeded tails to the farthest site
     # read: the left one down to sites[0], the right one up to sites[-1]
-    left_run = _recurse(seq, sites[0], max(sites[-1], n_max + 1), ctx, "left", _PAIRED)
-    right_run = _recurse(seq, min(sites[0], n_min - 2), sites[-1], ctx, "right", _PAIRED)
+    left_run = _recurse(seq, sites[0], max(sites[-1], n_max + 1), zs, "left", _PAIRED)
+    right_run = _recurse(seq, min(sites[0], n_min - 2), sites[-1], zs, "right", _PAIRED)
     fl_pair, fr_pair = _rows_at(left_run, sites), _rows_at(right_run, sites)
 
     def fit(m00, m01, m10, m11, r0, r1):
@@ -385,7 +384,7 @@ def _junction_sweep(
         # on n1 and n1 + 1 each of the whole's solutions is a fragment's own
         # plane wave, the right one's for fl and gl and the left one's for fr
         # and gr, scaled by ratio at n1 + 1
-        table = ctx.power_table(np.array([n1, n1 + 1, -n1, -(n1 + 1)]))
+        table = _power_table(zs, np.array([n1, n1 + 1, -n1, -(n1 + 1)]))
         up, down = table[:2], table[2:]
         waves = (
             (fl, inv_t2 * up + l2_over_t2 * down),

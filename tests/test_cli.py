@@ -495,7 +495,7 @@ def test_tolerance_flag_can_force_failure(single_site_file):
 
 
 def test_in_process_calls_match_fresh_runs(tmp_path):
-    """One process keeps one parser and builds a grid context per command.
+    """One process keeps one parser and builds a grid per command.
 
     Neither may carry state from one call into the next: a run of calls
     in one process, with a parse error, an invalid file and a numerical

@@ -10,6 +10,13 @@ Two relations need no referee, as they hold in floating point exactly:
   point are the conjugates of the data at z, and every report row, a
   modulus, is the same at z and at its conjugate.
 
+A third holds within rounding only:
+
+* mirror: taking n to -n, with a'(k) = a(1 - k), b'(k) = b(-k) and
+  w'(k) = w(-k), keeps T and swaps R and L; the recursion runs the
+  other way across the window, so the data agree within a bound measured
+  on these inputs first.
+
 wronskian_constancy breaks the first: it divides its drift by
 max(1, |W(n0)|), and W scales with a, so below |W| = 1 the row is
 absolute.  ROADMAP item 13 gives the row a scale of its own terms; until
@@ -28,7 +35,9 @@ import pytest
 from jacobiscatter import (
     CoefficientSequence,
     Fragmentation,
+    IndexWindow,
     Limits,
+    coefficient_at,
     scattering_values,
     validate_sequence,
 )
@@ -112,6 +121,31 @@ UNSCALED_PAIRING = pytest.mark.xfail(
 def test_unit_scaling_keeps_the_wronskian_row(a_power, w_power):
     for want, got in zip(reports(0, 0), reports(a_power, w_power)):
         assert row_bits(got, ["wronskian_constancy"]) == row_bits(want, ["wronskian_constancy"])
+
+
+def mirrored(seq):
+    """seq taken through n -> -n: a'(k) = a(1 - k), b'(k) = b(-k) and
+    w'(k) = w(-k), over the window [-n_max, 1 - n_min] that holds them."""
+    n_min, n_max = seq.window.n_min, seq.window.n_max
+    ks = range(-n_max, 2 - n_min)
+    a = [coefficient_at(seq, 1 - k)[0] for k in ks]
+    b = [coefficient_at(seq, -k)[1] for k in ks]
+    w = [coefficient_at(seq, -k)[2] for k in ks]
+    return CoefficientSequence(seq.limits, IndexWindow(-n_max, 1 - n_min), a, b, w)
+
+
+# The largest gap measured over CASES is 3.0e-13, on the 400-site undamped
+# window, where 1/|T| reaches 1.4e34; it is 2.2e-15 on the hand fixtures,
+# 1.7e-14 on the conftest draws and 2.1e-14 on the other undamped windows.
+MIRROR_BOUND = 1e-12
+
+
+def test_mirror_keeps_t_and_swaps_r_and_l():
+    for seq, _, zs in CASES:
+        t, r, l = scattering_values(seq, zs)
+        t_m, r_m, l_m = scattering_values(mirrored(seq), zs)
+        gap = max(np.max(np.abs(t_m - t)), np.max(np.abs(r_m - l)), np.max(np.abs(l_m - r)))
+        assert gap <= MIRROR_BOUND, seq
 
 
 def test_conjugate_points_give_conjugate_data():

@@ -24,7 +24,6 @@ from jacobiscatter import (
 from jacobiscatter.cli import _corrupted_padding
 from jacobiscatter.jost import _fit_sweep, _most_at_once
 from jacobiscatter.scattering import _amplitude_blocks
-from jacobiscatter.spectral import _GridContext
 from jacobiscatter.transition import _identities_report
 from conftest import default_grid, hand_fixtures, make_sequence, overflowing_sequence
 from test_kernel_reference import reference_recurse
@@ -42,7 +41,7 @@ def window_of(part):
 def sweep_and_references(seq, parts, zs, modes):
     """(got, want) for each side of each part, the sweep taking seq's lead."""
     jobs = [(part, window_of(part)) for part in parts]
-    rows = _fit_sweep(seq, jobs, _GridContext(zs), modes)
+    rows = _fit_sweep(seq, jobs, zs, modes)
     assert len(rows) == len(jobs)
     for (part, window), sides in zip(jobs, rows):
         lo, hi = window.n_min - 2, window.n_max + 2
@@ -111,7 +110,7 @@ def test_limit_padded_windows_and_one_site_windows():
         # a job recursed over its whole stored window, limit sites and all
         window = seq.window
         for modes in MODES:
-            (left, right), = _fit_sweep(seq, [(seq, window)], _GridContext(zs), modes)
+            (left, right), = _fit_sweep(seq, [(seq, window)], zs, modes)
             lo, hi = window.n_min - 2, window.n_max + 2
             for got, side in ((left, "left"), (right, "right")):
                 want = reference_recurse(seq, window, lo, hi, zs, side, modes, False)
@@ -170,7 +169,7 @@ def test_jobs_must_share_the_limits():
     )
     jobs = [(seq, seq.window), (other, IndexWindow(-1, 1))]
     with pytest.raises(ValueError, match="limits"):
-        _fit_sweep(seq, jobs, _GridContext(default_grid(seq, count=8).zs), (False,))
+        _fit_sweep(seq, jobs, default_grid(seq, count=8).zs, (False,))
 
 
 def test_slot_count_equals_the_count_at_every_start():
@@ -191,9 +190,9 @@ def counting_sweeps(monkeypatch):
     counts = []
     sweep = scattering._fit_sweep
 
-    def counting(seq, jobs, ctx, modes):
+    def counting(seq, jobs, zs, modes):
         counts.append(len(jobs))
-        return sweep(seq, jobs, ctx, modes)
+        return sweep(seq, jobs, zs, modes)
 
     monkeypatch.setattr(scattering, "_fit_sweep", counting)
     return counts
@@ -204,16 +203,16 @@ def test_a_job_given_twice_is_swept_and_fitted_per_item(monkeypatch, random_fixt
     takes one entry per item that deviates, a job given twice twice."""
     counts = counting_sweeps(monkeypatch)
     for seq in hand_fixtures() + random_fixtures[:6]:
-        ctx = _GridContext(default_grid(seq, count=32).zs)
+        zs = default_grid(seq, count=32).zs
         for parts in job_lists(seq):
             for modes in ((False,), (False, True)):
                 counts.clear()
-                got = _amplitude_blocks(seq, parts, ctx, modes)
+                got = _amplitude_blocks(seq, parts, zs, modes)
                 assert len(got) == len(parts)
                 busy = [part for part in parts if not effective_support(part).free]
                 assert counts == ([len(busy)] if busy else [])
                 for part, blocks in zip(parts, got):
-                    (want,) = _amplitude_blocks(seq, [part], ctx, modes)
+                    (want,) = _amplitude_blocks(seq, [part], zs, modes)
                     for mine, theirs in zip(blocks, want):
                         assert np.array(mine).tobytes() == np.array(theirs).tobytes()
 
@@ -222,11 +221,11 @@ def test_a_job_given_twice_faults_at_the_call():
     """The overflowing whole faults on the call, though the fragment before
     it in the list fits alone."""
     seq = overflowing_sequence()
-    ctx = _GridContext(default_grid(seq, count=8).zs)
+    zs = default_grid(seq, count=8).zs
     parts = fragment(seq, Fragmentation((seq.window.n_min + 10,)))
-    _amplitude_blocks(seq, [parts[0]], ctx, (False,))
+    _amplitude_blocks(seq, [parts[0]], zs, (False,))
     with pytest.raises(NumericalFault, match="tail fit is not finite"):
-        _amplitude_blocks(seq, [parts[0], seq, parts[0], seq], ctx, (False,))
+        _amplitude_blocks(seq, [parts[0], seq, parts[0], seq], zs, (False,))
 
 
 def test_identities_report_sweeps_the_end_fragments_once(monkeypatch):

@@ -1,12 +1,14 @@
-"""One grid context per run, and a grid held as arrays: both must be exact.
+"""One grid check per grid, and a grid held as arrays: both must be exact.
 
-A run builds one grid context, which checks its grid, and every
-recursion and tail fit over that grid reads its drive and powers from
-it.  The grid itself keeps only its points as an array and builds angles, band
-images and SpectralPoint objects on demand.  Both are reorganizations,
-so these tests hold them to the bit against the computation each value
-used to have, kept below as references.  The band image's imaginary-part
-check is scaled by the image's terms, so large limits build a grid.
+A grid is the checked 1-d array require_admissible returns: every grid
+function checks its grid once, on entry, and every recursion and tail
+fit over it reads its powers from spectral._power_table.  A
+sample_circle grid keeps only its points as an array and builds angles,
+band images and SpectralPoint objects on demand.  Both are
+reorganizations, so these tests hold them to the bit against the
+computation each value used to have, kept below as references.  The
+band image's imaginary-part check is scaled by the image's terms, so
+large limits build a grid.
 
 Each grid function computes every point as given: every per-point
 function must give each point the bits of its one-point call, and every
@@ -19,6 +21,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -44,7 +47,8 @@ from jacobiscatter import (
 from jacobiscatter import cli, spectral
 from jacobiscatter.jost import _fit_sweep
 from jacobiscatter.scattering import _fit_exponents, _tail_fit
-from jacobiscatter.spectral import _GridContext, wave_pair_det
+from jacobiscatter.spectral import _power_table, require_admissible, wave_pair_det
+from jacobiscatter.transition import _identities_report
 from conftest import hand_fixtures, make_sequence, random_sequence
 
 LARGE_LIMITS = (Limits(1e4, 0.0, 1.0), Limits(1e3, 0.0, 1e-3))
@@ -74,14 +78,12 @@ def reference_tail_fit(zs, left, right, n, p, sign):
 WINDOWS = ((0, 2), (-3, 0), (97, 99), (99, 101), (-103, -100), (-100, -98))
 
 
-def tail_rows(seq, ctx, modes):
-    return _fit_sweep(seq, [(seq, seq.window)], ctx, modes)[0]
+def tail_rows(seq, zs, modes):
+    return _fit_sweep(seq, [(seq, seq.window)], zs, modes)[0]
 
 
-def test_context_tail_fit_equals_the_self_computed_fit():
+def test_tail_fit_equals_the_self_computed_fit():
     zs = sample_circle(Limits(1.0, 0.0, 1.0), 64, 0.05).zs
-    # one context across every window
-    shared = _GridContext(zs)
     exponents = set()
     for n_min, n_max in WINDOWS:
         length = n_max - n_min + 1
@@ -89,11 +91,11 @@ def test_context_tail_fit_equals_the_self_computed_fit():
             n_min, [1.0, 1.2, 0.9, 1.1][:length], [0.3, -0.2, 0.1, 0.4][:length], [1.0] * length
         )
         n, p = n_min - 2, n_max + 1
-        powers = shared.power_table(np.array(_fit_exponents(seq.window)))
+        powers = _power_table(zs, np.array(_fit_exponents(seq.window)))
         for sign, modes in ((1, (False,)), (-1, (True,))):
-            left, right = tail_rows(seq, _GridContext(zs), modes)
+            left, right = tail_rows(seq, zs, modes)
             want = reference_tail_fit(zs, left, right, n, p, sign)
-            got = _tail_fit(shared.zs, wave_pair_det(shared.zs), powers, left, right, sign)
+            got = _tail_fit(zs, wave_pair_det(zs), powers, left, right, sign)
             assert bits(*got) == bits(*want)
             exponents.update(sign * k for k in (n, n + 1, -p, -(p + 1)))
             exponents.update(-sign * k for k in (n, n + 1, -p, -(p + 1)))
@@ -101,26 +103,20 @@ def test_context_tail_fit_equals_the_self_computed_fit():
     assert {99, 101, -99, -101} <= exponents
 
 
-def test_context_shares_but_never_mixes_its_values():
-    zs = sample_circle(Limits(1.0, 0.0, 1.0), 64, 0.05).zs
-    ctx = _GridContext(zs)
-    for k in (-101, -100, -2, -1, 0, 1, 2, 99, 100, 101):
-        want = (zs[None, :] ** np.array([[k]]))[0]
-        assert bits(ctx.power_table(np.array([k]))[0]) == bits(want)
-    for limits in (Limits(1.0, 0.0, 1.0), Limits(-0.8, 0.3, 1.2)):
-        drive = limits.a_inf * (zs + 1.0 / zs) + limits.b_inf
-        assert bits(ctx.drive(limits, 1)) == bits(drive)
-        assert bits(ctx.drive(limits, 3)) == bits(np.tile(drive, 3))
-
-
-def test_context_is_the_grid_check():
-    """Every grid function builds its grid through the context, which
-    rejects points near the degenerate +1, -1 and points off the circle."""
+def test_require_admissible_is_the_grid_check():
+    """Every grid function checks its grid with require_admissible, which
+    rejects points near the degenerate +1, -1 and points off the circle,
+    and returns a 1-d complex grid, a single point as the grid [z]."""
     for z in (1.0, -1.0, cmath.exp(5e-9j), -cmath.exp(-5e-9j)):
         with pytest.raises(NumericalFault, match="degenerate"):
-            _GridContext([z])
+            require_admissible([z])
     with pytest.raises(SpectralDomainError, match="unit circle"):
-        _GridContext([1.001j])
+        require_admissible([1.001j])
+    zs = sample_circle(Limits(1.0, 0.0, 1.0), 6, 0.05).zs
+    assert require_admissible(zs) is zs
+    for z in (zs[2], complex(zs[2]), [complex(zs[2])]):
+        grid = require_admissible(z)
+        assert grid.dtype == complex and grid.shape == (1,) and bits(grid) == bits(zs[2:3])
 
 
 GRID_FUNCTIONS = {
@@ -138,7 +134,37 @@ GRID_FUNCTIONS = {
     "identity_sweep": identity_sweep,
     "transfer_matrix_values": transfer_matrix_values,
     "wronskian_values": wronskian_values,
+    "_identities_report": lambda seq, zs: _identities_report(seq, Fragmentation((0,)), zs),
 }
+
+
+@pytest.fixture
+def checked_grids(monkeypatch):
+    """The size of each grid require_admissible is asked to check, in call
+    order, through every copy a package module imported."""
+    sizes = []
+    check = spectral.require_admissible
+
+    def counting(zs):
+        sizes.append(np.size(zs))
+        return check(zs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "jacobiscatter" and vars(module).get("require_admissible") is check:
+            monkeypatch.setattr(module, "require_admissible", counting)
+    return sizes
+
+
+def test_every_grid_function_checks_its_grid_once(checked_grids):
+    """Each grid function checks its grid once, on entry; the identity
+    sweep checks its grid of z and 1/z too."""
+    seq = make_sequence(-1, [1.0, 1.2, 0.9], [0.3, -0.2, 0.1], [1.0, 1.1, 0.9])
+    zs = sample_circle(seq.limits, 6, 0.05).zs
+    for name, grid_function in GRID_FUNCTIONS.items():
+        checked_grids.clear()
+        grid_function(seq, zs)
+        want = [6, 12] if name in ("identity_sweep", "_identities_report") else [6]
+        assert checked_grids == want, name
 
 
 def result_bits(result):
@@ -150,7 +176,7 @@ def result_bits(result):
 
 
 def test_every_grid_function_rejects_a_grid_without_points_or_on_two_axes():
-    """The context's check names the grid's shape for every grid function;
+    """require_admissible names the grid's shape for every grid function;
     a 0-d z is the one-point grid [z], bit for bit."""
     seq = make_sequence(-1, [1.0, 1.2, 0.9], [0.3, -0.2, 0.1], [1.0, 1.1, 0.9])
     zs = sample_circle(seq.limits, 6, 0.05).zs
@@ -384,8 +410,8 @@ def test_band_image_still_rejects_a_genuine_imaginary_part():
 
 
 
-def test_identities_run_builds_two_grid_contexts(tmp_path, monkeypatch):
-    """Two contexts are built and checked: the report's grid, 33 points,
+def test_identities_run_checks_two_grids(tmp_path, checked_grids):
+    """Two grids are checked: the report's grid, 33 points,
     one of each conjugate pair of the run's 64, which the junction sweep
     recurses the whole sequence over, and the identity sweep's grid of z
     and its rounded reciprocal over them, which both its recursions and
@@ -395,14 +421,6 @@ def test_identities_run_builds_two_grid_contexts(tmp_path, monkeypatch):
         "a_inf": 1.0, "b_inf": 0.0, "w_inf": 1.0, "n_min": -1, "n_max": 1,
         "a": [1.0, 1.0, 1.0], "b": [0.3, 0.0, -0.4], "w": [1.0, 1.0, 1.0],
     }))
-    built = []
-    init = _GridContext.__init__
-
-    def counting_init(self, zs):
-        built.append(zs.size)
-        init(self, zs)
-
-    monkeypatch.setattr(_GridContext, "__init__", counting_init)
     argv = ["identities", "--input", str(path), "--breakpoints=-1,0,1", "--grid", "64"]
     assert run_quietly(argv) == 0
-    assert built == [33, 66]
+    assert checked_grids == [33, 66]

@@ -40,7 +40,7 @@ from jacobiscatter.lattice import (
     fragment,
 )
 from jacobiscatter.scattering import _coefficients, _fit_exponents, _tail_fit
-from jacobiscatter.spectral import _GridContext, wave_pair_det
+from jacobiscatter.spectral import _power_table, wave_pair_det
 from conftest import (
     default_grid,
     hand_fixtures,
@@ -54,10 +54,9 @@ MODES = ((False,), (True,), (True, False, True))
 
 
 def grid_tail_fit(zs, left, right, window, sign):
-    """_tail_fit on the sites two past window over a context of zs alone."""
-    ctx = _GridContext(zs)
-    powers = ctx.power_table(np.array(_fit_exponents(window)))
-    return _tail_fit(ctx.zs, wave_pair_det(ctx.zs), powers, left, right, sign)
+    """_tail_fit on the sites two past window over the grid zs."""
+    powers = _power_table(zs, np.array(_fit_exponents(window)))
+    return _tail_fit(zs, wave_pair_det(zs), powers, left, right, sign)
 
 
 def reference_recurse(seq, window, lo, hi, zs, side, modes, store):
@@ -106,7 +105,7 @@ def reference_recurse(seq, window, lo, hi, zs, side, modes, store):
     return rows[[last % count, (last + 1) % count]]
 
 
-def streamed(seq, lo, hi, ctx, side, modes, block=jost._BLOCK_SITES):
+def streamed(seq, lo, hi, zs, side, modes, block=jost._BLOCK_SITES):
     """The rows over [lo, hi] that _recurse hands out, put together.
 
     The blocks must come in the recursion's order, from hi down on the
@@ -114,9 +113,9 @@ def streamed(seq, lo, hi, ctx, side, modes, block=jost._BLOCK_SITES):
     block sites counted from where the recursion ends, so that only the
     first block handed out is short.
     """
-    rows = np.empty((hi - lo + 1, len(modes) * ctx.zs.size), dtype=complex)
+    rows = np.empty((hi - lo + 1, len(modes) * zs.size), dtype=complex)
     spans = []
-    for n, part in _recurse(seq, lo, hi, ctx, side, modes, block=block):
+    for n, part in _recurse(seq, lo, hi, zs, side, modes, block=block):
         rows[n - lo : n - lo + len(part)] = part
         spans.append((n, n + len(part)))
     assert spans[-1][1] - spans[-1][0] == min(block, hi - lo + 1)
@@ -130,26 +129,23 @@ def streamed(seq, lo, hi, ctx, side, modes, block=jost._BLOCK_SITES):
     return rows
 
 
-def kernel_pairs(seq, zs, ctx=None):
+def kernel_pairs(seq, zs):
     """The kernels and the reference on every side, row mode and mode set.
 
     The stored recursion gives every row, put together from its blocks,
-    the tail-fit sweep the last two of each side.  All the kernels' calls
-    read one grid context, ctx if given, so its drive and the log behind
-    its large seed powers are shared across them.
+    the tail-fit sweep the last two of each side.
     """
-    ctx = _GridContext(zs) if ctx is None else ctx
     window = seq.window
     lo, hi = window.n_min - 4, window.n_max + 3
     for side in ("left", "right"):
         for modes in MODES:
             yield (
-                streamed(seq, lo, hi, ctx, side, modes),
+                streamed(seq, lo, hi, zs, side, modes),
                 reference_recurse(seq, window, lo, hi, zs, side, modes, True),
             )
     lo, hi = window.n_min - 2, window.n_max + 2
     for modes in MODES:
-        rows = _fit_sweep(seq, [(seq, window)], ctx, modes)[0]
+        rows = _fit_sweep(seq, [(seq, window)], zs, modes)[0]
         for got, side in zip(rows, ("left", "right")):
             yield got, reference_recurse(seq, window, lo, hi, zs, side, modes, False)
 
@@ -163,15 +159,14 @@ def test_real_view_kernel_equals_complex_rows(random_fixtures):
 
 
 def test_kernel_on_one_shared_context_equals_complex_rows(random_fixtures):
-    """One grid context serves every call: the drive is kept per set of
-    limits and the grid's log across calls, as one run shares them."""
+    """One grid serves sequences of different limits, each computing its
+    own drive over it."""
     seqs = hand_fixtures() + random_fixtures[:6]
     zs = default_grid(seqs[0], count=64).zs
-    ctx = _GridContext(zs)
     for seq in seqs:
         # the grid's points do not depend on the limits
         assert default_grid(seq, count=64).zs.tobytes() == zs.tobytes()
-        for got, want in kernel_pairs(seq, zs, ctx):
+        for got, want in kernel_pairs(seq, zs):
             assert got.tobytes() == want.tobytes()
     assert len({(lim.a_inf, lim.b_inf) for lim in (seq.limits for seq in seqs)}) > 1
 
@@ -238,8 +233,7 @@ def test_fit_sweep_across_operand_table_edges_equals_complex_rows(count, modes):
             assert edge - 1 in {last for _, last in side}
             assert any(first < edge - 1 and last > edge for first, last in side)
     zs = default_grid(seq, count=count).zs
-    ctx = _GridContext(zs)
-    rows = _fit_sweep(seq, jobs, ctx, modes) + _fit_sweep(seq, jobs[:1], ctx, modes)
+    rows = _fit_sweep(seq, jobs, zs, modes) + _fit_sweep(seq, jobs[:1], zs, modes)
     for (part, window), sides in zip(jobs + jobs[:1], rows):
         lo, hi = window.n_min - 2, window.n_max + 2
         for got, side in zip(sides, ("left", "right")):
@@ -509,10 +503,10 @@ def test_far_breakpoints_make_the_edge_breakpoints_recursions(monkeypatch, tmp_p
     argv = ["identities", "--input", str(path), "--grid", "8"]
     recurse, runs = transition._recurse, []
 
-    def record(part, lo, hi, ctx, side, modes):
+    def record(part, lo, hi, zs, side, modes):
         values = (part.a_values, part.b_values, part.w_values)
         runs.append(([v.tobytes() for v in values], lo, hi, side, modes))
-        return recurse(part, lo, hi, ctx, side, modes)
+        return recurse(part, lo, hi, zs, side, modes)
 
     def recorded(run, points):
         runs.clear()
@@ -550,9 +544,9 @@ def test_junction_sweep_recurses_only_the_sites_it_reads(monkeypatch):
     n_min, n_max = seq.window.n_min, seq.window.n_max
     recurse, runs = transition._recurse, []
 
-    def record(part, lo, hi, ctx, side, modes):
+    def record(part, lo, hi, zs, side, modes):
         runs.append((part, lo, hi, side, modes))
-        return recurse(part, lo, hi, ctx, side, modes)
+        return recurse(part, lo, hi, zs, side, modes)
 
     monkeypatch.setattr(transition, "_recurse", record)
     out = (1, 50, MAX_WINDOW_SITES)
@@ -624,13 +618,12 @@ def test_streamed_blocks_equal_the_reference_recursion(count):
     seq = make_sequence(n_min, a, b, w, Limits(0.7, 0.0, 3.0))
     lo, hi = n_min - 500, n_max + 500
     zs = default_grid(seq, count=count).zs
-    ctx = _GridContext(zs)
     for side in ("left", "right"):
         for modes in MODES:
             want = reference_recurse(seq, seq.window, lo, hi, zs, side, modes, True)
             assert np.all(np.isfinite(want))
             for block in (1, 3, jost._BLOCK_SITES):
-                got = streamed(seq, lo, hi, ctx, side, modes, block)
+                got = streamed(seq, lo, hi, zs, side, modes, block)
                 assert got.tobytes() == want.tobytes(), (side, modes, block)
 
 

@@ -2,10 +2,10 @@
 
 numpy multiplies out integer powers of a complex array below
 FAST_POWER_LIMIT and hands larger ones to the C library's cpow, which
-computes exp(k log z).  The grid context keeps numpy's route for small
-exponents and evaluates large ones as np.exp(k * log zs) over one log
-per table.  These tests hold every power table row the context hands
-out to the bit against numpy's expression with array exponents, across
+computes exp(k log z).  spectral._power_table keeps numpy's route for
+small exponents and evaluates large ones as np.exp(k * log zs) over one
+log per table.  These tests hold every power table row it hands out to
+the bit against numpy's expression with array exponents, across
 the switch at |k| = 100 and up to |k| = 20,004, on unit-circle grids,
 their rounded reciprocals and conjugates.
 """
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from jacobiscatter import Limits, sample_circle
-from jacobiscatter.spectral import _GridContext
+from jacobiscatter.spectral import _power_table
 
 
 def grids():
@@ -50,10 +50,9 @@ def bits(x):
 @pytest.mark.parametrize("name", sorted(GRIDS))
 def test_seed_power_equals_array_exponent_power(name):
     zs = GRIDS[name]
-    ctx = _GridContext(zs)
     for k in EXPONENTS:
         want = zs ** np.full(zs.size, k)
-        assert bits(ctx.power_table(np.array([k]))[0]) == bits(want), k
+        assert bits(_power_table(zs, np.array([k]))[0]) == bits(want), k
 
 
 TABLES = {
@@ -70,14 +69,13 @@ TABLES = {
 @pytest.mark.parametrize("table", sorted(TABLES))
 def test_power_table_equals_broadcast_power(name, table):
     zs, ks = GRIDS[name], TABLES[table]
-    assert bits(_GridContext(zs).power_table(ks)) == bits(zs[None, :] ** ks[:, None])
+    assert bits(_power_table(zs, ks)) == bits(zs[None, :] ** ks[:, None])
 
 
 @pytest.mark.parametrize("name", sorted(GRIDS))
 def test_small_exponent_table_is_numpy_broadcast_without_a_log(name, monkeypatch):
     zs = GRIDS[name]
     ks = np.arange(-99, 100)
-    ctx = _GridContext(zs)
     logs = []
     log = np.log
 
@@ -86,9 +84,9 @@ def test_small_exponent_table_is_numpy_broadcast_without_a_log(name, monkeypatch
         return log(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "log", counting_log)
-    assert bits(ctx.power_table(ks)) == bits(zs[None, :] ** ks[:, None])
-    assert ctx.power_table(ks[:0]).shape == (0, zs.size)
+    assert bits(_power_table(zs, ks)) == bits(zs[None, :] ** ks[:, None])
+    assert _power_table(zs, ks[:0]).shape == (0, zs.size)
     # the log is paid for only when some exponent needs it, once a table
     assert logs == []
-    ctx.power_table(np.array([100, -100, 5]))
+    _power_table(zs, np.array([100, -100, 5]))
     assert logs == [zs.shape]

@@ -4,7 +4,7 @@ Supports are kept short (at most eight sites) so solution growth stays
 mild, and most draws meet the absolute bounds with room to spare.  Not
 every draw does: next to z = 1 the transition matrix's entries can reach
 a few hundred, and the determinant's absolute gap is then the rounding
-of terms near 2e5.  One such draw, which Hypothesis found once, is
+of terms near 2e5.  Two such draws, each found once by Hypothesis, are
 pinned below on the gap scaled to those terms.  The wide-window behavior
 is covered by the seeded acceptance family instead.
 """
@@ -97,22 +97,43 @@ def test_transition_determinant_is_one(seq, z):
     assert float(res[0]) <= 1e-10
 
 
+RECORDED_DETERMINANT_DRAWS = (
+    # absolute gap 1.21e-10; scaled, 3.1e-16
+    (
+        CoefficientSequence(
+            Limits(1.0, 0.5, 1.0),
+            IndexWindow(0, 5),
+            [1.0, 1.0, 1.0, 0.55, 0.55, 1.0],
+            [0.5] * 6,
+            [1.0, 1.45, 1.0, 1.0, 1.0, 1.45],
+        ),
+        0.9980475107000991 + 0.0624593178423802j,
+    ),
+    # absolute gap 1.18e-10; scaled, 4.1e-16
+    (
+        CoefficientSequence(
+            Limits(1.125, 0.0, 1.0),
+            IndexWindow(0, 7),
+            [1.63125, *[1.125] * 5, 0.61875, 0.61875],
+            [0.0] * 8,
+            [*[1.0] * 7, 1.45],
+        ),
+        0.99871090937857 + 0.05075942757980711j,
+    ),
+)
+
+
 def test_recorded_determinant_draw_is_rounding_of_its_terms():
-    """A draw of sequences() whose absolute gap, 1.21e-10, fails the bound
-    of test_transition_determinant_is_one.  Its entries are about 440, so
-    the determinant's terms are about 2e5; scaled to |L00 L11| + |L01 L10|
-    the gap is 3.1e-16, a rounding error."""
-    seq = CoefficientSequence(
-        Limits(1.0, 0.5, 1.0),
-        IndexWindow(0, 5),
-        [1.0, 1.0, 1.0, 0.55, 0.55, 1.0],
-        [0.5] * 6,
-        [1.0, 1.45, 1.0, 1.0, 1.0, 1.45],
-    )
-    lam = transition_entries(seq, np.array([0.9980475107000991 + 0.0624593178423802j]))[0]
-    det = lam[0, 0] * lam[1, 1] - lam[0, 1] * lam[1, 0]
-    scale = abs(lam[0, 0] * lam[1, 1]) + abs(lam[0, 1] * lam[1, 0])
-    assert abs(det - 1.0) / scale <= 1e-14
+    """Draws of sequences() whose absolute gaps, 1.21e-10 and 1.18e-10,
+    fail the bound of test_transition_determinant_is_one.  Their entries
+    are a few hundred, so the determinant's terms are about 2e5; scaled
+    to |L00 L11| + |L01 L10| the gaps are 3.1e-16 and 4.1e-16, rounding
+    errors."""
+    for seq, z in RECORDED_DETERMINANT_DRAWS:
+        lam = transition_entries(seq, np.array([z]))[0]
+        det = lam[0, 0] * lam[1, 1] - lam[0, 1] * lam[1, 0]
+        scale = abs(lam[0, 0] * lam[1, 1]) + abs(lam[0, 1] * lam[1, 0])
+        assert abs(det - 1.0) / scale <= 1e-14, seq
 
 
 @settings(max_examples=30, **COMMON)

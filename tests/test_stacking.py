@@ -18,7 +18,6 @@ from jacobiscatter import (
     transition_entries,
 )
 from jacobiscatter.jost import _fit_sweep
-from jacobiscatter.spectral import _GridContext
 from conftest import default_grid, hand_fixtures, mixed_sequence, overflowing_sequence
 from test_kernel_reference import streamed
 
@@ -37,8 +36,8 @@ def blocks_and_singles(seq, zs, side, store):
     def run(modes):
         if store:
             lo, hi = window.n_min - 4, window.n_max + 3
-            return streamed(seq, lo, hi, _GridContext(zs), side, modes)
-        rows = _fit_sweep(seq, [(seq, window)], _GridContext(zs), modes)[0]
+            return streamed(seq, lo, hi, zs, side, modes)
+        rows = _fit_sweep(seq, [(seq, window)], zs, modes)[0]
         return rows[("left", "right").index(side)]
 
     stacked = run(FLAGS)

@@ -21,7 +21,6 @@ from jacobiscatter import (
     transition_entries,
 )
 from jacobiscatter.jost import _fit_sweep
-from jacobiscatter.spectral import _GridContext
 from conftest import (
     coupling_step_sequence,
     default_grid,
@@ -84,7 +83,7 @@ def test_two_row_fit_equals_full_array_fit(random_fixtures):
             fl, lo = jost_values(seq, zs, "left", at_inverse=at_inverse)
             fr, _ = jost_values(seq, zs, "right", at_inverse=at_inverse)
             assert lo == n
-            left, right = _fit_sweep(seq, [(seq, seq.window)], _GridContext(zs), (at_inverse,))[0]
+            left, right = _fit_sweep(seq, [(seq, seq.window)], zs, (at_inverse,))[0]
             assert bits(left) == bits(fl[:, :2].T)
             assert bits(right) == bits(fr[:, p - lo : p - lo + 2].T)
             sign = -1 if at_inverse else 1
