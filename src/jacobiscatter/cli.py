@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from dataclasses import dataclass
 from json import JSONDecodeError, load as _json_load
@@ -35,7 +36,7 @@ from .lattice import (
     validate_sequence,
 )
 from .scattering import _grid_maxima, scattering_values
-from .spectral import CircleGrid, _mirror_pairs, _pair_half, sample_circle
+from .spectral import CircleGrid, _band_images, _pair_half, sample_circle
 from .transition import _identities_report, factorization_residuals
 
 _TABLE_FIELDS = (
@@ -49,6 +50,8 @@ _TABLE_FIELDS = (
     "im_L",
     "unitarity",
 )
+# the table's field format: 17 significant digits, as _fmt prints the reports
+_FIELD_FORMAT = "%.17g"
 
 
 @dataclass(frozen=True)
@@ -104,17 +107,14 @@ def _emit(text: str, output_path: str | None) -> None:
         fh.write(text)
 
 
-# one printf template per table row, 17 significant digits per field
-_CSV_ROW = ",".join(["%.17g"] * len(_TABLE_FIELDS))
-_JSON_ROW = "  {" + ", ".join(f'"{name}": %.17g' for name in _TABLE_FIELDS) + "}"
-
-
-def _render_table(rows: list[tuple[float, ...]], fmt: str) -> str:
-    if fmt == "csv":
-        lines = [",".join(_TABLE_FIELDS)]
-        lines.extend(_CSV_ROW % row for row in rows)
-        return "\n".join(lines) + "\n"
-    return "[\n" + ",\n".join(_JSON_ROW % row for row in rows) + "\n]\n"
+def _conjugate_row(row: str) -> str:
+    """The csv table row at conj(z), from the row at z: theta and the
+    imaginary parts negated as text, where 0 and nan print no sign."""
+    fields = row.split(",")
+    for j in (0, 3, 5, 7):  # theta, im_T, im_R, im_L
+        text = fields[j]
+        fields[j] = text[1:] if text[0] == "-" else text if text in ("0", "nan") else "-" + text
+    return ",".join(fields)
 
 
 def _render_report(rows: list[tuple[str, float, float, bool]], fmt: str) -> str:
@@ -134,25 +134,41 @@ def _render_report(rows: list[tuple[str, float, float, bool]], fmt: str) -> str:
 
 
 def run_scatter(config: RunConfig) -> int:
-    """Sweep the grid and write the coefficient table.  Exit 0 on success."""
+    """Sweep the grid and write the coefficient table.  Exit 0 on success.
+
+    Each conjugate pair's row is computed and formatted once, as csv text
+    over _pair_half of the grid, and row i > count // 2 is the text of row
+    count - i, its conjugate's, with theta and the imaginary parts negated;
+    json rows take their fields from that text.  This is the whole grid's
+    table byte for byte: atan2 is odd and abs even; in Python's complex
+    arithmetic the band image's real part at conj(z) has the bits it has
+    at z, an exact zero's sign too (+0.0 at both); T, R and L at conj(z)
+    are those at z conjugated but for the sign of an exact zero, and + 0.0
+    makes every zero +0.0.
+    """
     seq = _load_sequence(config.input_path)
     grid = _grid_for(seq, config)
-    # each conjugate pair computed once, then mirrored
-    t, r, l = (_mirror_pairs(v, len(grid)) for v in scattering_values(seq, _pair_half(grid)))
-    rows = list(
-        zip(
-            grid.thetas.tolist(),
-            grid.lams.tolist(),
-            t.real.tolist(),
-            t.imag.tolist(),
-            r.real.tolist(),
-            r.imag.tolist(),
-            l.real.tolist(),
-            l.imag.tolist(),
+    zs = _pair_half(grid)
+    t, r, l = (values + 0.0 for values in scattering_values(seq, zs))
+    row = ",".join([_FIELD_FORMAT] * len(_TABLE_FIELDS))
+    rows = [
+        row % fields
+        for fields in zip(
+            map(math.atan2, zs.imag.tolist(), zs.real.tolist()),
+            _band_images(seq.limits, zs.tolist()),
+            *(part.tolist() for values in (t, r, l) for part in (values.real, values.imag)),
             [abs(t_i) ** 2 + abs(r_i) ** 2 for t_i, r_i in zip(t.tolist(), r.tolist())],
         )
-    )
-    _emit(_render_table(rows, config.format), config.output_path)
+    ]
+    count = len(grid)
+    # rows count // 2 + 1, ..., count - 1 from rows count - count // 2 - 1, ..., 1
+    rows += map(_conjugate_row, rows[count - count // 2 - 1 : 0 : -1])
+    if config.format == "csv":
+        table = "\n".join([",".join(_TABLE_FIELDS), *rows]) + "\n"
+    else:
+        template = "  {" + ", ".join(f'"{name}": %s' for name in _TABLE_FIELDS) + "}"
+        table = "[\n" + ",\n".join(template % tuple(text.split(",")) for text in rows) + "\n]\n"
+    _emit(table, config.output_path)
     return 0
 
 

@@ -243,8 +243,7 @@ def sample_circle(limits: Limits, count: int, exclusion_delta: float) -> CircleG
     point sits within a few rounding steps of its place on the walk.
     When count is divisible by four, +pi/2 is a grid node, assigned
     exactly rather than through the accumulated step, and so is -pi/2,
-    its conjugate.  _pair_half and _mirror_pairs let a caller compute
-    each pair once.
+    its conjugate.  _pair_half lets a caller compute each pair once.
     """
     if count < 1:
         raise SpectralDomainError(f"grid needs at least one point, got {count}")
@@ -289,18 +288,3 @@ def _pair_half(grid: CircleGrid) -> np.ndarray:
     bad point is the grid's first.
     """
     return grid.zs[: len(grid) // 2 + 1]
-
-
-def _mirror_pairs(values: np.ndarray, count: int) -> np.ndarray:
-    """values over _pair_half of a grid of count points, spread onto all of them.
-
-    Point i > count // 2 takes the conjugate of the entry at count - i,
-    and every zero is made +0.0, x + 0.0 keeping every other bit, so no
-    entry depends on the sign numpy gives an exact zero part.
-    """
-    half = count // 2 + 1
-    out = np.empty((count,) + values.shape[1:], dtype=values.dtype)
-    out[:half] = values
-    out[half:] = np.conj(values[count - half : 0 : -1])
-    out += 0.0
-    return out

@@ -23,6 +23,8 @@ RANDOM_SEED = 20260822
 RANDOM_FIXTURE_COUNT = 50
 
 UNIT_LIMITS = Limits(1.0, 0.0, 1.0)
+# limits whose band images carry rounding far above an absolute 1e-12
+LARGE_LIMITS = (Limits(1e4, 0.0, 1.0), Limits(1e3, 0.0, 1e-3))
 
 
 def make_sequence(n_min, a, b, w, limits=UNIT_LIMITS):

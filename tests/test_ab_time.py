@@ -40,8 +40,8 @@ def test_changed_output_is_named(tmp_path):
                     ignore=shutil.ignore_patterns("__pycache__"))
     cli = tmp_path / "src" / "jacobiscatter" / "cli.py"
     text = cli.read_text()
-    assert '_CSV_ROW = ",".join(["%.17g"]' in text
-    cli.write_text(text.replace('_CSV_ROW = ",".join(["%.17g"]', '_CSV_ROW = ",".join(["%.16g"]'))
+    assert '_FIELD_FORMAT = "%.17g"' in text
+    cli.write_text(text.replace('_FIELD_FORMAT = "%.17g"', '_FIELD_FORMAT = "%.16g"'))
     proc = ab_time(str(tmp_path), "--workloads", "small-batch")
     assert proc.returncode == 1
     lines = proc.stdout.splitlines()

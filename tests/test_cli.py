@@ -12,11 +12,13 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from jacobiscatter import Fragmentation, NumericalFault, factorization_residuals
+from jacobiscatter import Fragmentation, Limits, NumericalFault, factorization_residuals
 from jacobiscatter import cli, sample_circle, scattering_values
 from jacobiscatter.scattering import _grid_maxima
 from jacobiscatter.transition import _identities_report
 from conftest import (
+    LARGE_LIMITS,
+    UNIT_LIMITS,
     free_sequence,
     hand_fixtures,
     make_sequence,
@@ -549,13 +551,34 @@ def sequence_input(seq):
     }
 
 
-def direct_table(seq, grid):
-    """The scatter table of scattering_values over the whole grid, zeros as +0.0."""
+TABLE_FIELDS = ("theta", "lambda", "re_T", "im_T", "re_R", "im_R", "re_L", "im_L", "unitarity")
+
+
+def direct_table(seq, grid, fmt):
+    """The scatter table of scattering_values over the whole grid, zeros as
+    +0.0, each row formatted on its own with 17 significant digits."""
     t, r, l = (values + 0.0 for values in scattering_values(seq, grid.zs))
     unitarity = [abs(t_i) ** 2 + abs(r_i) ** 2 for t_i, r_i in zip(t.tolist(), r.tolist())]
     columns = (t.real, t.imag, r.real, r.imag, l.real, l.imag)
     rows = zip(grid.thetas.tolist(), grid.lams.tolist(), *map(np.ndarray.tolist, columns), unitarity)
-    return cli._render_table(list(rows), "csv")
+    if fmt == "csv":
+        lines = [",".join(TABLE_FIELDS), *(",".join("%.17g" % v for v in row) for row in rows)]
+        return "\n".join(lines) + "\n"
+    objects = [
+        "  {" + ", ".join('"%s": %.17g' % field for field in zip(TABLE_FIELDS, row)) + "}"
+        for row in rows
+    ]
+    return "[\n" + ",\n".join(objects) + "\n]\n"
+
+
+def zero_lambda_sequence(count, k):
+    """A sequence whose band image is exactly 0 at point k of a count-point
+    grid: b_inf = -a_inf Re(z + 1/z) there, in Python's complex arithmetic."""
+    z = complex(sample_circle(UNIT_LIMITS, count, 1e-3).zs[k])
+    a_inf, w_inf = 1.3, 0.8
+    b_inf = -a_inf * (z + 1.0 / z).real
+    limits = Limits(a_inf, b_inf, w_inf)
+    return make_sequence(0, [a_inf, 1.4], [b_inf + 0.3, b_inf], [w_inf, 1.0], limits)
 
 
 def direct_report(named):
@@ -565,24 +588,39 @@ def direct_report(named):
 
 
 def test_cli_computes_each_conjugate_pair_once_and_prints_the_whole_grid(tmp_path):
-    """The CLI computes one point of each conjugate pair of its grid.  Its
-    table is the whole grid's, computed directly, with every zero printed
+    """The CLI computes and formats one point of each conjugate pair of its
+    grid.  Its table, in either format and on stdout or in a file, is the
+    whole grid's, computed and formatted directly, with every zero printed
     as +0.0, and its reports print the maxima over the whole grid.  The
-    free lattice's R = 0 and the single site's purely imaginary R / T have
-    exact zero parts, whose sign the arithmetic at z and at conj(z) need
-    not share."""
+    free lattice's R = 0, the single site's purely imaginary R / T and the
+    weight-only impurity's R have exact zero parts, whose sign the
+    arithmetic at z and at conj(z) need not share (the impurity's is -0.0
+    at one point of the half at 4, 8 and 64 points), and the last
+    sequence's band image is exactly 0 at an upper point and its
+    conjugate."""
     rng = np.random.default_rng(29)
     seqs = [free_sequence(), *hand_fixtures(), random_sequence(rng), random_sequence(rng)]
+    seqs.append(make_sequence(0, [1.0, 1.0], [0.0, 0.0], [2.0, 2.0]))
+    seqs += [
+        make_sequence(0, [lim.a_inf, 1.1 * lim.a_inf], [0.3 * lim.a_inf, 0.0],
+                      [lim.w_inf, 1.2 * lim.w_inf], lim)
+        for lim in LARGE_LIMITS
+    ]
     runs = [(seq, count) for seq in seqs for count in (1, 2, 3, 4, 7, 8, 63, 64)]
     runs.append((single_site_sequence(), 512))
+    runs.append((zero_lambda_sequence(64, 40), 64))
     frag = Fragmentation((0,))
     for seq, count in runs:
         path = write_input(tmp_path, sequence_input(seq))
         grid = sample_circle(seq.limits, count, 1e-3)
-        code, out, err = run_in_process(["scatter", "--input", path, "--grid", str(count)])
-        assert (code, err) == (0, "")
-        assert out == direct_table(seq, grid), (seq, count)
-        assert "-0" not in {cell for line in out.splitlines() for cell in line.split(",")}
+        for fmt in ("csv", "json"):
+            argv = ["scatter", "--input", path, "--grid", str(count), "--format", fmt]
+            assert run_in_process(argv) == (0, direct_table(seq, grid, fmt), ""), (fmt, seq, count)
+            table = tmp_path / f"table.{fmt}"
+            assert run_in_process([*argv, "--output", str(table)]) == (0, "", "")
+            assert table.read_text() == direct_table(seq, grid, fmt), (fmt, seq, count)
+        cells = [line.split(",") for line in table.with_suffix(".csv").read_text().splitlines()]
+        assert "-0" not in {cell for row in cells for cell in row}
         named = {"factorization": factorization_residuals(seq, frag, grid.zs)}
         reports = [
             ("factorize", _grid_maxima(named, grid.zs)),
@@ -593,6 +631,8 @@ def test_cli_computes_each_conjugate_pair_once_and_prints_the_whole_grid(tmp_pat
             code, out, err = run_in_process(argv)
             assert (code, err) == (0 if all(v <= 1e-9 for v in want.values()) else 1, "")
             assert out == direct_report(want), (command, seq, count)
+    # rows 1 + 40 and 1 + 24 of the last table, the header first
+    assert cells[41][1] == cells[25][1] == "0"
 
 
 def test_cli_fault_names_the_theta_of_the_whole_grid(tmp_path):

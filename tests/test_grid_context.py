@@ -49,9 +49,7 @@ from jacobiscatter.jost import _fit_sweep
 from jacobiscatter.scattering import _fit_exponents, _tail_fit
 from jacobiscatter.spectral import _power_table, require_admissible, wave_pair_det
 from jacobiscatter.transition import _identities_report
-from conftest import hand_fixtures, make_sequence, random_sequence
-
-LARGE_LIMITS = (Limits(1e4, 0.0, 1.0), Limits(1e3, 0.0, 1e-3))
+from conftest import LARGE_LIMITS, hand_fixtures, make_sequence, random_sequence
 
 
 def bits(*arrays):
@@ -332,7 +330,8 @@ def test_grid_fields_equal_the_point_by_point_construction():
 
 @pytest.fixture
 def spectral_counts(monkeypatch):
-    """Counts SpectralPoint constructions and band-image evaluations."""
+    """Counts SpectralPoint constructions and band-image evaluations,
+    through spectral's own name and the CLI's imported copy."""
     counts = {"points": 0, "band_images": 0}
     band_images = spectral._band_images
     post_init = spectral.SpectralPoint.__post_init__
@@ -346,6 +345,7 @@ def spectral_counts(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(spectral, "_band_images", counting_band_images)
+    monkeypatch.setattr(cli, "_band_images", counting_band_images)
     monkeypatch.setattr(spectral.SpectralPoint, "__post_init__", counting_post_init)
     return counts
 
@@ -364,8 +364,9 @@ def test_only_scatter_pays_for_angles_and_band_images(tmp_path, spectral_counts)
     for command in ("factorize", "identities"):
         assert run_quietly([command, "--input", str(path), "--breakpoints=0"]) == 0
     assert spectral_counts == {"points": 0, "band_images": 0}
+    # one point of each conjugate pair: the first 64 // 2 + 1
     assert run_quietly(["scatter", "--input", str(path), "--grid", "64"]) == 0
-    assert spectral_counts == {"points": 0, "band_images": 64}
+    assert spectral_counts == {"points": 0, "band_images": 33}
 
 
 def test_large_limits_build_a_grid():

@@ -37,7 +37,7 @@ def test_changed_output_is_named(tmp_path):
     package = tmp_path / "src" / "jacobiscatter"
     edits = {
         "cli.py": [
-            ('_CSV_ROW = ",".join(["%.17g"]', '_CSV_ROW = ",".join(["%.16g"]'),
+            ('_FIELD_FORMAT = "%.17g"', '_FIELD_FORMAT = "%.16g"'),
             ("    seq = _load_sequence(config.input_path)\n    grid = _grid_for(seq, config)\n",
              "    seq = _load_sequence(config.input_path)\n    grid = _grid_for(seq, config)\n"
              "    print('note', file=sys.stderr)\n"),

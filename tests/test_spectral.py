@@ -18,7 +18,7 @@ from jacobiscatter import (
     wave_pair_det,
     z_from_lambda,
 )
-from jacobiscatter.spectral import _mirror_pairs, _pair_half
+from jacobiscatter.spectral import _pair_half
 from conftest import UNIT_LIMITS, single_site_sequence
 
 
@@ -197,9 +197,11 @@ def test_sample_circle_halves_by_index_into_exact_pairs(delta):
         if count % 4 == 0:
             assert zs[count // 4].tobytes() == np.conj(zs[3 * count // 4]).tobytes()
             assert zs[3 * count // 4] == complex(math.cos(0.5 * math.pi), 1.0)
-        # the CLI's pairing rule: the grid's first count // 2 + 1 points, mirrored
+        # the CLI's pairing rule: the grid's first count // 2 + 1 points, and
+        # point i > count // 2 the conjugate of point count - i
         half = _pair_half(grid)
-        assert half.size == count // 2 + 1 and _mirror_pairs(half, count).tobytes() == zs.tobytes()
+        assert half.size == count // 2 + 1 and half.tobytes() == zs[: half.size].tobytes()
+        assert zs[half.size :].tobytes() == np.conj(half[count - half.size : 0 : -1]).tobytes()
 
 
 def test_sample_circle_determinism():
