@@ -23,10 +23,11 @@ contiguous row of grid points per site, and writes each row with one
 _step call through one scratch row, with no temporaries per step.  It
 hands its rows out in blocks of _BLOCK_SITES sites from one buffer, so a
 caller that reduces them as they come holds a few blocks, not a row for
-every site of a long window; jost_values takes its range as one block.  A
-solution and its companion at 1/z share coefficients and drive, so
-callers that need both stack them as column blocks of one recursion;
-every column block equals its own single run to the bit.
+every site of a long window; jost_values takes its range as one block.
+Solutions that share coefficients, such as a solution and its companion
+at 1/z, or the solutions at z and at the rounded reciprocal 1/z, stack
+as column blocks of one recursion, each on its own grid and with its own
+seeds; every column block equals its own single run to the bit.
 
 The tail fits need neither the window nor the stored values: sites
 outside the effective support carry the limits just as well, so each
@@ -35,7 +36,11 @@ only the last two rows of state.  A run fits a sequence and its
 fragments, which share its coefficients everywhere but at their edges,
 so _fit_sweep takes the recursions of all of them, left and right, as
 one sweep whose steps share seq's coefficients and most of their numpy
-calls; every job's rows equal those of its own recursion to the bit.
+calls; every job's rows equal those of its own recursion to the bit.  A
+fragment that keeps seq's values on one side of a breakpoint starts its
+recursion on that side with seq's own seeds, and is seq's recursion up
+to its first step of its own, so it takes seq's rows there and recurses
+only the rest.
 
 Each recursion step, one _step call, makes one complex product, the
 scaled drive times the current row.  It runs out of place, from the
@@ -77,8 +82,10 @@ a call or its order, so the bits stay.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator
 
 import numpy as np
@@ -143,7 +150,7 @@ def jost_values(
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     zs = require_admissible(zs)
     lo, hi = solution_range(seq)
-    ((_, rows),) = _recurse(seq, lo, hi, zs, side, (at_inverse,), block=hi - lo + 1)
+    ((_, rows),) = _recurse(seq, lo, hi, ((zs, at_inverse),), side, block=hi - lo + 1)
     return rows.T, lo
 
 
@@ -176,29 +183,29 @@ def _recurse(
     seq: CoefficientSequence,
     lo: int,
     hi: int,
-    zs: np.ndarray,
+    columns: tuple[tuple[np.ndarray, bool], ...],
     side: str,
-    modes: tuple[bool, ...],
     block: int = _BLOCK_SITES,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Propagate normalized solutions over [lo, hi], handed out in blocks.
 
     Yields (n, rows) per block of sites, in the order the recursion
     reaches them: from hi down on the left side, from lo up on the right.
-    Row k of rows is site n + k, one column per grid point and mode.  A
+    Row k of rows is site n + k, one column block per item of columns.  A
     block holds block sites, counted from where the recursion ends, lo on
     the left side and hi + 1 on the right, so that only the first block
     is short and a range of at most block sites is one block.  rows is a
     view of one buffer, which the next block overwrites: a caller keeps
     what it needs by copying it.
 
-    The exact plane-wave tail is seeded past seq's window, block by block
-    from the power table of the checked grid zs, and the recursion runs
-    across it.  modes holds one at_inverse flag per column block of
-    zs.size columns, each seeded with its own sign, so solutions sharing
-    coefficients and drive, such as a solution and its companion at 1/z,
-    advance together in one pass.  Every column
-    block equals its one-mode run to the bit.
+    columns holds, per column block, a checked grid and an at_inverse
+    flag: the block has a column per point of its grid, its own drive,
+    and its exact plane-wave tail seeded past seq's window, block of
+    sites by block of sites, from the power table of its grid with its
+    own sign.  So solutions sharing coefficients, such as a solution and
+    its companion at 1/z, or the solutions at z and at the rounded
+    reciprocal 1/z, advance together in one pass, and every column block
+    equals its own one-block run to the bit.
 
     The buffer holds one block and the two rows its first step reads,
     those past its top on the left side and below its bottom on the
@@ -208,12 +215,10 @@ def _recurse(
 
     Each step is one _step call, with Python floats for scalars.  The
     0-d operand table of _fit_sweep was measured here and lost, when a
-    third of the runs took at most one step.  One pass of the
-    benchmark's small-batch workload (windows of 1 to 40 sites, seed
-    911) makes 204 runs, whose median takes 18 steps and 1.5% at most
-    one, so that trade is open to a new measurement.
+    third of the runs took at most one step, and measured again once the
+    median run took 18 steps and 1.5% at most one: it read 1.000 of the
+    time with floats on all three benchmark workloads.
     """
-    m = zs.size
     lim = seq.limits
     w_inf = lim.w_inf
     n_min, n_max = seq.window.n_min, seq.window.n_max
@@ -222,8 +227,10 @@ def _recurse(
     first = n_max if left else n_min - 1
     t0, t1 = (n_max, hi + 1) if left else (lo, n_min)
     # the seeds' exponents are n on the left side and -n on the right, per
-    # mode signed again at 1/z
-    signs = [(-1 if inverse else 1) * (1 if left else -1) for inverse in modes]
+    # column block signed again at 1/z; block j spans columns edges[j] to
+    # edges[j + 1]
+    signs = [(-1 if inverse else 1) * (1 if left else -1) for _, inverse in columns]
+    edges = list(accumulate((grid.size for grid, _ in columns), initial=0))
     # the sites of the steps' coefficients: k is site c0 + k.  The left
     # side steps at first down to lo + 1, the right one at first to hi - 1
     c0, c1 = (lo, max(lo, first) + 1) if left else (first, max(first, hi))
@@ -238,17 +245,17 @@ def _recurse(
     # the block edges past lo, block sites apart from where the recursion
     # ends: lo on the left side, hi + 1 on the right
     end = lo if left else hi + 1
-    edges = [lo, *range(lo + (end - lo - 1) % block + 1, hi + 1, block), hi + 1]
-    spans = list(zip(edges[:-1], edges[1:]))
+    cuts = [lo, *range(lo + (end - lo - 1) % block + 1, hi + 1, block), hi + 1]
+    spans = list(zip(cuts[:-1], cuts[1:]))
     if left:
         spans.reverse()
     size = max(stop - bottom for bottom, stop in spans)
-    buffer = np.empty((size + 2, len(modes) * m), dtype=complex)
+    buffer = np.empty((size + 2, edges[-1]), dtype=complex)
     # each row twice: complex for the one complex product per step, and
     # as float64 pairs for every step that only scales by a real
     row = list(buffer)
     real = list(buffer.view(float))
-    drive = _drive(zs, lim, len(modes)).view(float)
+    drive = np.concatenate([_drive(grid, lim, 1) for grid, _ in columns]).view(float)
     # the scaled drive, then each subtrahend; complex as the product's operand
     scaled = np.empty(buffer.shape[1], dtype=complex)
     scratch = scaled.view(float)
@@ -260,8 +267,8 @@ def _recurse(
         s0, s1 = max(bottom, t0), min(stop, t1)
         if s0 < s1:
             sites = np.arange(s0, s1)
-            for j, sign in enumerate(signs):
-                buffer[s0 + shift : s1 + shift, j * m : (j + 1) * m] = _power_table(zs, sign * sites)
+            for (grid, _), sign, j0, j1 in zip(columns, signs, edges, edges[1:]):
+                buffer[s0 + shift : s1 + shift, j0:j1] = _power_table(grid, sign * sites)
         # the step at site c0 + k reads v from buffer row k + d
         d = shift + c0
         if left:
@@ -351,6 +358,18 @@ def _fit_sweep(
     copied out and the outermost busy job of its side moves into its
     slot.
 
+    A job that starts a side at seq's first step, as a single-junction
+    fragment does on the side it keeps, has seq's seeds and is seq's
+    recursion there, to the bit, up to its first step whose coefficients
+    differ, or its last step if none does.  So it forks from seq: it
+    holds no slot on that side until that step, and then joins with a
+    copy of the three rows of seq's slot, whose step the slot takes
+    fused and then, where it differs, redone.  It forks only at a later
+    step than its first, where its seeds would equal seq's rows anyway,
+    and only while seq is under way: a job that steps past seq's end,
+    as one whose window reaches past seq's can, may first differ at a
+    step seq does not take.
+
     The eight real scalars of a step come from its row of one operand
     table, built for the whole sweep.  For step t, with k its left site
     top - t and t standing for its right site base + t, they are
@@ -373,31 +392,51 @@ def _fit_sweep(
     span = top - base
     a, b, w = coefficient_arrays(seq, base - 1, top + 2)
 
-    # per step: jobs joining before it, redone and finished after it;
+    # per side, the steps each job's recursion spans: the right one steps
+    # at sites first..last, the left one at window.n_max down to first;
     # side 0 is left, 1 is right
-    joins, redos, ends = defaultdict(list), defaultdict(list), defaultdict(list)
     spans: tuple[list, list] = ([], [])
-    for j, (job, window) in enumerate(jobs):
-        # the right recursion steps at sites first..last, the left one at
-        # window.n_max down to first
+    for _, window in jobs:
         first, last = window.n_min - 1, window.n_max + 1
         spans[0].append((top - window.n_max, top - first))
         spans[1].append((first - base, last - base))
+    # seq's own job, which a job that starts a side with it forks from
+    ref = next((j for j, (job, _) in enumerate(jobs) if job is seq), None)
+    # per step: jobs joining by their seeds or by a fork before it, redone
+    # and finished after it
+    joins, forks, redos, ends = (defaultdict(list) for _ in range(4))
+    for j, (job, window) in enumerate(jobs):
+        # each side's first step that differs from seq's, or its last step
+        change = [spans[0][j][1], spans[1][j][1]]
+        if job is not seq:
+            first, last = window.n_min - 1, window.n_max + 1
+            # seq's arrays over [first, last + 1], as held for the sweep
+            held = tuple(each[first - base + 1 : last - base + 3] for each in (a, b, w))
+            own = coefficient_arrays(job, first, last + 1)
+            for k in _changed_steps(own, held):
+                n = first + k
+                a_n, b_n, w_n = (float(each[k]) for each in own)
+                a_next = float(own[0][k + 1])
+                if n <= window.n_max:
+                    redos[top - n].append((0, j, (w_n / w_inf, a_next, b_n, 1.0 / a_n)))
+                    change[0] = min(change[0], top - n)
+                redos[n - base].append((1, j, (w_n / w_inf, b_n, a_n, 1.0 / a_next)))
+                change[1] = min(change[1], n - base)
         for side in (0, 1):
-            joins[spans[side][j][0]].append((side, j))
-            ends[spans[side][j][1]].append((side, j))
-        if job is seq:
-            continue
-        # seq's arrays over [first, last + 1], as held for the sweep
-        ref = tuple(each[first - base + 1 : last - base + 3] for each in (a, b, w))
-        own = coefficient_arrays(job, first, last + 1)
-        for k in _changed_steps(own, ref):
-            n = first + k
-            a_n, b_n, w_n = (float(each[k]) for each in own)
-            a_next = float(own[0][k + 1])
-            if n <= window.n_max:
-                redos[top - n].append((0, j, (w_n / w_inf, a_next, b_n, 1.0 / a_n)))
-            redos[n - base].append((1, j, (w_n / w_inf, b_n, a_n, 1.0 / a_next)))
+            start, end = spans[side][j]
+            # a job seeded with seq at its first step has seq's rows until
+            # its first step of its own; it forks there if that is a later
+            # step, so no fork rests on the order of a step's joins, and
+            # seq is still under way
+            if (
+                job is not seq and ref is not None and start == spans[side][ref][0]
+                and start < change[side] <= spans[side][ref][1]
+            ):
+                spans[side][j] = (change[side], end)
+                forks[change[side]].append((side, j))
+            else:
+                joins[start].append((side, j))
+            ends[end].append((side, j))
 
     # slots per side: the most recursions under way at once
     size = [_most_at_once(side) for side in spans]
@@ -455,7 +494,7 @@ def _fit_sweep(
     )
     active: tuple[list[int], list[int]] = ([], [])
     found: list[list] = [[None, None] for _ in jobs]
-    cuts = sorted({*joins, *(t + 1 for t in (*redos, *ends)), span + 2} - {0})
+    cuts = sorted({*joins, *forks, *(t + 1 for t in (*redos, *ends)), span + 2} - {0})
     start, shape = 0, None
     with np.errstate(all="ignore"):
         # row t holds step t's scalars: of the span + 4 entries of seq's
@@ -475,6 +514,11 @@ def _fit_sweep(
                 active[side].append(j)
                 seed(start % 3, c0, c1, j, 2 * side)
                 seed((start + 2) % 3, c0, c1, j, 2 * side + 1)
+            for side, j in forks.get(start, ()):
+                c0, c1 = columns(side, len(active[side]))
+                active[side].append(j)
+                d0, d1 = columns(side, active[side].index(ref))
+                rows[:, c0:c1] = rows[:, d0:d1]
             if shape != (len(active[0]), len(active[1])):
                 shape = (len(active[0]), len(active[1]))
                 lo_col, hi_col = mid - shape[0] * width, mid + shape[1] * width
@@ -610,14 +654,14 @@ def _scaled_drift(drift: np.ndarray, base: np.ndarray) -> np.ndarray:
 
 
 def _keep(kept: np.ndarray, sites: tuple[int, ...], n: int, rows: np.ndarray) -> None:
-    """Copy into kept[i] the row at sites[i] of the block (n, rows), where it holds it."""
-    for i, site in enumerate(sites):
-        if n <= site < n + len(rows):
-            kept[i] = rows[site - n]
+    """Copy into kept[i] the row at sites[i] of the block (n, rows), where it
+    holds it; sites are sorted, so a block looks up only its own."""
+    for i in range(bisect_left(sites, n), bisect_left(sites, n + len(rows))):
+        kept[i] = rows[sites[i] - n]
 
 
 def _rows_at(blocks: Iterator[tuple[int, np.ndarray]], sites: tuple[int, ...]) -> np.ndarray:
-    """The rows at sites of a recursion's blocks, copied out in that order."""
+    """The rows at the sorted sites of a recursion's blocks, copied out in that order."""
     kept = None
     for n, rows in blocks:
         if kept is None:

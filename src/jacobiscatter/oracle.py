@@ -136,7 +136,8 @@ def wronskian_values(
     lo, hi = solution_range(seq)
     sites = np.array([lo, lo + 1])
     # the plain solution's columns, then its companion's
-    fl, gl = np.hsplit(_rows_at(_recurse(seq, lo, hi, zs, "left", (False, True)), (lo, lo + 1)), 2)
+    run = _recurse(seq, lo, hi, ((zs, False), (zs, True)), "left")
+    fl, gl = np.hsplit(_rows_at(run, (lo, lo + 1)), 2)
     fr, gr = _power_table(zs, -sites), _power_table(zs, sites)
     a_lo = seq.limits.a_inf  # site lo + 1 is below the window, so at the limit
 

@@ -75,9 +75,9 @@ def _tail_fit(
     left holds the left-normalized solution on sites n and n + 1, right
     the right-normalized one on p and p + 1, over the grid points zs,
     whose plane-wave determinant is det, and powers the _power_table rows
-    of zs at _fit_exponents of their window.  sign is -1 for data at 1/z
-    parametrized by z, as in the at_inverse modes, which reads those rows
-    in reverse order, at the negated exponents.
+    of zs at _fit_exponents of their window, as an array or a list.  sign
+    is -1 for data at 1/z parametrized by z, as in the at_inverse modes,
+    which reads those rows in reverse order, at the negated exponents.
 
     Raises NumericalFault, naming theta, where a fit is not finite or the
     two 1/T fits disagree.
@@ -138,6 +138,7 @@ def _amplitude_blocks(
     jobs: list[CoefficientSequence],
     zs: np.ndarray,
     modes: tuple[bool, ...],
+    known: dict[int, np.ndarray] | None = None,
 ) -> list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """scattering_amplitudes of each job over the checked grid zs, for each
     at_inverse mode.
@@ -149,7 +150,8 @@ def _amplitude_blocks(
     _fit_sweep that shares seq's coefficients, any other job in a sweep
     of its own; a job without deviations needs none.  A job's rows are
     let go once it is fitted, and the first job in order whose fit
-    faults raises its NumericalFault.
+    faults raises its NumericalFault.  known holds _power_table rows of zs
+    already at hand, by exponent; the fits read them in place of new ones.
     """
     m = zs.size
     supports = [effective_support(job) for job in jobs]
@@ -157,12 +159,13 @@ def _amplitude_blocks(
     shared = [(job, window) for job, window in busy if job.limits == seq.limits]
     # the shared rows, popped from the end as their jobs are fitted
     swept = _fit_sweep(seq, shared, zs, modes)[::-1] if shared else []
-    # one _power_table row per exponent, however many jobs read it
-    index: dict[int, int] = {}
-    for _, window in busy:
-        for k in _fit_exponents(window):
-            index.setdefault(k, len(index))
-    powers = _power_table(zs, np.array(list(index), dtype=int))
+    # one _power_table row per exponent, however many jobs read it, and
+    # none for an exponent known holds
+    powers = dict(known or {})
+    fresh = list(dict.fromkeys(
+        k for _, window in busy for k in _fit_exponents(window) if k not in powers
+    ))
+    powers.update(zip(fresh, _power_table(zs, np.array(fresh, dtype=int))))
     det = wave_pair_det(zs)
     columns = [(slice(j * m, (j + 1) * m), -1 if inverse else 1) for j, inverse in enumerate(modes)]
     fits = []
@@ -176,7 +179,7 @@ def _amplitude_blocks(
             left, right = swept.pop()
         else:
             ((left, right),) = _fit_sweep(job, [(job, window)], zs, modes)
-        own = powers[[index[k] for k in _fit_exponents(window)]]
+        own = [powers[k] for k in _fit_exponents(window)]
         fits.append(
             [_tail_fit(zs, det, own, left[:, b], right[:, b], sign) for b, sign in columns]
         )
@@ -232,44 +235,68 @@ def identity_sweep(seq: CoefficientSequence, zs: np.ndarray) -> dict[str, float]
     not finite.
     """
     zs = require_admissible(zs)
-    return _grid_maxima(_identity_sweep(seq, zs), zs)
+    rows, _, _ = _identity_sweep(seq, zs)
+    return _grid_maxima(rows, zs)
 
 
 @np.errstate(all="ignore")
-def _identity_sweep(seq: CoefficientSequence, zs: np.ndarray) -> dict[str, np.ndarray]:
-    """identity_sweep's rows over the checked grid zs, one residual per point.
+def _identity_sweep(
+    seq: CoefficientSequence, zs: np.ndarray, sites: tuple[int, ...] = ()
+) -> tuple[dict[str, np.ndarray], dict[int, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """identity_sweep's rows over the checked grid zs, one residual per point;
+    the _power_table rows of zs its tail fit reads, by exponent, which
+    _amplitude_blocks takes as known; and the whole's rows at the sorted
+    sites, which lie in solution_range(seq), of the left side, then of
+    the right side, each the solution at z in the first zs.size columns
+    and its companion in the at_inverse mode in the rest.
 
     The solutions at z and at the rounded reciprocal 1/z recurse as one
     grid of both, checked by require_admissible as any grid is, and are
     fitted as one: one determinant, one power table and one tail fit over
     its 2m points, whose data np.split then cuts into the halves at z and
-    at 1/z, so each fault check of the fit covers both halves.  Each side's rows are
-    reduced block by block as _recurse hands them out.  The left side
-    runs first and keeps its plain columns at z, which the Wronskian
-    pairing reads against the right side's blocks, which come from the
-    lowest site up, so the pairing's base, at the lowest site pair, comes
-    first.  An overflowing window faults in the fits, which read the
-    rows' ends; a row that overflows on finite fits is _grid_maxima's to
-    report.
+    at 1/z, so each fault check of the fit covers both halves.  Given
+    sites, each side's run steps a third column block, the companion at
+    z, and keeps its rows and those at z at sites as the blocks pass by;
+    without them it steps the two.  Every block equals its own run, so
+    the kept rows are those of the whole's paired runs to the bit.
+
+    Each side's rows are reduced block by block as _recurse hands them
+    out.  The left side runs first and keeps its plain columns at z,
+    which the Wronskian pairing reads against the right side's blocks,
+    which come from the lowest site up, so the pairing's base, at the
+    lowest site pair, comes first.  An overflowing window faults in the
+    fits, which read the rows' ends; a row that overflows on finite fits
+    is _grid_maxima's to report.
     """
     m = zs.size
-    # rows are sites, the first m columns at z and the rest at 1/z
+    # columns are grid points: at z, at 1/z, then, given sites, the
+    # companion at z
     both = require_admissible(np.concatenate([zs, 1.0 / zs]))
+    columns = ((both, False), (zs, True)) if sites else ((both, False),)
     lo, hi = solution_range(seq)
     a, _, _ = coefficient_arrays(seq, lo + 1, hi)
     fl = np.empty((hi - lo + 1, m), dtype=complex)
     # the fits' rows: the left side's at lo and lo + 1, the right's at
     # hi - 1 and hi, two sites past each end of the window
     ends = np.empty((4, 2 * m), dtype=complex)
+    kept = np.empty((2, len(sites), 2 * m), dtype=complex)
     sol_conj = drift = np.zeros(m)
     base = last = None
-    for n, rows in _recurse(seq, lo, hi, both, "left", (False,)):
-        _keep(ends[:2], (lo, lo + 1), n, rows)
+
+    def keep(side, fit_sites, n, rows):
+        # the rows at the fits' sites, at z and 1/z, and those at sites, at
+        # z and of the companion
+        _keep(ends[2 * side : 2 * side + 2], fit_sites, n, rows[:, : 2 * m])
+        _keep(kept[side, :, :m], sites, n, rows[:, :m])
+        _keep(kept[side, :, m:], sites, n, rows[:, 2 * m :])
+
+    for n, rows in _recurse(seq, lo, hi, columns, "left"):
+        keep(0, (lo, lo + 1), n, rows)
         fl[n - lo : n - lo + len(rows)] = rows[:, :m]
-        sol_conj = np.maximum(sol_conj, np.max(np.abs(rows[:, m:] - np.conj(rows[:, :m])), axis=0))
-    for n, rows in _recurse(seq, lo, hi, both, "right", (False,)):
-        _keep(ends[2:], (hi - 1, hi), n, rows)
-        sol_conj = np.maximum(sol_conj, np.max(np.abs(rows[:, m:] - np.conj(rows[:, :m])), axis=0))
+        sol_conj = np.maximum(sol_conj, np.max(np.abs(rows[:, m : 2 * m] - np.conj(rows[:, :m])), axis=0))
+    for n, rows in _recurse(seq, lo, hi, columns, "right"):
+        keep(1, (hi - 1, hi), n, rows)
+        sol_conj = np.maximum(sol_conj, np.max(np.abs(rows[:, m : 2 * m] - np.conj(rows[:, :m])), axis=0))
         # the site pairs that end in this block, from the row before it
         fr = rows[:, :m] if last is None else np.concatenate([last, rows[:, :m]])
         k = n - lo - (len(fr) - len(rows))  # fr[0] is site lo + k
@@ -279,12 +306,13 @@ def _identity_sweep(seq: CoefficientSequence, zs: np.ndarray) -> dict[str, np.nd
                 base = pair[0]
             drift = np.maximum(drift, np.max(np.abs(pair - base), axis=0))
         last = rows[-1:, :m].copy()
-    powers = _power_table(both, np.array(_fit_exponents(seq.window)))
+    exponents = _fit_exponents(seq.window)
+    powers = _power_table(both, np.array(exponents))
     fit = _coefficients(*_tail_fit(both, wave_pair_det(both), powers, ends[:2], ends[2:], 1))
     # the data at z from the first m columns, then the data at 1/z
     (t, tt), (r, rt), (l, lt) = (np.split(part, 2) for part in fit)
     product = 1.0 / (t * tt)
-    return {
+    rows = {
         "solution_conjugation": sol_conj,
         "scattering_conjugation": _worst(tt - np.conj(t), rt - np.conj(r), lt - np.conj(l)),
         "product_left": np.abs(product - l * lt * product - 1.0),
@@ -295,6 +323,7 @@ def _identity_sweep(seq: CoefficientSequence, zs: np.ndarray) -> dict[str, np.nd
         "wronskian_constancy": _scaled_drift(drift, base),
         "unitarity": np.abs(np.abs(t) ** 2 + np.abs(r) ** 2 - 1.0),
     }
+    return rows, dict(zip(exponents, powers[:, :m])), (kept[0], kept[1])
 
 
 def _worst(*terms: np.ndarray) -> np.ndarray:

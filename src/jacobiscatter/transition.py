@@ -37,9 +37,11 @@ A single-junction fragment is the whole sequence on the side of its
 breakpoint that it keeps and the limits on the side it frees, so its
 solutions are the whole's on the kept side and, on the free side, the
 plane-wave combination of its own T, R and L, which two consecutive rows
-of the recursion fix.  The junction sweep recurses only the whole, once
-per side, from its seeded tail to the farthest site it reads, and keeps
-its rows at n1 - 1..n1 + 1 of each junction.  On n1 and n1 + 1 the
+of the recursion fix.  So the junction rows read only the whole's rows
+at n1 - 1..n1 + 1 of each junction: junction_residual_sweep recurses
+the whole once per side, from its seeded tail to the farthest site it
+reads, and the identities report reads them off the identity sweep's
+runs of the whole (see below).  On n1 and n1 + 1 the
 right fragment's rows are the whole's, and the left fragment's are the
 whole's at n1 and, at n1 + 1, the whole's divided by the coupling
 ratio; the plane-wave check reads the whole's rows on that site pair
@@ -60,8 +62,15 @@ fragments and each breakpoint's junction fragments, fitted on the call,
 in that order, so the first job that faults raises; the determinant,
 factorization and junction rows then read the fits.  The end fragments,
 which are also the outer junctions' outer parts, are swept and fitted
-once.  Its largest array is the identity sweep's left solution over the
-window, one row of grid points per site.
+once.  The whole is recursed twice per side: the identity sweep's runs,
+which step its companion at z as a third column block and keep its rows
+at the junctions' sites for the junction rows, and the fit sweep's job
+of the whole, over its support, which its fits read and from which each
+fragment that keeps the whole's values on one side forks there
+(jost._fit_sweep), so no fragment repeats the whole's steps.  The fits
+of the whole read the identity sweep's power rows.  Its largest array
+is the identity sweep's left solution over the window, one row of grid
+points per site.
 """
 
 from __future__ import annotations
@@ -221,6 +230,18 @@ def _junction_parts(seq: CoefficientSequence, frag: Fragmentation) -> list[Coeff
     return [part for n1 in frag.breakpoints for part in fragment(seq, Fragmentation((n1,)))]
 
 
+def _junction_sites(
+    seq: CoefficientSequence, frag: Fragmentation
+) -> tuple[list[int], tuple[int, ...]]:
+    """Each breakpoint at the edge site whose fragments are its own, and the
+    sorted sites of the whole's rows its junction checks read, n1 - 1
+    through n1 + 1 of each, all in solution_range(seq)."""
+    n_min, n_max = seq.window.n_min, seq.window.n_max
+    # junctions that land on one site stay separate, so fits stay in step with points
+    points = [min(max(n1, n_min - 1), n_max + 1) for n1 in frag.breakpoints]
+    return points, tuple(sorted({n1 + d for n1 in points for d in (-1, 0, 1)}))
+
+
 def junction_residual_sweep(
     seq: CoefficientSequence, frag: Fragmentation, zs: np.ndarray
 ) -> dict[str, float]:
@@ -264,7 +285,15 @@ def junction_residual_sweep(
     """
     zs = require_admissible(zs)
     whole, *fits = _amplitude_blocks(seq, [seq, *_junction_parts(seq, frag)], zs, _PAIRED)
-    return _grid_maxima(_junction_sweep(seq, frag, zs, _entries(whole), fits), zs)
+    _, sites = _junction_sites(seq, frag)
+    n_min, n_max = seq.window.n_min, seq.window.n_max
+    # the whole's solutions from their seeded tails to the farthest site
+    # read: the left one down to sites[0], the right one up to sites[-1]
+    paired = ((zs, False), (zs, True))
+    left_run = _recurse(seq, sites[0], max(sites[-1], n_max + 1), paired, "left")
+    right_run = _recurse(seq, min(sites[0], n_min - 2), sites[-1], paired, "right")
+    rows = (_rows_at(left_run, sites), _rows_at(right_run, sites))
+    return _grid_maxima(_junction_sweep(seq, frag, zs, _entries(whole), fits, rows), zs)
 
 
 def _identities_report(
@@ -277,8 +306,14 @@ def _identities_report(
     tail fits of the whole, its fragments and the junctions' run in one
     sweep and are all made before the rows that read them, so a
     NumericalFault names the first job in that order that faults; every
-    later row shares the whole's fit.  The rows are reduced last, so a fit's fault comes before
-    a residual that is not finite.
+    later row shares the whole's fit.  The rows are reduced last, so a
+    fit's fault comes before a residual that is not finite.
+
+    The identity sweep runs first.  Given a fragmentation, its runs of
+    the whole also step the companion at z and keep the whole's rows at
+    the junctions' sites, which the junction sweep reads in place of
+    runs of its own; the whole's fits read its power rows.  Every row
+    keeps the bits of the public functions.
 
     The first fragment is the first junction's left part and the last
     fragment the last junction's right part, bit for bit, as fragment()
@@ -286,13 +321,14 @@ def _identities_report(
     without those two, and the junction rows read the end fragments' fits
     in their place.
     """
-    parts, inner = [], []
+    parts, inner, sites = [], [], ()
     if frag is not None:
         parts, inner = fragment(seq, frag), _junction_parts(seq, frag)[1:-1]
+        _, sites = _junction_sites(seq, frag)
     # the report's grid, checked once
     zs = require_admissible(zs)
-    rows = _identity_sweep(seq, zs)
-    whole, *fits = _amplitude_blocks(seq, [seq, *parts, *inner], zs, _PAIRED)
+    rows, powers, whole_rows = _identity_sweep(seq, zs, sites)
+    whole, *fits = _amplitude_blocks(seq, [seq, *parts, *inner], zs, _PAIRED, powers)
     lam = _entries(whole)
     rows["transition_determinant"] = _determinant_gap(lam)
     if frag is not None:
@@ -300,7 +336,7 @@ def _identities_report(
         rows["factorization"] = _product_gap(lam, _fragment_product(map(_entries, ends)))
         # one single-junction check per breakpoint, worst over them per row
         junction_fits = [ends[0], *fits[len(parts) :], ends[-1]]
-        rows.update(_junction_sweep(seq, frag, zs, lam, junction_fits))
+        rows.update(_junction_sweep(seq, frag, zs, lam, junction_fits, whole_rows))
     return _grid_maxima(rows, zs)
 
 
@@ -311,13 +347,17 @@ def _junction_sweep(
     zs: np.ndarray,
     lam: np.ndarray,
     fits: list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]],
+    whole: tuple[np.ndarray, np.ndarray],
 ) -> dict[str, np.ndarray]:
     """junction_residual_sweep's rows over the checked grid zs, one residual
-    per point, given the whole's entries lam.
+    per point, given the whole's entries lam and rows; it recurses nothing.
 
     fits holds the amplitude blocks at z and 1/z of _junction_parts(seq,
     frag), left then right fragment per breakpoint, all fitted before the
-    sweep, which reads them in pairs.
+    sweep, which reads them in pairs.  whole holds the whole's left and
+    right solution at the sites _junction_sites(seq, frag) names, one row
+    per site: the solution at z in the first zs.size columns, its
+    companion in the at_inverse mode in the rest.
     """
     # T, R, L bit for bit those of scattering_values: lam00, lam01 and
     # lam10 are the plain block's fit, which equals its single-mode run
@@ -326,19 +366,9 @@ def _junction_sweep(
     # expression the rows read, so every row keeps its bits
     inv_t, r_over_t, l_over_t, minus_r_over_t = 1.0 / t, r / t, l / t, -r / t
     m = zs.size
-    n_min, n_max = seq.window.n_min, seq.window.n_max
-    # each breakpoint at the edge site whose fragments are its own; junctions
-    # that land on one site stay separate, so fits stay in step with points
-    points = [min(max(n1, n_min - 1), n_max + 1) for n1 in frag.breakpoints]
-    # the whole's rows at each junction, n1 - 1..n1 + 1
-    sites = sorted({n1 + d for n1 in points for d in (-1, 0, 1)})
+    points, sites = _junction_sites(seq, frag)
     where = {n: i for i, n in enumerate(sites)}
-
-    # the whole's solutions from their seeded tails to the farthest site
-    # read: the left one down to sites[0], the right one up to sites[-1]
-    left_run = _recurse(seq, sites[0], max(sites[-1], n_max + 1), zs, "left", _PAIRED)
-    right_run = _recurse(seq, min(sites[0], n_min - 2), sites[-1], zs, "right", _PAIRED)
-    fl_pair, fr_pair = _rows_at(left_run, sites), _rows_at(right_run, sites)
+    fl_pair, fr_pair = whole
 
     def fit(m00, m01, m10, m11, r0, r1):
         det = m00 * m11 - m01 * m10

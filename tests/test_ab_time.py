@@ -1,9 +1,10 @@
 """tools/ab_time.py times two trees in one process and compares their output.
 
-Both tests run it at a twentieth of the bench's window sizes and one
+The tests run it at a twentieth of the bench's window sizes and one
 timed pass: the tree against itself must match on every op and print
-each workload's times and ratios, and against a copy whose table format
-was changed it must name the ops that differ.  python -B keeps the tool
+each workload's times and ratios, on the default workloads and on the
+opt-in many-breakpoints one, and against a copy whose table format was
+changed it must name the ops that differ.  python -B keeps the tool
 from writing bytecode next to it, so it writes only temporary files.
 """
 
@@ -33,6 +34,16 @@ def test_tree_against_itself_matches_and_prints_every_ratio():
                    "  control/base (A/A): median "):
         assert sum(line.startswith(prefix) for line in lines) == len(WORKLOADS), prefix
     assert all(line.endswith(" of 1 passes") for line in lines if "change/base" in line)
+    assert "many-breakpoints" not in proc.stdout
+
+
+def test_many_breakpoints_runs_when_named():
+    """150 sites, at 1 and 15 breakpoints, the scaled 30 and 300."""
+    proc = ab_time(ROOT, "--workloads", "many-breakpoints")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "seed 911 many-breakpoints: 2 ops, 0 differ"
+    assert sum(line.startswith("  change/base: median ") for line in lines) == 1
 
 
 def test_changed_output_is_named(tmp_path):

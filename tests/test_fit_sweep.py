@@ -19,10 +19,12 @@ from jacobiscatter import (
     NumericalFault,
     effective_support,
     fragment,
+    jost,
     scattering,
 )
 from jacobiscatter.cli import _corrupted_padding
 from jacobiscatter.jost import _fit_sweep, _most_at_once
+from jacobiscatter.lattice import coefficient_arrays
 from jacobiscatter.scattering import _amplitude_blocks
 from jacobiscatter.transition import _identities_report
 from conftest import default_grid, hand_fixtures, make_sequence, overflowing_sequence
@@ -59,18 +61,41 @@ def assert_same_bits(pairs):
 
 
 def breakpoint_sets(seq):
-    """Breakpoints inside the window, and outside it on both sides, where
-    one fragment is free and the other equals the whole."""
+    """Breakpoints inside the window and on both of its edges; outside it
+    on both sides, where one fragment is free and the other equals the
+    whole; next to both edges; two adjacent ones; and two outside each
+    edge, which split the whole as the breakpoint next to that edge does."""
     n_min, n_max = seq.window.n_min, seq.window.n_max
-    inside = tuple(sorted({n_min, (n_min + n_max) // 2, n_max}))
-    return [inside, (n_min - 3,), (n_max + 3,), (n_min - 1, n_max + 1)]
+    mid = (n_min + n_max) // 2
+    inside = tuple(sorted({n_min, mid, n_max}))
+    return [
+        inside, (n_min - 3,), (n_max + 3,), (n_min - 1, n_max + 1), (mid, mid + 1),
+        (n_min - 4, n_min - 1, n_max + 1, n_max + 4),
+    ]
+
+
+def reaching_past(seq):
+    """Two jobs that start a side with seq and step past its end: seq on its
+    support, the limits on the next three sites above it, or below, and b
+    off its limit on the third site.  Each first departs from seq at a step
+    seq does not take, so neither may fork from it."""
+    support = window_of(seq)
+    lim = seq.limits
+    jobs = []
+    for low, high in ((0, 3), (3, 0)):
+        window = IndexWindow(support.n_min - low, support.n_max + high)
+        a, b, w = (v.copy() for v in coefficient_arrays(seq, window.n_min, window.n_max))
+        b[0 if low else -1] += 0.5
+        jobs.append(CoefficientSequence(lim, window, a, b, w))
+    return jobs
 
 
 def job_lists(seq):
     """The whole with each product's fragments; the single-junction
     fragments of every breakpoint without the whole; the whole, its
     fragments and the junction fragments, whose first and last are the
-    end fragments themselves; and a list that holds one object twice."""
+    end fragments themselves; a list that holds one object twice; and the
+    whole with two jobs that reach past it."""
     for points in breakpoint_sets(seq):
         parts = fragment(seq, Fragmentation(points))
         junction_parts = [part for n1 in points for part in fragment(seq, Fragmentation((n1,)))]
@@ -78,6 +103,7 @@ def job_lists(seq):
         yield junction_parts
         yield [seq, *parts, parts[0], *junction_parts[1:-1], parts[-1]]
         yield [parts[0], seq, parts[0]]
+    yield [seq, *reaching_past(seq)]
 
 
 def test_every_job_gets_its_own_recursion(random_fixtures):
@@ -141,6 +167,36 @@ def test_one_point_grid_takes_each_slot_product_alone(random_fixtures):
             for parts in job_lists(seq):
                 for modes in ((False,), (True,), (False, True)):
                     assert_same_bits(sweep_and_references(seq, parts, zs, modes))
+
+
+def test_parts_that_start_a_side_with_the_whole_fork_from_it(monkeypatch):
+    """The right single-junction parts of breakpoints far apart start the
+    left side with the whole, at its top edge, and take no slot there
+    until their first step of their own, a step or two before they end:
+    that side needs two slots, the whole's and one part's, where seeding
+    every part with the whole would take one per job.  On the right side
+    each part starts at its breakpoint, so at the window's top edge every
+    job is under way.  The left parts mirror this, and every job keeps
+    the rows of its own recursion."""
+    rng = np.random.default_rng(32)
+    n = 40
+    seq = make_sequence(-7, 1.0 + 0.1 * rng.random(n), 0.3 * rng.standard_normal(n),
+                        1.0 + 0.1 * rng.random(n))
+    zs = default_grid(seq, count=8).zs
+    slots = []
+
+    def counting(spans):
+        slots.append(_most_at_once(spans))
+        return slots[-1]
+
+    monkeypatch.setattr(jost, "_most_at_once", counting)
+    splits = [fragment(seq, Fragmentation((n1,))) for n1 in (-2, 8, 18, 28)]
+    assert not any(effective_support(part).free for parts in splits for part in parts)
+    for keep, want in ((1, [2, 5]), (0, [5, 2])):
+        slots.clear()
+        parts = [seq, *(parts[keep] for parts in splits)]
+        assert_same_bits(sweep_and_references(seq, parts, zs, (False, True)))
+        assert slots == want
 
 
 def test_overflow_keeps_the_non_finite_entries():

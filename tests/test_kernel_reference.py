@@ -28,7 +28,7 @@ from jacobiscatter import (
     identity_sweep,
     junction_residual_sweep,
 )
-from jacobiscatter import cli, jost, transition
+from jacobiscatter import cli, jost, scattering, transition
 from jacobiscatter.errors import NumericalFault
 from jacobiscatter.jost import _fit_sweep, _recurse, solution_range
 from jacobiscatter.lattice import (
@@ -115,7 +115,8 @@ def streamed(seq, lo, hi, zs, side, modes, block=jost._BLOCK_SITES):
     """
     rows = np.empty((hi - lo + 1, len(modes) * zs.size), dtype=complex)
     spans = []
-    for n, part in _recurse(seq, lo, hi, zs, side, modes, block=block):
+    columns = tuple((zs, inverse) for inverse in modes)
+    for n, part in _recurse(seq, lo, hi, columns, side, block=block):
         rows[n - lo : n - lo + len(part)] = part
         spans.append((n, n + len(part)))
     assert spans[-1][1] - spans[-1][0] == min(block, hi - lo + 1)
@@ -453,8 +454,9 @@ def write_sequence(path, seq):
 def test_junction_rows_equal_the_paired_fragment_recursions(tmp_path, random_fixtures, count):
     """The junction rows, read off the whole's rows, equal those of each
     right fragment's own recursion: the public sweep and the identities
-    report alike, with breakpoints on and around both window edges and 50
-    sites out, which read as the edge breakpoints n_min - 1 and n_max + 1.
+    report alike, and each other, with breakpoints on and around both
+    window edges and 50 sites out, which read as the edge breakpoints
+    n_min - 1 and n_max + 1.
     On one or two points, the delta puts a point where a one-element
     product taken in place would round otherwise than a wider one."""
     path = tmp_path / "seq.json"
@@ -481,25 +483,37 @@ def test_junction_rows_equal_the_paired_fragment_recursions(tmp_path, random_fix
                            "--delta", delta, "--breakpoints=" + ",".join(map(str, points))])
             want = reference_junction_sweep(seq, edges, zs, *paired, splits)
             assert {key: rows[key] for key in want} == want, points
+            # the report's rows, read off the identity sweep's runs, are the
+            # public sweep's, read off runs of its own
+            assert {key: rows[key] for key in got} == got, points
 
 
 def test_far_breakpoints_make_the_edge_breakpoints_recursions(monkeypatch, tmp_path):
     """A breakpoint 10,001 sites outside the window, or past int64, makes
     the recursions of the breakpoint at the window's nearer edge, n_max + 1
     or n_min - 1, and no others: the same sequences, bit for bit, over the
-    same sites, in the public sweep on a grid and on one point and in the
-    identities report, with the same rows."""
+    same sites and grids, with the same rows.  The public sweep on a grid
+    and on one point makes its own runs of the whole; the identities
+    report makes none in the junction sweep, and its junction rows read
+    the identity sweep's two runs, which step the companion at z as a
+    third column block."""
     seq = two_impurity_sequence()
     zs = default_grid(seq, count=8).zs
     path = tmp_path / "seq.json"
     write_sequence(path, seq)
     argv = ["identities", "--input", str(path), "--grid", "8"]
-    recurse, runs = transition._recurse, []
+    runs = []
 
-    def record(part, lo, hi, zs, side, modes):
-        values = (part.a_values, part.b_values, part.w_values)
-        runs.append(([v.tobytes() for v in values], lo, hi, side, modes))
-        return recurse(part, lo, hi, zs, side, modes)
+    def recording(module):
+        recurse = module._recurse
+
+        def record(part, lo, hi, columns, side, *rest):
+            values = (part.a_values, part.b_values, part.w_values)
+            grids = [(grid.tobytes(), inverse) for grid, inverse in columns]
+            runs.append((module.__name__, [v.tobytes() for v in values], lo, hi, side, grids))
+            return recurse(part, lo, hi, columns, side, *rest)
+
+        monkeypatch.setattr(module, "_recurse", record)
 
     def recorded(run, points):
         runs.clear()
@@ -511,7 +525,8 @@ def test_far_breakpoints_make_the_edge_breakpoints_recursions(monkeypatch, tmp_p
     def identities(points):
         return report(argv + ["--breakpoints=" + ",".join(map(str, points))])
 
-    monkeypatch.setattr(transition, "_recurse", record)
+    recording(transition)
+    recording(scattering)
     n_min, n_max = seq.window.n_min, seq.window.n_max
     far = (n_max + MAX_WINDOW_SITES + 1, 10**20, n_min - MAX_WINDOW_SITES - 1, -(10**20))
     for n1 in far:
@@ -520,6 +535,13 @@ def test_far_breakpoints_make_the_edge_breakpoints_recursions(monkeypatch, tmp_p
         for run in (sweep(zs), sweep(zs[:1]), identities):
             want = recorded(run, edge)
             assert want[1] and recorded(run, (n1,)) == want, n1
+        # the grid of z and 1/z, then the companion's grid of z
+        _, made = recorded(identities, (n1,))
+        assert [(module, side) for module, *_, side, _ in made] == [
+            ("jacobiscatter.scattering", "left"), ("jacobiscatter.scattering", "right")
+        ]
+        for *_, ((both, plain), (half, inverse)) in made:
+            assert (plain, inverse) == (False, True) and both[: len(half)] == half
     # two breakpoints that land on one edge are two equal junctions
     for run in (sweep(zs), identities):
         assert run((0, n_max + 1, far[0])) == run((0, n_max + 1))
@@ -537,9 +559,10 @@ def test_junction_sweep_recurses_only_the_sites_it_reads(monkeypatch):
     n_min, n_max = seq.window.n_min, seq.window.n_max
     recurse, runs = transition._recurse, []
 
-    def record(part, lo, hi, zs, side, modes):
-        runs.append((part, lo, hi, side, modes))
-        return recurse(part, lo, hi, zs, side, modes)
+    def record(part, lo, hi, columns, side):
+        assert all(grid is zs for grid, _ in columns)
+        runs.append((part, lo, hi, side, tuple(inverse for _, inverse in columns)))
+        return recurse(part, lo, hi, columns, side)
 
     monkeypatch.setattr(transition, "_recurse", record)
     out = (1, 50, MAX_WINDOW_SITES)
@@ -676,9 +699,10 @@ def damped_window(n_min, length, seed):
 def test_reports_on_windows_of_many_blocks_equal_the_references(tmp_path):
     """A 301-site window spans about 20 blocks of rows.  identity_sweep,
     junction_residual_sweep and the identities report equal the full-array
-    references to the bit, with breakpoints inside the window, on and next
-    to both of its edges, and 500 sites out on either side, alone and all
-    together; those read as the breakpoints next to the edges."""
+    references to the bit, and the report's junction rows the public
+    sweep's, with breakpoints inside the window, on and next to both of
+    its edges, and 500 sites out on either side, alone and all together;
+    those read as the breakpoints next to the edges."""
     seq = damped_window(-137, 301, seed=15)
     n_min, n_max = seq.window.n_min, seq.window.n_max
     assert (n_max - n_min + 5) > 16 * jost._BLOCK_SITES
@@ -704,3 +728,4 @@ def test_reports_on_windows_of_many_blocks_equal_the_references(tmp_path):
                        "--breakpoints=" + ",".join(map(str, points))])
         want = {**identities, **reference_junction_sweep(seq, at_edges, zs, *paired, splits)}
         assert {key: rows[key] for key in want} == want, points
+        assert {key: rows[key] for key in got} == got, points

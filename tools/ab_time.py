@@ -19,6 +19,11 @@ the ratios change/base and control/base of the passes, as median, min
 and max; and the passes in which the change was faster than BASE.  The
 control/base ratio is the resolution of the measurement: a change/base
 ratio inside its range is noise.  The exit code is 1 if any op differs.
+
+The workload many-breakpoints runs only when --workloads names it:
+identities on one undamped 3,000-site window, drawn by bench/workloads.py
+at the seed, with 30 and then 300 even breakpoints.  --scale shrinks the
+window and both counts.
 """
 
 from __future__ import annotations
@@ -34,9 +39,13 @@ import sys
 import tempfile
 import time
 
+import numpy as np
+
 from base_tree import ROOT, base_tree
 
 WORKLOADS = ("long-scatter", "fragment-checks", "small-batch")
+# opt-in, outside the default set
+MANY_BREAKPOINTS = "many-breakpoints"
 PACKAGE = "jacobiscatter"
 # this tree, BASE, and BASE again as the A/A control
 TREES = ("change", "base", "control")
@@ -51,9 +60,10 @@ def parse_args(argv):
     parser.add_argument("--scale", type=float, default=1.0, help="window scale, in (0, 1]")
     args = parser.parse_args(argv)
     args.workloads = args.workloads.split(",")
-    unknown = set(args.workloads) - set(WORKLOADS)
+    known = (*WORKLOADS, MANY_BREAKPOINTS)
+    unknown = set(args.workloads) - set(known)
     if unknown or not 0 < args.scale <= 1 or args.rounds < 1:
-        parser.error(f"workloads must be among {WORKLOADS}, --scale in (0, 1], --rounds >= 1")
+        parser.error(f"workloads must be among {known}, --scale in (0, 1], --rounds >= 1")
     return args
 
 
@@ -80,13 +90,28 @@ def spread(values: list[float]) -> str:
     return f"median {statistics.median(values):.3f}, min {min(values):.3f}, max {max(values):.3f}"
 
 
+def many_breakpoints(workloads, seed: int, directory: str, scale: float) -> list:
+    """The ops of the many-breakpoints workload, their input written under directory."""
+    os.makedirs(directory, exist_ok=True)
+    length = max(12, int(3_000 * scale))
+    spec = workloads.undamped_window(np.random.default_rng(seed), length, 0.05)
+    path = workloads.write_input(directory, f"undamped-n{length}", spec)
+    counts = [max(1, int(k * scale)) for k in (30, 300)]
+    return [workloads.Op(f"identities:n{length}-k{k}", "identities", path,
+                         workloads.even_breakpoints(spec, k)) for k in counts]
+
+
 def compare(clis: list, args, work: str) -> int:
     sys.path.insert(0, os.path.join(ROOT, "bench"))
     import workloads
 
     differing = 0
     for name in args.workloads:
-        ops = workloads.build(name, args.seed, os.path.join(work, name), scale=args.scale)
+        directory = os.path.join(work, name)
+        if name == MANY_BREAKPOINTS:
+            ops = many_breakpoints(workloads, args.seed, directory, args.scale)
+        else:
+            ops = workloads.build(name, args.seed, directory, scale=args.scale)
         argvs = [op.argv() for op in ops]
         bad = [op.label for op, argv in zip(ops, argvs)
                if len({run_op(cli, argv)[1] for cli in clis}) > 1]
