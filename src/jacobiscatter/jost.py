@@ -40,7 +40,8 @@ calls; every job's rows equal those of its own recursion to the bit.  A
 fragment that keeps seq's values on one side of a breakpoint starts its
 recursion on that side with seq's own seeds, and is seq's recursion up
 to its first step of its own, so it takes seq's rows there and recurses
-only the rest.
+only the rest.  The sweep copies each finished job's four end rows by
+slices into a stack of _JOB_CHUNK jobs, which the tail fits take as one.
 
 Each recursion step, one _step call, makes one complex product, the
 scaled drive times the current row.  It runs out of place, from the
@@ -128,6 +129,13 @@ def solution_range(seq: CoefficientSequence) -> tuple[int, int]:
 # memory of the benchmark's fragment-checks workload by 1.4 and 3.1 MB
 # over 16-site blocks and ran no faster.
 _BLOCK_SITES = 16
+
+# Jobs per stack of a tail-fit sweep's end rows, which scattering fits
+# with one call.  Every run of the benchmark's three workloads fits at
+# most 12 jobs.  An identities run on 300 breakpoints fits 900: there
+# stacks of 8, 32 and 64 jobs took 0.999, 1.017 and 0.994 the time of
+# 16-job stacks over three passes, at the same traced peak within 0.01 MB.
+_JOB_CHUNK = 16
 
 
 def jost_values(
@@ -332,16 +340,21 @@ def _fit_sweep(
     jobs: list[tuple[CoefficientSequence, IndexWindow]],
     zs: np.ndarray,
     modes: tuple[bool, ...],
-) -> list[tuple[np.ndarray, np.ndarray]]:
+) -> list[np.ndarray]:
     """The rows every job's tail fits read, from one two-sided sweep.
 
     Each job pairs a sequence with seq's limits, such as seq itself or
     one of its fragments, with a window holding all of its deviations.
-    With lo and hi two sites past that window, the result holds per job
-    its left rows at (lo, lo + 1) and its right rows at (hi - 1, hi), one
+    With lo and hi two sites past that window, job j's end rows are its
+    left rows at lo and lo + 1 and its right rows at hi - 1 and hi, one
     block of zs.size columns per mode: to the bit the rows at those sites
     of the job's own recursion, as _recurse takes it, seeded with the
-    exact tails at window's edges.
+    exact tails at window's edges.  They are rows 0 to 3, column
+    j % _JOB_CHUNK, of the result's stack j // _JOB_CHUNK, an array of
+    shape (4, jobs in the stack, len(modes) * zs.size) for each
+    _JOB_CHUNK jobs in order, which a finished job's rows are copied
+    into by slices; so a caller fits the jobs a stack at a time and lets
+    each stack go once it is fitted.
 
     One row set holds three rotating rows for every recursion under way.
     Left recursions take column slots outward to the left of its middle
@@ -493,7 +506,11 @@ def _fit_sweep(
         buffer[i, ...] for i in range(8)
     )
     active: tuple[list[int], list[int]] = ([], [])
-    found: list[list] = [[None, None] for _ in jobs]
+    # job j's end rows: row i, j % _JOB_CHUNK of stack j // _JOB_CHUNK
+    stacks = [
+        np.empty((4, min(_JOB_CHUNK, len(jobs) - c), width), dtype=complex)
+        for c in range(0, len(jobs), _JOB_CHUNK)
+    ]
     cuts = sorted({*joins, *forks, *(t + 1 for t in (*redos, *ends)), span + 2} - {0})
     start, shape = 0, None
     with np.errstate(all="ignore"):
@@ -563,14 +580,18 @@ def _fit_sweep(
                 slot = active[side].index(j)
                 c0, c1 = columns(side, slot)
                 dst, src, _ = phases[t % 3]
-                found[j][side] = rows[[dst, src] if side == 0 else [src, dst], c0:c1]
+                # the left rows at lo and lo + 1, the right ones at hi - 1 and hi
+                low, high = (dst, src) if side == 0 else (src, dst)
+                stack, i = stacks[j // _JOB_CHUNK], j % _JOB_CHUNK
+                stack[2 * side, i] = rows[low, c0:c1]
+                stack[2 * side + 1, i] = rows[high, c0:c1]
                 outer = active[side].pop()
                 if outer != j:
                     d0, d1 = columns(side, len(active[side]))
                     rows[:, c0:c1] = rows[:, d0:d1]
                     active[side][slot] = outer
             start = cut
-    return [tuple(pair) for pair in found]
+    return stacks
 
 
 def jost_left(seq: CoefficientSequence, z: complex) -> LatticeSolution:

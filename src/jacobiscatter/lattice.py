@@ -56,7 +56,7 @@ class Limits:
                 if isinstance(raw, _NOT_NUMBERS):
                     raise TypeError
                 value = float(raw)
-            except TypeError:
+            except (TypeError, OverflowError):
                 raise CoefficientError(f"{name} must be a real number, got {raw!r:.40}") from None
             if not math.isfinite(value):
                 raise CoefficientError(f"{name} must be finite, got {value!r}")
@@ -120,13 +120,13 @@ def _stored_array(values, name: str, length: int) -> np.ndarray:
         if _holds_non_number(values):
             raise TypeError
         arr = np.asarray(values, dtype=float)
-    except TypeError:
+    except (TypeError, OverflowError):
         raise CoefficientError(f"{name} must be an array of numbers, got {values!r:.40}") from None
     if arr.ndim != 1 or arr.size != length:
         raise CoefficientError(
             f"{name} must be a flat array of length {length}, got shape {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise CoefficientError(f"{name} contains non-finite entries")
     arr = arr.copy()
     arr.setflags(write=False)
@@ -155,13 +155,13 @@ class CoefficientSequence:
         object.__setattr__(self, "a_values", _stored_array(self.a_values, "a", length))
         object.__setattr__(self, "b_values", _stored_array(self.b_values, "b", length))
         object.__setattr__(self, "w_values", _stored_array(self.w_values, "w", length))
-        if np.any(self.a_values == 0.0):
+        if (self.a_values == 0.0).any():
             site = self.window.n_min + int(np.argmax(self.a_values == 0.0))
             raise CoefficientError(f"a({site}) is zero; couplings must be nonzero")
-        if np.any(self.w_values <= 0.0):
+        if (self.w_values <= 0.0).any():
             site = self.window.n_min + int(np.argmax(self.w_values <= 0.0))
             raise CoefficientError(f"w({site}) is not positive")
-        if self.limits.a_inf < 0.0 or np.any(self.a_values < 0.0):
+        if self.limits.a_inf < 0.0 or (self.a_values < 0.0).any():
             warnings.warn(
                 "negative coupling a(n) present; admitted, but junction checks "
                 "are only routinely exercised with positive couplings",

@@ -15,8 +15,14 @@ faults instead of plausible numbers.
 
 _amplitude_blocks makes the fits of a run's jobs, the sequence, its
 fragments and any sequence sharing its limits, from one recursion sweep.
-It fits them all on the call and returns them as a list in job order,
-so the first job in that order whose fit faults raises.
+It fits them all on the call and returns them as a list in job order.
+_tail_fit takes a stack of fits of any shape: every job and mode of a
+stack of the sweep's end rows, up to jost._JOB_CHUNK jobs, is one call,
+and the identity sweep's fit a stack of one.  Each fit's bits are those
+of its own one-entry call, and a stack faults at its first faulty
+entry, so the first job in order whose fit faults raises, at its first
+faulty mode, and within one fit a value that is not finite comes before
+a disagreement of the two 1/T fits.
 
 identity_sweep checks the relations among these data.  Its rows, and
 every report row, are one residual per grid point until _grid_maxima,
@@ -67,40 +73,62 @@ def _fit_exponents(window: IndexWindow) -> list[int]:
 
 @np.errstate(all="ignore")
 def _tail_fit(
-    zs: np.ndarray, det: np.ndarray, powers: np.ndarray,
-    left: np.ndarray, right: np.ndarray, sign: int,
+    zs: np.ndarray, det: np.ndarray, powers: np.ndarray, keys,
+    left: np.ndarray, right: np.ndarray, sign,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(1/T, R/T, L/T) from two rows of each solution on exact tail sites.
 
-    left holds the left-normalized solution on sites n and n + 1, right
-    the right-normalized one on p and p + 1, over the grid points zs,
-    whose plane-wave determinant is det, and powers the _power_table rows
-    of zs at _fit_exponents of their window, as an array or a list.  sign
-    is -1 for data at 1/z parametrized by z, as in the at_inverse modes,
-    which reads those rows in reverse order, at the negated exponents.
+    A fit is one entry of a stack of any shape S over the m grid points
+    zs, whose plane-wave determinant is det.  left, of shape (2, *S, m),
+    holds per entry the left-normalized solution on sites n and n + 1,
+    right the right-normalized one on p and p + 1.  powers is a
+    _power_table of zs, and keys, of shape (8, *S), holds per entry the
+    rows of powers at the exponents sign k for k in _fit_exponents of
+    the entry's window; each row is gathered where the fit reads it, so
+    no stack of all eight is held at once.  sign, an int or an int array
+    broadcast over S, is -1 for data at 1/z parametrized by z, as in the
+    at_inverse modes, and 1 otherwise.  Every operation is elementwise,
+    so each entry has the bits of its own one-entry fit.
 
-    Raises NumericalFault, naming theta, where a fit is not finite or the
-    two 1/T fits disagree.
+    Raises NumericalFault, naming theta, at the first entry in the
+    stack's order where a fit is not finite or the two 1/T fits
+    disagree; within an entry, not finite comes first.
     """
-    # z^(sign k) at k = n, n + 1, p, p + 1, then z^(-sign k) in reverse
-    up_n, up_n1, up_p, up_p1, down_p1, down_p, down_n1, down_n = powers[::sign]
+    # the rows at z^(sign k) for k = n, n + 1, p, p + 1, then at their
+    # negatives in reverse, each gathered where it is read.  numpy's
+    # complex product is not commutative to the bit, and an operator whose
+    # operand is a temporary of 256 KB or more runs in place in it, with
+    # the operands swapped; so each product of a row and a gathered power
+    # is a ufunc call, which keeps their order at any stack size
+    up_n, up_n1, up_p, up_p1, down_p1, down_p, down_n1, down_n = keys
+
+    def times(rows, key):
+        return np.multiply(rows, powers[key])
+
     det_left = sign * det
-    inv_t_left = (left[0] * down_n1 - left[1] * down_n) / det_left
-    l_over_t = (left[1] * up_n - left[0] * up_n1) / det_left
+    inv_t_left = (times(left[0], down_n1) - times(left[1], down_n)) / det_left
+    l_over_t = (times(left[1], up_n) - times(left[0], up_n1)) / det_left
     det_right = -det_left
-    inv_t_right = (right[0] * up_p1 - right[1] * up_p) / det_right
-    r_over_t = (right[1] * down_p - right[0] * down_p1) / det_right
-    finite = [np.isfinite(part) for part in (inv_t_left, inv_t_right, r_over_t, l_over_t)]
-    _fault_where(~np.logical_and.reduce(finite), zs, "tail fit is not finite")
+    inv_t_right = (times(right[0], up_p1) - times(right[1], up_p)) / det_right
+    r_over_t = (times(right[1], down_p) - times(right[0], down_p1)) / det_right
+    finite = np.logical_and.reduce(
+        [np.isfinite(part) for part in (inv_t_left, inv_t_right, r_over_t, l_over_t)]
+    )
     inv_t = 0.5 * (inv_t_left + inv_t_right)
     mismatch = np.abs(inv_t_left - inv_t_right)
     scale = np.maximum(1.0, np.abs(inv_t))
-    bad = mismatch > MISMATCH_TOL * scale
-    if np.any(bad):
-        worst = int(np.argmax(mismatch / scale))
+    bad = ~finite | (mismatch > MISMATCH_TOL * scale)
+    if bad.any():
+        # the first faulty entry, one row of zs.size points per entry
+        finite, mismatch, scale, bad = (
+            part.reshape(-1, zs.size) for part in (finite, mismatch, scale, bad)
+        )
+        e = int(np.argmax(bad.any(axis=1)))
+        _fault_where(~finite[e], zs, "tail fit is not finite")
+        worst = int(np.argmax(mismatch[e] / scale[e]))
         theta = float(np.angle(zs[worst]))
         raise NumericalFault(
-            f"left/right 1/T fits disagree by {mismatch[worst]:.3e} "
+            f"left/right 1/T fits disagree by {mismatch[e, worst]:.3e} "
             f"at theta = {theta:.6g}"
         )
     return inv_t, r_over_t, l_over_t
@@ -138,7 +166,6 @@ def _amplitude_blocks(
     jobs: list[CoefficientSequence],
     zs: np.ndarray,
     modes: tuple[bool, ...],
-    known: dict[int, np.ndarray] | None = None,
 ) -> list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """scattering_amplitudes of each job over the checked grid zs, for each
     at_inverse mode.
@@ -148,41 +175,66 @@ def _amplitude_blocks(
     that depart from seq at a few sites.  Every job is recursed and
     fitted on the call: the jobs that share seq's limits in one
     _fit_sweep that shares seq's coefficients, any other job in a sweep
-    of its own; a job without deviations needs none.  A job's rows are
-    let go once it is fitted, and the first job in order whose fit
-    faults raises its NumericalFault.  known holds _power_table rows of zs
-    already at hand, by exponent; the fits read them in place of new ones.
+    of its own; a job without deviations needs none.  The sweeps hand
+    out their end rows in stacks of up to jost._JOB_CHUNK jobs, and each
+    run of consecutive jobs in one stack is fitted, every mode of every
+    job, by one _tail_fit call, in job order; a stack is let go once its
+    jobs are fitted.  So the first job in order whose fit faults raises its
+    NumericalFault, at its first faulty mode.  One power table, one
+    _power_table call after the sweeps, holds every row the fits read,
+    once however many jobs read it.
     """
-    m = zs.size
     supports = [effective_support(job) for job in jobs]
     busy = [(job, support.window) for job, support in zip(jobs, supports) if not support.free]
     shared = [(job, window) for job, window in busy if job.limits == seq.limits]
-    # the shared rows, popped from the end as their jobs are fitted
-    swept = _fit_sweep(seq, shared, zs, modes)[::-1] if shared else []
-    # one _power_table row per exponent, however many jobs read it, and
-    # none for an exponent known holds
-    powers = dict(known or {})
-    fresh = list(dict.fromkeys(
-        k for _, window in busy for k in _fit_exponents(window) if k not in powers
-    ))
-    powers.update(zip(fresh, _power_table(zs, np.array(fresh, dtype=int))))
+    # the shared jobs' end rows as (stack, column), popped in job order
+    swept = [
+        (stack, i) for stack in (_fit_sweep(seq, shared, zs, modes) if shared else [])
+        for i in range(stack.shape[1])
+    ][::-1]
+    # runs of consecutive busy jobs whose end rows lie in one stack, as
+    # [stack, first, end, windows]
+    runs: list[list] = []
+    for job, window in busy:
+        if job.limits == seq.limits:
+            stack, i = swept.pop()
+        else:
+            (stack,), i = _fit_sweep(job, [(job, window)], zs, modes), 0
+        if runs and runs[-1][0] is stack and runs[-1][2] == i:
+            runs[-1][2] += 1
+            runs[-1][3].append(window)
+        else:
+            runs.append([stack, i, i + 1, [window]])
+    # the runs are popped in job order, and each stack is let go with its last
+    runs.reverse()
+    # one table row per exponent, however many jobs read it; _fit_exponents
+    # lists the negative of each of its exponents too, so the table holds
+    # every mode's rows
+    exponents = list(dict.fromkeys(k for _, window in busy for k in _fit_exponents(window)))
+    powers = _power_table(zs, np.array(exponents, dtype=int))
+    row = {k: i for i, k in enumerate(exponents)}
     det = wave_pair_det(zs)
-    columns = [(slice(j * m, (j + 1) * m), -1 if inverse else 1) for j, inverse in enumerate(modes)]
+    signs = [-1 if inverse else 1 for inverse in modes]
+    sign = np.array(signs)[:, None]
+    fitted = []
+    while runs:
+        stack, first, end, windows = runs.pop()
+        count = end - first
+        shape = (2, count, len(modes), zs.size)
+        left, right = (stack[r : r + 2, first:end].reshape(shape) for r in (0, 2))
+        keys = [[[row[s * k] for k in _fit_exponents(window)] for s in signs] for window in windows]
+        inv_t, r_over_t, l_over_t = _tail_fit(
+            zs, det, powers, np.moveaxis(np.array(keys), -1, 0), left, right, sign
+        )
+        fitted.extend(list(zip(inv_t[i], r_over_t[i], l_over_t[i])) for i in range(count))
+    fitted = iter(fitted)
     fits = []
-    for job, support in zip(jobs, supports):
+    for support in supports:
         if support.free:
             # nothing deviates from the limits: T = 1 and R = L = 0 exactly
             fits.append([(np.ones_like(zs), np.zeros_like(zs), np.zeros_like(zs)) for _ in modes])
-            continue
-        window = support.window
-        if job.limits == seq.limits:
-            left, right = swept.pop()
         else:
-            ((left, right),) = _fit_sweep(job, [(job, window)], zs, modes)
-        own = [powers[k] for k in _fit_exponents(window)]
-        fits.append(
-            [_tail_fit(zs, det, own, left[:, b], right[:, b], sign) for b, sign in columns]
-        )
+            fits.append(next(fitted))
     return fits
 
 
@@ -235,20 +287,19 @@ def identity_sweep(seq: CoefficientSequence, zs: np.ndarray) -> dict[str, float]
     not finite.
     """
     zs = require_admissible(zs)
-    rows, _, _ = _identity_sweep(seq, zs)
+    rows, _ = _identity_sweep(seq, zs)
     return _grid_maxima(rows, zs)
 
 
 @np.errstate(all="ignore")
 def _identity_sweep(
     seq: CoefficientSequence, zs: np.ndarray, sites: tuple[int, ...] = ()
-) -> tuple[dict[str, np.ndarray], dict[int, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """identity_sweep's rows over the checked grid zs, one residual per point;
-    the _power_table rows of zs its tail fit reads, by exponent, which
-    _amplitude_blocks takes as known; and the whole's rows at the sorted
-    sites, which lie in solution_range(seq), of the left side, then of
-    the right side, each the solution at z in the first zs.size columns
-    and its companion in the at_inverse mode in the rest.
+) -> tuple[dict[str, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """identity_sweep's rows over the checked grid zs, one residual per point,
+    and the whole's rows at the sorted sites, which lie in
+    solution_range(seq), of the left side, then of the right side, each
+    the solution at z in the first zs.size columns and its companion in
+    the at_inverse mode in the rest.
 
     The solutions at z and at the rounded reciprocal 1/z recurse as one
     grid of both, checked by require_admissible as any grid is, and are
@@ -306,9 +357,8 @@ def _identity_sweep(
                 base = pair[0]
             drift = np.maximum(drift, np.max(np.abs(pair - base), axis=0))
         last = rows[-1:, :m].copy()
-    exponents = _fit_exponents(seq.window)
-    powers = _power_table(both, np.array(exponents))
-    fit = _coefficients(*_tail_fit(both, wave_pair_det(both), powers, ends[:2], ends[2:], 1))
+    powers = _power_table(both, np.array(_fit_exponents(seq.window)))
+    fit = _coefficients(*_tail_fit(both, wave_pair_det(both), powers, range(8), ends[:2], ends[2:], 1))
     # the data at z from the first m columns, then the data at 1/z
     (t, tt), (r, rt), (l, lt) = (np.split(part, 2) for part in fit)
     product = 1.0 / (t * tt)
@@ -323,7 +373,7 @@ def _identity_sweep(
         "wronskian_constancy": _scaled_drift(drift, base),
         "unitarity": np.abs(np.abs(t) ** 2 + np.abs(r) ** 2 - 1.0),
     }
-    return rows, dict(zip(exponents, powers[:, :m])), (kept[0], kept[1])
+    return rows, (kept[0], kept[1])
 
 
 def _worst(*terms: np.ndarray) -> np.ndarray:

@@ -97,7 +97,7 @@ def require_on_circle(zs: np.ndarray) -> None:
     """Reject spectral parameters off the unit circle, and NaN ones."""
     # negated, so that a NaN, which compares False, is off the circle
     off = ~(np.abs(np.abs(zs) - 1.0) <= CIRCLE_TOL)
-    if np.any(off):
+    if off.any():
         bad = np.atleast_1d(zs)[np.atleast_1d(off)][0]
         raise SpectralDomainError(f"z = {bad} is not on the unit circle")
 
@@ -142,7 +142,7 @@ def _power_table(zs: np.ndarray, ks: np.ndarray) -> np.ndarray:
 
 def _fault_where(bad: np.ndarray, zs: np.ndarray, what: str) -> None:
     """Raise NumericalFault "<what> at theta = ..." at zs's first point where bad holds."""
-    if np.any(bad):
+    if bad.any():
         theta = float(np.angle(zs[int(np.argmax(bad))]))
         raise NumericalFault(f"{what} at theta = {theta:.6g}")
 

@@ -67,10 +67,9 @@ which step its companion at z as a third column block and keep its rows
 at the junctions' sites for the junction rows, and the fit sweep's job
 of the whole, over its support, which its fits read and from which each
 fragment that keeps the whole's values on one side forks there
-(jost._fit_sweep), so no fragment repeats the whole's steps.  The fits
-of the whole read the identity sweep's power rows.  Its largest array
-is the identity sweep's left solution over the window, one row of grid
-points per site.
+(jost._fit_sweep), so no fragment repeats the whole's steps.  Its
+largest array is the identity sweep's left solution over the window,
+one row of grid points per site.
 """
 
 from __future__ import annotations
@@ -312,8 +311,7 @@ def _identities_report(
     The identity sweep runs first.  Given a fragmentation, its runs of
     the whole also step the companion at z and keep the whole's rows at
     the junctions' sites, which the junction sweep reads in place of
-    runs of its own; the whole's fits read its power rows.  Every row
-    keeps the bits of the public functions.
+    runs of its own.  Every row keeps the bits of the public functions.
 
     The first fragment is the first junction's left part and the last
     fragment the last junction's right part, bit for bit, as fragment()
@@ -327,8 +325,8 @@ def _identities_report(
         _, sites = _junction_sites(seq, frag)
     # the report's grid, checked once
     zs = require_admissible(zs)
-    rows, powers, whole_rows = _identity_sweep(seq, zs, sites)
-    whole, *fits = _amplitude_blocks(seq, [seq, *parts, *inner], zs, _PAIRED, powers)
+    rows, whole_rows = _identity_sweep(seq, zs, sites)
+    whole, *fits = _amplitude_blocks(seq, [seq, *parts, *inner], zs, _PAIRED)
     lam = _entries(whole)
     rows["transition_determinant"] = _determinant_gap(lam)
     if frag is not None:

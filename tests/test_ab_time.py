@@ -2,9 +2,9 @@
 
 The tests run it at a twentieth of the bench's window sizes and one
 timed pass: the tree against itself must match on every op and print
-each workload's times and ratios, on the default workloads and on the
-opt-in many-breakpoints one, and against a copy whose table format was
-changed it must name the ops that differ.  python -B keeps the tool
+each workload's times and ratios, overall and per subcommand, on the
+default workloads and on the opt-in many-breakpoints one, and against a
+copy whose table format was changed it must name the ops that differ.  python -B keeps the tool
 from writing bytecode next to it, so it writes only temporary files.
 """
 
@@ -33,7 +33,12 @@ def test_tree_against_itself_matches_and_prints_every_ratio():
     for prefix in ("  median pass: change ", "  change/base: median ",
                    "  control/base (A/A): median "):
         assert sum(line.startswith(prefix) for line in lines) == len(WORKLOADS), prefix
-    assert all(line.endswith(" of 1 passes") for line in lines if "change/base" in line)
+    # each workload's subcommands: scatter runs in all three, factorize and
+    # identities in fragment-checks and small-batch
+    for command, count in (("scatter", 3), ("factorize", 2), ("identities", 2)):
+        prefix = f"  {command} change/base: median "
+        assert sum(line.startswith(prefix) for line in lines) == count, command
+    assert all(line.endswith(" of 1 passes") for line in lines if line.startswith("  change/base: "))
     assert "many-breakpoints" not in proc.stdout
 
 
@@ -44,6 +49,8 @@ def test_many_breakpoints_runs_when_named():
     lines = proc.stdout.splitlines()
     assert lines[0] == "seed 911 many-breakpoints: 2 ops, 0 differ"
     assert sum(line.startswith("  change/base: median ") for line in lines) == 1
+    assert sum(line.startswith("  identities change/base: median ") for line in lines) == 1
+    assert not any(line.startswith(("  scatter ", "  factorize ")) for line in lines)
 
 
 def test_changed_output_is_named(tmp_path):

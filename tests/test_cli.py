@@ -232,13 +232,17 @@ def test_invalid_coefficients_exit_two(tmp_path):
 # a boolean window bound reads as site 0 or 1: with one-site arrays at
 # site 1, "n_min": true made a consistent window
 ONE_SITE_AT_ONE = {"n_max": 1, "a": [1.0], "b": [0.3], "w": [1.0]}
+# an integer literal too large for a float
+HUGE = "1" + "0" * 400
 
 
 @pytest.mark.parametrize(
     "field, value",
     [("n_min", "null"), ("n_min", "[0]"), ("a_inf", "null"), ("a_inf", "[1]"),
      ("a", '{"x": 1}'), ("n_max", "1e400"), ("a_inf", '"1.5"'), ("w", "[true, true, true]"),
-     ("b", '["0.3", 0.0, -0.4]'), ("n_min", "true")],
+     ("b", '["0.3", 0.0, -0.4]'), ("n_min", "true"),
+     pytest.param("b_inf", HUGE, id="b_inf-huge"),
+     pytest.param("b", f"[{HUGE}, 0.0, -0.4]", id="b-huge")],
 )
 def test_mistyped_field_exits_two_naming_it(tmp_path, field, value):
     """A field of the wrong JSON type, or an integer too large for one, is

@@ -5,8 +5,12 @@ or anything else sharing its limits, in one two-sided pass that shares
 the reference sequence's coefficients.  It is a pure reorganization, so
 these tests hold every job's left and right rows to the bit against the
 plain complex-row recursion of test_kernel_reference, run on that job
-alone.
+alone.  Their tail fits run a stack of jobs at a time, and each
+stack's fits must equal the jobs' own fits and fault where the first of
+them does.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -18,17 +22,19 @@ from jacobiscatter import (
     Limits,
     NumericalFault,
     effective_support,
+    factorization_residuals,
     fragment,
     jost,
     scattering,
 )
 from jacobiscatter.cli import _corrupted_padding
-from jacobiscatter.jost import _fit_sweep, _most_at_once
+from jacobiscatter.jost import _JOB_CHUNK, _most_at_once
 from jacobiscatter.lattice import coefficient_arrays
-from jacobiscatter.scattering import _amplitude_blocks
+from jacobiscatter.scattering import _amplitude_blocks, _fit_exponents, _tail_fit
+from jacobiscatter.spectral import _power_table, wave_pair_det
 from jacobiscatter.transition import _identities_report
 from conftest import default_grid, hand_fixtures, make_sequence, overflowing_sequence
-from test_kernel_reference import reference_recurse
+from test_kernel_reference import reference_recurse, sweep_rows
 from test_support_trim import padded
 
 MODES = ((False,), (True,), (False, True), (True, False, True))
@@ -43,8 +49,7 @@ def window_of(part):
 def sweep_and_references(seq, parts, zs, modes):
     """(got, want) for each side of each part, the sweep taking seq's lead."""
     jobs = [(part, window_of(part)) for part in parts]
-    rows = _fit_sweep(seq, jobs, zs, modes)
-    assert len(rows) == len(jobs)
+    rows = sweep_rows(seq, jobs, zs, modes)
     for (part, window), sides in zip(jobs, rows):
         lo, hi = window.n_min - 2, window.n_max + 2
         for got, side in zip(sides, ("left", "right")):
@@ -94,16 +99,25 @@ def job_lists(seq):
     """The whole with each product's fragments; the single-junction
     fragments of every breakpoint without the whole; the whole, its
     fragments and the junction fragments, whose first and last are the
-    end fragments themselves; a list that holds one object twice; and the
-    whole with two jobs that reach past it."""
+    end fragments themselves; a list that holds one object twice; the
+    whole with two jobs that reach past it; and the jobs of all of those
+    in one list, up to the second job that deviates past one stack of
+    _JOB_CHUNK, so that a run of them spans two stacks."""
+    lists = []
     for points in breakpoint_sets(seq):
         parts = fragment(seq, Fragmentation(points))
         junction_parts = [part for n1 in points for part in fragment(seq, Fragmentation((n1,)))]
-        yield [seq, *parts]
-        yield junction_parts
-        yield [seq, *parts, parts[0], *junction_parts[1:-1], parts[-1]]
-        yield [parts[0], seq, parts[0]]
-    yield [seq, *reaching_past(seq)]
+        lists += [
+            [seq, *parts],
+            junction_parts,
+            [seq, *parts, parts[0], *junction_parts[1:-1], parts[-1]],
+            [parts[0], seq, parts[0]],
+        ]
+    lists.append([seq, *reaching_past(seq)])
+    everything = [job for jobs in lists for job in jobs]
+    deviating = np.flatnonzero([not effective_support(job).free for job in everything])
+    assert len(deviating) > _JOB_CHUNK + 1
+    return [*lists, everything[: deviating[_JOB_CHUNK + 1] + 1]]
 
 
 def test_every_job_gets_its_own_recursion(random_fixtures):
@@ -136,7 +150,7 @@ def test_limit_padded_windows_and_one_site_windows():
         # a job recursed over its whole stored window, limit sites and all
         window = seq.window
         for modes in MODES:
-            (left, right), = _fit_sweep(seq, [(seq, window)], zs, modes)
+            (left, right), = sweep_rows(seq, [(seq, window)], zs, modes)
             lo, hi = window.n_min - 2, window.n_max + 2
             for got, side in ((left, "left"), (right, "right")):
                 want = reference_recurse(seq, window, lo, hi, zs, side, modes, False)
@@ -225,7 +239,7 @@ def test_jobs_must_share_the_limits():
     )
     jobs = [(seq, seq.window), (other, IndexWindow(-1, 1))]
     with pytest.raises(ValueError, match="limits"):
-        _fit_sweep(seq, jobs, default_grid(seq, count=8).zs, (False,))
+        sweep_rows(seq, jobs, default_grid(seq, count=8).zs, (False,))
 
 
 def test_slot_count_equals_the_count_at_every_start():
@@ -302,3 +316,111 @@ def test_identities_report_sweeps_the_end_fragments_once(monkeypatch):
         counts.clear()
         _identities_report(seq, frag, zs)
         assert counts == [3 * k], points
+
+
+def long_window():
+    """A damped 100-site window and 40 even breakpoints: 41 fragments that
+    all deviate, more than two stacks of _JOB_CHUNK with the whole."""
+    rng = np.random.default_rng(33)
+    n = 100
+    seq = make_sequence(-50, 1.0 + 0.01 * rng.uniform(-1, 1, n), 0.014 * rng.uniform(-1, 1, n),
+                        1.0 + 0.01 * rng.uniform(-1, 1, n))
+    points = tuple(-51 + (j * n) // 41 for j in range(1, 41))
+    return seq, Fragmentation(points)
+
+
+def stacked_fit_inputs(seq, parts, zs, modes):
+    """_tail_fit's inputs with every part and mode one entry of a (parts,
+    modes) stack: the power table, its keys, the left and right rows of
+    the parts' sweep and the modes' signs."""
+    jobs = [(part, window_of(part)) for part in parts]
+    signs = [-1 if inverse else 1 for inverse in modes]
+    # _fit_exponents lists the negative of each of its exponents too
+    exponents = list(dict.fromkeys(k for _, window in jobs for k in _fit_exponents(window)))
+    row = {k: i for i, k in enumerate(exponents)}
+    keys = np.array([[[row[sign * k] for k in _fit_exponents(window)] for sign in signs]
+                     for _, window in jobs])
+    shape = (2, len(jobs), len(modes), zs.size)
+    rows = sweep_rows(seq, jobs, zs, modes)
+    left, right = (np.stack([pair[side] for pair in rows], axis=1).reshape(shape) for side in (0, 1))
+    return _power_table(zs, np.array(exponents)), np.moveaxis(keys, -1, 0), left, right, signs
+
+
+def test_a_stack_of_fits_equals_each_entry_fitted_alone():
+    """Over 42 jobs at z and at 1/z, every array the stacked fit makes
+    takes more than 256 KB, where numpy runs an operator on a temporary in
+    place, and the fit keeps the bits of each job's and mode's own fit."""
+    seq, frag = long_window()
+    parts = [seq, *fragment(seq, frag)]
+    zs = default_grid(seq, count=257).zs
+    powers, keys, left, right, signs = stacked_fit_inputs(seq, parts, zs, (False, True))
+    assert left[0].nbytes > 256 * 1024
+    det = wave_pair_det(zs)
+    got = _tail_fit(zs, det, powers, keys, left, right, np.array(signs)[:, None])
+    for j in range(len(parts)):
+        for b, sign in enumerate(signs):
+            want = _tail_fit(zs, det, powers, keys[:, j, b], left[:, j, b], right[:, j, b], sign)
+            for mine, theirs in zip(got, want):
+                assert mine[j, b].tobytes() == theirs.tobytes(), (j, b)
+
+
+def test_a_stack_of_fits_faults_at_its_first_faulty_entry():
+    """Entries fault in job order, then mode order, and within one entry a
+    value that is not finite before a disagreement of the two 1/T fits;
+    each fault names its own point, so the message tells which won."""
+    seq = hand_fixtures()[2]
+    parts = [seq, *fragment(seq, Fragmentation((0,)))][:2]
+    zs = default_grid(seq, count=16).zs
+    powers, keys, left, right, signs = stacked_fit_inputs(seq, parts, zs, (False, True))
+    det, sign = wave_pair_det(zs), np.array(signs)[:, None]
+    _tail_fit(zs, det, powers, keys, left, right, sign)
+
+    def fault(*damage):
+        """The fault of the stack with each (side, job, mode, point, how) damaged."""
+        rows = [left.copy(), right.copy()]
+        for side, j, b, i, how in damage:
+            if how == "off":
+                # the right 1/T fit, and only it, moves by half
+                rows[side][:, j, b, i] *= 1.5
+            else:
+                rows[side][0, j, b, i] = np.inf
+        with pytest.raises(NumericalFault) as info:
+            _tail_fit(zs, det, powers, keys, *rows, sign)
+        return str(info.value)
+
+    def disagree(i):
+        return f"left/right 1/T fits disagree by .* at theta = {np.angle(zs[i]):.6g}$"
+
+    def not_finite(i):
+        return f"^tail fit is not finite at theta = {np.angle(zs[i]):.6g}$"
+
+    for damage, want in [
+        # each damage alone names its own point
+        ([(1, 0, 1, 3, "off")], disagree(3)),
+        ([(0, 1, 0, 5, "inf")], not_finite(5)),
+        # a mismatch of job 0 before job 1 not finite
+        ([(0, 1, 0, 5, "inf"), (1, 0, 1, 3, "off")], disagree(3)),
+        # within one entry, not finite before the mismatch
+        ([(1, 0, 0, 3, "off"), (0, 0, 0, 7, "inf")], not_finite(7)),
+        # mode 1 of job 0 before mode 0 of job 1
+        ([(0, 1, 0, 2, "inf"), (0, 0, 1, 6, "inf")], not_finite(6)),
+    ]:
+        assert re.search(want, fault(*damage)), (damage, want)
+
+
+def test_runs_of_many_stacks_equal_their_jobs_fitted_alone(monkeypatch):
+    """factorize and identities on 40 breakpoints sweep and fit 42 and 120
+    jobs, several stacks each, and give the bits of a run that stacks
+    every job alone."""
+    seq, frag = long_window()
+    parts = fragment(seq, frag)
+    assert not any(effective_support(part).free for part in parts)
+    zs = default_grid(seq, count=32).zs
+
+    def run():
+        report = _identities_report(seq, frag, zs)
+        return [factorization_residuals(seq, frag, zs).tobytes(), *map(repr, report.values())]
+
+    stacked = run()
+    monkeypatch.setattr(jost, "_JOB_CHUNK", 1)
+    assert run() == stacked

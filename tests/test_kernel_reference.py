@@ -55,8 +55,15 @@ MODES = ((False,), (True,), (True, False, True))
 
 def grid_tail_fit(zs, left, right, window, sign):
     """_tail_fit on the sites two past window over the grid zs."""
-    powers = _power_table(zs, np.array(_fit_exponents(window)))
-    return _tail_fit(zs, wave_pair_det(zs), powers, left, right, sign)
+    powers = _power_table(zs, sign * np.array(_fit_exponents(window)))
+    return _tail_fit(zs, wave_pair_det(zs), powers, range(8), left, right, sign)
+
+
+def sweep_rows(seq, jobs, zs, modes):
+    """_fit_sweep's (left, right) rows per job, read from its stacks."""
+    ends = np.concatenate(_fit_sweep(seq, jobs, zs, modes), axis=1)
+    assert ends.shape == (4, len(jobs), len(modes) * zs.size)
+    return [(ends[:2, j], ends[2:, j]) for j in range(len(jobs))]
 
 
 def reference_recurse(seq, window, lo, hi, zs, side, modes, store):
@@ -146,7 +153,7 @@ def kernel_pairs(seq, zs):
             )
     lo, hi = window.n_min - 2, window.n_max + 2
     for modes in MODES:
-        rows = _fit_sweep(seq, [(seq, window)], zs, modes)[0]
+        rows = sweep_rows(seq, [(seq, window)], zs, modes)[0]
         for got, side in zip(rows, ("left", "right")):
             yield got, reference_recurse(seq, window, lo, hi, zs, side, modes, False)
 
@@ -227,7 +234,7 @@ def test_fit_sweep_across_operand_table_edges_equals_complex_rows(count, modes):
             assert edge - 1 in {last for _, last in side}
             assert any(first < edge - 1 and last > edge for first, last in side)
     zs = default_grid(seq, count=count).zs
-    rows = _fit_sweep(seq, jobs, zs, modes) + _fit_sweep(seq, jobs[:1], zs, modes)
+    rows = sweep_rows(seq, jobs, zs, modes) + sweep_rows(seq, jobs[:1], zs, modes)
     for (part, window), sides in zip(jobs + jobs[:1], rows):
         lo, hi = window.n_min - 2, window.n_max + 2
         for got, side in zip(sides, ("left", "right")):

@@ -17,9 +17,8 @@ from jacobiscatter import (
     scattering_amplitudes,
     transition_entries,
 )
-from jacobiscatter.jost import _fit_sweep
 from conftest import default_grid, hand_fixtures, mixed_sequence, overflowing_sequence
-from test_kernel_reference import streamed
+from test_kernel_reference import streamed, sweep_rows
 
 FLAGS = (True, False, True)
 
@@ -37,7 +36,7 @@ def blocks_and_singles(seq, zs, side, store):
         if store:
             lo, hi = window.n_min - 4, window.n_max + 3
             return streamed(seq, lo, hi, zs, side, modes)
-        rows = _fit_sweep(seq, [(seq, window)], zs, modes)[0]
+        rows = sweep_rows(seq, [(seq, window)], zs, modes)[0]
         return rows[("left", "right").index(side)]
 
     stacked = run(FLAGS)

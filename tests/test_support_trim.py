@@ -20,7 +20,6 @@ from jacobiscatter import (
     scattering_values,
     transition_entries,
 )
-from jacobiscatter.jost import _fit_sweep
 from conftest import (
     coupling_step_sequence,
     default_grid,
@@ -28,7 +27,7 @@ from conftest import (
     single_site_sequence,
     two_impurity_sequence,
 )
-from test_kernel_reference import grid_tail_fit
+from test_kernel_reference import grid_tail_fit, sweep_rows
 
 PAD = 500
 IDENT = np.eye(2, dtype=complex)
@@ -83,7 +82,7 @@ def test_two_row_fit_equals_full_array_fit(random_fixtures):
             fl, lo = jost_values(seq, zs, "left", at_inverse=at_inverse)
             fr, _ = jost_values(seq, zs, "right", at_inverse=at_inverse)
             assert lo == n
-            left, right = _fit_sweep(seq, [(seq, seq.window)], zs, (at_inverse,))[0]
+            left, right = sweep_rows(seq, [(seq, seq.window)], zs, (at_inverse,))[0]
             assert bits(left) == bits(fl[:, :2].T)
             assert bits(right) == bits(fr[:, p - lo : p - lo + 2].T)
             sign = -1 if at_inverse else 1

@@ -16,7 +16,9 @@ op on all three trees, one op after another, rotating which tree runs
 first from op to op and from pass to pass, so that the trees see the
 same host speed.  Printed per workload: each tree's median pass time;
 the ratios change/base and control/base of the passes, as median, min
-and max; and the passes in which the change was faster than BASE.  The
+and max; the passes in which the change was faster than BASE; and, per
+subcommand the workload runs, the change/base ratio of its ops' summed
+time in each pass, which shows which subcommand a change moved.  The
 control/base ratio is the resolution of the measurement: a change/base
 ratio inside its range is noise.  The exit code is 1 if any op differs.
 
@@ -119,16 +121,18 @@ def compare(clis: list, args, work: str) -> int:
         print(f"seed {args.seed} {name}: {len(ops)} ops, {len(bad)} differ")
         for label in bad:
             print(f"  differs: {label}")
+        commands = list(dict.fromkeys(op.command for op in ops))
+        # per pass, each tree's summed op time per subcommand
         passes = []
         for round_ in range(args.rounds):
-            totals = [0.0] * len(clis)
-            for i, argv in enumerate(argvs):
+            totals = [dict.fromkeys(commands, 0.0) for _ in clis]
+            for i, (op, argv) in enumerate(zip(ops, argvs)):
                 first = (i + round_) % len(clis)
                 for k in range(len(clis)):
                     tree = (first + k) % len(clis)
-                    totals[tree] += run_op(clis[tree], argv)[0]
+                    totals[tree][op.command] += run_op(clis[tree], argv)[0]
             passes.append(totals)
-        change, base, control = zip(*passes)
+        change, base, control = ([sum(times.values()) for times in tree] for tree in zip(*passes))
         medians = ", ".join(f"{tree} {statistics.median(times):.3f} s"
                             for tree, times in zip(TREES, (change, base, control)))
         print(f"  median pass: {medians}")
@@ -136,6 +140,9 @@ def compare(clis: list, args, work: str) -> int:
         print(f"  change/base: {spread([c / b for c, b in zip(change, base)])}; "
               f"faster in {wins} of {len(passes)} passes")
         print(f"  control/base (A/A): {spread([c / b for c, b in zip(control, base)])}")
+        for command in commands:
+            ratios = [mine[command] / theirs[command] for mine, theirs, _ in passes]
+            print(f"  {command} change/base: {spread(ratios)}")
     return 1 if differing else 0
 
 
