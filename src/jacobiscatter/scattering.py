@@ -13,16 +13,19 @@ fits produce 1/T; extraction insists the two agree and returns their
 mean, which turns a large family of implementation mistakes into loud
 faults instead of plausible numbers.
 
-_amplitude_blocks makes the fits of a run's jobs, the sequence, its
-fragments and any sequence sharing its limits, from one recursion sweep.
-It fits them all on the call and returns them as a list in job order.
-_tail_fit takes a stack of fits of any shape: every job and mode of a
-stack of the sweep's end rows, up to jost._JOB_CHUNK jobs, is one call,
-and the identity sweep's fit a stack of one.  Each fit's bits are those
-of its own one-entry call, and a stack faults at its first faulty
-entry, so the first job in order whose fit faults raises, at its first
-faulty mode, and within one fit a value that is not finite comes before
-a disagreement of the two 1/T fits.
+_amplitude_blocks fits a list of jobs, the sequence, its fragments and
+any sequence sharing its limits, from one recursion sweep, and returns
+the fits in job order.  The sweep hands out its end rows in stacks of up
+to jost._JOB_CHUNK jobs, and one straight pass fits the stacks in order,
+every job and mode of a stack by one _tail_fit call, letting each stack
+go before the next.  A list holding a job with other limits, which
+cannot share the sweep, is fitted job by job, each by a one-job call of
+its own.  _tail_fit takes a stack of fits of any shape, and the identity
+sweep's fit is a stack of one.  Each fit's bits are those of its own
+one-entry call, and a stack faults at its first faulty entry, so the
+first job in order whose fit faults raises, at its first faulty mode,
+and within one fit a value that is not finite comes before a
+disagreement of the two 1/T fits.
 
 identity_sweep checks the relations among these data.  Its rows, and
 every report row, are one residual per grid point until _grid_maxima,
@@ -173,40 +176,27 @@ def _amplitude_blocks(
     Returns one item per job, in job order, each the job's fits in mode
     order.  jobs are typically seq itself, its fragments, or sequences
     that depart from seq at a few sites.  Every job is recursed and
-    fitted on the call: the jobs that share seq's limits in one
-    _fit_sweep that shares seq's coefficients, any other job in a sweep
-    of its own; a job without deviations needs none.  The sweeps hand
-    out their end rows in stacks of up to jost._JOB_CHUNK jobs, and each
-    run of consecutive jobs in one stack is fitted, every mode of every
-    job, by one _tail_fit call, in job order; a stack is let go once its
-    jobs are fitted.  So the first job in order whose fit faults raises its
-    NumericalFault, at its first faulty mode.  One power table, one
-    _power_table call after the sweeps, holds every row the fits read,
-    once however many jobs read it.
+    fitted on the call; a job without deviations needs neither.  When
+    every job shares seq's limits, the busy jobs make one _fit_sweep that
+    shares seq's coefficients, which hands out their end rows in stacks
+    of up to jost._JOB_CHUNK jobs in order; one straight pass fits each
+    stack, every mode of every job in it, by one _tail_fit call, and lets
+    the stack go before the next.  One power table, one _power_table call
+    after the sweep, holds every row the fits read, once however many
+    jobs read it.  A job with other limits cannot share that sweep, so a
+    list that holds one fits every job by a call of its own, in job
+    order, each job sweeping alone with its own limits' reference.
+    Either way the first job in order whose fit faults raises its
+    NumericalFault, at its first faulty mode.
     """
+    if any(job.limits != seq.limits for job in jobs):
+        return [
+            _amplitude_blocks(seq if job.limits == seq.limits else job, [job], zs, modes)[0]
+            for job in jobs
+        ]
     supports = [effective_support(job) for job in jobs]
     busy = [(job, support.window) for job, support in zip(jobs, supports) if not support.free]
-    shared = [(job, window) for job, window in busy if job.limits == seq.limits]
-    # the shared jobs' end rows as (stack, column), popped in job order
-    swept = [
-        (stack, i) for stack in (_fit_sweep(seq, shared, zs, modes) if shared else [])
-        for i in range(stack.shape[1])
-    ][::-1]
-    # runs of consecutive busy jobs whose end rows lie in one stack, as
-    # [stack, first, end, windows]
-    runs: list[list] = []
-    for job, window in busy:
-        if job.limits == seq.limits:
-            stack, i = swept.pop()
-        else:
-            (stack,), i = _fit_sweep(job, [(job, window)], zs, modes), 0
-        if runs and runs[-1][0] is stack and runs[-1][2] == i:
-            runs[-1][2] += 1
-            runs[-1][3].append(window)
-        else:
-            runs.append([stack, i, i + 1, [window]])
-    # the runs are popped in job order, and each stack is let go with its last
-    runs.reverse()
+    stacks = _fit_sweep(seq, busy, zs, modes) if busy else []
     # one table row per exponent, however many jobs read it; _fit_exponents
     # lists the negative of each of its exponents too, so the table holds
     # every mode's rows
@@ -217,25 +207,25 @@ def _amplitude_blocks(
     signs = [-1 if inverse else 1 for inverse in modes]
     sign = np.array(signs)[:, None]
     fitted = []
-    while runs:
-        stack, first, end, windows = runs.pop()
-        count = end - first
+    while stacks:
+        # popped, so each stack is let go once its jobs are fitted
+        stack = stacks.pop(0)
+        count = stack.shape[1]
         shape = (2, count, len(modes), zs.size)
-        left, right = (stack[r : r + 2, first:end].reshape(shape) for r in (0, 2))
+        left, right = (stack[r : r + 2].reshape(shape) for r in (0, 2))
+        windows = [window for _, window in busy[len(fitted) : len(fitted) + count]]
         keys = [[[row[s * k] for k in _fit_exponents(window)] for s in signs] for window in windows]
         inv_t, r_over_t, l_over_t = _tail_fit(
             zs, det, powers, np.moveaxis(np.array(keys), -1, 0), left, right, sign
         )
         fitted.extend(list(zip(inv_t[i], r_over_t[i], l_over_t[i])) for i in range(count))
     fitted = iter(fitted)
-    fits = []
-    for support in supports:
-        if support.free:
-            # nothing deviates from the limits: T = 1 and R = L = 0 exactly
-            fits.append([(np.ones_like(zs), np.zeros_like(zs), np.zeros_like(zs)) for _ in modes])
-        else:
-            fits.append(next(fitted))
-    return fits
+    # where nothing deviates from the limits, T = 1 and R = L = 0 exactly
+    return [
+        [(np.ones_like(zs), np.zeros_like(zs), np.zeros_like(zs)) for _ in modes]
+        if support.free else next(fitted)
+        for support in supports
+    ]
 
 
 def scattering_values(

@@ -3,12 +3,14 @@
 The tests run it at a twentieth of the bench's window sizes and one
 timed pass: the tree against itself must match on every op and print
 each workload's times and ratios, overall and per subcommand, on the
-default workloads and on the opt-in many-breakpoints one, and against a
-copy whose table format was changed it must name the ops that differ.  python -B keeps the tool
-from writing bytecode next to it, so it writes only temporary files.
+default workloads and on the opt-in many-breakpoints one, with that
+one's traced peaks, and against a copy whose table format was changed
+it must name the ops that differ.  python -B keeps the tool from
+writing bytecode next to it, so it writes only temporary files.
 """
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -51,6 +53,13 @@ def test_many_breakpoints_runs_when_named():
     assert sum(line.startswith("  change/base: median ") for line in lines) == 1
     assert sum(line.startswith("  identities change/base: median ") for line in lines) == 1
     assert not any(line.startswith(("  scatter ", "  factorize ")) for line in lines)
+    # one traced peak per op, of each tree
+    peaks = [line for line in lines if " traced peak: " in line]
+    assert [line.split(" traced peak: ")[0] for line in peaks] == [
+        "  identities:n150-k1", "  identities:n150-k15"
+    ]
+    assert all(re.fullmatch(r"  \S+ traced peak: change [\d.]+ MB, base [\d.]+ MB, "
+                            r"control [\d.]+ MB", line) for line in peaks), peaks
 
 
 def test_changed_output_is_named(tmp_path):

@@ -11,6 +11,7 @@ them does.
 """
 
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -33,7 +34,9 @@ from jacobiscatter.lattice import coefficient_arrays
 from jacobiscatter.scattering import _amplitude_blocks, _fit_exponents, _tail_fit
 from jacobiscatter.spectral import _power_table, wave_pair_det
 from jacobiscatter.transition import _identities_report
-from conftest import default_grid, hand_fixtures, make_sequence, overflowing_sequence
+from conftest import (
+    default_grid, free_sequence, hand_fixtures, make_sequence, overflowing_sequence,
+)
 from test_kernel_reference import reference_recurse, sweep_rows
 from test_support_trim import padded
 
@@ -46,14 +49,15 @@ def window_of(part):
     return part.window if support.free else support.window
 
 
-def sweep_and_references(seq, parts, zs, modes):
-    """(got, want) for each side of each part, the sweep taking seq's lead."""
+def sweep_and_references(seq, parts, zs, modes, reference=reference_recurse):
+    """(got, want) for each side of each part, the sweep taking seq's lead
+    and reference, called as reference_recurse is, giving each want."""
     jobs = [(part, window_of(part)) for part in parts]
     rows = sweep_rows(seq, jobs, zs, modes)
     for (part, window), sides in zip(jobs, rows):
         lo, hi = window.n_min - 2, window.n_max + 2
         for got, side in zip(sides, ("left", "right")):
-            yield got, reference_recurse(part, window, lo, hi, zs, side, modes, False)
+            yield got, reference(part, window, lo, hi, zs, side, modes, False)
 
 
 def assert_same_bits(pairs):
@@ -174,13 +178,27 @@ def test_one_point_grid_takes_each_slot_product_alone(random_fixtures):
     """With one column per slot, every slot's rows still equal its job's
     own recursion: the sweep's complex product spans all busy slots and
     the job's own spans one element, and both run out of place, where
-    numpy rounds a one-element product as its array loop does."""
+    numpy rounds a one-element product as its array loop does.  A job that
+    several lists hold is recursed by the reference once per point, side
+    and modes: a one-mode reference may round apart from a two-mode one,
+    so modes are never shared."""
     for seq in hand_fixtures() + random_fixtures[:6]:
+        lists = job_lists(seq)
+        # (job, reference rows) by (id of the job, window, z, side, modes,
+        # store); each job stays alive with its rows, so no id is reused
+        references = {}
+
+        def reference(part, window, lo, hi, zs, side, modes, store):
+            key = (id(part), window, complex(zs[0]), side, modes, store)
+            if key not in references:
+                references[key] = part, reference_recurse(part, window, lo, hi, zs, side, modes, store)
+            return references[key][1]
+
         for z in default_grid(seq, count=8).zs.tolist():
             zs = np.array([z])
-            for parts in job_lists(seq):
+            for parts in lists:
                 for modes in ((False,), (True,), (False, True)):
-                    assert_same_bits(sweep_and_references(seq, parts, zs, modes))
+                    assert_same_bits(sweep_and_references(seq, parts, zs, modes, reference))
 
 
 def test_parts_that_start_a_side_with_the_whole_fork_from_it(monkeypatch):
@@ -424,3 +442,73 @@ def test_runs_of_many_stacks_equal_their_jobs_fitted_alone(monkeypatch):
     stacked = run()
     monkeypatch.setattr(jost, "_JOB_CHUNK", 1)
     assert run() == stacked
+
+
+def test_each_stack_is_let_go_once_it_is_fitted(monkeypatch):
+    """factorize on 40 breakpoints fits 42 jobs from three stacks, one
+    _tail_fit call each, and fit i finds stacks 0 to i - 1 already freed:
+    no stack outlives the fit of its jobs."""
+    seq, frag = long_window()
+    zs = default_grid(seq, count=32).zs
+    stacks, alive = [], []
+    sweep, fit = scattering._fit_sweep, scattering._tail_fit
+
+    def keeping(*args):
+        made = sweep(*args)
+        stacks.extend(weakref.ref(stack) for stack in made)
+        return made
+
+    def counting(*args):
+        alive.append([ref() is not None for ref in stacks])
+        return fit(*args)
+
+    monkeypatch.setattr(scattering, "_fit_sweep", keeping)
+    monkeypatch.setattr(scattering, "_tail_fit", counting)
+    factorization_residuals(seq, frag, zs)
+    assert len(stacks) == 3
+    assert alive == [[j >= i for j in range(3)] for i in range(3)]
+
+
+def test_a_part_with_other_limits_is_fitted_alone_in_job_order(monkeypatch):
+    """A list that holds a job with other limits fits every job by a call
+    of its own, in job order, so each busy job sweeps alone and the first
+    job in order that faults raises.  Both jobs overflow: seq, b far below
+    the band, grows fastest near z = 1 and first overflows there; other,
+    b far above it with twice w_inf, first overflows near z = -1, the
+    grid's first point."""
+    n = 103
+    seq = make_sequence(0, np.ones(n), np.full(n, -962.5), np.ones(n))
+    other = make_sequence(0, np.ones(n + 7), np.full(n + 7, 1e3), np.ones(n + 7),
+                          Limits(1.0, 0.0, 2.0))
+    zs = default_grid(seq, count=8).zs
+    counts = counting_sweeps(monkeypatch)
+
+    def fault(jobs):
+        counts.clear()
+        with pytest.raises(NumericalFault) as info:
+            _amplitude_blocks(seq, jobs, zs, (False, True))
+        return str(info.value), counts[:]
+
+    def not_finite(i):
+        return f"tail fit is not finite at theta = {np.angle(zs[i]):.6g}"
+
+    assert fault([other]) == (not_finite(0), [1])
+    assert fault([seq]) == (not_finite(4), [1])
+    # the later job is never swept
+    assert fault([other, seq]) == (not_finite(0), [1])
+    assert fault([seq, other]) == (not_finite(4), [1])
+    # a mixed list without faults: one sweep per busy job, a free one none,
+    # and every item the bits of its job fitted alone
+    whole = hand_fixtures()[1]
+    parts = fragment(whole, Fragmentation((0,)))
+    lim = whole.limits
+    shifted = make_sequence(parts[0].window.n_min, parts[0].a_values, parts[0].b_values,
+                            parts[0].w_values, Limits(lim.a_inf, lim.b_inf, 2.0 * lim.w_inf))
+    jobs = [whole, shifted, parts[1], free_sequence(), whole]
+    zs = default_grid(whole, count=16).zs
+    counts.clear()
+    got = _amplitude_blocks(whole, jobs, zs, (False, True))
+    assert counts == [1, 1, 1, 1]
+    for job, blocks in zip(jobs, got):
+        (want,) = _amplitude_blocks(job, [job], zs, (False, True))
+        assert np.array(blocks).tobytes() == np.array(want).tobytes()

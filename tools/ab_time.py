@@ -25,7 +25,9 @@ ratio inside its range is noise.  The exit code is 1 if any op differs.
 The workload many-breakpoints runs only when --workloads names it:
 identities on one undamped 3,000-site window, drawn by bench/workloads.py
 at the seed, with 30 and then 300 even breakpoints.  --scale shrinks the
-window and both counts.
+window and both counts.  After its timed passes each of its ops runs once
+more on each tree under tracemalloc, outside the timing, and its traced
+peak is printed per tree, in MB.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -86,6 +89,16 @@ def run_op(cli, argv: list[str]) -> tuple[float, tuple[int, str, str]]:
     # a warning names the file it came from, which lies in each tree's copy
     where = os.path.dirname(os.path.dirname(cli.__file__))
     return elapsed, (code, out.getvalue(), err.getvalue().replace(where, "<src>"))
+
+
+def traced_peak(cli, argv: list[str]) -> int:
+    """The tracemalloc peak, in bytes, of one cli.main call."""
+    tracemalloc.start()
+    try:
+        run_op(cli, argv)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def spread(values: list[float]) -> str:
@@ -143,6 +156,11 @@ def compare(clis: list, args, work: str) -> int:
         for command in commands:
             ratios = [mine[command] / theirs[command] for mine, theirs, _ in passes]
             print(f"  {command} change/base: {spread(ratios)}")
+        if name == MANY_BREAKPOINTS:
+            for op, argv in zip(ops, argvs):
+                peaks = ", ".join(f"{tree} {traced_peak(cli, argv) / 2**20:.2f} MB"
+                                  for tree, cli in zip(TREES, clis))
+                print(f"  {op.label} traced peak: {peaks}")
     return 1 if differing else 0
 
 
