@@ -232,7 +232,9 @@ def _parse_breakpoints(text: str) -> tuple[int, ...]:
         ) from None
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on first use; parsing leaves it as it was."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", required=True, help="coefficient file (JSON)")
     common.add_argument(
@@ -274,12 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_parser("identities", parents=[common], help="check every proved relation")
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of this process, built on first use; parsing leaves it as it was."""
-    return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:

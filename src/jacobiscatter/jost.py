@@ -646,7 +646,8 @@ def wronskian_constancy_check(
     p = phi.values[lo - phi.lo : hi - phi.lo + 1]
     q = zeta.values[lo - zeta.lo : hi - zeta.lo + 1]
     a, _, _ = coefficient_arrays(seq, lo + 1, hi)
-    return float(_pairing_drift(a, p, q))
+    pair = _pairing(a, p, q)
+    return float(_scaled_drift(np.max(np.abs(pair - pair[0]), axis=0), pair[0]))
 
 
 def _pairing(a: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -656,15 +657,6 @@ def _pairing(a: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     broadcast against the rows.
     """
     return a * (p[:-1] * q[1:] - p[1:] * q[:-1])
-
-
-def _pairing_drift(a: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Per column of p and q, max_n |W(n) - W(n0)| / max(1, |W(n0)|).
-
-    W is _pairing(a, p, q), and n0 the first site pair.
-    """
-    pair = _pairing(a, p, q)
-    return _scaled_drift(np.max(np.abs(pair - pair[0]), axis=0), pair[0])
 
 
 def _scaled_drift(drift: np.ndarray, base: np.ndarray) -> np.ndarray:

@@ -191,14 +191,6 @@ class Fragmentation:
         return len(self.breakpoints) + 1
 
 
-@dataclass(frozen=True)
-class Support:
-    """Tight window of sites actually deviating from the limits."""
-
-    window: IndexWindow
-    free: bool
-
-
 def validate_sequence(spec: Mapping) -> CoefficientSequence:
     """Build a validated sequence from a raw coefficient description.
 
@@ -284,12 +276,12 @@ def fragment(seq: CoefficientSequence, frag: Fragmentation) -> list[CoefficientS
     return parts
 
 
-def effective_support(seq: CoefficientSequence) -> Support:
+def effective_support(seq: CoefficientSequence) -> IndexWindow | None:
     """Tightest window holding every deviation from the limits.
 
     Values stored in the window that happen to equal the limits are
-    trimmed away.  A sequence with no deviation at all reports the
-    degenerate window [0, 0] flagged as free.
+    trimmed away.  A sequence with no deviation at all, a free lattice,
+    returns None.
     """
     lim = seq.limits
     deviates = (
@@ -298,8 +290,8 @@ def effective_support(seq: CoefficientSequence) -> Support:
         | (seq.w_values != lim.w_inf)
     )
     if not bool(np.any(deviates)):
-        return Support(IndexWindow(0, 0), free=True)
+        return None
     positions = np.nonzero(deviates)[0]
     first = seq.window.n_min + int(positions[0])
     last = seq.window.n_min + int(positions[-1])
-    return Support(IndexWindow(first, last), free=False)
+    return IndexWindow(first, last)

@@ -28,29 +28,12 @@ single-site closed form before this module was allowed to arbitrate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .jost import _recurse, _rows_at, solution_range
 from .lattice import CoefficientSequence, coefficient_at
 from .scattering import ScatteringData
 from .spectral import _fault_where, _power_table, require_admissible, wave_pair_det
-
-
-@dataclass(frozen=True, eq=False)
-class StepMatrix:
-    """One-site update taking (f(site), f(site - 1)) to (f(site + 1), f(site))."""
-
-    entries: np.ndarray
-    site: int
-
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=complex).copy()
-        if arr.shape != (2, 2):
-            raise ValueError(f"step matrix must be 2x2, got shape {arr.shape}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
 
 
 def _step_entries(seq, z, n):
@@ -61,11 +44,17 @@ def _step_entries(seq, z, n):
     return (drive - b_n) / a_next, -a_n / a_next
 
 
-def step_matrix(seq: CoefficientSequence, z: complex, site: int) -> StepMatrix:
-    """The one-site update matrix; its determinant is a(site)/a(site + 1)."""
+def step_matrix(seq: CoefficientSequence, z: complex, site: int) -> np.ndarray:
+    """The one-site update, a read-only complex 2x2 array.
+
+    It takes the state (f(site), f(site - 1)) of a solution at z to
+    (f(site + 1), f(site)); its determinant is a(site)/a(site + 1).
+    """
     require_admissible(z)
     top_left, top_right = _step_entries(seq, complex(z), site)
-    return StepMatrix(np.array([[top_left, top_right], [1.0, 0.0]]), site)
+    step = np.array([[top_left, top_right], [1.0, 0.0]], dtype=complex)
+    step.setflags(write=False)
+    return step
 
 
 def transfer_amplitude_map(seq: CoefficientSequence, zs: np.ndarray) -> np.ndarray:

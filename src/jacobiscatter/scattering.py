@@ -176,18 +176,19 @@ def _amplitude_blocks(
     Returns one item per job, in job order, each the job's fits in mode
     order.  jobs are typically seq itself, its fragments, or sequences
     that depart from seq at a few sites.  Every job is recursed and
-    fitted on the call; a job without deviations needs neither.  When
-    every job shares seq's limits, the busy jobs make one _fit_sweep that
-    shares seq's coefficients, which hands out their end rows in stacks
-    of up to jost._JOB_CHUNK jobs in order; one straight pass fits each
-    stack, every mode of every job in it, by one _tail_fit call, and lets
-    the stack go before the next.  One power table, one _power_table call
-    after the sweep, holds every row the fits read, once however many
-    jobs read it.  A job with other limits cannot share that sweep, so a
-    list that holds one fits every job by a call of its own, in job
-    order, each job sweeping alone with its own limits' reference.
-    Either way the first job in order whose fit faults raises its
-    NumericalFault, at its first faulty mode.
+    fitted on the call but a free one, whose effective_support is None:
+    it is neither recursed nor fitted, and its T is 1 and its R and L are
+    0 exactly, in every mode.  When every job shares seq's limits, the
+    busy jobs make one _fit_sweep that shares seq's coefficients, which
+    hands out their end rows in stacks of up to jost._JOB_CHUNK jobs in
+    order; one straight pass fits each stack, every mode of every job in
+    it, by one _tail_fit call, and lets the stack go before the next.
+    One power table, one _power_table call after the sweep, holds every
+    row the fits read, once however many jobs read it.  A job with other
+    limits cannot share that sweep, so a list that holds one fits every
+    job by a call of its own, in job order, each job sweeping alone with
+    its own limits' reference.  Either way the first job in order whose
+    fit faults raises its NumericalFault, at its first faulty mode.
     """
     if any(job.limits != seq.limits for job in jobs):
         return [
@@ -195,7 +196,7 @@ def _amplitude_blocks(
             for job in jobs
         ]
     supports = [effective_support(job) for job in jobs]
-    busy = [(job, support.window) for job, support in zip(jobs, supports) if not support.free]
+    busy = [(job, support) for job, support in zip(jobs, supports) if support is not None]
     stacks = _fit_sweep(seq, busy, zs, modes) if busy else []
     # one table row per exponent, however many jobs read it; _fit_exponents
     # lists the negative of each of its exponents too, so the table holds
@@ -220,10 +221,9 @@ def _amplitude_blocks(
         )
         fitted.extend(list(zip(inv_t[i], r_over_t[i], l_over_t[i])) for i in range(count))
     fitted = iter(fitted)
-    # where nothing deviates from the limits, T = 1 and R = L = 0 exactly
     return [
         [(np.ones_like(zs), np.zeros_like(zs), np.zeros_like(zs)) for _ in modes]
-        if support.free else next(fitted)
+        if support is None else next(fitted)
         for support in supports
     ]
 

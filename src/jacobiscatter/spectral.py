@@ -66,7 +66,6 @@ class CircleGrid:
 
     zs: np.ndarray
     limits: Limits
-    exclusion_delta: float
 
     def __post_init__(self):
         zs = np.array(self.zs, dtype=complex)
@@ -272,7 +271,7 @@ def sample_circle(limits: Limits, count: int, exclusion_delta: float) -> CircleG
     # lower point i, for 1 <= i < lower, is the conjugate of upper point count - i
     zs[1:lower] = np.conj(zs[count - 1 : count - lower : -1])
     require_on_circle(zs)
-    return CircleGrid(zs, limits, float(exclusion_delta))
+    return CircleGrid(zs, limits)
 
 
 def _pair_half(grid: CircleGrid) -> np.ndarray:

@@ -140,3 +140,8 @@ def random_fixtures():
 
 def default_grid(seq, count=256, delta=0.05):
     return sample_circle(seq.limits, count, delta)
+
+
+def bits(*arrays):
+    """The raw bytes of each array, contiguous, for bit-for-bit comparisons."""
+    return [np.ascontiguousarray(x).tobytes() for x in arrays]

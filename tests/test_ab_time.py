@@ -2,7 +2,8 @@
 
 The tests run it at a twentieth of the bench's window sizes and one
 timed pass: the tree against itself must match on every op and print
-each workload's times and ratios, overall and per subcommand, on the
+each workload's times and ratios, overall and per subcommand, each
+subcommand's change/base ratio followed by its own A/A ratio, on the
 default workloads and on the opt-in many-breakpoints one, with that
 one's traced peaks, and against a copy whose table format was changed
 it must name the ops that differ.  python -B keeps the tool from
@@ -39,7 +40,10 @@ def test_tree_against_itself_matches_and_prints_every_ratio():
     # identities in fragment-checks and small-batch
     for command, count in (("scatter", 3), ("factorize", 2), ("identities", 2)):
         prefix = f"  {command} change/base: median "
-        assert sum(line.startswith(prefix) for line in lines) == count, command
+        after = [following for line, following in zip(lines, lines[1:]) if line.startswith(prefix)]
+        assert len(after) == count, command
+        # each followed by the subcommand's own A/A ratio
+        assert all(line.startswith(f"  {command} control/base (A/A): median ") for line in after)
     assert all(line.endswith(" of 1 passes") for line in lines if line.startswith("  change/base: "))
     assert "many-breakpoints" not in proc.stdout
 
@@ -52,6 +56,7 @@ def test_many_breakpoints_runs_when_named():
     assert lines[0] == "seed 911 many-breakpoints: 2 ops, 0 differ"
     assert sum(line.startswith("  change/base: median ") for line in lines) == 1
     assert sum(line.startswith("  identities change/base: median ") for line in lines) == 1
+    assert sum(line.startswith("  identities control/base (A/A): median ") for line in lines) == 1
     assert not any(line.startswith(("  scatter ", "  factorize ")) for line in lines)
     # one traced peak per op, of each tree
     peaks = [line for line in lines if " traced peak: " in line]

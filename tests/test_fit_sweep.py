@@ -46,7 +46,7 @@ MODES = ((False,), (True,), (False, True), (True, False, True))
 def window_of(part):
     """The window a tail fit recurses: the support, or all of a free part."""
     support = effective_support(part)
-    return part.window if support.free else support.window
+    return part.window if support is None else support
 
 
 def sweep_and_references(seq, parts, zs, modes, reference=reference_recurse):
@@ -119,7 +119,7 @@ def job_lists(seq):
         ]
     lists.append([seq, *reaching_past(seq)])
     everything = [job for jobs in lists for job in jobs]
-    deviating = np.flatnonzero([not effective_support(job).free for job in everything])
+    deviating = np.flatnonzero([effective_support(job) is not None for job in everything])
     assert len(deviating) > _JOB_CHUNK + 1
     return [*lists, everything[: deviating[_JOB_CHUNK + 1] + 1]]
 
@@ -223,7 +223,7 @@ def test_parts_that_start_a_side_with_the_whole_fork_from_it(monkeypatch):
 
     monkeypatch.setattr(jost, "_most_at_once", counting)
     splits = [fragment(seq, Fragmentation((n1,))) for n1 in (-2, 8, 18, 28)]
-    assert not any(effective_support(part).free for parts in splits for part in parts)
+    assert not any(effective_support(part) is None for parts in splits for part in parts)
     for keep, want in ((1, [2, 5]), (0, [5, 2])):
         slots.clear()
         parts = [seq, *(parts[keep] for parts in splits)]
@@ -297,7 +297,7 @@ def test_a_job_given_twice_is_swept_and_fitted_per_item(monkeypatch, random_fixt
                 counts.clear()
                 got = _amplitude_blocks(seq, parts, zs, modes)
                 assert len(got) == len(parts)
-                busy = [part for part in parts if not effective_support(part).free]
+                busy = [part for part in parts if effective_support(part) is not None]
                 assert counts == ([len(busy)] if busy else [])
                 for part, blocks in zip(parts, got):
                     (want,) = _amplitude_blocks(seq, [part], zs, modes)
@@ -330,7 +330,7 @@ def test_identities_report_sweeps_the_end_fragments_once(monkeypatch):
     for k in (1, 2, 3):
         points = tuple(seq.window.n_min - 1 + (j * n) // (k + 1) for j in range(1, k + 1))
         frag = Fragmentation(points)
-        assert not any(effective_support(part).free for part in fragment(seq, frag))
+        assert not any(effective_support(part) is None for part in fragment(seq, frag))
         counts.clear()
         _identities_report(seq, frag, zs)
         assert counts == [3 * k], points
@@ -432,7 +432,7 @@ def test_runs_of_many_stacks_equal_their_jobs_fitted_alone(monkeypatch):
     every job alone."""
     seq, frag = long_window()
     parts = fragment(seq, frag)
-    assert not any(effective_support(part).free for part in parts)
+    assert not any(effective_support(part) is None for part in parts)
     zs = default_grid(seq, count=32).zs
 
     def run():

@@ -48,12 +48,8 @@ from jacobiscatter import cli, spectral
 from jacobiscatter.scattering import _fit_exponents, _tail_fit
 from jacobiscatter.spectral import _power_table, require_admissible, wave_pair_det
 from jacobiscatter.transition import _identities_report
-from conftest import LARGE_LIMITS, hand_fixtures, make_sequence, random_sequence
+from conftest import LARGE_LIMITS, bits, hand_fixtures, make_sequence, random_sequence
 from test_kernel_reference import sweep_rows
-
-
-def bits(*arrays):
-    return [np.ascontiguousarray(x).tobytes() for x in arrays]
 
 
 def reference_tail_fit(zs, left, right, n, p, sign):

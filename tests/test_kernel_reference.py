@@ -211,7 +211,7 @@ def block_edge_jobs():
     jobs = [(seq, seq.window)]
     for point in points:
         for part in fragment(seq, Fragmentation((point,))):
-            jobs.append((part, effective_support(part).window))
+            jobs.append((part, effective_support(part)))
     return seq, jobs
 
 
@@ -289,10 +289,9 @@ def reference_blocks(seq, zs, modes):
     """Tail-fit amplitudes of seq, one (1/T, R/T, L/T) per mode, on its
     own reference recursions over its effective support."""
     m = zs.size
-    support = effective_support(seq)
-    if support.free:
+    window = effective_support(seq)
+    if window is None:
         return [(np.ones_like(zs), np.zeros_like(zs), np.zeros_like(zs)) for _ in modes]
-    window = support.window
     lo, hi = window.n_min - 2, window.n_max + 2
     left, right = (
         reference_recurse(seq, window, lo, hi, zs, side, modes, False)
@@ -470,7 +469,7 @@ def test_junction_rows_equal_the_paired_fragment_recursions(tmp_path, random_fix
     seqs = [
         mixed_sequence(), edge_limit_sequence(), negative_coupling_sequence(), random_fixtures[0]
     ]
-    assert effective_support(seqs[1]).window != seqs[1].window
+    assert effective_support(seqs[1]) != seqs[1].window
     delta = "0.261" if count < 64 else "0.001"
     for seq in seqs:
         write_sequence(path, seq)

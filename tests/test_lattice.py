@@ -221,18 +221,14 @@ def test_fragment_accepts_breakpoints_outside_window(single_site_seq):
 
 
 def test_effective_support_tight_window(single_site_seq):
-    sup = effective_support(single_site_seq)
-    assert not sup.free
-    assert sup.window == IndexWindow(0, 0)
+    assert effective_support(single_site_seq) == IndexWindow(0, 0)
 
 
 def test_effective_support_trims_limit_values():
     seq = make_sequence(-3, [1.0] * 9, [0.0, 0.0, 0.0, 0.0, 0.0, 0.7, 0.0, 0.0, 0.0], [1.0] * 9)
-    sup = effective_support(seq)
-    assert sup.window == IndexWindow(2, 2)
+    assert effective_support(seq) == IndexWindow(2, 2)
 
 
 def test_effective_support_free_flag(single_site_seq):
     tail = fragment(single_site_seq, Fragmentation((0,)))[1]
-    sup = effective_support(tail)
-    assert sup.free
+    assert effective_support(tail) is None

@@ -39,10 +39,13 @@ def test_step_matrix_entries(mixed_seq):
     for site in (-2, 0, 1, 3):
         a_n, b_n, w_n = coefficient_at(mixed_seq, site)
         a_up = coefficient_at(mixed_seq, site + 1)[0]
-        m = step_matrix(mixed_seq, z, site).entries
+        m = step_matrix(mixed_seq, z, site)
         assert abs(m[0, 0] - (lam * w_n - b_n) / a_up) <= 1e-12
         assert m[0, 1] == -(a_n / a_up)
         assert m[1, 0] == 1.0 and m[1, 1] == 0.0
+        assert m.dtype == complex and m.shape == (2, 2)
+        with pytest.raises(ValueError):
+            m[1, 1] = 1.0
 
 
 def test_step_matrix_advances_a_true_solution(mixed_seq):
@@ -51,7 +54,7 @@ def test_step_matrix_advances_a_true_solution(mixed_seq):
     z = cmath.exp(-0.6j)
     fl = jost_left(mixed_seq, z)
     for n in range(fl.lo + 1, fl.hi - 1):
-        m = step_matrix(mixed_seq, z, n).entries
+        m = step_matrix(mixed_seq, z, n)
         state = np.array([fl.at(n), fl.at(n - 1)])
         out = m @ state
         assert abs(out[0] - fl.at(n + 1)) <= 1e-11 * max(1.0, abs(fl.at(n + 1)))
@@ -64,7 +67,7 @@ def test_step_determinants_telescope(mixed_seq):
     win = mixed_seq.window
     det = 1.0
     for site in range(win.n_min, win.n_max + 2):
-        m = step_matrix(mixed_seq, z, site).entries
+        m = step_matrix(mixed_seq, z, site)
         step_det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
         a_n = coefficient_at(mixed_seq, site)[0]
         a_up = coefficient_at(mixed_seq, site + 1)[0]

@@ -17,14 +17,10 @@ from jacobiscatter import (
     scattering_amplitudes,
     transition_entries,
 )
-from conftest import default_grid, hand_fixtures, mixed_sequence, overflowing_sequence
+from conftest import bits, default_grid, hand_fixtures, mixed_sequence, overflowing_sequence
 from test_kernel_reference import streamed, sweep_rows
 
 FLAGS = (True, False, True)
-
-
-def bits(*arrays):
-    return [np.ascontiguousarray(x).tobytes() for x in arrays]
 
 
 def blocks_and_singles(seq, zs, side, store):

@@ -17,10 +17,12 @@ first from op to op and from pass to pass, so that the trees see the
 same host speed.  Printed per workload: each tree's median pass time;
 the ratios change/base and control/base of the passes, as median, min
 and max; the passes in which the change was faster than BASE; and, per
-subcommand the workload runs, the change/base ratio of its ops' summed
-time in each pass, which shows which subcommand a change moved.  The
-control/base ratio is the resolution of the measurement: a change/base
-ratio inside its range is noise.  The exit code is 1 if any op differs.
+subcommand the workload runs, the change/base and control/base ratios
+of its ops' summed time in each pass, which show which subcommand a
+change moved and by how much that subcommand's passes spread alone.
+Each control/base ratio is the resolution of the measurement: a
+change/base ratio inside its range is noise.  The exit code is 1 if
+any op differs.
 
 The workload many-breakpoints runs only when --workloads names it:
 identities on one undamped 3,000-site window, drawn by bench/workloads.py
@@ -154,8 +156,10 @@ def compare(clis: list, args, work: str) -> int:
               f"faster in {wins} of {len(passes)} passes")
         print(f"  control/base (A/A): {spread([c / b for c, b in zip(control, base)])}")
         for command in commands:
-            ratios = [mine[command] / theirs[command] for mine, theirs, _ in passes]
-            print(f"  {command} change/base: {spread(ratios)}")
+            # each tree's summed time of the command's ops over BASE's, per pass
+            for label, tree in (("change/base", 0), ("control/base (A/A)", 2)):
+                ratios = [times[tree][command] / times[1][command] for times in passes]
+                print(f"  {command} {label}: {spread(ratios)}")
         if name == MANY_BREAKPOINTS:
             for op, argv in zip(ops, argvs):
                 peaks = ", ".join(f"{tree} {traced_peak(cli, argv) / 2**20:.2f} MB"
