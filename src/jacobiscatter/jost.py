@@ -27,7 +27,11 @@ every site of a long window; jost_values takes its range as one block.
 Solutions that share coefficients, such as a solution and its companion
 at 1/z, or the solutions at z and at the rounded reciprocal 1/z, stack
 as column blocks of one recursion, each on its own grid and with its own
-seeds; every column block equals its own single run to the bit.
+seeds; every column block equals its own single run to the bit.  The
+blocks' grids are one row of points: _recurse computes its drive once
+and seeds each block of sites from one power table, whose exponents
+take each column block's sign, as every entry of it is computed from
+its own point and exponent alone.
 
 The tail fits need neither the window nor the stored values: sites
 outside the effective support carry the limits just as well, so each
@@ -86,7 +90,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterator
 
 import numpy as np
@@ -208,12 +211,15 @@ def _recurse(
 
     columns holds, per column block, a checked grid and an at_inverse
     flag: the block has a column per point of its grid, its own drive,
-    and its exact plane-wave tail seeded past seq's window, block of
-    sites by block of sites, from the power table of its grid with its
-    own sign.  So solutions sharing coefficients, such as a solution and
-    its companion at 1/z, or the solutions at z and at the rounded
-    reciprocal 1/z, advance together in one pass, and every column block
-    equals its own one-block run to the bit.
+    and its exact plane-wave tail seeded past seq's window with its own
+    exponent sign.  All the blocks' columns are one grid: its drive is
+    computed once, and each block of sites that holds seeded sites takes
+    them from one power table of that grid, signed column by column.  So
+    solutions sharing coefficients, such as a solution and its companion
+    at 1/z, or the solutions at z and at the rounded reciprocal 1/z,
+    advance together in one pass, and every column block equals its own
+    one-block run to the bit: every entry of the drive and of a power
+    table is computed from its own point alone.
 
     The buffer holds one block and the two rows its first step reads,
     those past its top on the left side and below its bottom on the
@@ -234,11 +240,14 @@ def _recurse(
     # the first step's site, at the window's edge, and the seeded tail's sites [t0, t1)
     first = n_max if left else n_min - 1
     t0, t1 = (n_max, hi + 1) if left else (lo, n_min)
-    # the seeds' exponents are n on the left side and -n on the right, per
-    # column block signed again at 1/z; block j spans columns edges[j] to
-    # edges[j + 1]
-    signs = [(-1 if inverse else 1) * (1 if left else -1) for _, inverse in columns]
-    edges = list(accumulate((grid.size for grid, _ in columns), initial=0))
+    # every column block's points as one grid, and the seeds' exponent
+    # signs per column: n on the left side and -n on the right, per column
+    # block signed again at 1/z
+    grid = np.concatenate([points for points, _ in columns])
+    signs = np.repeat(
+        [(-1 if inverse else 1) * (1 if left else -1) for _, inverse in columns],
+        [points.size for points, _ in columns],
+    )
     # the sites of the steps' coefficients: k is site c0 + k.  The left
     # side steps at first down to lo + 1, the right one at first to hi - 1
     c0, c1 = (lo, max(lo, first) + 1) if left else (first, max(first, hi))
@@ -258,12 +267,12 @@ def _recurse(
     if left:
         spans.reverse()
     size = max(stop - bottom for bottom, stop in spans)
-    buffer = np.empty((size + 2, edges[-1]), dtype=complex)
+    buffer = np.empty((size + 2, grid.size), dtype=complex)
     # each row twice: complex for the one complex product per step, and
     # as float64 pairs for every step that only scales by a real
     row = list(buffer)
     real = list(buffer.view(float))
-    drive = np.concatenate([_drive(grid, lim, 1) for grid, _ in columns]).view(float)
+    drive = _drive(grid, lim, 1).view(float)
     # the scaled drive, then each subtrahend; complex as the product's operand
     scaled = np.empty(buffer.shape[1], dtype=complex)
     scratch = scaled.view(float)
@@ -274,9 +283,7 @@ def _recurse(
         shift = size - stop if left else 2 - bottom
         s0, s1 = max(bottom, t0), min(stop, t1)
         if s0 < s1:
-            sites = np.arange(s0, s1)
-            for (grid, _), sign, j0, j1 in zip(columns, signs, edges, edges[1:]):
-                buffer[s0 + shift : s1 + shift, j0:j1] = _power_table(grid, sign * sites)
+            buffer[s0 + shift : s1 + shift] = _power_table(grid, np.arange(s0, s1), signs)
         # the step at site c0 + k reads v from buffer row k + d
         d = shift + c0
         if left:

@@ -234,15 +234,15 @@ def coefficient_arrays(
     """Dense (a, b, w) arrays over the index range [lo, hi]."""
     if lo > hi:
         raise CoefficientError(f"empty coefficient range [{lo}, {hi}]")
-    idx = np.arange(lo, hi + 1)
-    a = np.full(idx.size, seq.limits.a_inf)
-    b = np.full(idx.size, seq.limits.b_inf)
-    w = np.full(idx.size, seq.limits.w_inf)
-    inside = (idx >= seq.window.n_min) & (idx <= seq.window.n_max)
-    stored = idx[inside] - seq.window.n_min
-    a[inside] = seq.a_values[stored]
-    b[inside] = seq.b_values[stored]
-    w[inside] = seq.w_values[stored]
+    lim = seq.limits
+    n_min = seq.window.n_min
+    # the range's stored sites [s0, s1), copied in by one slice per array
+    s0, s1 = max(lo, n_min), min(hi, seq.window.n_max) + 1
+    a, b, w = (np.full(hi - lo + 1, limit) for limit in (lim.a_inf, lim.b_inf, lim.w_inf))
+    if s0 < s1:
+        a[s0 - lo : s1 - lo] = seq.a_values[s0 - n_min : s1 - n_min]
+        b[s0 - lo : s1 - lo] = seq.b_values[s0 - n_min : s1 - n_min]
+        w[s0 - lo : s1 - lo] = seq.w_values[s0 - n_min : s1 - n_min]
     return a, b, w
 
 
@@ -256,24 +256,38 @@ def fragment(seq: CoefficientSequence, frag: Fragmentation) -> list[CoefficientS
     deviations of the input site by site.  The shared window costs
     nothing downstream: scattering data and transition matrices are
     evaluated on each fragment's effective support, its own slab.
+
+    The fragments are cut from the already validated input and are not
+    validated again, so they emit no second CouplingSignWarning; each
+    equals, bit for bit, the sequence the validating constructor builds
+    from the same values.
     """
-    idx = seq.window.indices()
-    lowers = (-math.inf,) + frag.breakpoints
-    uppers = frag.breakpoints + (math.inf,)
+    bounds = (-math.inf, *frag.breakpoints, math.inf)
+    return [_slab(seq, low, high) for low, high in zip(bounds, bounds[1:])]
+
+
+def _slab(seq: CoefficientSequence, low: float, high: float) -> CoefficientSequence:
+    """seq's part that keeps its values on the sites n with low < n <= high
+    and carries the limits elsewhere, on seq's window.
+
+    Every value is one of seq's, or one of its limits, which seq's
+    validation has passed, so the part is built without running it again:
+    its arrays are read-only copies, as the constructor stores them.
+    """
     lim = seq.limits
-    parts = []
-    for low, high in zip(lowers, uppers):
-        keep = (idx > low) & (idx <= high)
-        parts.append(
-            CoefficientSequence(
-                lim,
-                seq.window,
-                np.where(keep, seq.a_values, lim.a_inf),
-                np.where(keep, seq.b_values, lim.b_inf),
-                np.where(keep, seq.w_values, lim.w_inf),
-            )
-        )
-    return parts
+    n_min, length = seq.window.n_min, seq.window.length
+    # the kept entries [k0, k1) of the window's arrays; low and high may be infinite
+    k0 = int(min(max(low + 1 - n_min, 0), length))
+    k1 = int(min(max(high + 1 - n_min, k0), length))
+    part = object.__new__(CoefficientSequence)
+    object.__setattr__(part, "limits", lim)
+    object.__setattr__(part, "window", seq.window)
+    for name, limit in (("a_values", lim.a_inf), ("b_values", lim.b_inf), ("w_values", lim.w_inf)):
+        values = np.full(length, limit)
+        values[k0:k1] = getattr(seq, name)[k0:k1]
+        values.setflags(write=False)
+        object.__setattr__(part, name, values)
+    return part
 
 
 def effective_support(seq: CoefficientSequence) -> IndexWindow | None:

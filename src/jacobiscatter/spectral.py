@@ -119,23 +119,28 @@ def wave_pair_det(zs: np.ndarray) -> np.ndarray:
     return one_minus_sq / zs
 
 
-def _power_table(zs: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """Row j holds zs to the integer power ks[j]: zs[None, :] ** ks[:, None].
+def _power_table(zs: np.ndarray, ks: np.ndarray, signs=1) -> np.ndarray:
+    """Row j holds zs to the integer powers signs ks[j]: zs[None, :] ** (signs * ks[:, None]).
 
     The one route of every plane-wave power the seeds, tail fits and
     junction sweep read: numpy's repeated multiplication below
     FAST_POWER_LIMIT, and from there the bits of numpy's cpow,
     exp(k log z), as np.exp(k * log) over one log(zs) per table, not per
-    entry.
+    entry.  signs, an int or an int array over zs, gives each column its
+    own exponent sign, so column blocks of grids whose exponents differ
+    in sign, as solutions at 1/z parametrized by z do, make one table.
+    Every entry is computed on its own, from its z and its exponent
+    alone, so it has the bits of its entry in a table of one sign.
     """
+    exponents = signs * ks[:, None]
     fast = np.abs(ks) < FAST_POWER_LIMIT
     if fast.all():
-        return zs[None, :] ** ks[:, None]
+        return zs[None, :] ** exponents
     # every row by the exp route, in place, then the small ones by numpy's
-    table = np.multiply(np.log(zs)[None, :], ks[:, None])
+    table = np.multiply(np.log(zs)[None, :], exponents)
     np.exp(table, out=table)
     if fast.any():
-        table[fast] = zs[None, :] ** ks[fast, None]
+        table[fast] = zs[None, :] ** exponents[fast]
     return table
 
 

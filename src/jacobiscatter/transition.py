@@ -74,13 +74,14 @@ one row of grid points per site.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .jost import _recurse, _rows_at
-from .lattice import CoefficientSequence, Fragmentation, coefficient_at, fragment
+from .lattice import CoefficientSequence, Fragmentation, _slab, coefficient_at, fragment
 from .scattering import _amplitude_blocks, _coefficients, _grid_maxima, _identity_sweep, _worst
 from .spectral import _fault_where, _power_table, require_admissible
 
@@ -224,9 +225,14 @@ def factorization_check(
     )
 
 
+def _junction_slabs(frag: Fragmentation) -> list[tuple[float, float]]:
+    """Each breakpoint's two single-junction slabs (low, high], left then right."""
+    return [slab for n1 in frag.breakpoints for slab in ((-math.inf, n1), (n1, math.inf))]
+
+
 def _junction_parts(seq: CoefficientSequence, frag: Fragmentation) -> list[CoefficientSequence]:
     """Each breakpoint's two single-junction fragments, left then right."""
-    return [part for n1 in frag.breakpoints for part in fragment(seq, Fragmentation((n1,)))]
+    return [_slab(seq, *slab) for slab in _junction_slabs(frag)]
 
 
 def _junction_sites(
@@ -314,14 +320,15 @@ def _identities_report(
     runs of its own.  Every row keeps the bits of the public functions.
 
     The first fragment is the first junction's left part and the last
-    fragment the last junction's right part, bit for bit, as fragment()
-    builds each pair from one mask.  So the sweep takes the junction parts
-    without those two, and the junction rows read the end fragments' fits
-    in their place.
+    fragment the last junction's right part, bit for bit, as both are cut
+    from seq over the same slab.  So only the junction parts between
+    those two are built, each once, and the junction rows read the end
+    fragments' fits in place of the other two.
     """
     parts, inner, sites = [], [], ()
     if frag is not None:
-        parts, inner = fragment(seq, frag), _junction_parts(seq, frag)[1:-1]
+        parts = fragment(seq, frag)
+        inner = [_slab(seq, *slab) for slab in _junction_slabs(frag)[1:-1]]
         _, sites = _junction_sites(seq, frag)
     # the report's grid, checked once
     zs = require_admissible(zs)
@@ -380,7 +387,10 @@ def _junction_sweep(
     def worsen(key, *terms):
         np.maximum(rows[key], _worst(*terms), out=rows[key])
 
-    for n1, left, right in zip(points, fits[::2], fits[1::2]):
+    # z^n1, z^(n1 + 1), z^-n1 and z^-(n1 + 1) of every junction, from one table
+    exponents = [k for n1 in points for k in (n1, n1 + 1, -n1, -(n1 + 1))]
+    tables = _power_table(zs, np.array(exponents)).reshape(len(points), 4, m)
+    for n1, left, right, table in zip(points, fits[::2], fits[1::2], tables):
         # keep only the coefficients the checks read, not the amplitudes
         (t1, r1, _), (t1c, r1c, _) = [_coefficients(*block) for block in left]
         (t2, _, l2), (t2c, _, l2c) = [_coefficients(*block) for block in right]
@@ -412,7 +422,6 @@ def _junction_sweep(
         # on n1 and n1 + 1 each of the whole's solutions is a fragment's own
         # plane wave, the right one's for fl and gl and the left one's for fr
         # and gr, scaled by ratio at n1 + 1
-        table = _power_table(zs, np.array([n1, n1 + 1, -n1, -(n1 + 1)]))
         up, down = table[:2], table[2:]
         waves = (
             (fl, inv_t2 * up + l2_over_t2 * down),

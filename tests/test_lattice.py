@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,13 @@ from jacobiscatter import (
     fragment,
     validate_sequence,
 )
-from conftest import make_sequence, two_impurity_sequence
+from conftest import (
+    free_sequence,
+    hand_fixtures,
+    make_sequence,
+    random_breakpoints,
+    two_impurity_sequence,
+)
 
 
 def test_limits_reject_zero_coupling_limit():
@@ -209,6 +216,122 @@ def test_fragments_keep_the_bits_of_the_sites_they_keep():
             for name in ("a_values", "b_values", "w_values"):
                 mine, theirs = (getattr(each, name).view(np.int64)[keep] for each in (part, seq))
                 assert mine.tolist() == theirs.tolist(), (points, low, name)
+
+
+def signed_zero_sequence():
+    """-0.0 and subnormals stored, and a b_inf of -0.0 against stored 0.0s:
+    a copy that loses a zero's sign shows in the bits."""
+    b = [0.3, -0.0, 5e-324, -2.2250738585072014e-309, 0.0, -0.25]
+    a = [1.1, 0.9, 1.3, 1.0, 0.7, 1.2]
+    w = [1.0, 2.5, 0.8, 1.0, 1.4, 0.6]
+    return make_sequence(-2, a, b, w, limits=Limits(1.0, -0.0, 1.0))
+
+
+def negative_coupling_sequence():
+    with pytest.warns(CouplingSignWarning):
+        return make_sequence(-1, [1.0, -1.0, 1.0], [0.3, 0.0, -0.4], [1.0, 1.0, 1.0])
+
+
+def validated_parts(seq, frag):
+    """The fragments as the validating constructor builds them from masks."""
+    idx = seq.window.indices()
+    lim = seq.limits
+    bounds = (-math.inf, *frag.breakpoints, math.inf)
+    parts = []
+    for low, high in zip(bounds, bounds[1:]):
+        keep = (idx > low) & (idx <= high)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CouplingSignWarning)
+            parts.append(CoefficientSequence(
+                lim,
+                seq.window,
+                np.where(keep, seq.a_values, lim.a_inf),
+                np.where(keep, seq.b_values, lim.b_inf),
+                np.where(keep, seq.w_values, lim.w_inf),
+            ))
+    return parts
+
+
+def edge_fragmentations(seq):
+    """Breakpoints inside the window, on its edges and past them, and far out."""
+    lo, hi = seq.window.n_min, seq.window.n_max
+    mid = (lo + hi) // 2
+    points = [
+        (mid,), (lo - 1,), (lo,), (hi,), (hi + 1,), (lo - 5, hi + 5), (-(10**6), 10**6),
+        (lo - 1, mid, hi + 1), (lo, hi), tuple(range(lo - 2, hi + 3)),
+    ]
+    return [Fragmentation(tuple(sorted(set(p)))) for p in points]
+
+
+def test_cut_fragments_equal_the_validated_parts(random_fixtures):
+    """fragment() cuts its parts from the validated whole without the
+    validator; each equals, bit for bit, the part the validating
+    constructor builds: its a, b and w as int64 bits, their read-only
+    flags, its window and its limits."""
+    rng = np.random.default_rng(11)
+    hand = [*hand_fixtures(), free_sequence(), signed_zero_sequence(), negative_coupling_sequence()]
+    cases = [(seq, frag) for seq in hand for frag in edge_fragmentations(seq)]
+    cases += [
+        (seq, frag)
+        for seq in random_fixtures
+        for frag in (*edge_fragmentations(seq), random_breakpoints(rng, seq))
+    ]
+    for seq, frag in cases:
+        got, want = fragment(seq, frag), validated_parts(seq, frag)
+        assert len(got) == len(want) == frag.fragment_count
+        for mine, theirs in zip(got, want):
+            assert mine.window == theirs.window and mine.limits == theirs.limits
+            for name in ("a_values", "b_values", "w_values"):
+                mine_values, their_values = getattr(mine, name), getattr(theirs, name)
+                assert mine_values.dtype == their_values.dtype == np.float64
+                assert mine_values.view(np.int64).tolist() == their_values.view(np.int64).tolist()
+                assert not mine_values.flags.writeable and not their_values.flags.writeable
+
+
+def test_fragments_of_a_negative_coupling_warn_no_second_time():
+    """The whole's validation warns once; its fragments, cut from it, are
+    not validated again and add no CouplingSignWarning of their own."""
+    seq = negative_coupling_sequence()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        parts = fragment(seq, Fragmentation((-1, 0, 1)))
+    assert parts[1].a_values[1] == -1.0
+
+
+def index_built_arrays(seq, lo, hi):
+    """coefficient_arrays as index arrays and masks build it."""
+    idx = np.arange(lo, hi + 1)
+    lim = seq.limits
+    inside = (idx >= seq.window.n_min) & (idx <= seq.window.n_max)
+    stored = idx[inside] - seq.window.n_min
+    arrays = []
+    for values, limit in zip((seq.a_values, seq.b_values, seq.w_values), (lim.a_inf, lim.b_inf, lim.w_inf)):
+        dense = np.full(idx.size, limit)
+        dense[inside] = values[stored]
+        arrays.append(dense)
+    return arrays
+
+
+def test_coefficient_arrays_by_slices_keep_the_bits_of_index_arrays(random_fixtures):
+    """coefficient_arrays copies the stored sites in by slices; its arrays
+    are those of index arrays and masks to the bit, -0.0 included, which
+    _changed_steps compares: ranges inside the window, straddling either
+    edge, wholly outside it on either side, of one site, and wider."""
+    for seq in [*hand_fixtures(), signed_zero_sequence(), *random_fixtures[:10]]:
+        lo, hi = seq.window.n_min, seq.window.n_max
+        ranges = [
+            (lo, hi), (lo, lo), (hi, hi), (lo - 1, lo - 1), (hi + 1, hi + 1),
+            (lo - 3, lo), (lo - 3, (lo + hi) // 2), ((lo + hi) // 2, hi + 3), (hi, hi + 4),
+            (lo - 9, lo - 2), (hi + 2, hi + 9), (lo - 4, hi + 4), (lo + 1, hi - 1),
+        ]
+        for r0, r1 in ranges:
+            if r0 > r1:
+                continue
+            got = coefficient_arrays(seq, r0, r1)
+            want = index_built_arrays(seq, r0, r1)
+            for mine, theirs in zip(got, want):
+                assert mine.dtype == np.float64 and mine.shape == theirs.shape
+                assert mine.view(np.int64).tolist() == theirs.view(np.int64).tolist(), (r0, r1)
 
 
 def test_fragment_accepts_breakpoints_outside_window(single_site_seq):

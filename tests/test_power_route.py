@@ -90,3 +90,21 @@ def test_small_exponent_table_is_numpy_broadcast_without_a_log(name, monkeypatch
     assert logs == []
     _power_table(zs, np.array([100, -100, 5]))
     assert logs == [zs.shape]
+
+
+@pytest.mark.parametrize("table", sorted(TABLES))
+def test_signed_columns_equal_their_own_tables(table):
+    """One table over column blocks of several grids, each block with its
+    own exponent sign, as _recurse seeds a solution and its companion at
+    1/z, is the blocks' own one-sign tables side by side, to the bit:
+    below FAST_POWER_LIMIT, past it, and in tables that hold both."""
+    ks = TABLES[table]
+    blocks = [
+        (GRIDS["unit-512"], 1), (GRIDS["reciprocal-512"], 1), (GRIDS["unit-512"], -1),
+        (GRIDS["limits-97"], -1), (GRIDS["scattered-300"], 1),
+    ]
+    zs = np.concatenate([grid for grid, _ in blocks])
+    signs = np.repeat([sign for _, sign in blocks], [grid.size for grid, _ in blocks])
+    want = np.hstack([_power_table(grid, sign * ks) for grid, sign in blocks])
+    assert bits(_power_table(zs, ks, signs)) == bits(want)
+    assert bits(_power_table(zs, ks, -1)) == bits(_power_table(zs, -ks))

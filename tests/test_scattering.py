@@ -3,6 +3,7 @@ import cmath
 import numpy as np
 
 from jacobiscatter import extract_scattering, identity_sweep, scattering_values
+from jacobiscatter.scattering import _worst
 from conftest import default_grid, make_sequence
 
 
@@ -108,3 +109,25 @@ def test_identity_sweep_mixed(mixed_seq):
     # every tracked relation contributes a finite figure
     assert sweep["solution_conjugation"] >= 0.0
     assert sweep["quotient"] >= 0.0
+
+
+def test_worst_keeps_the_bits_of_the_stacked_maximum():
+    """_worst takes its maximum in place, term by term, and keeps the bits
+    of the maximum over the stacked moduli, inf and NaN included, so that
+    _grid_maxima faults on the same row and the same first theta: every
+    pair and triple of entries drawn from finite values, signed zeros,
+    infinities and NaNs of either sign and another payload."""
+    nan = float("nan")
+    inf = float("inf")
+    payload = np.array([0x7FF8000000000123], dtype=np.int64).view(float)[0]
+    values = np.array([
+        0.0, -0.0, 1.5, -2.5j, 3.0 - 4.0j, 1e308 + 1e308j, 5e-324, complex(nan, 0.0),
+        complex(0.0, -nan), complex(inf, nan), complex(-inf, 1.0), complex(nan, -inf),
+        complex(payload, 2.0), complex(-nan, payload),
+    ])
+    for count in (1, 2, 3):
+        grids = np.meshgrid(*[values] * count, indexing="ij")
+        terms = [grid.ravel() for grid in grids]
+        want = np.max(np.abs(np.stack(terms)), axis=0)
+        got = _worst(*terms)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), count
