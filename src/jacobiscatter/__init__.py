@@ -18,7 +18,6 @@ from .jost import (
     jost_values,
     solution_range,
     wronskian,
-    wronskian_constancy_check,
 )
 from .lattice import (
     CoefficientSequence,
@@ -56,7 +55,6 @@ from .spectral import (
     z_from_lambda,
 )
 from .transition import (
-    TransitionMatrix,
     determinant_residuals,
     factorization_check,
     factorization_residuals,
@@ -78,7 +76,6 @@ __all__ = [
     "NumericalFault",
     "SpectralDomainError",
     "SpectralPoint",
-    "TransitionMatrix",
     "band_edges",
     "coefficient_arrays",
     "coefficient_at",
@@ -109,7 +106,6 @@ __all__ = [
     "validate_sequence",
     "wave_pair_det",
     "wronskian",
-    "wronskian_constancy_check",
     "wronskian_scattering",
     "wronskian_values",
     "z_from_lambda",

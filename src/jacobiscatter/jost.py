@@ -638,25 +638,6 @@ def wronskian(
     return complex(_pairing(a, p, q)[0])
 
 
-def wronskian_constancy_check(
-    seq: CoefficientSequence, phi: LatticeSolution, zeta: LatticeSolution
-) -> float:
-    """Max drift of the pairing across the shared range, relatively scaled.
-
-    Returns max_n |W(n) - W(n0)| / max(1, |W(n0)|) over every site pair in
-    the overlap of the two ranges, with n0 the lowest usable site.
-    """
-    lo = max(phi.lo, zeta.lo)
-    hi = min(phi.hi, zeta.hi)
-    if hi - lo < 2:
-        raise ValueError("solution ranges overlap on fewer than three sites")
-    p = phi.values[lo - phi.lo : hi - phi.lo + 1]
-    q = zeta.values[lo - zeta.lo : hi - zeta.lo + 1]
-    a, _, _ = coefficient_arrays(seq, lo + 1, hi)
-    pair = _pairing(a, p, q)
-    return float(_scaled_drift(np.max(np.abs(pair - pair[0]), axis=0), pair[0]))
-
-
 def _pairing(a: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """W(n) = a(n + 1) (p(n) q(n + 1) - p(n + 1) q(n)) along the first axis.
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .jost import _recurse, _rows_at, solution_range
+from .jost import _pairing, _recurse, _rows_at, solution_range
 from .lattice import CoefficientSequence, coefficient_at
 from .scattering import ScatteringData
 from .spectral import _fault_where, _power_table, require_admissible, wave_pair_det
@@ -129,16 +129,12 @@ def wronskian_values(
     fl, gl = np.hsplit(_rows_at(run, (lo, lo + 1)), 2)
     fr, gr = _power_table(zs, -sites), _power_table(zs, sites)
     a_lo = seq.limits.a_inf  # site lo + 1 is below the window, so at the limit
-
-    def pair(f, g):
-        return a_lo * (f[0] * g[1] - f[1] * g[0])
-
     base = seq.limits.a_inf * wave_pair_det(zs)
-    w_lr = pair(fl, fr)
+    (w_lr,) = _pairing(a_lo, fl, fr)
     _fault_where(np.abs(w_lr) < 1e-300, zs, "vanishing solution pairing")
     t = base / w_lr
-    l_over_t = -pair(fl, gr) / base
-    r_over_t = pair(fr, gl) / base
+    l_over_t = -_pairing(a_lo, fl, gr)[0] / base
+    r_over_t = _pairing(a_lo, fr, gl)[0] / base
     # the vanishing test above is False for nan, so overflow needs its own
     # guard; w_lr is a multiple of 1/T, finite exactly where T is usable
     finite = np.isfinite(w_lr) & np.isfinite(r_over_t) & np.isfinite(l_over_t)

@@ -37,8 +37,7 @@ class SpectralPoint:
     lam: float
 
     def __post_init__(self):
-        if not abs(abs(self.z) - 1.0) <= CIRCLE_TOL:
-            raise SpectralDomainError(f"|z| = {abs(self.z)!r} is not on the unit circle")
+        require_on_circle(self.z)
 
     @property
     def theta(self) -> float:

@@ -29,9 +29,12 @@ behind it at each breakpoint taken as a single junction:
 Each relation has one kernel, over a grid, and each report row is one
 residual per grid point, which scattering._grid_maxima alone reduces to
 the maximum a report prints, raising NumericalFault, naming the row and
-theta, where a residual is not finite.  The one-point functions,
-transition_for and factorization_check, call the same kernels on a grid
-of one point; a single z's junction identities are the sweep over [z].
+theta, where a residual is not finite.  The one-point functions call the
+same kernels on a grid of one point: transition_for is the block of
+transition_entries at [z], as a read-only 2x2 array, and its determinant
+gap is determinant_residuals at [z]; factorization_check is the
+factorization kernel at [z]; a single z's junction identities are the
+sweep over [z].
 
 A single-junction fragment is the whole sequence on the side of its
 breakpoint that it keeps and the limits on the side it frees, so its
@@ -90,31 +93,11 @@ _PAIRED = (False, True)
 
 
 @dataclass(frozen=True, eq=False)
-class TransitionMatrix:
-    """2x2 transition matrix of one sequence at one circle point."""
-
-    entries: np.ndarray
-    z: complex
-
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=complex).copy()
-        if arr.shape != (2, 2):
-            raise ValueError(f"transition matrix must be 2x2, got shape {arr.shape}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "z", complex(self.z))
-
-    def determinant(self) -> complex:
-        e = self.entries
-        return e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
-
-
-@dataclass(frozen=True, eq=False)
 class FactorizationReport:
     """Outcome of comparing a transition matrix with a fragment product."""
 
     z: complex
-    whole: TransitionMatrix
+    whole: np.ndarray
     product: np.ndarray
     residual: float
     fragment_count: int
@@ -122,9 +105,16 @@ class FactorizationReport:
     passed: bool
 
 
-def transition_for(seq: CoefficientSequence, z: complex) -> TransitionMatrix:
-    """Transition matrix of a sequence at one circle point."""
-    return TransitionMatrix(transition_entries(seq, [z])[0], z)
+def transition_for(seq: CoefficientSequence, z: complex) -> np.ndarray:
+    """Transition matrix of a sequence at one circle point, a read-only
+    complex 2x2 array: transition_entries(seq, [z])[0]."""
+    return _read_only(transition_entries(seq, [z])[0])
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """arr, made read-only in place."""
+    arr.setflags(write=False)
+    return arr
 
 
 def transition_entries(seq: CoefficientSequence, zs: np.ndarray) -> np.ndarray:
@@ -216,7 +206,7 @@ def factorization_check(
     (residual,) = _grid_maxima({"factorization": _product_gap(whole, product)}, zs).values()
     return FactorizationReport(
         z=z,
-        whole=TransitionMatrix(whole[0], z),
+        whole=_read_only(whole[0]),
         product=product[0],
         residual=residual,
         fragment_count=len(parts),
@@ -290,7 +280,7 @@ def junction_residual_sweep(
     """
     zs = require_admissible(zs)
     whole, *fits = _amplitude_blocks(seq, [seq, *_junction_parts(seq, frag)], zs, _PAIRED)
-    _, sites = _junction_sites(seq, frag)
+    points, sites = _junction_sites(seq, frag)
     n_min, n_max = seq.window.n_min, seq.window.n_max
     # the whole's solutions from their seeded tails to the farthest site
     # read: the left one down to sites[0], the right one up to sites[-1]
@@ -298,7 +288,7 @@ def junction_residual_sweep(
     left_run = _recurse(seq, sites[0], max(sites[-1], n_max + 1), paired, "left")
     right_run = _recurse(seq, min(sites[0], n_min - 2), sites[-1], paired, "right")
     rows = (_rows_at(left_run, sites), _rows_at(right_run, sites))
-    return _grid_maxima(_junction_sweep(seq, frag, zs, _entries(whole), fits, rows), zs)
+    return _grid_maxima(_junction_sweep(seq, points, sites, zs, _entries(whole), fits, rows), zs)
 
 
 def _identities_report(
@@ -329,7 +319,7 @@ def _identities_report(
     if frag is not None:
         parts = fragment(seq, frag)
         inner = [_slab(seq, *slab) for slab in _junction_slabs(frag)[1:-1]]
-        _, sites = _junction_sites(seq, frag)
+        points, sites = _junction_sites(seq, frag)
     # the report's grid, checked once
     zs = require_admissible(zs)
     rows, whole_rows = _identity_sweep(seq, zs, sites)
@@ -341,14 +331,15 @@ def _identities_report(
         rows["factorization"] = _product_gap(lam, _fragment_product(map(_entries, ends)))
         # one single-junction check per breakpoint, worst over them per row
         junction_fits = [ends[0], *fits[len(parts) :], ends[-1]]
-        rows.update(_junction_sweep(seq, frag, zs, lam, junction_fits, whole_rows))
+        rows.update(_junction_sweep(seq, points, sites, zs, lam, junction_fits, whole_rows))
     return _grid_maxima(rows, zs)
 
 
 @np.errstate(all="ignore")
 def _junction_sweep(
     seq: CoefficientSequence,
-    frag: Fragmentation,
+    points: list[int],
+    sites: tuple[int, ...],
     zs: np.ndarray,
     lam: np.ndarray,
     fits: list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]],
@@ -357,12 +348,14 @@ def _junction_sweep(
     """junction_residual_sweep's rows over the checked grid zs, one residual
     per point, given the whole's entries lam and rows; it recurses nothing.
 
-    fits holds the amplitude blocks at z and 1/z of _junction_parts(seq,
-    frag), left then right fragment per breakpoint, all fitted before the
-    sweep, which reads them in pairs.  whole holds the whole's left and
-    right solution at the sites _junction_sites(seq, frag) names, one row
-    per site: the solution at z in the first zs.size columns, its
-    companion in the at_inverse mode in the rest.
+    points and sites are _junction_sites(seq, frag): each breakpoint at
+    the site it is checked at, and the sorted sites of the whole's rows
+    the checks read.  fits holds the amplitude blocks at z and 1/z of
+    _junction_parts(seq, frag), left then right fragment per breakpoint,
+    all fitted before the sweep, which reads them in pairs.  whole holds
+    the whole's left and right solution at sites, one row per site: the
+    solution at z in the first zs.size columns, its companion in the
+    at_inverse mode in the rest.
     """
     # T, R, L bit for bit those of scattering_values: lam00, lam01 and
     # lam10 are the plain block's fit, which equals its single-mode run
@@ -371,7 +364,6 @@ def _junction_sweep(
     # expression the rows read, so every row keeps its bits
     inv_t, r_over_t, l_over_t, minus_r_over_t = 1.0 / t, r / t, l / t, -r / t
     m = zs.size
-    points, sites = _junction_sites(seq, frag)
     where = {n: i for i, n in enumerate(sites)}
     fl_pair, fr_pair = whole
 

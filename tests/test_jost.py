@@ -13,12 +13,12 @@ import pytest
 from jacobiscatter import (
     conjugate_solution,
     equation_residual,
+    identity_sweep,
     jost_left,
     jost_right,
     jost_values,
     solution_range,
     wronskian,
-    wronskian_constancy_check,
 )
 from conftest import default_grid, make_sequence, random_sequence
 
@@ -173,13 +173,4 @@ def test_wronskian_is_constant_across_sites(mixed_seq):
     w_low = wronskian(mixed_seq, fl, fr, -3)
     w_high = wronskian(mixed_seq, fl, fr, 3)
     assert abs(w_low - w_high) <= 1e-12 * max(1.0, abs(w_low))
-    assert wronskian_constancy_check(mixed_seq, fl, fr) <= 1e-12
-
-
-def test_wronskian_constancy_needs_overlap(mixed_seq):
-    z = 1j
-    fl = jost_left(mixed_seq, z)
-    with pytest.raises(ValueError):
-        wronskian_constancy_check(mixed_seq, fl, fl.__class__(
-            values=fl.values[:2], lo=fl.lo, z=fl.z
-        ))
+    assert identity_sweep(mixed_seq, [z])["wronskian_constancy"] <= 1e-12

@@ -4,6 +4,8 @@ extract_scattering, transition_for, factorization_check and jost_left
 run the grid kernels on the one-point grid [z].  Each must give the bits
 of the matching grid function called on [z], and the bits of z's column
 of a wider grid: a point's bits do not depend on the grid it sits in.
+The Wronskian row of identity_sweep at [z] is the drift of the pairing
+of z's jost_values rows, to the bit.
 
 The column comparison guards the recursion's complex product, which
 each step takes out of place.  numpy (2.4) multiplies a one-element
@@ -15,12 +17,15 @@ differed from their column of the grid call.
 """
 
 import numpy as np
+import pytest
 
 from jacobiscatter import (
     Fragmentation,
+    coefficient_arrays,
     extract_scattering,
     factorization_check,
     factorization_residuals,
+    identity_sweep,
     jost_left,
     jost_values,
     scattering_values,
@@ -61,22 +66,33 @@ def test_extract_scattering_is_a_one_point_grid():
                     assert bits(sd.T, sd.R, sd.L) == bits(t[i], r[i], l[i]), (z, at_inverse)
 
 
+def assert_read_only_2x2(arr):
+    assert arr.shape == (2, 2)
+    with pytest.raises(ValueError):
+        arr[0, 0] = 0.0
+
+
 def test_transition_for_is_a_one_point_grid():
     for seq, _ in fixtures():
         for zs in grids(seq):
             entries = transition_entries(seq, zs)
             for i, z in enumerate(zs.tolist()):
-                assert transition_for(seq, z).entries.tobytes() == entries[i].tobytes(), z
+                lam = transition_for(seq, z)
+                assert_read_only_2x2(lam)
+                assert lam.tobytes() == entries[i].tobytes(), z
 
 
 def test_factorization_check_is_a_one_point_grid():
     for seq, frag in fixtures():
         for zs in grids(seq):
             residuals = factorization_residuals(seq, frag, zs)
+            entries = transition_entries(seq, zs)
             for i, z in enumerate(zs.tolist()):
                 report = factorization_check(seq, frag, z)
                 assert bits(report.residual) == bits(residuals[i]), (z, frag)
                 assert report.fragment_count == len(frag.breakpoints) + 1
+                assert_read_only_2x2(report.whole)
+                assert report.whole.tobytes() == entries[i].tobytes(), (z, frag)
 
 
 def test_jost_left_is_a_one_point_grid():
@@ -87,3 +103,21 @@ def test_jost_left_is_a_one_point_grid():
                 sol = jost_left(seq, z)
                 assert sol.lo == lo
                 assert sol.values.tobytes() == values[i].tobytes(), z
+
+
+def reference_wronskian_row(seq, z):
+    """max_n |W(n) - W(n0)| / max(1, |W(n0)|) over the solution range, with
+    W(n) = a(n + 1) (f_l(n) f_r(n + 1) - f_l(n + 1) f_r(n)) and n0 its
+    lowest site, in plain numpy from jost_values' rows."""
+    (fl,), lo = jost_values(seq, [z], "left")
+    (fr,), _ = jost_values(seq, [z], "right")
+    a, _, _ = coefficient_arrays(seq, lo + 1, lo + len(fl) - 1)
+    w = a * (fl[:-1] * fr[1:] - fl[1:] * fr[:-1])
+    return np.max(np.abs(w - w[0])) / np.maximum(1.0, np.abs(w[0]))
+
+
+def test_wronskian_row_is_the_pairing_drift_at_one_point():
+    for seq, _ in fixtures():
+        for z in [1j, *default_grid(seq, count=32).zs.tolist()]:
+            row = identity_sweep(seq, [z])["wronskian_constancy"]
+            assert bits(row) == bits(reference_wronskian_row(seq, z)), z

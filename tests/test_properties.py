@@ -26,16 +26,18 @@ from jacobiscatter import (
     equation_residual,
     factorization_residuals,
     fragment,
+    identity_sweep,
     jost_left,
     jost_right,
     sample_circle,
     scattering_values,
     transition_entries,
     wave_pair_det,
-    wronskian_constancy_check,
 )
 
-COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+# print_blob: CI keeps no example database, so a failure is replayed
+# from the @reproduce_failure line that the log then carries
+COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow], print_blob=True)
 
 reals = st.floats(
     min_value=-1.0, max_value=1.0, allow_nan=False, allow_infinity=False
@@ -77,9 +79,7 @@ def test_solutions_satisfy_the_equation(seq, z):
 @settings(max_examples=40, **COMMON)
 @given(sequences(), circle_points())
 def test_wronskian_pairing_is_constant(seq, z):
-    fl = jost_left(seq, z)
-    fr = jost_right(seq, z)
-    assert wronskian_constancy_check(seq, fl, fr) <= 1e-10
+    assert identity_sweep(seq, [z])["wronskian_constancy"] <= 1e-10
 
 
 @settings(max_examples=40, **COMMON)
