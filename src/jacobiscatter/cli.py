@@ -22,7 +22,6 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from json import JSONDecodeError, load as _json_load
 
 import numpy as np
@@ -36,7 +35,7 @@ from .lattice import (
     validate_sequence,
 )
 from .scattering import _grid_maxima, scattering_values
-from .spectral import CircleGrid, _band_images, _pair_half, sample_circle
+from .spectral import _band_images, _pair_half, sample_circle
 from .transition import _identities_report, factorization_residuals
 
 _TABLE_FIELDS = (
@@ -54,31 +53,6 @@ _TABLE_FIELDS = (
 _FIELD_FORMAT = "%.17g"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated bundle of everything one subcommand run needs."""
-
-    input_path: str
-    grid_count: int = 512
-    exclusion_delta: float = 1e-3
-    tolerance: float = 1e-9
-    breakpoints: tuple[int, ...] | None = None
-    output_path: str | None = None
-    format: str = "csv"
-
-    def __post_init__(self):
-        if self.grid_count < 1:
-            raise ValueError(f"grid count must be at least 1, got {self.grid_count}")
-        if not 0.0 < self.exclusion_delta < 1.0:
-            raise ValueError(
-                f"exclusion delta must lie in (0, 1), got {self.exclusion_delta}"
-            )
-        if not 0.0 < self.tolerance < np.inf:
-            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.format!r}")
-
-
 def _load_sequence(path: str) -> CoefficientSequence:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -88,10 +62,6 @@ def _load_sequence(path: str) -> CoefficientSequence:
     if not isinstance(raw, dict):
         raise CoefficientError(f"{path} must hold a single coefficient object")
     return validate_sequence(raw)
-
-
-def _grid_for(seq: CoefficientSequence, config: RunConfig) -> CircleGrid:
-    return sample_circle(seq.limits, config.grid_count, config.exclusion_delta)
 
 
 def _fmt(value: float) -> str:
@@ -133,7 +103,7 @@ def _render_report(rows: list[tuple[str, float, float, bool]], fmt: str) -> str:
     return "[\n" + ",\n".join(objects) + "\n]\n"
 
 
-def run_scatter(config: RunConfig) -> int:
+def run_scatter(args: argparse.Namespace) -> int:
     """Sweep the grid and write the coefficient table.  Exit 0 on success.
 
     Each conjugate pair's row is computed and formatted once, as csv text
@@ -146,8 +116,8 @@ def run_scatter(config: RunConfig) -> int:
     are those at z conjugated but for the sign of an exact zero, and + 0.0
     makes every zero +0.0.
     """
-    seq = _load_sequence(config.input_path)
-    grid = _grid_for(seq, config)
+    seq = _load_sequence(args.input)
+    grid = sample_circle(seq.limits, args.grid, args.delta)
     zs = _pair_half(grid)
     t, r, l = (values + 0.0 for values in scattering_values(seq, zs))
     row = ",".join([_FIELD_FORMAT] * len(_TABLE_FIELDS))
@@ -163,12 +133,12 @@ def run_scatter(config: RunConfig) -> int:
     count = len(grid)
     # rows count // 2 + 1, ..., count - 1 from rows count - count // 2 - 1, ..., 1
     rows += map(_conjugate_row, rows[count - count // 2 - 1 : 0 : -1])
-    if config.format == "csv":
+    if args.format == "csv":
         table = "\n".join([",".join(_TABLE_FIELDS), *rows]) + "\n"
     else:
         template = "  {" + ", ".join(f'"{name}": %s' for name in _TABLE_FIELDS) + "}"
         table = "[\n" + ",\n".join(template % tuple(text.split(",")) for text in rows) + "\n]\n"
-    _emit(table, config.output_path)
+    _emit(table, args.output)
     return 0
 
 
@@ -192,34 +162,31 @@ def _corrupted_padding(parts: list[CoefficientSequence]) -> list[CoefficientSequ
     return [bad] + list(parts[1:])
 
 
-def run_factorize(config: RunConfig, corrupt_padding: bool = False) -> int:
+def run_factorize(args: argparse.Namespace) -> int:
     """Compare the transition matrix with its fragment product on the grid."""
-    if not config.breakpoints:
+    if not args.breakpoints:
         raise ValueError("factorize requires --breakpoints")
-    seq = _load_sequence(config.input_path)
-    frag = Fragmentation(tuple(config.breakpoints))
+    seq = _load_sequence(args.input)
+    frag = Fragmentation(args.breakpoints)
     # the maxima over one point of each conjugate pair are the grid's
-    zs = _pair_half(_grid_for(seq, config))
-    parts = _corrupted_padding(fragment(seq, frag)) if corrupt_padding else None
+    zs = _pair_half(sample_circle(seq.limits, args.grid, args.delta))
+    parts = _corrupted_padding(fragment(seq, frag)) if args.corrupt_fragment_padding else None
     residuals = factorization_residuals(seq, frag, zs, parts=parts)
-    return _write_report(_grid_maxima({"factorization": residuals}, zs), config)
+    return _write_report(_grid_maxima({"factorization": residuals}, zs), args)
 
 
-def run_identities(config: RunConfig) -> int:
+def run_identities(args: argparse.Namespace) -> int:
     """Sweep every identity; junction checks join in when breakpoints are given."""
-    seq = _load_sequence(config.input_path)
-    frag = Fragmentation(tuple(config.breakpoints)) if config.breakpoints else None
-    zs = _pair_half(_grid_for(seq, config))
-    return _write_report(_identities_report(seq, frag, zs), config)
+    seq = _load_sequence(args.input)
+    frag = Fragmentation(args.breakpoints) if args.breakpoints else None
+    zs = _pair_half(sample_circle(seq.limits, args.grid, args.delta))
+    return _write_report(_identities_report(seq, frag, zs), args)
 
 
-def _write_report(named: dict[str, float], config: RunConfig) -> int:
+def _write_report(named: dict[str, float], args: argparse.Namespace) -> int:
     """Write one report row per residual: exit 0 if all pass, 1 otherwise."""
-    rows = [
-        (name, residual, config.tolerance, residual <= config.tolerance)
-        for name, residual in named.items()
-    ]
-    _emit(_render_report(rows, config.format), config.output_path)
+    rows = [(name, residual, args.tol, residual <= args.tol) for name, residual in named.items()]
+    _emit(_render_report(rows, args.format), args.output)
     return 0 if all(ok for _, _, _, ok in rows) else 1
 
 
@@ -280,23 +247,19 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    args.format = args.format or ("csv" if args.command == "scatter" else "json")
     try:
-        config = RunConfig(
-            input_path=args.input,
-            grid_count=args.grid,
-            exclusion_delta=args.delta,
-            tolerance=args.tol,
-            breakpoints=args.breakpoints,
-            output_path=args.output,
-            format=args.format or ("csv" if args.command == "scatter" else "json"),
-        )
+        if args.grid < 1:
+            raise ValueError(f"grid count must be at least 1, got {args.grid}")
+        if not 0.0 < args.delta < 1.0:
+            raise ValueError(f"exclusion delta must lie in (0, 1), got {args.delta}")
+        if not 0.0 < args.tol < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {args.tol}")
         if args.command == "scatter":
-            return run_scatter(config)
+            return run_scatter(args)
         if args.command == "factorize":
-            return run_factorize(
-                config, corrupt_padding=args.corrupt_fragment_padding
-            )
-        return run_identities(config)
+            return run_factorize(args)
+        return run_identities(args)
     except NumericalFault as exc:
         print(f"numerical fault: {exc}", file=sys.stderr)
         return 3

@@ -1,7 +1,10 @@
 """Two independent recomputations of the scattering coefficients.
 
 The tail-fit extraction in module scattering is cross-checked here by
-two routes that fail differently.
+two routes that fail differently, and this module imports nothing from
+scattering or transition.  Each route's grid form returns the arrays
+(T, R, L) over a grid, and its point form the [z] entries of those
+arrays as a tuple of Python complex numbers.
 
 Transfer route: the one-step update of the state (f(n), f(n-1)) is a
 2x2 matrix in the coefficients alone.  Multiplying the steps across the
@@ -32,7 +35,6 @@ import numpy as np
 
 from .jost import _pairing, _recurse, _rows_at, solution_range
 from .lattice import CoefficientSequence, coefficient_at
-from .scattering import ScatteringData
 from .spectral import _fault_where, _power_table, require_admissible, wave_pair_det
 
 
@@ -105,10 +107,12 @@ def transfer_matrix_values(
     return t, amp[..., 0, 1] * t, -amp[..., 1, 0] * t
 
 
-def transfer_matrix_scattering(seq: CoefficientSequence, z: complex) -> ScatteringData:
-    """Scattering data at one point via the transfer route."""
+def transfer_matrix_scattering(
+    seq: CoefficientSequence, z: complex
+) -> tuple[complex, complex, complex]:
+    """(T, R, L) at one point via the transfer route."""
     t, r, l = transfer_matrix_values(seq, np.asarray([z], dtype=complex))
-    return ScatteringData(complex(z), complex(t[0]), complex(r[0]), complex(l[0]))
+    return complex(t[0]), complex(r[0]), complex(l[0])
 
 
 def wronskian_values(
@@ -142,7 +146,7 @@ def wronskian_values(
     return t, r_over_t * t, l_over_t * t
 
 
-def wronskian_scattering(seq: CoefficientSequence, z: complex) -> ScatteringData:
-    """Scattering data at one point via the pairing route."""
+def wronskian_scattering(seq: CoefficientSequence, z: complex) -> tuple[complex, complex, complex]:
+    """(T, R, L) at one point via the pairing route."""
     t, r, l = wronskian_values(seq, np.asarray([z], dtype=complex))
-    return ScatteringData(complex(z), complex(t[0]), complex(r[0]), complex(l[0]))
+    return complex(t[0]), complex(r[0]), complex(l[0])

@@ -35,8 +35,6 @@ raises NumericalFault where a residual is not finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericalFault
@@ -50,21 +48,6 @@ from .spectral import _fault_where, _power_table, require_admissible, wave_pair_
 
 # Relative disagreement of the two 1/T fits that flags a fault.
 MISMATCH_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class ScatteringData:
-    """Scattering coefficients of one sequence at one circle point."""
-
-    z: complex
-    T: complex
-    R: complex
-    L: complex
-
-    @property
-    def unitarity(self) -> float:
-        """|T|^2 + |R|^2, equal to 1 on the circle."""
-        return abs(self.T) ** 2 + abs(self.R) ** 2
 
 
 def _fit_exponents(window: IndexWindow) -> list[int]:
@@ -242,15 +225,11 @@ def scattering_values(
 
 def extract_scattering(
     seq: CoefficientSequence, z: complex, at_inverse: bool = False
-) -> ScatteringData:
-    """Scattering coefficients of one sequence at one circle point.
-
-    With at_inverse the data belongs to 1/z; the stored point is the
-    conjugate, the exact float label for the inverse of a circle point.
-    """
+) -> tuple[complex, complex, complex]:
+    """(T, R, L) at one circle point z, or at 1/z with at_inverse: the
+    entries of scattering_values at [z]."""
     t, r, l = scattering_values(seq, np.asarray([z], dtype=complex), at_inverse)
-    label = complex(np.conj(z)) if at_inverse else complex(z)
-    return ScatteringData(label, complex(t[0]), complex(r[0]), complex(l[0]))
+    return complex(t[0]), complex(r[0]), complex(l[0])
 
 
 def _grid_maxima(rows: dict[str, np.ndarray], zs: np.ndarray) -> dict[str, float]:

@@ -44,12 +44,6 @@ class SpectralPoint:
         return math.atan2(self.z.imag, self.z.real)
 
 
-@dataclass(frozen=True)
-class BandEdges:
-    lambda_min: float
-    lambda_max: float
-
-
 @dataclass(frozen=True, eq=False)
 class CircleGrid:
     """Ordered circle sample avoiding the degenerate points.
@@ -200,11 +194,12 @@ def _band_images(limits: Limits, zs: list[complex]) -> list[float]:
     return images
 
 
-def band_edges(limits: Limits) -> BandEdges:
-    """Endpoints of the continuous band of the limiting lattice."""
+def band_edges(limits: Limits) -> tuple[float, float]:
+    """(lambda_min, lambda_max), the endpoints of the continuous band of
+    the limiting lattice."""
     half_width = 2.0 * abs(limits.a_inf) / limits.w_inf
     center = limits.b_inf / limits.w_inf
-    return BandEdges(center - half_width, center + half_width)
+    return center - half_width, center + half_width
 
 
 def z_from_lambda(limits: Limits, lam: float) -> complex:
@@ -216,10 +211,8 @@ def z_from_lambda(limits: Limits, lam: float) -> complex:
     s = (lam * limits.w_inf - limits.b_inf) / limits.a_inf
     # a NaN compares False with any bound, so it must fail the check too
     if not abs(s) <= 2.0 + 1e-12:
-        edges = band_edges(limits)
-        raise SpectralDomainError(
-            f"lam = {lam} outside the band [{edges.lambda_min}, {edges.lambda_max}]"
-        )
+        lam_min, lam_max = band_edges(limits)
+        raise SpectralDomainError(f"lam = {lam} outside the band [{lam_min}, {lam_max}]")
     half = min(max(s / 2.0, -1.0), 1.0)
     imag = math.sqrt(max(0.0, 1.0 - half * half))
     if limits.a_inf > 0:

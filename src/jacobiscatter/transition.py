@@ -29,12 +29,12 @@ behind it at each breakpoint taken as a single junction:
 Each relation has one kernel, over a grid, and each report row is one
 residual per grid point, which scattering._grid_maxima alone reduces to
 the maximum a report prints, raising NumericalFault, naming the row and
-theta, where a residual is not finite.  The one-point functions call the
-same kernels on a grid of one point: transition_for is the block of
-transition_entries at [z], as a read-only 2x2 array, and its determinant
-gap is determinant_residuals at [z]; factorization_check is the
-factorization kernel at [z]; a single z's junction identities are the
-sweep over [z].
+theta, where a residual is not finite.  factorization_check is that
+guarded maximum of factorization_residuals, as a float.  A single circle
+point z is the grid [z]: transition_for is the block of
+transition_entries at [z], as a read-only 2x2 array, its determinant gap
+is determinant_residuals at [z], and z's factorization residual and
+junction identities are factorization_check and the sweep over [z].
 
 A single-junction fragment is the whole sequence on the side of its
 breakpoint that it keeps and the limits on the side it frees, so its
@@ -78,7 +78,6 @@ one row of grid points per site.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -92,29 +91,12 @@ from .spectral import _fault_where, _power_table, require_admissible
 _PAIRED = (False, True)
 
 
-@dataclass(frozen=True, eq=False)
-class FactorizationReport:
-    """Outcome of comparing a transition matrix with a fragment product."""
-
-    z: complex
-    whole: np.ndarray
-    product: np.ndarray
-    residual: float
-    fragment_count: int
-    tolerance: float
-    passed: bool
-
-
 def transition_for(seq: CoefficientSequence, z: complex) -> np.ndarray:
     """Transition matrix of a sequence at one circle point, a read-only
     complex 2x2 array: transition_entries(seq, [z])[0]."""
-    return _read_only(transition_entries(seq, [z])[0])
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    """arr, made read-only in place."""
-    arr.setflags(write=False)
-    return arr
+    lam = transition_entries(seq, [z])[0]
+    lam.setflags(write=False)
+    return lam
 
 
 def transition_entries(seq: CoefficientSequence, zs: np.ndarray) -> np.ndarray:
@@ -159,15 +141,6 @@ def _product_gap(whole: np.ndarray, product: np.ndarray) -> np.ndarray:
     return np.max(np.abs(product - whole), axis=(-2, -1))
 
 
-def _whole_and_product(
-    seq: CoefficientSequence, parts: list[CoefficientSequence], zs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The whole's transition entries and its parts' ordered product over the checked grid zs."""
-    # the whole and its parts from one sweep, fitted in that order
-    whole, *fits = _amplitude_blocks(seq, [seq, *parts], zs, _PAIRED)
-    return _entries(whole), _fragment_product(map(_entries, fits))
-
-
 def factorization_residuals(
     seq: CoefficientSequence,
     frag: Fragmentation,
@@ -184,35 +157,19 @@ def factorization_residuals(
         parts = fragment(seq, frag)
     elif not parts:
         raise ValueError("parts must hold at least one fragment")
-    return _product_gap(*_whole_and_product(seq, parts, require_admissible(zs)))
+    # the whole and its parts from one sweep, fitted in that order
+    whole, *fits = _amplitude_blocks(seq, [seq, *parts], require_admissible(zs), _PAIRED)
+    return _product_gap(_entries(whole), _fragment_product(map(_entries, fits)))
 
 
-def factorization_check(
-    seq: CoefficientSequence,
-    frag: Fragmentation,
-    z: complex,
-    tol: float = 1e-10,
-) -> FactorizationReport:
-    """Compare the transition matrix with its ordered fragment product.
+def factorization_check(seq: CoefficientSequence, frag: Fragmentation, zs: np.ndarray) -> float:
+    """The largest factorization residual over the circle points zs.
 
-    Raises NumericalFault where the residual is not finite.
+    Raises NumericalFault, naming theta, where a residual is not finite.
     """
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
-    z = complex(z)
-    parts = fragment(seq, frag)
-    zs = require_admissible(z)
-    whole, product = _whole_and_product(seq, parts, zs)
-    (residual,) = _grid_maxima({"factorization": _product_gap(whole, product)}, zs).values()
-    return FactorizationReport(
-        z=z,
-        whole=_read_only(whole[0]),
-        product=product[0],
-        residual=residual,
-        fragment_count=len(parts),
-        tolerance=float(tol),
-        passed=residual <= tol,
-    )
+    zs = require_admissible(zs)
+    residuals = factorization_residuals(seq, frag, zs)
+    return _grid_maxima({"factorization": residuals}, zs)["factorization"]
 
 
 def _junction_slabs(frag: Fragmentation) -> list[tuple[float, float]]:

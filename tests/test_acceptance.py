@@ -97,11 +97,10 @@ def test_criterion_2_single_impurity_closed_form():
     )
 
     seq = single_site_sequence()
-    sd = extract_scattering(seq, z)
-    oracle = transfer_matrix_scattering(seq, z)
     worst = max(
-        abs(sd.T - t_hand), abs(sd.L - l_hand), abs(sd.R - r_hand),
-        abs(oracle.T - t_hand), abs(oracle.L - l_hand), abs(oracle.R - r_hand),
+        abs(value - hand)
+        for route in (extract_scattering(seq, z), transfer_matrix_scattering(seq, z))
+        for value, hand in zip(route, (t_hand, r_hand, l_hand))
     )
     ok = hand_ok and worst <= 1e-10
     _line(2, "single-site closed form at z=i", ok,

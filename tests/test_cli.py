@@ -311,6 +311,20 @@ def test_zero_grid_exits_two(tmp_path, single_site_file):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--grid", "0"], "grid count must be at least 1, got 0"),
+    (["--delta", "0"], "exclusion delta must lie in (0, 1), got 0.0"),
+    # sample_circle admits deltas up to sqrt(2); the CLI keeps to (0, 1)
+    (["--delta", "1"], "exclusion delta must lie in (0, 1), got 1.0"),
+    # the checks run in the order grid, delta, tolerance
+    (["--grid", "0", "--tol", "nan"], "grid count must be at least 1, got 0"),
+])
+@pytest.mark.parametrize("command", ["scatter", "factorize", "identities"])
+def test_grid_and_delta_out_of_range_exit_two(single_site_file, command, flags, message):
+    argv = [command, "--input", single_site_file, "--breakpoints", "0", *flags]
+    assert run_in_process(argv) == (2, "", f"input error: {message}\n")
+
+
 def test_grid_too_large_for_memory_exits_two(tmp_path):
     """numpy refuses the grid's 7 PiB of points before allocating any of
     it; that is input too large, one line on stderr, not a traceback."""

@@ -27,6 +27,7 @@ from jacobiscatter import (
     factorization_residuals,
     identity_sweep,
     junction_residual_sweep,
+    sample_circle,
 )
 from jacobiscatter import cli, jost, scattering, transition
 from jacobiscatter.errors import NumericalFault
@@ -269,7 +270,7 @@ def test_identities_rows_equal_the_separate_calls(tmp_path, random_fixtures):
         path.write_text(json.dumps(spec))
         argv = ["identities", "--input", str(path), "--grid", "64"]
         rows = report(argv + ["--breakpoints=" + ",".join(map(str, points))])
-        zs = cli._grid_for(seq, cli.RunConfig(str(path), grid_count=64)).zs
+        zs = sample_circle(seq.limits, 64, 1e-3).zs
         frag = Fragmentation(points)
         expected = {
             "transition_determinant": float(np.max(determinant_residuals(seq, zs))),
@@ -473,8 +474,7 @@ def test_junction_rows_equal_the_paired_fragment_recursions(tmp_path, random_fix
     delta = "0.261" if count < 64 else "0.001"
     for seq in seqs:
         write_sequence(path, seq)
-        config = cli.RunConfig(str(path), grid_count=count, exclusion_delta=float(delta))
-        zs = cli._grid_for(seq, config).zs
+        zs = sample_circle(seq.limits, count, float(delta)).zs
         plain = _coefficients(*reference_blocks(seq, zs, (False,))[0])
         paired = _coefficients(*reference_blocks(seq, zs, (False, True))[0])
         for points in junction_cases(seq):
@@ -714,7 +714,7 @@ def test_reports_on_windows_of_many_blocks_equal_the_references(tmp_path):
     assert (n_max - n_min + 5) > 16 * jost._BLOCK_SITES
     path = tmp_path / "seq.json"
     write_sequence(path, seq)
-    zs = cli._grid_for(seq, cli.RunConfig(str(path), grid_count=64)).zs
+    zs = sample_circle(seq.limits, 64, 1e-3).zs
     identities = reference_identity_sweep(seq, zs)
     assert identity_sweep(seq, zs) == identities
     plain = _coefficients(*reference_blocks(seq, zs, (False,))[0])

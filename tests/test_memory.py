@@ -13,7 +13,9 @@ import tracemalloc
 
 import numpy as np
 
-from jacobiscatter import Fragmentation, cli, junction_residual_sweep, wronskian_values
+from jacobiscatter import (
+    Fragmentation, cli, junction_residual_sweep, sample_circle, wronskian_values,
+)
 from jacobiscatter.transition import _identities_report
 from test_kernel_reference import damped_window
 
@@ -42,7 +44,7 @@ def test_report_on_a_long_window_holds_one_array_of_its_sites():
     the solution range's 2,004 sites by 64 points, 2.05 MB, where the
     report held every solution over the whole range, 6.8 of them."""
     seq = damped_window(0, 2000, seed=7)
-    zs = cli._grid_for(seq, cli.RunConfig("", grid_count=POINTS)).zs
+    zs = sample_circle(seq.limits, POINTS, 1e-3).zs
     frag = Fragmentation((500, 1000, 1500))
     sites = seq.window.n_max - seq.window.n_min + 5
     one_array = np.empty((sites, POINTS), dtype=complex).nbytes
@@ -55,7 +57,7 @@ def test_pairing_route_holds_no_solution_array():
     solution range by 64 points, 2.05 MB, where four whole solutions took
     4.5 of them."""
     seq = damped_window(0, 2000, seed=7)
-    zs = cli._grid_for(seq, cli.RunConfig("", grid_count=POINTS)).zs
+    zs = sample_circle(seq.limits, POINTS, 1e-3).zs
     sites = seq.window.n_max - seq.window.n_min + 5
     one_array = np.empty((sites, POINTS), dtype=complex).nbytes
     assert traced_peak(lambda: wronskian_values(seq, zs)) < one_array
@@ -68,7 +70,7 @@ def test_junction_sweep_holds_no_solution_array():
     third of that, warm or cold; reading the whole's rows from one
     identity sweep over every site took 1.3 of them."""
     seq = damped_window(0, 2000, seed=7)
-    zs = cli._grid_for(seq, cli.RunConfig("", grid_count=POINTS)).zs
+    zs = sample_circle(seq.limits, POINTS, 1e-3).zs
     frag = Fragmentation((500, 1000, 1500))
     sites = seq.window.n_max - seq.window.n_min + 5
     one_array = np.empty((sites, POINTS), dtype=complex).nbytes

@@ -5,11 +5,14 @@ pairing path were coded against the recursion independently, so three-way
 agreement is the strongest internal evidence the suite has.
 """
 
+import ast
 import cmath
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jacobiscatter.oracle
 from jacobiscatter import (
     NumericalFault,
     coefficient_at,
@@ -77,31 +80,31 @@ def test_step_determinants_telescope(mixed_seq):
 
 
 def test_free_transfer_route_is_trivial(free_seq):
-    sd = transfer_matrix_scattering(free_seq, cmath.exp(1.1j))
-    assert abs(sd.T - 1.0) <= 1e-13
-    assert abs(sd.R) <= 1e-13 and abs(sd.L) <= 1e-13
+    t, r, l = transfer_matrix_scattering(free_seq, cmath.exp(1.1j))
+    assert abs(t - 1.0) <= 1e-13
+    assert abs(r) <= 1e-13 and abs(l) <= 1e-13
 
 
 def test_free_pairing_route_is_trivial(free_seq):
-    sd = wronskian_scattering(free_seq, cmath.exp(-0.4j))
-    assert abs(sd.T - 1.0) <= 1e-13
-    assert abs(sd.R) <= 1e-13 and abs(sd.L) <= 1e-13
+    t, r, l = wronskian_scattering(free_seq, cmath.exp(-0.4j))
+    assert abs(t - 1.0) <= 1e-13
+    assert abs(r) <= 1e-13 and abs(l) <= 1e-13
 
 
 def test_transfer_route_confirms_single_site_closed_form():
     seq = single_site_sequence()
-    sd = transfer_matrix_scattering(seq, 1j)
+    t, r, _ = transfer_matrix_scattering(seq, 1j)
     want = (4 + 1j) / 4.25
-    assert abs(sd.T - want) <= 1e-12
-    assert abs(sd.R - 0.25j * want) <= 1e-12
+    assert abs(t - want) <= 1e-12
+    assert abs(r - 0.25j * want) <= 1e-12
 
 
 def test_pairing_route_confirms_single_site_closed_form():
     seq = single_site_sequence()
-    sd = wronskian_scattering(seq, 1j)
+    t, _, l = wronskian_scattering(seq, 1j)
     want = (4 + 1j) / 4.25
-    assert abs(sd.T - want) <= 1e-12
-    assert abs(sd.L - 0.25j * want) <= 1e-12
+    assert abs(t - want) <= 1e-12
+    assert abs(l - 0.25j * want) <= 1e-12
 
 
 def test_three_routes_agree_pointwise(mixed_seq, two_impurity_seq, coupling_step_seq):
@@ -112,9 +115,8 @@ def test_three_routes_agree_pointwise(mixed_seq, two_impurity_seq, coupling_step
             transfer = transfer_matrix_scattering(seq, z)
             pairing = wronskian_scattering(seq, z)
             for first, second in ((main, transfer), (main, pairing), (transfer, pairing)):
-                assert abs(first.T - second.T) <= 1e-10
-                assert abs(first.R - second.R) <= 1e-10
-                assert abs(first.L - second.L) <= 1e-10
+                for value, other in zip(first, second):
+                    assert abs(value - other) <= 1e-10
 
 
 def test_three_routes_agree_on_grids(mixed_seq):
@@ -165,3 +167,17 @@ def test_pairing_route_equals_the_four_solution_formula(random_fixtures):
         zs = default_grid(seq, count=64).zs
         for got, want in zip(wronskian_values(seq, zs), four_solution_pairings(seq, zs)):
             assert got.tobytes() == want.tobytes()
+
+
+def test_oracle_imports_nothing_from_the_modules_it_checks():
+    """The two routes share no code with the extraction and the transition
+    matrices they cross-check: no import from scattering or transition."""
+    tree = ast.parse(Path(jacobiscatter.oracle.__file__).read_text(encoding="utf-8"))
+    sources = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module is None:  # from . import name
+                sources.update(alias.name for alias in node.names)
+            else:
+                sources.add(node.module.rsplit(".", 1)[-1])
+    assert sources and not sources & {"scattering", "transition"}, sources

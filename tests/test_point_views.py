@@ -4,6 +4,8 @@ extract_scattering, transition_for, factorization_check and jost_left
 run the grid kernels on the one-point grid [z].  Each must give the bits
 of the matching grid function called on [z], and the bits of z's column
 of a wider grid: a point's bits do not depend on the grid it sits in.
+factorization_check over a grid is the maximum of the grid's residuals,
+and faults as the grid kernel does.
 The Wronskian row of identity_sweep at [z] is the drift of the pairing
 of z's jost_values rows, to the bit.
 
@@ -21,6 +23,7 @@ import pytest
 
 from jacobiscatter import (
     Fragmentation,
+    NumericalFault,
     coefficient_arrays,
     extract_scattering,
     factorization_check,
@@ -28,11 +31,14 @@ from jacobiscatter import (
     identity_sweep,
     jost_left,
     jost_values,
+    sample_circle,
     scattering_values,
     transition_entries,
     transition_for,
 )
-from conftest import default_grid, hand_fixtures, random_breakpoints, random_sequence
+from conftest import (
+    default_grid, hand_fixtures, make_sequence, random_breakpoints, random_sequence,
+)
 
 
 def bits(*values):
@@ -62,8 +68,8 @@ def test_extract_scattering_is_a_one_point_grid():
             for at_inverse in (False, True):
                 t, r, l = scattering_values(seq, zs, at_inverse)
                 for i, z in enumerate(zs.tolist()):
-                    sd = extract_scattering(seq, z, at_inverse)
-                    assert bits(sd.T, sd.R, sd.L) == bits(t[i], r[i], l[i]), (z, at_inverse)
+                    got = extract_scattering(seq, z, at_inverse)
+                    assert bits(*got) == bits(t[i], r[i], l[i]), (z, at_inverse)
 
 
 def assert_read_only_2x2(arr):
@@ -86,13 +92,31 @@ def test_factorization_check_is_a_one_point_grid():
     for seq, frag in fixtures():
         for zs in grids(seq):
             residuals = factorization_residuals(seq, frag, zs)
-            entries = transition_entries(seq, zs)
             for i, z in enumerate(zs.tolist()):
-                report = factorization_check(seq, frag, z)
-                assert bits(report.residual) == bits(residuals[i]), (z, frag)
-                assert report.fragment_count == len(frag.breakpoints) + 1
-                assert_read_only_2x2(report.whole)
-                assert report.whole.tobytes() == entries[i].tobytes(), (z, frag)
+                residual = factorization_check(seq, frag, z)
+                assert bits(residual) == bits(residuals[i]), (z, frag)
+
+
+def test_factorization_check_is_the_grid_maximum():
+    for seq, frag in fixtures():
+        zs = default_grid(seq, count=64).zs
+        residual = factorization_check(seq, frag, zs)
+        assert type(residual) is float
+        assert bits(residual) == bits(float(np.max(factorization_residuals(seq, frag, zs)))), frag
+
+
+def test_factorization_check_faults_as_the_grid_kernel():
+    """The 520-site b = -3 barrier overflows at theta = +-0.45 on a few
+    points: the check raises the fault the grid kernel raises."""
+    seq = make_sequence(0, [1.0] * 520, [-3.0] * 520, [1.0] * 520)
+    frag = Fragmentation((260,))
+    for count in (7, 9, 16):
+        zs = sample_circle(seq.limits, count, 1e-3).zs
+        with pytest.raises(NumericalFault) as want:
+            factorization_residuals(seq, frag, zs)
+        with pytest.raises(NumericalFault) as got:
+            factorization_check(seq, frag, zs)
+        assert str(got.value) == str(want.value), count
 
 
 def test_jost_left_is_a_one_point_grid():

@@ -17,11 +17,11 @@ def test_readme_example_prints_its_documented_values():
     with contextlib.redirect_stdout(out):
         exec(compile(block, "README.md", "exec"), {})
     printed = out.getvalue().splitlines()
-    # the comments on the sd.T and sd.unitarity lines end with the value
+    # the comments on the print(t) and print(abs(t) ... lines end with the value
     documented = [
         line.split("#")[1].split()[-1]
         for line in block.splitlines()
-        if line.startswith(("print(sd.T)", "print(sd.unitarity)"))
+        if line.startswith(("print(t)", "print(abs(t)"))
     ]
     assert documented == ["(0.9411764705882353+0.23529411764705882j)", "1.0"]
     assert printed[:2] == documented

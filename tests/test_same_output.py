@@ -38,9 +38,8 @@ def test_changed_output_is_named(tmp_path):
     edits = {
         "cli.py": [
             ('_FIELD_FORMAT = "%.17g"', '_FIELD_FORMAT = "%.16g"'),
-            ("    seq = _load_sequence(config.input_path)\n    grid = _grid_for(seq, config)\n",
-             "    seq = _load_sequence(config.input_path)\n    grid = _grid_for(seq, config)\n"
-             "    print('note', file=sys.stderr)\n"),
+            ("    zs = _pair_half(grid)\n",
+             "    zs = _pair_half(grid)\n    print('note', file=sys.stderr)\n"),
         ],
         "transition.py": [("    return np.abs(det - 1.0)\n", "    return np.abs(det - 1.0) + 1.0\n")],
     }

@@ -41,16 +41,11 @@ def test_lambda_from_z_rejects_off_circle():
             lambda_from_z(UNIT_LIMITS, z)
 
 
-def _edges(limits):
-    e = band_edges(limits)
-    return e.lambda_min, e.lambda_max
-
-
 def test_band_edges_values():
-    assert _edges(UNIT_LIMITS) == pytest.approx((-2.0, 2.0))
-    assert _edges(Limits(2.0, 1.0, 2.0)) == pytest.approx((-1.5, 2.5))
+    assert band_edges(UNIT_LIMITS) == pytest.approx((-2.0, 2.0))
+    assert band_edges(Limits(2.0, 1.0, 2.0)) == pytest.approx((-1.5, 2.5))
     # |a_inf| enters, not a_inf itself
-    assert _edges(Limits(-3.0, 0.0, 1.0)) == pytest.approx((-6.0, 6.0))
+    assert band_edges(Limits(-3.0, 0.0, 1.0)) == pytest.approx((-6.0, 6.0))
 
 
 def test_z_from_lambda_edge_maps_to_one():
@@ -87,10 +82,10 @@ def test_round_trip_other_half():
 
 def test_grid_lambdas_stay_in_band():
     limits = Limits(1.7, 0.3, 1.2)
-    edges = band_edges(limits)
+    lam_min, lam_max = band_edges(limits)
     grid = sample_circle(limits, 64, 1e-3)
-    assert np.all(grid.lams >= edges.lambda_min - 1e-12)
-    assert np.all(grid.lams <= edges.lambda_max + 1e-12)
+    assert np.all(grid.lams >= lam_min - 1e-12)
+    assert np.all(grid.lams <= lam_max + 1e-12)
 
 
 def _exact_pair_det(z):
