@@ -46,7 +46,6 @@ from .scattering import (
 )
 from .spectral import (
     CircleGrid,
-    SpectralPoint,
     band_edges,
     lambda_from_z,
     require_admissible,
@@ -75,7 +74,6 @@ __all__ = [
     "Limits",
     "NumericalFault",
     "SpectralDomainError",
-    "SpectralPoint",
     "band_edges",
     "coefficient_arrays",
     "coefficient_at",

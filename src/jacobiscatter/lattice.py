@@ -100,9 +100,6 @@ class IndexWindow:
     def indices(self) -> np.ndarray:
         return np.arange(self.n_min, self.n_max + 1)
 
-    def contains(self, n: int) -> bool:
-        return self.n_min <= n <= self.n_max
-
 
 def _holds_non_number(values) -> bool:
     """Whether values, an array or a list of entries, holds a str or a bool."""
@@ -216,16 +213,10 @@ def validate_sequence(spec: Mapping) -> CoefficientSequence:
 
 
 def coefficient_at(seq: CoefficientSequence, n: int) -> tuple[float, float, float]:
-    """Return (a(n), b(n), w(n)), falling back to the limits off-window."""
-    if seq.window.contains(n):
-        k = n - seq.window.n_min
-        return (
-            float(seq.a_values[k]),
-            float(seq.b_values[k]),
-            float(seq.w_values[k]),
-        )
-    lim = seq.limits
-    return (lim.a_inf, lim.b_inf, lim.w_inf)
+    """(a(n), b(n), w(n)) as floats: entry 0 of coefficient_arrays(seq, n, n),
+    so the limits off the window."""
+    a, b, w = coefficient_arrays(seq, n, n)
+    return float(a[0]), float(b[0]), float(w[0])
 
 
 def coefficient_arrays(

@@ -14,8 +14,9 @@ amplitudes, and
 
     1/T = A[1, 1],   R/T = A[0, 1],   L/T = -A[1, 0].
 
-This route never builds a normalized solution, so apart from coefficient
-lookup it shares nothing with the recursion used by the extraction.
+This route never builds a normalized solution, so apart from one
+coefficient_arrays table over its sites it shares nothing with the
+recursion used by the extraction.
 
 Wronskian route: with the pairing [f; g](n) = a(n+1) (f(n) g(n+1)
 - f(n+1) g(n)), constant in n, substituting the exact tail expansions
@@ -34,15 +35,14 @@ from __future__ import annotations
 import numpy as np
 
 from .jost import _pairing, _recurse, _rows_at, solution_range
-from .lattice import CoefficientSequence, coefficient_at
+from .lattice import CoefficientSequence, coefficient_arrays
 from .spectral import _fault_where, _power_table, require_admissible, wave_pair_det
 
 
-def _step_entries(seq, z, n):
-    a_n, b_n, w_n = coefficient_at(seq, n)
-    a_next = coefficient_at(seq, n + 1)[0]
-    lim = seq.limits
-    drive = (w_n / lim.w_inf) * (lim.a_inf * (z + 1.0 / z) + lim.b_inf)
+def _step_entries(base, w_inf, a_n, b_n, w_n, a_next):
+    """The top row of the one-site update at a site with coefficients a_n,
+    b_n and w_n and coupling a_next above it; base is a_inf (z + 1/z) + b_inf."""
+    drive = (w_n / w_inf) * base
     return (drive - b_n) / a_next, -a_n / a_next
 
 
@@ -53,7 +53,11 @@ def step_matrix(seq: CoefficientSequence, z: complex, site: int) -> np.ndarray:
     (f(site + 1), f(site)); its determinant is a(site)/a(site + 1).
     """
     require_admissible(z)
-    top_left, top_right = _step_entries(seq, complex(z), site)
+    z = complex(z)
+    lim = seq.limits
+    a, b, w = (values.tolist() for values in coefficient_arrays(seq, site, site + 1))
+    base = lim.a_inf * (z + 1.0 / z) + lim.b_inf
+    top_left, top_right = _step_entries(base, lim.w_inf, a[0], b[0], w[0], a[1])
     step = np.array([[top_left, top_right], [1.0, 0.0]], dtype=complex)
     step.setflags(write=False)
     return step
@@ -68,13 +72,17 @@ def transfer_amplitude_map(seq: CoefficientSequence, zs: np.ndarray) -> np.ndarr
     because the coupling at both ends of that span sits at its limit.
     """
     zs = require_admissible(zs)
+    lim = seq.limits
     n_min, n_max = seq.window.n_min, seq.window.n_max
+    # sites n_min - 1 through n_max + 2: each step reads its site and the next
+    a, b, w = (values.tolist() for values in coefficient_arrays(seq, n_min - 1, n_max + 2))
+    base = lim.a_inf * (zs + 1.0 / zs) + lim.b_inf
     p00 = np.ones_like(zs)
     p01 = np.zeros_like(zs)
     p10 = np.zeros_like(zs)
     p11 = np.ones_like(zs)
-    for n in range(n_min - 1, n_max + 2):
-        m00, m01 = _step_entries(seq, zs, n)
+    for a_n, b_n, w_n, a_next in zip(a, b, w, a[1:]):
+        m00, m01 = _step_entries(base, lim.w_inf, a_n, b_n, w_n, a_next)
         q00 = m00 * p00 + m01 * p10
         q01 = m00 * p01 + m01 * p11
         p00, p01, p10, p11 = q00, q01, p00, p01

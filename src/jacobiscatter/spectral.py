@@ -29,21 +29,6 @@ DEGENERATE_FLOOR = 1e-8
 FAST_POWER_LIMIT = 100
 
 
-@dataclass(frozen=True)
-class SpectralPoint:
-    """A circle point z paired with its band image lam."""
-
-    z: complex
-    lam: float
-
-    def __post_init__(self):
-        require_on_circle(self.z)
-
-    @property
-    def theta(self) -> float:
-        return math.atan2(self.z.imag, self.z.real)
-
-
 @dataclass(frozen=True, eq=False)
 class CircleGrid:
     """Ordered circle sample avoiding the degenerate points.
@@ -51,10 +36,10 @@ class CircleGrid:
     The grid is held as one read-only array of circle points.  A grid from
     sample_circle holds every point but its first and theta_lo with its
     exact conjugate (see _pair_half); thetas gives the two the negated
-    angles.  The angles, band images and SpectralPoint objects are built
-    point by point, only when asked for, with the scalar math.atan2 and
-    band formula whose bits the vectorized versions do not reproduce;
-    code that reads only zs never pays for them.
+    angles.  The angles and band images are built point by point, only
+    when asked for, with the scalar math.atan2 and band formula whose
+    bits the vectorized versions do not reproduce; code that reads only
+    zs never pays for them.
     """
 
     zs: np.ndarray
@@ -67,14 +52,6 @@ class CircleGrid:
 
     def __len__(self) -> int:
         return self.zs.size
-
-    def __iter__(self):
-        return iter(self.points)
-
-    @property
-    def points(self) -> tuple[SpectralPoint, ...]:
-        zs = self.zs.tolist()
-        return tuple(map(SpectralPoint, zs, _band_images(self.limits, zs)))
 
     @property
     def thetas(self) -> np.ndarray:

@@ -3,7 +3,8 @@
 The tests run it at a twentieth of the bench's window sizes and one
 timed pass: the tree against itself must match on every op and print
 each workload's times and ratios, overall and per subcommand, each
-subcommand's change/base ratio followed by its own A/A ratio, on the
+subcommand's change/base ratio followed by its own A/A ratio, and the
+paired per-op change/base ratio followed by its A/A ratio, on the
 default workloads and on the opt-in many-breakpoints one, with that
 one's traced peaks, and against a copy whose table format was changed
 it must name the ops that differ.  python -B keeps the tool from
@@ -36,6 +37,12 @@ def test_tree_against_itself_matches_and_prints_every_ratio():
     for prefix in ("  median pass: change ", "  change/base: median ",
                    "  control/base (A/A): median "):
         assert sum(line.startswith(prefix) for line in lines) == len(WORKLOADS), prefix
+    # each workload's paired per-op ratio, change/base then its A/A control
+    prefix = "  per-op change/base: geometric mean "
+    after = [following for line, following in zip(lines, lines[1:]) if line.startswith(prefix)]
+    assert len(after) == len(WORKLOADS)
+    assert all(re.fullmatch(r"  per-op control/base \(A/A\): geometric mean [\d.]+", line)
+               for line in after), after
     # each workload's subcommands: scatter runs in all three, factorize and
     # identities in fragment-checks and small-batch
     for command, count in (("scatter", 3), ("factorize", 2), ("identities", 2)):

@@ -3,8 +3,8 @@
 A grid is the checked 1-d array require_admissible returns: every grid
 function checks its grid once, on entry, and every recursion and tail
 fit over it reads its powers from spectral._power_table.  A
-sample_circle grid keeps only its points as an array and builds angles,
-band images and SpectralPoint objects on demand.  Both are
+sample_circle grid keeps only its points as an array and builds angles
+and band images on demand.  Both are
 reorganizations, so these tests hold them to the bit against the
 computation each value used to have, kept below as references.  The
 band image's imaginary-part check is scaled by the image's terms, so
@@ -278,9 +278,9 @@ def test_a_fault_names_the_first_theta_in_the_callers_order():
 
 
 def reference_grid(limits, count, exclusion_delta):
-    """sample_circle as a list of SpectralPoints built point by point: point 0
-    and the upper half on the walk, each other lower point the conjugate
-    of its upper partner."""
+    """sample_circle as a list of (z, theta, lam) built point by point:
+    point 0 and the upper half on the walk, each other lower point the
+    conjugate of its upper partner."""
     theta_lo = 2.0 * math.asin(min(exclusion_delta, 2.0) / 2.0)
     arc = math.pi - 2.0 * theta_lo
     step = 2.0 * arc / count
@@ -297,7 +297,7 @@ def reference_grid(limits, count, exclusion_delta):
     points = []
     for z in zs:
         lam = (limits.a_inf * (z + 1.0 / z) + limits.b_inf) / limits.w_inf
-        points.append(spectral.SpectralPoint(z, float(lam.real)))
+        points.append((z, math.atan2(z.imag, z.real), float(lam.real)))
     return points
 
 
@@ -316,33 +316,26 @@ def test_grid_fields_equal_the_point_by_point_construction():
         grid = sample_circle(limits, count, delta)
         points = reference_grid(limits, count, delta)
         assert len(grid) == count
-        assert bits(grid.zs) == bits(np.array([p.z for p in points], dtype=complex))
-        assert bits(grid.thetas) == bits(np.array([p.theta for p in points]))
-        assert bits(grid.lams) == bits(np.array([p.lam for p in points]))
-        assert grid.points == tuple(points)
-        assert list(grid) == points
+        zs, thetas, lams = zip(*points)
+        assert bits(grid.zs) == bits(np.array(zs, dtype=complex))
+        assert bits(grid.thetas) == bits(np.array(thetas))
+        assert bits(grid.lams) == bits(np.array(lams))
         assert not grid.zs.flags.writeable
 
 
 @pytest.fixture
 def spectral_counts(monkeypatch):
-    """Counts SpectralPoint constructions and band-image evaluations,
-    through spectral's own name and the CLI's imported copy."""
-    counts = {"points": 0, "band_images": 0}
+    """Counts band-image evaluations, through spectral's own name and the
+    CLI's imported copy."""
+    counts = {"band_images": 0}
     band_images = spectral._band_images
-    post_init = spectral.SpectralPoint.__post_init__
 
     def counting_band_images(limits, zs):
         counts["band_images"] += len(zs)
         return band_images(limits, zs)
 
-    def counting_post_init(self):
-        counts["points"] += 1
-        post_init(self)
-
     monkeypatch.setattr(spectral, "_band_images", counting_band_images)
     monkeypatch.setattr(cli, "_band_images", counting_band_images)
-    monkeypatch.setattr(spectral.SpectralPoint, "__post_init__", counting_post_init)
     return counts
 
 
@@ -359,10 +352,10 @@ def test_only_scatter_pays_for_angles_and_band_images(tmp_path, spectral_counts)
     }))
     for command in ("factorize", "identities"):
         assert run_quietly([command, "--input", str(path), "--breakpoints=0"]) == 0
-    assert spectral_counts == {"points": 0, "band_images": 0}
+    assert spectral_counts == {"band_images": 0}
     # one point of each conjugate pair: the first 64 // 2 + 1
     assert run_quietly(["scatter", "--input", str(path), "--grid", "64"]) == 0
-    assert spectral_counts == {"points": 0, "band_images": 33}
+    assert spectral_counts == {"band_images": 33}
 
 
 def test_large_limits_build_a_grid():
@@ -374,7 +367,7 @@ def test_large_limits_build_a_grid():
     for limits in LARGE_LIMITS:
         grid = sample_circle(limits, 512, 1e-3)
         lams = grid.lams
-        assert len(grid.points) == 512
+        assert len(grid) == 512
         assert [lambda_from_z(limits, z) for z in grid.zs.tolist()] == lams.tolist()
         half_width = 2.0 * limits.a_inf / limits.w_inf
         assert np.all(np.abs(lams) <= half_width * (1.0 + 1e-12))

@@ -15,8 +15,8 @@ def closed_form_transmission(z):
 
 def test_free_sequence_does_not_scatter(free_seq):
     grid = default_grid(free_seq, count=64)
-    for point in grid:
-        t, r, l = extract_scattering(free_seq, point.z)
+    for z in grid.zs:
+        t, r, l = extract_scattering(free_seq, z)
         assert abs(t - 1.0) <= 1e-13
         assert abs(r) <= 1e-13
         assert abs(l) <= 1e-13

@@ -9,7 +9,6 @@ from jacobiscatter import (
     Limits,
     NumericalFault,
     SpectralDomainError,
-    SpectralPoint,
     band_edges,
     lambda_from_z,
     require_admissible,
@@ -227,7 +226,7 @@ def test_sample_circle_rejects_a_nan_delta():
 
 def test_spectral_point_rejects_nan():
     with pytest.raises(SpectralDomainError, match="not on the unit circle"):
-        SpectralPoint(complex(0.0, math.nan), 0.0)
+        lambda_from_z(UNIT_LIMITS, complex(0.0, math.nan))
 
 
 def test_grid_functions_reject_a_nan_point_on_entry():

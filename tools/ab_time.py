@@ -16,7 +16,11 @@ op on all three trees, one op after another, rotating which tree runs
 first from op to op and from pass to pass, so that the trees see the
 same host speed.  Printed per workload: each tree's median pass time;
 the ratios change/base and control/base of the passes, as median, min
-and max; the passes in which the change was faster than BASE; and, per
+and max; the passes in which the change was faster than BASE; the
+per-op ratios change/base and control/base, each the geometric mean
+over ops of the op's median ratio over the passes, which pairs every
+op's time with BASE's in the same pass and so spreads less than the
+pass ratios; and, per
 subcommand the workload runs, the change/base and control/base ratios
 of its ops' summed time in each pass, which show which subcommand a
 change moved and by how much that subcommand's passes spread alone.
@@ -38,6 +42,7 @@ import argparse
 import contextlib
 import importlib
 import io
+import math
 import os
 import shutil
 import statistics
@@ -107,6 +112,14 @@ def spread(values: list[float]) -> str:
     return f"median {statistics.median(values):.3f}, min {min(values):.3f}, max {max(values):.3f}"
 
 
+def per_op(op_times: list, tree: int) -> float:
+    """The geometric mean over ops of each op's median, over the passes,
+    of its time on tree over its time on BASE in the same pass."""
+    logs = [math.log(statistics.median(t / b for t, b in zip(times[tree], times[1])))
+            for times in op_times]
+    return math.exp(statistics.fmean(logs))
+
+
 def many_breakpoints(workloads, seed: int, directory: str, scale: float) -> list:
     """The ops of the many-breakpoints workload, their input written under directory."""
     os.makedirs(directory, exist_ok=True)
@@ -139,13 +152,17 @@ def compare(clis: list, args, work: str) -> int:
         commands = list(dict.fromkeys(op.command for op in ops))
         # per pass, each tree's summed op time per subcommand
         passes = []
+        # per op, each tree's time in each pass
+        op_times = [[[] for _ in clis] for _ in ops]
         for round_ in range(args.rounds):
             totals = [dict.fromkeys(commands, 0.0) for _ in clis]
             for i, (op, argv) in enumerate(zip(ops, argvs)):
                 first = (i + round_) % len(clis)
                 for k in range(len(clis)):
                     tree = (first + k) % len(clis)
-                    totals[tree][op.command] += run_op(clis[tree], argv)[0]
+                    elapsed = run_op(clis[tree], argv)[0]
+                    totals[tree][op.command] += elapsed
+                    op_times[i][tree].append(elapsed)
             passes.append(totals)
         change, base, control = ([sum(times.values()) for times in tree] for tree in zip(*passes))
         medians = ", ".join(f"{tree} {statistics.median(times):.3f} s"
@@ -155,6 +172,8 @@ def compare(clis: list, args, work: str) -> int:
         print(f"  change/base: {spread([c / b for c, b in zip(change, base)])}; "
               f"faster in {wins} of {len(passes)} passes")
         print(f"  control/base (A/A): {spread([c / b for c, b in zip(control, base)])}")
+        for label, tree in (("change/base", 0), ("control/base (A/A)", 2)):
+            print(f"  per-op {label}: geometric mean {per_op(op_times, tree):.3f}")
         for command in commands:
             # each tree's summed time of the command's ops over BASE's, per pass
             for label, tree in (("change/base", 0), ("control/base (A/A)", 2)):
