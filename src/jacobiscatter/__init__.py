@@ -10,15 +10,7 @@ results can be cross-checked rather than trusted.
 """
 
 from .errors import CoefficientError, NumericalFault, SpectralDomainError
-from .jost import (
-    conjugate_solution,
-    equation_residual,
-    jost_left,
-    jost_right,
-    jost_values,
-    solution_range,
-    wronskian,
-)
+from .jost import equation_residual, jost_values, solution_range
 from .lattice import (
     CoefficientSequence,
     CouplingSignWarning,
@@ -77,7 +69,6 @@ __all__ = [
     "band_edges",
     "coefficient_arrays",
     "coefficient_at",
-    "conjugate_solution",
     "determinant_residuals",
     "effective_support",
     "equation_residual",
@@ -86,8 +77,6 @@ __all__ = [
     "factorization_residuals",
     "fragment",
     "identity_sweep",
-    "jost_left",
-    "jost_right",
     "jost_values",
     "junction_residual_sweep",
     "lambda_from_z",
@@ -103,7 +92,6 @@ __all__ = [
     "transition_for",
     "validate_sequence",
     "wave_pair_det",
-    "wronskian",
     "wronskian_scattering",
     "wronskian_values",
     "z_from_lambda",

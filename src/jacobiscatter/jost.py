@@ -14,6 +14,12 @@ are seeded with those exact plane-wave values on the outer sites and
 propagated through the window by the recursion itself, which on the unit
 circle has no decaying companion solution to lose accuracy to.
 
+A solution is a plain array: jost_values(seq, zs, side) returns (values,
+lo), with values[i, k] the solution at zs[i] and site lo + k, and with
+at_inverse=True the companion, the same normalization at 1/z.  A single
+z is the grid [z].  equation_residual(seq, zs, side) is the defect of
+those values in the difference equation, one figure per point of zs.
+
 jost_values produces solutions on an index range two sites wider than
 the window on each side, so that downstream tail fits read only sites
 where the tail form is exact.  The junction checks recurse only the
@@ -89,37 +95,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .lattice import CoefficientSequence, IndexWindow, Limits, coefficient_arrays
-from .spectral import _power_table, require_admissible
-
-
-@dataclass(frozen=True, eq=False)
-class LatticeSolution:
-    """Solution values on the contiguous index range [lo, lo + len - 1]."""
-
-    values: np.ndarray
-    lo: int
-    z: complex
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex).copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "z", complex(self.z))
-
-    @property
-    def hi(self) -> int:
-        return self.lo + self.values.size - 1
-
-    def at(self, n: int) -> complex:
-        if not self.lo <= n <= self.hi:
-            raise IndexError(f"site {n} outside solution range [{self.lo}, {self.hi}]")
-        return complex(self.values[n - self.lo])
+from .spectral import _fault_where, _power_table, require_admissible
 
 
 def solution_range(seq: CoefficientSequence) -> tuple[int, int]:
@@ -157,9 +138,15 @@ def jost_values(
     error; relations that pair values at z and 1/z amplify exactly that
     error near z = +1, -1, and this mode is what keeps them clean.
     """
+    return _solve(seq, require_admissible(zs), side, at_inverse)
+
+
+def _solve(
+    seq: CoefficientSequence, zs: np.ndarray, side: str, at_inverse: bool = False
+) -> tuple[np.ndarray, int]:
+    """jost_values on the checked grid zs."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    zs = require_admissible(zs)
     lo, hi = solution_range(seq)
     ((_, rows),) = _recurse(seq, lo, hi, ((zs, at_inverse),), side, block=hi - lo + 1)
     return rows.T, lo
@@ -601,43 +588,6 @@ def _fit_sweep(
     return stacks
 
 
-def jost_left(seq: CoefficientSequence, z: complex) -> LatticeSolution:
-    """Solution normalized to z^n at +infinity."""
-    vals, lo = jost_values(seq, z, "left")
-    return LatticeSolution(vals[0], lo, z)
-
-
-def jost_right(seq: CoefficientSequence, z: complex) -> LatticeSolution:
-    """Solution normalized to z^{-n} at -infinity."""
-    vals, lo = jost_values(seq, z, "right")
-    return LatticeSolution(vals[0], lo, z)
-
-
-def conjugate_solution(seq: CoefficientSequence, z: complex, side: str) -> LatticeSolution:
-    """Companion solution, the same normalization taken at the inverse point.
-
-    Computed through the at_inverse mode of jost_values, so solution and
-    companion share one floating-point base point; the junction fits and
-    Wronskian pairings downstream need exactly that.  On the circle the
-    companion coincides with the entrywise complex conjugate of the plain
-    solution.  That coincidence stays a checkable statement because the
-    conjugation checks evaluate at an independently rounded reciprocal
-    rather than through this function.
-    """
-    vals, lo = jost_values(seq, complex(z), side, at_inverse=True)
-    return LatticeSolution(vals[0], lo, z)
-
-
-def wronskian(
-    seq: CoefficientSequence, phi: LatticeSolution, zeta: LatticeSolution, n: int
-) -> complex:
-    """a(n+1) (phi(n) zeta(n+1) - phi(n+1) zeta(n)), constant across n: _pairing
-    on the site pair (n, n + 1)."""
-    p, q = (np.array([sol.at(n), sol.at(n + 1)]) for sol in (phi, zeta))
-    a, _, _ = coefficient_arrays(seq, n + 1, n + 1)
-    return complex(_pairing(a, p, q)[0])
-
-
 def _pairing(a: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """W(n) = a(n + 1) (p(n) q(n + 1) - p(n + 1) q(n)) along the first axis.
 
@@ -671,25 +621,29 @@ def _rows_at(blocks: Iterator[tuple[int, np.ndarray]], sites: tuple[int, ...]) -
     return kept
 
 
-def equation_residual(seq: CoefficientSequence, sol: LatticeSolution) -> float:
-    """Worst relative defect of the difference equation at interior sites.
+def equation_residual(seq: CoefficientSequence, zs: np.ndarray, side: str) -> np.ndarray:
+    """Worst relative defect of the difference equation at the interior sites
+    of jost_values(seq, zs, side), one per point of zs.
 
     Each site residual is scaled by the largest participating term so the
     figure stays meaningful when the solution grows through the window.
+    Raises NumericalFault, naming the first theta, where a residual is not
+    finite, as it is where the solution overflows.
     """
-    lo, hi = sol.lo, sol.hi
-    if hi - lo < 2:
-        raise ValueError("solution range too short to test the equation")
-    # coefficient arrays span [lo, hi + 1], one site longer than the values
-    a, b, w = coefficient_arrays(seq, lo, hi + 1)
-    s = seq.limits.a_inf * (sol.z + 1.0 / sol.z) + seq.limits.b_inf
-    v = sol.values
-    up = a[2:-1] * v[2:]
-    mid = b[1:-2] * v[1:-1]
-    down = a[1:-2] * v[:-2]
-    drive = (w[1:-2] / seq.limits.w_inf) * s * v[1:-1]
-    defect = np.abs(up + mid + down - drive)
-    scale = np.maximum.reduce(
-        [np.ones_like(defect), np.abs(up), np.abs(mid), np.abs(down), np.abs(drive)]
-    )
-    return float(np.max(defect / scale))
+    zs = require_admissible(zs)
+    v, lo = _solve(seq, zs, side)
+    lim = seq.limits
+    # coefficient arrays run one site past the values, for a(n + 1) at the last
+    a, b, w = coefficient_arrays(seq, lo, lo + v.shape[1])
+    with np.errstate(all="ignore"):
+        up = a[2:-1] * v[:, 2:]
+        mid = b[1:-2] * v[:, 1:-1]
+        down = a[1:-2] * v[:, :-2]
+        drive = (w[1:-2] / lim.w_inf) * _drive(zs, lim, 1)[:, None] * v[:, 1:-1]
+        defect = np.abs(up + mid + down - drive)
+        scale = np.maximum.reduce(
+            [np.ones_like(defect), np.abs(up), np.abs(mid), np.abs(down), np.abs(drive)]
+        )
+        residual = np.max(defect / scale, axis=1)
+    _fault_where(~np.isfinite(residual), zs, "equation residual is not finite")
+    return residual

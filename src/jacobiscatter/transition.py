@@ -83,7 +83,7 @@ from typing import Iterator
 import numpy as np
 
 from .jost import _recurse, _rows_at
-from .lattice import CoefficientSequence, Fragmentation, _slab, coefficient_at, fragment
+from .lattice import CoefficientSequence, Fragmentation, _slab, coefficient_arrays, fragment
 from .scattering import _amplitude_blocks, _coefficients, _grid_maxima, _identity_sweep, _worst
 from .spectral import _fault_where, _power_table, require_admissible
 
@@ -339,6 +339,8 @@ def _junction_sweep(
     # z^n1, z^(n1 + 1), z^-n1 and z^-(n1 + 1) of every junction, from one table
     exponents = [k for n1 in points for k in (n1, n1 + 1, -n1, -(n1 + 1))]
     tables = _power_table(zs, np.array(exponents)).reshape(len(points), 4, m)
+    # a(n1 + 1) of every junction, from one read: points never decrease
+    couplings = coefficient_arrays(seq, points[0] + 1, points[-1] + 1)[0].tolist()
     for n1, left, right, table in zip(points, fits[::2], fits[1::2], tables):
         # keep only the coefficients the checks read, not the amplitudes
         (t1, r1, _), (t1c, r1c, _) = [_coefficients(*block) for block in left]
@@ -347,7 +349,7 @@ def _junction_sweep(
         inv_t1, r1_over_t1, minus_r1_over_t1 = 1.0 / t1, r1 / t1, -r1 / t1
         inv_t1c, r1c_over_t1c, minus_r1c_over_t1c = 1.0 / t1c, r1c / t1c, -r1c / t1c
         inv_t2, l2_over_t2, inv_t2c, l2c_over_t2c = 1.0 / t2, l2 / t2, 1.0 / t2c, l2c / t2c
-        ratio = seq.limits.a_inf / coefficient_at(seq, n1 + 1)[0]
+        ratio = seq.limits.a_inf / couplings[n1 - points[0]]
         # the whole's solutions and companions at n1 - 1 through n1 + 1.  The
         # right fragment's left pair is the whole's down to min(n1, n_max),
         # and past n_max both sit in the seeded tail.  The left fragment's

@@ -11,16 +11,14 @@ import numpy as np
 import pytest
 
 from jacobiscatter import (
-    conjugate_solution,
+    NumericalFault,
+    coefficient_arrays,
     equation_residual,
     identity_sweep,
-    jost_left,
-    jost_right,
     jost_values,
     solution_range,
-    wronskian,
 )
-from conftest import default_grid, make_sequence, random_sequence
+from conftest import default_grid, make_sequence, overflowing_sequence, random_sequence
 
 
 def brute_solution(seq, z, side, lo, hi):
@@ -55,54 +53,63 @@ def brute_solution(seq, z, side, lo, hi):
     return vals
 
 
+def pairing_row(seq, p, q, lo):
+    """W(n) = a(n + 1) (p(n) q(n + 1) - p(n + 1) q(n)) at the sites lo to
+    hi - 1 of two jost_values rows over [lo, hi], in plain numpy."""
+    a, _, _ = coefficient_arrays(seq, lo + 1, lo + len(p) - 1)
+    return a * (p[:-1] * q[1:] - p[1:] * q[:-1])
+
+
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_matches_brute_recursion(mixed_seq, side):
     for theta in (0.4, 2.2, -1.1, -2.9):
         z = cmath.exp(1j * theta)
-        sol = jost_left(mixed_seq, z) if side == "left" else jost_right(mixed_seq, z)
-        brute = brute_solution(mixed_seq, z, side, sol.lo, sol.hi)
+        (sol,), lo = jost_values(mixed_seq, [z], side)
+        hi = lo + len(sol) - 1
+        brute = brute_solution(mixed_seq, z, side, lo, hi)
         scale = max(max(abs(v) for v in brute.values()), 1.0)
-        for n in range(sol.lo, sol.hi + 1):
-            assert abs(sol.at(n) - brute[n]) <= 1e-12 * scale
+        for n in range(lo, hi + 1):
+            assert abs(sol[n - lo] - brute[n]) <= 1e-12 * scale
 
 
 def test_free_solutions_are_plane_waves(free_seq):
     z = cmath.exp(0.9j)
-    fl = jost_left(free_seq, z)
-    fr = jost_right(free_seq, z)
-    for n in range(fl.lo, fl.hi + 1):
-        assert abs(fl.at(n) - z**n) <= 1e-13
-        assert abs(fr.at(n) - z ** (-n)) <= 1e-13
+    (fl,), lo = jost_values(free_seq, [z], "left")
+    (fr,), _ = jost_values(free_seq, [z], "right")
+    for k, n in enumerate(range(lo, lo + len(fl))):
+        assert abs(fl[k] - z**n) <= 1e-13
+        assert abs(fr[k] - z ** (-n)) <= 1e-13
 
 
 def test_left_tail_is_exact_beyond_support(single_site_seq):
     z = cmath.exp(-0.7j)
-    fl = jost_left(single_site_seq, z)
+    (fl,), lo = jost_values(single_site_seq, [z], "left")
     # seeding, not recursion, fills these sites
-    assert fl.at(0) == 1.0
-    assert abs(fl.at(1) - z) <= 1e-15
-    assert abs(fl.at(2) - z * z) <= 1e-15
+    assert fl[0 - lo] == 1.0
+    assert abs(fl[1 - lo] - z) <= 1e-15
+    assert abs(fl[2 - lo] - z * z) <= 1e-15
 
 
 def test_single_site_hand_values():
     """One recursion step below / above the support in closed form."""
     seq = make_sequence(0, [1.0], [0.5], [1.0])
     for z in (1j, cmath.exp(0.6j), cmath.exp(-2.4j)):
-        fl = jost_left(seq, z)
-        fr = jost_right(seq, z)
+        (fl,), lo = jost_values(seq, [z], "left")
+        (fr,), _ = jost_values(seq, [z], "right")
         expected = 1.0 / z - 0.5
-        assert abs(fl.at(-1) - expected) <= 1e-14
-        assert abs(fr.at(1) - expected) <= 1e-14
+        assert abs(fl[-1 - lo] - expected) <= 1e-14
+        assert abs(fr[1 - lo] - expected) <= 1e-14
     # at z = i both become -0.5 - i
-    fl = jost_left(seq, 1j)
-    assert fl.at(-1) == pytest.approx(-0.5 - 1j, abs=1e-14)
+    (fl,), lo = jost_values(seq, [1j], "left")
+    assert fl[-1 - lo] == pytest.approx(-0.5 - 1j, abs=1e-14)
 
 
 def test_equation_residual_small_everywhere(mixed_seq):
     grid = default_grid(mixed_seq, count=32)
-    for z in grid.zs[::5]:
-        assert equation_residual(mixed_seq, jost_left(mixed_seq, complex(z))) <= 1e-12
-        assert equation_residual(mixed_seq, jost_right(mixed_seq, complex(z))) <= 1e-12
+    for side in ("left", "right"):
+        residual = equation_residual(mixed_seq, grid.zs[::5], side)
+        assert residual.shape == (7,)
+        assert np.max(residual) <= 1e-12
 
 
 def test_equation_residual_random_sequences():
@@ -110,7 +117,19 @@ def test_equation_residual_random_sequences():
     for _ in range(5):
         seq = random_sequence(rng)
         z = cmath.exp(1j * rng.uniform(0.2, 2.9))
-        assert equation_residual(seq, jost_left(seq, z)) <= 1e-12
+        assert equation_residual(seq, [z], "left")[0] <= 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+def test_equation_residual_faults_on_an_overflowing_window():
+    """The undamped 10,000-site window overflows from the grid's first
+    point on: the residual raises NumericalFault naming that theta, where
+    it would be NaN, and numpy warns of nothing."""
+    seq = overflowing_sequence()
+    zs = default_grid(seq, count=16).zs
+    with pytest.raises(NumericalFault) as fault:
+        equation_residual(seq, zs, "left")
+    assert str(fault.value) == f"equation residual is not finite at theta = {np.angle(zs[0]):.6g}"
 
 
 def test_solution_range_covers_support_margin(mixed_seq):
@@ -120,19 +139,14 @@ def test_solution_range_covers_support_margin(mixed_seq):
 
 
 def test_conjugate_solution_equals_entrywise_conjugate(mixed_seq):
+    """The companion, the at_inverse mode, is the solution's entrywise
+    conjugate on the circle."""
     for theta in (0.8, -1.9, 2.6):
         z = cmath.exp(1j * theta)
-        fl = jost_left(mixed_seq, z)
-        gl = conjugate_solution(mixed_seq, z, "left")
-        for n in range(fl.lo, fl.hi + 1):
-            assert abs(gl.at(n) - fl.at(n).conjugate()) <= 1e-10
-
-
-def test_conjugate_free_solution_swaps_wave_direction(free_seq):
-    z = cmath.exp(1.3j)
-    gl = conjugate_solution(free_seq, z, "left")
-    for n in range(gl.lo, gl.hi + 1):
-        assert abs(gl.at(n) - z ** (-n)) <= 1e-13
+        (fl,), _ = jost_values(mixed_seq, [z], "left")
+        (gl,), _ = jost_values(mixed_seq, [z], "left", at_inverse=True)
+        for k in range(len(fl)):
+            assert abs(gl[k] - fl[k].conjugate()) <= 1e-10
 
 
 def test_at_inverse_mode_flips_seed_exponents(free_seq):
@@ -145,32 +159,35 @@ def test_at_inverse_mode_flips_seed_exponents(free_seq):
 def test_side_argument_is_validated(free_seq):
     with pytest.raises(ValueError):
         jost_values(free_seq, np.array([1j]), "up")
+    with pytest.raises(ValueError):
+        equation_residual(free_seq, np.array([1j]), "up")
 
 
 def test_wronskian_free_pair_value(free_seq):
     z = cmath.exp(0.9j)
-    fl = jost_left(free_seq, z)
-    gl = conjugate_solution(free_seq, z, "left")
+    (fl,), lo = jost_values(free_seq, [z], "left")
+    (gl,), _ = jost_values(free_seq, [z], "left", at_inverse=True)
+    w = pairing_row(free_seq, fl, gl, lo)
     want = 1.0 / z - z
     for n in (-2, 0, 1):
-        assert abs(wronskian(free_seq, fl, gl, n) - want) <= 1e-13
+        assert abs(w[n - lo] - want) <= 1e-13
 
 
 def test_wronskian_antisymmetry_and_self(mixed_seq):
     z = cmath.exp(-0.8j)
-    fl = jost_left(mixed_seq, z)
-    fr = jost_right(mixed_seq, z)
-    assert wronskian(mixed_seq, fl, fl, 0) == 0
-    lhs = wronskian(mixed_seq, fl, fr, 1)
-    rhs = wronskian(mixed_seq, fr, fl, 1)
+    (fl,), lo = jost_values(mixed_seq, [z], "left")
+    (fr,), _ = jost_values(mixed_seq, [z], "right")
+    assert pairing_row(mixed_seq, fl, fl, lo)[0 - lo] == 0
+    lhs = pairing_row(mixed_seq, fl, fr, lo)[1 - lo]
+    rhs = pairing_row(mixed_seq, fr, fl, lo)[1 - lo]
     assert abs(lhs + rhs) <= 1e-13 * max(1.0, abs(lhs))
 
 
 def test_wronskian_is_constant_across_sites(mixed_seq):
     z = cmath.exp(0.35j)
-    fl = jost_left(mixed_seq, z)
-    fr = jost_right(mixed_seq, z)
-    w_low = wronskian(mixed_seq, fl, fr, -3)
-    w_high = wronskian(mixed_seq, fl, fr, 3)
+    (fl,), lo = jost_values(mixed_seq, [z], "left")
+    (fr,), _ = jost_values(mixed_seq, [z], "right")
+    w = pairing_row(mixed_seq, fl, fr, lo)
+    w_low, w_high = w[-3 - lo], w[3 - lo]
     assert abs(w_low - w_high) <= 1e-12 * max(1.0, abs(w_low))
     assert identity_sweep(mixed_seq, [z])["wronskian_constancy"] <= 1e-12

@@ -52,15 +52,13 @@ def test_step_matrix_entries(mixed_seq):
 
 
 def test_step_matrix_advances_a_true_solution(mixed_seq):
-    from jacobiscatter import jost_left
-
     z = cmath.exp(-0.6j)
-    fl = jost_left(mixed_seq, z)
-    for n in range(fl.lo + 1, fl.hi - 1):
+    (fl,), lo = jost_values(mixed_seq, [z], "left")
+    for n in range(lo + 1, lo + len(fl) - 2):
         m = step_matrix(mixed_seq, z, n)
-        state = np.array([fl.at(n), fl.at(n - 1)])
+        state = np.array([fl[n - lo], fl[n - 1 - lo]])
         out = m @ state
-        assert abs(out[0] - fl.at(n + 1)) <= 1e-11 * max(1.0, abs(fl.at(n + 1)))
+        assert abs(out[0] - fl[n + 1 - lo]) <= 1e-11 * max(1.0, abs(fl[n + 1 - lo]))
 
 
 def test_step_determinants_telescope(mixed_seq):

@@ -1,9 +1,10 @@
 """The one-point functions are views of the grid kernels, to the bit.
 
-extract_scattering, transition_for, factorization_check and jost_left
-run the grid kernels on the one-point grid [z].  Each must give the bits
-of the matching grid function called on [z], and the bits of z's column
-of a wider grid: a point's bits do not depend on the grid it sits in.
+extract_scattering, transition_for and factorization_check run the grid
+kernels on the one-point grid [z].  Each must give the bits of the
+matching grid function called on [z], and the bits of z's column of a
+wider grid: a point's bits do not depend on the grid it sits in.  So
+must jost_values and equation_residual called on [z].
 factorization_check over a grid is the maximum of the grid's residuals,
 and faults as the grid kernel does.
 The Wronskian row of identity_sweep at [z] is the drift of the pairing
@@ -14,8 +15,8 @@ each step takes out of place.  numpy (2.4) multiplies a one-element
 complex array in place by a scalar route that differs from its array
 loop in the last bit on about 45% of random products.  With that product
 in place, 93 of the 320 points of the fixtures' 32-point grids gave an
-extract_scattering (99 with at_inverse), and 72 a jost_left, that
-differed from their column of the grid call.
+extract_scattering (99 with at_inverse), and 72 a one-point
+jost_values row, that differed from their column of the grid call.
 """
 
 import numpy as np
@@ -28,8 +29,8 @@ from jacobiscatter import (
     extract_scattering,
     factorization_check,
     factorization_residuals,
+    equation_residual,
     identity_sweep,
-    jost_left,
     jost_values,
     sample_circle,
     scattering_values,
@@ -119,14 +120,25 @@ def test_factorization_check_faults_as_the_grid_kernel():
         assert str(got.value) == str(want.value), count
 
 
-def test_jost_left_is_a_one_point_grid():
+def test_jost_values_is_a_one_point_grid():
     for seq, _ in fixtures():
         for zs in grids(seq):
             values, lo = jost_values(seq, zs, "left")
             for i, z in enumerate(zs.tolist()):
-                sol = jost_left(seq, z)
-                assert sol.lo == lo
-                assert sol.values.tobytes() == values[i].tobytes(), z
+                (row,), row_lo = jost_values(seq, [z], "left")
+                assert row_lo == lo
+                assert row.tobytes() == values[i].tobytes(), z
+
+
+def test_equation_residual_is_a_one_point_grid():
+    for seq, _ in fixtures():
+        for zs in grids(seq):
+            for side in ("left", "right"):
+                residuals = equation_residual(seq, zs, side)
+                assert residuals.shape == zs.shape
+                for i, z in enumerate(zs.tolist()):
+                    got = equation_residual(seq, [z], side)
+                    assert got.tobytes() == residuals[i : i + 1].tobytes(), (z, side)
 
 
 def reference_wronskian_row(seq, z):
